@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -179,8 +180,9 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// parseDir parses the non-test Go files of dir with comments retained
-// (the //vampos:allow directives live in comments).
+// parseDir parses the non-test Go files of dir that the running
+// toolchain would build (//go:build lines and file-name suffixes count),
+// with comments retained (the //vampos:allow directives live in comments).
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -191,6 +193,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
 			strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

@@ -83,6 +83,7 @@ func measureVFSReboot(scale Scale, disableCheckpoint bool) (Stat, uint64, error)
 	if err != nil {
 		return Stat{}, 0, err
 	}
+	defer inst.Close()
 	comp, _ := inst.Runtime().Component("9pfs")
 	nineP := comp.(*ninep.Comp)
 	var samples []time.Duration
@@ -132,6 +133,7 @@ func measureRebootAfterOps(ops int, shrink bool) (time.Duration, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	defer inst.Close()
 	var dur time.Duration
 	var logLen int
 	var runErr error
@@ -172,6 +174,7 @@ func measureDispatchesPerWrite(cfg ConfigName) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer inst.Close()
 	const writes = 40
 	var perOp float64
 	var runErr error

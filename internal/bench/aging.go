@@ -112,6 +112,7 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer inst.Close()
 	row := &AgingRow{Arm: arm}
 	var runErr error
 	err = inst.Run(func(s *unikernel.Sys) {

@@ -130,6 +130,7 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 	if err != nil {
 		return DefenseArm{}, err
 	}
+	defer inst.Close()
 	arm := DefenseArm{Arm: "recovery-to-latest"}
 	if withDefense {
 		arm.Arm = "taint-aware"

@@ -61,6 +61,7 @@ func runFig5Config(cfg ConfigName, scale Scale, res *Fig5Result) error {
 	if err != nil {
 		return err
 	}
+	defer inst.Close()
 	trials := scale.SyscallTrials
 	var runErr error
 	err = inst.Run(func(s *unikernel.Sys) {

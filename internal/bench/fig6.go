@@ -76,6 +76,7 @@ func runFig6Target(target Fig6Target, scale Scale) (*Fig6Row, *trace.Recorder, e
 	if err != nil {
 		return nil, nil, err
 	}
+	defer inst.Close()
 	if err := inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180))); err != nil {
 		return nil, nil, err
 	}

@@ -111,6 +111,7 @@ func runAppWorkload(app string, cfg ConfigName, scale Scale, threshold int) (*Fi
 	if err != nil {
 		return nil, err
 	}
+	defer inst.Close()
 	if app == "nginx" {
 		// The paper's Nginx workload requests a 180-byte html file.
 		if err := inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180))); err != nil {

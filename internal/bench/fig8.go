@@ -82,6 +82,7 @@ func runFig8Variant(variant Table5Variant, scale Scale) (*Fig8Series, *trace.Rec
 	if err != nil {
 		return nil, nil, err
 	}
+	defer inst.Close()
 	// A bounded ring keeps memory flat over the long probe window; the
 	// recovery chain (fault/crash/detect/reboot events) is sticky in the
 	// recorder and survives ring wrap-around.

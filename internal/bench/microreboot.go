@@ -85,6 +85,7 @@ func runMicrorebootArm(scale Scale,
 	if err != nil {
 		return MicrorebootArm{}, err
 	}
+	defer inst.Close()
 	var (
 		arm    MicrorebootArm
 		runErr error

@@ -69,6 +69,7 @@ func runRecoveryPoint(calls int, pol ckpt.Policy) (*RecoveryPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer inst.Close()
 	pt := &RecoveryPoint{Calls: calls}
 	var runErr error
 	err = inst.Run(func(s *unikernel.Sys) {

@@ -158,6 +158,7 @@ func runScalingRow(scale Scale, procs, shards int) (ScalingRow, error) {
 	if err != nil {
 		return ScalingRow{}, err
 	}
+	defer inst.Close()
 	row := ScalingRow{Procs: procs, Shards: shards}
 	var runErr error
 	err = inst.Run(func(s *unikernel.Sys) {

@@ -42,6 +42,7 @@ func runTable3Pass(scale Scale, shrink bool, out map[string]float64) error {
 	if err != nil {
 		return err
 	}
+	defer inst.Close()
 	var runErr error
 	if err := inst.Run(func(s *unikernel.Sys) {
 		defer s.Stop()

@@ -63,6 +63,7 @@ func runTable5Variant(variant Table5Variant, scale Scale) (*Table5Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer inst.Close()
 	if err := inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180))); err != nil {
 		return nil, err
 	}

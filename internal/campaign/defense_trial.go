@@ -77,6 +77,7 @@ func runDefenseTrial(cell Cell, opts Options) (res CellResult) {
 	if err != nil {
 		return failResult(res, err)
 	}
+	defer inst.Close()
 	if cell.Fault == FaultXDomTouch {
 		if err := inst.Runtime().Register(faults.NewSaboteur()); err != nil {
 			return failResult(res, err)

@@ -72,6 +72,7 @@ func runSessionTrial(cell Cell, opts Options) (res CellResult) {
 	if err != nil {
 		return failResult(res, err)
 	}
+	defer inst.Close()
 	rec := inst.NewTracer("campaign/"+cell.ID(), trace.WithCapacity(1<<14))
 
 	clients := make([]*sessClient, sessionClients)

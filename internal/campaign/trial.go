@@ -173,6 +173,7 @@ func runTrial(cell Cell, opts Options) (res CellResult) {
 	if err != nil {
 		return failResult(res, err)
 	}
+	defer inst.Close()
 	if cell.Fault == FaultWildWrite {
 		if err := inst.Runtime().Register(faults.NewSaboteur()); err != nil {
 			return failResult(res, err)

@@ -166,13 +166,18 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Stop kills every live member.
+// Stop tears the cluster down: it kills every live member and releases
+// the parked threads of all of them. Read results before calling it.
 func (c *Cluster) Stop() {
 	for i, n := range c.nodes {
-		if n != nil && c.alive[i] {
+		if n == nil {
+			continue
+		}
+		if c.alive[i] {
 			_ = n.kill()
 			c.alive[i] = false
 		}
+		n.inst.Close()
 	}
 }
 
@@ -616,6 +621,7 @@ func (c *Cluster) ReviveInstance(id int) error {
 	}); err != nil {
 		return err
 	}
+	c.nodes[id].inst.Close() // the dead incarnation is unreachable from here on
 	c.nodes[id] = n
 	if donor >= 0 {
 		var state []byte

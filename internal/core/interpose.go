@@ -151,7 +151,7 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 		rt.stats.calls.Add(1)
 		rt.submitFrom(c.th, mqItem{kind: mqPush, pc: pc})
 		for !pc.done {
-			c.th.Block("call " + tc.desc.Name + "." + fn)
+			c.th.BlockCall(tc.desc.Name, fn)
 		}
 		if !pc.rebooted {
 			if tr := rt.tracer; tr != nil {

@@ -532,6 +532,17 @@ func (rt *Runtime) Stop() {
 	rt.sch.Stop()
 }
 
+// Close releases the simulated threads a finished runtime still holds
+// parked (sched.Scheduler.Close). Call it after Run has returned and the
+// results have been read: application threads unwind through their
+// deferred calls, which may still tick counters such as Stats().Calls.
+// The flight recorder is detached first, so a trace the caller keeps
+// gains nothing from the unwinding.
+func (rt *Runtime) Close() {
+	rt.SetTracer(nil)
+	rt.sch.Close()
+}
+
 // EnsureAppHeap lazily maps an application arena of npages (power of
 // two) tagged with the application key, for applications that keep bulk
 // data in guest memory.

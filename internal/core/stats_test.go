@@ -155,6 +155,7 @@ func TestStatsSnapshotsRaceFreeUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
+	first := make(chan struct{}) // closed after the observer's first full iteration
 	snapped := make(chan int)
 	go func() {
 		n := 0
@@ -170,9 +171,15 @@ func TestStatsSnapshotsRaceFreeUnderLoad(t *testing.T) {
 			_ = rt.FullRestarts()
 			_ = rt.VersionSwitches()
 			n++
+			if n == 1 {
+				close(first)
+			}
 			runtime.Gosched()
 		}
 	}()
+	// The whole simulation can finish before a fresh goroutine is first
+	// scheduled; start it only once the observer is known to be running.
+	<-first
 	err := rt.Run(func(c *Ctx) {
 		for i := 0; i < 20; i++ {
 			bomb := "bomb" + strconv.Itoa(i)

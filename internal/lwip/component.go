@@ -56,6 +56,7 @@ type Comp struct {
 	conns    map[connKey]int
 	nextSock int
 	isn      uint32
+	rt       rtEncoder
 
 	// staticBase is the component's data/bss analogue: a region Init
 	// writes into the arena so the post-init checkpoint has the resident
@@ -206,46 +207,13 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 	}
 }
 
-// runtimeState is what replay cannot rebuild: live connections with
-// their sequence/ACK numbers and buffered bytes, plus the allocation
-// counters that keep post-reboot ids collision-free.
-type runtimeState struct {
-	NextSock int
-	ISN      uint32
-	Conns    []savedConn
-	AcceptQs map[int][]int
-}
-
-type savedConn struct {
-	ID       int
-	Listener int
-	Machine  MachineState
-}
-
-func init() {
-	gob.Register(runtimeState{})
-}
-
 // saveRuntime extracts and stores the runtime state (paper §V-B: "tracks
 // and saves specific data every time their updates are directly used").
 func (c *Comp) saveRuntime(ctx *core.Ctx) {
 	if ctx.InReplay() {
 		return
 	}
-	st := runtimeState{NextSock: c.nextSock, ISN: c.isn, AcceptQs: make(map[int][]int)}
-	for id, s := range c.socks {
-		if s.State == sockConn && s.m != nil {
-			st.Conns = append(st.Conns, savedConn{ID: id, Listener: s.Listener, Machine: s.m.Snapshot()})
-		}
-		if s.State == sockListening && len(s.AcceptQ) > 0 {
-			st.AcceptQs[id] = append([]int(nil), s.AcceptQ...)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		panic(fmt.Sprintf("lwip: encode runtime state: %v", err))
-	}
-	ctx.SaveRuntimeState(msg.Args{buf.Bytes()})
+	ctx.SaveRuntimeState(msg.Args{c.rt.encode(c.socks, c.nextSock, c.isn)})
 }
 
 // InstallRuntimeState implements core.RuntimeKeeper: after checkpoint
@@ -256,9 +224,9 @@ func (c *Comp) InstallRuntimeState(ctx *core.Ctx, state msg.Args) error {
 	if err != nil {
 		return err
 	}
-	var st runtimeState
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
-		return fmt.Errorf("lwip: decode runtime state: %w", err)
+	st, err := decodeRuntimeState(blob)
+	if err != nil {
+		return err
 	}
 	c.nextSock = st.NextSock
 	c.isn = st.ISN
@@ -277,9 +245,9 @@ func (c *Comp) InstallRuntimeState(ctx *core.Ctx, state msg.Args) error {
 		c.socks[sc.ID] = s
 		c.conns[connKey{Remote: sc.Machine.Remote, RemotePort: sc.Machine.RemotePort, LocalPort: sc.Machine.LocalPort}] = sc.ID
 	}
-	for lid, q := range st.AcceptQs {
-		if l, ok := c.socks[lid]; ok {
-			l.AcceptQ = append([]int(nil), q...)
+	for _, aq := range st.AcceptQs {
+		if l, ok := c.socks[aq.Listener]; ok {
+			l.AcceptQ = aq.Queue
 		}
 	}
 	return nil

@@ -1,0 +1,91 @@
+package sched
+
+import (
+	"testing"
+	"time"
+
+	"vampos/internal/mem"
+)
+
+// The benchmarks time the wall cost of one simulated context switch in
+// each of the ways a thread gives up the baton. Every op is one park plus
+// the dispatch that resumes the thread; virtual dispatch cost is off, so
+// only this package's own work is measured.
+
+func runBench(b *testing.B, s *Scheduler) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	s.Close()
+}
+
+// BenchmarkYieldPingPong: two threads alternate through the ready queue.
+func BenchmarkYieldPingPong(b *testing.B) {
+	s := newSched(nil)
+	for _, name := range []string{"ping", "pong"} {
+		s.Spawn(name, mem.AllowAll, func(th *Thread) {
+			for i := 0; i < b.N/2+1; i++ {
+				th.Yield()
+			}
+		})
+	}
+	runBench(b, s)
+}
+
+// BenchmarkBlockWake: a consumer blocks, a producer wakes it and yields —
+// the shape of one message hop.
+func BenchmarkBlockWake(b *testing.B) {
+	s := newSched(nil)
+	consumer := s.Spawn("consumer", mem.AllowAll, func(th *Thread) {
+		for {
+			th.BlockCall("producer", "item")
+		}
+	})
+	s.Spawn("producer", mem.AllowAll, func(th *Thread) {
+		for i := 0; i < b.N/2+1; i++ {
+			consumer.Wake()
+			th.Yield()
+		}
+		s.Stop()
+	})
+	runBench(b, s)
+}
+
+// BenchmarkSleepWake: one thread sleeps, so every op also registers a
+// timer and advances the virtual clock to it — the shape of one poll.
+func BenchmarkSleepWake(b *testing.B) {
+	s := newSched(nil)
+	s.Spawn("poller", mem.AllowAll, func(th *Thread) {
+		for i := 0; i < b.N; i++ {
+			th.Sleep(20 * time.Microsecond)
+		}
+	})
+	runBench(b, s)
+}
+
+// benchRound runs b.N scheduling rounds of width domain threads, each on
+// a shard of its own. Width one is the singleton batch the round engine
+// dispatches live; wider batches run as journaled slices on runner
+// goroutines and commit in merge order.
+func benchRound(b *testing.B, width int) {
+	s := newSched(nil)
+	s.SetShards(width)
+	for i := 0; i < width; i++ {
+		th := s.Spawn("domain", mem.AllowAll, func(th *Thread) {
+			for i := 0; i < b.N; i++ {
+				th.Charge(time.Microsecond)
+				th.Yield()
+			}
+		})
+		th.SetClass(ClassDomain)
+		th.SetShard(i)
+	}
+	runBench(b, s)
+}
+
+func BenchmarkRoundWidth1(b *testing.B) { benchRound(b, 1) }
+func BenchmarkRoundWidth4(b *testing.B) { benchRound(b, 4) }

@@ -5,9 +5,12 @@
 // under Unikraft's cooperative scheduler, and its entire overhead model is
 // "one cross-component message costs scheduler dispatches" (§V-A, §V-C).
 // A preemptive Go runtime would hide that cost structure, so this package
-// serialises execution: every simulated thread is a goroutine, but a baton
-// guarantees exactly one is runnable at any instant, and control returns
-// to the scheduler at every yield, block, sleep, or exit.
+// serialises execution: every simulated thread is a runtime coroutine
+// (iter.Pull, coro.go). Dispatch switches the dispatcher's OS thread
+// straight into the thread, and a yield, block, sleep or exit switches it
+// straight back, so exactly one runs at any instant and no switch goes
+// through Go's run queue, whose wake-ups of the idle P would cost several
+// times the switch itself.
 //
 // When no thread is ready the scheduler advances the virtual clock to the
 // next pending timer, making the whole system a deterministic
@@ -174,25 +177,25 @@ func (s *Scheduler) Current() *Thread { return s.current }
 
 // Thread is one cooperative thread of execution.
 type Thread struct {
-	sched  *Scheduler
-	id     int
-	name   string
-	state  State
-	resume chan struct{}
-	// parked signals the dispatching goroutine (conductor or shard
-	// runner) that this thread has returned control. Per-thread so that
-	// parallel rounds can wait on their own slices independently.
-	parked chan struct{}
-	fn     func(*Thread)
-	pkru   mem.PKRU
-	acc    *mem.Accessor
+	sched *Scheduler
+	id    int
+	name  string
+	state State
+	// next switches the dispatching goroutine (conductor or shard runner)
+	// into the thread's coroutine until it parks or ends; yield switches
+	// back. Calls to next for one thread never overlap.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	fn    func(*Thread)
+	pkru  mem.PKRU
+	acc   *mem.Accessor
 
-	killed      bool
-	panicVal    any // non-nil when fn ended by panic (not a kill)
-	dispatches  uint64
-	wakeTimer   *clock.Timer
-	blockReason string
-	onPanic     func(any)
+	killed     bool
+	panicVal   any // non-nil when fn ended by panic (not a kill)
+	dispatches uint64
+	wakeTimer  *clock.Timer
+	parkedOn   parkReason
+	onPanic    func(any)
 
 	// class separates domain threads (component workers, app threads),
 	// which may execute inside buffered parallel rounds, from system
@@ -212,8 +215,8 @@ type Thread struct {
 	running bool
 
 	// Buffered-slice journal (see shard.go). Owned by the thread's
-	// goroutine while running, by the dispatching runner before/after;
-	// the resume/parked channel handoffs order all accesses.
+	// coroutine while running, by the dispatching runner before/after;
+	// the coroutine switches order all accesses.
 	buffering   bool
 	sliceBase   time.Duration // global virtual time frozen at round start
 	sliceCharge time.Duration // virtual time charged so far this slice
@@ -310,8 +313,6 @@ func (s *Scheduler) newThread(name string, pkru mem.PKRU, fn func(*Thread)) *Thr
 		sched:      s,
 		name:       name,
 		state:      StateReady,
-		resume:     make(chan struct{}),
-		parked:     make(chan struct{}),
 		fn:         fn,
 		pkru:       pkru,
 		nameHash:   fnv64a(name),
@@ -330,11 +331,12 @@ func (s *Scheduler) register(t *Thread) {
 	s.threads = append(s.threads, t)
 	s.stats.Spawned++
 	s.policy.Enqueue(t)
-	go t.run()
+	t.next = newCoro(t.run)
 }
 
-func (t *Thread) run() {
-	<-t.resume // wait for first dispatch
+// run is the coroutine body; it starts at the thread's first dispatch.
+func (t *Thread) run(yield func(struct{}) bool) {
+	t.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if ks, ok := r.(killSentinel); ok && ks.t == t {
@@ -344,7 +346,6 @@ func (t *Thread) run() {
 			}
 		}
 		t.state = StateDone
-		t.parked <- struct{}{}
 	}()
 	if t.killed {
 		// Killed before ever being dispatched: unwind without running fn.
@@ -356,8 +357,7 @@ func (t *Thread) run() {
 // switchOut returns control to the dispatcher (conductor or shard
 // runner) and parks until redispatched, then honours a pending kill.
 func (t *Thread) switchOut() {
-	t.parked <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 	if t.killed {
 		panic(killSentinel{t: t})
 	}
@@ -379,12 +379,37 @@ func (t *Thread) Yield() {
 	t.switchOut()
 }
 
+// parkReason says why a thread is blocked or sleeping. Parking happens on
+// every dispatch and the reason is read only by the deadlock dump, so it
+// is kept as parts and formatted there.
+type parkReason struct {
+	text  string        // Block's reason, or BlockCall's target
+	fn    string        // BlockCall's function
+	sleep time.Duration // Sleep's duration
+}
+
+func (r parkReason) String() string {
+	switch {
+	case r.sleep > 0:
+		return fmt.Sprintf("sleep %v", r.sleep)
+	case r.fn != "":
+		return "call " + r.text + "." + r.fn
+	}
+	return r.text
+}
+
 // Block parks the thread until another thread (or a timer callback) calls
 // Wake. The reason string appears in deadlock dumps.
-func (t *Thread) Block(reason string) {
+func (t *Thread) Block(reason string) { t.block(parkReason{text: reason}) }
+
+// BlockCall is Block for a caller awaiting the reply to target.fn; the
+// dump shows it as "call target.fn".
+func (t *Thread) BlockCall(target, fn string) { t.block(parkReason{text: target, fn: fn}) }
+
+func (t *Thread) block(why parkReason) {
 	t.mustBeCurrent("Block")
 	t.state = StateBlocked
-	t.blockReason = reason
+	t.parkedOn = why
 	t.switchOut()
 }
 
@@ -399,7 +424,7 @@ func (t *Thread) Wake() {
 			t.wakeTimer = nil
 		}
 		t.state = StateReady
-		t.blockReason = ""
+		t.parkedOn = parkReason{}
 		t.sched.policy.Enqueue(t)
 	}
 }
@@ -415,7 +440,7 @@ func (t *Thread) Sleep(d time.Duration) {
 		return
 	}
 	t.state = StateSleeping
-	t.blockReason = fmt.Sprintf("sleep %v", d)
+	t.parkedOn = parkReason{sleep: d}
 	if t.buffering {
 		t.sliceSleep = d
 		t.switchOut()
@@ -456,6 +481,26 @@ func (s *Scheduler) Stop() { s.stopped = true }
 
 // Stopped reports whether Stop has been requested.
 func (s *Scheduler) Stopped() bool { return s.stopped }
+
+// Close unwinds every thread that has not finished, so a simulation that
+// will not run again gives up its parked coroutines and everything their
+// stacks reference. Call it from the host goroutine once Run has returned
+// and the results have been read: the threads' deferred functions run as
+// in a Kill, but outside dispatch — no dispatch charge, no OnKill or panic
+// handler — and a thread that parks while unwinding is switched into again
+// until it ends.
+func (s *Scheduler) Close() {
+	s.stopped = true
+	for i := 0; i < len(s.threads); i++ { // unwinding code may spawn
+		t := s.threads[i]
+		for t.state != StateDone {
+			t.killed = true
+			s.current, t.running = t, true
+			t.next()
+			s.current, t.running = nil, false
+		}
+	}
+}
 
 func (t *Thread) mustBeCurrent(op string) {
 	if !t.running {
@@ -573,8 +618,7 @@ func (s *Scheduler) dispatch(t *Thread) {
 	}
 	s.current = t
 	t.running = true
-	t.resume <- struct{}{}
-	<-t.parked
+	t.next()
 	t.running = false
 	s.current = nil
 	if t.state == StateDone {
@@ -616,8 +660,8 @@ func (s *Scheduler) dumpThreads() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  thread %d %q: %s", t.id, t.name, t.state)
-		if t.blockReason != "" {
-			fmt.Fprintf(&b, " (%s)", t.blockReason)
+		if t.parkedOn != (parkReason{}) {
+			fmt.Fprintf(&b, " (%s)", t.parkedOn)
 		}
 		b.WriteByte('\n')
 	}

@@ -243,9 +243,9 @@ func (s *Scheduler) runRound(batch []*Thread) {
 }
 
 // runSlice executes one buffered timeslice of t on the calling runner
-// goroutine: resume the thread, wait for it to park, leave the journal
-// for the conductor. The resume/parked channel pair gives the -race
-// detector (and the memory model) the required happens-before edges.
+// goroutine: switch into the thread until it parks, leave the journal
+// for the conductor. iter.Pull's own annotations give the -race detector
+// (and the memory model) the required happens-before edges.
 func (s *Scheduler) runSlice(t *Thread, base time.Duration) {
 	t.buffering = true
 	t.sliceBase = base
@@ -266,8 +266,7 @@ func (s *Scheduler) runSlice(t *Thread, base time.Duration) {
 	t.state = StateRunning
 	t.running = true
 	start := sliceWallClock()
-	t.resume <- struct{}{}
-	<-t.parked
+	t.next()
 	t.sliceWall = sliceWallClock().Sub(start)
 	t.running = false
 	t.buffering = false

@@ -207,6 +207,14 @@ func (i *Instance) Run(control func(*Sys)) error {
 	})
 }
 
+// Close tears down an instance that will not run again, releasing every
+// simulated thread Run left parked and the memory their stacks hold. Call
+// it once the results have been read (see core.Runtime.Close).
+func (i *Instance) Close() {
+	i.host.SetTracer(nil)
+	i.rt.Close()
+}
+
 // StartApp runs the application's Main on the controller thread; server
 // threads it spawns are tracked for the full-reboot teardown.
 func (s *Sys) StartApp(app App) error {
