@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"maps"
 	"strconv"
 	"strings"
 	"testing"
@@ -315,5 +317,149 @@ func TestDefenseDisabledIsInert(t *testing.T) {
 	}
 	if rec := rt.Reboots()[0]; rec.LayoutFingerprints != nil || rec.TaintWatermark != 0 {
 		t.Fatalf("defense fields populated while disabled: %+v", rec)
+	}
+}
+
+// arenaKV keeps each slot's value in its own page of the component
+// arena and nothing in Go state, so what a restore brings back is
+// decided by the checkpoint image alone.
+type arenaKV struct {
+	base  mem.Addr
+	crash bool // the next put panics, once
+}
+
+func (a *arenaKV) Describe() Descriptor {
+	return Descriptor{Name: "akv", Stateful: true, Checkpoint: true, HeapPages: 16, DomainPages: 16}
+}
+
+func (a *arenaKV) Init(ctx *Ctx) error {
+	a.base = ctx.comp.heapBase
+	return nil
+}
+
+func (a *arenaKV) slot(args msg.Args) (mem.Addr, error) {
+	i, err := args.Int(0)
+	return a.base + mem.Addr(i)*mem.PageSize, err
+}
+
+func (a *arenaKV) Exports() map[string]Handler {
+	return map[string]Handler{
+		"put": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+			at, err := a.slot(args)
+			if err != nil {
+				return nil, err
+			}
+			val, err := args.Str(1)
+			if err != nil {
+				return nil, err
+			}
+			if a.crash {
+				a.crash = false
+				panic("injected crash in arenaKV.put")
+			}
+			buf := make([]byte, 16)
+			copy(buf, val)
+			return nil, ctx.Mem().Write(at, buf)
+		},
+		"get": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+			at, err := a.slot(args)
+			if err != nil {
+				return nil, err
+			}
+			buf, err := ctx.Mem().ReadBytes(at, 16)
+			return msg.Args{string(bytes.TrimRight(buf, "\x00"))}, err
+		},
+	}
+}
+
+func (a *arenaKV) LogPolicies() map[string]LogPolicy {
+	return map[string]LogPolicy{"put": {}} // "get" is state-unchanged: not logged
+}
+
+// TestTaintRollbackAcrossSharedImages: with the default history depth of
+// 4 every retained image is a SnapshotDelta over its predecessor, so the
+// ring's images share every page but the slots written between them. A
+// taint rollback restores an older image while newer ones that hold the
+// same buffers sit quarantined in the ring, and later captures chain on
+// the restored one; through all of it the arena must agree with a
+// host-side shadow of the acknowledged, un-tainted puts.
+func TestTaintRollbackAcrossSharedImages(t *testing.T) {
+	akv := &arenaKV{}
+	cfg := DaSConfig()
+	cfg.Defense = defense.Policy{Enabled: true, SealEveryCalls: 4}
+	cfg.Ckpt = ckpt.Policy{EveryCalls: 2}
+	shadow := map[int]string{}
+	put := func(c *Ctx, slot int) {
+		shadow[slot] = "v" + strconv.Itoa(slot) + "." + strconv.Itoa(len(shadow))
+		mustCall(t, c, "akv", "put", slot, shadow[slot])
+	}
+	check := func(c *Ctx, when string) {
+		t.Helper()
+		for slot := 1; slot <= 12; slot++ {
+			rets := mustCall(t, c, "akv", "get", slot)
+			if v, _ := rets.Str(0); v != shadow[slot] {
+				t.Errorf("%s: slot %d = %q, shadow says %q", when, slot, v, shadow[slot])
+			}
+		}
+	}
+	rt := run(t, cfg, []Component{akv}, func(c *Ctx) {
+		// Six puts: cadence images after puts 2, 4 and 6 join the post-init
+		// image in the ring, and the seal captured after put1 is verified
+		// clean and advanced after put5 — the last un-tainted call.
+		var clean map[int]string
+		for slot := 1; slot <= 6; slot++ {
+			if slot == 6 {
+				clean = maps.Clone(shadow)
+			}
+			put(c, slot)
+		}
+		if n := len(c.rt.ImageMetas("akv")); n != 4 {
+			t.Fatalf("ring holds %d images before the attack, want 4", n)
+		}
+		// Tamper with slot 2's page: clean, and one shared buffer, in every
+		// image of the ring so far.
+		tc := c.rt.comps["akv"]
+		if err := c.rt.memry.HostWrite(tc.heapBase+2*mem.PageSize, []byte("tampered")); err != nil {
+			t.Fatal(err)
+		}
+		// The eighth put's image captures the tampered page and an
+		// overwritten slot 3; the ninth's verification breaks the seal.
+		// Everything since put5 ran after the last clean verification and
+		// the rollback sheds it.
+		for _, slot := range []int{7, 3, 9} {
+			put(c, slot)
+		}
+		shadow = clean
+		// The first get queues behind the tamper reboot. Read the ring right
+		// after it, before check's gets let the cadence evict from it.
+		mustCall(t, c, "akv", "get", 1)
+		var quarantined int
+		for _, m := range c.rt.ImageMetas("akv") {
+			if m.Quarantined {
+				quarantined++
+			}
+		}
+		if quarantined != 2 {
+			t.Errorf("image metas %+v: want the sixth and eighth puts' images quarantined", c.rt.ImageMetas("akv"))
+		}
+		check(c, "after taint rollback")
+		// New captures chain on the restored image and push the
+		// quarantined ones out of the ring; slot 3 is overwritten so an old
+		// buffer is dropped by some images and still held by others.
+		for _, slot := range []int{10, 3, 11, 12} {
+			put(c, slot)
+		}
+		// An ordinary crash now restores the newest image.
+		akv.crash = true
+		put(c, 1)
+		check(c, "after crash recovery")
+	})
+	st := rt.Stats()
+	if st.TamperDetections != 1 || st.TaintRollbacks != 1 || st.QuarantinedImages != 2 {
+		t.Fatalf("detections=%d rollbacks=%d quarantined=%d, want 1/1/2",
+			st.TamperDetections, st.TaintRollbacks, st.QuarantinedImages)
+	}
+	if recs := rt.Reboots(); len(recs) != 2 || recs[0].RestoredEpochSeq >= recs[0].TaintWatermark {
+		t.Fatalf("reboots %+v: want a rollback below the watermark, then a crash reboot", recs)
 	}
 }

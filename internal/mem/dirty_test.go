@@ -57,10 +57,10 @@ func TestSnapshotDeltaCapturesOnlyDirtyPages(t *testing.T) {
 		t.Fatalf("delta reports %d dirty pages, want 1", dirty)
 	}
 	want := bytes.Repeat([]byte{0xAA}, PageSize)
-	if !bytes.Equal(delta.Data[2*PageSize:3*PageSize], want) {
+	if !bytes.Equal(delta.pages[2], want) {
 		t.Fatal("delta did not capture the dirtied page's new content")
 	}
-	if !bytes.Equal(delta.Data[0:PageSize], bytes.Repeat([]byte{1}, PageSize)) {
+	if !bytes.Equal(delta.pages[0], bytes.Repeat([]byte{1}, PageSize)) {
 		t.Fatal("delta did not carry the clean page's image through")
 	}
 }
@@ -159,7 +159,7 @@ func TestFreedPagesAreDirtyAndAbsent(t *testing.T) {
 	if delta.Resident != 1 {
 		t.Fatalf("delta Resident = %d, want 1 (freed page is absent)", delta.Resident)
 	}
-	if delta.Present[1] {
+	if delta.pages[1] != nil {
 		t.Fatal("freed page still marked present in the delta")
 	}
 }

@@ -444,61 +444,85 @@ func (a *Accessor) ReadBytes(addr Addr, n int) ([]byte, error) {
 	return p, nil
 }
 
-// Snapshot is a verbatim copy of a page range and its keys, used by
+// Snapshot is an image of a page range and its keys, used by
 // checkpoint-based initialization (paper §V-E) and by the incremental
-// checkpoint manager.
+// checkpoint manager. It is a page table over immutable buffers: nothing
+// writes a captured page again, so successive images share the pages that
+// did not change between them and the garbage collector frees a buffer
+// when the last image holding it is dropped.
 type Snapshot struct {
 	Base  Addr
 	Pages int
-	Data  []byte
 	Keys  []Key
 	// Vers records each page's write-version stamp at capture time.
 	// SnapshotDelta compares the live stamps against these to find pages
 	// dirtied since this snapshot was taken.
 	Vers []uint64
-	// Present marks pages that were materialised at capture time. Absent
-	// pages hold zeros, so Restore skips copying them (and drops their
-	// frames), making restore cost proportional to Resident rather than
-	// to the arena span.
-	Present []bool
+	// pages holds one buffer per page that was materialised at capture
+	// time. Absent pages (nil) hold zeros, so Restore skips copying them
+	// and drops their frames, making restore cost proportional to Resident
+	// rather than to the arena span.
+	pages [][]byte
 	// Resident counts the present pages.
 	Resident int
 }
 
-// Snapshot captures n pages starting at base. The host takes snapshots,
-// so no protection check applies (the paper reuses the QEMU snapshot
-// feature for the same reason).
+// wellFormed reports whether s carries the per-page tables its Pages
+// count promises, which a hand-assembled Snapshot does not.
+func (s *Snapshot) wellFormed() bool {
+	return s != nil && len(s.Keys) == s.Pages && len(s.Vers) == s.Pages && len(s.pages) == s.Pages
+}
+
+// Snapshot captures n pages starting at base, copying the resident ones.
+// The host takes snapshots, so no protection check applies (the paper
+// reuses the QEMU snapshot feature for the same reason).
 func (m *Memory) Snapshot(base Addr, n int) (*Snapshot, error) {
 	start, err := m.pageIndex(base, n)
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		Base: base, Pages: n,
-		Data:    make([]byte, n*PageSize),
-		Keys:    make([]Key, n),
-		Vers:    make([]uint64, n),
-		Present: make([]bool, n),
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := 0; i < n; i++ {
-		s.Keys[i] = m.keys[start+i]
-		s.Vers[i] = m.vers[start+i]
-		if f := m.frames[start+i]; f != nil {
-			copy(s.Data[i*PageSize:(i+1)*PageSize], f)
-			s.Present[i] = true
+	s, _ := m.capture(base, start, n, nil)
+	return s, nil
+}
+
+// capture builds the image of n pages from page index start. A page whose
+// stamp matches prev's is stored as a reference to prev's buffer; any
+// other page counts as dirty, and is copied if resident and left absent if
+// not. Caller holds m.mu.
+func (m *Memory) capture(base Addr, start, n int, prev *Snapshot) (*Snapshot, int) {
+	s := &Snapshot{
+		Base: base, Pages: n,
+		Keys:  make([]Key, n),
+		Vers:  make([]uint64, n),
+		pages: make([][]byte, n),
+	}
+	copy(s.Keys, m.keys[start:start+n])
+	copy(s.Vers, m.vers[start:start+n])
+	dirty := 0
+	for i := range s.pages {
+		if prev != nil && s.Vers[i] == prev.Vers[i] {
+			s.pages[i] = prev.pages[i]
+		} else {
+			dirty++
+			if f := m.frames[start+i]; f != nil {
+				s.pages[i] = append([]byte(nil), f...)
+			}
+			// A dirtied-then-unmapped page is absent again: zeros.
+		}
+		if s.pages[i] != nil {
 			s.Resident++
 		}
 	}
-	return s, nil
+	return s, dirty
 }
 
 // DirtyPages counts the pages of prev's range whose write-version stamp
 // has moved since prev was captured — the pages a SnapshotDelta would
 // re-copy. prev must carry version stamps.
 func (m *Memory) DirtyPages(prev *Snapshot) (int, error) {
-	if prev == nil || len(prev.Vers) != prev.Pages {
+	if !prev.wellFormed() {
 		return 0, fmt.Errorf("mem: DirtyPages: snapshot lacks version stamps")
 	}
 	start, err := m.pageIndex(prev.Base, prev.Pages)
@@ -508,8 +532,8 @@ func (m *Memory) DirtyPages(prev *Snapshot) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	dirty := 0
-	for i := 0; i < prev.Pages; i++ {
-		if m.vers[start+i] != prev.Vers[i] {
+	for i, v := range prev.Vers {
+		if m.vers[start+i] != v {
 			dirty++
 		}
 	}
@@ -517,51 +541,23 @@ func (m *Memory) DirtyPages(prev *Snapshot) (int, error) {
 }
 
 // SnapshotDelta captures a new full snapshot of prev's page range by
-// copying only the pages dirtied since prev was taken and layering them
-// over prev's image — the incremental-checkpoint primitive. The returned
-// snapshot is self-contained (Restore needs no chain of deltas); the
-// second result is the number of dirty pages actually copied, which is
-// what the cost model should charge. prev must carry version stamps.
+// copying only the pages dirtied since prev was taken and referencing
+// prev's buffers for the rest — the incremental-checkpoint primitive. The
+// returned snapshot is self-contained (Restore needs no chain of deltas,
+// and dropping prev frees only the pages nothing else holds); the second
+// result is the number of dirty pages, which is what the cost model should
+// charge. prev must carry version stamps.
 func (m *Memory) SnapshotDelta(prev *Snapshot) (*Snapshot, int, error) {
-	if prev == nil || len(prev.Vers) != prev.Pages {
+	if !prev.wellFormed() {
 		return nil, 0, fmt.Errorf("mem: SnapshotDelta: snapshot lacks version stamps")
 	}
 	start, err := m.pageIndex(prev.Base, prev.Pages)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := prev.Pages
-	s := &Snapshot{
-		Base: prev.Base, Pages: n,
-		Data:    make([]byte, n*PageSize),
-		Keys:    make([]Key, n),
-		Vers:    make([]uint64, n),
-		Present: make([]bool, n),
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	dirty := 0
-	for i := 0; i < n; i++ {
-		pg := start + i
-		s.Keys[i] = m.keys[pg]
-		if m.vers[pg] == prev.Vers[i] {
-			// Clean since prev: carry the old image through untouched.
-			copy(s.Data[i*PageSize:(i+1)*PageSize], prev.Data[i*PageSize:(i+1)*PageSize])
-			s.Vers[i] = prev.Vers[i]
-			s.Present[i] = i < len(prev.Present) && prev.Present[i]
-		} else {
-			dirty++
-			s.Vers[i] = m.vers[pg]
-			if f := m.frames[pg]; f != nil {
-				copy(s.Data[i*PageSize:(i+1)*PageSize], f)
-				s.Present[i] = true
-			}
-			// A dirtied-then-unmapped page is absent again: zeros.
-		}
-		if s.Present[i] {
-			s.Resident++
-		}
-	}
+	s, dirty := m.capture(prev.Base, start, prev.Pages, prev)
 	return s, dirty, nil
 }
 
@@ -569,30 +565,24 @@ func (m *Memory) SnapshotDelta(prev *Snapshot) (*Snapshot, int, error) {
 // both contents and keys. Only present (resident-at-capture) pages are
 // copied; absent pages get their frames dropped, which reads as zeros.
 // Version stamps are reset to the snapshot's, so restored pages read
-// clean relative to it. Snapshots built without Present/Vers metadata
-// (hand-assembled in tests) restore every page and stamp them dirty.
+// clean relative to it.
 func (m *Memory) Restore(s *Snapshot) error {
+	if !s.wellFormed() {
+		return fmt.Errorf("mem: Restore: snapshot lacks its page tables")
+	}
 	start, err := m.pageIndex(s.Base, s.Pages)
 	if err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	hasPresent := len(s.Present) == s.Pages
-	hasVers := len(s.Vers) == s.Pages
-	for i := 0; i < s.Pages; i++ {
-		pg := start + i
-		m.keys[pg] = s.Keys[i]
-		if !hasPresent || s.Present[i] {
-			copy(m.frame(pg), s.Data[i*PageSize:(i+1)*PageSize])
+	copy(m.keys[start:], s.Keys)
+	copy(m.vers[start:], s.Vers)
+	for i, p := range s.pages {
+		if p != nil {
+			copy(m.frame(start+i), p)
 		} else {
-			m.frames[pg] = nil
-		}
-		if hasVers {
-			m.vers[pg] = s.Vers[i]
-		} else {
-			m.verClk++
-			m.vers[pg] = m.verClk
+			m.frames[start+i] = nil
 		}
 	}
 	return nil
