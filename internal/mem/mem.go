@@ -321,27 +321,18 @@ func (m *Memory) access(addr Addr, p []byte, pkru PKRU, write, host bool) error 
 	if len(p) == 0 {
 		return nil
 	}
-	end := uint64(addr) + uint64(len(p))
-	if end > uint64(m.npages)*PageSize || end < uint64(addr) {
-		m.mu.Lock()
-		m.faults++
-		m.mu.Unlock()
-		op := OpRead
-		if write {
-			op = OpWrite
-		}
-		return &Fault{Addr: addr, Op: op, PKRU: pkru, OutOfRange: true}
+	op := OpRead
+	if write {
+		op = OpWrite
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	off := 0
-	for off < len(p) {
-		pg := int((uint64(addr) + uint64(off)) / PageSize)
-		inPage := int((uint64(addr) + uint64(off)) % PageSize)
-		chunk := PageSize - inPage
-		if rem := len(p) - off; chunk > rem {
-			chunk = rem
-		}
+	if end := uint64(addr) + uint64(len(p)); end > uint64(m.npages)*PageSize || end < uint64(addr) {
+		m.faults++
+		return &Fault{Addr: addr, Op: op, PKRU: pkru, OutOfRange: true}
+	}
+	for off := 0; off < len(p); {
+		pg, inPage, chunk := pageChunk(addr+Addr(off), len(p)-off)
 		if !host {
 			key := m.keys[pg]
 			allowed := pkru.CanRead(key)
@@ -350,28 +341,37 @@ func (m *Memory) access(addr Addr, p []byte, pkru PKRU, write, host bool) error 
 			}
 			if !allowed {
 				m.faults++
-				op := OpRead
-				if write {
-					op = OpWrite
-				}
 				return &Fault{Addr: addr + Addr(off), Key: key, Op: op, PKRU: pkru}
 			}
 		}
-		f := m.frame(pg)
+		f := m.frame(pg)[inPage : inPage+chunk]
 		if write {
-			m.verClk++
-			m.vers[pg] = m.verClk
-			if host {
-				m.hostClk++
-				m.hostVers[pg] = m.hostClk
-			}
-			copy(f[inPage:inPage+chunk], p[off:off+chunk])
+			m.stamp(pg, host)
+			copy(f, p[off:off+chunk])
 		} else {
-			copy(p[off:off+chunk], f[inPage:inPage+chunk])
+			copy(p[off:off+chunk], f)
 		}
 		off += chunk
 	}
 	return nil
+}
+
+// pageChunk splits off the part of a rem-byte range starting at addr that
+// lies in addr's page: the page's index, the offset in it and the length.
+func pageChunk(addr Addr, rem int) (pg, inPage, chunk int) {
+	pg, inPage = int(addr/PageSize), int(addr%PageSize)
+	return pg, inPage, min(PageSize-inPage, rem)
+}
+
+// stamp records a write to page pg, host-side if host is set. Caller
+// holds m.mu.
+func (m *Memory) stamp(pg int, host bool) {
+	m.verClk++
+	m.vers[pg] = m.verClk
+	if host {
+		m.hostClk++
+		m.hostVers[pg] = m.hostClk
+	}
 }
 
 // HostRead copies guest memory into p without protection checks, as a
@@ -605,9 +605,25 @@ func (m *Memory) HostVersions(base Addr, n int) ([]uint64, error) {
 	return out, nil
 }
 
-// Zero clears length bytes at addr without protection checks. The reboot
-// manager uses it to scrub a component's pages on cold re-init.
+// Zero clears length bytes at addr in place, as a HostWrite of zeros
+// would: no protection checks, every touched page materialised and its
+// stamps advanced. The reboot manager uses it to scrub a component's pages
+// on cold re-init.
 func (m *Memory) Zero(addr Addr, length int) error {
-	zeros := make([]byte, length)
-	return m.HostWrite(addr, zeros)
+	if length <= 0 {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if end := uint64(addr) + uint64(length); end > uint64(m.npages)*PageSize || end < uint64(addr) {
+		m.faults++
+		return &Fault{Addr: addr, Op: OpWrite, OutOfRange: true}
+	}
+	for off := 0; off < length; {
+		pg, inPage, chunk := pageChunk(addr+Addr(off), length-off)
+		m.stamp(pg, true)
+		clear(m.frame(pg)[inPage : inPage+chunk])
+		off += chunk
+	}
+	return nil
 }
