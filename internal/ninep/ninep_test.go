@@ -263,6 +263,64 @@ func TestServerTruncateOnOpen(t *testing.T) {
 	}
 }
 
+// TestServerWriteGrowthKeepsHolesZeroAndCopiesPrivate: file growth reuses
+// spare capacity, so a write past EOF must zero the gap itself — after a
+// truncating open, after a host-side replace, and when the capacity still
+// holds a longer file's bytes — and a ReadFile copy must not alias the
+// buffer that later appends land in.
+func TestServerWriteGrowthKeepsHolesZeroAndCopiesPrivate(t *testing.T) {
+	fs := NewExportFS()
+	if err := fs.WriteFile("/f", bytes.Repeat([]byte{0xEE}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	c := &client{t: t, s: NewServer(fs)}
+	c.mustOK(&Fcall{Type: Tattach, Fid: 0, AFid: NoFid})
+	c.mustOK(&Fcall{Type: Twalk, Fid: 0, NewFid: 1, Names: []string{"f"}})
+	c.mustOK(&Fcall{Type: Topen, Fid: 1, Mode: ORDWR})
+	holeAt := func(when string, size, off int) {
+		t.Helper()
+		c.mustOK(&Fcall{Type: Twrite, Fid: 1, Offset: uint64(off), Data: []byte("tail")})
+		got, err := fs.ReadFile("/f")
+		if err != nil || len(got) != off+4 || string(got[off:]) != "tail" {
+			t.Fatalf("%s: file = %d bytes, %v", when, len(got), err)
+		}
+		if hole := got[size:off]; !bytes.Equal(hole, make([]byte, len(hole))) {
+			t.Fatalf("%s: hole [%d,%d) reads %x, want zeros", when, size, off, hole)
+		}
+	}
+
+	// Appends grow the buffer past its length; a copy taken in between
+	// keeps its own bytes when the next append lands in the spare room.
+	for i := 0; i < 8; i++ {
+		c.mustOK(&Fcall{Type: Twrite, Fid: 1, Offset: uint64(64 + i), Data: []byte{0xEE}})
+	}
+	n, err := fs.lookup("/f")
+	if err != nil || cap(n.data) == len(n.data) {
+		t.Fatalf("appends left no spare capacity (len %d cap %d, %v): growth is not amortised", len(n.data), cap(n.data), err)
+	}
+	before, _ := fs.ReadFile("/f")
+	c.mustOK(&Fcall{Type: Twrite, Fid: 1, Offset: 72, Data: []byte{0x11}})
+	before[0] = 0x22
+	after, _ := fs.ReadFile("/f")
+	if len(before) != 72 || len(after) != 73 || after[0] != 0xEE || after[72] != 0x11 {
+		t.Fatalf("ReadFile copy aliases the file: before %d bytes, after %d bytes, after[0]=%#x", len(before), len(after), after[0])
+	}
+
+	// The capacity holds the longer file's 0xEE bytes beyond a shorter length.
+	n.data = n.data[:4]
+	holeAt("shrunk in place", 4, 40)
+
+	c.mustOK(&Fcall{Type: Tclunk, Fid: 1})
+	c.mustOK(&Fcall{Type: Twalk, Fid: 0, NewFid: 1, Names: []string{"f"}})
+	c.mustOK(&Fcall{Type: Topen, Fid: 1, Mode: OWRITE | OTRUNC})
+	holeAt("after O_TRUNC", 0, 32)
+
+	if err := fs.WriteFile("/f", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	holeAt("after host replace", 3, 50)
+}
+
 func TestServerRemove(t *testing.T) {
 	fs := NewExportFS()
 	if err := fs.WriteFile("/dir/victim", []byte("x")); err != nil {

@@ -2,6 +2,7 @@ package ninep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -145,10 +146,13 @@ func (s *Server) Handle(t *Fcall) (*Fcall, error) {
 			return rerror(t.Tag, "EISDIR"), nil
 		}
 		end := t.Offset + uint64(len(t.Data))
-		if end > uint64(len(fid.n.data)) {
-			grown := make([]byte, end)
-			copy(grown, fid.n.data)
-			fid.n.data = grown
+		if size := uint64(len(fid.n.data)); end > size {
+			// Grow with amortised capacity: an append-only file (an AOF, a
+			// journal) must not be re-copied at its full size per write.
+			fid.n.data = slices.Grow(fid.n.data, int(end-size))[:end]
+			if t.Offset > size {
+				clear(fid.n.data[size:t.Offset]) // a hole reads as zeros
+			}
 		}
 		copy(fid.n.data[t.Offset:end], t.Data)
 		fid.n.qid.Version++
