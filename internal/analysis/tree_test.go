@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -42,9 +43,11 @@ func loadTree(t *testing.T) ([]*analysis.Package, *analysis.Facts) {
 // nine-analyzer suite over the whole module reports zero diagnostics
 // (every allow in the tree is justified and used) and completes within
 // the 5-second budget that keeps vampos-vet cheap enough for CI and
-// pre-commit use.
+// pre-commit use. The budget is this process's own CPU time, not wall
+// time: under `go test ./...` other packages' tests share the cores, and
+// waiting for a core is not analyzer cost.
 func TestTreeCleanWithinBudget(t *testing.T) {
-	start := time.Now()
+	start := processCPU(t)
 	pkgs, facts := loadTree(t)
 	for _, pkg := range pkgs {
 		diags, err := analysis.RunWithFacts(pkg, analysis.Analyzers(), facts)
@@ -55,9 +58,19 @@ func TestTreeCleanWithinBudget(t *testing.T) {
 			t.Errorf("tree not clean: %s", d)
 		}
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("full-tree analysis took %v, over the 5s budget", elapsed)
+	if used := processCPU(t) - start; used > 5*time.Second {
+		t.Errorf("full-tree analysis took %v of CPU, over the 5s budget", used)
 	}
+}
+
+// processCPU returns the user plus system CPU time this process has used.
+func processCPU(t *testing.T) time.Duration {
+	t.Helper()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // TestTreeFacts pins the cross-package fact base the analyzers depend
