@@ -315,24 +315,34 @@ func (m *Memory) frame(i int) []byte {
 	return m.frames[i]
 }
 
-// access copies between guest memory and p, checking each touched page
-// against pkru unless host is set. write selects the direction.
-func (m *Memory) access(addr Addr, p []byte, pkru PKRU, write, host bool) error {
-	if len(p) == 0 {
+// access copies n bytes between guest memory and p, checking each touched
+// page against pkru unless host is set. write selects the direction; a
+// write with a nil p stores zeros, clearing the frames in place.
+func (m *Memory) access(addr Addr, n int, p []byte, pkru PKRU, write, host bool) error {
+	if n <= 0 {
 		return nil
 	}
-	op := OpRead
-	if write {
-		op = OpWrite
+	end := uint64(addr) + uint64(n)
+	if end > uint64(m.npages)*PageSize || end < uint64(addr) {
+		m.mu.Lock()
+		m.faults++
+		m.mu.Unlock()
+		op := OpRead
+		if write {
+			op = OpWrite
+		}
+		return &Fault{Addr: addr, Op: op, PKRU: pkru, OutOfRange: true}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if end := uint64(addr) + uint64(len(p)); end > uint64(m.npages)*PageSize || end < uint64(addr) {
-		m.faults++
-		return &Fault{Addr: addr, Op: op, PKRU: pkru, OutOfRange: true}
-	}
-	for off := 0; off < len(p); {
-		pg, inPage, chunk := pageChunk(addr+Addr(off), len(p)-off)
+	off := 0
+	for off < n {
+		pg := int((uint64(addr) + uint64(off)) / PageSize)
+		inPage := int((uint64(addr) + uint64(off)) % PageSize)
+		chunk := PageSize - inPage
+		if rem := n - off; chunk > rem {
+			chunk = rem
+		}
 		if !host {
 			key := m.keys[pg]
 			allowed := pkru.CanRead(key)
@@ -341,48 +351,43 @@ func (m *Memory) access(addr Addr, p []byte, pkru PKRU, write, host bool) error 
 			}
 			if !allowed {
 				m.faults++
+				op := OpRead
+				if write {
+					op = OpWrite
+				}
 				return &Fault{Addr: addr + Addr(off), Key: key, Op: op, PKRU: pkru}
 			}
 		}
-		f := m.frame(pg)[inPage : inPage+chunk]
+		f := m.frame(pg)
 		if write {
-			m.stamp(pg, host)
-			copy(f, p[off:off+chunk])
+			m.verClk++
+			m.vers[pg] = m.verClk
+			if host {
+				m.hostClk++
+				m.hostVers[pg] = m.hostClk
+			}
+			if p == nil {
+				clear(f[inPage : inPage+chunk])
+			} else {
+				copy(f[inPage:inPage+chunk], p[off:off+chunk])
+			}
 		} else {
-			copy(p[off:off+chunk], f)
+			copy(p[off:off+chunk], f[inPage:inPage+chunk])
 		}
 		off += chunk
 	}
 	return nil
 }
 
-// pageChunk splits off the part of a rem-byte range starting at addr that
-// lies in addr's page: the page's index, the offset in it and the length.
-func pageChunk(addr Addr, rem int) (pg, inPage, chunk int) {
-	pg, inPage = int(addr/PageSize), int(addr%PageSize)
-	return pg, inPage, min(PageSize-inPage, rem)
-}
-
-// stamp records a write to page pg, host-side if host is set. Caller
-// holds m.mu.
-func (m *Memory) stamp(pg int, host bool) {
-	m.verClk++
-	m.vers[pg] = m.verClk
-	if host {
-		m.hostClk++
-		m.hostVers[pg] = m.hostClk
-	}
-}
-
 // HostRead copies guest memory into p without protection checks, as a
 // hypervisor or DMA engine would.
 func (m *Memory) HostRead(addr Addr, p []byte) error {
-	return m.access(addr, p, 0, false, true)
+	return m.access(addr, len(p), p, 0, false, true)
 }
 
 // HostWrite copies p into guest memory without protection checks.
 func (m *Memory) HostWrite(addr Addr, p []byte) error {
-	return m.access(addr, p, 0, true, true)
+	return m.access(addr, len(p), p, 0, true, true)
 }
 
 // Accessor performs protection-checked accesses on behalf of one thread.
@@ -415,7 +420,7 @@ func (a *Accessor) Memory() *Memory { return a.mem }
 
 // Read copies len(p) bytes at addr into p, checking protections.
 func (a *Accessor) Read(addr Addr, p []byte) error {
-	err := a.mem.access(addr, p, a.pkru, false, false)
+	err := a.mem.access(addr, len(p), p, a.pkru, false, false)
 	if err != nil {
 		a.faults++
 	}
@@ -424,7 +429,7 @@ func (a *Accessor) Read(addr Addr, p []byte) error {
 
 // Write copies p into memory at addr, checking protections.
 func (a *Accessor) Write(addr Addr, p []byte) error {
-	err := a.mem.access(addr, p, a.pkru, true, false)
+	err := a.mem.access(addr, len(p), p, a.pkru, true, false)
 	if err != nil {
 		a.faults++
 	}
@@ -610,20 +615,5 @@ func (m *Memory) HostVersions(base Addr, n int) ([]uint64, error) {
 // stamps advanced. The reboot manager uses it to scrub a component's pages
 // on cold re-init.
 func (m *Memory) Zero(addr Addr, length int) error {
-	if length <= 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if end := uint64(addr) + uint64(length); end > uint64(m.npages)*PageSize || end < uint64(addr) {
-		m.faults++
-		return &Fault{Addr: addr, Op: OpWrite, OutOfRange: true}
-	}
-	for off := 0; off < length; {
-		pg, inPage, chunk := pageChunk(addr+Addr(off), length-off)
-		m.stamp(pg, true)
-		clear(m.frame(pg)[inPage : inPage+chunk])
-		off += chunk
-	}
-	return nil
+	return m.access(addr, length, nil, 0, true, true)
 }
