@@ -537,8 +537,8 @@ func (m *Memory) DirtyPages(prev *Snapshot) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	dirty := 0
-	for i, v := range prev.Vers {
-		if m.vers[start+i] != v {
+	for i := 0; i < prev.Pages; i++ {
+		if m.vers[start+i] != prev.Vers[i] {
 			dirty++
 		}
 	}

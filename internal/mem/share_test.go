@@ -29,12 +29,14 @@ type shareImage struct {
 	keys []Key
 }
 
+var zeroPage [PageSize]byte
+
 // matches reports whether the image still holds exactly its private copy.
 func (im shareImage) matches() bool {
 	for i, p := range im.snap.pages {
 		want := im.data[i*PageSize : (i+1)*PageSize]
 		if p == nil {
-			p = make([]byte, PageSize)
+			p = zeroPage[:]
 		}
 		if !bytes.Equal(p, want) || im.snap.Keys[i] != im.keys[i] {
 			return false

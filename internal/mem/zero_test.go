@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// zeroByHostWrite is what Zero did before it cleared frames in place; the
-// test below holds the in-place version to the same observable effects.
+// zeroByHostWrite is the reference for Zero: a HostWrite of a buffer of
+// zeros, whose observable effects the in-place clear must match.
 func zeroByHostWrite(m *Memory, addr Addr, length int) error {
 	return m.HostWrite(addr, make([]byte, length))
 }
