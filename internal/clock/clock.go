@@ -88,7 +88,6 @@ func (v *Virtual) Advance(d time.Duration) int {
 		if t.at > v.offset {
 			v.offset = t.at
 		}
-		t.fired = true
 		cb := t.fn
 		v.mu.Unlock()
 		cb()
@@ -139,32 +138,44 @@ func (v *Virtual) PendingTimers() int {
 	return len(v.timers)
 }
 
-// Timer is a pending virtual-time callback created by AfterFunc.
+// Timer is a virtual-time callback: pending from an arming until it fires
+// or is stopped. The zero value is an unarmed timer ready for Arm.
 type Timer struct {
 	at    time.Duration // deadline as offset from Epoch
 	fn    func()
 	id    int64
-	index int // heap index, -1 once popped
-	fired bool
-	owner *Virtual
+	index int      // heap index, -1 once fired or stopped
+	owner *Virtual // nil until first armed
 }
 
 // AfterFunc registers fn to run once the clock has advanced d past the
 // current instant. The callback runs on the goroutine that calls Advance.
 // A non-positive d fires on the next Advance call (even Advance(0)).
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
+	t := &Timer{}
+	v.Arm(t, d, fn)
+	return t
+}
+
+// Arm is AfterFunc on a timer the caller owns, so a timer that is armed
+// over and over (a thread's sleep timer) is allocated once. Arming a timer
+// that is still pending moves its deadline. Every arming takes a fresh
+// creation id, so equal deadlines fire in arming order.
+func (v *Virtual) Arm(t *Timer, d time.Duration, fn func()) {
 	if fn == nil {
-		panic("clock: AfterFunc with nil callback")
+		panic("clock: timer with nil callback")
 	}
 	if d < 0 {
 		d = 0
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	if t.owner != nil && t.index >= 0 {
+		heap.Remove(&v.timers, t.index)
+	}
 	v.nextID++
-	t := &Timer{at: v.offset + d, fn: fn, id: v.nextID, owner: v}
+	*t = Timer{at: v.offset + d, fn: fn, id: v.nextID, owner: v}
 	heap.Push(&v.timers, t)
-	return t
 }
 
 // Stop cancels the timer and reports whether it was still pending. Stopping
@@ -176,11 +187,10 @@ func (t *Timer) Stop() bool {
 	v := t.owner
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if t.fired || t.index < 0 {
+	if t.index < 0 {
 		return false
 	}
 	heap.Remove(&v.timers, t.index)
-	t.index = -1
 	return true
 }
 

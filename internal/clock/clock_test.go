@@ -120,6 +120,68 @@ func TestStopNilTimerIsNoOp(t *testing.T) {
 	}
 }
 
+// TestArmReusesOneTimer takes one caller-owned timer through its whole
+// life: unarmed, armed, moved while pending, fired, armed again, stopped.
+func TestArmReusesOneTimer(t *testing.T) {
+	v := NewVirtual()
+	var timer Timer
+	fired := 0
+	fn := func() { fired++ }
+	if timer.Stop() {
+		t.Fatal("Stop on a never-armed timer returned true")
+	}
+	v.Arm(&timer, 10*time.Millisecond, fn)
+	v.Arm(&timer, 2*time.Millisecond, fn) // still pending: the deadline moves
+	if n := v.PendingTimers(); n != 1 {
+		t.Fatalf("%d timers pending after re-arming one, want 1", n)
+	}
+	v.Advance(2 * time.Millisecond)
+	if fired != 1 {
+		t.Fatalf("fired %d times by the moved deadline, want 1", fired)
+	}
+	v.Advance(time.Second)
+	if fired != 1 {
+		t.Fatalf("fired %d times: the first deadline survived the re-arm", fired)
+	}
+	v.Arm(&timer, time.Millisecond, fn)
+	if !timer.Stop() {
+		t.Fatal("Stop() = false for a re-armed, pending timer")
+	}
+	v.Arm(&timer, time.Millisecond, fn)
+	v.Advance(time.Millisecond)
+	if fired != 2 || v.PendingTimers() != 0 {
+		t.Fatalf("fired %d times with %d pending, want 2 and 0", fired, v.PendingTimers())
+	}
+}
+
+// TestArmTakesAFreshPlaceAmongEqualDeadlines: a re-armed timer queues
+// behind timers armed earlier for the same instant, although it is older.
+func TestArmTakesAFreshPlaceAmongEqualDeadlines(t *testing.T) {
+	v := NewVirtual()
+	var order []string
+	var old Timer
+	v.Arm(&old, time.Millisecond, func() { order = append(order, "old") })
+	v.Advance(time.Millisecond)
+	v.AfterFunc(time.Millisecond, func() { order = append(order, "new") })
+	v.Arm(&old, time.Millisecond, func() { order = append(order, "old") })
+	v.Advance(time.Millisecond)
+	if len(order) != 3 || order[1] != "new" || order[2] != "old" {
+		t.Fatalf("fire order %v, want [old new old]", order)
+	}
+}
+
+func TestArmAndFireAllocateNothing(t *testing.T) {
+	v := NewVirtual()
+	var timer Timer
+	fn := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		v.Arm(&timer, time.Microsecond, fn)
+		v.AdvanceToNext()
+	}); n != 0 {
+		t.Fatalf("%v allocations per arm and fire, want 0", n)
+	}
+}
+
 func TestAdvanceToNext(t *testing.T) {
 	v := NewVirtual()
 	if v.AdvanceToNext() {
@@ -207,5 +269,18 @@ func TestWallClockAdvances(t *testing.T) {
 	b := w.Now()
 	if b.Before(a) {
 		t.Fatalf("wall clock went backwards: %v then %v", a, b)
+	}
+}
+
+// BenchmarkArmFire: arm a reused timer and advance the clock to it — what
+// one Thread.Sleep costs in this package.
+func BenchmarkArmFire(b *testing.B) {
+	v := NewVirtual()
+	var timer Timer
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v.Arm(&timer, time.Microsecond, fn)
+		v.AdvanceToNext()
 	}
 }

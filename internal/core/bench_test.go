@@ -1,0 +1,30 @@
+package core
+
+import "testing"
+
+// benchCall times the smallest call — no arguments, one small result, no
+// logging — from an application thread: under DaS one full message round
+// trip (Fig. 5's getpid), under vanilla the direct call it replaces.
+func benchCall(b *testing.B, cfg Config) {
+	rt := NewRuntime(cfg)
+	if err := rt.Register(&statelessComp{name: "proc"}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	err := rt.Run(func(c *Ctx) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Call("proc", "pid"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.Close()
+}
+
+func BenchmarkCallDaS(b *testing.B)     { benchCall(b, DaSConfig()) }
+func BenchmarkCallVanilla(b *testing.B) { benchCall(b, VanillaConfig()) }

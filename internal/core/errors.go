@@ -132,10 +132,27 @@ func errnoString(err error) string {
 	return err.Error()
 }
 
+// declaredErrnos holds the constants above already boxed as errors, so
+// rehydrating one (an EAGAIN per empty poll) does not allocate.
+var declaredErrnos = func() map[string]error {
+	m := make(map[string]error)
+	for _, e := range []Errno{
+		EAGAIN, EBADF, EEXIST, EINVAL, EISDIR, ENFILE, ENOENT, ENOSPC, ENOSYS,
+		ENOTDIR, ENOTEMPTY, ENOTCONN, ECONNRESET, ECONNREFUSED, EPIPE,
+		EADDRINUSE, EMSGSIZE, EIO,
+	} {
+		m[string(e)] = e
+	}
+	return m
+}()
+
 // errnoFromString rehydrates a transported error.
 func errnoFromString(s string) error {
 	if s == "" {
 		return nil
+	}
+	if err, ok := declaredErrnos[s]; ok {
+		return err
 	}
 	return Errno(s)
 }

@@ -42,7 +42,7 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 				rt.finishCall(pc, nil, errnoString(ErrStopped))
 			}
 		}
-		rt.mq = nil
+		rt.mq, rt.mqHead = nil, 0
 		for _, g := range rt.groups {
 			if g.worker != nil && g.worker.t.State() != sched.StateDone {
 				g.worker.t.Kill()

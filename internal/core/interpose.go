@@ -241,12 +241,14 @@ func (rt *Runtime) loggingWanted(c *component, fn string) bool {
 // component reboots.
 func (rt *Runtime) msgLoop(t *sched.Thread) {
 	for !rt.stopped {
-		if len(rt.mq) == 0 {
+		if rt.mqHead == len(rt.mq) {
+			rt.mq, rt.mqHead = rt.mq[:0], 0
 			t.Block("msg idle")
 			continue
 		}
-		it := rt.mq[0]
-		rt.mq = rt.mq[1:]
+		it := rt.mq[rt.mqHead]
+		rt.mq[rt.mqHead] = mqItem{}
+		rt.mqHead++
 		switch it.kind {
 		case mqPush:
 			rt.handlePush(it.pc)

@@ -76,9 +76,13 @@ type Runtime struct {
 
 	msgThread  *sched.Thread
 	bootThread *sched.Thread
-	mq         []mqItem
-	pending    map[uint64]*pendingCall
-	nextSeq    uint64
+	// mq[mqHead:] is the message thread's work queue. Nothing else runs
+	// while the message thread drains it, so it empties before every idle
+	// block and msgLoop rewinds both there.
+	mq      []mqItem
+	mqHead  int
+	pending map[uint64]*pendingCall
+	nextSeq uint64
 
 	booted  bool
 	stopped bool

@@ -138,7 +138,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 
 // execMessage runs one inbound call and submits its reply. It returns
 // false when the handler panicked and the worker thread must die.
-func (rt *Runtime) execMessage(t *sched.Thread, g *group, m *msg.Message) bool {
+func (rt *Runtime) execMessage(t *sched.Thread, g *group, m msg.Message) bool {
 	c := g.member(m.To)
 	if c == nil {
 		// Message addressed to a component not in this group: domain
@@ -218,30 +218,30 @@ func (rt *Runtime) execMessage(t *sched.Thread, g *group, m *msg.Message) bool {
 // An errno fault short-circuits the handler: the call returns the
 // injected error without executing.
 func (rt *Runtime) invokeChecked(h Handler, ctx *Ctx, component, fn string, args msg.Args) (rets msg.Args, err error, pv any, panicked bool) {
-	wrapped := func(c *Ctx, a msg.Args) (msg.Args, error) {
-		if ferr := rt.checkFault(c, component, fn); ferr != nil {
-			return nil, ferr
-		}
-		return h(c, a)
+	defer capturePanic(&pv, &panicked)
+	if err = rt.checkFault(ctx, component, fn); err == nil {
+		rets, err = h(ctx, args)
 	}
-	return rt.invoke(wrapped, ctx, args)
+	return rets, err, nil, false
 }
 
 // invoke runs a handler, converting panics — crashes, nil dereferences,
 // protection faults turned into panics — into a captured failure, while
 // letting the scheduler's kill-unwind pass through.
 func (rt *Runtime) invoke(h Handler, ctx *Ctx, args msg.Args) (rets msg.Args, err error, pv any, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if sched.IsKill(r) {
-				panic(r)
-			}
-			pv = r
-			panicked = true
-		}
-	}()
+	defer capturePanic(&pv, &panicked)
 	rets, err = h(ctx, args)
 	return rets, err, nil, false
+}
+
+// capturePanic is the deferred half of invoke and invokeChecked.
+func capturePanic(pv *any, panicked *bool) {
+	if r := recover(); r != nil {
+		if sched.IsKill(r) {
+			panic(r)
+		}
+		*pv, *panicked = r, true
+	}
 }
 
 // pendingInOrder returns the outstanding calls in ascending seq order.

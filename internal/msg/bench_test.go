@@ -1,0 +1,97 @@
+package msg
+
+import (
+	"testing"
+
+	"vampos/internal/mem"
+)
+
+// The benchmarks time one message hop's work in this package on the shape
+// of the hot call of the echo workload: write(fd, 159-byte payload).
+
+func benchArgs() Args { return Args{3, make([]byte, 159)} }
+
+func benchDomain(b *testing.B) *Domain {
+	b.Helper()
+	d, err := NewDomain("bench", mem.New(256*mem.PageSize), 7, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// Typed sinks: boxing a result into an interface would be an allocation of
+// the benchmark's own.
+var (
+	sinkBytes []byte
+	sinkArgs  Args
+)
+
+func BenchmarkEncodeArgs(b *testing.B) {
+	args := benchArgs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := EncodeArgs(args)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkBytes = p
+	}
+}
+
+func BenchmarkDecodeArgs(b *testing.B) {
+	p, err := EncodeArgs(benchArgs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		args, err := DecodeArgs(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkArgs = args
+	}
+}
+
+// BenchmarkPushPull: the message thread stores a call in the mailbox, the
+// worker pulls it out.
+func BenchmarkPushPull(b *testing.B) {
+	d := benchDomain(b)
+	m := &Message{From: "app", To: "vfs", Fn: "write", Args: benchArgs()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Seq = uint64(i + 1)
+		if err := d.Push(m); err != nil {
+			b.Fatal(err)
+		}
+		out, ok := d.Pull()
+		if !ok {
+			b.Fatal("mailbox empty after push")
+		}
+		sinkArgs = out.Args
+	}
+}
+
+// BenchmarkLogRecord: one logged call, arguments in and results out. The
+// log is emptied every 64 records, as the shrinker and truncation do.
+func BenchmarkLogRecord(b *testing.B) {
+	lg := benchDomain(b).Log()
+	args, rets := benchArgs(), Args{159}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := lg.BeginInbound(uint64(i+1), "write", args)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lg.EndInbound(rec, "fd:3", ClassTransient, rets, ""); err != nil {
+			b.Fatal(err)
+		}
+		if i%64 == 63 {
+			lg.Reset()
+		}
+	}
+}

@@ -37,7 +37,11 @@ const (
 
 // EncodeArgs serialises args into a self-describing byte string.
 func EncodeArgs(args Args) ([]byte, error) {
-	buf := make([]byte, 0, 16+8*len(args))
+	return appendArgs(make([]byte, 0, 16+8*len(args)), args)
+}
+
+// appendArgs appends the encoding of args to buf.
+func appendArgs(buf []byte, args Args) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(args)))
 	for i, a := range args {
 		var err error

@@ -135,3 +135,71 @@ func TestPushedArgsImmuneToCallerMutation(t *testing.T) {
 		t.Fatalf("pulled args %q: sender mutation reached the receiver's domain", got)
 	}
 }
+
+// TestPulledArgsSurviveScratchReuse: the domain encodes and stages every
+// payload through two scratch buffers it reuses. Args handed out by one
+// Pull must not change when later Push, Pull and Entries calls on the
+// same domain overwrite that scratch, and scribbling on them must not
+// reach the log.
+func TestPulledArgsSurviveScratchReuse(t *testing.T) {
+	d := newTestDomain(t)
+	lg := d.Log()
+	rec, err := lg.BeginInbound(1, "write", Args{"fd:3", []byte("logged-argument")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.EndInbound(rec, "fd:3", ClassTransient, Args{[]byte("logged-result")}, ""); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := d.Push(&Message{Seq: 2, Fn: "write", Args: Args{"first", []byte("first-payload")}}); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := d.Pull()
+	if !ok {
+		t.Fatal("Pull returned nothing")
+	}
+
+	// Same sizes and larger, so the scratch is overwritten in place and
+	// also regrown.
+	for i, payload := range []string{"OTHER-PAYLOAD", "a-much-longer-payload-than-the-first-one"} {
+		if err := d.Push(&Message{Seq: uint64(3 + i), Fn: "write", Args: Args{"later", []byte(payload)}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := d.Pull(); !ok {
+			t.Fatal("Pull returned nothing")
+		}
+		if _, err := lg.Entries(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name, _ := first.Args.Str(0)
+	got, _ := first.Args.Bytes(1)
+	if name != "first" || !bytes.Equal(got, []byte("first-payload")) {
+		t.Fatalf("args of an earlier Pull now read %q, %q: they alias the domain's scratch", name, got)
+	}
+
+	// The other direction: a decoded view written over after the fact.
+	views, err := lg.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []Args{first.Args, views[0].Args, views[0].Rets} {
+		for _, a := range args {
+			if b, ok := a.([]byte); ok {
+				for i := range b {
+					b[i] = 0xEE
+				}
+			}
+		}
+	}
+	again, err := lg.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantArgs, _ := again[0].Args.Bytes(1)
+	wantRets, _ := again[0].Rets.Bytes(0)
+	if !bytes.Equal(wantArgs, []byte("logged-argument")) || !bytes.Equal(wantRets, []byte("logged-result")) {
+		t.Fatalf("log changed after mutating decoded args: args=%q rets=%q", wantArgs, wantRets)
+	}
+}

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
 	"vampos/internal/mem"
 )
@@ -30,8 +31,18 @@ type Domain struct {
 	pages int
 	heap  *mem.Buddy
 
+	// queue[qhead:] is the mailbox, oldest first.
 	queue []storedMessage
+	qhead int
 	log   *Log
+
+	// enc and stage are the codec's scratch: store encodes into enc before
+	// copying it into the pages, load copies out of the pages into stage
+	// before decoding. They are per domain because the workers of two
+	// domains may load inside one parallel round; one domain's stores
+	// (message thread) and loads (its group's worker, or the message
+	// thread compacting) never overlap.
+	enc, stage []byte
 }
 
 type storedMessage struct {
@@ -75,10 +86,11 @@ func (d *Domain) BytesInUse() int64 { return d.heap.Stats().AllocatedBytes }
 
 // store encodes args into domain memory and returns its location.
 func (d *Domain) store(args Args) (mem.Addr, int, error) {
-	p, err := EncodeArgs(args)
+	p, err := appendArgs(d.enc[:0], args)
 	if err != nil {
 		return 0, 0, err
 	}
+	d.enc = p
 	if len(p) == 0 {
 		return 0, 0, nil
 	}
@@ -93,14 +105,16 @@ func (d *Domain) store(args Args) (mem.Addr, int, error) {
 }
 
 // load decodes args previously placed by store, without freeing them.
-// The staging buffer plus the codec's own []byte copies guarantee that
-// nothing load returns aliases domain pages: callers may mutate the
-// result freely without corrupting the log it was decoded from.
+// The codec copies every []byte and string it decodes, so nothing load
+// returns aliases the domain pages or the staging scratch the next load
+// overwrites: callers may mutate the result freely without corrupting the
+// log it was decoded from.
 func (d *Domain) load(addr mem.Addr, length int) (Args, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	p := make([]byte, length)
+	d.stage = slices.Grow(d.stage[:0], length)
+	p := d.stage[:length]
 	if err := d.m.HostRead(addr, p); err != nil {
 		return nil, err
 	}
@@ -129,6 +143,13 @@ func (d *Domain) Push(m *Message) error {
 	if to == "" {
 		to = d.owner
 	}
+	if d.qhead > 0 && d.qhead >= len(d.queue)-d.qhead {
+		// Drop the pulled prefix once it is at least as long as the
+		// mailbox: the array stays within twice the backlog, and a
+		// drained mailbox reuses it from the start.
+		d.queue = d.queue[:copy(d.queue, d.queue[d.qhead:])]
+		d.qhead = 0
+	}
 	d.queue = append(d.queue, storedMessage{
 		seq: m.Seq, from: m.From, to: to, fn: m.Fn, addr: addr, length: n,
 	})
@@ -137,12 +158,12 @@ func (d *Domain) Push(m *Message) error {
 
 // Pull removes and returns the oldest pending message, releasing its
 // domain storage. This is the vo_pull_msgs half.
-func (d *Domain) Pull() (*Message, bool) {
-	if len(d.queue) == 0 {
-		return nil, false
+func (d *Domain) Pull() (Message, bool) {
+	if d.Pending() == 0 {
+		return Message{}, false
 	}
-	s := d.queue[0]
-	d.queue = d.queue[1:]
+	s := d.queue[d.qhead]
+	d.qhead++
 	args, err := d.load(s.addr, s.length)
 	d.release(s.addr, s.length)
 	if err != nil {
@@ -150,20 +171,20 @@ func (d *Domain) Pull() (*Message, bool) {
 		// domain-integrity bug.
 		panic(fmt.Sprintf("msg: domain %q: corrupt message payload: %v", d.owner, err))
 	}
-	return &Message{Seq: s.seq, From: s.from, To: s.to, Fn: s.fn, Args: args}, true
+	return Message{Seq: s.seq, From: s.from, To: s.to, Fn: s.fn, Args: args}, true
 }
 
 // Pending returns the number of queued messages.
-func (d *Domain) Pending() int { return len(d.queue) }
+func (d *Domain) Pending() int { return len(d.queue) - d.qhead }
 
 // DropQueued discards every pending message, releasing their storage.
 // The reboot manager clears a failed component's mailbox of messages the
 // crash may have half-consumed.
 func (d *Domain) DropQueued() int {
-	n := len(d.queue)
-	for _, s := range d.queue {
+	n := d.Pending()
+	for _, s := range d.queue[d.qhead:] {
 		d.release(s.addr, s.length)
 	}
-	d.queue = nil
+	d.queue, d.qhead = d.queue[:0], 0
 	return n
 }

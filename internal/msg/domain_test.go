@@ -109,6 +109,102 @@ func TestDropQueued(t *testing.T) {
 	}
 }
 
+// TestMailboxBacklogDoesNotGrowTheArray keeps messages pending while the
+// head goes round the array many times: FIFO order holds, every payload
+// comes back intact, and the queue stays within a small multiple of the
+// backlog instead of growing with the number of messages ever pushed.
+func TestMailboxBacklogDoesNotGrowTheArray(t *testing.T) {
+	d := newTestDomain(t)
+	const backlog = 3
+	push := func(i int) {
+		t.Helper()
+		if err := d.Push(&Message{Seq: uint64(i), Fn: "f", Args: Args{i, []byte{byte(i)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < backlog; i++ {
+		push(i)
+	}
+	for i := 0; i < 5000; i++ {
+		m, ok := d.Pull()
+		if !ok || m.Seq != uint64(i) {
+			t.Fatalf("pull %d: got %+v, %v", i, m, ok)
+		}
+		if n, _ := m.Args.Int(0); n != i {
+			t.Fatalf("pull %d: arg 0 = %d", i, n)
+		}
+		if b, _ := m.Args.Bytes(1); len(b) != 1 || b[0] != byte(i) {
+			t.Fatalf("pull %d: arg 1 = %v", i, b)
+		}
+		push(i + backlog)
+		if d.Pending() != backlog {
+			t.Fatalf("after pull %d: Pending = %d, want %d", i, d.Pending(), backlog)
+		}
+	}
+	if c := cap(d.queue); c > 4*backlog {
+		t.Fatalf("queue array grew to %d slots for a backlog of %d", c, backlog)
+	}
+}
+
+// TestMailboxDrainAndDropThenRefill: a mailbox emptied by Pull or by
+// DropQueued starts over at the front of the same array, and what is
+// pushed next is what comes out next.
+func TestMailboxDrainAndDropThenRefill(t *testing.T) {
+	d := newTestDomain(t)
+	seq := uint64(0)
+	push := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			seq++
+			if err := d.Push(&Message{Seq: seq, Fn: "f", Args: Args{[]byte("xx")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for round := 0; round < 4; round++ {
+		push(4)
+		for i := 0; i < 2; i++ { // half pulled, half dropped
+			if _, ok := d.Pull(); !ok {
+				t.Fatal("pull failed")
+			}
+		}
+		if n := d.DropQueued(); n != 2 {
+			t.Fatalf("round %d: DropQueued = %d, want the 2 still pending", round, n)
+		}
+		if _, ok := d.Pull(); ok || d.Pending() != 0 || d.BytesInUse() != 0 {
+			t.Fatalf("round %d: after drop: pending=%d bytes=%d", round, d.Pending(), d.BytesInUse())
+		}
+		push(1)
+		if m, ok := d.Pull(); !ok || m.Seq != seq {
+			t.Fatalf("round %d: pulled %+v after refill, want seq %d", round, m, seq)
+		}
+	}
+	if c := cap(d.queue); c > 8 {
+		t.Fatalf("queue array grew to %d slots across drains of 4 messages", c)
+	}
+}
+
+// TestPushPullAllocatesOnlyTheDecodedArgs: the hop's own buffers — encode
+// scratch, staging scratch, queue slot, the Message — are reused or on the
+// stack; what is left is what the puller keeps (the Args slice, the []byte
+// copy and its boxing).
+func TestPushPullAllocatesOnlyTheDecodedArgs(t *testing.T) {
+	d := newTestDomain(t)
+	m := &Message{Seq: 1, From: "app", To: "vfs", Fn: "write", Args: Args{3, make([]byte, 159)}}
+	hop := func() {
+		if err := d.Push(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := d.Pull(); !ok {
+			t.Fatal("mailbox empty after push")
+		}
+	}
+	hop()
+	if n := testing.AllocsPerRun(100, hop); n > 4 {
+		t.Fatalf("%v allocations per Push+Pull of the echo payload, want at most 4", n)
+	}
+}
+
 func TestDomainIsolationByKey(t *testing.T) {
 	m := mem.New(64 * mem.PageSize)
 	d, err := NewDomain("vfs", m, 7, 4)

@@ -1,5 +1,7 @@
 package sched
 
+import "slices"
+
 // Policy decides dispatch order. Implementations need not be
 // goroutine-safe: the scheduler serialises all calls.
 type Policy interface {
@@ -16,42 +18,70 @@ type Policy interface {
 	Hint(target *Thread)
 }
 
+// readyQueue is the FIFO of ready threads under both policies. A thread
+// is in it at most once (Thread.queued). Pops advance head instead of
+// reslicing, so the backing array survives a drain; a push first drops the
+// dead prefix once it is at least as long as the live part, which keeps
+// the array within twice the live length however long the queue stays
+// non-empty (polling components never drain it).
+type readyQueue struct {
+	q    []*Thread
+	head int
+}
+
+func (r *readyQueue) push(t *Thread) {
+	if t.queued {
+		return
+	}
+	t.queued = true
+	if r.head > 0 && r.head >= len(r.q)-r.head {
+		n := copy(r.q, r.q[r.head:])
+		clear(r.q[n:])
+		r.q, r.head = r.q[:n], 0
+	}
+	r.q = append(r.q, t)
+}
+
+// pop removes and returns the oldest thread, or nil when none is queued.
+func (r *readyQueue) pop() *Thread {
+	if r.head == len(r.q) {
+		return nil
+	}
+	t := r.q[r.head]
+	r.q[r.head] = nil
+	r.head++
+	t.queued = false
+	return t
+}
+
+// remove takes a queued thread out of the middle.
+func (r *readyQueue) remove(t *Thread) {
+	for i := r.head; i < len(r.q); i++ {
+		if r.q[i] == t {
+			r.q = slices.Delete(r.q, i, i+1)
+			t.queued = false
+			return
+		}
+	}
+}
+
 // RoundRobin is the baseline FIFO policy: every ready thread waits its
 // turn. With message-passing components this is the paper's
 // VampOS-Noop configuration, where a message may sit until the queue
 // rotates past every other polling component.
-type RoundRobin struct {
-	q      []*Thread
-	queued map[*Thread]bool
-}
+type RoundRobin struct{ ready readyQueue }
 
 // NewRoundRobin returns an empty round-robin queue.
-func NewRoundRobin() *RoundRobin {
-	return &RoundRobin{queued: make(map[*Thread]bool)}
-}
+func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 
 // Name implements Policy.
 func (*RoundRobin) Name() string { return "round-robin" }
 
 // Enqueue implements Policy.
-func (p *RoundRobin) Enqueue(t *Thread) {
-	if p.queued[t] {
-		return
-	}
-	p.queued[t] = true
-	p.q = append(p.q, t)
-}
+func (p *RoundRobin) Enqueue(t *Thread) { p.ready.push(t) }
 
 // Next implements Policy.
-func (p *RoundRobin) Next() *Thread {
-	for len(p.q) > 0 {
-		t := p.q[0]
-		p.q = p.q[1:]
-		delete(p.queued, t)
-		return t
-	}
-	return nil
-}
+func (p *RoundRobin) Next() *Thread { return p.ready.pop() }
 
 // Hint implements Policy; round-robin ignores dependency hints.
 func (*RoundRobin) Hint(*Thread) {}
@@ -62,39 +92,26 @@ func (*RoundRobin) Hint(*Thread) {}
 // a constant number of dispatches instead of a full queue rotation
 // (paper §V-C, the VampOS-DaS configuration).
 type DependencyAware struct {
-	q      []*Thread
-	queued map[*Thread]bool
-	hints  []*Thread
-	hinted map[*Thread]bool
+	ready readyQueue
+	hints []*Thread // each has Thread.hinted set
 }
 
 // NewDependencyAware returns an empty dependency-aware queue.
-func NewDependencyAware() *DependencyAware {
-	return &DependencyAware{
-		queued: make(map[*Thread]bool),
-		hinted: make(map[*Thread]bool),
-	}
-}
+func NewDependencyAware() *DependencyAware { return &DependencyAware{} }
 
 // Name implements Policy.
 func (*DependencyAware) Name() string { return "dependency-aware" }
 
 // Enqueue implements Policy.
-func (p *DependencyAware) Enqueue(t *Thread) {
-	if p.queued[t] {
-		return
-	}
-	p.queued[t] = true
-	p.q = append(p.q, t)
-}
+func (p *DependencyAware) Enqueue(t *Thread) { p.ready.push(t) }
 
 // Hint implements Policy: target jumps ahead of the FIFO order the next
 // time it is ready.
 func (p *DependencyAware) Hint(target *Thread) {
-	if target == nil || p.hinted[target] {
+	if target == nil || target.hinted {
 		return
 	}
-	p.hinted[target] = true
+	target.hinted = true
 	p.hints = append(p.hints, target)
 }
 
@@ -107,36 +124,20 @@ func (p *DependencyAware) Next() *Thread {
 	var pick *Thread
 	for _, h := range p.hints {
 		if h.State() == StateDone {
-			delete(p.hinted, h)
+			h.hinted = false
 			continue
 		}
-		if pick == nil && p.queued[h] {
+		if pick == nil && h.queued {
 			pick = h
-			delete(p.hinted, h)
+			h.hinted = false
 			continue
 		}
 		kept = append(kept, h)
 	}
 	p.hints = kept
 	if pick != nil {
-		p.removeQueued(pick)
+		p.ready.remove(pick)
 		return pick
 	}
-	if len(p.q) == 0 {
-		return nil
-	}
-	t := p.q[0]
-	p.q = p.q[1:]
-	delete(p.queued, t)
-	return t
-}
-
-func (p *DependencyAware) removeQueued(t *Thread) {
-	delete(p.queued, t)
-	for i, v := range p.q {
-		if v == t {
-			p.q = append(p.q[:i], p.q[i+1:]...)
-			return
-		}
-	}
+	return p.ready.pop()
 }

@@ -193,9 +193,15 @@ type Thread struct {
 	killed     bool
 	panicVal   any // non-nil when fn ended by panic (not a kill)
 	dispatches uint64
-	wakeTimer  *clock.Timer
 	parkedOn   parkReason
 	onPanic    func(any)
+	// wakeTimer ends a Sleep by running wake (t.Wake, bound once); it is
+	// re-armed for every sleep and pending only while the thread sleeps.
+	wakeTimer clock.Timer
+	wake      func()
+	// queued and hinted are the policy's membership marks: in the ready
+	// queue, in the dependency-aware hint list.
+	queued, hinted bool
 
 	// class separates domain threads (component workers, app threads),
 	// which may execute inside buffered parallel rounds, from system
@@ -318,6 +324,7 @@ func (s *Scheduler) newThread(name string, pkru mem.PKRU, fn func(*Thread)) *Thr
 		nameHash:   fnv64a(name),
 		sliceSleep: -1,
 	}
+	t.wake = t.Wake
 	if s.memory != nil {
 		t.acc = mem.NewAccessor(s.memory, pkru)
 	}
@@ -419,9 +426,8 @@ func (t *Thread) block(why parkReason) {
 func (t *Thread) Wake() {
 	switch t.state {
 	case StateBlocked, StateSleeping:
-		if t.wakeTimer != nil {
-			t.wakeTimer.Stop()
-			t.wakeTimer = nil
+		if t.state == StateSleeping {
+			t.wakeTimer.Stop() // a no-op when the timer's firing is what wakes us
 		}
 		t.state = StateReady
 		t.parkedOn = parkReason{}
@@ -446,10 +452,7 @@ func (t *Thread) Sleep(d time.Duration) {
 		t.switchOut()
 		return
 	}
-	t.wakeTimer = t.sched.clk.AfterFunc(d, func() {
-		t.wakeTimer = nil
-		t.Wake()
-	})
+	t.sched.clk.Arm(&t.wakeTimer, d, t.wake)
 	t.switchOut()
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +128,83 @@ func TestSleepersWakeInDeadlineOrder(t *testing.T) {
 	}
 	if len(order) != 3 || order[0] != "early" || order[1] != "mid" || order[2] != "late" {
 		t.Fatalf("wake order = %v", order)
+	}
+}
+
+// TestSleepTimerIsReusedAcrossAnEarlyWake: a sleep cut short by Wake must
+// leave nothing behind on the thread's one timer — the next sleep ends at
+// its own deadline, once, and the clock never visits the cancelled one.
+func TestSleepTimerIsReusedAcrossAnEarlyWake(t *testing.T) {
+	s := newSched(nil)
+	var woke []time.Duration
+	sleeper := s.Spawn("sleeper", mem.AllowAll, func(th *Thread) {
+		th.Sleep(time.Hour) // cancelled at 0 by the waker
+		woke = append(woke, th.Clock().Elapsed())
+		th.Sleep(5 * time.Millisecond)
+		woke = append(woke, th.Clock().Elapsed())
+		th.Block("until the run ends") // a stale firing would wake this
+		woke = append(woke, th.Clock().Elapsed())
+	})
+	s.Spawn("waker", mem.AllowAll, func(th *Thread) {
+		sleeper.Wake()
+		th.Sleep(10 * time.Millisecond)
+		th.Scheduler().Stop()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(woke) != 2 || woke[0] != 0 || woke[1] != 5*time.Millisecond {
+		t.Fatalf("sleeper resumed at %v, want [0s 5ms]", woke)
+	}
+	if got := s.Clock().Elapsed(); got != 10*time.Millisecond {
+		t.Fatalf("clock ended at %v, want 10ms: the cancelled deadline was visited", got)
+	}
+	if n := s.Clock().PendingTimers(); n != 0 {
+		t.Fatalf("%d timers left pending", n)
+	}
+}
+
+// TestSleepersToTheSameInstantWakeInArmingOrder: every arming of a reused
+// timer takes a fresh creation id, so a tie is broken by who slept last
+// this time, not by who slept first long ago.
+func TestSleepersToTheSameInstantWakeInArmingOrder(t *testing.T) {
+	s := newSched(nil)
+	var order []string
+	// First round: a arms before b. Second round: b arms before a, for the
+	// same instant (b sleeps 2ms from 1ms, a sleeps 1ms from 2ms).
+	s.Spawn("a", mem.AllowAll, func(th *Thread) {
+		th.Sleep(2 * time.Millisecond)
+		order = append(order, "a")
+		th.Sleep(time.Millisecond)
+		order = append(order, "a")
+	})
+	s.Spawn("b", mem.AllowAll, func(th *Thread) {
+		th.Sleep(time.Millisecond)
+		order = append(order, "b")
+		th.Sleep(2 * time.Millisecond)
+		order = append(order, "b")
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, ""); got != "baba" {
+		t.Fatalf("wake order %q, want \"baba\"", got)
+	}
+}
+
+// TestSleepWakeCycleAllocatesNothing: arming the thread's own timer with
+// its own callback, advancing the clock to it and redispatching the thread.
+func TestSleepWakeCycleAllocatesNothing(t *testing.T) {
+	s := newSched(nil)
+	allocs := -1.0
+	s.Spawn("poller", mem.AllowAll, func(th *Thread) {
+		allocs = testing.AllocsPerRun(200, func() { th.Sleep(20 * time.Microsecond) })
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per Sleep, want 0", allocs)
 	}
 }
 

@@ -308,10 +308,7 @@ func (s *Scheduler) commitSlice(t *Thread) {
 	}
 	switch {
 	case t.sliceSleep >= 0 && t.state == StateSleeping:
-		t.wakeTimer = s.clk.AfterFunc(t.sliceSleep, func() {
-			t.wakeTimer = nil
-			t.Wake()
-		})
+		s.clk.Arm(&t.wakeTimer, t.sliceSleep, t.wake)
 	case t.sliceYield && t.state == StateReady:
 		s.policy.Enqueue(t)
 	}

@@ -47,34 +47,35 @@ func NewRing(m *mem.Memory, base mem.Addr, slots, slotSize int) (*Ring, error) {
 // SlotSize returns the maximum payload a slot carries.
 func (r *Ring) SlotSize() int { return r.slotSize }
 
-// view abstracts guest (protection-checked) vs host (DMA) access.
-type view interface {
-	read(addr mem.Addr, p []byte) error
-	write(addr mem.Addr, p []byte) error
+// read and write go through the guest's protection-checked accessor or,
+// when acc is nil, through host DMA. Both callees are concrete methods, so
+// the index words passed to them stay on the caller's stack.
+func (r *Ring) read(acc *mem.Accessor, a mem.Addr, p []byte) error {
+	if acc != nil {
+		return acc.Read(a, p)
+	}
+	return r.m.HostRead(a, p)
 }
 
-type guestView struct{ acc *mem.Accessor }
+func (r *Ring) write(acc *mem.Accessor, a mem.Addr, p []byte) error {
+	if acc != nil {
+		return acc.Write(a, p)
+	}
+	return r.m.HostWrite(a, p)
+}
 
-func (v guestView) read(a mem.Addr, p []byte) error  { return v.acc.Read(a, p) }
-func (v guestView) write(a mem.Addr, p []byte) error { return v.acc.Write(a, p) }
-
-type hostView struct{ m *mem.Memory }
-
-func (v hostView) read(a mem.Addr, p []byte) error  { return v.m.HostRead(a, p) }
-func (v hostView) write(a mem.Addr, p []byte) error { return v.m.HostWrite(a, p) }
-
-func (r *Ring) readU32(v view, off int) (uint32, error) {
+func (r *Ring) readU32(acc *mem.Accessor, off int) (uint32, error) {
 	var b [4]byte
-	if err := v.read(r.base+mem.Addr(off), b[:]); err != nil {
+	if err := r.read(acc, r.base+mem.Addr(off), b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
-func (r *Ring) writeU32(v view, off int, val uint32) error {
+func (r *Ring) writeU32(acc *mem.Accessor, off int, val uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], val)
-	return v.write(r.base+mem.Addr(off), b[:])
+	return r.write(acc, r.base+mem.Addr(off), b[:])
 }
 
 func (r *Ring) slotOff(i uint32) int {
@@ -84,16 +85,16 @@ func (r *Ring) slotOff(i uint32) int {
 // ErrRingFull reports a push into a full ring.
 var ErrRingFull = fmt.Errorf("virtio: ring full")
 
-// push appends payload through the given view.
-func (r *Ring) push(v view, payload []byte) error {
+// push appends payload through acc, or as the host when acc is nil.
+func (r *Ring) push(acc *mem.Accessor, payload []byte) error {
 	if len(payload) > r.slotSize {
 		return fmt.Errorf("virtio: payload %d exceeds slot size %d", len(payload), r.slotSize)
 	}
-	prod, err := r.readU32(v, 0)
+	prod, err := r.readU32(acc, 0)
 	if err != nil {
 		return err
 	}
-	cons, err := r.readU32(v, 4)
+	cons, err := r.readU32(acc, 4)
 	if err != nil {
 		return err
 	}
@@ -101,22 +102,22 @@ func (r *Ring) push(v view, payload []byte) error {
 		return ErrRingFull
 	}
 	off := r.slotOff(prod)
-	if err := r.writeU32(v, off, uint32(len(payload))); err != nil {
+	if err := r.writeU32(acc, off, uint32(len(payload))); err != nil {
 		return err
 	}
-	if err := v.write(r.base+mem.Addr(off+4), payload); err != nil {
+	if err := r.write(acc, r.base+mem.Addr(off+4), payload); err != nil {
 		return err
 	}
-	return r.writeU32(v, 0, prod+1)
+	return r.writeU32(acc, 0, prod+1)
 }
 
-// pop removes the oldest payload through the given view.
-func (r *Ring) pop(v view) ([]byte, bool, error) {
-	prod, err := r.readU32(v, 0)
+// pop removes the oldest payload through acc, or as the host when acc is nil.
+func (r *Ring) pop(acc *mem.Accessor) ([]byte, bool, error) {
+	prod, err := r.readU32(acc, 0)
 	if err != nil {
 		return nil, false, err
 	}
-	cons, err := r.readU32(v, 4)
+	cons, err := r.readU32(acc, 4)
 	if err != nil {
 		return nil, false, err
 	}
@@ -124,7 +125,7 @@ func (r *Ring) pop(v view) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	off := r.slotOff(cons)
-	n, err := r.readU32(v, off)
+	n, err := r.readU32(acc, off)
 	if err != nil {
 		return nil, false, err
 	}
@@ -132,10 +133,10 @@ func (r *Ring) pop(v view) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("virtio: corrupt slot length %d", n)
 	}
 	p := make([]byte, n)
-	if err := v.read(r.base+mem.Addr(off+4), p); err != nil {
+	if err := r.read(acc, r.base+mem.Addr(off+4), p); err != nil {
 		return nil, false, err
 	}
-	if err := r.writeU32(v, 4, cons+1); err != nil {
+	if err := r.writeU32(acc, 4, cons+1); err != nil {
 		return nil, false, err
 	}
 	return p, true, nil
@@ -143,39 +144,37 @@ func (r *Ring) pop(v view) ([]byte, bool, error) {
 
 // GuestPush appends payload using a protection-checked accessor.
 func (r *Ring) GuestPush(acc *mem.Accessor, payload []byte) error {
-	return r.push(guestView{acc}, payload)
+	return r.push(acc, payload)
 }
 
 // GuestPop removes the oldest payload using a protection-checked accessor.
 func (r *Ring) GuestPop(acc *mem.Accessor) ([]byte, bool, error) {
-	return r.pop(guestView{acc})
+	return r.pop(acc)
 }
 
 // HostPush appends payload with DMA (unchecked) access.
 func (r *Ring) HostPush(payload []byte) error {
-	return r.push(hostView{r.m}, payload)
+	return r.push(nil, payload)
 }
 
 // HostPop removes the oldest payload with DMA access.
 func (r *Ring) HostPop() ([]byte, bool, error) {
-	return r.pop(hostView{r.m})
+	return r.pop(nil)
 }
 
 // Indices returns the current producer and consumer indices (host read).
 func (r *Ring) Indices() (prod, cons uint32, err error) {
-	v := hostView{r.m}
-	if prod, err = r.readU32(v, 0); err != nil {
+	if prod, err = r.readU32(nil, 0); err != nil {
 		return 0, 0, err
 	}
-	cons, err = r.readU32(v, 4)
+	cons, err = r.readU32(nil, 4)
 	return prod, cons, err
 }
 
 // reset zeroes the indices (coordinated device reset only).
 func (r *Ring) reset() error {
-	v := hostView{r.m}
-	if err := r.writeU32(v, 0, 0); err != nil {
+	if err := r.writeU32(nil, 0, 0); err != nil {
 		return err
 	}
-	return r.writeU32(v, 4, 0)
+	return r.writeU32(nil, 4, 0)
 }

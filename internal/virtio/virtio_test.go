@@ -9,7 +9,7 @@ import (
 	"vampos/internal/mem"
 )
 
-func newRingPair(t *testing.T, slots, slotSize int) (*mem.Memory, *Ring) {
+func newRingPair(t testing.TB, slots, slotSize int) (*mem.Memory, *Ring) {
 	t.Helper()
 	m := mem.New(64 * mem.PageSize)
 	pages := (RingBytes(slots, slotSize) + mem.PageSize - 1) / mem.PageSize
@@ -38,6 +38,58 @@ func TestRingGuestToHostRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("pop %d: got % x", i, got)
+		}
+	}
+}
+
+// TestRingRoundTripAllocatesOnlyThePayload: the index and length words are
+// read and written through stack buffers in both directions; the one
+// allocation left is the payload a pop hands to its caller.
+func TestRingRoundTripAllocatesOnlyThePayload(t *testing.T) {
+	m, r := newRingPair(t, 8, 256)
+	acc := mem.NewAccessor(m, mem.Allow(5))
+	payload := make([]byte, 159)
+	for _, dir := range []struct {
+		name string
+		rtt  func() ([]byte, bool, error)
+	}{
+		{"guest to host", func() ([]byte, bool, error) {
+			if err := r.GuestPush(acc, payload); err != nil {
+				return nil, false, err
+			}
+			return r.HostPop()
+		}},
+		{"host to guest", func() ([]byte, bool, error) {
+			if err := r.HostPush(payload); err != nil {
+				return nil, false, err
+			}
+			return r.GuestPop(acc)
+		}},
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			if got, ok, err := dir.rtt(); err != nil || !ok || len(got) != len(payload) {
+				t.Fatalf("%s: got %d bytes, ok=%v err=%v", dir.name, len(got), ok, err)
+			}
+		})
+		if n > 1 {
+			t.Errorf("%s: %v allocations per push+pop, want at most 1", dir.name, n)
+		}
+	}
+}
+
+// BenchmarkRingPushPop: one frame from the guest driver to the host.
+func BenchmarkRingPushPop(b *testing.B) {
+	m, r := newRingPair(b, 8, 256)
+	acc := mem.NewAccessor(m, mem.Allow(5))
+	payload := make([]byte, 159)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.GuestPush(acc, payload); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := r.HostPop(); err != nil || !ok {
+			b.Fatalf("pop: ok=%v err=%v", ok, err)
 		}
 	}
 }
