@@ -80,7 +80,15 @@ func (v *Virtual) Advance(d time.Duration) int {
 		panic(fmt.Sprintf("clock: Advance(%v): negative duration", d))
 	}
 	v.mu.Lock()
-	target := v.offset + d
+	fired := v.advanceLocked(v.offset + d)
+	v.mu.Unlock()
+	return fired
+}
+
+// advanceLocked moves the clock to target, firing what falls due on the
+// way. The caller holds v.mu; it is dropped around each callback, which may
+// arm and stop timers.
+func (v *Virtual) advanceLocked(target time.Duration) int {
 	fired := 0
 	for len(v.timers) > 0 && v.timers[0].at <= target {
 		t := heap.Pop(&v.timers).(*Timer)
@@ -97,7 +105,6 @@ func (v *Virtual) Advance(d time.Duration) int {
 	if target > v.offset {
 		v.offset = target
 	}
-	v.mu.Unlock()
 	return fired
 }
 
@@ -106,17 +113,44 @@ func (v *Virtual) Advance(d time.Duration) int {
 // pending. The scheduler calls this when all threads are blocked.
 func (v *Virtual) AdvanceToNext() bool {
 	v.mu.Lock()
-	if len(v.timers) == 0 {
-		v.mu.Unlock()
-		return false
+	pending := len(v.timers) > 0
+	if pending {
+		v.advanceLocked(max(v.timers[0].at, v.offset))
 	}
-	d := v.timers[0].at - v.offset
-	v.mu.Unlock()
-	if d < 0 {
-		d = 0
+	v.mu.Unlock() // not deferred: a callback that panics does so unlocked
+	return pending
+}
+
+// LeapPolls is for the scheduler's conductor alone. t is the wake timer of
+// a thread that sleeps, wakes, finds nothing and sleeps again: wake-up a_i
+// falls period > 0 after the last (a_0 is t's deadline) and the thread
+// looks tail later. If t is the earliest pending timer, LeapPolls counts the
+// wake-ups whose look, at a_i + tail, comes strictly before every other
+// pending deadline and before until — no callback can fall due in them —
+// and leaves the clock and t as executing those k would have: the clock at
+// a_(k-1) + tail, t due at a_k under the id its k-th re-arming would have
+// taken, so equal deadlines still fire in arming order. It returns k.
+func (v *Virtual) LeapPolls(t *Timer, period, tail, until time.Duration) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.timers) == 0 || v.timers[0] != t {
+		return 0
 	}
-	v.Advance(d)
-	return true
+	// With t at the root, the earliest other deadline is one of its children.
+	for _, o := range v.timers[1:min(3, len(v.timers))] {
+		until = min(until, o.at)
+	}
+	room := until - tail - t.at
+	if room <= 0 {
+		return 0
+	}
+	k := (room + period - 1) / period // the i with i*period < room
+	v.offset = t.at + (k-1)*period + tail
+	t.at += k * period
+	v.nextID += int64(k)
+	t.id = v.nextID
+	heap.Fix(&v.timers, 0)
+	return int(k)
 }
 
 // NextDeadline returns the deadline of the earliest pending timer. The

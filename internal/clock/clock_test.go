@@ -1,6 +1,9 @@
 package clock
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -197,6 +200,119 @@ func TestAdvanceToNext(t *testing.T) {
 	}
 	if got, want := v.Elapsed(), 42*time.Millisecond; got != want {
 		t.Fatalf("Elapsed() = %v, want %v", got, want)
+	}
+}
+
+func TestAdvanceToNextFiresEverythingDueAtThatInstant(t *testing.T) {
+	v := NewVirtual()
+	var order []string
+	v.AfterFunc(5, func() {
+		order = append(order, "first")
+		// Armed from a callback for the instant being fired: still due.
+		v.AfterFunc(0, func() { order = append(order, "armed-in-callback") })
+	})
+	v.AfterFunc(5, func() { order = append(order, "second") })
+	v.AfterFunc(6, func() { order = append(order, "later") })
+	v.AdvanceToNext()
+	if got := strings.Join(order, ","); got != "first,second,armed-in-callback" || v.Elapsed() != 5 {
+		t.Fatalf("fired %q at %v", got, v.Elapsed())
+	}
+}
+
+// pollRounds does by hand what LeapPolls predicts: k times over, advance to
+// the poll timer, pay tail, re-arm it d later.
+func pollRounds(v *Virtual, t *Timer, k int, d, tail time.Duration) {
+	for i := 0; i < k; i++ {
+		v.AdvanceToNext()
+		v.Advance(tail)
+		v.Arm(t, d, t.fn)
+	}
+}
+
+// Property: whatever else is pending, LeapPolls leaves the clock, the
+// timer, the id counter and so the firing order exactly where executing
+// the polls it counted would have, and it counts every poll that no other
+// timer and no deadline can touch — the next one is touched.
+func TestLeapPollsMatchesExecutedPolls(t *testing.T) {
+	f := func(dRaw, tailRaw uint8, untilRaw uint16, others []uint8, first bool) bool {
+		d := time.Duration(dRaw%5) + 1
+		tail := time.Duration(tailRaw % 3)
+		until := time.Duration(untilRaw % 300)
+		var order [2][]int
+		var clocks [2]*Virtual
+		var polls [2]Timer
+		for run := range clocks {
+			run, v := run, NewVirtual()
+			clocks[run] = v
+			arm := func() {
+				for i, o := range others {
+					i := i
+					v.AfterFunc(time.Duration(o), func() { order[run] = append(order[run], i) })
+				}
+			}
+			if !first {
+				arm()
+			}
+			v.Arm(&polls[run], d, func() { order[run] = append(order[run], -1) })
+			if first {
+				arm()
+			}
+		}
+		leapt, walked := clocks[0], clocks[1]
+		earliest := leapt.timers[0] == &polls[0]
+		barrier := until
+		for _, o := range leapt.timers {
+			if o != &polls[0] {
+				barrier = min(barrier, o.at)
+			}
+		}
+		k := leapt.LeapPolls(&polls[0], d+tail, tail, until)
+		pollRounds(walked, &polls[1], k, d, tail)
+		// The walk fired the k wake-ups and, if the count is right, nothing else.
+		if len(order[1]) != k || slices.ContainsFunc(order[1], func(i int) bool { return i != -1 }) {
+			t.Logf("k=%d but walking them fired %v", k, order[1])
+			return false
+		}
+		order[1] = nil
+		if leapt.Elapsed() != walked.Elapsed() || polls[0].at != polls[1].at ||
+			polls[0].id != polls[1].id || leapt.nextID != walked.nextID {
+			t.Logf("k=%d: clock %v/%v, at %v/%v, id %d/%d", k, leapt.Elapsed(), walked.Elapsed(),
+				polls[0].at, polls[1].at, polls[0].id, polls[1].id)
+			return false
+		}
+		// Maximal: the next look meets another timer or the deadline.
+		if !earliest && k != 0 || earliest && polls[0].at+tail < barrier {
+			t.Logf("k=%d (earliest %v): next look %v, barrier %v", k, earliest, polls[0].at+tail, barrier)
+			return false
+		}
+		for _, v := range clocks {
+			v.Advance(time.Second)
+		}
+		return reflect.DeepEqual(order[0], order[1])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLeapPollsLeavesOtherTimersAlone(t *testing.T) {
+	v := NewVirtual()
+	var poll, other Timer
+	v.Arm(&other, 1, func() {})
+	v.Arm(&poll, 2, func() {})
+	// Not the earliest timer, not pending, or no room: nothing moves.
+	if k := v.LeapPolls(&poll, 3, 1, 100); k != 0 || v.Elapsed() != 0 {
+		t.Fatalf("leapt %d past an earlier timer", k)
+	}
+	if k := v.LeapPolls(&Timer{}, 3, 1, 100); k != 0 {
+		t.Fatalf("leapt %d on an unarmed timer", k)
+	}
+	other.Stop()
+	if k := v.LeapPolls(&poll, 3, 1, 3); k != 0 || v.Elapsed() != 0 || poll.at != 2 {
+		t.Fatalf("leapt %d with the deadline on the first look", k)
+	}
+	if k := v.LeapPolls(&poll, 3, 1, 4); k != 1 || v.Elapsed() != 3 || poll.at != 5 {
+		t.Fatalf("k=%d clock=%v at=%v, want one poll: clock 3, due 5", k, v.Elapsed(), poll.at)
 	}
 }
 

@@ -64,6 +64,12 @@ func (c *Ctx) Elapsed() time.Duration { return c.th.Elapsed() }
 // Sleep suspends the thread for d of virtual time.
 func (c *Ctx) Sleep(d time.Duration) { c.th.Sleep(d) }
 
+// SleepPoll is Sleep(d) from a poll loop that only reads a condition other
+// threads or timers change and that gives up once Elapsed reaches until;
+// the scheduler may then charge the empty polls instead of running them
+// (sched.Thread.SleepPoll).
+func (c *Ctx) SleepPoll(d, until time.Duration) { c.th.SleepPoll(d, until) }
+
 // Yield gives up the CPU until the scheduler comes back around.
 func (c *Ctx) Yield() { c.th.Yield() }
 

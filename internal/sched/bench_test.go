@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vampos/internal/clock"
 	"vampos/internal/mem"
 )
 
@@ -62,6 +63,30 @@ func BenchmarkSleepWake(b *testing.B) {
 	s.Spawn("poller", mem.AllowAll, func(th *Thread) {
 		for i := 0; i < b.N; i++ {
 			th.Sleep(20 * time.Microsecond)
+		}
+	})
+	runBench(b, s)
+}
+
+// BenchmarkSleepPollIdle: a poller on a 2 µs period waits for a flag that
+// a timer sets 100 periods later — the shape of one 9P RPC. One op is one
+// waited period; all but the last of each hundred are leapt.
+func BenchmarkSleepPollIdle(b *testing.B) {
+	const period, wait = 2 * time.Microsecond, 100
+	s := newSched(nil)
+	var (
+		flag  bool
+		timer clock.Timer
+	)
+	set := func() { flag = true }
+	s.Spawn("poller", mem.AllowAll, func(th *Thread) {
+		for i := 0; i < b.N; i += wait {
+			flag = false
+			s.Clock().Arm(&timer, wait*period, set)
+			until := th.Elapsed() + time.Second
+			for !flag {
+				th.SleepPoll(period, until)
+			}
 		}
 	})
 	runBench(b, s)

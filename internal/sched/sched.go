@@ -15,6 +15,10 @@
 // When no thread is ready the scheduler advances the virtual clock to the
 // next pending timer, making the whole system a deterministic
 // discrete-event simulation.
+//
+// One kind of dispatch is charged without being executed: the wake-ups of
+// a SleepPoll loop that was the last thing to run before the conductor went
+// idle, up to the first one another timer could touch (Scheduler.leap).
 package sched
 
 import (
@@ -84,6 +88,11 @@ type Stats struct {
 	ClockAdvances uint64
 	Spawned       uint64
 	Killed        uint64
+	// Leaps counts the conductor's leaps of a parked poller over idle time,
+	// Leaped the empty polls they charged (to Dispatches, ClockAdvances and
+	// the thread) without executing: Dispatches-Leaped is what actually ran.
+	Leaps  uint64
+	Leaped uint64
 	// Rounds counts parallel rounds executed by the shard engine
 	// (zero under the legacy single-baton mode).
 	Rounds uint64
@@ -124,6 +133,9 @@ type Scheduler struct {
 	dispatchCost time.Duration
 	// onDispatch, if set, observes every dispatch (flight recorder).
 	onDispatch func(*Thread)
+	// polling is the thread that parked in SleepPoll during the latest
+	// dispatch, nil once anything else has run: the freshness guard of leap.
+	polling *Thread
 	// nshards is the number of shard batons (runner goroutines) parallel
 	// rounds may use. Zero keeps the legacy single-baton dispatch loop
 	// bit-for-bit; SetShards enables the round engine (see shard.go).
@@ -393,10 +405,14 @@ type parkReason struct {
 	text  string        // Block's reason, or BlockCall's target
 	fn    string        // BlockCall's function
 	sleep time.Duration // Sleep's duration
+	poll  bool          // SleepPoll: the sleep is one period of a poll loop
+	until time.Duration // SleepPoll: when that loop gives up
 }
 
 func (r parkReason) String() string {
 	switch {
+	case r.poll:
+		return fmt.Sprintf("poll %v until %v", r.sleep, r.until)
 	case r.sleep > 0:
 		return fmt.Sprintf("sleep %v", r.sleep)
 	case r.fn != "":
@@ -439,20 +455,36 @@ func (t *Thread) Wake() {
 // the timer registration is deferred to commit: the timer then measures
 // from the clock position the commit replay has reached, which is exactly
 // where a sequential execution in merge order would have registered it.
-func (t *Thread) Sleep(d time.Duration) {
+func (t *Thread) Sleep(d time.Duration) { t.sleep(parkReason{sleep: d}) }
+
+// SleepPoll is Sleep(d) for the caller's promise about the loop it sits in:
+// each turn only reads a condition that nothing but another simulated
+// thread or a timer callback can change, gives up once Elapsed reaches
+// until, and otherwise calls SleepPoll(d, until) again. The schedule, the
+// clock and every counter come out as with Sleep; the promise lets the
+// conductor charge the turns whose outcome is already known instead of
+// executing them (see leap).
+func (t *Thread) SleepPoll(d, until time.Duration) {
+	t.sleep(parkReason{sleep: d, poll: true, until: until})
+}
+
+func (t *Thread) sleep(why parkReason) {
 	t.mustBeCurrent("Sleep")
-	if d <= 0 {
+	if why.sleep <= 0 {
 		t.Yield()
 		return
 	}
 	t.state = StateSleeping
-	t.parkedOn = parkReason{sleep: d}
+	t.parkedOn = why
 	if t.buffering {
-		t.sliceSleep = d
+		t.sliceSleep = why.sleep
 		t.switchOut()
 		return
 	}
-	t.sched.clk.Arm(&t.wakeTimer, d, t.wake)
+	if why.poll {
+		t.sched.polling = t // conductor state: a buffered slice must not get here
+	}
+	t.sched.clk.Arm(&t.wakeTimer, why.sleep, t.wake)
 	t.switchOut()
 }
 
@@ -522,6 +554,7 @@ func (t *Thread) mustBeCurrent(op string) {
 // relay-style workloads keep their exact legacy schedule.
 func (s *Scheduler) Run() error {
 	defer func() { s.current = nil }()
+	s.polling = nil // the host may have changed anything since the last Run
 	for {
 		if s.stopped {
 			return nil
@@ -540,6 +573,7 @@ func (s *Scheduler) Run() error {
 			}
 			// Nothing ready: let virtual time advance to the next timer,
 			// whose callbacks may wake threads.
+			s.leap()
 			if s.clk.AdvanceToNext() {
 				s.stats.ClockAdvances++
 				continue
@@ -602,7 +636,36 @@ func (s *Scheduler) nextReady() *Thread {
 	}
 }
 
+// leap charges, without executing them, the polls of the marked thread
+// that cannot find anything. The conductor is idle and the thread is the
+// last thing that ran — every dispatch and round clears the mark, and it is
+// consumed here before any timer fires — so the condition it saw false
+// stays false until another timer's callback runs. Each wake-up whose look
+// comes before that, and before the loop's own deadline, would cost one
+// clock advance, one dispatch charge and one re-arming: LeapPolls applies
+// them to the clock, the counters follow. The next wake-up, the first that
+// may share its instant with another event, executes as ever; one leap per
+// real poll is enough, since a second could only be refused. A dispatch
+// observer stamps each dispatch from the clock, so under one polls execute.
+func (s *Scheduler) leap() {
+	p := s.polling
+	s.polling = nil
+	if p == nil || s.onDispatch != nil {
+		return
+	}
+	k := uint64(s.clk.LeapPolls(&p.wakeTimer, p.parkedOn.sleep+s.dispatchCost, s.dispatchCost, p.parkedOn.until))
+	if k == 0 {
+		return
+	}
+	p.dispatches += k
+	s.stats.Dispatches += k
+	s.stats.ClockAdvances += k
+	s.stats.Leaps++
+	s.stats.Leaped += k
+}
+
 func (s *Scheduler) dispatch(t *Thread) {
+	s.polling = nil
 	if s.dispatchCost > 0 {
 		// Charge before the state change so timer callbacks fired by the
 		// advance see a consistent (not-yet-running) thread.

@@ -163,6 +163,7 @@ func (s *Scheduler) flushPen() {
 // runRound executes a batch of ready domain threads as one parallel
 // round and commits the journals in merge order.
 func (s *Scheduler) runRound(batch []*Thread) {
+	s.polling = nil
 	base := s.clk.Elapsed()
 	s.stats.Rounds++
 	s.stats.Slices += uint64(len(batch))

@@ -184,6 +184,8 @@ func (c *Comp) p9RPC(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 		if ctx.Elapsed() >= deadline {
 			return nil, core.Errno("EIO: 9p rpc timeout")
 		}
-		ctx.Sleep(rpcPoll)
+		// Only the host's 9p thread fills the ring, so the polls it sleeps
+		// through are charged, not run.
+		ctx.SleepPoll(rpcPoll, deadline)
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"vampos/internal/core"
 	"vampos/internal/mem"
+	"vampos/internal/sched"
 )
 
 func newRingPair(t testing.TB, slots, slotSize int) (*mem.Memory, *Ring) {
@@ -293,4 +296,68 @@ func TestCoordinatedResetRecovers(t *testing.T) {
 	if err != nil || !ok || string(got) != "ok" {
 		t.Fatalf("post-reset traffic = %q ok=%v err=%v", got, ok, err)
 	}
+}
+
+// stubHost is the host end of the 9P channel with no server behind it: a
+// thread that echoes each request back after a fixed virtual latency.
+type stubHost struct {
+	dev     *Device
+	th      *sched.Thread
+	latency time.Duration
+}
+
+func (h *stubHost) AttachNet(*Device) {}
+
+func (h *stubHost) Attach9P(dev *Device) {
+	h.dev = dev
+	dev.HostNotify = h.th.Wake
+}
+
+func (h *stubHost) loop(t *sched.Thread) {
+	for {
+		if h.dev == nil { // first dispatch comes before the driver's Init
+			t.Block("no 9p device")
+			continue
+		}
+		req, ok, err := h.dev.HostRecv()
+		if err != nil || !ok {
+			t.Block("9p idle")
+			continue
+		}
+		t.Sleep(h.latency)
+		if err := h.dev.HostSend(req); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// BenchmarkP9RPC: one RPC through the driver against a host that takes
+// 250 µs of virtual time, an fsync's worth. dispatches/op is what the cost
+// model charges (the call's hops plus one per 2 µs poll); executed/op is
+// how many of them ran.
+func BenchmarkP9RPC(b *testing.B) {
+	rt := core.NewRuntime(core.DaSConfig())
+	host := &stubHost{latency: 250 * time.Microsecond}
+	host.th = rt.Scheduler().Spawn("host/9p", 0, host.loop)
+	if err := rt.Register(New(host)); err != nil {
+		b.Fatal(err)
+	}
+	req := make([]byte, 64)
+	b.ReportAllocs()
+	err := rt.Run(func(c *core.Ctx) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Call("virtio", "p9_rpc", req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := rt.SchedStats()
+	b.ReportMetric(float64(st.Dispatches)/float64(b.N), "dispatches/op")
+	b.ReportMetric(float64(st.Dispatches-st.Leaped)/float64(b.N), "executed/op")
+	rt.Close()
 }
