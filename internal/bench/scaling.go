@@ -54,6 +54,11 @@ type ScalingRow struct {
 	ModelWall       time.Duration
 	ModelThroughput float64 // ops per ModelWall second
 
+	// RoundWall is the wall time the rounds actually took (sched.Stats):
+	// CriticalPath/RoundWall is the round efficiency, 1 when a parallel
+	// round costs no more than its slowest bucket.
+	RoundWall time.Duration
+
 	// PenWidth is the mean width of application pen rounds (threads
 	// released per flush): the concurrency the workload actually offered.
 	PenWidth float64
@@ -63,6 +68,14 @@ type ScalingRow struct {
 	// the determinism contract is broken.
 	VirtualElapsed time.Duration
 	Keys           int
+}
+
+// RoundEfficiency is CriticalPath/RoundWall (0 before any round ran).
+func (r ScalingRow) RoundEfficiency() float64 {
+	if r.RoundWall <= 0 {
+		return 0
+	}
+	return float64(r.CriticalPath) / float64(r.RoundWall)
 }
 
 // ScalingResult is the sharded-baton scaling figure.
@@ -260,6 +273,7 @@ func scalingBody(s *unikernel.Sys, scale Scale, row *ScalingRow) error {
 	st1 := sch.Stats()
 	row.SliceWall = st1.SliceWall - st0.SliceWall
 	row.CriticalPath = st1.RoundCritical - st0.RoundCritical
+	row.RoundWall = st1.RoundWall - st0.RoundWall
 	if flushes := st1.PenFlushes - st0.PenFlushes; flushes > 0 {
 		row.PenWidth = float64(st1.Penned-st0.Penned) / float64(flushes)
 	}
@@ -311,22 +325,23 @@ func (r *ScalingResult) Render() string {
 	t := &table{
 		title: fmt.Sprintf("Scaling figure — %d redis cells x %d SETs (%d B values) over lwip, sharded batons (DaS)",
 			r.Cells, r.OpsPerCell, r.ValueBytes),
-		headers: []string{"GOMAXPROCS", "shards", "ops", "wall", "ops/s (wall)", "critical path", "ops/s (model)", "pen width"},
+		headers: []string{"GOMAXPROCS", "shards", "ops", "wall", "ops/s (wall)", "critical path", "round efficiency", "ops/s (model)", "pen width"},
 	}
 	add := func(row ScalingRow) {
 		t.addRow(fmt.Sprintf("%d", row.Procs), fmt.Sprintf("%d", row.Shards),
 			fmt.Sprintf("%d", row.Ops), fmtDur(row.Wall), fmt.Sprintf("%.0f", row.Throughput),
-			fmtDur(row.CriticalPath), fmt.Sprintf("%.0f", row.ModelThroughput),
+			fmtDur(row.CriticalPath), fmt.Sprintf("%.2f", row.RoundEfficiency()), fmt.Sprintf("%.0f", row.ModelThroughput),
 			fmt.Sprintf("%.1f", row.PenWidth))
 	}
 	add(r.Baseline)
 	for _, row := range r.Rows {
 		add(row)
 	}
-	t.addNote(fmt.Sprintf("parallel capacity: %.2fx the single-baton baseline at %d shards (round critical path vs serial slice sum)",
-		r.Speedup, r.Rows[0].Shards))
-	t.addNote(fmt.Sprintf("measured wall speedup %.2fx from GOMAXPROCS=%d to %d on a %d-CPU host (wall converges to the model as cores approach the shard count)",
-		r.WallSpeedup, r.Rows[0].Procs, r.Rows[len(r.Rows)-1].Procs, r.HostCPUs))
+	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
+	t.addNote(fmt.Sprintf("measured wall speedup %.2fx from GOMAXPROCS=%d to %d on a %d-CPU host (%.0f -> %.0f ops/s; round efficiency = critical path / wall the rounds took)",
+		r.WallSpeedup, first.Procs, last.Procs, r.HostCPUs, first.Throughput, last.Throughput))
+	t.addNote(fmt.Sprintf("capacity model, not a measurement: a core per shard would run the same slices at %.2fx the single-baton baseline at %d shards (round critical path vs serial slice sum)",
+		r.Speedup, first.Shards))
 	if r.FingerprintOK {
 		t.addNote("every row produced the identical virtual elapsed time and key count: the canonical event order is independent of shard and core count")
 	} else {

@@ -67,6 +67,14 @@ func TestScalingShape(t *testing.T) {
 	if res.Rows[0].PenWidth < 2 {
 		t.Fatalf("pen rounds stayed narrow (width %.2f): app threads are not co-scheduled", res.Rows[0].PenWidth)
 	}
+	for _, row := range append([]ScalingRow{res.Baseline}, res.Rows...) {
+		// Each round is timed around its buckets, which are timed around
+		// their slices: rounds cannot take less than their critical path.
+		if row.RoundWall < row.CriticalPath {
+			t.Fatalf("row procs=%d shards=%d: rounds took %v, below their critical path %v",
+				row.Procs, row.Shards, row.RoundWall, row.CriticalPath)
+		}
+	}
 	if res.Rows[0].CriticalPath <= 0 || res.Rows[0].CriticalPath >= res.Rows[0].SliceWall {
 		t.Fatalf("critical path %v not below serial slice sum %v: rounds have no parallel width",
 			res.Rows[0].CriticalPath, res.Rows[0].SliceWall)
@@ -85,5 +93,28 @@ func TestScalingShape(t *testing.T) {
 	}
 	if res.Baseline.VirtualElapsed > 12*time.Hour {
 		t.Fatalf("virtual elapsed %v exceeded the configured horizon", res.Baseline.VirtualElapsed)
+	}
+}
+
+// TestRoundEfficiencyOfTwoCells reads sched.Stats.RoundWall around a run
+// shaped like the kv_sharded benchmark workload — two redis cells on two
+// shards, CPUWork 256 — and logs what share of the rounds' wall time was
+// their critical path. The share is a wall-clock reading of this host, so
+// only its bounds are asserted; EXPERIMENTS.md records the measured values.
+func TestRoundEfficiencyOfTwoCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sustained-load measurement")
+	}
+	scale := scalingTestScale()
+	scale.ScalingCells, scale.ScalingOpsPerCell, scale.ScalingCPUWork = 2, 4000, 256
+	row, err := runScalingRow(scale, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eff := row.RoundEfficiency()
+	t.Logf("GOMAXPROCS=2 shards=2 on %d CPUs: %.0f ops/s, rounds %v wall for a %v critical path and %v of slices: round efficiency %.2f",
+		runtime.NumCPU(), row.Throughput, row.RoundWall, row.CriticalPath, row.SliceWall, eff)
+	if eff <= 0 || eff > 1 {
+		t.Fatalf("round efficiency %.3f outside (0, 1]: RoundWall %v, critical path %v", eff, row.RoundWall, row.CriticalPath)
 	}
 }

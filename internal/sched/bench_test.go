@@ -93,15 +93,19 @@ func BenchmarkSleepPollIdle(b *testing.B) {
 }
 
 // benchRound runs b.N scheduling rounds of width domain threads, each on
-// a shard of its own. Width one is the singleton batch the round engine
-// dispatches live; wider batches run as journaled slices on runner
-// goroutines and commit in merge order.
-func benchRound(b *testing.B, width int) {
+// a shard of its own, each slice doing work (nil: none) before it yields.
+// Width one is the singleton batch the round engine dispatches live; wider
+// batches run as journaled slices, claimed bucket by bucket by the
+// conductor and the runners, and commit in merge order.
+func benchRound(b *testing.B, width int, work func()) {
 	s := newSched(nil)
 	s.SetShards(width)
 	for i := 0; i < width; i++ {
 		th := s.Spawn("domain", mem.AllowAll, func(th *Thread) {
 			for i := 0; i < b.N; i++ {
+				if work != nil {
+					work()
+				}
 				th.Charge(time.Microsecond)
 				th.Yield()
 			}
@@ -110,7 +114,44 @@ func benchRound(b *testing.B, width int) {
 		th.SetShard(i)
 	}
 	runBench(b, s)
+	if st := s.Stats(); width > 1 && st.RoundWall > 0 {
+		b.ReportMetric(float64(st.RoundCritical)/float64(st.RoundWall), "critical/wall")
+	}
 }
 
-func BenchmarkRoundWidth1(b *testing.B) { benchRound(b, 1) }
-func BenchmarkRoundWidth4(b *testing.B) { benchRound(b, 4) }
+// spin returns a slice body that computes for about d of wall time on the
+// machine that calibrated it: a hash loop that allocates nothing, makes no
+// system call and shares nothing, so slices may run it side by side.
+func spin(d time.Duration) func() {
+	const probe = 1 << 16
+	start := time.Now()
+	burn(probe)
+	n := int(float64(probe) * float64(d) / float64(time.Since(start)))
+	return func() { burn(n) }
+}
+
+// burn uses fnvLoop's result, so the loop cannot be compiled away.
+func burn(n int) {
+	if fnvLoop(n) == 0 {
+		panic("unreachable")
+	}
+}
+
+func fnvLoop(n int) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < n; i++ {
+		h = (h ^ uint64(i)) * 1099511628211
+	}
+	return h
+}
+
+func BenchmarkRoundWidth1(b *testing.B) { benchRound(b, 1, nil) }
+func BenchmarkRoundWidth4(b *testing.B) { benchRound(b, 4, nil) }
+
+// BenchmarkRoundTiny2: two ≈ 1 µs slices on two shards — the price of a
+// round that was not worth running in parallel.
+func BenchmarkRoundTiny2(b *testing.B) { benchRound(b, 2, spin(time.Microsecond)) }
+
+// BenchmarkRoundWide2: two ≈ 100 µs compute slices on two shards; ns/op is
+// the wall of one round against its 100 µs critical path.
+func BenchmarkRoundWide2(b *testing.B) { benchRound(b, 2, spin(100*time.Microsecond)) }

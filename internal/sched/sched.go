@@ -16,6 +16,10 @@
 // next pending timer, making the whole system a deterministic
 // discrete-event simulation.
 //
+// With SetShards, a run of ready domain threads executes as one parallel
+// round (shard.go): threads of one shard ordinal share a bucket and serialise;
+// the conductor and runner goroutines alive only inside Run execute buckets.
+//
 // One kind of dispatch is charged without being executed: the wake-ups of
 // a SleepPoll loop that was the last thing to run before the conductor went
 // idle, up to the first one another timer could touch (Scheduler.leap).
@@ -26,6 +30,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"vampos/internal/clock"
@@ -114,6 +120,9 @@ type Stats struct {
 	// speed, like any wall-clock benchmark reading).
 	SliceWall     time.Duration
 	RoundCritical time.Duration
+	// RoundWall is what the rounds took on the conductor's wall clock, to
+	// their last bucket done; RoundCritical/RoundWall is at best 1.
+	RoundWall time.Duration
 }
 
 // Scheduler owns all simulated threads and the virtual clock.
@@ -136,15 +145,25 @@ type Scheduler struct {
 	// polling is the thread that parked in SleepPoll during the latest
 	// dispatch, nil once anything else has run: the freshness guard of leap.
 	polling *Thread
-	// nshards is the number of shard batons (runner goroutines) parallel
-	// rounds may use. Zero keeps the legacy single-baton dispatch loop
+	// nshards is the number of shard batons, the buckets a parallel round
+	// may split into. Zero keeps the legacy single-baton dispatch loop
 	// bit-for-bit; SetShards enables the round engine (see shard.go).
 	nshards int
-	// batchBuf, buckets, and runnerOrder are round-engine scratch space
-	// reused across rounds to keep the steady state allocation-free.
+	// batchBuf, buckets (by ordinal mod nshards), and runnerOrder (the
+	// non-empty ones in drain order) are round-engine scratch space reused
+	// across rounds to keep the steady state allocation-free.
 	batchBuf    []*Thread
-	buckets     map[int][]*Thread
+	buckets     [][]*Thread
 	runnerOrder []int
+	// The round in flight: roundBase, buckets and runnerOrder are written
+	// before round publishes them, not again until finished counts them all.
+	roundBase time.Duration
+	round     atomic.Uint64
+	finished  atomic.Uint32
+	// runners is non-nil from a Run's first multi-bucket round to its end.
+	runners  []*runner
+	quit     atomic.Bool
+	runnerWG sync.WaitGroup
 	// pen holds ready ClassApp threads the conductor is deferring until
 	// quiescence, in pop order (see shard.go on why app threads batch at
 	// quiescence instead of dispatching eagerly).
@@ -193,7 +212,7 @@ type Thread struct {
 	id    int
 	name  string
 	state State
-	// next switches the dispatching goroutine (conductor or shard runner)
+	// next switches the dispatching goroutine (conductor or a runner)
 	// into the thread's coroutine until it parks or ends; yield switches
 	// back. Calls to next for one thread never overlap.
 	next  func() (struct{}, bool)
@@ -220,9 +239,9 @@ type Thread struct {
 	// threads (msg thread, watchdog, host services), which always run
 	// live on the conductor. Spawn defaults to ClassSystem.
 	class Class
-	// shard is the thread's shard ordinal; the runner executing its
-	// slices is shard % nshards, so coupled threads given the same
-	// ordinal co-locate at every shard count.
+	// shard is the thread's shard ordinal; its slices run in bucket
+	// shard % nshards, so coupled threads given the same ordinal share a
+	// bucket at every shard count.
 	shard int
 	// nameHash is the FNV-1a hash of name, the deterministic tiebreak in
 	// the cross-shard merge rule.
@@ -554,6 +573,7 @@ func (t *Thread) mustBeCurrent(op string) {
 // relay-style workloads keep their exact legacy schedule.
 func (s *Scheduler) Run() error {
 	defer func() { s.current = nil }()
+	defer s.stopRunners()
 	s.polling = nil // the host may have changed anything since the last Run
 	for {
 		if s.stopped {

@@ -4,14 +4,22 @@
 // serialises the whole instance. This file multiplexes the baton: when
 // the ready queue holds a run of two or more domain threads (component
 // workers, app threads), the scheduler executes all of them as one
-// *round*. Each thread runs one buffered timeslice on the runner
-// goroutine of its shard (shard ordinal mod SetShards), with every
-// globally visible effect — virtual-time charges, timer registrations,
-// ready-queue insertions, deferred closures handed in via Thread.Do —
-// journaled instead of applied. While a round is in flight the global
-// clock is frozen at the round's start; each slice sees round-start time
-// plus its own charges (Thread.Elapsed), a per-shard virtual time that
-// floats above the committed global watermark.
+// *round*. The threads are partitioned into buckets by shard ordinal mod
+// SetShards, and each runs one buffered timeslice, in drain order within
+// its bucket, with every globally visible effect — virtual-time charges,
+// timer registrations, ready-queue insertions, deferred closures handed
+// in via Thread.Do — journaled instead of applied. While a round is in
+// flight the global clock is frozen at the round's start; each slice sees
+// round-start time plus its own charges (Thread.Elapsed), a per-shard
+// virtual time that floats above the committed global watermark.
+//
+// The ordinal decides which threads share a bucket, not who executes it:
+// a round of one bucket runs inline, a wider one is published to this
+// Run's persistent runners by one atomic store of the round word, and
+// conductor and runners claim whole buckets by compare-and-swap on it. Its
+// generation gives each bucket one claim, made while its round is open.
+// An idle runner parks after a short wall-time window: a host clock
+// reading that decides when a goroutine sleeps, never what a round does.
 //
 // When every slice has parked, the conductor commits the journals
 // sequentially in the *merge order*: ascending slice-end virtual time,
@@ -20,17 +28,19 @@
 // its deferred closures, so the committed global state is exactly what a
 // sequential execution of the batch in merge order would have produced.
 // Batch composition, slice behaviour, and merge order are all pure
-// functions of deterministic scheduler state — never of which runner ran
-// a slice first — so a given seed produces one canonical event order
-// regardless of GOMAXPROCS *and* regardless of the shard count: shards
-// only choose which OS-level goroutine executes a slice, and threads
-// sharing mutable structures are given equal ordinals so they co-locate
-// (and hence serialise, in drain order) at every shard count.
+// functions of deterministic scheduler state — never of which goroutine
+// ran a slice, or when — so a given seed produces one canonical event
+// order regardless of GOMAXPROCS *and* regardless of the shard count:
+// shards only choose which slices may execute side by side, and threads
+// sharing mutable structures are given equal ordinals so they share a
+// bucket (and hence serialise, in drain order) at every shard count.
 package sched
 
 import (
-	"sort"
-	"sync"
+	"cmp"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"time"
 )
 
@@ -60,16 +70,17 @@ const (
 	ClassApp
 )
 
-// sliceOp is one journaled effect of a buffered timeslice: either a
-// virtual-time charge or a deferred closure, in program order.
+// sliceOp is one journaled effect of a buffered timeslice, in program order:
+// a virtual-time charge, a deferred closure, or its dispatch accounting.
 type sliceOp struct {
-	charge time.Duration
-	fn     func()
+	charge   time.Duration
+	fn       func()
+	dispatch bool
 }
 
-// SetShards enables the round engine with n shard batons (runner
-// goroutines). n < 1 restores the legacy single-baton loop. Call before
-// Run; the shard count is part of the schedule-defining configuration
+// SetShards enables the round engine with n shard batons (the buckets a
+// round may split into). n < 1 restores the legacy single-baton loop. Call
+// before Run; the shard count is part of the schedule-defining configuration
 // even though, by construction, it cannot change observable behaviour.
 func (s *Scheduler) SetShards(n int) {
 	if n < 1 {
@@ -90,8 +101,8 @@ func (t *Thread) Class() Class { return t.class }
 
 // SetShard assigns the thread's shard ordinal. Threads that share
 // mutable memory outside the message-passing boundary must be given the
-// same ordinal: equal ordinals co-locate on one runner at every shard
-// count, which is what keeps cross-shard-count behaviour identical.
+// same ordinal: equal ordinals share a bucket at every shard count,
+// which is what keeps cross-shard-count behaviour identical.
 func (t *Thread) SetShard(n int) {
 	if n < 0 {
 		n = 0
@@ -164,49 +175,37 @@ func (s *Scheduler) flushPen() {
 // round and commits the journals in merge order.
 func (s *Scheduler) runRound(batch []*Thread) {
 	s.polling = nil
-	base := s.clk.Elapsed()
+	s.roundBase = s.clk.Elapsed()
 	s.stats.Rounds++
 	s.stats.Slices += uint64(len(batch))
 
-	// Partition by runner; runnerOrder keeps drain order within and
-	// across buckets deterministic.
-	if s.buckets == nil {
-		s.buckets = make(map[int][]*Thread)
+	// Partition into buckets by ordinal; runnerOrder keeps drain order
+	// within and across buckets deterministic.
+	if len(s.buckets) != s.nshards {
+		s.buckets = make([][]*Thread, s.nshards)
 	}
-	runnerOrder := s.runnerOrder[:0]
+	order := s.runnerOrder[:0]
 	for _, t := range batch {
 		r := t.shard % s.nshards
-		if _, ok := s.buckets[r]; !ok {
-			runnerOrder = append(runnerOrder, r)
+		if len(s.buckets[r]) == 0 {
+			order = append(order, r)
 		}
 		s.buckets[r] = append(s.buckets[r], t)
 	}
-	s.runnerOrder = runnerOrder
+	s.runnerOrder = order
 
-	if len(runnerOrder) == 1 {
-		// Single shard active (always the case at SetShards(1)): run the
-		// buffered slices inline. Identical semantics, no goroutines.
-		for _, t := range s.buckets[runnerOrder[0]] {
-			s.runSlice(t, base)
-		}
+	start := sliceWallClock()
+	if len(order) == 1 {
+		// One bucket (always at SetShards(1)): inline, nothing published.
+		s.runBucket(0)
 	} else {
-		var wg sync.WaitGroup
-		for _, r := range runnerOrder {
-			bucket := s.buckets[r]
-			wg.Add(1)
-			go func(bucket []*Thread) {
-				defer wg.Done()
-				for _, t := range bucket {
-					s.runSlice(t, base)
-				}
-			}(bucket)
-		}
-		wg.Wait()
+		s.runBuckets()
 	}
+	s.stats.RoundWall += sliceWallClock().Sub(start)
 	// Critical-path accounting: the round's real cost on a machine with
-	// enough cores is the slowest runner bucket, not the bucket sum.
+	// enough cores is the slowest bucket, not the bucket sum.
 	var serial, critical time.Duration
-	for _, r := range runnerOrder {
+	for _, r := range order {
 		var sum time.Duration
 		for _, t := range s.buckets[r] {
 			sum += t.sliceWall
@@ -215,41 +214,141 @@ func (s *Scheduler) runRound(batch []*Thread) {
 		if sum > critical {
 			critical = sum
 		}
+		s.buckets[r] = s.buckets[r][:0]
 	}
 	s.stats.SliceWall += serial
 	s.stats.RoundCritical += critical
 
-	for _, r := range runnerOrder {
-		s.buckets[r] = s.buckets[r][:0]
-		delete(s.buckets, r)
-	}
-
-	// Merge rule: lowest slice-end virtual time commits first, FNV-1a of
-	// the thread name breaks ties, spawn id breaks hash collisions. Every
-	// key is independent of runner timing and of the shard count.
-	sort.SliceStable(batch, func(i, j int) bool {
-		ti, tj := batch[i], batch[j]
-		ei, ej := ti.sliceBase+ti.sliceCharge, tj.sliceBase+tj.sliceCharge
-		if ei != ej {
-			return ei < ej
-		}
-		if ti.nameHash != tj.nameHash {
-			return ti.nameHash < tj.nameHash
-		}
-		return ti.id < tj.id
-	})
+	slices.SortStableFunc(batch, mergeOrder)
 	for _, t := range batch {
 		s.commitSlice(t)
 	}
 }
 
-// runSlice executes one buffered timeslice of t on the calling runner
-// goroutine: switch into the thread until it parks, leave the journal
-// for the conductor. iter.Pull's own annotations give the -race detector
-// (and the memory model) the required happens-before edges.
-func (s *Scheduler) runSlice(t *Thread, base time.Duration) {
+// mergeOrder is the merge rule: lowest slice-end virtual time commits first,
+// FNV-1a of the thread name breaks ties, spawn id breaks hash collisions.
+// No key depends on who ran the slice, on timing or on the shard count.
+func mergeOrder(a, b *Thread) int {
+	return cmp.Or(cmp.Compare(a.sliceBase+a.sliceCharge, b.sliceBase+b.sliceCharge),
+		cmp.Compare(a.nameHash, b.nameHash), cmp.Compare(a.id, b.id))
+}
+
+// runner is one persistent helper goroutine. parked is set by the runner
+// before it blocks on wake (capacity 1) and cleared by whoever ends the park:
+// the conductor, who then owes a token, or the runner on finding work.
+type runner struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// runnerHotWindow is how long a runner without a bucket keeps looking,
+// yielding between looks, before it parks. Wall time, not looks, so an idle
+// core costs the same on any host. kv_sharded (≈ 60 µs between rounds): 4.3k
+// ops/s at 0, 4.9k at 50 µs, 5.5k at 100, 5.9k at 200, 5.7k at 400 (PR 18).
+const runnerHotWindow = 100 * time.Microsecond
+
+// claim takes the next unclaimed bucket of the published round, or returns -1.
+// The word is generation<<32 | buckets<<16 | next: a stale one fails the swap.
+func (s *Scheduler) claim() int {
+	for {
+		w := s.round.Load()
+		if uint16(w) >= uint16(w>>16) {
+			return -1
+		}
+		if s.round.CompareAndSwap(w, w+1) {
+			return int(uint16(w))
+		}
+	}
+}
+
+// runBucket runs the i-th bucket of the round in drain order on whichever
+// goroutine claimed it, and counts it finished — also when a Goexit in a
+// slice (t.Fatal on a simulated thread) takes the goroutine with it.
+func (s *Scheduler) runBucket(i int) {
+	defer s.finished.Add(1)
+	for _, t := range s.buckets[s.runnerOrder[i]] {
+		s.runSlice(t)
+	}
+}
+
+// runBuckets executes a round of n >= 2 buckets: publish it, wake a parked
+// runner per bucket to spare, claim and run buckets like a runner until none
+// is left, then wait for those the runners took.
+func (s *Scheduler) runBuckets() {
+	n := len(s.runnerOrder)
+	s.finished.Store(0)
+	s.round.Store((s.round.Load()>>32+1)<<32 | uint64(n)<<16)
+	if s.runners == nil {
+		s.startRunners()
+	}
+	for _, r := range s.runners[:min(n-1, len(s.runners))] {
+		if r.parked.Load() && r.parked.CompareAndSwap(true, false) {
+			r.wake <- struct{}{}
+		}
+	}
+	for i := s.claim(); i >= 0; i = s.claim() {
+		s.runBucket(i)
+	}
+	for int(s.finished.Load()) != n {
+		runtime.Gosched()
+	}
+}
+
+// startRunners starts this Run's runners at its first multi-bucket round: one
+// per shard, at most GOMAXPROCS-1 (at 1 none: the conductor claims it all).
+func (s *Scheduler) startRunners() {
+	s.runners = []*runner{}
+	s.quit.Store(false)
+	for i := min(s.nshards, runtime.GOMAXPROCS(0)) - 1; i > 0; i-- {
+		r := &runner{wake: make(chan struct{}, 1)}
+		s.runners = append(s.runners, r)
+		s.runnerWG.Add(1)
+		go s.runnerLoop(r)
+	}
+}
+
+// stopRunners ends and joins the runners; Run defers it, so none outlives it.
+func (s *Scheduler) stopRunners() {
+	s.quit.Store(true)
+	for _, r := range s.runners {
+		close(r.wake) // no round is open: nothing else can be sending
+	}
+	s.runnerWG.Wait()
+	s.runners = nil
+}
+
+// runnerLoop is a runner's life: claim and run buckets; with none to claim
+// stay hot for runnerHotWindow, then set parked, look once more and block.
+func (s *Scheduler) runnerLoop(r *runner) {
+	defer s.runnerWG.Done()
+	hot := sliceWallClock()
+	for !s.quit.Load() {
+		i := s.claim()
+		switch {
+		case i >= 0:
+			if r.parked.Load() && !r.parked.CompareAndSwap(true, false) {
+				<-r.wake // the conductor ended the park first: take its token
+			}
+			s.runBucket(i)
+			hot = sliceWallClock()
+		case sliceWallClock().Sub(hot) < runnerHotWindow:
+			runtime.Gosched()
+		case !r.parked.Load():
+			r.parked.Store(true)
+		default:
+			<-r.wake
+			hot = sliceWallClock()
+		}
+	}
+}
+
+// runSlice executes one buffered timeslice of t on the calling goroutine,
+// conductor or runner: switch into the thread until it parks, leave the
+// journal for the conductor. iter.Pull's own annotations give the -race
+// detector (and the memory model) the required happens-before edges.
+func (s *Scheduler) runSlice(t *Thread) {
 	t.buffering = true
-	t.sliceBase = base
+	t.sliceBase = s.roundBase
 	t.sliceCharge = 0
 	t.sliceOps = t.sliceOps[:0]
 	t.sliceSleep = -1
@@ -257,13 +356,7 @@ func (s *Scheduler) runSlice(t *Thread, base time.Duration) {
 	if s.dispatchCost > 0 {
 		t.Charge(s.dispatchCost)
 	}
-	t.sliceOps = append(t.sliceOps, sliceOp{fn: func() {
-		t.dispatches++
-		s.stats.Dispatches++
-		if s.onDispatch != nil {
-			s.onDispatch(t)
-		}
-	}})
+	t.sliceOps = append(t.sliceOps, sliceOp{dispatch: true})
 	t.state = StateRunning
 	t.running = true
 	start := sliceWallClock()
@@ -274,12 +367,12 @@ func (s *Scheduler) runSlice(t *Thread, base time.Duration) {
 }
 
 // sliceWallClock reads the host's monotonic clock for the round
-// critical-path measurement. Measurement only: the reading feeds the
-// scaling figure's parallel-capacity estimate (Stats.SliceWall and
-// Stats.RoundCritical) and never influences a scheduling decision, so
-// the simulation stays a pure function of its seed.
+// measurements (Stats.SliceWall, RoundCritical, RoundWall: the scaling
+// figure) and for a runner's decision to park (runnerHotWindow). Neither
+// reaches the schedule — a parked runner only leaves more buckets to the
+// conductor — so the simulation stays a pure function of its seed.
 func sliceWallClock() time.Time {
-	//vampos:allow detclock -- measurement-only round timing; never feeds back into the schedule
+	//vampos:allow detclock -- round timing and runner parking only; never feeds back into the schedule
 	return time.Now()
 }
 
@@ -291,9 +384,16 @@ func sliceWallClock() time.Time {
 // clobbered.
 func (s *Scheduler) commitSlice(t *Thread) {
 	for _, op := range t.sliceOps {
-		if op.fn != nil {
+		switch {
+		case op.fn != nil:
 			op.fn()
-		} else {
+		case op.dispatch:
+			t.dispatches++
+			s.stats.Dispatches++
+			if s.onDispatch != nil {
+				s.onDispatch(t)
+			}
+		default:
 			s.clk.Advance(op.charge)
 		}
 	}
