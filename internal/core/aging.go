@@ -44,28 +44,20 @@ func (c *Ctx) Rejuvenate(name string) error {
 	if !ok {
 		return &UnknownComponentError{Name: name}
 	}
-	var sp, prev trace.SpanID
-	if tr := rt.tracer; tr != nil {
-		prev = c.span
-		sp = tr.Begin(prev, trace.KindRejuv, name, "", "rejuvenate")
-		c.span = sp
-	}
+	// Recorder methods are nil-safe; with tracing off every span is zero.
+	prev := c.span
+	c.span = rt.tracer.Begin(prev, trace.KindRejuv, name, "", "rejuvenate")
 	err := c.rebootAs(name, "rejuvenation")
-	ckptNote := ""
-	if err == nil && rt.cfg.MessagePassing &&
-		tc.desc.Stateful && tc.desc.Checkpoint && tc.checkpoint != nil {
+	detail := "ok"
+	if err != nil {
+		detail = err.Error()
+	} else if rt.cfg.MessagePassing && tc.desc.Stateful && tc.desc.Checkpoint && tc.checkpoint != nil {
 		if cerr := c.Checkpoint(name); cerr != nil {
-			ckptNote = "; post-reboot checkpoint skipped: " + cerr.Error()
+			detail += "; post-reboot checkpoint skipped: " + cerr.Error()
 		}
 	}
-	if tr := rt.tracer; tr != nil {
-		detail := "ok"
-		if err != nil {
-			detail = err.Error()
-		}
-		tr.EndErr(sp, detail+ckptNote)
-		c.span = prev
-	}
+	rt.tracer.EndErr(c.span, detail)
+	c.span = prev
 	return err
 }
 

@@ -86,16 +86,14 @@ func (rt *Runtime) maybeCheckpoint(g *group) {
 // charge lands in the right shard's journal during buffered rounds.
 func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 	tr := rt.tracer
-	var sp trace.SpanID
-	if tr != nil {
-		sp = tr.Begin(0, trace.KindCkpt, c.desc.Name, "", trace.PhaseCheckpoint)
+	sp := tr.Begin(0, trace.KindCkpt, c.desc.Name, "", trace.PhaseCheckpoint)
+	fail := func(err error) error {
+		tr.EndErr(sp, err.Error())
+		return fmt.Errorf("core: checkpoint %q: %w", c.desc.Name, err)
 	}
 	snap, dirtyPages, err := rt.memry.SnapshotDelta(c.checkpoint.memSnap)
 	if err != nil {
-		if tr != nil {
-			tr.EndErr(sp, err.Error())
-		}
-		return fmt.Errorf("core: checkpoint %q: %w", c.desc.Name, err)
+		return fail(err)
 	}
 	// Under defense, the records truncation is about to drop must stay
 	// replayable against older retained images: a taint-aware rollback
@@ -105,24 +103,15 @@ func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 	// a decode failure leaves the component untouched.
 	var truncViews []msg.RecordView
 	if c.images != nil {
-		truncViews, err = c.domain.Log().Entries()
-		if err != nil {
-			if tr != nil {
-				tr.EndErr(sp, err.Error())
-			}
-			return fmt.Errorf("core: checkpoint %q: %w", c.desc.Name, err)
+		if truncViews, err = c.domain.Log().Entries(); err != nil {
+			return fail(err)
 		}
 	}
 	cp := &checkpoint{memSnap: snap, heap: c.heap.Clone(), takenAt: rt.clk.Now()}
 	if ss, ok := c.comp.(StateSaver); ok {
-		blob, serr := ss.SaveState()
-		if serr != nil {
-			if tr != nil {
-				tr.EndErr(sp, serr.Error())
-			}
-			return fmt.Errorf("core: checkpoint %q: %w", c.desc.Name, serr)
+		if cp.control, err = ss.SaveState(); err != nil {
+			return fail(err)
 		}
-		cp.control = blob
 	}
 	// The image now reflects every completed call, so the prefix up to
 	// the newest completed record is replayable from the image alone.
@@ -167,33 +156,19 @@ func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 // cadence policy — the checkpointing analogue of Ctx.Reboot. It waits
 // for the component's group to go idle, captures the image, and returns.
 func (c *Ctx) Checkpoint(name string) error {
-	rt := c.rt
-	tc, ok := rt.comps[name]
-	if !ok {
-		return &UnknownComponentError{Name: name}
+	tc, err := c.awaitIdle(name, "checkpoint itself", func(tc *component) error {
+		if !c.rt.cfg.MessagePassing {
+			return fmt.Errorf("core: checkpoint of %q requires message passing", name)
+		}
+		if !tc.desc.Stateful || !tc.desc.Checkpoint || tc.checkpoint == nil {
+			return fmt.Errorf("core: component %q is not checkpoint-eligible (needs Stateful with Checkpoint)", name)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if !rt.cfg.MessagePassing {
-		return fmt.Errorf("core: checkpoint of %q requires message passing", name)
-	}
-	if !tc.desc.Stateful || !tc.desc.Checkpoint || tc.checkpoint == nil {
-		return fmt.Errorf("core: component %q is not checkpoint-eligible (needs Stateful with Checkpoint)", name)
-	}
-	g := tc.group
-	if g.failedTwice {
-		return fmt.Errorf("%w: %s", ErrComponentFailed, name)
-	}
-	if c.comp != nil && c.comp.group == g {
-		return fmt.Errorf("core: component %q cannot checkpoint itself", name)
-	}
-	// Wait until the group is between requests; cooperative scheduling
-	// makes the check race-free (nothing runs between check and capture).
-	for g.rebooting || g.currentSeq != 0 {
-		c.th.Sleep(10 * time.Microsecond)
-	}
-	if g.failedTwice {
-		return fmt.Errorf("%w: %s", ErrComponentFailed, name)
-	}
-	return rt.checkpointComponent(c.th, tc)
+	return c.rt.checkpointComponent(c.th, tc)
 }
 
 // CheckpointStats returns the named component's checkpoint accounting.

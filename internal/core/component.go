@@ -10,7 +10,6 @@ import (
 	"vampos/internal/defense"
 	"vampos/internal/mem"
 	"vampos/internal/msg"
-	"vampos/internal/trace"
 )
 
 // Handler is one function a component exposes at its interface. Handlers
@@ -193,6 +192,8 @@ type component struct {
 	// already reflects — seals use this to cover that call too. Reset at
 	// restore: replayed state is covered by the log's own seq bookkeeping.
 	lastExecSeq uint64
+	// imageFrom is where the arena came from at the last restore.
+	imageFrom imageChoice
 
 	// fallback is the §VIII multi-version alternate implementation.
 	fallback     Component
@@ -247,23 +248,12 @@ type group struct {
 	curRec *msg.Record
 	curLog *msg.Log
 
-	// reboot bookkeeping for the RebootRecord emitted on completion
-	rebootReason string
-	rebootStartV time.Duration
-	rebootStartW time.Time
-	// rebootSpan/quiesceSpan are the in-flight trace spans of the
-	// current reboot (zero when tracing is off).
-	rebootSpan  trace.SpanID
-	quiesceSpan trace.SpanID
+	// rec is the group's recovery: the one in flight while rebooting is
+	// set, the last one after (nil before the first). See recovery.go.
+	rec *recovery
 
 	// failStopNotified marks that the graceful-termination handler ran.
 	failStopNotified bool
-
-	// micro, when non-nil, makes the next worker restore session-granular:
-	// evict one session and replay its log slice instead of restoring the
-	// whole group (rung 1 of the recovery ladder). Cleared by the worker
-	// on completion or escalation.
-	micro *microTask
 }
 
 func (g *group) member(name string) *component {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"vampos/internal/ckpt"
 	"vampos/internal/defense"
@@ -14,8 +15,8 @@ import (
 // (internal/defense holds the policy half): detect → watermark →
 // taint-aware rollback → re-randomize. Detection has two sources — the
 // arena seal below (host-boundary tampering) and the ReplayRetCheck
-// divergence detector (restoreGroup) — both of which stamp a taint
-// watermark that restoreGroup's rollback honours.
+// divergence detector (the replay stage, recovery.go) — both of which
+// stamp a taint watermark that the image-selection stage honours.
 
 // installDefense arms the per-component defense state at Boot: every
 // checkpoint-eligible component gets an image-history ring. The post-init
@@ -97,31 +98,17 @@ func (rt *Runtime) captureSeal(c *component) {
 
 // handleTamper runs on the message thread when a seal broke: stamp the
 // taint watermark, count the detection, and begin a reboot whose restore
-// will roll back past the watermark. Mirrors handleFailure's fail-stop
-// discipline for tampering detected while already recovering.
+// will roll back past the watermark. Tampering detected while already
+// recovering fail-stops the group, like any failure then.
 func (rt *Runtime) handleTamper(g *group, victim *component, watermark uint64, detector string) {
 	rt.stats.tampers.Add(1)
-	victim.failures.Add(1)
-	if tr := rt.tracer; tr != nil {
-		tr.Instant(0, trace.KindDetect, victim.desc.Name, "tamper",
-			fmt.Sprintf("detector=%s watermark=%d", detector, watermark))
-	}
-	if rt.onComponentFailure != nil {
-		rt.onComponentFailure(victim.desc.Name, "tamper")
-	}
+	rt.detect(victim, 0, "tamper", fmt.Sprintf("detector=%s watermark=%d", detector, watermark), "tamper")
 	rt.stampTaint(victim, defense.Taint{Watermark: watermark, Detector: detector})
 	if g.failedTwice || g.rebooting {
-		g.failedTwice = true
-		g.rebooting = false
-		if tr := rt.tracer; tr != nil {
-			tr.EndErr(g.rebootSpan, "fail-stop: tamper during recovery")
-			g.rebootSpan, g.quiesceSpan = 0, 0
-		}
-		rt.failAllPending(g, false)
-		rt.notifyFailStop(g)
+		rt.failStop(g, "fail-stop: tamper during recovery")
 		return
 	}
-	rt.beginReboot(g, "tamper: "+detector, false, 0)
+	rt.beginRecovery(g, nil, "", "tamper: "+detector, false, 0)
 }
 
 // handleBreach runs on the message thread after a handler raised
@@ -134,15 +121,8 @@ func (rt *Runtime) handleBreach(g *group, offender *component) {
 		return
 	}
 	rt.stats.breaches.Add(1)
-	offender.failures.Add(1)
-	if tr := rt.tracer; tr != nil {
-		tr.Instant(0, trace.KindDetect, offender.desc.Name, "pkru-misuse",
-			"protection fault raised by handler; rebooting offender")
-	}
-	if rt.onComponentFailure != nil {
-		rt.onComponentFailure(offender.desc.Name, "pkru-misuse")
-	}
-	rt.beginReboot(g, "pkru-misuse", false, 0)
+	rt.detect(offender, 0, "pkru-misuse", "protection fault raised by handler; rebooting offender", "pkru-misuse")
+	rt.beginRecovery(g, nil, "", "pkru-misuse", false, 0)
 }
 
 // stampTaint merges a detection into the component's pending taint,
@@ -172,10 +152,7 @@ func (rt *Runtime) stampDivergenceTaint(g *group, de *ReplayDivergenceError) boo
 		return false
 	}
 	rt.stats.tampers.Add(1)
-	if tr := rt.tracer; tr != nil {
-		tr.Instant(0, trace.KindDetect, c.desc.Name, "tamper",
-			fmt.Sprintf("detector=divergence watermark=%d", de.Seq))
-	}
+	rt.tracer.Instant(0, trace.KindDetect, c.desc.Name, "tamper", fmt.Sprintf("detector=divergence watermark=%d", de.Seq))
 	return true
 }
 
@@ -190,16 +167,9 @@ func (c *component) archiveTruncated(views []msg.RecordView, truncSeq uint64) {
 		}
 	}
 	if min, ok := c.images.OldestEpochSeq(); ok {
-		kept := c.archive[:0]
-		for _, v := range c.archive {
-			if v.Seq > min {
-				kept = append(kept, v)
-			}
-		}
-		for i := len(kept); i < len(c.archive); i++ {
-			c.archive[i] = msg.RecordView{}
-		}
-		c.archive = kept
+		// DeleteFunc zeroes the vacated tail, so the dropped views'
+		// payloads can be collected.
+		c.archive = slices.DeleteFunc(c.archive, func(v msg.RecordView) bool { return v.Seq <= min })
 	}
 }
 

@@ -121,6 +121,7 @@ func TestDivergenceTaintRetry(t *testing.T) {
 	cfg.ReplayRetCheck = true
 	cfg.MaxVirtualTime = time.Hour
 	rt := NewRuntime(cfg)
+	rec := rt.NewTracer("divergence-retry")
 	if err := rt.Register(d); err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +158,9 @@ func TestDivergenceTaintRetry(t *testing.T) {
 		t.Fatalf("restored epoch seq %d does not strictly predate watermark %d",
 			rec.RestoredEpochSeq, rec.TaintWatermark)
 	}
+	// The attempt that diverged closed its replay phase before the retry
+	// opened a new restore phase under the same reboot span.
+	assertPhasesTile(t, rec)
 }
 
 // TestRerandomizedRebootsChangeFingerprint: consecutive reboots of the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"vampos/internal/mem"
 	"vampos/internal/sched"
@@ -83,9 +82,7 @@ func (rt *Runtime) trySwapFallback(th *sched.Thread, tc *component) bool {
 	}
 	g := tc.group
 	// Let any in-flight restoration settle before operating on the group.
-	for g.rebooting {
-		th.Sleep(10 * time.Microsecond)
-	}
+	awaitRecovered(th, g)
 	tc.fallbackUsed = true
 	tc.comp = tc.fallback
 	tc.exports = tc.fallback.Exports()
@@ -99,9 +96,6 @@ func (rt *Runtime) trySwapFallback(th *sched.Thread, tc *component) bool {
 	tc.runtimeState = nil
 	rt.stats.versionSwitches.Add(1)
 	g.failedTwice = false
-	rt.beginReboot(g, "version-switch", true, 0)
-	for g.rebooting {
-		th.Sleep(10 * time.Microsecond)
-	}
-	return !g.failedTwice
+	rt.beginRecovery(g, nil, "", "version-switch", true, 0)
+	return awaitRecovered(th, g)
 }

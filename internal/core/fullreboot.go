@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"vampos/internal/mem"
 	"vampos/internal/sched"
 )
 
@@ -55,10 +54,7 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 	}
 	// Scrub every component: memory, allocators, logs, runtime state.
 	for _, comp := range rt.order {
-		if err := rt.memry.Zero(comp.heapBase, comp.heapPages*mem.PageSize); err != nil {
-			return err
-		}
-		heap, err := mem.NewBuddy(comp.heapBase, int64(comp.heapPages)*mem.PageSize)
+		heap, err := rt.scrubArena(comp.heapBase, comp.heapPages)
 		if err != nil {
 			return err
 		}
@@ -73,35 +69,15 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 	}
 	// Reset the application heap as well: the whole image restarts.
 	if rt.appHeap != nil {
-		if err := rt.memry.Zero(rt.appHeapBase, rt.appHeapPages*mem.PageSize); err != nil {
-			return err
-		}
-		heap, err := mem.NewBuddy(rt.appHeapBase, int64(rt.appHeapPages)*mem.PageSize)
+		heap, err := rt.scrubArena(rt.appHeapBase, rt.appHeapPages)
 		if err != nil {
 			return err
 		}
 		rt.appHeap = heap
 	}
 	// Re-initialise in boot order, re-taking checkpoints.
-	if rt.cfg.MessagePassing {
-		for _, g := range rt.groups {
-			rt.spawnWorker(g, false)
-		}
-		rt.bootThread = c.th
-		for _, g := range rt.groups {
-			for _, comp := range g.members {
-				if err := rt.initComponentMP(c.th, g, comp); err != nil {
-					return fmt.Errorf("core: full restart init %q: %w", comp.desc.Name, err)
-				}
-			}
-		}
-	} else {
-		for _, comp := range rt.order {
-			ctx := &Ctx{rt: rt, comp: comp, th: c.th}
-			if err := comp.comp.Init(ctx); err != nil {
-				return fmt.Errorf("core: full restart init %q: %w", comp.desc.Name, err)
-			}
-		}
+	if err := rt.initAll(c.th, "full restart init"); err != nil {
+		return err
 	}
 	rt.recMu.Lock()
 	rt.fullRestarts = append(rt.fullRestarts, FullRestartStats{
@@ -116,10 +92,4 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 
 // FullRestarts returns the record of whole-image restarts. Safe to call
 // from any goroutine.
-func (rt *Runtime) FullRestarts() []FullRestartStats {
-	rt.recMu.Lock()
-	defer rt.recMu.Unlock()
-	out := make([]FullRestartStats, len(rt.fullRestarts))
-	copy(out, rt.fullRestarts)
-	return out
-}
+func (rt *Runtime) FullRestarts() []FullRestartStats { return copyRecords(rt, &rt.fullRestarts) }

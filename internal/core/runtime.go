@@ -396,7 +396,6 @@ func (rt *Runtime) Boot(boot *sched.Thread) error {
 	rt.installTrackers()
 	rt.installDefense()
 	rt.booted = true
-	rt.bootThread = boot
 	if rt.cfg.MessagePassing {
 		rt.msgThread = rt.sch.Spawn("vampos/msg", mem.Allow(keyDomains), rt.msgLoop)
 		rt.sch.Spawn("vampos/watchdog", mem.Allow(keyScheduler), rt.watchdogLoop)
@@ -411,23 +410,32 @@ func (rt *Runtime) Boot(boot *sched.Thread) error {
 				d.Run(&Ctx{rt: rt, th: t, appName: "aging"})
 			})
 		}
-		// Spawn workers first so components can call each other during
-		// later components' Init.
-		for _, g := range rt.groups {
-			rt.spawnWorker(g, false)
-		}
-		for _, g := range rt.groups {
-			for _, c := range g.members {
-				if err := rt.initComponentMP(boot, g, c); err != nil {
-					return fmt.Errorf("core: init %q: %w", c.desc.Name, err)
-				}
+	}
+	return rt.initAll(boot, "init")
+}
+
+// initAll initialises every component in registration order on th —
+// Boot, and again after FullRestart scrubbed the image — taking the
+// post-init checkpoints of the components that request them.
+func (rt *Runtime) initAll(th *sched.Thread, what string) error {
+	rt.bootThread = th
+	if !rt.cfg.MessagePassing {
+		for _, c := range rt.order {
+			if err := c.comp.Init(&Ctx{rt: rt, comp: c, th: th}); err != nil {
+				return fmt.Errorf("core: %s %q: %w", what, c.desc.Name, err)
 			}
 		}
-	} else {
-		for _, c := range rt.order {
-			ctx := &Ctx{rt: rt, comp: c, th: boot}
-			if err := c.comp.Init(ctx); err != nil {
-				return fmt.Errorf("core: init %q: %w", c.desc.Name, err)
+		return nil
+	}
+	// Spawn workers first so components can call each other during
+	// later components' Init.
+	for _, g := range rt.groups {
+		rt.spawnWorker(g, false)
+	}
+	for _, g := range rt.groups {
+		for _, c := range g.members {
+			if err := rt.initComponentMP(th, g, c); err != nil {
+				return fmt.Errorf("core: %s %q: %w", what, c.desc.Name, err)
 			}
 		}
 	}

@@ -146,7 +146,16 @@ func TestReplayDivergenceFailsStopSafely(t *testing.T) {
 	// and the group fail-stopped, not silently corrupted.
 	backend := &countingEcho{name: "backend"}
 	dv := &divergentComp{}
-	run(t, DaSConfig(), []Component{backend, dv}, func(c *Ctx) {
+	cfg := DaSConfig()
+	cfg.MaxVirtualTime = time.Hour
+	rt := NewRuntime(cfg)
+	rec := rt.NewTracer("divergence-fail-stop")
+	for _, comp := range []Component{backend, dv} {
+		if err := rt.Register(comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := rt.Run(func(c *Ctx) {
 		mustCall(t, c, "diverge", "op") // outbound to backend.echo logged
 		dv.flip = true                  // replay will issue a different call
 		err := c.Reboot("diverge")
@@ -157,6 +166,11 @@ func TestReplayDivergenceFailsStopSafely(t *testing.T) {
 			t.Fatalf("FailedRestores = %d", c.Runtime().Stats().FailedRestores)
 		}
 	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// The failed restore closed its phase and its span on the way out.
+	assertPhasesTile(t, rec)
 }
 
 type divergentComp struct {

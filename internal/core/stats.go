@@ -139,11 +139,14 @@ func (rt *Runtime) SchedStats() sched.Stats { return rt.sch.Stats() }
 
 // Reboots returns the completed reboot records in order. Safe to call
 // from any goroutine.
-func (rt *Runtime) Reboots() []RebootRecord {
+func (rt *Runtime) Reboots() []RebootRecord { return copyRecords(rt, &rt.reboots) }
+
+// copyRecords snapshots one of the record lists recMu guards.
+func copyRecords[T any](rt *Runtime, recs *[]T) []T {
 	rt.recMu.Lock()
 	defer rt.recMu.Unlock()
-	out := make([]RebootRecord, len(rt.reboots))
-	copy(out, rt.reboots)
+	out := make([]T, len(*recs))
+	copy(out, *recs)
 	return out
 }
 

@@ -22,13 +22,13 @@ type workerThread struct {
 	restore   bool
 }
 
-// spawnWorker creates (or re-creates, after a reboot) a group's thread.
+// spawnWorker creates (or re-creates, to run a recovery) a group's thread.
 func (rt *Runtime) spawnWorker(g *group, restore bool) {
-	w := &workerThread{
-		g:        g,
-		initDone: make(map[*component]bool),
-		initErr:  make(map[*component]error),
-		restore:  restore,
+	w := &workerThread{g: g, restore: restore}
+	if !restore {
+		// Init requests only reach boot-time workers (Boot, FullRestart).
+		w.initDone = make(map[*component]bool)
+		w.initErr = make(map[*component]error)
 	}
 	g.worker = w
 	pkru := mem.Allow(g.key).WithRead(keyDomains)
@@ -43,59 +43,8 @@ func (rt *Runtime) spawnWorker(g *group, restore bool) {
 }
 
 func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
-	if w.restore {
-		restore := true
-		if task := g.micro; task != nil {
-			// Rung 1: session-granular restoration. On success the group
-			// serves again without a component reboot; on failure the
-			// escalation sets up rung 2 and the normal restore runs below
-			// on this same worker.
-			g.micro = nil
-			if err := rt.microrebootGroup(t, g, task); err == nil {
-				restore = false
-			} else {
-				rt.escalateMicro(g, task, err)
-			}
-		}
-		if restore {
-			for {
-				err := rt.restoreGroup(t, g)
-				if err == nil {
-					break
-				}
-				// Taint-aware retry: a replay divergence is a corruption
-				// detection, not (yet) a deterministic fault. Stamp the
-				// diverging record's seq as the taint watermark and restore
-				// again — the rollback lands strictly before it. Each retry
-				// tightens the watermark strictly, so the loop terminates.
-				if de, ok := err.(*ReplayDivergenceError); ok && rt.stampDivergenceTaint(g, de) {
-					continue
-				}
-				// Restoration itself failed: treat as a deterministic fault
-				// and fail-stop the group (§II-B).
-				msg := "restore failed: " + err.Error()
-				rt.stats.failedRestores.Add(1)
-				// The flag flips are polled by blocked callers on other
-				// shards, and failing the pending calls wakes them and
-				// mutates the conductor-owned pending map; from a round
-				// slice all of it must land at commit, in merge order.
-				t.Do(func() {
-					g.failedTwice = true
-					g.rebooting = false
-					if tr := rt.tracer; tr != nil {
-						tr.EndErr(g.rebootSpan, msg)
-						g.rebootSpan, g.quiesceSpan = 0, 0
-					}
-					rt.failAllPending(g, false)
-					rt.notifyFailStop(g)
-				})
-				return
-			}
-		}
-		// Callers blocked on the reboot poll g.rebooting from their own
-		// slices: the clear must commit in merge order, not leak mid-round
-		// to whichever threads happen to share this worker's runner.
-		t.Do(func() { g.rebooting = false })
+	if w.restore && !rt.recoverGroup(t, g) {
+		return // the group fail-stopped
 	}
 	pollMode := rt.cfg.Policy == PolicyRoundRobin
 	for !rt.stopped {
@@ -260,21 +209,4 @@ func (rt *Runtime) pendingInOrder() []*pendingCall {
 		out[i] = rt.pending[seq]
 	}
 	return out
-}
-
-// failAllPending resolves every outstanding call addressed to the group.
-// With retryable set the callers re-submit after the reboot; otherwise
-// they observe a permanent failure.
-func (rt *Runtime) failAllPending(g *group, retryable bool) {
-	for _, pc := range rt.pendingInOrder() {
-		if pc.done || pc.to.group != g {
-			continue
-		}
-		if retryable {
-			pc.rebooted = true
-			rt.finishCall(pc, nil, "")
-		} else {
-			rt.finishCall(pc, nil, errnoString(ErrComponentFailed))
-		}
-	}
 }
