@@ -17,6 +17,7 @@ package campaign
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"vampos/internal/aging"
@@ -115,8 +116,11 @@ func RunCells(cells []Cell, opts Options) (*Matrix, error) {
 	for i := range m.Cells {
 		res := &m.Cells[i]
 		needsDump := res.Verdict == VerdictFail ||
-			(res.Verdict == VerdictExpected && res.Detail != "" && !allOraclesOK(res.Oracles))
-		if needsDump && opts.TraceDir != "" {
+			(res.Verdict == VerdictExpected && res.Detail != "" &&
+				slices.ContainsFunc(res.Oracles, func(o OracleResult) bool { return !o.OK }))
+		// A trial that failed before its instance booted has no recorder,
+		// and so no trace to dump.
+		if needsDump && opts.TraceDir != "" && res.recorder != nil {
 			if err := dumpTrace(opts.TraceDir, res); err != nil && dumpErr == nil {
 				dumpErr = err
 			}
@@ -127,13 +131,4 @@ func RunCells(cells []Cell, opts Options) (*Matrix, error) {
 		return m, fmt.Errorf("campaign: trace dump: %w", dumpErr)
 	}
 	return m, nil
-}
-
-func allOraclesOK(oracles []OracleResult) bool {
-	for _, o := range oracles {
-		if !o.OK {
-			return false
-		}
-	}
-	return true
 }

@@ -51,6 +51,7 @@ func TestMatrixParallelInvariant(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("matrix differs between -parallel 1 and -parallel 4:\nserial:   %s\nparallel: %s", sj, pj)
 	}
+	checkGolden(t, sj)
 	for _, c := range serial.Cells {
 		if c.Verdict != VerdictPass {
 			t.Errorf("%s: verdict %s (detail: %s)", c.TrialID, c.Verdict, c.Detail)
@@ -116,6 +117,7 @@ func TestCheckpointedCampaignSlice(t *testing.T) {
 	if len(m.Cells) == 0 {
 		t.Fatal("empty checkpointed slice")
 	}
+	checkGolden(t, matrixJSON(t, m))
 	sawCheckpointOracle := false
 	for _, c := range m.Cells {
 		if c.Verdict != VerdictPass {
@@ -164,6 +166,7 @@ func TestAgingCampaignSlice(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("aging matrix differs between -parallel 1 and 4:\nserial:   %s\nparallel: %s", sj, pj)
 	}
+	checkGolden(t, sj)
 	if len(serial.Cells) == 0 {
 		t.Fatal("empty aging slice")
 	}
@@ -213,6 +216,7 @@ func TestAgingVirtioExpected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	checkGolden(t, matrixJSON(t, m))
 	res := m.Cells[0]
 	if res.Verdict != VerdictExpected {
 		t.Fatalf("verdict = %s, want %s (detail: %s)", res.Verdict, VerdictExpected, res.Detail)
@@ -246,6 +250,7 @@ func TestVirtioExpectedUnrecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	checkGolden(t, matrixJSON(t, m))
 	if v := m.Cells[0].Verdict; v != VerdictExpected {
 		t.Fatalf("virtio crash verdict = %s, want %s (detail: %s)", v, VerdictExpected, m.Cells[0].Detail)
 	}
@@ -266,6 +271,7 @@ func TestNotTriggeredPerFunction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	checkGolden(t, matrixJSON(t, m))
 	if v := m.Cells[0].Verdict; v != VerdictNotTriggered {
 		t.Fatalf("verdict = %s, want %s (detail: %s)", v, VerdictNotTriggered, m.Cells[0].Detail)
 	}
@@ -315,6 +321,29 @@ func TestTraceDumpOnFailure(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace file has no events")
+	}
+}
+
+// TestTraceDirKeepsCellsWithoutRecorder: a trial that fails before its
+// instance boots has no flight recorder to dump. With a trace directory
+// set it must still report its failure, with no trace file, instead of
+// turning the whole campaign into an error.
+func TestTraceDirKeepsCellsWithoutRecorder(t *testing.T) {
+	cells := []Cell{
+		{Workload: "nosuch", Config: "das", Component: "vfs", Function: "*", Fault: FaultCrash},
+		{Workload: ClusterWorkload, Config: "das", Component: "node9", Function: "*", Fault: FaultPartition},
+	}
+	m, err := RunCells(cells, Options{Seed: 1, Parallel: 1, TraceDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, c := range m.Cells {
+		if c.Verdict != VerdictFail {
+			t.Errorf("%s: verdict %s, want fail (detail: %s)", c.TrialID, c.Verdict, c.Detail)
+		}
+		if c.TraceFile != "" {
+			t.Errorf("%s: trace file %q for a trial that never booted", c.TrialID, c.TraceFile)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"vampos/internal/cluster"
 	"vampos/internal/core"
@@ -25,41 +24,18 @@ const (
 	clusterPostKeys    = 4
 )
 
-// runClusterTrial executes one multi-instance cell: boot a cluster,
-// acknowledge a warm write set, inflict the instance-level fault on the
-// victim member, keep serving through the outage, recover, and judge
-// with the convergence oracle — surviving replicas byte-agree, zero
+// runCluster is the boot and phases of the two cluster kinds: boot a
+// cluster, acknowledge a warm write set, inflict the instance-level fault
+// on the victim member, keep serving through the outage, recover, and
+// judge with the convergence oracle — surviving replicas byte-agree, zero
 // acknowledged writes lost, partitions heal to a single state. The
 // coordinator serialises all member execution, so the trial is exactly
 // as deterministic as a single-instance one.
-func runClusterTrial(cell Cell, opts Options) (res CellResult) {
-	res = CellResult{Cell: cell, TrialID: cell.ID()}
-	defer func() {
-		if r := recover(); r != nil {
-			res.Verdict = VerdictFail
-			res.Detail = fmt.Sprintf("trial panicked: %v", r)
-		}
-	}()
-	seed := trialSeed(opts.Seed, cell.ID())
-	after := 1 + int(seed%3)
-	res.After = after
-
-	victim, err := clusterVictim(cell.Component)
+func (t *trial) runCluster(cc core.Config, res *CellResult, j *judgement) error {
+	victim, err := clusterVictim(t.cell.Component)
 	if err != nil {
-		return failResult(res, err)
+		return err
 	}
-	cc, err := coreConfigFor(cell.Config)
-	if err != nil {
-		return failResult(res, err)
-	}
-	cc.HangThreshold = trialHangThreshold
-	cc.Shards = opts.Shards
-	cc.WatchdogPeriod = trialWatchdogPeriod
-	cc.MaxVirtualTime = trialMaxVirtual
-	cc.Ckpt = opts.Ckpt
-	cc.ReplayRetCheck = opts.ReplayRetCheck
-
-	var rec *trace.Recorder
 	c, err := cluster.New(cluster.Config{
 		Nodes:       clusterNodes,
 		Replication: clusterReplication,
@@ -67,13 +43,13 @@ func runClusterTrial(cell Cell, opts Options) (res CellResult) {
 		OnInstance: func(id int, inst *unikernel.Instance) {
 			// Record the victim's first life: the pre-fault instance whose
 			// death the trial is about.
-			if id == victim && rec == nil {
-				rec = inst.NewTracer("campaign/"+cell.ID(), trace.WithCapacity(1<<14))
+			if id == victim && res.recorder == nil {
+				res.recorder = inst.NewTracer("campaign/"+t.cell.ID(), trace.WithCapacity(1<<14))
 			}
 		},
 	})
 	if err != nil {
-		return failResult(res, err)
+		return err
 	}
 	defer c.Stop()
 
@@ -91,22 +67,13 @@ func runClusterTrial(cell Cell, opts Options) (res CellResult) {
 			ackErrs++
 		}
 	}
-	valFor := func(i int) string { return fmt.Sprintf("v%d-%04x", i, (seed>>8)&0xffff) }
+	valFor := func(i int) string { return fmt.Sprintf("v%d-%04x", i, (t.seed>>8)&0xffff) }
 
 	for i := 0; i < clusterWarmKeys; i++ {
-		mustPut((i+after)%clusterNodes, fmt.Sprintf("warm%02d", i), valFor(i))
+		mustPut((i+t.after)%clusterNodes, fmt.Sprintf("warm%02d", i), valFor(i))
 	}
 	if _, err := c.GossipUntilQuiet(); err != nil {
-		return failResult(res, fmt.Errorf("warm gossip: %w", err))
-	}
-
-	var oracles []OracleResult
-	oc := func(name string, ok bool, format string, args ...any) {
-		r := OracleResult{Name: name, OK: ok}
-		if !ok {
-			r.Detail = fmt.Sprintf(format, args...)
-		}
-		oracles = append(oracles, r)
+		return fmt.Errorf("warm gossip: %w", err)
 	}
 
 	survivors := make([]int, 0, clusterNodes-1)
@@ -116,37 +83,37 @@ func runClusterTrial(cell Cell, opts Options) (res CellResult) {
 		}
 	}
 
-	switch cell.Fault {
+	switch t.cell.Fault {
 	case FaultInstanceKill:
 		// The fault is a VIRTIO failure on the victim: the paper's
 		// unrebootable component. The first rung (component reboot) must
 		// refuse, and the ladder must escalate to instance kill.
 		esc, err := c.RecoverComponent(victim, "virtio")
-		oc("escalation", err == nil && esc.Escalated && errors.Is(esc.Err, core.ErrUnrebootable) && !c.Alive(victim),
+		j.check("escalation", err == nil && esc.Escalated && errors.Is(esc.Err, core.ErrUnrebootable) && !c.Alive(victim),
 			"want component reboot refused (ErrUnrebootable) then instance kill; got rec=%+v err=%v alive=%v",
 			esc, err, c.Alive(victim))
 		// Failover: with one member dead, every write still finds a
 		// quorum among the survivors and must acknowledge.
 		for i := 0; i < clusterOutageKeys; i++ {
-			mustPut(survivors[(i+after)%len(survivors)], fmt.Sprintf("out%02d", i), valFor(100+i))
+			mustPut(survivors[(i+t.after)%len(survivors)], fmt.Sprintf("out%02d", i), valFor(100+i))
 		}
-		oc("failover", ackErrs == 0, "%d writes failed to ack during the outage", ackErrs)
+		j.check("failover", ackErrs == 0, "%d writes failed to ack during the outage", ackErrs)
 		// Second rung completes: reboot the instance and resync it from
 		// the survivors before it serves again.
 		if err := c.ReviveInstance(victim); err != nil {
-			return failResult(res, fmt.Errorf("revive: %w", err))
+			return fmt.Errorf("revive: %w", err)
 		}
 		for i := 0; i < clusterPostKeys; i++ {
-			mustPut((victim + i) % clusterNodes, fmt.Sprintf("post%02d", i), valFor(200+i))
+			mustPut((victim+i)%clusterNodes, fmt.Sprintf("post%02d", i), valFor(200+i))
 		}
 
 	case FaultPartition:
 		c.Isolate(victim)
 		// Majority side: quorum intact, every write acknowledges.
 		for i := 0; i < clusterOutageKeys; i++ {
-			mustPut(survivors[(i+after)%len(survivors)], fmt.Sprintf("maj%02d", i), valFor(100+i))
+			mustPut(survivors[(i+t.after)%len(survivors)], fmt.Sprintf("maj%02d", i), valFor(100+i))
 		}
-		oc("failover", ackErrs == 0, "%d majority writes failed to ack", ackErrs)
+		j.check("failover", ackErrs == 0, "%d majority writes failed to ack", ackErrs)
 		// Minority side: no quorum, every write must be refused — an
 		// acknowledged-then-lost write is exactly what the oracle forbids.
 		minorityAcked := 0
@@ -155,20 +122,20 @@ func runClusterTrial(cell Cell, opts Options) (res CellResult) {
 				minorityAcked++
 			}
 		}
-		oc("partition-safety", minorityAcked == 0,
+		j.check("partition-safety", minorityAcked == 0,
 			"%d writes acknowledged by the partitioned minority", minorityAcked)
 		c.Heal()
 
 	default:
-		return failResult(res, fmt.Errorf("campaign: fault %q is not a cluster fault", cell.Fault))
+		return fmt.Errorf("campaign: fault %q is not a cluster fault", t.cell.Fault)
 	}
 
 	// Reconverge and judge.
 	if _, err := c.GossipUntilQuiet(); err != nil {
-		oc("convergence", false, "gossip did not go quiet: %v", err)
+		j.check("convergence", false, "gossip did not go quiet: %v", err)
 	} else {
 		conv, err := c.Converged()
-		oc("convergence", err == nil && conv, "replicas disagree after recovery (err=%v)", err)
+		j.check("convergence", err == nil && conv, "replicas disagree after recovery (err=%v)", err)
 	}
 
 	// Durability: every acknowledged write is present with its exact
@@ -197,38 +164,17 @@ func runClusterTrial(cell Cell, opts Options) (res CellResult) {
 			break
 		}
 	}
-	oc("durability", durable, "acknowledged write lost: %s", detail)
+	j.check("durability", durable, "acknowledged write lost: %s", detail)
 
 	st := c.Stats()
-	oc("service", ackErrs == 0, "%d quorum-reachable writes failed to ack (stats %+v)", ackErrs, st)
+	j.check("service", ackErrs == 0, "%d quorum-reachable writes failed to ack (stats %+v)", ackErrs, st)
 
-	res.Oracles = oracles
 	res.Reboots = int(st.ComponentReboots + st.Revives)
 	res.ClientErrs = int(st.Rejected)
-	var maxV time.Duration
 	for id := 0; id < clusterNodes; id++ {
-		if v := c.NodeVirtual(id); v > maxV {
-			maxV = v
-		}
+		res.Virtual = max(res.Virtual, c.NodeVirtual(id))
 	}
-	res.Virtual = maxV
-	res.recorder = rec
-
-	allOK := true
-	var failed []string
-	for _, o := range oracles {
-		if !o.OK {
-			allOK = false
-			failed = append(failed, o.Name)
-		}
-	}
-	if allOK {
-		res.Verdict = VerdictPass
-	} else {
-		res.Verdict = VerdictFail
-		res.Detail = "oracle failures: " + strings.Join(failed, ", ")
-	}
-	return res
+	return nil
 }
 
 // clusterVictim parses the victim ordinal out of a "nodeK" component.

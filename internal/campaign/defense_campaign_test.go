@@ -83,6 +83,7 @@ func TestDefenseCampaignSlice(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("defense matrix differs between -parallel 1 and 2:\nserial:   %s\nparallel: %s", sj, pj)
 	}
+	checkGolden(t, sj)
 
 	seenFault := map[FaultName]bool{}
 	for _, c := range serial.Cells {

@@ -2,12 +2,12 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"vampos/internal/core"
 	"vampos/internal/trace"
-	"vampos/internal/unikernel"
 )
 
 // Verdict classifies one trial.
@@ -55,208 +55,155 @@ func serviceBudget(cell Cell) int {
 	return 20
 }
 
-// judge runs every recovery oracle applicable to the cell's fault kind
-// and folds them into a verdict.
-func judge(t *trial, inst *unikernel.Instance, events []trace.Event, phaseErr error) (Verdict, []OracleResult, string) {
-	cell := t.cell
-	rt := inst.Runtime()
-	st := rt.Stats()
-	reboots := rt.Reboots()
-	pending := rt.PendingFaults()
-	targetGroup, _ := rt.GroupOf(cell.Component)
+// judgement collects one trial's oracles, in matrix order, and the
+// runtime facts they read. Every kind writes into one, and verdict folds
+// it; the oracles more than one kind writes are its methods.
+type judgement struct {
+	t        *trial
+	rt       *core.Runtime
+	st       core.RuntimeStats
+	reboots  []core.RebootRecord
+	events   []trace.Event
+	target   string // the group of the cell's component
+	phaseErr error
+	oracles  []OracleResult
+	// unfired lists the oracles that fail vacuously because the armed
+	// fault never fired (no fault event, no reboot, no recovery chain).
+	// Only they may fail for the cell to read not-triggered: an unreached
+	// site must not degrade the application.
+	unfired []string
+}
 
-	var oracles []OracleResult
-	oc := func(name string, ok bool, format string, args ...any) {
-		r := OracleResult{Name: name, OK: ok}
-		if !ok {
-			r.Detail = fmt.Sprintf(format, args...)
-		}
-		oracles = append(oracles, r)
+// check records one oracle; its detail is formatted only on failure.
+func (j *judgement) check(name string, ok bool, format string, args ...any) {
+	r := OracleResult{Name: name, OK: ok}
+	if !ok {
+		r.Detail = fmt.Sprintf(format, args...)
 	}
+	j.oracles = append(j.oracles, r)
+}
 
-	armed := cell.Fault == FaultCrash || cell.Fault == FaultHang || cell.Fault == FaultErrno
-	triggered := true
-	if armed {
-		triggered = len(pending) == 0 && countKind(events, trace.KindFault) >= 1
-		oc("fault-triggered", triggered,
-			"fault never fired: pending=%v, fault events=%d", pending, countKind(events, trace.KindFault))
-	}
-
-	// Containment: who rebooted, and was restoration clean.
-	switch cell.Fault {
-	case FaultCrash, FaultHang:
-		stray := strayReboots(reboots, targetGroup)
-		oc("containment", len(reboots) >= 1 && len(stray) == 0 && st.FailedRestores == 0,
-			"reboots=%d stray=%v failedRestores=%d (want only group %q)",
-			len(reboots), stray, st.FailedRestores, targetGroup)
-	case FaultErrno, FaultWildWrite:
-		oc("containment", len(reboots) == 0 && st.Failures == 0 && st.Hangs == 0,
-			"transient fault escalated: reboots=%d failures=%d hangs=%d",
-			len(reboots), st.Failures, st.Hangs)
-	case FaultLeak:
-		stray := strayReboots(reboots, targetGroup)
-		if cell.Expected {
-			// VIRTIO refuses the proactive reboot; nothing must reboot.
-			oc("containment", len(reboots) == 0, "unrebootable target still rebooted: %d", len(reboots))
-		} else {
-			oc("containment", len(reboots) == 1 && len(stray) == 0 && st.FailedRestores == 0,
-				"reboots=%d stray=%v failedRestores=%d (want exactly group %q)",
-				len(reboots), stray, st.FailedRestores, targetGroup)
-		}
-	case FaultAging:
-		stray := strayReboots(reboots, targetGroup)
-		if cell.Expected {
-			// The controller must keep retrying-with-backoff, never
-			// actually rebooting the unrebootable target.
-			oc("containment", len(reboots) == 0, "unrebootable target still rebooted: %d", len(reboots))
-		} else {
-			oc("containment", len(reboots) >= 1 && len(stray) == 0 && st.FailedRestores == 0,
-				"reboots=%d stray=%v failedRestores=%d (want only group %q)",
-				len(reboots), stray, st.FailedRestores, targetGroup)
+// fired writes the fault-triggered oracle of a kind that arms a fault
+// site. When the fault never fired, it and the vacuous oracles named may
+// fail without the cell failing.
+func (j *judgement) fired(vacuous ...string) bool {
+	pending := j.rt.PendingFaults()
+	n := 0
+	for _, e := range j.events {
+		if e.Kind == trace.KindFault {
+			n++
 		}
 	}
+	ok := len(pending) == 0 && n >= 1
+	j.check("fault-triggered", ok, "fault never fired: pending=%v, fault events=%d", pending, n)
+	if !ok {
+		j.unfired = append([]string{"fault-triggered"}, vacuous...)
+	}
+	return ok
+}
 
-	// Fault-specific recovery oracle.
-	switch cell.Fault {
-	case FaultCrash, FaultHang:
-		recoveries := trace.Recoveries(events)
-		bound := 50 * time.Millisecond
-		if cell.Fault == FaultHang {
-			bound = trialHangThreshold + 3*trialWatchdogPeriod
-		}
-		ok := len(recoveries) == 1 &&
-			recoveries[0].Detected > 0 &&
-			recoveries[0].Detected-recoveries[0].Fault <= bound
-		detail := fmt.Sprintf("recovery chains=%d", len(recoveries))
-		if len(recoveries) == 1 {
-			detail = fmt.Sprintf("detected %v after fault (bound %v)",
-				recoveries[0].Detected-recoveries[0].Fault, bound)
-		}
-		oc("detection-latency", ok, "%s", detail)
-	case FaultLeak:
-		if cell.Expected {
-			oc("rejuvenation", t.leakDone && t.leakRebootErr != nil,
-				"proactive reboot of unrebootable %s unexpectedly succeeded", cell.Component)
-		} else {
-			ok := t.leakDone && t.leakRebootErr == nil &&
-				t.leakAfter.AllocatedBytes < t.leakBefore.AllocatedBytes
-			oc("rejuvenation", ok, "reboot err=%v, heap %d -> %d bytes",
-				t.leakRebootErr, t.leakBefore.AllocatedBytes, t.leakAfter.AllocatedBytes)
-		}
-	case FaultWildWrite:
-		oc("confinement", t.wildEFault && t.wildIntact && t.wildFaultsDelta > 0,
-			"efault=%v intact=%v protectionFaults=%d", t.wildEFault, t.wildIntact, t.wildFaultsDelta)
-	case FaultAging:
-		// Adaptive rejuvenation: the reboot must be sensor-triggered (the
-		// aging monitor names the cause, every reboot record carries
-		// reason "rejuvenation" — no wall timer involved), the leak must
-		// be reclaimed, and fragmentation must stay bounded afterwards.
-		sensorOnly := true
-		for _, r := range reboots {
-			if r.Reason != "rejuvenation" {
-				sensorOnly = false
+// confined reports whether recovery rebooted group n times (at least once
+// when n is 0) and nothing else, every restore clean, and what it saw.
+func (j *judgement) confined(group string, n int) (bool, string) {
+	stray := strayReboots(j.reboots, group)
+	count := len(j.reboots) >= 1
+	if n > 0 {
+		count = len(j.reboots) == n
+	}
+	return count && len(stray) == 0 && j.st.FailedRestores == 0,
+		fmt.Sprintf("reboots=%d stray=%v failedRestores=%d", len(j.reboots), stray, j.st.FailedRestores)
+}
+
+// transient writes the containment oracle of a fault that must not set
+// recovery off at all.
+func (j *judgement) transient() {
+	j.check("containment", len(j.reboots) == 0 && j.st.Failures == 0 && j.st.Hangs == 0,
+		"transient fault escalated: reboots=%d failures=%d hangs=%d",
+		len(j.reboots), j.st.Failures, j.st.Hangs)
+}
+
+func (j *judgement) service() {
+	j.check("service", j.t.errs <= serviceBudget(j.t.cell),
+		"%d client errors exceed budget %d", j.t.errs, serviceBudget(j.t.cell))
+}
+
+func (j *judgement) invariants() {
+	t := j.t
+	j.check("invariants", j.phaseErr == nil && t.finished && t.verifyErr == nil && t.corrupt == 0,
+		"phaseErr=%v finished=%v verify=%v corrupt=%d", j.phaseErr, t.finished, t.verifyErr, t.corrupt)
+}
+
+// checkpoint is armed only when incremental checkpointing is on: the
+// checkpoint machinery must never fail a capture, and — with
+// requireRestore — when the faulted component had checkpointed before its
+// reboot, recovery must have restored from that image: the
+// post-checkpoint recovery whose application-level correctness the
+// invariants oracle validates against the host shadow.
+func (j *judgement) checkpoint(requireRestore bool) {
+	if !j.t.profile.Core.Ckpt.Enabled() {
+		return
+	}
+	cell := j.t.cell
+	restored := true
+	if cs, eligible := j.rt.CheckpointStats(cell.Component); requireRestore && eligible &&
+		cs.CheckpointCount > 0 && !cell.Expected && len(j.reboots) > 0 {
+		restored = false
+		for _, r := range j.reboots {
+			if r.Group == j.target && r.RestoredPages > 0 {
+				restored = true
+				break
 			}
 		}
-		if cell.Expected {
-			ok := t.agingDone && t.agingStatsOK &&
-				t.agingStats.Rejuvenations == 0 && t.agingStats.Failures > 0
-			oc("rejuvenation", ok,
-				"done=%v statsOK=%v rejuvenations=%d failures=%d (want refused attempts only)",
-				t.agingDone, t.agingStatsOK, t.agingStats.Rejuvenations, t.agingStats.Failures)
-		} else {
-			ok := t.agingDone && t.agingStatsOK &&
-				t.agingStats.Rejuvenations > 0 &&
-				t.agingStats.LastCause == "leak-slope" &&
-				sensorOnly &&
-				t.agingAfter.AllocatedBytes < t.agingBefore.AllocatedBytes &&
-				t.agingAfter.Fragmentation <= 0.5
-			oc("rejuvenation", ok,
-				"done=%v statsOK=%v rejuvenations=%d cause=%q sensorOnly=%v heap %d -> %d bytes frag %.2f",
-				t.agingDone, t.agingStatsOK, t.agingStats.Rejuvenations, t.agingStats.LastCause,
-				sensorOnly, t.agingBefore.AllocatedBytes, t.agingAfter.AllocatedBytes,
-				t.agingAfter.Fragmentation)
-		}
 	}
+	j.check("checkpoint", j.st.CheckpointErrs == 0 && restored,
+		"checkpointErrs=%d restoredFromImage=%v", j.st.CheckpointErrs, restored)
+}
 
-	oc("service", t.errs <= serviceBudget(cell),
-		"%d client errors exceed budget %d", t.errs, serviceBudget(cell))
+func (j *judgement) traceComplete() {
+	err := traceComplete(j.t.cell, j.events, len(j.reboots))
+	j.check("trace-complete", err == nil, "%v", err)
+}
 
-	invOK := phaseErr == nil && t.finished && t.verifyErr == nil && t.corrupt == 0
-	oc("invariants", invOK, "phaseErr=%v finished=%v verify=%v corrupt=%d",
-		phaseErr, t.finished, t.verifyErr, t.corrupt)
+// instanceTail writes the oracles every non-attack single-instance kind
+// ends with.
+func (j *judgement) instanceTail() {
+	j.service()
+	j.invariants()
+	j.checkpoint(true)
+	j.traceComplete()
+}
 
-	// Checkpoint oracle (armed only when incremental checkpointing is
-	// on): the checkpoint machinery must never fail a capture, and when
-	// the faulted component had checkpointed before its reboot, recovery
-	// must have restored from that image — the post-checkpoint recovery
-	// whose application-level correctness the invariants oracle just
-	// validated against the host shadow.
-	if t.ckpt.Enabled() {
-		ckptOK := st.CheckpointErrs == 0
-		restored := true
-		if cs, eligible := rt.CheckpointStats(cell.Component); eligible &&
-			cs.CheckpointCount > 0 && !cell.Expected && len(reboots) > 0 {
-			restored = false
-			for _, r := range reboots {
-				if r.Group == targetGroup && r.RestoredPages > 0 {
-					restored = true
-					break
-				}
-			}
-		}
-		oc("checkpoint", ckptOK && restored,
-			"checkpointErrs=%d restoredFromImage=%v", st.CheckpointErrs, restored)
-	}
-
-	oc("trace-complete", traceComplete(cell, events, len(reboots)) == nil,
-		"%v", traceComplete(cell, events, len(reboots)))
-
-	// Fold into a verdict.
-	allOK := true
+// verdict folds the oracles into the cell's verdict and detail.
+func (j *judgement) verdict() (Verdict, string) {
 	var failed []string
-	for _, o := range oracles {
+	for _, o := range j.oracles {
 		if !o.OK {
-			allOK = false
 			failed = append(failed, o.Name)
 		}
 	}
 	detail := ""
-	if phaseErr != nil {
-		detail = phaseErr.Error()
+	if j.phaseErr != nil {
+		detail = j.phaseErr.Error()
 	}
 	switch {
-	case cell.Expected:
-		if allOK {
+	case j.t.cell.Expected:
+		if len(failed) == 0 {
 			detail = "expected-unrecoverable cell incidentally satisfied every oracle"
 		} else if detail == "" {
 			detail = "oracle failures (expected): " + strings.Join(failed, ", ")
 		}
-		return VerdictExpected, oracles, detail
-	case allOK:
-		return VerdictPass, oracles, detail
-	case armed && !triggered && onlyTriggerFailed(oracles):
-		return VerdictNotTriggered, oracles, "fault site not reached by this workload"
-	default:
-		if detail == "" {
-			detail = "oracle failures: " + strings.Join(failed, ", ")
-		}
-		return VerdictFail, oracles, detail
+		return VerdictExpected, detail
+	case len(failed) == 0:
+		return VerdictPass, detail
+	case j.unfired != nil && !slices.ContainsFunc(failed, func(name string) bool {
+		return !slices.Contains(j.unfired, name)
+	}):
+		return VerdictNotTriggered, "fault site not reached by this workload"
 	}
-}
-
-// onlyTriggerFailed reports whether the failing oracles are exactly the
-// ones that vacuously fail when a fault never fires (no fault event, no
-// reboot, no recovery chain) — the signature of a fault site the
-// workload never reached. Service and invariant violations still fail
-// the trial: an unreached site must not degrade the application.
-func onlyTriggerFailed(oracles []OracleResult) bool {
-	for _, o := range oracles {
-		if !o.OK && o.Name != "fault-triggered" && o.Name != "containment" &&
-			o.Name != "detection-latency" && o.Name != "trace-complete" {
-			return false
-		}
+	if detail == "" {
+		detail = "oracle failures: " + strings.Join(failed, ", ")
 	}
-	return true
+	return VerdictFail, detail
 }
 
 // traceComplete checks that the flight-recorder snapshot is structurally
@@ -301,16 +248,6 @@ func traceComplete(cell Cell, events []trace.Event, runtimeReboots int) error {
 		}
 	}
 	return nil
-}
-
-func countKind(events []trace.Event, kind trace.Kind) int {
-	n := 0
-	for _, e := range events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // strayReboots lists reboot-record groups other than the expected one.

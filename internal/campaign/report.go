@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"vampos/internal/core"
 	"vampos/internal/trace"
 )
 
@@ -48,7 +49,7 @@ func (m *Matrix) Unexpected() []CellResult {
 		if c.Verdict == VerdictFail {
 			out = append(out, c)
 		}
-		if c.Verdict == VerdictNotTriggered && c.Function == "*" {
+		if c.Verdict == VerdictNotTriggered && c.Function == core.AnyFunction {
 			out = append(out, c)
 		}
 	}
@@ -160,9 +161,6 @@ func traceFileName(id string) string {
 // dumpTrace writes the trial's Chrome trace into dir for post-mortem
 // loading at ui.perfetto.dev / chrome://tracing.
 func dumpTrace(dir string, res *CellResult) error {
-	if res.recorder == nil {
-		return fmt.Errorf("no recorder for %s", res.TrialID)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

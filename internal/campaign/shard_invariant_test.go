@@ -44,6 +44,7 @@ func TestMatrixShardInvariant(t *testing.T) {
 		return buf.Bytes()
 	}
 	ref := run(1, 1)
+	checkGolden(t, ref)
 	for _, cfg := range []struct{ parallel, shards int }{
 		{4, 1}, {1, 2}, {4, 2}, {2, 4},
 	} {

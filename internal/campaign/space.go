@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -203,7 +204,7 @@ func profileFor(workload string, cc core.Config) (unikernel.Config, error) {
 func EnumerateSpace(o SpaceOptions) ([]Cell, error) {
 	o = o.fill()
 	for _, f := range o.Faults {
-		if !validFault(f) {
+		if !slices.Contains(AllFaults(), f) {
 			return nil, fmt.Errorf("campaign: unknown fault %q (valid: %s)", f, faultList())
 		}
 	}
@@ -231,7 +232,7 @@ func EnumerateSpace(o SpaceOptions) ([]Cell, error) {
 				for v := 0; v < clusterNodes; v++ {
 					comp := fmt.Sprintf("node%d", v)
 					seenComponents[comp] = true
-					if len(o.Components) > 0 && !containsString(o.Components, comp) {
+					if len(o.Components) > 0 && !slices.Contains(o.Components, comp) {
 						continue
 					}
 					for _, fault := range sel {
@@ -269,7 +270,7 @@ func EnumerateSpace(o SpaceOptions) ([]Cell, error) {
 			}
 			sort.Strings(order)
 			for _, comp := range order {
-				if len(o.Components) > 0 && !containsString(o.Components, comp) {
+				if len(o.Components) > 0 && !slices.Contains(o.Components, comp) {
 					continue
 				}
 				unrebootable := byComp[comp][0].Unrebootable
@@ -357,28 +358,10 @@ func EnumerateSpace(o SpaceOptions) ([]Cell, error) {
 	return cells, nil
 }
 
-func validFault(f FaultName) bool {
-	for _, v := range AllFaults() {
-		if f == v {
-			return true
-		}
-	}
-	return false
-}
-
 func faultList() string {
 	var names []string
 	for _, f := range AllFaults() {
 		names = append(names, string(f))
 	}
 	return strings.Join(names, ", ")
-}
-
-func containsString(haystack []string, needle string) bool {
-	for _, s := range haystack {
-		if s == needle {
-			return true
-		}
-	}
-	return false
 }

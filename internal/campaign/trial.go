@@ -2,14 +2,10 @@ package campaign
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"vampos/internal/aging"
-	"vampos/internal/ckpt"
 	"vampos/internal/core"
-	"vampos/internal/faults"
-	"vampos/internal/mem"
 	"vampos/internal/trace"
 	"vampos/internal/unikernel"
 )
@@ -25,17 +21,6 @@ const (
 	trialMaxVirtual     = 5 * time.Minute
 	trialDeadline       = 60 * time.Second // per-trial workload deadline
 	trialSettle         = 2 * time.Second  // recovery settling before verify
-	leakBytes           = 128 << 10
-	leakBlock           = 4 << 10
-
-	// Aging-trial shape: the gradual leak drips agingLeakStep bytes every
-	// agingLeakPause of virtual time (an ~8 MB/s slope, well above the
-	// policy threshold below), and the trial waits up to agingWait for the
-	// adaptive controller to react before judging.
-	agingLeakStep  = 8 << 10
-	agingLeakTotal = 128 << 10
-	agingLeakPause = time.Millisecond
-	agingWait      = 2 * time.Second
 )
 
 // DefaultAgingPolicy is the adaptive-rejuvenation policy aging cells
@@ -58,42 +43,20 @@ func DefaultAgingPolicy() aging.Policy {
 	}
 }
 
-// trial is the mutable state one cell's execution threads share.
+// trial is the state one cell's execution shares across its phases and
+// oracles. What one fault kind alone observes lives on that kind.
 type trial struct {
 	cell    Cell
-	after   int // seed-derived injection ordinal (fault fires on the after-th invocation)
+	seed    uint64
+	after   int                 // seed-derived injection ordinal (fault fires on the after-th invocation)
+	inst    *unikernel.Instance // nil in a cluster trial
 	profile unikernel.Config
-	ckpt    ckpt.Policy // incremental-checkpoint policy applied to the instance
 
 	errs      int // client/syscall errors during the tolerant run phase
 	corrupt   int // byte-correctness violations (never tolerated)
 	deadlineV time.Duration
 	finished  bool
 	verifyErr error
-
-	// leak-fault observations
-	leakBefore, leakAfter core.HeapStats
-	leakRebootErr         error
-	leakDone              bool
-
-	// wild-write observations
-	wildEFault      bool
-	wildIntact      bool
-	wildFaultsDelta uint64
-
-	// aging-fault observations
-	agingPolicy             aging.Policy // the effective adaptive policy
-	agingBefore, agingAfter core.HeapStats
-	agingStats              aging.Stats
-	agingStatsOK            bool
-	agingDone               bool
-
-	// defense-fault observations (tamper, badframe, xdomtouch)
-	defInjected    bool   // the attack was actually delivered
-	defEFaults     int    // EFAULT replies observed on xdomtouch strikes
-	defIntact      bool   // xdomtouch: victim witness unharmed afterwards
-	defFaultsDelta uint64 // xdomtouch: protection faults raised by strikes
-	defRerandErr   error  // error from the fingerprint-comparison reboot
 }
 
 func (t *trial) pastDeadline(s *unikernel.Sys) bool {
@@ -118,32 +81,20 @@ func trialSeed(campaignSeed int64, id string) uint64 {
 	return h
 }
 
-// runTrial executes one cell on a fresh, fully isolated instance and
-// judges it. Safe to call from any goroutine: instances share no state.
+// runTrial executes one cell on a fresh, fully isolated instance (or
+// cluster) and judges it. Safe to call from any goroutine: trials share
+// no state. Every fault kind runs through the same steps: the core
+// configuration, the kind's delta to it, the boot, the phases, and one
+// fold of the oracles into a verdict.
 func runTrial(cell Cell, opts Options) (res CellResult) {
-	if cell.Workload == ClusterWorkload {
-		return runClusterTrial(cell, opts)
-	}
-	if cell.Fault == FaultSessionCrash {
-		return runSessionTrial(cell, opts)
-	}
-	if cell.Fault.defenseFault() {
-		return runDefenseTrial(cell, opts)
-	}
 	res = CellResult{Cell: cell, TrialID: cell.ID()}
 	defer func() {
 		if r := recover(); r != nil {
-			res.Verdict = VerdictFail
-			res.Detail = fmt.Sprintf("trial panicked: %v", r)
-			if cell.Expected {
-				res.Verdict = VerdictExpected
-			}
+			res = failResult(res, fmt.Errorf("trial panicked: %v", r))
 		}
 	}()
 	seed := trialSeed(opts.Seed, cell.ID())
-	t := &trial{cell: cell, after: 1 + int(seed%3), ckpt: opts.Ckpt}
-	res.After = t.after
-
+	t := &trial{cell: cell, seed: seed, after: 1 + int(seed%3)}
 	cc, err := coreConfigFor(cell.Config)
 	if err != nil {
 		return failResult(res, err)
@@ -154,35 +105,56 @@ func runTrial(cell Cell, opts Options) (res CellResult) {
 	cc.MaxVirtualTime = trialMaxVirtual
 	cc.Ckpt = opts.Ckpt
 	cc.ReplayRetCheck = opts.ReplayRetCheck
-	if cell.Fault == FaultAging {
-		// Boot starts the adaptive controller; the trial only arms the
-		// leak and observes — any reboot must come from the sensors.
-		t.agingPolicy = DefaultAgingPolicy()
-		if opts.Aging.Enabled() {
-			t.agingPolicy = opts.Aging
+
+	j := &judgement{t: t}
+	if cell.Workload == ClusterWorkload {
+		res.After = t.after
+		err = t.runCluster(cc, &res, j)
+	} else {
+		var k faultKind
+		if k, err = kindFor(cell); err != nil {
+			return failResult(res, err)
 		}
-		cc.Aging = t.agingPolicy
-		cc.AgingTargets = []string{cell.Component}
+		k.configure(t, &cc, opts)
+		res.After = t.after
+		err = t.runInstance(cc, k, &res, j)
 	}
-	d, err := driverFor(cell.Workload)
 	if err != nil {
 		return failResult(res, err)
+	}
+	res.Oracles = j.oracles
+	res.Verdict, res.Detail = j.verdict()
+	return res
+}
+
+// runInstance runs a single-instance kind: it boots the instance, drives
+// it through warm → arm → run → the kind's post-run step → settle →
+// verify, and hands what it observed to the kind's oracles. A phase that
+// fails ends the run, and the oracles see its error; an error returned
+// here means the trial never ran.
+func (t *trial) runInstance(cc core.Config, k faultKind, res *CellResult, j *judgement) error {
+	d, ok := k.(driver) // a kind may bring its own workload
+	if !ok {
+		var err error
+		if d, err = driverFor(t.cell.Workload); err != nil {
+			return err
+		}
 	}
 	t.profile = d.profile(unikernel.Config{Core: cc})
 	inst, err := unikernel.New(t.profile)
 	if err != nil {
-		return failResult(res, err)
+		return err
 	}
 	defer inst.Close()
-	if cell.Fault == FaultWildWrite {
-		if err := inst.Runtime().Register(faults.NewSaboteur()); err != nil {
-			return failResult(res, err)
-		}
+	t.inst = inst
+	if err := k.register(t); err != nil {
+		return err
 	}
 	if err := d.setupHost(inst); err != nil {
-		return failResult(res, err)
+		return err
 	}
-	rec := inst.NewTracer("campaign/"+cell.ID(), trace.WithCapacity(1<<14))
+	rec := inst.NewTracer("campaign/"+t.cell.ID(), trace.WithCapacity(1<<14))
+	res.recorder = rec
 
 	var phaseErr error
 	v0 := time.Duration(0)
@@ -198,130 +170,82 @@ func runTrial(cell Cell, opts Options) (res CellResult) {
 			phaseErr = fmt.Errorf("warm phase: %w", phaseErr)
 			return
 		}
-		if phaseErr = t.inject(s, inst); phaseErr != nil {
-			phaseErr = fmt.Errorf("injection: %w", phaseErr)
+		if phaseErr = k.arm(t, s); phaseErr != nil {
+			phaseErr = fmt.Errorf("%s: %w", k.armPhase(), phaseErr)
 			return
 		}
-		d.run(s, t)
+		if phaseErr = d.run(s, t); phaseErr != nil {
+			return
+		}
+		k.afterRun(t, s)
 		s.Sleep(trialSettle)
 		t.verifyErr = d.verify(s, t)
 		t.finished = true
 	})
-	res.Virtual = inst.Runtime().Clock().Elapsed() - v0
+	rt := inst.Runtime()
+	res.Virtual = rt.Clock().Elapsed() - v0
 	if runErr != nil && phaseErr == nil {
 		phaseErr = runErr
 	}
-	events := rec.Snapshot()
-	res.Reboots = len(inst.Runtime().Reboots())
+	res.Reboots = len(rt.Reboots()) + len(rt.Microreboots())
 	res.ClientErrs = t.errs
-	res.Verdict, res.Oracles, res.Detail = judge(t, inst, events, phaseErr)
-	res.recorder = rec
-	return res
+	j.rt, j.st, j.reboots, j.events, j.phaseErr = rt, rt.Stats(), rt.Reboots(), rec.Snapshot(), phaseErr
+	j.target, _ = rt.GroupOf(t.cell.Component)
+	k.judge(j)
+	return nil
 }
 
-// inject applies the cell's fault. Armed kinds (crash, hang, errno) are
-// deferred to the after-th invocation of the fault site; leak and
-// wild-write execute immediately from the controller.
-func (t *trial) inject(s *unikernel.Sys, inst *unikernel.Instance) error {
-	rt := inst.Runtime()
-	cell := t.cell
-	fn := cell.Function
-	if fn == "" || fn == core.AnyFunction {
-		fn = core.AnyFunction
-	}
+// faultKind is one single-instance fault kind: its delta to the core
+// configuration, how it strikes, what it does once the workload's run
+// phase returns, and its oracles. kindFor makes a fresh value per trial,
+// so a kind keeps its own observations; runInstance owns the boot, the
+// phases and the fold.
+type faultKind interface {
+	configure(t *trial, cc *core.Config, opts Options)
+	register(t *trial) error // links extra components into the booted instance
+	armPhase() string        // names the arm phase in a failure
+	arm(t *trial, s *unikernel.Sys) error
+	afterRun(t *trial, s *unikernel.Sys)
+	judge(j *judgement)
+}
+
+// baseKind is the no-op every kind embeds for the steps it does not take.
+type baseKind struct{}
+
+func (baseKind) configure(*trial, *core.Config, Options) {}
+func (baseKind) register(*trial) error                   { return nil }
+func (baseKind) armPhase() string                        { return "injection" }
+func (baseKind) afterRun(*trial, *unikernel.Sys)         {}
+
+// kindFor is the campaign's fault dimension for single-instance
+// workloads, one row per kind (DESIGN.md §8 tabulates them).
+func kindFor(cell Cell) (faultKind, error) {
 	switch cell.Fault {
 	case FaultCrash:
-		return rt.ArmFaultSpec(cell.Component, fn, core.FaultSpec{Kind: core.FaultCrash, After: t.after})
+		return &armedFault{spec: core.FaultSpec{Kind: core.FaultCrash}}, nil
 	case FaultHang:
-		return rt.ArmFaultSpec(cell.Component, fn, core.FaultSpec{Kind: core.FaultHang, After: t.after})
+		return &armedFault{spec: core.FaultSpec{Kind: core.FaultHang}}, nil
 	case FaultErrno:
-		return rt.ArmFaultSpec(cell.Component, fn, core.FaultSpec{Kind: core.FaultErrno, After: t.after, Errno: core.EIO})
+		return &armedFault{spec: core.FaultSpec{Kind: core.FaultErrno, Errno: core.EIO}}, nil
 	case FaultLeak:
-		inj := faults.NewInjector(rt)
-		before, err := inj.HeapStats(cell.Component)
-		if err != nil {
-			return err
-		}
-		if _, err := inj.LeakBytes(cell.Component, leakBytes, leakBlock); err != nil {
-			return err
-		}
-		t.leakBefore, _ = inj.HeapStats(cell.Component)
-		if t.leakBefore.AllocatedBytes <= before.AllocatedBytes {
-			return fmt.Errorf("leak did not grow %s's heap", cell.Component)
-		}
-		// Rejuvenate: the proactive component reboot that clears aging
-		// (§VII-D). VIRTIO refuses it — the expected-unrecoverable path.
-		t.leakRebootErr = s.Reboot(cell.Component)
-		t.leakAfter, _ = inj.HeapStats(cell.Component)
-		t.leakDone = true
-		return nil
+		return &leakFault{}, nil
 	case FaultAging:
-		inj := faults.NewInjector(rt)
-		before, err := inj.HeapStats(cell.Component)
-		if err != nil {
-			return err
-		}
-		// Drip the leak so the controller's sample window observes a
-		// slope, rather than a step it could only see once. The
-		// controller may fire mid-drip (the whole point), so the "before"
-		// observation is the peak allocation seen during the drip, not
-		// the end state.
-		t.agingBefore = before
-		for leaked := int64(0); leaked < agingLeakTotal; leaked += agingLeakStep {
-			if _, err := inj.LeakBytes(cell.Component, agingLeakStep, agingLeakStep); err != nil {
-				return err
-			}
-			if hs, err := inj.HeapStats(cell.Component); err == nil &&
-				hs.AllocatedBytes > t.agingBefore.AllocatedBytes {
-				t.agingBefore = hs
-			}
-			s.Sleep(agingLeakPause)
-		}
-		if t.agingBefore.AllocatedBytes <= before.AllocatedBytes {
-			return fmt.Errorf("aging leak did not grow %s's heap", cell.Component)
-		}
-		// Wait (bounded, virtual time) for the sensor-driven controller
-		// to act: a successful rejuvenation, or — for unrebootable
-		// targets — a refused one that armed backoff.
-		deadline := s.Elapsed() + agingWait
-		for s.Elapsed() < deadline {
-			st, ok := rt.AgingStats(cell.Component)
-			if ok && (st.Rejuvenations > 0 || st.Failures > 0) {
-				break
-			}
-			s.Sleep(t.agingPolicy.WithDefaults().SamplePeriod)
-		}
-		t.agingStats, t.agingStatsOK = rt.AgingStats(cell.Component)
-		t.agingAfter, _ = inj.HeapStats(cell.Component)
-		t.agingDone = true
-		return nil
+		return &agingFault{}, nil
 	case FaultWildWrite:
-		heap, ok := rt.ComponentHeap(cell.Component)
-		if !ok {
-			return fmt.Errorf("no heap for victim %q", cell.Component)
-		}
-		victimAddr, err := heap.Alloc(64)
-		if err != nil {
-			return err
-		}
-		memObj := rt.Memory()
-		witness := []byte("precious")
-		if err := memObj.HostWrite(mem.Addr(victimAddr), witness); err != nil {
-			return err
-		}
-		faults0 := memObj.Faults()
-		_, werr := s.Ctx().Call("saboteur", "wild_write", victimAddr, 0xFF)
-		t.wildEFault = werr != nil && strings.Contains(werr.Error(), "EFAULT")
-		got := make([]byte, len(witness))
-		if err := memObj.HostRead(mem.Addr(victimAddr), got); err != nil {
-			return err
-		}
-		t.wildIntact = string(got) == string(witness)
-		t.wildFaultsDelta = memObj.Faults() - faults0
-		return nil
-	default:
-		return fmt.Errorf("campaign: unknown fault %q", cell.Fault)
+		return &wildWrite{}, nil
+	case FaultSessionCrash:
+		return newSessionFault(), nil
+	case FaultTamper, FaultBadFrame, FaultXDomTouch:
+		return &attack{}, nil
 	}
+	return nil, fmt.Errorf("campaign: unknown fault %q for workload %q", cell.Fault, cell.Workload)
+}
+
+// armSite arms spec at the cell's fault site, to fire on its after-th
+// invocation.
+func armSite(t *trial, spec core.FaultSpec) error {
+	spec.After = t.after
+	return t.inst.Runtime().ArmFaultSpec(t.cell.Component, t.cell.Function, spec)
 }
 
 func failResult(res CellResult, err error) CellResult {

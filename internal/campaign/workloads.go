@@ -10,6 +10,7 @@ import (
 	"vampos/internal/apps/redis"
 	"vampos/internal/apps/sqlite"
 	"vampos/internal/bench"
+	"vampos/internal/host"
 	"vampos/internal/sched"
 	"vampos/internal/unikernel"
 )
@@ -17,15 +18,15 @@ import (
 // driver runs one workload through a trial's three phases. warm builds
 // up application state before the fault is armed; run keeps the workload
 // going while the fault fires and recovery happens, tolerating (but
-// counting) client-visible errors; verify checks the application-level
-// invariants against the shadow model after the system has settled, with
-// zero tolerance.
+// counting) client-visible errors, and fails only when the workload cannot
+// go on; verify checks the application-level invariants against the shadow
+// model after the system has settled, with zero tolerance.
 type driver interface {
 	app() unikernel.App
 	profile(cfg unikernel.Config) unikernel.Config
 	setupHost(inst *unikernel.Instance) error
 	warm(s *unikernel.Sys, t *trial) error
-	run(s *unikernel.Sys, t *trial)
+	run(s *unikernel.Sys, t *trial) error
 	verify(s *unikernel.Sys, t *trial) error
 }
 
@@ -72,6 +73,103 @@ func (t *trial) sweep(s *unikernel.Sys) {
 	}
 }
 
+// --- network workloads: host clients over the simulated wire ---
+
+// corruption is an exchange that completed with the wrong bytes: never
+// tolerated, and the connection is kept.
+type corruption struct{ err error }
+
+func (c corruption) Error() string { return c.err.Error() }
+
+// clientLoop runs count exchanges from a host client thread named name
+// (thread names break merge-order ties, so each workload keeps its own).
+// It dials, and redials after every failed exchange, until the trial
+// deadline. A failed dial or exchange is a client error, which a strict
+// loop also reports; a corruption is counted as such and always reported.
+// The returned func waits for the thread and returns the first report.
+func clientLoop[C interface{ Close() }](s *unikernel.Sys, t *trial, name string, count int, strict bool,
+	dial func(th *sched.Thread, peer *host.Peer) (C, error), exchange func(cl C, i int) error) func() error {
+	done := false
+	var firstErr error
+	peer := s.NewPeer()
+	s.GoHost(name, func(th *sched.Thread) {
+		defer func() { done = true }()
+		var cl C
+		redial := func() bool {
+			for !t.pastDeadline(s) {
+				var err error
+				if cl, err = dial(th, peer); err == nil {
+					return true
+				}
+				if strict && firstErr == nil {
+					firstErr = err
+				}
+				t.errs++
+				th.Sleep(20 * time.Millisecond)
+			}
+			return false
+		}
+		if !redial() {
+			return
+		}
+		for i := 0; i < count && !t.pastDeadline(s); i++ {
+			err := exchange(cl, i)
+			if bad, ok := err.(corruption); ok {
+				t.corrupt++
+				if firstErr == nil {
+					firstErr = bad.err
+				}
+				continue
+			}
+			if err != nil {
+				t.errs++
+				if strict && firstErr == nil {
+					firstErr = err
+				}
+				cl.Close()
+				if !redial() {
+					return
+				}
+			}
+		}
+		cl.Close()
+	})
+	return func() error {
+		for !done {
+			s.Sleep(time.Millisecond)
+		}
+		return firstErr
+	}
+}
+
+// clients starts a workload's client loop of count exchanges.
+type clients func(s *unikernel.Sys, t *trial, count int, timeout time.Duration, strict bool) func() error
+
+// cleanPhase runs a strict client loop — the warm and verify phases of a
+// network workload — and fails on any client error it counted.
+func cleanPhase(s *unikernel.Sys, t *trial, loop clients, count int, what string) error {
+	errsBefore := t.errs
+	if err := loop(s, t, count, 2*time.Second, true)(); err != nil {
+		return err
+	}
+	if t.errs != errsBefore {
+		return fmt.Errorf("%d %s", t.errs-errsBefore, what)
+	}
+	return nil
+}
+
+// busyPhase runs a tolerant client loop while sweeping the utility
+// components — the run phase of a network workload.
+func busyPhase(s *unikernel.Sys, t *trial, loop clients) error {
+	wait := loop(s, t, 40, time.Second, false)
+	for i := 0; i < 6; i++ {
+		t.sweep(s)
+		s.Sleep(50 * time.Millisecond)
+	}
+	_ = wait()
+	return nil
+}
+
 // --- sqlite: in-process key/value inserts with a shadow table ---
 
 type sqliteDriver struct {
@@ -109,13 +207,14 @@ func (d *sqliteDriver) warm(s *unikernel.Sys, t *trial) error {
 	return nil
 }
 
-func (d *sqliteDriver) run(s *unikernel.Sys, t *trial) {
+func (d *sqliteDriver) run(s *unikernel.Sys, t *trial) error {
 	for i := 20; i < 60; i++ {
 		d.insert(s, t, i)
 		if i%8 == 0 {
 			t.sweep(s)
 		}
 	}
+	return nil
 }
 
 func (d *sqliteDriver) verify(s *unikernel.Sys, t *trial) error {
@@ -149,92 +248,26 @@ func (d *nginxDriver) setupHost(inst *unikernel.Instance) error {
 	return inst.Host().FS().WriteFile("/www/index.html", d.body)
 }
 
-// fetchLoop runs count GETs from a host client thread, redialing on
-// failure; errors are counted, body mismatches are corruption.
-func (d *nginxDriver) fetchLoop(s *unikernel.Sys, t *trial, count int, timeout time.Duration, strict bool) func() error {
-	done := false
-	var firstErr error
-	peer := s.NewPeer()
-	s.GoHost("campaign/http", func(th *sched.Thread) {
-		defer func() { done = true }()
-		var cl *bench.HTTPClient
-		dial := func() bool {
-			for !t.pastDeadline(s) {
-				var err error
-				cl, err = bench.DialHTTP(s, th, peer, nginx.DefaultPort, timeout)
-				if err == nil {
-					return true
-				}
-				if strict && firstErr == nil {
-					firstErr = err
-				}
-				t.errs++
-				th.Sleep(20 * time.Millisecond)
-			}
-			return false
-		}
-		if !dial() {
-			return
-		}
-		for i := 0; i < count && !t.pastDeadline(s); i++ {
+func (d *nginxDriver) fetch(s *unikernel.Sys, t *trial, count int, timeout time.Duration, strict bool) func() error {
+	return clientLoop(s, t, "campaign/http", count, strict,
+		func(th *sched.Thread, peer *host.Peer) (*bench.HTTPClient, error) {
+			return bench.DialHTTP(s, th, peer, nginx.DefaultPort, timeout)
+		},
+		func(cl *bench.HTTPClient, _ int) error {
 			body, err := cl.GetBody("/index.html", timeout)
-			if err != nil {
-				t.errs++
-				if strict && firstErr == nil {
-					firstErr = err
-				}
-				cl.Close()
-				if !dial() {
-					return
-				}
-				continue
+			if err == nil && string(body) != string(d.body) {
+				return corruption{fmt.Errorf("body mismatch: got %d bytes %q...", len(body), clip(body))}
 			}
-			if string(body) != string(d.body) {
-				t.corrupt++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("body mismatch: got %d bytes %q...", len(body), clip(body))
-				}
-			}
-		}
-		cl.Close()
-	})
-	return func() error {
-		for !done {
-			s.Sleep(time.Millisecond)
-		}
-		return firstErr
-	}
+			return err
+		})
 }
 
 func (d *nginxDriver) warm(s *unikernel.Sys, t *trial) error {
-	errsBefore := t.errs
-	if err := d.fetchLoop(s, t, 5, 2*time.Second, true)(); err != nil {
-		return err
-	}
-	if t.errs != errsBefore {
-		return fmt.Errorf("%d fetch errors before injection", t.errs-errsBefore)
-	}
-	return nil
+	return cleanPhase(s, t, d.fetch, 5, "fetch errors before injection")
 }
-
-func (d *nginxDriver) run(s *unikernel.Sys, t *trial) {
-	wait := d.fetchLoop(s, t, 40, time.Second, false)
-	for i := 0; i < 6; i++ {
-		t.sweep(s)
-		s.Sleep(50 * time.Millisecond)
-	}
-	_ = wait()
-}
-
+func (d *nginxDriver) run(s *unikernel.Sys, t *trial) error { return busyPhase(s, t, d.fetch) }
 func (d *nginxDriver) verify(s *unikernel.Sys, t *trial) error {
-	errsBefore := t.errs
-	if err := d.fetchLoop(s, t, 5, 2*time.Second, true)(); err != nil {
-		return err
-	}
-	if t.errs != errsBefore {
-		return fmt.Errorf("%d fetch errors after settling", t.errs-errsBefore)
-	}
-	return nil
+	return cleanPhase(s, t, d.fetch, 5, "fetch errors after settling")
 }
 
 // --- redis: SETs tracked in a shadow store, verified by GETs ---
@@ -242,6 +275,7 @@ func (d *nginxDriver) verify(s *unikernel.Sys, t *trial) error {
 type redisDriver struct {
 	kv     *redis.App
 	shadow []kvPair
+	next   int // index of the next key to SET
 }
 
 func newRedisApp() *redisDriver { return &redisDriver{kv: redis.New()} }
@@ -250,67 +284,30 @@ func (d *redisDriver) app() unikernel.App                            { return d.
 func (d *redisDriver) profile(cfg unikernel.Config) unikernel.Config { return d.kv.Profile(cfg) }
 func (d *redisDriver) setupHost(inst *unikernel.Instance) error      { return nil }
 
-// setLoop issues count SETs from a host client thread; only
-// acknowledged SETs enter the shadow store.
-func (d *redisDriver) setLoop(s *unikernel.Sys, t *trial, start, count int, timeout time.Duration) func() {
-	done := false
-	peer := s.NewPeer()
-	s.GoHost("campaign/redis-set", func(th *sched.Thread) {
-		defer func() { done = true }()
-		var cl *bench.RedisClient
-		dial := func() bool {
-			for !t.pastDeadline(s) {
-				var err error
-				cl, err = bench.DialRedis(s, th, peer, redis.DefaultPort, timeout)
-				if err == nil {
-					return true
-				}
-				t.errs++
-				th.Sleep(20 * time.Millisecond)
-			}
-			return false
-		}
-		if !dial() {
-			return
-		}
-		for i := start; i < start+count && !t.pastDeadline(s); i++ {
-			k, v := fmt.Sprintf("c%03d", i), fmt.Sprintf("w%03d", i)
+// sets issues count SETs of fresh keys; only acknowledged SETs enter the
+// shadow store. Its phases judge SET failures by their count, so the loop
+// never reports one.
+func (d *redisDriver) sets(s *unikernel.Sys, t *trial, count int, timeout time.Duration, _ bool) func() error {
+	first := d.next
+	d.next += count
+	return clientLoop(s, t, "campaign/redis-set", count, false,
+		func(th *sched.Thread, peer *host.Peer) (*bench.RedisClient, error) {
+			return bench.DialRedis(s, th, peer, redis.DefaultPort, timeout)
+		},
+		func(cl *bench.RedisClient, i int) error {
+			k, v := fmt.Sprintf("c%03d", first+i), fmt.Sprintf("w%03d", first+i)
 			if err := cl.Set(k, v, timeout); err != nil {
-				t.errs++
-				cl.Close()
-				if !dial() {
-					return
-				}
-				continue
+				return err
 			}
 			d.shadow = append(d.shadow, kvPair{k, v})
-		}
-		cl.Close()
-	})
-	return func() {
-		for !done {
-			s.Sleep(time.Millisecond)
-		}
-	}
+			return nil
+		})
 }
 
 func (d *redisDriver) warm(s *unikernel.Sys, t *trial) error {
-	errsBefore := t.errs
-	d.setLoop(s, t, 0, 20, 2*time.Second)()
-	if t.errs != errsBefore {
-		return fmt.Errorf("%d SET errors before injection", t.errs-errsBefore)
-	}
-	return nil
+	return cleanPhase(s, t, d.sets, 20, "SET errors before injection")
 }
-
-func (d *redisDriver) run(s *unikernel.Sys, t *trial) {
-	wait := d.setLoop(s, t, 20, 40, time.Second)
-	for i := 0; i < 6; i++ {
-		t.sweep(s)
-		s.Sleep(50 * time.Millisecond)
-	}
-	wait()
-}
+func (d *redisDriver) run(s *unikernel.Sys, t *trial) error { return busyPhase(s, t, d.sets) }
 
 func (d *redisDriver) verify(s *unikernel.Sys, t *trial) error {
 	done := false
@@ -357,90 +354,26 @@ func (d *echoDriver) app() unikernel.App                            { return d.e
 func (d *echoDriver) profile(cfg unikernel.Config) unikernel.Config { return d.e.Profile(cfg) }
 func (d *echoDriver) setupHost(inst *unikernel.Instance) error      { return nil }
 
-func (d *echoDriver) echoLoop(s *unikernel.Sys, t *trial, count int, timeout time.Duration, strict bool) func() error {
-	done := false
-	var firstErr error
-	peer := s.NewPeer()
-	s.GoHost("campaign/echo", func(th *sched.Thread) {
-		defer func() { done = true }()
-		var cl *bench.EchoClient
-		dial := func() bool {
-			for !t.pastDeadline(s) {
-				var err error
-				cl, err = bench.DialEcho(s, th, peer, echo.DefaultPort, timeout)
-				if err == nil {
-					return true
-				}
-				if strict && firstErr == nil {
-					firstErr = err
-				}
-				t.errs++
-				th.Sleep(20 * time.Millisecond)
-			}
-			return false
-		}
-		if !dial() {
-			return
-		}
-		for i := 0; i < count && !t.pastDeadline(s); i++ {
+func (d *echoDriver) echo(s *unikernel.Sys, t *trial, count int, timeout time.Duration, strict bool) func() error {
+	return clientLoop(s, t, "campaign/echo", count, strict,
+		func(th *sched.Thread, peer *host.Peer) (*bench.EchoClient, error) {
+			return bench.DialEcho(s, th, peer, echo.DefaultPort, timeout)
+		},
+		func(cl *bench.EchoClient, _ int) error {
 			got, err := cl.RoundTripBody(d.payload, timeout)
-			if err != nil {
-				t.errs++
-				if strict && firstErr == nil {
-					firstErr = err
-				}
-				cl.Close()
-				if !dial() {
-					return
-				}
-				continue
+			if err == nil && string(got) != string(d.payload) {
+				return corruption{fmt.Errorf("echo mismatch: %q...", clip(got))}
 			}
-			if string(got) != string(d.payload) {
-				t.corrupt++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("echo mismatch: %q...", clip(got))
-				}
-			}
-		}
-		cl.Close()
-	})
-	return func() error {
-		for !done {
-			s.Sleep(time.Millisecond)
-		}
-		return firstErr
-	}
+			return err
+		})
 }
 
 func (d *echoDriver) warm(s *unikernel.Sys, t *trial) error {
-	errsBefore := t.errs
-	if err := d.echoLoop(s, t, 5, 2*time.Second, true)(); err != nil {
-		return err
-	}
-	if t.errs != errsBefore {
-		return fmt.Errorf("%d echo errors before injection", t.errs-errsBefore)
-	}
-	return nil
+	return cleanPhase(s, t, d.echo, 5, "echo errors before injection")
 }
-
-func (d *echoDriver) run(s *unikernel.Sys, t *trial) {
-	wait := d.echoLoop(s, t, 40, time.Second, false)
-	for i := 0; i < 6; i++ {
-		t.sweep(s)
-		s.Sleep(50 * time.Millisecond)
-	}
-	_ = wait()
-}
-
+func (d *echoDriver) run(s *unikernel.Sys, t *trial) error { return busyPhase(s, t, d.echo) }
 func (d *echoDriver) verify(s *unikernel.Sys, t *trial) error {
-	errsBefore := t.errs
-	if err := d.echoLoop(s, t, 5, 2*time.Second, true)(); err != nil {
-		return err
-	}
-	if t.errs != errsBefore {
-		return fmt.Errorf("%d echo errors after settling", t.errs-errsBefore)
-	}
-	return nil
+	return cleanPhase(s, t, d.echo, 5, "echo errors after settling")
 }
 
 func clip(b []byte) []byte {
