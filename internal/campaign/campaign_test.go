@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vampos/internal/ckpt"
+	"vampos/internal/golden"
 )
 
 // smallSpace is a two-cell slice (echo × das × lwip × {crash,hang})
@@ -51,7 +52,7 @@ func TestMatrixParallelInvariant(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("matrix differs between -parallel 1 and -parallel 4:\nserial:   %s\nparallel: %s", sj, pj)
 	}
-	checkGolden(t, sj)
+	golden.Check(t, goldenPath(t), sj)
 	for _, c := range serial.Cells {
 		if c.Verdict != VerdictPass {
 			t.Errorf("%s: verdict %s (detail: %s)", c.TrialID, c.Verdict, c.Detail)
@@ -117,7 +118,7 @@ func TestCheckpointedCampaignSlice(t *testing.T) {
 	if len(m.Cells) == 0 {
 		t.Fatal("empty checkpointed slice")
 	}
-	checkGolden(t, matrixJSON(t, m))
+	golden.Check(t, goldenPath(t), matrixJSON(t, m))
 	sawCheckpointOracle := false
 	for _, c := range m.Cells {
 		if c.Verdict != VerdictPass {
@@ -166,7 +167,7 @@ func TestAgingCampaignSlice(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("aging matrix differs between -parallel 1 and 4:\nserial:   %s\nparallel: %s", sj, pj)
 	}
-	checkGolden(t, sj)
+	golden.Check(t, goldenPath(t), sj)
 	if len(serial.Cells) == 0 {
 		t.Fatal("empty aging slice")
 	}
@@ -216,7 +217,7 @@ func TestAgingVirtioExpected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	checkGolden(t, matrixJSON(t, m))
+	golden.Check(t, goldenPath(t), matrixJSON(t, m))
 	res := m.Cells[0]
 	if res.Verdict != VerdictExpected {
 		t.Fatalf("verdict = %s, want %s (detail: %s)", res.Verdict, VerdictExpected, res.Detail)
@@ -250,7 +251,7 @@ func TestVirtioExpectedUnrecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	checkGolden(t, matrixJSON(t, m))
+	golden.Check(t, goldenPath(t), matrixJSON(t, m))
 	if v := m.Cells[0].Verdict; v != VerdictExpected {
 		t.Fatalf("virtio crash verdict = %s, want %s (detail: %s)", v, VerdictExpected, m.Cells[0].Detail)
 	}
@@ -271,7 +272,7 @@ func TestNotTriggeredPerFunction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	checkGolden(t, matrixJSON(t, m))
+	golden.Check(t, goldenPath(t), matrixJSON(t, m))
 	if v := m.Cells[0].Verdict; v != VerdictNotTriggered {
 		t.Fatalf("verdict = %s, want %s (detail: %s)", v, VerdictNotTriggered, m.Cells[0].Detail)
 	}

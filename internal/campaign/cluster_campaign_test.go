@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"testing"
+
+	"vampos/internal/golden"
 )
 
 func clusterSpace() SpaceOptions {
@@ -34,7 +36,7 @@ func TestClusterCampaignSlice(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("cluster matrix differs between -parallel 1 and 4:\nserial:   %s\nparallel: %s", sj, pj)
 	}
-	checkGolden(t, sj)
+	golden.Check(t, goldenPath(t), sj)
 	// 3 victims × 2 fault kinds on one config.
 	if len(serial.Cells) != 6 {
 		t.Fatalf("cluster slice has %d cells, want 6", len(serial.Cells))

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"testing"
+
+	"vampos/internal/golden"
 )
 
 // TestDefenseSpaceEnumeration: attack cells have restricted pairings —
@@ -83,7 +85,7 @@ func TestDefenseCampaignSlice(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("defense matrix differs between -parallel 1 and 2:\nserial:   %s\nparallel: %s", sj, pj)
 	}
-	checkGolden(t, sj)
+	golden.Check(t, goldenPath(t), sj)
 
 	seenFault := map[FaultName]bool{}
 	for _, c := range serial.Cells {

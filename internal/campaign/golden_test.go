@@ -1,58 +1,21 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"vampos/internal/golden"
 )
 
-var updateGolden = flag.Bool("update-campaign-golden", false,
-	"re-record internal/campaign/testdata/golden/*.json from this run")
-
+// goldenDir holds one recorded matrix per slice test, named after it.
+// The matrices are pure functions of the seed and the space; re-record
+// with -update-golden only when a change is meant to move one.
 const goldenDir = "testdata/golden"
 
-// checkGolden compares a matrix's JSON, byte for byte, with the golden
-// recorded for the calling test (testdata/golden/<test>.json). The
-// matrices are pure functions of the seed and the space, so a moved byte
-// is a behaviour change, never noise: re-record with
-// -update-campaign-golden only when the change is meant to move it.
-func checkGolden(t *testing.T, got []byte) {
-	t.Helper()
-	path := filepath.Join(goldenDir, t.Name()+".json")
-	if *updateGolden {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (re-record with -update-campaign-golden): %v", err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("matrix differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
-		}
-	}
-}
+// goldenPath is the recorded matrix of the calling slice test.
+func goldenPath(t *testing.T) string { return filepath.Join(goldenDir, t.Name()+".json") }
 
 // TestEveryFaultKindHasAGolden: every fault kind the campaign can inject
 // is pinned by at least one recorded matrix, so no kind's trial can change
@@ -109,5 +72,5 @@ func TestErrnoLeakWildWriteSlice(t *testing.T) {
 			t.Errorf("%s: verdict %s, want %s (detail: %s)", c.TrialID, c.Verdict, want, c.Detail)
 		}
 	}
-	checkGolden(t, matrixJSON(t, m))
+	golden.Check(t, goldenPath(t), matrixJSON(t, m))
 }

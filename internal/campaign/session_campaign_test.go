@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vampos/internal/core"
+	"vampos/internal/golden"
 )
 
 // sessionSpace is the sessioncrash slice the CI job runs: per-session
@@ -74,7 +75,7 @@ func TestSessionCampaignSlice(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatalf("session matrix differs across -parallel:\nserial:   %s\nparallel: %s", sj, pj)
 	}
-	checkGolden(t, sj)
+	golden.Check(t, goldenPath(t), sj)
 	for _, c := range serial.Cells {
 		if c.Verdict != VerdictPass {
 			t.Errorf("%s: verdict %s (detail: %s, oracles: %+v)", c.TrialID, c.Verdict, c.Detail, c.Oracles)

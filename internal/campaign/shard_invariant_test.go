@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"testing"
+
+	"vampos/internal/golden"
 )
 
 // TestMatrixShardInvariant: the sharded batons must not move a single
@@ -44,7 +46,7 @@ func TestMatrixShardInvariant(t *testing.T) {
 		return buf.Bytes()
 	}
 	ref := run(1, 1)
-	checkGolden(t, ref)
+	golden.Check(t, goldenPath(t), ref)
 	for _, cfg := range []struct{ parallel, shards int }{
 		{4, 1}, {1, 2}, {4, 2}, {2, 4},
 	} {

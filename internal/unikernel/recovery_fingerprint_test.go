@@ -4,27 +4,19 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"vampos/internal/ckpt"
 	"vampos/internal/core"
 	"vampos/internal/defense"
+	"vampos/internal/golden"
 	"vampos/internal/mem"
 	"vampos/internal/msg"
 	"vampos/internal/trace"
 )
-
-// updateRecoveryGolden rewrites testdata/recovery/*.golden from the tree
-// under test. The checked-in files were recorded at the commit before
-// the recovery paths were folded into one pipeline; regenerate only when
-// a change is meant to move a virtual number, and say which in the PR.
-var updateRecoveryGolden = flag.Bool("update-recovery-golden", false, "rewrite testdata/recovery/*.golden")
 
 // fpProbe is the one component the fingerprint rows add to the image
 // when the real ones cannot show a flavour: bump returns a host-side
@@ -480,54 +472,8 @@ func TestRecoveryFingerprints(t *testing.T) {
 		for _, row := range recoveryFlavours() {
 			t.Run(fmt.Sprintf("%s/shards=%d", row.name, shards), func(t *testing.T) {
 				got := runRecoveryFlavour(t, row, shards)
-				path := filepath.Join("testdata", "recovery", fmt.Sprintf("%s.shards%d.golden", row.name, shards))
-				if *updateRecoveryGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("no golden fingerprint (record one with -update-recovery-golden): %v", err)
-				}
-				if got != string(want) {
-					t.Fatalf("recovery fingerprint differs from %s:\n%s", path, lineDiff(string(want), got))
-				}
+				golden.Check(t, filepath.Join("testdata", "recovery", fmt.Sprintf("%s.shards%d.golden", row.name, shards)), []byte(got))
 			})
 		}
 	}
-}
-
-// lineDiff lists the lines only one side has, in order, which is all a
-// fingerprint mismatch needs to be read.
-func lineDiff(want, got string) string {
-	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
-	have := make(map[string]int, len(wl))
-	for _, l := range wl {
-		have[l]++
-	}
-	var b strings.Builder
-	for _, l := range gl {
-		if have[l] > 0 {
-			have[l]--
-			continue
-		}
-		fmt.Fprintf(&b, "+ %s\n", l)
-	}
-	seen := make(map[string]int, len(gl))
-	for _, l := range gl {
-		seen[l]++
-	}
-	for _, l := range wl {
-		if seen[l] > 0 {
-			seen[l]--
-			continue
-		}
-		fmt.Fprintf(&b, "- %s\n", l)
-	}
-	return b.String()
 }
