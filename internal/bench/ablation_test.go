@@ -7,6 +7,7 @@ func TestAblationShapeInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablation", res)
 	// Shrinking keeps the retained log flat; without it the log grows
 	// with history.
 	n := len(res.ShrinkOps)

@@ -91,11 +91,3 @@ func fmtBytes(n int64) string {
 		return fmt.Sprintf("%.2fGiB", float64(n)/(1<<30))
 	}
 }
-
-// fmtRate renders operations per second.
-func fmtRate(ops int, elapsed time.Duration) string {
-	if elapsed <= 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.1f", float64(ops)/elapsed.Seconds())
-}

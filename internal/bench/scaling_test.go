@@ -45,6 +45,17 @@ func TestScalingShape(t *testing.T) {
 			res = again
 		}
 	}
+	// Only the virtual fingerprint is pinned: the wall columns are the
+	// point of the figure and differ on every run.
+	type fingerprint struct {
+		Shards, Ops, Keys int
+		VirtualElapsed    time.Duration
+	}
+	var fps []fingerprint
+	for _, row := range append([]ScalingRow{res.Baseline}, res.Rows...) {
+		fps = append(fps, fingerprint{row.Shards, row.Ops, row.Keys, row.VirtualElapsed})
+	}
+	checkGolden(t, "scaling", fps)
 	want := 4 * 60
 	if res.Baseline.Ops != want {
 		t.Fatalf("baseline acknowledged %d ops, want %d", res.Baseline.Ops, want)
