@@ -102,23 +102,15 @@ func RunAging(scale Scale) (*AgingResult, error) {
 
 func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 	const target = "lwip"
-	cc := CoreConfig(DaS)
-	cc.MaxVirtualTime = 12 * time.Hour
+	cc := coreConfig(DaS)
 	if arm == AgingAdaptive {
 		cc.Aging = agingBenchPolicy(scale)
 		cc.AgingTargets = []string{target}
 	}
-	inst, err := unikernel.New(unikernel.Config{Core: cc, FS: true, Net: true, Sysinfo: true})
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
 	row := &AgingRow{Arm: arm}
-	var runErr error
-	err = inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
-		if runErr = s.StartApp(echo.New()); runErr != nil {
-			return
+	err := runInstance(fullProfile(cc), nil, func(s *unikernel.Sys, inst *unikernel.Instance) error {
+		if err := s.StartApp(echo.New()); err != nil {
+			return err
 		}
 		start := s.Elapsed()
 		duration := scale.AgingDuration
@@ -165,16 +157,14 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 			}
 			if now >= duration/4 && now < 3*duration/4 {
 				if _, err := inj.LeakBytes(target, scale.AgingLeakStep, scale.AgingLeakStep); err != nil {
-					runErr = fmt.Errorf("leak drip: %w", err)
-					return
+					return fmt.Errorf("leak drip: %w", err)
 				}
 				row.LeakedBytes += scale.AgingLeakStep
 			}
 			if now >= nextSample {
 				hs, err := inj.HeapStats(target)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				row.Trajectory = append(row.Trajectory, AgingSamplePoint{
 					At: now, Allocated: hs.AllocatedBytes, Frag: hs.Fragmentation,
@@ -190,8 +180,7 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 		}
 		hs, err := inj.HeapStats(target)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		row.Trajectory = append(row.Trajectory, AgingSamplePoint{
 			At: s.Elapsed() - start, Allocated: hs.AllocatedBytes, Frag: hs.Fragmentation,
@@ -201,12 +190,19 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 		if st, ok := inst.Runtime().AgingStats(target); ok {
 			row.Cause = st.LastCause
 		}
+		for _, rec := range inst.Runtime().Reboots() {
+			if rec.Group != target {
+				continue
+			}
+			row.Reboots++
+			if rec.Reason == "rejuvenation" {
+				row.Rejuvenations++
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	if len(row.Trajectory) == 0 {
 		return nil, fmt.Errorf("no samples recorded")
@@ -216,15 +212,6 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 	for _, p := range row.Trajectory {
 		if p.Allocated > row.HeapPeak {
 			row.HeapPeak = p.Allocated
-		}
-	}
-	for _, rec := range inst.Runtime().Reboots() {
-		if rec.Group != target {
-			continue
-		}
-		row.Reboots++
-		if rec.Reason == "rejuvenation" {
-			row.Rejuvenations++
 		}
 	}
 	return row, nil

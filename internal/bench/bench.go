@@ -14,7 +14,9 @@
 package bench
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"vampos/internal/core"
@@ -220,11 +222,67 @@ func PaperScale() Scale {
 	return s
 }
 
-// newInstance builds a full-profile instance for a configuration.
-func newInstance(name ConfigName) (*unikernel.Instance, error) {
+// coreConfig is a configuration's core with the suite's virtual-time
+// horizon, far beyond any experiment's run.
+func coreConfig(name ConfigName) core.Config {
 	cc := CoreConfig(name)
 	cc.MaxVirtualTime = 12 * time.Hour
-	return unikernel.New(unikernel.Config{Core: cc, FS: true, Net: true, Sysinfo: true})
+	return cc
+}
+
+// fullProfile links every component: file system, network and sysinfo.
+func fullProfile(cc core.Config) unikernel.Config {
+	return unikernel.Config{Core: cc, FS: true, Net: true, Sysinfo: true}
+}
+
+// runInstance is the skeleton every single-instance experiment runs in.
+// It builds an instance from cfg and hands it to prep, when non-nil,
+// before boot: the one point where host files can be seeded and a
+// tracer attached. It then boots the instance and runs body as the
+// controller thread, stopping the simulation when body returns. The
+// instance is closed on return, so body reads every result it needs
+// (Close unwinds parked threads, which may still tick counters). The
+// error is Run's if the boot failed, else body's.
+func runInstance(cfg unikernel.Config, prep func(*unikernel.Instance) error, body func(*unikernel.Sys, *unikernel.Instance) error) error {
+	inst, err := unikernel.New(cfg)
+	if err != nil {
+		return err
+	}
+	defer inst.Close()
+	if prep != nil {
+		if err := prep(inst); err != nil {
+			return err
+		}
+	}
+	var bodyErr error
+	if err := inst.Run(func(s *unikernel.Sys) {
+		defer s.Stop()
+		bodyErr = body(s, inst)
+	}); err != nil {
+		return err
+	}
+	return bodyErr
+}
+
+// seedIndex writes the 180-byte page the paper's Nginx workload
+// requests into the host export.
+func seedIndex(inst *unikernel.Instance) error {
+	return inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180)))
+}
+
+// rebootRecord reboots comp from the controller and returns the record
+// of exactly that reboot.
+func rebootRecord(s *unikernel.Sys, comp string) (core.RebootRecord, error) {
+	rt := s.Instance().Runtime()
+	before := len(rt.Reboots())
+	if err := s.Reboot(comp); err != nil {
+		return core.RebootRecord{}, err
+	}
+	recs := rt.Reboots()
+	if len(recs) != before+1 {
+		return core.RebootRecord{}, fmt.Errorf("expected one new reboot record, got %d", len(recs)-before)
+	}
+	return recs[len(recs)-1], nil
 }
 
 // Stat summarises a sample set.

@@ -112,8 +112,7 @@ func RunDefense(scale Scale) (*DefenseResult, error) {
 // component reboot after the tail writes, the taint arm by whatever the
 // pipeline does on its own once a seal verification fires.
 func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
-	cc := CoreConfig(DaS)
-	cc.MaxVirtualTime = 12 * time.Hour
+	cc := coreConfig(DaS)
 	cc.LogShrinkThreshold = 1 << 30 // park compaction: replay counts are part of the figure
 	cc.Ckpt = ckpt.Policy{EveryCalls: defCkptEvery}
 	cc.ReplayRetCheck = true
@@ -126,35 +125,25 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 			Seed:           defSeed,
 		}
 	}
-	inst, err := unikernel.New(unikernel.Config{Core: cc, FS: true})
-	if err != nil {
-		return DefenseArm{}, err
-	}
-	defer inst.Close()
 	arm := DefenseArm{Arm: "recovery-to-latest"}
 	if withDefense {
 		arm.Arm = "taint-aware"
 	}
-	var runErr error
-	err = inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
+	err := runInstance(unikernel.Config{Core: cc, FS: true}, nil, func(s *unikernel.Sys, inst *unikernel.Instance) error {
 		rt := inst.Runtime()
 		record := func(i int) []byte { return []byte(fmt.Sprintf("%07d\n", i)) }
 
 		fd, err := s.Create("/defense.dat")
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		for i := 0; i < scale.DefenseWarmWrites; i++ {
 			if _, err := s.Write(fd, record(i)); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		if err := s.Fsync(fd); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		// Settle: drive enough quiescent points that a clean seal lands
 		// after the last warm write. The taint watermark then provably
@@ -162,8 +151,7 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 		// a single pre-attack record.
 		for i := 0; i < 2*defSealEvery; i++ {
 			if _, _, err := s.Stat("/defense.dat"); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		arm.FingerprintBefore = rt.LayoutFingerprint("vfs")
@@ -173,18 +161,15 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 		// silent.
 		heap, ok := rt.ComponentHeap("vfs")
 		if !ok {
-			runErr = fmt.Errorf("no heap for vfs")
-			return
+			return fmt.Errorf("no heap for vfs")
 		}
 		addr, err := heap.Alloc(32)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		planted := []byte{0xDE, 0xAD, 0xBE, 0xEF}
 		if err := rt.Memory().HostWrite(mem.Addr(addr), planted); err != nil {
-			runErr = err
-			return
+			return err
 		}
 
 		if withDefense {
@@ -193,12 +178,10 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 			deadline := s.Elapsed() + defDetectCap
 			for len(rt.Reboots()) == 0 {
 				if s.Elapsed() > deadline {
-					runErr = fmt.Errorf("tamper never detected within %v", defDetectCap)
-					return
+					return fmt.Errorf("tamper never detected within %v", defDetectCap)
 				}
 				if _, err := s.Write(fd, []byte("tail....")); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				s.Sleep(time.Millisecond)
 			}
@@ -208,24 +191,20 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 			// operator-style reboot onto the newest image.
 			for i := 0; i < scale.DefenseTailWrites; i++ {
 				if _, err := s.Write(fd, []byte("tail....")); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			if err := s.Fsync(fd); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if err := s.Reboot("vfs"); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 
 		recs := rt.Reboots()
 		if len(recs) == 0 {
-			runErr = fmt.Errorf("no reboot recorded")
-			return
+			return fmt.Errorf("no reboot recorded")
 		}
 		rec := recs[0]
 		arm.Detected = rt.Stats().TamperDetections >= 1
@@ -247,8 +226,7 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 			// the planted bytes.
 			got := make([]byte, len(planted))
 			if err := rt.Memory().HostRead(mem.Addr(addr), got); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			arm.CorruptionSurvived = bytes.Equal(got, planted)
 		}
@@ -261,11 +239,9 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 				break
 			}
 		}
+		return nil
 	})
-	if err != nil {
-		return DefenseArm{}, err
-	}
-	return arm, runErr
+	return arm, err
 }
 
 // Render produces the security-recovery figure as a table.

@@ -78,35 +78,29 @@ func RunFig8(scale Scale) (*Fig8Result, error) {
 }
 
 func runFig8Variant(variant Table5Variant, scale Scale) (*Fig8Series, *trace.Recorder, error) {
-	inst, err := newInstance(DaS)
-	if err != nil {
-		return nil, nil, err
+	var rec *trace.Recorder
+	prep := func(inst *unikernel.Instance) error {
+		// A bounded ring keeps memory flat over the long probe window; the
+		// recovery chain (fault/crash/detect/reboot events) is sticky in the
+		// recorder and survives ring wrap-around.
+		rec = inst.NewTracer("fig8/"+string(variant), trace.WithCapacity(1<<16))
+		return nil
 	}
-	defer inst.Close()
-	// A bounded ring keeps memory flat over the long probe window; the
-	// recovery chain (fault/crash/detect/reboot events) is sticky in the
-	// recorder and survives ring wrap-around.
-	rec := inst.NewTracer("fig8/"+string(variant), trace.WithCapacity(1<<16))
 	series := &Fig8Series{Variant: variant}
-	var startAbs time.Duration
-	var runErr error
-	err = inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
+	err := runInstance(fullProfile(coreConfig(DaS)), prep, func(s *unikernel.Sys, inst *unikernel.Instance) error {
 		app := redis.New()
-		if runErr = s.StartApp(app); runErr != nil {
-			return
+		if err := s.StartApp(app); err != nil {
+			return err
 		}
 		// Warm the store in-process (the AOF gets every SET, so the
 		// full-reboot variant pays the reload for all of them).
 		for i := 0; i < scale.Fig8WarmKeys; i++ {
 			resp := app.Execute(s, fmt.Sprintf("SET warm%06d %s", i, strings.Repeat("v", 16)))
 			if !strings.HasPrefix(resp, "+OK") {
-				runErr = fmt.Errorf("warm SET: %s", strings.TrimSpace(resp))
-				return
+				return fmt.Errorf("warm SET: %s", strings.TrimSpace(resp))
 			}
 		}
 		start := s.Elapsed()
-		startAbs = start
 		end := start + scale.Fig8Duration
 
 		// Background GET load at the configured rate.
@@ -195,34 +189,26 @@ func runFig8Variant(variant Table5Variant, scale Scale) (*Fig8Series, *trace.Rec
 			// AOF append triggers it (paper: "we force 9PFS to call
 			// panic() and trigger its reboot").
 			if err := inst.Runtime().ArmFault("9pfs", "uk_9pfs_write", core.FaultCrash); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			// Issue one SET so the write path runs promptly.
 			if resp := app.Execute(s, "SET trigger x"); !strings.HasPrefix(resp, "+OK") {
-				runErr = fmt.Errorf("trigger SET: %s", strings.TrimSpace(resp))
-				return
+				return fmt.Errorf("trigger SET: %s", strings.TrimSpace(resp))
 			}
 		case VariantFullReboot:
 			// The baseline recovery for the same fault: restart the
 			// image and reload the AOF.
 			if err := s.FullReboot(); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		for !loadDone || !probeDone {
 			s.Sleep(10 * time.Millisecond)
 		}
 		series.Outage = computeOutage(series.Points, series.Injected)
+		return fillFig8Recovery(series, rec, inst, start)
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	if runErr != nil {
-		return nil, nil, runErr
-	}
-	if err := fillFig8Recovery(series, rec, inst, startAbs); err != nil {
 		return nil, nil, err
 	}
 	return series, rec, nil

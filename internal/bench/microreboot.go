@@ -77,43 +77,30 @@ func RunMicroreboot(scale Scale) (*MicrorebootResult, error) {
 // session rung exists to avoid.
 func runMicrorebootArm(scale Scale,
 	measure func(s *unikernel.Sys, inst *unikernel.Instance, fds []int) (MicrorebootArm, error)) (MicrorebootArm, error) {
-	cc := CoreConfig(DaS)
-	cc.MaxVirtualTime = 12 * time.Hour
+	cc := coreConfig(DaS)
 	cc.LogShrinkThreshold = 1 << 30
 	cc.Microreboot = true
-	inst, err := unikernel.New(unikernel.Config{Core: cc, FS: true})
-	if err != nil {
-		return MicrorebootArm{}, err
-	}
-	defer inst.Close()
-	var (
-		arm    MicrorebootArm
-		runErr error
-	)
-	err = inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
+	var arm MicrorebootArm
+	err := runInstance(unikernel.Config{Core: cc, FS: true}, nil, func(s *unikernel.Sys, inst *unikernel.Instance) error {
 		fds := make([]int, scale.MicroSessions)
 		payload := []byte("01234567")
 		for i := range fds {
 			fd, err := s.Create(fmt.Sprintf("/micro-%03d.dat", i))
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			fds[i] = fd
 			for w := 0; w < scale.MicroWritesPer; w++ {
 				if _, err := s.Write(fd, payload); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 		}
-		arm, runErr = measure(s, inst, fds)
+		var err error
+		arm, err = measure(s, inst, fds)
+		return err
 	})
-	if err != nil {
-		return MicrorebootArm{}, err
-	}
-	return arm, runErr
+	return arm, err
 }
 
 // measureSessionRung microreboots one victim session and checks the
@@ -140,20 +127,17 @@ func measureSessionRung(s *unikernel.Sys, inst *unikernel.Instance, fds []int) (
 // measureComponentRung reboots the whole VFS component, replaying every
 // session's retained log.
 func measureComponentRung(s *unikernel.Sys, inst *unikernel.Instance, fds []int) (MicrorebootArm, error) {
-	if err := s.Reboot("vfs"); err != nil {
+	rec, err := rebootRecord(s, "vfs")
+	if err != nil {
 		return MicrorebootArm{}, fmt.Errorf("component reboot: %w", err)
 	}
 	if _, err := s.Write(fds[len(fds)/2], []byte("x")); err != nil {
 		return MicrorebootArm{}, fmt.Errorf("write after component reboot: %w", err)
 	}
-	recs := inst.Runtime().Reboots()
-	if len(recs) != 1 {
-		return MicrorebootArm{}, fmt.Errorf("reboot records = %d, want 1", len(recs))
-	}
 	return MicrorebootArm{
 		Rung:     "component-reboot",
-		Virtual:  recs[0].VirtualDuration,
-		Replayed: recs[0].ReplayedEntries,
+		Virtual:  rec.VirtualDuration,
+		Replayed: rec.ReplayedEntries,
 	}, nil
 }
 

@@ -58,32 +58,22 @@ func RunRecovery(scale Scale) (*RecoveryResult, error) {
 }
 
 func runRecoveryPoint(calls int, pol ckpt.Policy) (*RecoveryPoint, error) {
-	cc := CoreConfig(DaS)
-	cc.MaxVirtualTime = 12 * time.Hour
+	cc := coreConfig(DaS)
 	cc.Ckpt = pol
 	// Park log compaction far out of reach: it is an orthogonal
 	// bounded-replay mechanism (the Table IV sweep) and would flatten the
 	// "off" arm, hiding exactly the linear growth this figure isolates.
 	cc.LogShrinkThreshold = 1 << 30
-	inst, err := unikernel.New(unikernel.Config{Core: cc, FS: true})
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
 	pt := &RecoveryPoint{Calls: calls}
-	var runErr error
-	err = inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
+	err := runInstance(unikernel.Config{Core: cc, FS: true}, nil, func(s *unikernel.Sys, inst *unikernel.Instance) error {
 		fd, err := s.Create("/ckpt-figure.dat")
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		payload := []byte("01234567")
 		for i := 0; i < calls; i++ {
 			if _, err := s.Write(fd, payload); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		pt.LogLen = inst.Runtime().LogLen("vfs")
@@ -92,26 +82,17 @@ func runRecoveryPoint(calls int, pol ckpt.Policy) (*RecoveryPoint, error) {
 			pt.Truncated = cs.TruncatedEntries + cs.FoldedEntries
 			pt.DirtyPages = cs.DirtyPages
 		}
-		before := len(inst.Runtime().Reboots())
-		if err := s.Reboot("vfs"); err != nil {
-			runErr = err
-			return
+		rec, err := rebootRecord(s, "vfs")
+		if err != nil {
+			return err
 		}
-		recs := inst.Runtime().Reboots()
-		if len(recs) != before+1 {
-			runErr = fmt.Errorf("expected one new reboot record, got %d", len(recs)-before)
-			return
-		}
-		rec := recs[len(recs)-1]
 		pt.Virtual = rec.VirtualDuration
 		pt.Replayed = rec.ReplayedEntries
 		pt.RestoredPages = rec.RestoredPages
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return pt, nil
 }

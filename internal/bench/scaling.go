@@ -164,19 +164,11 @@ func RunScaling(scale Scale) (*ScalingResult, error) {
 func runScalingRow(scale Scale, procs, shards int) (ScalingRow, error) {
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
-	cc := CoreConfig(DaS)
-	cc.MaxVirtualTime = 12 * time.Hour
+	cc := coreConfig(DaS)
 	cc.Shards = shards
-	inst, err := unikernel.New(unikernel.Config{Core: cc, FS: true, Net: true, Sysinfo: true})
-	if err != nil {
-		return ScalingRow{}, err
-	}
-	defer inst.Close()
 	row := ScalingRow{Procs: procs, Shards: shards}
-	var runErr error
-	err = inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
-		runErr = scalingBody(s, scale, &row)
+	err := runInstance(fullProfile(cc), nil, func(s *unikernel.Sys, _ *unikernel.Instance) error {
+		return scalingBody(s, scale, &row)
 	})
 	if err != nil {
 		return ScalingRow{}, err
@@ -191,7 +183,7 @@ func runScalingRow(scale Scale, procs, shards int) (ScalingRow, error) {
 	if sec := row.ModelWall.Seconds(); sec > 0 {
 		row.ModelThroughput = float64(row.Ops) / sec
 	}
-	return row, runErr
+	return row, nil
 }
 
 // scalingBody starts the cells, waits for every client to connect, then

@@ -29,116 +29,75 @@ type Suite struct {
 	Scaling  *ScalingResult
 }
 
-// experiment names accepted by Run.
-var experimentNames = []string{"fig5", "table3", "fig6", "fig7", "table4", "table5", "fig8", "ablation", "recovery", "aging", "cluster", "microreboot", "defense", "scaling"}
+// experiment is one entry of the suite: run executes it at the suite's
+// scale, stores the result in its Suite field and renders it.
+type experiment struct {
+	name string
+	run  func(*Suite) (string, error)
+}
+
+// entry binds an experiment's runner to the Suite field that keeps its
+// result.
+func entry[R interface{ Render() string }](name string, run func(Scale) (R, error), field func(*Suite) *R) experiment {
+	return experiment{name, func(s *Suite) (string, error) {
+		res, err := run(s.Scale)
+		if err != nil {
+			return "", err
+		}
+		*field(s) = res
+		return res.Render(), nil
+	}}
+}
+
+// experiments lists the suite in the order "all" runs it.
+var experiments = []experiment{
+	entry("fig5", RunFig5, func(s *Suite) **Fig5Result { return &s.Fig5 }),
+	entry("table3", RunTable3, func(s *Suite) **Table3Result { return &s.Table3 }),
+	entry("fig6", RunFig6, func(s *Suite) **Fig6Result { return &s.Fig6 }),
+	entry("fig7", RunFig7, func(s *Suite) **Fig7Result { return &s.Fig7 }),
+	entry("table4", RunTable4, func(s *Suite) **Table4Result { return &s.Table4 }),
+	entry("table5", RunTable5, func(s *Suite) **Table5Result { return &s.Table5 }),
+	entry("fig8", RunFig8, func(s *Suite) **Fig8Result { return &s.Fig8 }),
+	entry("ablation", RunAblation, func(s *Suite) **AblationResult { return &s.Ablate }),
+	entry("recovery", RunRecovery, func(s *Suite) **RecoveryResult { return &s.Recovery }),
+	entry("aging", RunAging, func(s *Suite) **AgingResult { return &s.Aging }),
+	entry("cluster", RunCluster, func(s *Suite) **ClusterResult { return &s.Cluster }),
+	entry("microreboot", RunMicroreboot, func(s *Suite) **MicrorebootResult { return &s.Micro }),
+	entry("defense", RunDefense, func(s *Suite) **DefenseResult { return &s.Defense }),
+	entry("scaling", RunScaling, func(s *Suite) **ScalingResult { return &s.Scaling }),
+}
 
 // ExperimentNames lists the runnable experiment ids.
 func ExperimentNames() []string {
-	out := make([]string, len(experimentNames))
-	copy(out, experimentNames)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
 	return out
 }
 
 // Run executes the named experiment ("all" runs everything), writing
 // progress and rendered tables to w.
 func (s *Suite) Run(name string, w io.Writer) error {
-	run := func(id string) error {
-		timer := startWallTimer()
-		fmt.Fprintf(w, "--- running %s ...\n", id)
-		var (
-			out string
-			err error
-		)
-		switch id {
-		case "fig5":
-			s.Fig5, err = RunFig5(s.Scale)
-			if err == nil {
-				out = s.Fig5.Render()
-			}
-		case "table3":
-			s.Table3, err = RunTable3(s.Scale)
-			if err == nil {
-				out = s.Table3.Render()
-			}
-		case "fig6":
-			s.Fig6, err = RunFig6(s.Scale)
-			if err == nil {
-				out = s.Fig6.Render()
-			}
-		case "fig7":
-			s.Fig7, err = RunFig7(s.Scale)
-			if err == nil {
-				out = s.Fig7.Render()
-			}
-		case "table4":
-			s.Table4, err = RunTable4(s.Scale)
-			if err == nil {
-				out = s.Table4.Render()
-			}
-		case "table5":
-			s.Table5, err = RunTable5(s.Scale)
-			if err == nil {
-				out = s.Table5.Render()
-			}
-		case "fig8":
-			s.Fig8, err = RunFig8(s.Scale)
-			if err == nil {
-				out = s.Fig8.Render()
-			}
-		case "ablation":
-			s.Ablate, err = RunAblation(s.Scale)
-			if err == nil {
-				out = s.Ablate.Render()
-			}
-		case "recovery":
-			s.Recovery, err = RunRecovery(s.Scale)
-			if err == nil {
-				out = s.Recovery.Render()
-			}
-		case "aging":
-			s.Aging, err = RunAging(s.Scale)
-			if err == nil {
-				out = s.Aging.Render()
-			}
-		case "cluster":
-			s.Cluster, err = RunCluster(s.Scale)
-			if err == nil {
-				out = s.Cluster.Render()
-			}
-		case "microreboot":
-			s.Micro, err = RunMicroreboot(s.Scale)
-			if err == nil {
-				out = s.Micro.Render()
-			}
-		case "defense":
-			s.Defense, err = RunDefense(s.Scale)
-			if err == nil {
-				out = s.Defense.Render()
-			}
-		case "scaling":
-			s.Scaling, err = RunScaling(s.Scale)
-			if err == nil {
-				out = s.Scaling.Render()
-			}
-		default:
-			return fmt.Errorf("bench: unknown experiment %q (have %v)", id, experimentNames)
+	ran := false
+	for _, e := range experiments {
+		if name != "all" && name != "" && name != e.name {
+			continue
 		}
+		ran = true
+		timer := startWallTimer()
+		fmt.Fprintf(w, "--- running %s ...\n", e.name)
+		out, err := e.run(s)
 		if err != nil {
-			return fmt.Errorf("bench: %s: %w", id, err)
+			return fmt.Errorf("bench: %s: %w", e.name, err)
 		}
 		fmt.Fprintln(w, out)
-		fmt.Fprintf(w, "--- %s done in %v (wall)\n\n", id, timer.Elapsed().Round(time.Millisecond))
-		return nil
+		fmt.Fprintf(w, "--- %s done in %v (wall)\n\n", e.name, timer.Elapsed().Round(time.Millisecond))
 	}
-	if name == "all" || name == "" {
-		for _, id := range experimentNames {
-			if err := run(id); err != nil {
-				return err
-			}
-		}
-		return nil
+	if !ran {
+		return fmt.Errorf("bench: unknown experiment %q (have %v)", name, ExperimentNames())
 	}
-	return run(name)
+	return nil
 }
 
 // WriteJSON emits every populated result as machine-readable JSON.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"vampos/internal/core"
 	"vampos/internal/sched"
 	"vampos/internal/unikernel"
 )
@@ -34,23 +33,12 @@ func RunTable3(scale Scale) (*Table3Result, error) {
 }
 
 func runTable3Pass(scale Scale, shrink bool, out map[string]float64) error {
-	cc := core.DaSConfig()
+	cc := coreConfig(DaS)
 	cc.LogShrinkEnabled = shrink
 	cc.LogShrinkThreshold = 1 << 20 // keep compaction out of the measurement
-	cc.MaxVirtualTime = time.Hour
-	inst, err := unikernel.New(unikernel.Config{Core: cc, FS: true, Net: true, Sysinfo: true})
-	if err != nil {
-		return err
-	}
-	defer inst.Close()
-	var runErr error
-	if err := inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
-		runErr = table3Body(s, inst, scale, shrink, out)
-	}); err != nil {
-		return err
-	}
-	return runErr
+	return runInstance(fullProfile(cc), nil, func(s *unikernel.Sys, inst *unikernel.Instance) error {
+		return table3Body(s, inst, scale, shrink, out)
+	})
 }
 
 // logTotal sums retained log entries across all stateful components.

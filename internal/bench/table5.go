@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"vampos/internal/apps/nginx"
@@ -59,22 +58,12 @@ func RunTable5(scale Scale) (*Table5Result, error) {
 }
 
 func runTable5Variant(variant Table5Variant, scale Scale) (*Table5Row, error) {
-	inst, err := newInstance(DaS)
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
-	if err := inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180))); err != nil {
-		return nil, err
-	}
 	row := &Table5Row{Variant: variant}
-	var runErr error
-	err = inst.Run(func(s *unikernel.Sys) {
-		defer s.Stop()
+	err := runInstance(fullProfile(coreConfig(DaS)), seedIndex, func(s *unikernel.Sys, _ *unikernel.Instance) error {
 		app := nginx.New()
 		app.Workers = 4
-		if runErr = s.StartApp(app); runErr != nil {
-			return
+		if err := s.StartApp(app); err != nil {
+			return err
 		}
 		start := s.Elapsed()
 		var success, fails int
@@ -131,15 +120,13 @@ func runTable5Variant(variant Table5Variant, scale Scale) (*Table5Row, error) {
 			switch variant {
 			case VariantVampOS:
 				if err := s.Reboot(targets[next%len(targets)]); err != nil {
-					runErr = fmt.Errorf("reboot %s: %w", targets[next%len(targets)], err)
-					return
+					return fmt.Errorf("reboot %s: %w", targets[next%len(targets)], err)
 				}
 				next++
 				row.Reboots++
 			case VariantFullReboot:
 				if err := s.FullReboot(); err != nil {
-					runErr = fmt.Errorf("full reboot: %w", err)
-					return
+					return fmt.Errorf("full reboot: %w", err)
 				}
 				row.Reboots++
 			}
@@ -147,12 +134,10 @@ func runTable5Variant(variant Table5Variant, scale Scale) (*Table5Row, error) {
 		row.Success = success
 		row.Fails = fails
 		row.VirtualAt = s.Elapsed() - start
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return row, nil
 }
