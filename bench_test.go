@@ -408,7 +408,8 @@ func BenchmarkFig8FailureRecovery(b *testing.B) {
 }
 
 // BenchmarkSuiteSmoke runs the full internal/bench suite once at tiny
-// scale, so `go test -bench .` exercises every experiment end to end.
+// scale through Suite.Run and WriteJSON, so `go test -bench .` exercises
+// every experiment and the report path end to end.
 func BenchmarkSuiteSmoke(b *testing.B) {
 	scale := bench.DefaultScale()
 	scale.SyscallTrials = 5
@@ -429,6 +430,9 @@ func BenchmarkSuiteSmoke(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := &bench.Suite{Scale: scale}
 		if err := suite.Run("all", io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if err := suite.WriteJSON(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

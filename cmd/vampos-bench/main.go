@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	vampos-bench [-exp all|fig5|table3|fig6|fig7|table4|table5|fig8|ablation|recovery|aging|cluster|microreboot|defense]
+//	vampos-bench [-exp all|fig5|table3|fig6|fig7|table4|table5|fig8|ablation|recovery|aging|cluster|microreboot|defense|scaling]
 //	             [-scale default|paper] [-json results.json] [-trace trace.json]
 //	             [-ckpt-every N] [-ckpt-threshold N]
 //	             [-aging period] [-aging-leak B/s] [-aging-frag ratio]
