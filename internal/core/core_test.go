@@ -1,8 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"strconv"
 	"testing"
@@ -135,19 +134,25 @@ func (k *kvComp) LogPolicies() map[string]LogPolicy {
 }
 
 func (k *kvComp) SaveState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(k.data); err != nil {
-		return nil, err
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(k.data)))
+	for _, key := range msg.SortedKeys(nil, k.data) {
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(key))), key...)
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(k.data[key]))), k.data[key]...)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 func (k *kvComp) RestoreState(p []byte) error {
-	// Decode into a fresh map and replace: gob merges into a non-nil
-	// destination map, which would silently keep post-image keys alive —
-	// exactly what a taint-aware rollback must shed.
+	// Decode into a fresh map and replace: merging into the live map
+	// would keep post-image keys alive — exactly what a taint-aware
+	// rollback must shed.
+	r := msg.NewStateReader(p)
 	data := make(map[string]string)
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&data); err != nil {
+	for n := r.Count(8); n > 0; n-- {
+		key := r.Str()
+		data[key] = r.Str()
+	}
+	if err := r.Done(); err != nil {
 		return err
 	}
 	k.data = data

@@ -1,8 +1,7 @@
 package lwip
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"vampos/internal/core"
@@ -56,7 +55,7 @@ type Comp struct {
 	conns    map[connKey]int
 	nextSock int
 	isn      uint32
-	rt       rtEncoder
+	rt       sockEncoder
 
 	// staticBase is the component's data/bss analogue: a region Init
 	// writes into the arena so the post-init checkpoint has the resident
@@ -213,7 +212,7 @@ func (c *Comp) saveRuntime(ctx *core.Ctx) {
 	if ctx.InReplay() {
 		return
 	}
-	ctx.SaveRuntimeState(msg.Args{c.rt.encode(c.socks, c.nextSock, c.isn)})
+	ctx.SaveRuntimeState(msg.Args{c.rt.encode(c.socks, c.nextSock, c.isn, false)})
 }
 
 // InstallRuntimeState implements core.RuntimeKeeper: after checkpoint
@@ -224,17 +223,21 @@ func (c *Comp) InstallRuntimeState(ctx *core.Ctx, state msg.Args) error {
 	if err != nil {
 		return err
 	}
-	st, err := decodeRuntimeState(blob)
+	nextSock, isn, socks, err := decodeSocks(blob, c.emit)
 	if err != nil {
 		return err
 	}
-	c.nextSock = st.NextSock
-	c.isn = st.ISN
-	for _, sc := range st.Conns {
-		s := &sock{ID: sc.ID, State: sockConn, Listener: sc.Listener, Opts: map[int]int{}}
-		s.m = Restore(sc.Machine, c.emit)
-		s.LocalPort = sc.Machine.LocalPort
-		if old := c.socks[sc.ID]; old != nil && old.ctlBlock != 0 {
+	c.nextSock, c.isn = nextSock, isn
+	for _, r := range socks {
+		if r.m == nil { // a listener: its accept queue is the runtime state
+			if l, ok := c.socks[r.ID]; ok && r.State == sockListening {
+				l.AcceptQ = r.AcceptQ
+			}
+			continue
+		}
+		st := &r.m.st
+		s := &sock{ID: r.ID, State: sockConn, Listener: r.Listener, m: r.m, LocalPort: st.LocalPort, Opts: map[int]int{}}
+		if old := c.socks[r.ID]; old != nil && old.ctlBlock != 0 {
 			// A quiescent-point checkpoint already restored this socket's
 			// PCB allocation; reuse it instead of leaking it.
 			s.ctlBlock = old.ctlBlock
@@ -242,13 +245,8 @@ func (c *Comp) InstallRuntimeState(ctx *core.Ctx, state msg.Args) error {
 		} else {
 			c.allocPCB(ctx, s)
 		}
-		c.socks[sc.ID] = s
-		c.conns[connKey{Remote: sc.Machine.Remote, RemotePort: sc.Machine.RemotePort, LocalPort: sc.Machine.LocalPort}] = sc.ID
-	}
-	for _, aq := range st.AcceptQs {
-		if l, ok := c.socks[aq.Listener]; ok {
-			l.AcceptQ = aq.Queue
-		}
+		c.socks[r.ID] = s
+		c.conns[connKey{Remote: st.Remote, RemotePort: st.RemotePort, LocalPort: st.LocalPort}] = r.ID
 	}
 	return nil
 }
@@ -269,17 +267,10 @@ func (c *Comp) allocPCB(ctx *core.Ctx, s *sock) {
 // page for incremental snapshots.
 func (c *Comp) writePCB(ctx *core.Ctx, s *sock) {
 	pcb := make([]byte, 256)
-	putU64(pcb[0:], uint64(s.ID))
-	putU64(pcb[8:], uint64(s.LocalPort))
-	putU64(pcb[16:], uint64(s.State))
+	binary.LittleEndian.PutUint64(pcb[0:], uint64(s.ID))
+	binary.LittleEndian.PutUint64(pcb[8:], uint64(s.LocalPort))
+	binary.LittleEndian.PutUint64(pcb[16:], uint64(s.State))
 	_ = ctx.Mem().Write(s.ctlBlock, pcb)
-}
-
-// putU64 encodes v little-endian into b[:8].
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 func (c *Comp) freePCB(ctx *core.Ctx, s *sock) {
@@ -772,95 +763,39 @@ var (
 	_ core.SessionEvictor    = (*Comp)(nil)
 )
 
-// savedSock is the gob image of one socket-table entry. CtlBlock is the
-// PCB's arena address: checkpoint restore brings back the heap clone and
-// the memory image together, so the allocation (and its contents) are
-// valid again at the same address.
-type savedSock struct {
-	ID        int
-	State     sockState
-	LocalPort uint16
-	Backlog   int
-	AcceptQ   []int
-	Listener  int
-	CtlBlock  uint64
-	Opts      map[int]int
-	HasMach   bool
-	Machine   MachineState
-}
-
-// controlState is the checkpoint control blob: the full socket table,
-// not just allocation counters. Incremental checkpoints truncate the
-// socket/bind/listen records whose replay used to rebuild the table, so
-// the image itself must carry it — folding a durable record is only
-// sound if its effect survives in the checkpoint.
-type controlState struct {
-	NextSock int
-	ISN      uint32
-	Socks    []savedSock
-}
-
-// SaveState serialises the control structures for checkpoints. The
-// post-init blob has an empty table; quiescent-point blobs carry every
-// live socket, listener registration and connection machine, because
-// the records that created them are truncated from the log.
+// SaveState implements core.StateSaver: every socket, listener
+// registration and connection machine, not just allocation counters.
+// Incremental checkpoints truncate the socket/bind/listen records whose
+// replay used to rebuild the table, so the image itself must carry it —
+// folding a durable record is only sound if its effect survives in the
+// checkpoint. A fresh encoder, because the image outlives the next
+// runtime-blob encode.
 func (c *Comp) SaveState() ([]byte, error) {
-	st := controlState{NextSock: c.nextSock, ISN: c.isn}
-	for id := 1; id <= c.nextSock; id++ {
-		s, ok := c.socks[id]
-		if !ok {
-			continue
-		}
-		ss := savedSock{
-			ID: id, State: s.State, LocalPort: s.LocalPort,
-			Backlog: s.Backlog, AcceptQ: append([]int(nil), s.AcceptQ...),
-			Listener: s.Listener, CtlBlock: uint64(s.ctlBlock),
-			Opts: make(map[int]int, len(s.Opts)),
-		}
-		for k, v := range s.Opts {
-			ss.Opts[k] = v
-		}
-		if s.m != nil {
-			ss.HasMach = true
-			ss.Machine = s.m.Snapshot()
-		}
-		st.Socks = append(st.Socks, ss)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var e sockEncoder
+	return e.encode(c.socks, c.nextSock, c.isn, true), nil
 }
 
-// RestoreState implements core.StateSaver.
+// RestoreState implements core.StateSaver. Each socket's ctlBlock is its
+// PCB's arena address: checkpoint restore brings back the heap clone and
+// the memory image together, so the block is valid again at the same
+// address.
 func (c *Comp) RestoreState(p []byte) error {
-	var st controlState
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&st); err != nil {
+	nextSock, isn, socks, err := decodeSocks(p, c.emit)
+	if err != nil {
 		return err
 	}
 	c.socks = make(map[int]*sock)
 	c.listens = make(map[uint16]int)
 	c.conns = make(map[connKey]int)
-	c.nextSock = st.NextSock
-	c.isn = st.ISN
-	for _, ss := range st.Socks {
-		s := &sock{
-			ID: ss.ID, State: ss.State, LocalPort: ss.LocalPort,
-			Backlog: ss.Backlog, AcceptQ: append([]int(nil), ss.AcceptQ...),
-			Listener: ss.Listener, ctlBlock: mem.Addr(ss.CtlBlock),
-			Opts: ss.Opts,
+	c.nextSock, c.isn = nextSock, isn
+	for _, s := range socks {
+		c.socks[s.ID] = s
+		if s.m != nil {
+			st := &s.m.st
+			c.conns[connKey{Remote: st.Remote, RemotePort: st.RemotePort, LocalPort: st.LocalPort}] = s.ID
 		}
-		if s.Opts == nil {
-			s.Opts = map[int]int{}
-		}
-		if ss.HasMach {
-			s.m = Restore(ss.Machine, c.emit)
-			c.conns[connKey{Remote: ss.Machine.Remote, RemotePort: ss.Machine.RemotePort, LocalPort: ss.Machine.LocalPort}] = ss.ID
-		}
-		c.socks[ss.ID] = s
-		if ss.State == sockListening {
-			c.listens[ss.LocalPort] = ss.ID
+		if s.State == sockListening {
+			c.listens[s.LocalPort] = s.ID
 		}
 	}
 	return nil
