@@ -52,8 +52,6 @@ type Config struct {
 	// BootDelay is the out-of-simulation boot cost charged to a revived
 	// member's virtual clock. Zero takes the unikernel default (300ms).
 	BootDelay time.Duration
-	// MaxGossipRounds bounds GossipUntilQuiet. Default 64.
-	MaxGossipRounds int
 	// OnInstance, when set, is called for every assembled member (boots
 	// and revivals) before it starts — the hook campaigns use to attach
 	// flight recorders.
@@ -69,9 +67,6 @@ func (c Config) fill() Config {
 	}
 	if c.Core.MemorySize == 0 {
 		c.Core = core.DaSConfig()
-	}
-	if c.MaxGossipRounds == 0 {
-		c.MaxGossipRounds = 64
 	}
 	return c
 }
@@ -530,10 +525,13 @@ func (c *Cluster) GossipRound() (int, error) {
 	return delivered, nil
 }
 
+// maxGossipRounds bounds GossipUntilQuiet.
+const maxGossipRounds = 64
+
 // GossipUntilQuiet pumps rounds until one delivers nothing (the flood
-// converged) or MaxGossipRounds is hit. Returns the rounds pumped.
+// converged) or maxGossipRounds is hit. Returns the rounds pumped.
 func (c *Cluster) GossipUntilQuiet() (int, error) {
-	for r := 1; r <= c.cfg.MaxGossipRounds; r++ {
+	for r := 1; r <= maxGossipRounds; r++ {
 		n, err := c.GossipRound()
 		if err != nil {
 			return r, err
@@ -542,7 +540,7 @@ func (c *Cluster) GossipUntilQuiet() (int, error) {
 			return r, nil
 		}
 	}
-	return c.cfg.MaxGossipRounds, fmt.Errorf("cluster: gossip not quiet after %d rounds", c.cfg.MaxGossipRounds)
+	return maxGossipRounds, fmt.Errorf("cluster: gossip not quiet after %d rounds", maxGossipRounds)
 }
 
 // Isolate severs every link between member id and the rest: a network

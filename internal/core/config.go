@@ -51,12 +51,6 @@ type Config struct {
 	// observable behaviour is identical for every positive shard count,
 	// so Shards only decides how much real hardware the rounds may use.
 	Shards int
-	// ShardOf overrides the shard ordinal of named component groups.
-	// Groups default to ordinal 1 + registration index (application
-	// threads run on ordinal 0); groups that share mutable state outside
-	// the message-passing boundary must be given equal ordinals so they
-	// co-locate on one runner at every shard count.
-	ShardOf map[string]int
 	// LogShrinkThreshold triggers component log compaction when a log
 	// exceeds this many entries. The paper's default is 100.
 	LogShrinkThreshold int
@@ -70,14 +64,6 @@ type Config struct {
 	WatchdogPeriod time.Duration
 	// MemorySize is the guest address space size in bytes.
 	MemorySize int64
-	// DefaultHeapPages / DefaultDomainPages size component arenas when a
-	// descriptor leaves them zero. Both must be powers of two.
-	DefaultHeapPages   int
-	DefaultDomainPages int
-	// CallRetry is how many times a call interrupted by the target's
-	// reboot is transparently re-submitted (the fault model replays the
-	// same input once; a second failure is treated as deterministic).
-	CallRetry int
 	// MaxVirtualTime aborts the simulation when the virtual clock passes
 	// it — a backstop against livelocked experiments. Zero disables.
 	MaxVirtualTime time.Duration
@@ -135,8 +121,10 @@ const (
 	DefaultHangThreshold      = 1 * time.Second
 	DefaultWatchdogPeriod     = 100 * time.Millisecond
 	DefaultMemorySize         = 512 << 20
-	DefaultHeapPages          = 1024 // 4 MiB arenas
-	DefaultDomainPages        = 256  // 1 MiB message domains
+	// DefaultHeapPages and DefaultDomainPages size a component's arena
+	// and message domain when its descriptor leaves them zero.
+	DefaultHeapPages   = 1024 // 4 MiB arenas
+	DefaultDomainPages = 256  // 1 MiB message domains
 )
 
 // fill replaces zero fields with defaults.
@@ -155,15 +143,6 @@ func (c Config) fill() Config {
 	}
 	if c.MemorySize == 0 {
 		c.MemorySize = DefaultMemorySize
-	}
-	if c.DefaultHeapPages == 0 {
-		c.DefaultHeapPages = DefaultHeapPages
-	}
-	if c.DefaultDomainPages == 0 {
-		c.DefaultDomainPages = DefaultDomainPages
-	}
-	if c.CallRetry == 0 {
-		c.CallRetry = 1
 	}
 	if c.MaxVirtualTime == 0 {
 		c.MaxVirtualTime = 24 * time.Hour

@@ -162,7 +162,7 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 		if tr := rt.tracer; tr != nil {
 			tr.EndErr(pc.span, "aborted: target rebooted")
 		}
-		if attempt >= rt.cfg.CallRetry {
+		if attempt > 0 {
 			// The same input failed again: a deterministic bug. Try the
 			// registered multi-version fallback before fail-stopping.
 			if rt.trySwapFallback(c.th, tc) {

@@ -241,10 +241,10 @@ func (rt *Runtime) Register(c Component) error {
 		return fmt.Errorf("core: duplicate component %q", d.Name)
 	}
 	if d.HeapPages == 0 {
-		d.HeapPages = rt.cfg.DefaultHeapPages
+		d.HeapPages = DefaultHeapPages
 	}
 	if d.DomainPages == 0 {
-		d.DomainPages = rt.cfg.DefaultDomainPages
+		d.DomainPages = DefaultDomainPages
 	}
 	rec := &component{comp: c, desc: d, exports: c.Exports()}
 	if lp, ok := c.(LogPolicyProvider); ok {
@@ -335,14 +335,11 @@ func (rt *Runtime) buildGroups() error {
 		rt.nextKey++
 	}
 	// Shard ordinals: one per group by registration order (ordinal 0 is
-	// the application-thread shard), overridable per group. Ordinals are
-	// assigned even when Shards is off so the assignment itself never
-	// depends on the shard count.
+	// the application-thread shard). Ordinals are assigned even when
+	// Shards is off so the assignment itself never depends on the shard
+	// count.
 	for i, g := range rt.groups {
 		g.shard = i + 1
-		if n, ok := rt.cfg.ShardOf[g.name]; ok && n >= 0 {
-			g.shard = n
-		}
 	}
 	return nil
 }

@@ -37,8 +37,6 @@ type Config struct {
 	// AppHeapPages sizes the application arena (power of two). Zero
 	// means 65536 pages = 256 MiB, enough for the Redis workload.
 	AppHeapPages int
-	// PollInterval is the blocking-syscall poll period in virtual time.
-	PollInterval time.Duration
 	// BootDelay models the out-of-simulation part of a full reboot (VM
 	// teardown, firmware, kernel boot) in virtual time.
 	BootDelay time.Duration
@@ -53,9 +51,6 @@ func (c Config) fill() Config {
 	}
 	if c.AppHeapPages == 0 {
 		c.AppHeapPages = 65536
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 20 * time.Microsecond
 	}
 	if c.BootDelay == 0 {
 		c.BootDelay = 300 * time.Millisecond

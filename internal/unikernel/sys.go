@@ -80,10 +80,13 @@ func (s *Sys) GoHost(name string, fn func(t *sched.Thread)) *sched.Thread {
 // Sleep suspends the calling thread in virtual time.
 func (s *Sys) Sleep(d time.Duration) { s.ctx.Sleep(d) }
 
+// pollInterval is the blocking-syscall poll period in virtual time.
+const pollInterval = 20 * time.Microsecond
+
 // pollWait parks the thread until its next blocking-syscall retry. The
-// legacy scheduler sleeps a relative PollInterval. Under the sharded
+// legacy scheduler sleeps a relative pollInterval. Under the sharded
 // batons the deadline is instead rounded up to the next absolute
-// PollInterval grid point — timer coalescing, the same trick tickless
+// pollInterval grid point — timer coalescing, the same trick tickless
 // kernels use to batch wakeups. Threads polling concurrently then wake
 // at the same virtual instant, so their retry (and the handler work the
 // retry unblocks) lands in one wide parallel round instead of a
@@ -91,13 +94,12 @@ func (s *Sys) Sleep(d time.Duration) { s.ctx.Sleep(d) }
 // function of virtual time, so the schedule stays canonical at every
 // shard count.
 func (s *Sys) pollWait() {
-	p := s.inst.cfg.PollInterval
 	if s.inst.cfg.Core.Shards > 0 {
 		now := s.ctx.Elapsed()
-		s.ctx.Sleep(p - now%p)
+		s.ctx.Sleep(pollInterval - now%pollInterval)
 		return
 	}
-	s.ctx.Sleep(p)
+	s.ctx.Sleep(pollInterval)
 }
 
 // Now returns the current virtual time.
