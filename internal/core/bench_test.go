@@ -28,3 +28,25 @@ func benchCall(b *testing.B, cfg Config) {
 
 func BenchmarkCallDaS(b *testing.B)     { benchCall(b, DaSConfig()) }
 func BenchmarkCallVanilla(b *testing.B) { benchCall(b, VanillaConfig()) }
+
+// BenchmarkPendingNested times the pending table through four nested
+// calls, the shape of one echo_rtt hop chain: each is added in seq order,
+// looked up, and resolved innermost first.
+func BenchmarkPendingNested(b *testing.B) {
+	var p pendingTable
+	calls := make([]pendingCall, 4)
+	var seq uint64
+	for i := 0; i < b.N; i++ {
+		for j := range calls {
+			seq++
+			calls[j].seq = seq
+			p.add(&calls[j])
+		}
+		for j := len(calls) - 1; j >= 0; j-- {
+			if p.get(calls[j].seq) == nil {
+				b.Fatal("live call not found")
+			}
+			p.resolve(&calls[j])
+		}
+	}
+}

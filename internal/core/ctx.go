@@ -24,6 +24,9 @@ type Ctx struct {
 	// this context become its children. Zero when tracing is off or the
 	// context is outside any traced operation.
 	span trace.SpanID
+	// call is the slot every message call from this context reuses: its
+	// thread blocks in BlockCall until a call resolves, so one is enough.
+	call *pendingCall
 }
 
 // replayState drives one record's replay during encapsulated restoration.

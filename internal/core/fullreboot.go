@@ -36,11 +36,9 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 	if rt.cfg.MessagePassing {
 		// Fail everything in flight in seq order (deterministic caller
 		// wake order); queued mailbox work dies with it.
-		for _, pc := range rt.pendingInOrder() {
-			if !pc.done {
-				rt.finishCall(pc, nil, errnoString(ErrStopped))
-			}
-		}
+		rt.pending.each(func(pc *pendingCall) {
+			rt.finishCall(pc, nil, errnoString(ErrStopped))
+		})
 		rt.mq, rt.mqHead = nil, 0
 		for _, g := range rt.groups {
 			if g.worker != nil && g.worker.t.State() != sched.StateDone {

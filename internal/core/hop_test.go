@@ -4,12 +4,15 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"vampos/internal/msg"
 )
 
 // TestMessageCallAllocatesOnlyWhatItHandsOn: one DaS round trip of the
-// smallest call keeps a pendingCall for the caller, a Ctx for the handler
-// and the handler's own results; the queues, the codec scratch, the pulled
-// Message and the fault check add nothing.
+// smallest call allocates only the handler's results, which it hands to
+// the caller. The caller's call slot and the handler's Ctx are reused
+// through their owners; the queues, the codec scratch, the pulled Message
+// and the fault check add nothing.
 func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
 	allocs := -1.0
 	run(t, DaSConfig(), []Component{&statelessComp{name: "proc"}}, func(c *Ctx) {
@@ -20,8 +23,79 @@ func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
 			}
 		})
 	})
-	if allocs > 4 {
-		t.Fatalf("%v allocations per message-passing call, want at most 4", allocs)
+	if allocs > 1 {
+		t.Fatalf("%v allocations per message-passing call, want at most 1", allocs)
+	}
+}
+
+// lateReplier's "echo" crashes on its first execution and answers on the
+// retry. With late set, the retry first queues two replies to the crashed
+// attempt on the message thread, the way a late reply would arrive: one
+// on the caller's call slot, which the retry has since reused, and one
+// with no call at all.
+type lateReplier struct {
+	caller  *Ctx
+	late    bool
+	crashed uint64 // seq of the crashed attempt
+}
+
+func (l *lateReplier) Describe() Descriptor {
+	return Descriptor{Name: "late", HeapPages: 4, DomainPages: 4}
+}
+
+func (l *lateReplier) Init(*Ctx) error { return nil }
+
+func (l *lateReplier) Exports() map[string]Handler {
+	return map[string]Handler{
+		"echo": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+			if l.crashed == 0 {
+				l.crashed = ctx.comp.group.currentSeq
+				panic("injected crash in echo")
+			}
+			if l.late {
+				// Queued without a wake: the message thread meets them just
+				// before this attempt's own reply, so a dropped reply must
+				// leave the schedule and the clock exactly as they were.
+				rt := ctx.rt
+				rt.mq = append(rt.mq,
+					mqItem{kind: mqReply, pc: l.caller.call, seq: l.crashed, rets: msg.Args{"late"}},
+					mqItem{kind: mqReply, seq: l.crashed, rets: msg.Args{"orphan"}})
+			}
+			return args, nil
+		},
+	}
+}
+
+// TestLateReplyToReusedSlotIsDropped: a call that crashed is retried on
+// the same call slot, under a new seq. A reply to the crashed attempt, or
+// to no call at all, must neither resolve the retry nor charge anything:
+// the retried call completes with its own reply, at the same virtual time
+// as a run without the late replies.
+func TestLateReplyToReusedSlotIsDropped(t *testing.T) {
+	callOnce := func(late bool) (string, time.Duration) {
+		l := &lateReplier{late: late}
+		var got string
+		var at time.Duration
+		rt := run(t, DaSConfig(), []Component{l}, func(c *Ctx) {
+			l.caller = c
+			got, _ = mustCall(t, c, "late", "echo", "own").Str(0)
+			at = c.Elapsed()
+		})
+		if n := len(rt.Reboots()); n != 1 {
+			t.Fatalf("late=%v: %d reboots, want 1", late, n)
+		}
+		if l.caller.call.seq == l.crashed {
+			t.Fatalf("late=%v: the retry kept seq %d of the crashed attempt", late, l.crashed)
+		}
+		return got, at
+	}
+	wantRets, wantAt := callOnce(false)
+	gotRets, gotAt := callOnce(true)
+	if wantRets != "own" || gotRets != "own" {
+		t.Fatalf("retried call returned %q (%q without late replies), want %q", gotRets, wantRets, "own")
+	}
+	if gotAt != wantAt {
+		t.Fatalf("the late replies moved the virtual clock: call done at %v, %v without them", gotAt, wantAt)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vampos/internal/msg"
@@ -32,6 +33,72 @@ type pendingCall struct {
 	span trace.SpanID
 }
 
+// pendingTable holds the calls in flight in ascending seq order: handlePush
+// mints seqs in increasing order and appends. A resolved entry keeps its
+// place, with a nil pc, until one of the passes in resolve drops it, so
+// the slice stays within twice the live count however long a call is open.
+type pendingTable struct {
+	calls []pendingEntry
+	dead  int
+}
+
+type pendingEntry struct {
+	seq uint64
+	pc  *pendingCall // nil once resolved
+}
+
+func (p *pendingTable) add(pc *pendingCall) { p.calls = append(p.calls, pendingEntry{pc.seq, pc}) }
+
+// search returns the index of the first entry whose seq is at least seq.
+func (p *pendingTable) search(seq uint64) int {
+	lo, hi := 0, len(p.calls)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); p.calls[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// get returns the live call seq names, nil when it is resolved or unknown.
+func (p *pendingTable) get(seq uint64) *pendingCall {
+	if i := p.search(seq); i < len(p.calls) && p.calls[i].seq == seq {
+		return p.calls[i].pc
+	}
+	return nil
+}
+
+// resolve marks pc's entry resolved. Resolved entries at the tail go at
+// once, since nested calls resolve last in, first out; the rest go in one
+// pass once they are at least as many as the live ones.
+func (p *pendingTable) resolve(pc *pendingCall) {
+	if i := p.search(pc.seq); i < len(p.calls) && p.calls[i].pc == pc {
+		p.calls[i].pc = nil
+		p.dead++
+	}
+	for n := len(p.calls); n > 0 && p.calls[n-1].pc == nil; n-- {
+		p.calls, p.dead = p.calls[:n-1], p.dead-1
+	}
+	if p.dead > 0 && p.dead >= len(p.calls)-p.dead {
+		p.calls, p.dead = slices.DeleteFunc(p.calls, func(e pendingEntry) bool { return e.pc == nil }), 0
+	}
+}
+
+// each calls fn on every live call in ascending seq order, the order the
+// blocked callers must wake in (it feeds the run queue, which decides what
+// the log records next). fn may resolve calls: the walk resumes by seq.
+func (p *pendingTable) each(fn func(*pendingCall)) {
+	for i := 0; i < len(p.calls); {
+		e := p.calls[i]
+		if e.pc != nil {
+			fn(e.pc)
+		}
+		i = p.search(e.seq + 1)
+	}
+}
+
 // mqKind selects the message-thread work item type.
 type mqKind uint8
 
@@ -51,7 +118,7 @@ type mqItem struct {
 	errStr string
 	grp    *group     // mqFailure, mqTamper, mqBreach
 	comp   *component // mqTamper: victim; mqBreach: offender
-	seq    uint64     // mqFailure: seq in flight; mqTamper: taint watermark
+	seq    uint64     // mqReply, mqFailure: seq in flight; mqTamper: taint watermark
 	reason string     // mqFailure: panic value; mqTamper: detector name
 }
 
@@ -133,12 +200,16 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 	if c.comp != nil {
 		fromGrp = c.comp.group
 	}
+	if c.call == nil {
+		c.call = new(pendingCall)
+	}
+	pc := c.call
 	for attempt := 0; ; attempt++ {
-		// The call's sequence number and pending-map entry are assigned
+		// The call's sequence number and pending-table entry are assigned
 		// by the message thread in handlePush: callers may be executing
 		// on different shards concurrently, and the conductor-side queue
 		// drain is the one place with a canonical order.
-		pc := &pendingCall{
+		*pc = pendingCall{
 			from: c.callerName(), fromGrp: fromGrp,
 			to: tc, fn: fn, args: args, caller: c.th,
 		}
@@ -253,7 +324,11 @@ func (rt *Runtime) msgLoop(t *sched.Thread) {
 		case mqPush:
 			rt.handlePush(it.pc)
 		case mqReply:
-			rt.handleReply(it.pc, it.rets, it.errStr)
+			// A reply to a call already resolved (failed by a detection, or
+			// an earlier attempt of a reused slot) is dropped uncharged.
+			if pc := it.pc; pc != nil && !pc.done && pc.seq == it.seq {
+				rt.handleReply(pc, it.rets, it.errStr)
+			}
 		case mqFailure:
 			rt.handleFailure(it.grp, it.seq, it.reason)
 		case mqTamper:
@@ -272,7 +347,7 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 	// it assigns exactly the values the caller-side increment used to.
 	rt.nextSeq++
 	pc.seq = rt.nextSeq
-	rt.pending[pc.seq] = pc
+	rt.pending.add(pc)
 	rt.stats.messages.Add(1)
 	rt.charge(rt.costs.MessagePush)
 	if rt.loggingWanted(pc.to, pc.fn) {
@@ -352,9 +427,9 @@ func (rt *Runtime) finishCall(pc *pendingCall, rets msg.Args, errStr string) {
 	pc.rets = rets
 	pc.errStr = errStr
 	pc.done = true
-	// The pending map is conductor-owned; remove the entry here rather
+	// The pending table is conductor-owned; resolve the entry here rather
 	// than on the caller's thread (which may park on another shard).
-	delete(rt.pending, pc.seq)
+	rt.pending.resolve(pc)
 	if pc.noReply || pc.caller == nil || pc.caller.State() == sched.StateDone {
 		// Nobody will wake to close the call span; close it here.
 		if tr := rt.tracer; tr != nil {

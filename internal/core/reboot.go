@@ -132,9 +132,8 @@ func (rt *Runtime) watchdogLoop(t *sched.Thread) {
 // blocked, not hung: the watchdog must attribute the hang to the
 // deepest busy group only.
 func (rt *Runtime) awaitingDownstream(g *group) bool {
-	//vampos:allow detrange -- pure existence test: any-match over the pending set is the same boolean in every iteration order, and nothing else runs in the body
-	for _, pc := range rt.pending {
-		if !pc.done && pc.fromGrp == g && pc.to.group != g {
+	for _, e := range rt.pending.calls {
+		if pc := e.pc; pc != nil && pc.fromGrp == g && pc.to.group != g {
 			return true
 		}
 	}

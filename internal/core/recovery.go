@@ -151,11 +151,11 @@ func (rt *Runtime) failStop(g *group, why string) {
 	if g.rec != nil {
 		g.rec.end(rt.tracer, g, why, why)
 	}
-	for _, pc := range rt.pendingInOrder() {
-		if !pc.done && pc.to.group == g {
+	rt.pending.each(func(pc *pendingCall) {
+		if pc.to.group == g {
 			rt.finishCall(pc, nil, errnoString(ErrComponentFailed))
 		}
-	}
+	})
 	rt.notifyFailStop(g)
 }
 
@@ -166,7 +166,7 @@ func (rt *Runtime) failStop(g *group, why string) {
 // retryably with its half-written log record discarded. It returns the
 // span the recovery hangs off and the failed call, for session attribution.
 func (rt *Runtime) detect(victim *component, seq uint64, event, detail, observed string) (parent trace.SpanID, fn string, args msg.Args) {
-	pc := rt.pending[seq]
+	pc := rt.pending.get(seq)
 	if pc != nil {
 		victim, parent = pc.to, pc.span
 	}
@@ -250,7 +250,7 @@ func (rt *Runtime) recoverGroup(t *sched.Thread, g *group) bool {
 		rt.stats.failedRestores.Add(1)
 		// The flag flips are polled by blocked callers on other shards,
 		// and failing the pending calls wakes them and mutates the
-		// conductor-owned pending map; from a round slice all of it must
+		// conductor-owned pending table; from a round slice all of it must
 		// land at commit, in merge order.
 		t.Do(func() { rt.failStop(g, "restore failed: "+err.Error()) })
 		return false

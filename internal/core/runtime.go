@@ -81,7 +81,7 @@ type Runtime struct {
 	// block and msgLoop rewinds both there.
 	mq      []mqItem
 	mqHead  int
-	pending map[uint64]*pendingCall
+	pending pendingTable
 	nextSeq uint64
 
 	booted  bool
@@ -151,7 +151,6 @@ func NewRuntime(cfg Config) *Runtime {
 		memry:   m,
 		comps:   make(map[string]*component),
 		nextKey: keyFirstComp,
-		pending: make(map[uint64]*pendingCall),
 	}
 	if cfg.Microreboot {
 		rt.sessions = microreboot.NewRegistry(clk.Elapsed)

@@ -9,31 +9,42 @@ import (
 )
 
 // These tests pin the three sites the sharded-baton audit found to be
-// leaning on single-baton assumptions: pendingInOrder's wake ordering,
+// leaning on single-baton assumptions: the pending walk's wake ordering,
 // the watchdog's hang attribution across a cross-shard call chain, and
 // the trace recorder's canonical ordering when events are emitted from
 // concurrent round slices.
 
-// TestPendingInOrderAscendingSeq: rt.pending is a map, and Go's map
-// iteration order varies per process run. Resolution order decides the
-// order blocked callers wake in — which feeds the run queue, which
-// decides what the log records next — so pendingInOrder must return
-// strictly ascending seq regardless of insertion order.
+// TestPendingInOrderAscendingSeq: resolution order decides the order
+// blocked callers wake in — which feeds the run queue, which decides what
+// the log records next — so the pending walk must visit the live calls in
+// strictly ascending seq, whatever order earlier calls resolved in and
+// even when the walk itself resolves them.
 func TestPendingInOrderAscendingSeq(t *testing.T) {
-	rt := &Runtime{pending: make(map[uint64]*pendingCall)}
-	seqs := []uint64{9, 2, 31, 7, 1, 30, 4, 18}
-	for _, seq := range seqs {
-		rt.pending[seq] = &pendingCall{seq: seq}
+	var p pendingTable
+	calls := make(map[uint64]*pendingCall)
+	for seq := uint64(1); seq <= 31; seq++ {
+		calls[seq] = &pendingCall{seq: seq}
+		p.add(calls[seq])
 	}
-	got := rt.pendingInOrder()
-	if len(got) != len(seqs) {
-		t.Fatalf("pendingInOrder returned %d calls, want %d", len(got), len(seqs))
+	for _, seq := range []uint64{9, 2, 31, 7, 1, 30, 4, 18} {
+		p.resolve(calls[seq])
+	}
+	var got []uint64
+	p.each(func(pc *pendingCall) {
+		got = append(got, pc.seq)
+		p.resolve(pc)
+	})
+	if len(got) != 31-8 {
+		t.Fatalf("the walk visited %d calls, want %d", len(got), 31-8)
 	}
 	for i := 1; i < len(got); i++ {
-		if got[i-1].seq >= got[i].seq {
-			t.Fatalf("pendingInOrder not strictly ascending at %d: %d then %d",
-				i, got[i-1].seq, got[i].seq)
+		if got[i-1] >= got[i] {
+			t.Fatalf("the walk is not strictly ascending at %d: %d then %d",
+				i, got[i-1], got[i])
 		}
+	}
+	if len(p.calls) != 0 {
+		t.Fatalf("%d entries left after every call resolved", len(p.calls))
 	}
 }
 

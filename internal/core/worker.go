@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"vampos/internal/mem"
 	"vampos/internal/msg"
@@ -20,6 +19,9 @@ type workerThread struct {
 	initDone  map[*component]bool
 	initErr   map[*component]error
 	restore   bool
+	// ctx is the context every message handler on this thread runs on,
+	// reset per message: no handler keeps its ctx past returning.
+	ctx Ctx
 }
 
 // spawnWorker creates (or re-creates, to run a recovery) a group's thread.
@@ -71,7 +73,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 			continue
 		}
 		t.Charge(rt.costs.MessagePull)
-		if !rt.execMessage(t, g, m) {
+		if !rt.execMessage(w, m) {
 			return // component crashed; the message thread takes over
 		}
 		// The call completed and its reply was submitted: the group is
@@ -87,17 +89,18 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 
 // execMessage runs one inbound call and submits its reply. It returns
 // false when the handler panicked and the worker thread must die.
-func (rt *Runtime) execMessage(t *sched.Thread, g *group, m msg.Message) bool {
+func (rt *Runtime) execMessage(w *workerThread, m msg.Message) bool {
+	t, g := w.t, w.g
 	c := g.member(m.To)
 	if c == nil {
 		// Message addressed to a component not in this group: domain
 		// bookkeeping is broken, which only a core bug can cause.
 		panic(fmt.Sprintf("core: group %s received message for %q", g.name, m.To))
 	}
-	pc := rt.pending[m.Seq]
+	pc := rt.pending.get(m.Seq)
 	h, ok := c.exports[m.Fn]
 	if !ok {
-		rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, errStr: errnoString(&UnknownFunctionError{Component: m.To, Fn: m.Fn})})
+		rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, seq: m.Seq, errStr: errnoString(&UnknownFunctionError{Component: m.To, Fn: m.Fn})})
 		return true
 	}
 	g.currentSeq = m.Seq
@@ -106,7 +109,8 @@ func (rt *Runtime) execMessage(t *sched.Thread, g *group, m msg.Message) bool {
 		g.curRec = pc.rec
 		g.curLog = c.domain.Log()
 	}
-	ctx := &Ctx{rt: rt, comp: c, th: t}
+	ctx := &w.ctx
+	*ctx = Ctx{rt: rt, comp: c, th: t, call: ctx.call}
 	var parent trace.SpanID
 	if pc != nil {
 		parent = pc.span
@@ -150,7 +154,7 @@ func (rt *Runtime) execMessage(t *sched.Thread, g *group, m msg.Message) bool {
 		c.errs.Add(1)
 	}
 	c.busyV.Add(int64(t.Elapsed() - g.busySinceV))
-	rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, rets: rets, errStr: errnoString(err)})
+	rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, seq: m.Seq, rets: rets, errStr: errnoString(err)})
 	if watchFaults && t.Accessor().Faults() > faultsBefore {
 		// The handler raised protection faults: a PKRU-misuse attempt,
 		// confined by interposition but evidence of compromise. The reply
@@ -191,22 +195,4 @@ func capturePanic(pv *any, panicked *bool) {
 		}
 		*pv, *panicked = r, true
 	}
-}
-
-// pendingInOrder returns the outstanding calls in ascending seq order.
-// rt.pending is a map: resolving calls in its iteration order would
-// wake the blocked callers in a different order every process run,
-// and the wake order feeds the scheduler's run queue — which decides
-// what the log records next.
-func (rt *Runtime) pendingInOrder() []*pendingCall {
-	seqs := make([]uint64, 0, len(rt.pending))
-	for seq := range rt.pending {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	out := make([]*pendingCall, len(seqs))
-	for i, seq := range seqs {
-		out[i] = rt.pending[seq]
-	}
-	return out
 }
