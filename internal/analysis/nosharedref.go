@@ -11,8 +11,9 @@ import (
 // sender's pages — tunnelling under the simulated MPK wall in
 // internal/mem — and would make the function-call log unreplayable
 // (the log stores the encoded copy; the reference's pointee keeps
-// mutating). []byte is permitted because the msg codec copies it on
-// both encode and decode.
+// mutating). []byte is permitted because it crosses as bytes: encoding
+// copies it into the caller's call slot, and the handler's
+// msg.Encoded.Bytes copies it out again.
 var NoSharedRef = &Analyzer{
 	Name: "nosharedref",
 	Doc: "msg.Args payloads must be values the codec copies (nil, bool, ints, " +

@@ -16,7 +16,7 @@ func (comp) Exports() map[string]core.Handler { return nil }
 
 // bad bypasses the interposition layer.
 func bad(ctx *core.Ctx, h core.Handler) {
-	_, _ = h(ctx, msg.Args{}) // want `direct core\.Handler invocation`
+	_, _ = h(ctx, msg.Encoded{}) // want `direct core\.Handler invocation`
 	var c comp
 	_ = c.Init(ctx) // want `direct Init call on a core\.Component`
 	_ = c.Exports() // want `direct Exports call on a core\.Component`

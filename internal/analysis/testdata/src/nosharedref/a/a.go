@@ -37,7 +37,7 @@ func forwarded(ctx *core.Ctx, args msg.Args) {
 }
 
 // handler returns a reference out of a core.Handler body.
-var handler core.Handler = func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+var handler core.Handler = func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	p := new(int)
 	return msg.Args{p}, nil // want `pointer \(\*int\)`
 }

@@ -308,7 +308,7 @@ func (g *Comp) Exports() map[string]core.Handler {
 		// gsp_put(key string, val []byte, deleted bool) -> (delta []byte)
 		// Local write: bump the clock past everything seen for the key,
 		// install, and queue the delta for every peer.
-		"gsp_put": func(_ *core.Ctx, args msg.Args) (msg.Args, error) {
+		"gsp_put": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			key, err := args.Str(0)
 			if err != nil {
 				return nil, err
@@ -343,7 +343,7 @@ func (g *Comp) Exports() map[string]core.Handler {
 		// Merge incoming entries; winners re-flood to every peer except
 		// the sender (stale deltas lose the merge and stop propagating,
 		// which is what makes flooding converge).
-		"gsp_apply": func(_ *core.Ctx, args msg.Args) (msg.Args, error) {
+		"gsp_apply": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			payload, err := args.Bytes(0)
 			if err != nil {
 				return nil, err
@@ -368,7 +368,7 @@ func (g *Comp) Exports() map[string]core.Handler {
 		// gsp_drain(peer int) -> (payload []byte, n int)
 		// Hand the pending deltas for one peer to the coordinator wire
 		// and clear the queue.
-		"gsp_drain": func(_ *core.Ctx, args msg.Args) (msg.Args, error) {
+		"gsp_drain": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			peer, err := args.Int(0)
 			if err != nil {
 				return nil, err
@@ -385,7 +385,7 @@ func (g *Comp) Exports() map[string]core.Handler {
 		// Read one key's current entry (n=0 when absent). Read-only, not
 		// logged: the coordinator's targeted lookup for quorum reads and
 		// for repairing a stale owner after a rejected write delta.
-		"gsp_get": func(_ *core.Ctx, args msg.Args) (msg.Args, error) {
+		"gsp_get": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			key, err := args.Str(0)
 			if err != nil {
 				return nil, err
@@ -399,7 +399,7 @@ func (g *Comp) Exports() map[string]core.Handler {
 		// gsp_state() -> (payload []byte, n int)
 		// Canonical full-state snapshot, sorted by key: the anti-entropy
 		// payload for joiners and the byte-comparable convergence digest.
-		"gsp_state": func(_ *core.Ctx, args msg.Args) (msg.Args, error) {
+		"gsp_state": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			entries := make([]Entry, 0, len(g.table))
 			for _, e := range g.table {
 				entries = append(entries, e)
@@ -408,7 +408,7 @@ func (g *Comp) Exports() map[string]core.Handler {
 			return msg.Args{EncodeEntries(entries), len(entries)}, nil
 		},
 		// gsp_stats() -> (puts, applies, accepted, rejected, drains)
-		"gsp_stats": func(_ *core.Ctx, args msg.Args) (msg.Args, error) {
+		"gsp_stats": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			return msg.Args{g.puts, g.applies, g.accepted, g.rejected, g.drains}, nil
 		},
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vampos/internal/core"
 	"vampos/internal/msg"
 )
 
@@ -159,12 +160,22 @@ func TestPutRefusesOversizedKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	put := g.Exports()["gsp_put"]
-	if _, err := put(nil, msg.Args{strings.Repeat("k", MaxKeyLen+1), []byte("v"), false}); err == nil {
+	if _, err := invoke(t, put, strings.Repeat("k", MaxKeyLen+1), []byte("v"), false); err == nil {
 		t.Fatal("oversized key accepted")
 	}
-	if _, err := put(nil, msg.Args{strings.Repeat("k", MaxKeyLen), []byte("v"), false}); err != nil {
+	if _, err := invoke(t, put, strings.Repeat("k", MaxKeyLen), []byte("v"), false); err != nil {
 		t.Fatalf("max-length key refused: %v", err)
 	}
+}
+
+// invoke runs an export on the encoding of args, as a direct call does.
+func invoke(t *testing.T, h core.Handler, args ...any) (msg.Args, error) {
+	t.Helper()
+	enc, err := msg.AppendArgs(nil, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h(nil, enc)
 }
 
 // TestGetExport: gsp_get returns the key's current entry (n=1) or an
@@ -175,10 +186,10 @@ func TestGetExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := g.Exports()
-	if _, err := exp["gsp_put"](nil, msg.Args{"k", []byte("v"), false}); err != nil {
+	if _, err := invoke(t, exp["gsp_put"], "k", []byte("v"), false); err != nil {
 		t.Fatal(err)
 	}
-	rets, err := exp["gsp_get"](nil, msg.Args{"k"})
+	rets, err := invoke(t, exp["gsp_get"], "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +198,7 @@ func TestGetExport(t *testing.T) {
 	if err != nil || len(entries) != 1 || entries[0].Key != "k" || string(entries[0].Val) != "v" {
 		t.Fatalf("gsp_get(k) -> %+v (err=%v)", entries, err)
 	}
-	rets, err = exp["gsp_get"](nil, msg.Args{"absent"})
+	rets, err = invoke(t, exp["gsp_get"], "absent")
 	if err != nil {
 		t.Fatal(err)
 	}

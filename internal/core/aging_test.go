@@ -28,7 +28,7 @@ func (l *leakComp) Init(*Ctx) error { return nil }
 
 func (l *leakComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"work": func(ctx *Ctx, _ msg.Args) (msg.Args, error) {
+		"work": func(ctx *Ctx, _ msg.Encoded) (msg.Args, error) {
 			if l.leakEach > 0 {
 				if _, err := ctx.Heap().Alloc(l.leakEach); err != nil {
 					return nil, err

@@ -5,7 +5,10 @@ import "testing"
 // benchCall times the smallest call — no arguments, one small result, no
 // logging — from an application thread: under DaS one full message round
 // trip (Fig. 5's getpid), under vanilla the direct call it replaces.
-func benchCall(b *testing.B, cfg Config) {
+func benchCall(b *testing.B, cfg Config) { benchCallArgs(b, cfg, "pid") }
+
+// benchCallArgs times the call fn with args, as benchCall does.
+func benchCallArgs(b *testing.B, cfg Config, fn string, args ...any) {
 	rt := NewRuntime(cfg)
 	if err := rt.Register(&statelessComp{name: "proc"}); err != nil {
 		b.Fatal(err)
@@ -14,7 +17,7 @@ func benchCall(b *testing.B, cfg Config) {
 	err := rt.Run(func(c *Ctx) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Call("proc", "pid"); err != nil {
+			if _, err := c.Call("proc", fn, args...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -28,6 +31,13 @@ func benchCall(b *testing.B, cfg Config) {
 
 func BenchmarkCallDaS(b *testing.B)     { benchCall(b, DaSConfig()) }
 func BenchmarkCallVanilla(b *testing.B) { benchCall(b, VanillaConfig()) }
+
+// BenchmarkCallDaSArgs is BenchmarkCallDaS with arguments: an int too
+// large for the runtime's static boxes and a 64-byte payload, which cross
+// the hop as bytes.
+func BenchmarkCallDaSArgs(b *testing.B) {
+	benchCallArgs(b, DaSConfig(), "echo", 4096, make([]byte, 64))
+}
 
 // BenchmarkPendingNested times the pending table through four nested
 // calls, the shape of one echo_rtt hop chain: each is added in seq order,

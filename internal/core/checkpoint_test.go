@@ -168,7 +168,7 @@ func (d *nondetComp) Init(*Ctx) error { return nil }
 
 func (d *nondetComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"bump": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+		"bump": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 			if d.crash {
 				d.crash = false
 				panic("injected crash in bump")
@@ -181,7 +181,7 @@ func (d *nondetComp) Exports() map[string]Handler {
 
 func (d *nondetComp) LogPolicies() map[string]LogPolicy {
 	return map[string]LogPolicy{
-		"bump": {Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"bump": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
 			return "", msg.ClassDurable
 		}},
 	}

@@ -14,8 +14,11 @@ import (
 
 // Handler is one function a component exposes at its interface. Handlers
 // run on the component's thread (or on the caller's thread in vanilla /
-// merged configurations) and must not retain args past their return.
-type Handler func(ctx *Ctx, args msg.Args) (msg.Args, error)
+// merged configurations). args is the call's encoding in a buffer its
+// owner reuses once the handler returns — the worker's pull buffer, the
+// caller's slot on a direct call, the log's copy on replay — so a handler
+// keeps only what its accessors return, never args itself.
+type Handler func(ctx *Ctx, args msg.Encoded) (msg.Args, error)
 
 // Descriptor declares a component's static properties to the runtime.
 type Descriptor struct {
@@ -76,9 +79,10 @@ type ColdResetter interface {
 // encapsulated restoration.
 type LogPolicy struct {
 	// Classify maps a completed call to its session and shrink class.
-	// It sees the arguments, results and transported error. A nil
+	// It runs on the message thread and sees the encoded arguments, still
+	// in the caller's slot, the results and the transported error. A nil
 	// Classify logs the call as durable with no session.
-	Classify func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class)
+	Classify func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class)
 	// KeepFailed retains records of calls that returned an error. The
 	// default (false) drops them: a failed call changed no state, and
 	// polling patterns (EAGAIN accept/recv) would otherwise flood the log.
@@ -103,8 +107,9 @@ type LogPolicyProvider interface {
 type SessionResolver interface {
 	// SessionOf returns the session an inbound call touches, or "" when
 	// the call is not session-scoped (or the session is not derivable
-	// from the arguments).
-	SessionOf(fn string, args msg.Args) msg.SessionID
+	// from the arguments). args is the failed call's encoding, read in
+	// place; SessionOf must not retain it.
+	SessionOf(fn string, args msg.Encoded) msg.SessionID
 	// SessionFns lists the exported functions whose session is derivable
 	// from arguments — the component's per-session fault sites. Must be
 	// a subset of Exports.
@@ -137,12 +142,12 @@ type Compactor interface {
 // numbers. The component pushes updates with Ctx.SaveRuntimeState; after
 // replay the reboot manager hands the latest value to InstallRuntimeState.
 type RuntimeKeeper interface {
-	InstallRuntimeState(ctx *Ctx, state msg.Args) error
+	InstallRuntimeState(ctx *Ctx, state []byte) error
 }
 
 // Durable is the classification for calls that stay in the log until
 // their session disappears. Exported so component policies read naturally.
-func Durable(msg.Args, msg.Args, error) (msg.SessionID, msg.Class) {
+func Durable(msg.Encoded, msg.Args, error) (msg.SessionID, msg.Class) {
 	return "", msg.ClassDurable
 }
 
@@ -160,7 +165,7 @@ type component struct {
 	domain    *msg.Domain
 
 	checkpoint   *checkpoint
-	runtimeState msg.Args
+	runtimeState []byte
 
 	// tracker carries the incremental-checkpoint cadence and statistics;
 	// nil for components that are not checkpoint-eligible or when the

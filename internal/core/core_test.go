@@ -54,7 +54,7 @@ func (k *kvComp) Exports() map[string]Handler {
 	}
 }
 
-func (k *kvComp) put(ctx *Ctx, args msg.Args) (msg.Args, error) {
+func (k *kvComp) put(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 	key, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -87,7 +87,7 @@ func (k *kvComp) put(ctx *Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{len(k.data)}, nil
 }
 
-func (k *kvComp) get(ctx *Ctx, args msg.Args) (msg.Args, error) {
+func (k *kvComp) get(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 	key, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func (k *kvComp) get(ctx *Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{v}, nil
 }
 
-func (k *kvComp) del(ctx *Ctx, args msg.Args) (msg.Args, error) {
+func (k *kvComp) del(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 	key, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -108,7 +108,7 @@ func (k *kvComp) del(ctx *Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (k *kvComp) echo(ctx *Ctx, args msg.Args) (msg.Args, error) {
+func (k *kvComp) echo(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 	s, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -118,7 +118,7 @@ func (k *kvComp) echo(ctx *Ctx, args msg.Args) (msg.Args, error) {
 
 func (k *kvComp) LogPolicies() map[string]LogPolicy {
 	bySessionKey := func(class msg.Class) LogPolicy {
-		return LogPolicy{Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		return LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
 			key, err := args.Str(0)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -182,8 +182,16 @@ func (s *statelessComp) Init(*Ctx) error {
 
 func (s *statelessComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"pid": func(*Ctx, msg.Args) (msg.Args, error) {
+		"pid": func(*Ctx, msg.Encoded) (msg.Args, error) {
 			return msg.Args{4242}, nil
+		},
+		// echo reads its first argument in place and answers with the
+		// size of the encoding it was handed.
+		"echo": func(_ *Ctx, args msg.Encoded) (msg.Args, error) {
+			if _, err := args.Int(0); err != nil {
+				return nil, err
+			}
+			return msg.Args{len(args)}, nil
 		},
 	}
 }
@@ -350,7 +358,7 @@ func (d *detCrasher) Describe() Descriptor {
 func (d *detCrasher) Init(*Ctx) error { return nil }
 func (d *detCrasher) Exports() map[string]Handler {
 	return map[string]Handler{
-		"boom": func(*Ctx, msg.Args) (msg.Args, error) { panic("deterministic") },
+		"boom": func(*Ctx, msg.Encoded) (msg.Args, error) { panic("deterministic") },
 	}
 }
 
@@ -485,7 +493,7 @@ func (e *countingEcho) Describe() Descriptor {
 func (e *countingEcho) Init(*Ctx) error { return nil }
 func (e *countingEcho) Exports() map[string]Handler {
 	return map[string]Handler{
-		"echo": func(_ *Ctx, args msg.Args) (msg.Args, error) {
+		"echo": func(_ *Ctx, args msg.Encoded) (msg.Args, error) {
 			e.calls++
 			s, err := args.Str(0)
 			if err != nil {

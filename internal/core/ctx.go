@@ -27,6 +27,10 @@ type Ctx struct {
 	// call is the slot every message call from this context reuses: its
 	// thread blocks in BlockCall until a call resolves, so one is enough.
 	call *pendingCall
+	// args holds the encoding of the context's current call, for the same
+	// reason reused by every call: the slot's arguments while a message
+	// call is in flight, the handler's on a direct call.
+	args msg.Encoded
 }
 
 // replayState drives one record's replay during encapsulated restoration.
@@ -145,8 +149,9 @@ func (c *Ctx) goShard(name string, shard int, fn func(*Ctx)) *sched.Thread {
 // replaces the previous state; the reboot manager hands the latest value
 // to RuntimeKeeper.InstallRuntimeState after replay. Calls made during
 // replay are ignored so restoration cannot clobber the very state it is
-// restoring from.
-func (c *Ctx) SaveRuntimeState(state msg.Args) {
+// restoring from. The runtime keeps state, not a copy: the component must
+// not change it before the next save.
+func (c *Ctx) SaveRuntimeState(state []byte) {
 	if c.comp == nil || c.replay != nil {
 		return
 	}

@@ -225,7 +225,7 @@ func (b *breachComp) Init(*Ctx) error {
 
 func (b *breachComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"poke": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+		"poke": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 			addr, err := args.Uint64(0)
 			if err != nil {
 				return nil, err
@@ -235,7 +235,7 @@ func (b *breachComp) Exports() map[string]Handler {
 			}
 			return nil, nil
 		},
-		"ping": func(*Ctx, msg.Args) (msg.Args, error) {
+		"ping": func(*Ctx, msg.Encoded) (msg.Args, error) {
 			return msg.Args{"pong"}, nil
 		},
 	}
@@ -341,14 +341,14 @@ func (a *arenaKV) Init(ctx *Ctx) error {
 	return nil
 }
 
-func (a *arenaKV) slot(args msg.Args) (mem.Addr, error) {
+func (a *arenaKV) slot(args msg.Encoded) (mem.Addr, error) {
 	i, err := args.Int(0)
 	return a.base + mem.Addr(i)*mem.PageSize, err
 }
 
 func (a *arenaKV) Exports() map[string]Handler {
 	return map[string]Handler{
-		"put": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+		"put": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 			at, err := a.slot(args)
 			if err != nil {
 				return nil, err
@@ -365,7 +365,7 @@ func (a *arenaKV) Exports() map[string]Handler {
 			copy(buf, val)
 			return nil, ctx.Mem().Write(at, buf)
 		},
-		"get": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+		"get": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 			at, err := a.slot(args)
 			if err != nil {
 				return nil, err

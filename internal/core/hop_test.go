@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +29,89 @@ func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
 	}
 }
 
+// TestMessageCallWithArgsAllocatesOnlyWhatItHandsOn: arguments cross the
+// hop as bytes — encoded into the caller's slot, copied into the mailbox,
+// pulled into the worker's buffer, read in place — so a call with an int
+// too large for the runtime's static boxes and a []byte allocates no more
+// than the argumentless one: the handler's results.
+func TestMessageCallWithArgsAllocatesOnlyWhatItHandsOn(t *testing.T) {
+	allocs := -1.0
+	payload := make([]byte, 64)
+	run(t, DaSConfig(), []Component{&statelessComp{name: "proc"}}, func(c *Ctx) {
+		mustCall(t, c, "proc", "echo", 4096, payload)
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := c.Call("proc", "echo", 4096, payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	if allocs > 1 {
+		t.Fatalf("%v allocations per message-passing call with arguments, want at most 1", allocs)
+	}
+}
+
+// TestInjectAllocatesOnlyItsCall: an injection's small arguments ride in
+// the one allocation that carries the call to the message thread.
+func TestInjectAllocatesOnlyItsCall(t *testing.T) {
+	allocs := -1.0
+	irq := []byte("irq")
+	run(t, DaSConfig(), []Component{&statelessComp{name: "proc"}}, func(c *Ctx) {
+		inject := func() {
+			if err := c.rt.Inject(c, "proc", "echo", 7, irq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Grow the message queue past the measured burst first.
+		for i := 0; i < 120; i++ {
+			inject()
+		}
+		c.Sleep(time.Millisecond)
+		allocs = testing.AllocsPerRun(100, inject)
+		c.Sleep(time.Millisecond)
+	})
+	if allocs != 1 {
+		t.Fatalf("%v allocations per injection, want 1", allocs)
+	}
+}
+
+// TestUnencodableArgumentFailsBeforeTheHop: an argument the codec cannot
+// encode fails Call and Inject with the codec's error in every
+// configuration, before anything is charged, submitted or logged. It used
+// to reach a DaS caller as ENOSPC from the message thread, and a vanilla
+// handler as the raw value.
+func TestUnencodableArgumentFailsBeforeTheHop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"das", DaSConfig()}, {"vanilla", VanillaConfig()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, tc.cfg, []Component{&kvComp{name: "kv"}}, func(c *Ctx) {
+				mustCall(t, c, "kv", "put", "a", "1")
+				lg := c.rt.comps["kv"].domain.Log()
+				at, stats, logged := c.Elapsed(), c.rt.Stats(), lg.Stats().Appended
+				for what, err := range map[string]error{
+					"Call":   func() error { _, err := c.Call("kv", "put", "b", struct{}{}); return err }(),
+					"Inject": c.rt.Inject(c, "kv", "put", "c", float32(1)),
+				} {
+					if err == nil || !strings.Contains(err.Error(), "unsupported kind") || strings.Contains(err.Error(), "ENOSPC") {
+						t.Errorf("%s with an unencodable argument: %v, want the codec's error", what, err)
+					}
+				}
+				if got := c.Elapsed(); got != at {
+					t.Errorf("the failed calls moved the virtual clock from %v to %v", at, got)
+				}
+				c.Sleep(time.Millisecond) // anything submitted would land now
+				if got := c.rt.Stats(); got != stats {
+					t.Errorf("runtime counters moved: %+v, then %+v", stats, got)
+				}
+				if got := lg.Stats().Appended; got != logged {
+					t.Errorf("%d log records appended by the failed calls", got-logged)
+				}
+			})
+		})
+	}
+}
+
 // lateReplier's "echo" crashes on its first execution and answers on the
 // retry. With late set, the retry first queues two replies to the crashed
 // attempt on the message thread, the way a late reply would arrive: one
@@ -47,7 +131,7 @@ func (l *lateReplier) Init(*Ctx) error { return nil }
 
 func (l *lateReplier) Exports() map[string]Handler {
 	return map[string]Handler{
-		"echo": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+		"echo": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 			if l.crashed == 0 {
 				l.crashed = ctx.comp.group.currentSeq
 				panic("injected crash in echo")
@@ -61,7 +145,7 @@ func (l *lateReplier) Exports() map[string]Handler {
 					mqItem{kind: mqReply, pc: l.caller.call, seq: l.crashed, rets: msg.Args{"late"}},
 					mqItem{kind: mqReply, seq: l.crashed, rets: msg.Args{"orphan"}})
 			}
-			return args, nil
+			return msg.DecodeArgs(args)
 		},
 	}
 }

@@ -17,7 +17,7 @@ type pendingCall struct {
 	fromGrp *group // nil for application callers
 	to      *component
 	fn      string
-	args    msg.Args
+	args    msg.Encoded // in the caller's Ctx.args, or the injection's buf
 	caller  *sched.Thread
 	rec     *msg.Record // inbound log record, nil when not logged
 
@@ -31,6 +31,14 @@ type pendingCall struct {
 	// with a thread close it on wake-up; finishCall closes it for
 	// fire-and-forget injections.
 	span trace.SpanID
+}
+
+// injection is a fire-and-forget call together with its argument bytes:
+// nobody waits on it, so it cannot borrow a caller's slot, and small
+// arguments ride in the one allocation.
+type injection struct {
+	pc  pendingCall
+	buf [32]byte
 }
 
 // pendingTable holds the calls in flight in ascending seq order: handlePush
@@ -145,12 +153,15 @@ func (rt *Runtime) submitFrom(th *sched.Thread, it mqItem) {
 	rt.submit(it)
 }
 
-// Call invokes fn on the target component. In vanilla mode (and within a
-// merged group) this is a direct function call on the caller's context;
-// otherwise the call becomes a message: the message thread stores the
-// arguments in the target's message domain (logging them if the target's
-// policy asks), the target's thread executes the function, and the
-// message thread carries the results back (logging them into the
+// Call invokes fn on the target component. The arguments are encoded
+// once, here on the caller's thread, into the context's args buffer; an
+// argument the codec cannot encode fails the call before anything is
+// charged, submitted or logged. In vanilla mode (and within a merged
+// group) the handler then runs directly on the caller's context;
+// otherwise the call becomes a message: the message thread copies the
+// encoding into the target's message domain (and into its log if the
+// target's policy asks), the target's thread executes the function, and
+// the message thread carries the results back (logging them into the
 // caller's record when the caller is a logged component).
 func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 	rt := c.rt
@@ -167,6 +178,11 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 	if !ok {
 		return nil, &UnknownFunctionError{Component: target, Fn: fn}
 	}
+	enc, err := msg.AppendArgs(c.args[:0], args)
+	if err != nil {
+		return nil, err
+	}
+	c.args = enc
 	sameGroup := c.comp != nil && c.comp.group == tc.group
 	if !rt.cfg.MessagePassing || sameGroup {
 		rt.stats.directCalls.Add(1)
@@ -178,20 +194,20 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 		var rets msg.Args
 		err := rt.checkFault(sub, target, fn)
 		if err == nil {
-			rets, err = h(sub, msg.Args(args))
+			rets, err = h(sub, enc)
 		}
 		if tr := rt.tracer; tr != nil {
 			tr.EndErr(sub.span, errnoString(err))
 		}
 		return rets, err
 	}
-	return rt.callMessage(c, tc, fn, msg.Args(args))
+	return rt.callMessage(c, tc, fn, enc)
 }
 
 // callMessage performs one message-passing call, transparently retrying
 // once when the target reboots mid-call (re-executing the same input, as
 // the fault model prescribes), and failing permanently after that.
-func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) (msg.Args, error) {
+func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Encoded) (msg.Args, error) {
 	g := tc.group
 	if g.failedTwice {
 		return nil, fmt.Errorf("%w: %s", ErrComponentFailed, tc.desc.Name)
@@ -255,13 +271,20 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 }
 
 // Inject performs a fire-and-forget invocation: virtual IRQs (virtio
-// completions) and timer-driven pumps use it. In vanilla mode the handler
-// runs directly on the calling thread, like an interrupt borrowing the
+// completions) and timer-driven pumps use it. The arguments are encoded
+// into the injection's own buffer, and an encode error fails the
+// injection before anything happens. In vanilla mode the handler runs
+// directly on the calling thread, like an interrupt borrowing the
 // interrupted context.
 func (rt *Runtime) Inject(from *Ctx, target, fn string, args ...any) error {
 	tc, ok := rt.comps[target]
 	if !ok {
 		return &UnknownComponentError{Name: target}
+	}
+	inj := new(injection)
+	enc, err := msg.AppendArgs(inj.buf[:0], args)
+	if err != nil {
+		return err
 	}
 	rt.stats.injects.Add(1)
 	th := from.th
@@ -280,15 +303,16 @@ func (rt *Runtime) Inject(from *Ctx, target, fn string, args ...any) error {
 		if tr := rt.tracer; tr != nil {
 			sub.span = tr.Begin(from.span, trace.KindDirect, from.callerName(), target, fn)
 		}
-		_, err := h(sub, msg.Args(args))
+		_, err := h(sub, enc)
 		if tr := rt.tracer; tr != nil {
 			tr.EndErr(sub.span, errnoString(err))
 		}
 		return err
 	}
-	pc := &pendingCall{
+	pc := &inj.pc
+	*pc = pendingCall{
 		from: from.callerName(),
-		to:   tc, fn: fn, args: msg.Args(args), caller: th, noReply: true,
+		to:   tc, fn: fn, args: enc, caller: th, noReply: true,
 	}
 	if tr := rt.tracer; tr != nil {
 		pc.span = tr.Begin(from.span, trace.KindCall, from.callerName(), tc.desc.Name, fn)
@@ -352,7 +376,7 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 	rt.charge(rt.costs.MessagePush)
 	if rt.loggingWanted(pc.to, pc.fn) {
 		rt.charge(rt.costs.LogAppend)
-		rec, err := pc.to.domain.Log().BeginInbound(pc.seq, pc.fn, pc.args)
+		rec, err := pc.to.domain.Log().BeginInboundEncoded(pc.seq, pc.fn, pc.args)
 		if err != nil {
 			rt.finishCall(pc, nil, "ENOSPC: "+err.Error())
 			return
@@ -362,9 +386,9 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 	if tr := rt.tracer; tr != nil {
 		tr.Instant(pc.span, trace.KindPush, "vampos/msg", pc.fn, "to "+pc.to.desc.Name)
 	}
-	if err := g.mailbox.Push(&msg.Message{
-		Seq: pc.seq, From: pc.from, To: pc.to.desc.Name, Fn: pc.fn, Args: pc.args,
-	}); err != nil {
+	if err := g.mailbox.PushEncoded(&msg.Message{
+		Seq: pc.seq, From: pc.from, To: pc.to.desc.Name, Fn: pc.fn,
+	}, pc.args); err != nil {
 		if pc.rec != nil {
 			pc.to.domain.Log().DropRecord(pc.rec)
 			pc.rec = nil

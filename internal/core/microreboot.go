@@ -54,7 +54,7 @@ type MicrorebootRecord struct {
 //     non-session calls return "" and escalate;
 //   - the log holds a live opener for that session, so replaying its
 //     slice can actually rebuild it.
-func (rt *Runtime) attributeSession(g *group, fn string, args msg.Args) (*component, msg.SessionID, bool) {
+func (rt *Runtime) attributeSession(g *group, fn string, args msg.Encoded) (*component, msg.SessionID, bool) {
 	if !rt.cfg.Microreboot || len(g.members) != 1 || fn == "" {
 		return nil, "", false
 	}

@@ -103,7 +103,7 @@ func (rt *Runtime) beginRecovery(g *group, comp *component, session msg.SessionI
 // component reboot) otherwise — and when the registry refuses because the
 // session is already recovering or escalated: stacking recoveries is
 // unsound.
-func (rt *Runtime) recoverFrom(g *group, fn string, args msg.Args, reason string, killWorker bool, parent trace.SpanID) {
+func (rt *Runtime) recoverFrom(g *group, fn string, args msg.Encoded, reason string, killWorker bool, parent trace.SpanID) {
 	c, session, ok := rt.attributeSession(g, fn, args)
 	if !ok || rt.sessions.BeginRecovery(c.desc.Name, string(session), reason) != nil {
 		c, session = nil, ""
@@ -165,7 +165,7 @@ func (rt *Runtime) failStop(g *group, why string) {
 // call's span, and shown to the failure observer; the call itself fails
 // retryably with its half-written log record discarded. It returns the
 // span the recovery hangs off and the failed call, for session attribution.
-func (rt *Runtime) detect(victim *component, seq uint64, event, detail, observed string) (parent trace.SpanID, fn string, args msg.Args) {
+func (rt *Runtime) detect(victim *component, seq uint64, event, detail, observed string) (parent trace.SpanID, fn string, args msg.Encoded) {
 	pc := rt.pending.get(seq)
 	if pc != nil {
 		victim, parent = pc.to, pc.span

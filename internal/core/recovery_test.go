@@ -20,7 +20,7 @@ type sessKV struct {
 	evictDelay time.Duration
 }
 
-func (s *sessKV) SessionOf(fn string, args msg.Args) msg.SessionID {
+func (s *sessKV) SessionOf(fn string, args msg.Encoded) msg.SessionID {
 	if key, err := args.Str(0); err == nil && fn == "put" {
 		return msg.SessionID("k:" + key)
 	}
@@ -83,7 +83,7 @@ func (d *dawdler) Describe() Descriptor {
 func (d *dawdler) Init(*Ctx) error { return nil }
 func (d *dawdler) Exports() map[string]Handler {
 	return map[string]Handler{
-		"op": func(ctx *Ctx, args msg.Args) (msg.Args, error) {
+		"op": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 			ctx.Sleep(200 * time.Microsecond)
 			fn := "echo"
 			if d.flip {
@@ -92,7 +92,7 @@ func (d *dawdler) Exports() map[string]Handler {
 			_, _ = ctx.Call("backend", fn, "x")
 			return nil, nil
 		},
-		"crash": func(*Ctx, msg.Args) (msg.Args, error) { panic("dawdler: crash") },
+		"crash": func(*Ctx, msg.Encoded) (msg.Args, error) { panic("dawdler: crash") },
 	}
 }
 func (d *dawdler) LogPolicies() map[string]LogPolicy {

@@ -22,6 +22,9 @@ type workerThread struct {
 	// ctx is the context every message handler on this thread runs on,
 	// reset per message: no handler keeps its ctx past returning.
 	ctx Ctx
+	// args is the buffer each message's arguments are pulled into, for
+	// the same reason reused: no handler keeps its args past returning.
+	args msg.Encoded
 }
 
 // spawnWorker creates (or re-creates, to run a recovery) a group's thread.
@@ -63,7 +66,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 			}
 			continue
 		}
-		m, ok := g.mailbox.Pull()
+		m, args, ok := g.mailbox.PullEncoded(w.args)
 		if !ok {
 			if pollMode {
 				t.Yield()
@@ -72,8 +75,9 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 			}
 			continue
 		}
+		w.args = args
 		t.Charge(rt.costs.MessagePull)
-		if !rt.execMessage(w, m) {
+		if !rt.execMessage(w, m, args) {
 			return // component crashed; the message thread takes over
 		}
 		// The call completed and its reply was submitted: the group is
@@ -89,7 +93,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 
 // execMessage runs one inbound call and submits its reply. It returns
 // false when the handler panicked and the worker thread must die.
-func (rt *Runtime) execMessage(w *workerThread, m msg.Message) bool {
+func (rt *Runtime) execMessage(w *workerThread, m msg.Message, args msg.Encoded) bool {
 	t, g := w.t, w.g
 	c := g.member(m.To)
 	if c == nil {
@@ -110,7 +114,7 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message) bool {
 		g.curLog = c.domain.Log()
 	}
 	ctx := &w.ctx
-	*ctx = Ctx{rt: rt, comp: c, th: t, call: ctx.call}
+	*ctx = Ctx{rt: rt, comp: c, th: t, call: ctx.call, args: ctx.args}
 	var parent trace.SpanID
 	if pc != nil {
 		parent = pc.span
@@ -127,7 +131,7 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message) bool {
 		// attribute a neighbour's PKRU misuse to this component.
 		faultsBefore = t.Accessor().Faults()
 	}
-	rets, err, pv, panicked := rt.invokeChecked(h, ctx, c.desc.Name, m.Fn, m.Args)
+	rets, err, pv, panicked := rt.invokeChecked(h, ctx, c.desc.Name, m.Fn, args)
 	g.currentSeq = 0
 	g.curRec = nil
 	g.curLog = nil
@@ -170,7 +174,7 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message) bool {
 // invokeChecked fires any armed fault for the invocation, then invokes.
 // An errno fault short-circuits the handler: the call returns the
 // injected error without executing.
-func (rt *Runtime) invokeChecked(h Handler, ctx *Ctx, component, fn string, args msg.Args) (rets msg.Args, err error, pv any, panicked bool) {
+func (rt *Runtime) invokeChecked(h Handler, ctx *Ctx, component, fn string, args msg.Encoded) (rets msg.Args, err error, pv any, panicked bool) {
 	defer capturePanic(&pv, &panicked)
 	if err = rt.checkFault(ctx, component, fn); err == nil {
 		rets, err = h(ctx, args)
@@ -181,7 +185,7 @@ func (rt *Runtime) invokeChecked(h Handler, ctx *Ctx, component, fn string, args
 // invoke runs a handler, converting panics — crashes, nil dereferences,
 // protection faults turned into panics — into a captured failure, while
 // letting the scheduler's kill-unwind pass through.
-func (rt *Runtime) invoke(h Handler, ctx *Ctx, args msg.Args) (rets msg.Args, err error, pv any, panicked bool) {
+func (rt *Runtime) invoke(h Handler, ctx *Ctx, args msg.Encoded) (rets msg.Args, err error, pv any, panicked bool) {
 	defer capturePanic(&pv, &panicked)
 	rets, err = h(ctx, args)
 	return rets, err, nil, false

@@ -130,7 +130,7 @@ func (Saboteur) Init(*core.Ctx) error { return nil }
 func (Saboteur) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
 		// wild_write(addr uint64, value int) — attempt a stray store.
-		"wild_write": func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"wild_write": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			addr, err := args.Uint64(0)
 			if err != nil {
 				return nil, err
@@ -145,7 +145,7 @@ func (Saboteur) Exports() map[string]core.Handler {
 			return nil, nil
 		},
 		// own_write scribbles inside the saboteur's own arena (allowed).
-		"own_write": func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"own_write": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			addr, err := ctx.Heap().Alloc(64)
 			if err != nil {
 				return nil, err

@@ -172,8 +172,8 @@ func (c *Comp) Exports() map[string]core.Handler {
 // LWIP. Data-path functions (send/recv/accept/rx_pump) are NOT logged;
 // their effects live in the extracted runtime state.
 func (c *Comp) LogPolicies() map[string]core.LogPolicy {
-	sockSession := func(argIdx int) func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-		return func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+	sockSession := func(argIdx int) func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		return func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
 			id, err := args.Int(argIdx)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -182,7 +182,7 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		}
 	}
 	return map[string]core.LogPolicy{
-		"socket": {Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"socket": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
 			id, err := rets.Int(0)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -196,7 +196,7 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		"setsockopt":     {Classify: sockSession(0)},
 		"shutdown":       {Classify: sockSession(0)},
 		"sock_net_ioctl": {Classify: sockSession(0)},
-		"sock_net_close": {Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"sock_net_close": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
 			id, err := args.Int(0)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -212,17 +212,13 @@ func (c *Comp) saveRuntime(ctx *core.Ctx) {
 	if ctx.InReplay() {
 		return
 	}
-	ctx.SaveRuntimeState(msg.Args{c.rt.encode(c.socks, c.nextSock, c.isn, false)})
+	ctx.SaveRuntimeState(c.rt.encode(c.socks, c.nextSock, c.isn, false))
 }
 
 // InstallRuntimeState implements core.RuntimeKeeper: after checkpoint
 // restore and log replay, re-create the live connections from the saved
 // sequence/ACK numbers.
-func (c *Comp) InstallRuntimeState(ctx *core.Ctx, state msg.Args) error {
-	blob, err := state.Bytes(0)
-	if err != nil {
-		return err
-	}
+func (c *Comp) InstallRuntimeState(ctx *core.Ctx, blob []byte) error {
 	nextSock, isn, socks, err := decodeSocks(blob, c.emit)
 	if err != nil {
 		return err
@@ -326,7 +322,7 @@ func (c *Comp) enter(ctx *core.Ctx) func() {
 	}
 }
 
-func (c *Comp) getSock(args msg.Args, idx int) (*sock, error) {
+func (c *Comp) getSock(args msg.Encoded, idx int) (*sock, error) {
 	id, err := args.Int(idx)
 	if err != nil {
 		return nil, err
@@ -338,7 +334,7 @@ func (c *Comp) getSock(args msg.Args, idx int) (*sock, error) {
 	return s, nil
 }
 
-func (c *Comp) socket(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) socket(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	// During replay the logged result dictates the id: a session
 	// microreboot replays onto the live table, where nextSock has long
@@ -362,7 +358,7 @@ func (c *Comp) socket(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{s.ID}, nil
 }
 
-func (c *Comp) bind(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) bind(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -383,7 +379,7 @@ func (c *Comp) bind(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) listen(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) listen(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -413,7 +409,7 @@ func (c *Comp) listen(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // connect starts an active open; completion is observed via conn_state.
-func (c *Comp) connect(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) connect(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -442,7 +438,7 @@ func (c *Comp) connect(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // accept pops one established connection; EAGAIN when none is ready.
-func (c *Comp) accept(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) accept(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -479,7 +475,7 @@ func (c *Comp) accept(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // send transmits on a connected socket.
-func (c *Comp) send(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) send(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -510,7 +506,7 @@ func (c *Comp) send(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // recv returns up to n buffered bytes; (empty, eof=true) at stream end.
-func (c *Comp) recv(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) recv(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -537,7 +533,7 @@ func (c *Comp) recv(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{data, false}, nil
 }
 
-func (c *Comp) shutdown(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) shutdown(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -550,7 +546,7 @@ func (c *Comp) shutdown(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) sockClose(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) sockClose(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -577,7 +573,7 @@ func (c *Comp) destroySock(ctx *core.Ctx, s *sock) {
 	delete(c.socks, s.ID)
 }
 
-func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
@@ -589,7 +585,7 @@ func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{s.Opts[opt]}, nil
 }
 
-func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
@@ -606,7 +602,7 @@ func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) ioctl(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
@@ -620,7 +616,7 @@ func (c *Comp) ioctl(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // connState reports the machine state for connect() completion polling.
-func (c *Comp) connState(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) connState(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
@@ -633,7 +629,7 @@ func (c *Comp) connState(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 
 // rxPump drains the receive ring through NETDEV and demultiplexes each
 // segment. It is injected (fire-and-forget) by the virtio RX interrupt.
-func (c *Comp) rxPump(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) rxPump(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	defer c.enter(ctx)()
 	changed := false
 	for {
@@ -708,7 +704,7 @@ var sessionFns = []string{
 }
 
 // SessionOf implements core.SessionResolver.
-func (c *Comp) SessionOf(fn string, args msg.Args) msg.SessionID {
+func (c *Comp) SessionOf(fn string, args msg.Encoded) msg.SessionID {
 	for _, s := range sessionFns {
 		if s == fn {
 			id, err := args.Int(0)

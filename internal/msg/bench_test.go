@@ -55,6 +55,27 @@ func BenchmarkDecodeArgs(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodedRead: a handler reads write's arguments in place, the
+// descriptor and its copy of the payload.
+func BenchmarkEncodedRead(b *testing.B) {
+	e, err := AppendArgs(nil, benchArgs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Int(0); err != nil {
+			b.Fatal(err)
+		}
+		p, err := e.Bytes(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkBytes = p
+	}
+}
+
 // BenchmarkPushPull: the message thread stores a call in the mailbox, the
 // worker pulls it out.
 func BenchmarkPushPull(b *testing.B) {

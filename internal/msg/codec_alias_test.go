@@ -87,12 +87,11 @@ func TestLogEntriesImmuneToViewMutation(t *testing.T) {
 
 	// Scribble over every slice the view exposes, as a buggy (or
 	// faulty, in the SWIFI sense) replayer might.
-	for _, args := range []Args{first[0].Args, first[0].Rets, first[0].Outbound[0].Rets} {
+	scribble(first[0].Args)
+	for _, args := range []Args{first[0].Rets, first[0].Outbound[0].Rets} {
 		for _, a := range args {
 			if b, ok := a.([]byte); ok {
-				for i := range b {
-					b[i] = 0xEE
-				}
+				scribble(b)
 			}
 		}
 	}
@@ -184,12 +183,11 @@ func TestPulledArgsSurviveScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range []Args{first.Args, views[0].Args, views[0].Rets} {
+	scribble(views[0].Args)
+	for _, args := range []Args{first.Args, views[0].Rets} {
 		for _, a := range args {
 			if b, ok := a.([]byte); ok {
-				for i := range b {
-					b[i] = 0xEE
-				}
+				scribble(b)
 			}
 		}
 	}
@@ -201,5 +199,67 @@ func TestPulledArgsSurviveScratchReuse(t *testing.T) {
 	wantRets, _ := again[0].Rets.Bytes(0)
 	if !bytes.Equal(wantArgs, []byte("logged-argument")) || !bytes.Equal(wantRets, []byte("logged-result")) {
 		t.Fatalf("log changed after mutating decoded args: args=%q rets=%q", wantArgs, wantRets)
+	}
+}
+
+// TestHandlerBytesSurviveTheNextPull follows one logged call the way the
+// runtime carries it: encoded once, copied into the log and the mailbox,
+// pulled into a buffer the worker reuses for every message. What the
+// handler read with Bytes must not change when the worker pulls the next
+// message into that buffer, and scribbling on it must not reach the log.
+func TestHandlerBytesSurviveTheNextPull(t *testing.T) {
+	d := newTestDomain(t)
+	lg := d.Log()
+	push := func(seq uint64, payload string) {
+		t.Helper()
+		e, err := AppendArgs(nil, Args{3, []byte(payload)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lg.BeginInboundEncoded(seq, "write", e); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PushEncoded(&Message{Seq: seq, Fn: "write"}, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []byte // the worker's
+	pull := func() Encoded {
+		t.Helper()
+		_, args, ok := d.PullEncoded(buf)
+		if !ok {
+			t.Fatal("PullEncoded returned nothing")
+		}
+		buf = args
+		return args
+	}
+	push(1, "first-payload")
+	push(2, "OTHER-PAYLOAD")
+	got, err := pull().Bytes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, _ := pull().Bytes(1); string(second) != "OTHER-PAYLOAD" {
+		t.Fatalf("second pull read %q", second)
+	}
+	if string(got) != "first-payload" {
+		t.Fatalf("the handler's Bytes now reads %q: it aliases the worker's buffer", got)
+	}
+	scribble(got)
+	if err := lg.EndInbound(lg.entries[0], "fd:3", ClassTransient, Args{13}, ""); err != nil {
+		t.Fatal(err)
+	}
+	views, err := lg.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logged, _ := views[0].Args.Bytes(1); string(logged) != "first-payload" {
+		t.Fatalf("log entry reads %q after the handler's copy was overwritten", logged)
+	}
+}
+
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xEE
 	}
 }

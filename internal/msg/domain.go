@@ -36,12 +36,12 @@ type Domain struct {
 	qhead int
 	log   *Log
 
-	// enc and stage are the codec's scratch: store encodes into enc before
-	// copying it into the pages, load copies out of the pages into stage
-	// before decoding. They are per domain because the workers of two
-	// domains may load inside one parallel round; one domain's stores
-	// (message thread) and loads (its group's worker, or the message
-	// thread compacting) never overlap.
+	// enc and stage are the codec's scratch for the Args forms: encode
+	// writes into enc before store copies it into the pages, load and Pull
+	// copy out of the pages into stage before decoding. They are per
+	// domain because the workers of two domains may load inside one
+	// parallel round; one domain's stores (message thread) and loads (its
+	// group's worker, or the message thread compacting) never overlap.
 	enc, stage []byte
 }
 
@@ -84,13 +84,18 @@ func (d *Domain) Log() *Log { return d.log }
 // queued messages and log entries.
 func (d *Domain) BytesInUse() int64 { return d.heap.Stats().AllocatedBytes }
 
-// store encodes args into domain memory and returns its location.
-func (d *Domain) store(args Args) (mem.Addr, int, error) {
-	p, err := appendArgs(d.enc[:0], args)
-	if err != nil {
-		return 0, 0, err
+// encode encodes args into the domain's scratch, valid until the next
+// encode.
+func (d *Domain) encode(args Args) (Encoded, error) {
+	p, err := AppendArgs(d.enc[:0], args)
+	if err == nil {
+		d.enc = p
 	}
-	d.enc = p
+	return p, err
+}
+
+// store copies an encoding into domain memory and returns its location.
+func (d *Domain) store(p []byte) (mem.Addr, int, error) {
 	if len(p) == 0 {
 		return 0, 0, nil
 	}
@@ -104,20 +109,39 @@ func (d *Domain) store(args Args) (mem.Addr, int, error) {
 	return addr, len(p), nil
 }
 
-// load decodes args previously placed by store, without freeing them.
-// The codec copies every []byte and string it decodes, so nothing load
-// returns aliases the domain pages or the staging scratch the next load
+// storeArgs encodes args and stores the encoding.
+func (d *Domain) storeArgs(args Args) (mem.Addr, int, error) {
+	p, err := d.encode(args)
+	if err != nil {
+		return 0, 0, err
+	}
+	return d.store(p)
+}
+
+// read copies an encoding placed by store into buf, reusing buf's array,
+// without freeing it.
+func (d *Domain) read(buf []byte, addr mem.Addr, length int) (Encoded, error) {
+	p := slices.Grow(buf[:0], length)[:length]
+	if length == 0 {
+		return p, nil
+	}
+	return p, d.m.HostRead(addr, p)
+}
+
+// load decodes args placed by store, without freeing them. The codec
+// copies every []byte and string it decodes, so nothing load returns
+// aliases the domain pages or the staging scratch the next load
 // overwrites: callers may mutate the result freely without corrupting the
 // log it was decoded from.
 func (d *Domain) load(addr mem.Addr, length int) (Args, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	d.stage = slices.Grow(d.stage[:0], length)
-	p := d.stage[:length]
-	if err := d.m.HostRead(addr, p); err != nil {
+	p, err := d.read(d.stage, addr, length)
+	if err != nil {
 		return nil, err
 	}
+	d.stage = p
 	return DecodeArgs(p)
 }
 
@@ -135,7 +159,17 @@ func (d *Domain) release(addr mem.Addr, length int) {
 // Push appends a call message to the mailbox, storing its arguments in
 // domain memory. This is the vo_push_msgs half of the paper's interface.
 func (d *Domain) Push(m *Message) error {
-	addr, n, err := d.store(m.Args)
+	p, err := d.encode(m.Args)
+	if err != nil {
+		return err
+	}
+	return d.PushEncoded(m, p)
+}
+
+// PushEncoded is Push for arguments already encoded: it copies args into
+// domain memory and ignores m.Args.
+func (d *Domain) PushEncoded(m *Message, args Encoded) error {
+	addr, n, err := d.store(args)
 	if err != nil {
 		return err
 	}
@@ -159,19 +193,35 @@ func (d *Domain) Push(m *Message) error {
 // Pull removes and returns the oldest pending message, releasing its
 // domain storage. This is the vo_pull_msgs half.
 func (d *Domain) Pull() (Message, bool) {
-	if d.Pending() == 0 {
-		return Message{}, false
+	m, p, ok := d.PullEncoded(d.stage)
+	if !ok {
+		return m, false
 	}
-	s := d.queue[d.qhead]
-	d.qhead++
-	args, err := d.load(s.addr, s.length)
-	d.release(s.addr, s.length)
+	d.stage = p
+	args, err := DecodeArgs(p)
 	if err != nil {
 		// Storage we wrote ourselves must decode; anything else is a
 		// domain-integrity bug.
 		panic(fmt.Sprintf("msg: domain %q: corrupt message payload: %v", d.owner, err))
 	}
-	return Message{Seq: s.seq, From: s.from, To: s.to, Fn: s.fn, Args: args}, true
+	m.Args = args
+	return m, true
+}
+
+// PullEncoded is Pull without the decode: it copies the message's
+// arguments into buf, reusing buf's array, and leaves m.Args nil.
+func (d *Domain) PullEncoded(buf []byte) (m Message, args Encoded, ok bool) {
+	if d.Pending() == 0 {
+		return Message{}, nil, false
+	}
+	s := d.queue[d.qhead]
+	d.qhead++
+	args, err := d.read(buf, s.addr, s.length)
+	d.release(s.addr, s.length)
+	if err != nil {
+		panic(fmt.Sprintf("msg: domain %q: unreadable message payload: %v", d.owner, err))
+	}
+	return Message{Seq: s.seq, From: s.from, To: s.to, Fn: s.fn}, args, true
 }
 
 // Pending returns the number of queued messages.

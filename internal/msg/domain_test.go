@@ -184,24 +184,31 @@ func TestMailboxDrainAndDropThenRefill(t *testing.T) {
 	}
 }
 
-// TestPushPullAllocatesOnlyTheDecodedArgs: the hop's own buffers — encode
-// scratch, staging scratch, queue slot, the Message — are reused or on the
-// stack; what is left is what the puller keeps (the Args slice, the []byte
-// copy and its boxing).
-func TestPushPullAllocatesOnlyTheDecodedArgs(t *testing.T) {
+// TestPushPullEncodedAllocatesNothing: the hop carries arguments as
+// bytes, and its buffers — the queue slot, the Message, the puller's
+// buffer — are reused or on the stack, so a push and a pull of the echo
+// payload allocate nothing.
+func TestPushPullEncodedAllocatesNothing(t *testing.T) {
 	d := newTestDomain(t)
-	m := &Message{Seq: 1, From: "app", To: "vfs", Fn: "write", Args: Args{3, make([]byte, 159)}}
+	m := &Message{Seq: 1, From: "app", To: "vfs", Fn: "write"}
+	args, err := AppendArgs(nil, Args{3, make([]byte, 159)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
 	hop := func() {
-		if err := d.Push(m); err != nil {
+		if err := d.PushEncoded(m, args); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := d.Pull(); !ok {
+		_, p, ok := d.PullEncoded(buf)
+		if !ok {
 			t.Fatal("mailbox empty after push")
 		}
+		buf = p
 	}
 	hop()
-	if n := testing.AllocsPerRun(100, hop); n > 4 {
-		t.Fatalf("%v allocations per Push+Pull of the echo payload, want at most 4", n)
+	if n := testing.AllocsPerRun(100, hop); n != 0 {
+		t.Fatalf("%v allocations per PushEncoded+PullEncoded of the echo payload, want 0", n)
 	}
 }
 

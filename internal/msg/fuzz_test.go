@@ -102,3 +102,49 @@ func FuzzLogDecode(f *testing.F) {
 		_, _ = DecodeArgs(corrupt)
 	})
 }
+
+// FuzzEncodedAccessors reads arbitrary bytes in place, the way a handler
+// reads its arguments: no accessor panics at any index, the in-place
+// parse and every accessor fail exactly when DecodeArgs does, with its
+// error, and on a well-formed encoding every accessor returns what the
+// same accessor returns on DecodeArgs's result.
+func FuzzEncodedAccessors(f *testing.F) {
+	for _, args := range []Args{{}, {nil, true, 7, int64(-3), uint64(9)}, {1.5, "open", []byte("payload"), []byte{}}} {
+		p, err := EncodeArgs(args)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{2, 1})
+	f.Add([]byte{1, 99})
+	f.Add([]byte{1, 7, 10, 'x'})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		e := Encoded(p)
+		args, derr := DecodeArgs(p)
+		_, n, perr := e.at(-1)
+		if !sameResult(nil, derr, nil, perr) {
+			t.Fatalf("DecodeArgs error %v, in-place parse error %v", derr, perr)
+		}
+		if derr == nil && n != len(args) {
+			t.Fatalf("parsed %d args in place, DecodeArgs gave %d", n, len(args))
+		}
+		if _, err := e.Int(-1); err == nil {
+			t.Fatal("Int(-1) succeeded")
+		}
+		for i := 0; i <= len(args)+1; i++ {
+			if derr == nil {
+				accessorsAgree(t, e, args, i)
+				continue
+			}
+			if _, err := e.Int(i); !sameResult(nil, err, nil, derr) {
+				t.Fatalf("Int(%d) on malformed % x: %v, DecodeArgs: %v", i, p, err, derr)
+			}
+			if _, err := e.Bytes(i); !sameResult(nil, err, nil, derr) {
+				t.Fatalf("Bytes(%d) on malformed % x: %v, DecodeArgs: %v", i, p, err, derr)
+			}
+		}
+	})
+}

@@ -138,6 +138,16 @@ func (l *Log) Stats() LogStats { return l.stats }
 // ids) are known. Tracking of which record is currently being handled is
 // the runtime's job: the call may queue behind others in the mailbox.
 func (l *Log) BeginInbound(seq uint64, fn string, args Args) (*Record, error) {
+	p, err := l.d.encode(args)
+	if err != nil {
+		return nil, err
+	}
+	return l.BeginInboundEncoded(seq, fn, p)
+}
+
+// BeginInboundEncoded is BeginInbound for arguments already encoded: it
+// copies args into domain memory.
+func (l *Log) BeginInboundEncoded(seq uint64, fn string, args Encoded) (*Record, error) {
 	addr, n, err := l.d.store(args)
 	if err != nil {
 		return nil, err
@@ -155,7 +165,7 @@ func (l *Log) AppendOutboundTo(r *Record, target, fn string, rets Args, callErr 
 	if r == nil {
 		return nil
 	}
-	addr, n, err := l.d.store(rets)
+	addr, n, err := l.d.storeArgs(rets)
 	if err != nil {
 		return err
 	}
@@ -174,7 +184,7 @@ func (l *Log) EndInbound(r *Record, session SessionID, class Class, rets Args, c
 	if r == nil {
 		return nil
 	}
-	addr, n, err := l.d.store(rets)
+	addr, n, err := l.d.storeArgs(rets)
 	if err != nil {
 		return err
 	}
@@ -228,7 +238,7 @@ func (l *Log) DropRecord(r *Record) {
 // replay ordering places it after everything it summarises and before
 // everything that follows.
 func (l *Log) AppendSynthetic(fn string, args Args, session SessionID) error {
-	addr, n, err := l.d.store(args)
+	addr, n, err := l.d.storeArgs(args)
 	if err != nil {
 		return err
 	}
@@ -304,8 +314,9 @@ func (l *Log) Reset() {
 	l.epochSeq = 0
 }
 
-// RecordView is a decoded, read-only view of a log record handed to
-// replayers and compactors.
+// RecordView is a read-only view of a log record handed to replayers and
+// compactors. Args is the logged encoding, copied out of the domain, as
+// the replayed handler receives it; the results are decoded.
 type RecordView struct {
 	Seq       uint64
 	Fn        string
@@ -313,7 +324,7 @@ type RecordView struct {
 	Class     Class
 	Err       string
 	Synthetic bool
-	Args      Args
+	Args      Encoded
 	Rets      Args
 	Outbound  []OutboundView
 }
@@ -336,34 +347,7 @@ func viewOf(e *Record) RecordView {
 // Entries decodes and returns every completed record in append order.
 // The replayer walks this during encapsulated restoration.
 func (l *Log) Entries() ([]RecordView, error) {
-	out := make([]RecordView, 0, len(l.entries))
-	for _, e := range l.entries {
-		if e.open {
-			continue
-		}
-		v := viewOf(e)
-		args, err := l.d.load(e.args, e.argsN)
-		if err != nil {
-			return nil, fmt.Errorf("msg: log %q seq %d: %w", l.d.owner, e.Seq, err)
-		}
-		v.Args = args
-		rets, err := l.d.load(e.rets, e.retsN)
-		if err != nil {
-			return nil, fmt.Errorf("msg: log %q seq %d rets: %w", l.d.owner, e.Seq, err)
-		}
-		v.Rets = rets
-		for _, o := range e.Outbound {
-			rets, err := l.d.load(o.rets, o.retsN)
-			if err != nil {
-				return nil, fmt.Errorf("msg: log %q seq %d outbound: %w", l.d.owner, e.Seq, err)
-			}
-			v.Outbound = append(v.Outbound, OutboundView{
-				Target: o.Target, Fn: o.Fn, Err: o.Err, Rets: rets,
-			})
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return l.views(make([]RecordView, 0, len(l.entries)), func(*Record) bool { return true })
 }
 
 // SessionEntries decodes and returns the completed records of one
@@ -372,34 +356,49 @@ func (l *Log) Entries() ([]RecordView, error) {
 // exactly the slice a session microreboot replays against the running
 // component after evicting the session's live state.
 func (l *Log) SessionEntries(session SessionID) ([]RecordView, error) {
-	var out []RecordView
+	return l.views(nil, func(e *Record) bool { return e.Session == session })
+}
+
+// views appends the views of the completed records keep selects to out.
+func (l *Log) views(out []RecordView, keep func(*Record) bool) ([]RecordView, error) {
 	for _, e := range l.entries {
-		if e.open || e.Session != session {
+		if e.open || !keep(e) {
 			continue
 		}
-		v := viewOf(e)
-		args, err := l.d.load(e.args, e.argsN)
+		v, err := l.view(e)
 		if err != nil {
-			return nil, fmt.Errorf("msg: log %q seq %d: %w", l.d.owner, e.Seq, err)
-		}
-		v.Args = args
-		rets, err := l.d.load(e.rets, e.retsN)
-		if err != nil {
-			return nil, fmt.Errorf("msg: log %q seq %d rets: %w", l.d.owner, e.Seq, err)
-		}
-		v.Rets = rets
-		for _, o := range e.Outbound {
-			rets, err := l.d.load(o.rets, o.retsN)
-			if err != nil {
-				return nil, fmt.Errorf("msg: log %q seq %d outbound: %w", l.d.owner, e.Seq, err)
-			}
-			v.Outbound = append(v.Outbound, OutboundView{
-				Target: o.Target, Fn: o.Fn, Err: o.Err, Rets: rets,
-			})
+			return nil, err
 		}
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// view reads one record out of the domain: its argument bytes into a
+// buffer of the view's own, its results decoded.
+func (l *Log) view(e *Record) (RecordView, error) {
+	v := viewOf(e)
+	args, err := l.d.read(nil, e.args, e.argsN)
+	if err == nil {
+		_, _, err = args.at(-1) // replay must not start on a malformed record
+	}
+	if err != nil {
+		return v, fmt.Errorf("msg: log %q seq %d: %w", l.d.owner, e.Seq, err)
+	}
+	v.Args = args
+	if v.Rets, err = l.d.load(e.rets, e.retsN); err != nil {
+		return v, fmt.Errorf("msg: log %q seq %d rets: %w", l.d.owner, e.Seq, err)
+	}
+	for _, o := range e.Outbound {
+		rets, err := l.d.load(o.rets, o.retsN)
+		if err != nil {
+			return v, fmt.Errorf("msg: log %q seq %d outbound: %w", l.d.owner, e.Seq, err)
+		}
+		v.Outbound = append(v.Outbound, OutboundView{
+			Target: o.Target, Fn: o.Fn, Err: o.Err, Rets: rets,
+		})
+	}
+	return v, nil
 }
 
 // HasLiveOpener reports whether the session has a completed, successful

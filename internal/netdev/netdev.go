@@ -48,7 +48,7 @@ func (c *Comp) Exports() map[string]core.Handler {
 }
 
 // tx forwards one frame down to the virtio-net driver.
-func (c *Comp) tx(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) tx(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	frame, err := args.Bytes(0)
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func (c *Comp) tx(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // rxPop pulls one received frame up from the driver; EAGAIN when none.
-func (c *Comp) rxPop(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) rxPop(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	rets, err := ctx.Call("virtio", "net_rx_pop")
 	if err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ func (s *stubVirtio) Init(*core.Ctx) error { return nil }
 
 func (s *stubVirtio) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"net_tx": func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"net_tx": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			frame, err := args.Bytes(0)
 			if err != nil {
 				return nil, err
@@ -32,7 +32,7 @@ func (s *stubVirtio) Exports() map[string]core.Handler {
 			s.queue = append(s.queue, frame)
 			return nil, nil
 		},
-		"net_rx_pop": func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"net_rx_pop": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			if len(s.queue) == 0 {
 				return nil, core.EAGAIN
 			}

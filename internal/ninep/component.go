@@ -110,8 +110,7 @@ func (c *Comp) Exports() map[string]core.Handler {
 // logged. Our lookup keeps no state either (no vnode cache), so it is
 // deliberately unlogged; DESIGN.md records the deviation.
 func (c *Comp) LogPolicies() map[string]core.LogPolicy {
-	fidOf := func(args msg.Args, idx int) msg.SessionID {
-		id, err := args.Int(idx)
+	fidOf := func(id int, err error) msg.SessionID {
 		if err != nil {
 			return ""
 		}
@@ -120,11 +119,11 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 	return map[string]core.LogPolicy{
 		"uk_9pfs_mount": {Classify: core.Durable},
 		"uk_9pfs_mkdir": {Classify: core.Durable},
-		"uk_9pfs_open": {Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-			return fidOf(rets, 0), msg.ClassOpener
+		"uk_9pfs_open": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+			return fidOf(rets.Int(0)), msg.ClassOpener
 		}},
-		"uk_9pfs_close": {Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-			return fidOf(args, 0), msg.ClassCanceler
+		"uk_9pfs_close": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+			return fidOf(args.Int(0)), msg.ClassCanceler
 		}},
 	}
 }
@@ -181,7 +180,7 @@ func (c *Comp) allocFid(ctx *core.Ctx) int {
 	}
 }
 
-func (c *Comp) mount(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	c.maybeCrash("uk_9pfs_mount")
 	c.MountAttempts++
 	if c.attached {
@@ -218,7 +217,7 @@ func splitParts(path string) []string {
 
 // open resolves (and with O_CREATE, creates) path and returns a fid.
 // Flags use the VFS flag vocabulary re-encoded into 9P modes.
-func (c *Comp) open(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	c.maybeCrash("uk_9pfs_open")
 	path, err := args.Str(0)
 	if err != nil {
@@ -280,7 +279,7 @@ func (c *Comp) clunkQuiet(ctx *core.Ctx, fid int) {
 	_, _ = c.rpc(ctx, &Fcall{Type: Tclunk, Fid: uint32(fid)})
 }
 
-func (c *Comp) getFid(args msg.Args, idx int) (*fidInfo, error) {
+func (c *Comp) getFid(args msg.Encoded, idx int) (*fidInfo, error) {
 	fid, err := args.Int(idx)
 	if err != nil {
 		return nil, err
@@ -292,7 +291,7 @@ func (c *Comp) getFid(args msg.Args, idx int) (*fidInfo, error) {
 	return info, nil
 }
 
-func (c *Comp) close(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	c.maybeCrash("uk_9pfs_close")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -306,7 +305,7 @@ func (c *Comp) close(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) read(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	c.maybeCrash("uk_9pfs_read")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -345,7 +344,7 @@ func (c *Comp) read(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{out}, nil
 }
 
-func (c *Comp) write(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	c.maybeCrash("uk_9pfs_write")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -381,7 +380,7 @@ func (c *Comp) write(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{written}, nil
 }
 
-func (c *Comp) fsync(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	c.maybeCrash("uk_9pfs_fsync")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -393,7 +392,7 @@ func (c *Comp) fsync(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) stat(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -406,7 +405,7 @@ func (c *Comp) stat(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // lookup resolves a path without keeping state: (exists, size, isdir).
-func (c *Comp) lookup(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) lookup(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -430,7 +429,7 @@ func (c *Comp) lookup(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 // never collides with replay-reproduced fids.
 func (c *Comp) tempFid() int { return 1 << 20 }
 
-func (c *Comp) mkdir(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -454,7 +453,7 @@ func (c *Comp) mkdir(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) remove(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) remove(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -469,7 +468,7 @@ func (c *Comp) remove(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) readdir(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -492,7 +491,7 @@ var sessionFns = []string{
 }
 
 // SessionOf implements core.SessionResolver.
-func (c *Comp) SessionOf(fn string, args msg.Args) msg.SessionID {
+func (c *Comp) SessionOf(fn string, args msg.Encoded) msg.SessionID {
 	for _, s := range sessionFns {
 		if s == fn {
 			fid, err := args.Int(0)

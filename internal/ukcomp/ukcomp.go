@@ -40,14 +40,14 @@ func (p *Process) InjectCrash() { p.crashFn = "getpid" }
 // Exports implements core.Component.
 func (p *Process) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"getpid": func(*core.Ctx, msg.Args) (msg.Args, error) {
+		"getpid": func(*core.Ctx, msg.Encoded) (msg.Args, error) {
 			if p.crashFn == "getpid" {
 				p.crashFn = ""
 				panic("injected fault in process.getpid")
 			}
 			return msg.Args{p.pid}, nil
 		},
-		"getppid": func(*core.Ctx, msg.Args) (msg.Args, error) {
+		"getppid": func(*core.Ctx, msg.Encoded) (msg.Args, error) {
 			return msg.Args{0}, nil
 		},
 	}
@@ -70,7 +70,7 @@ func (s *Sysinfo) Init(*core.Ctx) error { return nil }
 // Exports implements core.Component.
 func (s *Sysinfo) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"uname": func(*core.Ctx, msg.Args) (msg.Args, error) {
+		"uname": func(*core.Ctx, msg.Encoded) (msg.Args, error) {
 			return msg.Args{"VampOS", "vampos-guest", "0.8.0-vamp", "x86_64"}, nil
 		},
 	}
@@ -92,7 +92,7 @@ func (u *User) Init(*core.Ctx) error { return nil }
 
 // Exports implements core.Component.
 func (u *User) Exports() map[string]core.Handler {
-	uid := func(*core.Ctx, msg.Args) (msg.Args, error) {
+	uid := func(*core.Ctx, msg.Encoded) (msg.Args, error) {
 		return msg.Args{0}, nil // unikernels run as root
 	}
 	return map[string]core.Handler{
@@ -119,11 +119,11 @@ func (t *Timer) Init(*core.Ctx) error { return nil }
 // Exports implements core.Component.
 func (t *Timer) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"clock_gettime": func(ctx *core.Ctx, _ msg.Args) (msg.Args, error) {
+		"clock_gettime": func(ctx *core.Ctx, _ msg.Encoded) (msg.Args, error) {
 			now := ctx.Now()
 			return msg.Args{now.Unix(), int64(now.Nanosecond())}, nil
 		},
-		"uptime_ns": func(ctx *core.Ctx, _ msg.Args) (msg.Args, error) {
+		"uptime_ns": func(ctx *core.Ctx, _ msg.Encoded) (msg.Args, error) {
 			return msg.Args{int64(ctx.Elapsed())}, nil
 		},
 	}

@@ -41,7 +41,7 @@ func (p *fpProbe) Init(*core.Ctx) error {
 
 func (p *fpProbe) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"bump": func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"bump": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			if p.crashNext {
 				p.crashNext = false
 				panic("probe: injected crash in bump")
@@ -49,7 +49,7 @@ func (p *fpProbe) Exports() map[string]core.Handler {
 			p.n++
 			return msg.Args{p.n}, nil
 		},
-		"put": func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"put": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			key, err := args.Str(0)
 			if err != nil {
 				return nil, err

@@ -17,7 +17,7 @@ import (
 type sessionTable interface {
 	Exports() map[string]core.Handler
 	LogPolicies() map[string]core.LogPolicy
-	SessionOf(fn string, args msg.Args) msg.SessionID
+	SessionOf(fn string, args msg.Encoded) msg.SessionID
 	SessionFns() []string
 }
 
@@ -71,7 +71,10 @@ func TestSessionExportAudit(t *testing.T) {
 	// Representative call shape: every session derivation in the three
 	// components reads an integer resource number from argument or
 	// return slot zero.
-	args := msg.Args{7, 7}
+	args, err := msg.AppendArgs(nil, msg.Args{7, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rets := msg.Args{7, 7}
 
 	for _, tc := range cases {

@@ -172,8 +172,7 @@ func (c *Comp) Exports() map[string]core.Handler {
 	}
 }
 
-func fdSession(args msg.Args, idx int) msg.SessionID {
-	fd, err := args.Int(idx)
+func fdSession(fd int, err error) msg.SessionID {
 	if err != nil {
 		return ""
 	}
@@ -183,14 +182,14 @@ func fdSession(args msg.Args, idx int) msg.SessionID {
 // LogPolicies implements core.LogPolicyProvider: the Table II VFS row.
 // stat/vget/readdir change no VFS state and are unlogged.
 func (c *Comp) LogPolicies() map[string]core.LogPolicy {
-	opener := core.LogPolicy{Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-		return fdSession(rets, 0), msg.ClassOpener
+	opener := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		return fdSession(rets.Int(0)), msg.ClassOpener
 	}}
-	transient := core.LogPolicy{Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-		return fdSession(args, 0), msg.ClassTransient
+	transient := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		return fdSession(args.Int(0)), msg.ClassTransient
 	}}
-	durableFD := core.LogPolicy{Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-		return fdSession(args, 0), msg.ClassDurable
+	durableFD := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		return fdSession(args.Int(0)), msg.ClassDurable
 	}}
 	return map[string]core.LogPolicy{
 		"mount":            {Classify: core.Durable},
@@ -200,8 +199,8 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		"create":           opener,
 		"vfs_alloc_socket": opener,
 		"sock_accept":      opener,
-		"pipe": {Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-			return fdSession(rets, 0), msg.ClassOpener
+		"pipe": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+			return fdSession(rets.Int(0)), msg.ClassOpener
 		}},
 		"read":          transient,
 		"pread":         transient,
@@ -218,8 +217,8 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		"setsockopt":    durableFD,
 		"getsockopt":    durableFD,
 		"sock_shutdown": durableFD,
-		"close": {Classify: func(args, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-			return fdSession(args, 0), msg.ClassCanceler
+		"close": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+			return fdSession(args.Int(0)), msg.ClassCanceler
 		}},
 	}
 }
@@ -241,7 +240,7 @@ func (c *Comp) allocFD(ctx *core.Ctx) (int, error) {
 	return 0, core.ENFILE
 }
 
-func (c *Comp) getFD(args msg.Args, idx int) (*file, error) {
+func (c *Comp) getFD(args msg.Encoded, idx int) (*file, error) {
 	fd, err := args.Int(idx)
 	if err != nil {
 		return nil, err
@@ -300,7 +299,7 @@ func (c *Comp) dropFD(ctx *core.Ctx, f *file) {
 	delete(c.fds, f.FD)
 }
 
-func (c *Comp) mount(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	point, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -327,7 +326,7 @@ func (c *Comp) mount(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) open(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -336,6 +335,10 @@ func (c *Comp) open(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.openPath(ctx, path, flags)
+}
+
+func (c *Comp) openPath(ctx *core.Ctx, path string, flags int) (msg.Args, error) {
 	fd, err := c.allocFD(ctx)
 	if err != nil {
 		return nil, err
@@ -368,15 +371,15 @@ func (c *Comp) open(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // create is open(path, O_CREATE|O_WRONLY|O_TRUNC) under its Table II name.
-func (c *Comp) create(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) create(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
 	}
-	return c.open(ctx, msg.Args{path, OCreate | OWronly | OTrunc})
+	return c.openPath(ctx, path, OCreate|OWronly|OTrunc)
 }
 
-func (c *Comp) read(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -426,7 +429,7 @@ func (c *Comp) read(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	}
 }
 
-func (c *Comp) pread(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) pread(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -453,7 +456,7 @@ func (c *Comp) pread(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{data, len(data) == 0}, nil
 }
 
-func (c *Comp) write(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -496,7 +499,7 @@ func (c *Comp) write(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	}
 }
 
-func (c *Comp) pwrite(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) pwrite(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -520,11 +523,11 @@ func (c *Comp) pwrite(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // writev concatenated at the syscall layer: one buffer here.
-func (c *Comp) writev(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) writev(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return c.write(ctx, args)
 }
 
-func (c *Comp) lseek(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) lseek(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -566,7 +569,7 @@ func (c *Comp) lseek(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{f.Offset}, nil
 }
 
-func (c *Comp) close(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -600,7 +603,7 @@ func (c *Comp) close(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) fsync(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -614,7 +617,7 @@ func (c *Comp) fsync(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) fcntl(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) fcntl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -634,7 +637,7 @@ func (c *Comp) fcntl(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	}
 }
 
-func (c *Comp) ioctl(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -645,7 +648,7 @@ func (c *Comp) ioctl(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{0}, nil
 }
 
-func (c *Comp) pipe(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) pipe(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	rfd, err := c.allocFD(ctx)
 	if err != nil {
 		return nil, err
@@ -673,7 +676,7 @@ func (c *Comp) pipe(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{rfd, wfd}, nil
 }
 
-func (c *Comp) stat(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -692,7 +695,7 @@ func (c *Comp) stat(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{rets[1], rets[2]}, nil // size, isdir
 }
 
-func (c *Comp) mkdir(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -700,7 +703,7 @@ func (c *Comp) mkdir(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return ctx.Call("9pfs", "uk_9pfs_mkdir", path)
 }
 
-func (c *Comp) unlink(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) unlink(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -708,7 +711,7 @@ func (c *Comp) unlink(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return ctx.Call("9pfs", "uk_9pfs_remove", path)
 }
 
-func (c *Comp) readdir(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -721,11 +724,11 @@ func (c *Comp) readdir(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 
 // vget resolves a path like the vnode-cache hook in Unikraft's vfscore;
 // stateless here (no vnode cache), so unlogged.
-func (c *Comp) vget(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) vget(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return c.stat(ctx, args)
 }
 
-func (c *Comp) allocSocket(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) allocSocket(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	fd, err := c.allocFD(ctx)
 	if err != nil {
 		return nil, err
@@ -745,7 +748,7 @@ func (c *Comp) allocSocket(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{fd}, nil
 }
 
-func (c *Comp) sockFD(args msg.Args) (*file, error) {
+func (c *Comp) sockFD(args msg.Encoded) (*file, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -756,7 +759,7 @@ func (c *Comp) sockFD(args msg.Args) (*file, error) {
 	return f, nil
 }
 
-func (c *Comp) sockBind(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) sockBind(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -768,7 +771,7 @@ func (c *Comp) sockBind(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return ctx.Call("lwip", "bind", f.Sock, port)
 }
 
-func (c *Comp) sockListen(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) sockListen(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -781,7 +784,7 @@ func (c *Comp) sockListen(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // sockAccept pops one ready connection and wraps it in a new fd.
-func (c *Comp) sockAccept(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) sockAccept(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -805,7 +808,7 @@ func (c *Comp) sockAccept(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return msg.Args{fd, rets[1], rets[2]}, nil // fd, raddr, rport
 }
 
-func (c *Comp) sockConnect(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) sockConnect(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -821,7 +824,7 @@ func (c *Comp) sockConnect(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return ctx.Call("lwip", "connect", f.Sock, raddr, port)
 }
 
-func (c *Comp) sockState(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) sockState(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -829,7 +832,7 @@ func (c *Comp) sockState(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return ctx.Call("lwip", "conn_state", f.Sock)
 }
 
-func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -845,7 +848,7 @@ func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return ctx.Call("lwip", "setsockopt", f.Sock, opt, val)
 }
 
-func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -857,7 +860,7 @@ func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 	return ctx.Call("lwip", "getsockopt", f.Sock, opt)
 }
 
-func (c *Comp) sockShutdown(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) sockShutdown(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -880,10 +883,10 @@ var sessionFns = []string{
 
 // SessionOf implements core.SessionResolver: every per-fd call names its
 // session by the descriptor in argument zero.
-func (c *Comp) SessionOf(fn string, args msg.Args) msg.SessionID {
+func (c *Comp) SessionOf(fn string, args msg.Encoded) msg.SessionID {
 	for _, s := range sessionFns {
 		if s == fn {
-			return fdSession(args, 0)
+			return fdSession(args.Int(0))
 		}
 	}
 	return ""
@@ -919,7 +922,7 @@ func (c *Comp) EvictSession(ctx *core.Ctx, session msg.SessionID) error {
 
 // setOffsetSynthetic is the compaction target: it replays as a direct
 // offset install, replacing a run of read/write/lseek records (§V-F).
-func (c *Comp) setOffsetSynthetic(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) setOffsetSynthetic(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err

@@ -36,16 +36,16 @@ func (s *stub9pfs) Init(*core.Ctx) error { return nil }
 
 func (s *stub9pfs) Exports() map[string]core.Handler {
 	count := func(name string, h core.Handler) core.Handler {
-		return func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		return func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			s.calls[name]++
 			return h(ctx, args)
 		}
 	}
 	return map[string]core.Handler{
-		"uk_9pfs_mount": count("mount", func(*core.Ctx, msg.Args) (msg.Args, error) {
+		"uk_9pfs_mount": count("mount", func(*core.Ctx, msg.Encoded) (msg.Args, error) {
 			return nil, nil
 		}),
-		"uk_9pfs_open": count("open", func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"uk_9pfs_open": count("open", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			path, _ := args.Str(0)
 			flags, _ := args.Int(1)
 			_, exists := s.files[path]
@@ -62,7 +62,7 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			s.fids[s.nextFid] = path
 			return msg.Args{s.nextFid}, nil
 		}),
-		"uk_9pfs_close": count("close", func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"uk_9pfs_close": count("close", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			fid, _ := args.Int(0)
 			if _, ok := s.fids[fid]; !ok {
 				return nil, core.EBADF
@@ -70,7 +70,7 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			delete(s.fids, fid)
 			return nil, nil
 		}),
-		"uk_9pfs_read": count("read", func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"uk_9pfs_read": count("read", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			fid, _ := args.Int(0)
 			off, _ := args.Int64(1)
 			n, _ := args.Int(2)
@@ -84,7 +84,7 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			}
 			return msg.Args{append([]byte(nil), data[off:end]...)}, nil
 		}),
-		"uk_9pfs_write": count("write", func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"uk_9pfs_write": count("write", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			fid, _ := args.Int(0)
 			off, _ := args.Int64(1)
 			p, _ := args.Bytes(2)
@@ -99,20 +99,20 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			s.files[path] = data
 			return msg.Args{len(p)}, nil
 		}),
-		"uk_9pfs_fsync": count("fsync", func(*core.Ctx, msg.Args) (msg.Args, error) {
+		"uk_9pfs_fsync": count("fsync", func(*core.Ctx, msg.Encoded) (msg.Args, error) {
 			return nil, nil
 		}),
-		"uk_9pfs_stat": count("stat", func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"uk_9pfs_stat": count("stat", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			fid, _ := args.Int(0)
 			return msg.Args{int64(len(s.files[s.fids[fid]])), false}, nil
 		}),
-		"uk_9pfs_lookup": count("lookup", func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"uk_9pfs_lookup": count("lookup", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			path, _ := args.Str(0)
 			data, ok := s.files[path]
 			return msg.Args{ok, int64(len(data)), false}, nil
 		}),
-		"uk_9pfs_mkdir": count("mkdir", func(*core.Ctx, msg.Args) (msg.Args, error) { return nil, nil }),
-		"uk_9pfs_remove": count("remove", func(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+		"uk_9pfs_mkdir": count("mkdir", func(*core.Ctx, msg.Encoded) (msg.Args, error) { return nil, nil }),
+		"uk_9pfs_remove": count("remove", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			path, _ := args.Str(0)
 			if _, ok := s.files[path]; !ok {
 				return nil, core.ENOENT
@@ -120,7 +120,7 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			delete(s.files, path)
 			return nil, nil
 		}),
-		"uk_9pfs_readdir": count("readdir", func(*core.Ctx, msg.Args) (msg.Args, error) {
+		"uk_9pfs_readdir": count("readdir", func(*core.Ctx, msg.Encoded) (msg.Args, error) {
 			return msg.Args{[]byte{}}, nil
 		}),
 	}

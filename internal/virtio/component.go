@@ -124,7 +124,7 @@ func (c *Comp) Exports() map[string]core.Handler {
 
 // netTx pushes one frame to the host, waiting briefly if the ring is
 // momentarily full.
-func (c *Comp) netTx(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) netTx(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	frame, err := args.Bytes(0)
 	if err != nil {
 		return nil, err
@@ -143,7 +143,7 @@ func (c *Comp) netTx(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 }
 
 // netRxPop pops one received frame; EAGAIN when the ring is empty.
-func (c *Comp) netRxPop(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) netRxPop(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	frame, ok, err := c.netDev.GuestRecv(ctx.Mem())
 	if err != nil {
 		return nil, core.Errno("EIO: " + err.Error())
@@ -157,7 +157,7 @@ func (c *Comp) netRxPop(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
 // p9RPC sends one encoded 9P T-message and waits for its R-message. The
 // driver serialises RPCs (one virtio-9p channel), so the first response
 // is the response.
-func (c *Comp) p9RPC(ctx *core.Ctx, args msg.Args) (msg.Args, error) {
+func (c *Comp) p9RPC(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	req, err := args.Bytes(0)
 	if err != nil {
 		return nil, err
