@@ -40,7 +40,6 @@ func main() {
 		list       = flag.Bool("list", false, "print the enumerated cell IDs and exit without running")
 		ckptEvery  = flag.Int("ckpt-every", 0, "incremental checkpoint cadence: re-checkpoint each eligible component after N completed calls (0 = paper behaviour, post-init checkpoint only)")
 		ckptThresh = flag.Int("ckpt-threshold", 0, "incremental checkpoint log trigger: re-checkpoint when the retained log exceeds N records (0 = off)")
-		replayChk  = flag.Bool("replay-check", false, "fail a restoration when a replayed call's results diverge from the log (determinism oracle)")
 		agingPd    = flag.Duration("aging", 0, "override the aging cells' adaptive sensor sample period (0 = campaign default)")
 		agingLeak  = flag.Float64("aging-leak", 0, "override the aging cells' leak-slope threshold (bytes per virtual second; 0 = campaign default)")
 		agingFrag  = flag.Float64("aging-frag", 0, "enable/override the aging cells' fragmentation threshold in [0,1] (0 = campaign default, negative = sensor off)")
@@ -69,13 +68,12 @@ func main() {
 			Faults:     faults,
 			Functions:  *functions,
 		},
-		Seed:           *seed,
-		Parallel:       *parallel,
-		Shards:         *shards,
-		TraceDir:       *traceDir,
-		Trials:         splitList(*trial),
-		Ckpt:           ckpt.Policy{EveryCalls: *ckptEvery, LogThreshold: *ckptThresh},
-		ReplayRetCheck: *replayChk,
+		Seed:     *seed,
+		Parallel: *parallel,
+		Shards:   *shards,
+		TraceDir: *traceDir,
+		Trials:   splitList(*trial),
+		Ckpt:     ckpt.Policy{EveryCalls: *ckptEvery, LogThreshold: *ckptThresh},
 	}
 	if *agingPd != 0 || *agingLeak != 0 || *agingFrag != 0 {
 		pol := campaign.DefaultAgingPolicy()

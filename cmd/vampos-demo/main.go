@@ -456,7 +456,6 @@ func defenseDemo() error {
 		// The rollback needs an image history to land on.
 		cfg.Core.Ckpt = vampos.CkptPolicy{EveryCalls: 8}
 	}
-	cfg.Core.ReplayRetCheck = true
 	cfg.Core.Defense = vampos.DefensePolicy{
 		Enabled:        true,
 		Rerandomize:    true,

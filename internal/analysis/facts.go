@@ -160,12 +160,6 @@ func hasMethods(named *types.Named, names ...string) bool {
 // the path is not a component package).
 func (f *Facts) ComponentOf(path string) string { return componentOf(path) }
 
-// DeterministicPkg reports whether path is in detclock's
-// virtual-time-only set (which includes every component package).
-func (f *Facts) DeterministicPkg(path string) bool {
-	return deterministicPkgs[path] || componentOf(path) != ""
-}
-
 // OrderedOutputPkg reports whether path is in detrange's scope: the
 // packages whose map-iteration order can reach logged bytes, gossip
 // deltas, or codec output.

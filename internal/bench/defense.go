@@ -115,7 +115,6 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 	cc := coreConfig(DaS)
 	cc.LogShrinkThreshold = 1 << 30 // park compaction: replay counts are part of the figure
 	cc.Ckpt = ckpt.Policy{EveryCalls: defCkptEvery}
-	cc.ReplayRetCheck = true
 	if withDefense {
 		cc.Defense = defense.Policy{
 			Enabled:        true,

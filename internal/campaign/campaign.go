@@ -41,10 +41,6 @@ type Options struct {
 	// checkpointing for every checkpoint-eligible component of every
 	// trial instance, and arms the checkpoint recovery oracle.
 	Ckpt ckpt.Policy
-	// ReplayRetCheck enables the opt-in replay return-divergence check
-	// in every trial instance: replayed calls whose results differ from
-	// the log fail the restoration with a ReplayDivergenceError.
-	ReplayRetCheck bool
 	// Aging, when enabled, replaces DefaultAgingPolicy as the adaptive-
 	// rejuvenation policy aging cells arm. The leak-slope sensor should
 	// stay enabled: the aging oracle attributes the rejuvenation to it.

@@ -106,11 +106,10 @@ func TestCheckpointedCampaignSlice(t *testing.T) {
 		Faults:     []FaultName{FaultCrash, FaultHang},
 	}
 	m, err := Run(Options{
-		Space:          space,
-		Seed:           11,
-		Parallel:       2,
-		Ckpt:           ckpt.Policy{EveryCalls: 8},
-		ReplayRetCheck: true,
+		Space:    space,
+		Seed:     11,
+		Parallel: 2,
+		Ckpt:     ckpt.Policy{EveryCalls: 8},
 	})
 	if err != nil {
 		t.Fatalf("campaign run: %v", err)

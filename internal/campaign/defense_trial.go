@@ -41,13 +41,12 @@ type attack struct {
 
 func (k *attack) configure(t *trial, cc *core.Config, _ Options) {
 	t.after = 0 // an attack is delivered, not armed at an invocation ordinal
-	// The taint-aware rollback needs an image history to land on, and the
-	// divergence detector needs replay return checking; both are part of
-	// the configuration under test regardless of the campaign's flags.
+	// The taint-aware rollback needs an image history to land on: a
+	// cadence is part of the configuration under test, whatever the
+	// campaign's flags.
 	if !cc.Ckpt.Enabled() {
 		cc.Ckpt = ckpt.Policy{EveryCalls: defenseCkptEvery}
 	}
-	cc.ReplayRetCheck = true
 	cc.Defense = defense.Policy{
 		Enabled:        true,
 		Rerandomize:    true,

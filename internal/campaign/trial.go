@@ -104,7 +104,6 @@ func runTrial(cell Cell, opts Options) (res CellResult) {
 	cc.WatchdogPeriod = trialWatchdogPeriod
 	cc.MaxVirtualTime = trialMaxVirtual
 	cc.Ckpt = opts.Ckpt
-	cc.ReplayRetCheck = opts.ReplayRetCheck
 
 	j := &judgement{t: t}
 	if cell.Workload == ClusterWorkload {

@@ -54,9 +54,6 @@ func NewHistory(depth int) *History {
 // Len returns the number of retained images.
 func (h *History) Len() int { return len(h.entries) }
 
-// Depth returns the retention bound.
-func (h *History) Depth() int { return h.depth }
-
 // Add appends a freshly captured image, evicting the oldest entry when
 // the ring is full.
 func (h *History) Add(meta ImageMeta, image any) {

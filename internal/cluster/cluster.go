@@ -65,7 +65,8 @@ func (c Config) fill() Config {
 	if c.Replication == 0 {
 		c.Replication = 2
 	}
-	if c.Core.MemorySize == 0 {
+	if c.Core.Policy == 0 {
+		// Every constructor sets a policy: none means Core was left unset.
 		c.Core = core.DaSConfig()
 	}
 	return c

@@ -31,7 +31,7 @@ func (rt *Runtime) installTrackers() {
 		if c.desc.Stateful && c.desc.Checkpoint {
 			// A disabled policy still gets a tracker: manual Ctx.Checkpoint
 			// calls are accounted through it.
-			c.tracker = ckpt.NewTracker(rt.cfg.CkptPolicyFor(c.desc.Name))
+			c.tracker = ckpt.NewTracker(rt.cfg.Ckpt)
 		}
 	}
 }

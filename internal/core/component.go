@@ -256,6 +256,9 @@ type group struct {
 	// rec is the group's recovery: the one in flight while rebooting is
 	// set, the last one after (nil before the first). See recovery.go.
 	rec *recovery
+	// check holds the replay return check's encode buffers, reused by
+	// every replayed entry of every recovery of the group.
+	check retCheck
 
 	// failStopNotified marks that the graceful-termination handler ran.
 	failStopNotified bool

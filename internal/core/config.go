@@ -62,8 +62,6 @@ type Config struct {
 	HangThreshold time.Duration
 	// WatchdogPeriod is the hang-detector scan interval (virtual time).
 	WatchdogPeriod time.Duration
-	// MemorySize is the guest address space size in bytes.
-	MemorySize int64
 	// MaxVirtualTime aborts the simulation when the virtual clock passes
 	// it — a backstop against livelocked experiments. Zero disables.
 	MaxVirtualTime time.Duration
@@ -72,8 +70,6 @@ type Config struct {
 	// zero policy keeps the paper's behaviour: one post-init checkpoint,
 	// full-log replay on every recovery.
 	Ckpt ckpt.Policy
-	// CkptPerComponent overrides Ckpt for the named components.
-	CkptPerComponent map[string]ckpt.Policy
 	// Aging enables adaptive sensor-driven rejuvenation: when the policy
 	// is enabled (SamplePeriod > 0) and the runtime is message-passing,
 	// Boot starts a controller thread that samples every rebootable
@@ -92,27 +88,11 @@ type Config struct {
 	// session replay fails. Off by default so the paper-faithful
 	// configurations keep component-granular recovery semantics.
 	Microreboot bool
-	// ReplayRetCheck compares each replayed call's return values and
-	// error against the logged originals during encapsulated restoration
-	// and fails the restore with a *ReplayDivergenceError on mismatch.
-	// Off by default: divergence checking doubles as a determinism oracle
-	// for campaigns but costs an encode per replayed entry.
-	ReplayRetCheck bool
 	// Defense configures the active-defense pipeline: arena tamper seals,
 	// taint-aware rollback past detected corruption, and re-randomized
 	// arena layouts on every reboot. The zero policy keeps recovery
 	// purely availability-oriented (restore the latest image).
 	Defense defense.Policy
-}
-
-// CkptPolicyFor returns the checkpoint cadence for the named component:
-// its per-component override if present, the config-wide default
-// otherwise.
-func (c Config) CkptPolicyFor(name string) ckpt.Policy {
-	if p, ok := c.CkptPerComponent[name]; ok {
-		return p
-	}
-	return c.Ckpt
 }
 
 // Defaults mirrored from the paper's prototype.
@@ -140,9 +120,6 @@ func (c Config) fill() Config {
 	}
 	if c.WatchdogPeriod == 0 {
 		c.WatchdogPeriod = DefaultWatchdogPeriod
-	}
-	if c.MemorySize == 0 {
-		c.MemorySize = DefaultMemorySize
 	}
 	if c.MaxVirtualTime == 0 {
 		c.MaxVirtualTime = 24 * time.Hour

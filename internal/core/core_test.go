@@ -84,7 +84,9 @@ func (k *kvComp) put(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 		}
 	}
 	k.data[key] = val
-	return msg.Args{len(k.data)}, nil
+	// The result depends on this key's session alone, so a session
+	// microreboot's replay reproduces it against the other keys' state.
+	return msg.Args{len(val)}, nil
 }
 
 func (k *kvComp) get(ctx *Ctx, args msg.Encoded) (msg.Args, error) {

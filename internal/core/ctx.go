@@ -191,11 +191,3 @@ func (c *Ctx) EndSyscall(sp, prev trace.SpanID, err error) {
 	tr.EndErr(sp, errnoString(err))
 	c.span = prev
 }
-
-// TraceMark records a free-form instant under the context's current
-// span. Experiments use it to label workload milestones.
-func (c *Ctx) TraceMark(name, detail string) {
-	if tr := c.rt.tracer; tr != nil {
-		tr.Instant(c.span, trace.KindMark, c.callerName(), name, detail)
-	}
-}

@@ -14,9 +14,9 @@ import (
 // This file is the runtime half of the active-defense pipeline
 // (internal/defense holds the policy half): detect → watermark →
 // taint-aware rollback → re-randomize. Detection has two sources — the
-// arena seal below (host-boundary tampering) and the ReplayRetCheck
-// divergence detector (the replay stage, recovery.go) — both of which
-// stamp a taint watermark that the image-selection stage honours.
+// arena seal below (host-boundary tampering) and the replay return check
+// (the replay stage, recovery.go) — both of which stamp a taint watermark
+// that the image-selection stage honours.
 
 // installDefense arms the per-component defense state at Boot: every
 // checkpoint-eligible component gets an image-history ring. The post-init

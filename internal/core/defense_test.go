@@ -111,14 +111,13 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 	}
 }
 
-// TestDivergenceTaintRetry: with defense enabled, a ReplayRetCheck
+// TestDivergenceTaintRetry: with defense enabled, a replay return
 // divergence is treated as corruption evidence — the diverging seq
 // becomes the taint watermark and the restore retries below it instead
 // of fail-stopping the group.
 func TestDivergenceTaintRetry(t *testing.T) {
 	d := &nondetComp{name: "nd"}
 	cfg := defenseConfig()
-	cfg.ReplayRetCheck = true
 	cfg.MaxVirtualTime = time.Hour
 	rt := NewRuntime(cfg)
 	rec := rt.NewTracer("divergence-retry")

@@ -96,17 +96,17 @@ func (e *UnknownFunctionError) Error() string {
 
 // ReplayDivergenceError reports that during encapsulated restoration a
 // component diverged from its log: it issued an outbound call that does
-// not match the logged one, or (with Config.ReplayRetCheck enabled) a
-// replayed call produced different results than the original — either
-// way, the log can no longer restore this component consistently.
+// not match the logged one, or a replayed call produced different results
+// than the original — either way, the log can no longer restore this
+// component consistently.
 type ReplayDivergenceError struct {
 	Component  string
 	WantTarget string
 	WantFn     string
 	GotTarget  string
 	GotFn      string
-	// RetMismatch marks a return-value divergence found by the opt-in
-	// ReplayRetCheck; Detail describes the mismatch.
+	// RetMismatch marks a return-value divergence found by the replay
+	// return check; Detail describes the mismatch.
 	RetMismatch bool
 	Detail      string
 	// Seq is the log sequence number of the diverging record — the first

@@ -170,8 +170,10 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 		return nil, &UnknownComponentError{Name: target}
 	}
 	// During encapsulated restoration, calls leaving the rebooting group
-	// are answered from the log instead of disturbing running components.
-	if c.replay != nil && tc.group != c.replay.grp {
+	// are answered from the log instead of disturbing running components,
+	// and so are calls into a co-member's logged functions: the co-member
+	// replays those from its own log (callLogged).
+	if c.replay != nil && (tc.group != c.replay.grp || rt.loggingWanted(tc, fn)) {
 		return rt.feedFromLog(c, target, fn)
 	}
 	h, ok := tc.exports[fn]
@@ -194,7 +196,11 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 		var rets msg.Args
 		err := rt.checkFault(sub, target, fn)
 		if err == nil {
-			rets, err = h(sub, enc)
+			if rt.cfg.MessagePassing && c.replay == nil && rt.loggingWanted(tc, fn) {
+				rets, err = rt.callLogged(c, sub, tc, fn, h, enc)
+			} else {
+				rets, err = h(sub, enc)
+			}
 		}
 		if tr := rt.tracer; tr != nil {
 			tr.EndErr(sub.span, errnoString(err))
@@ -202,6 +208,45 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 		return rets, err
 	}
 	return rt.callMessage(c, tc, fn, enc)
+}
+
+// callLogged runs a direct call into a co-member's logged function and
+// logs it the way a message is logged: the callee's log gets a record of
+// its own, holding the callee's outbound results, and the caller's record
+// gets the call's results. A merged group's replay then rebuilds each
+// member from its own log and answers a member's calls into a co-member's
+// logged functions from its own record. The callee's record takes the seq
+// of the call the group is executing (the newest seq minted outside one),
+// so it replays right before the record that made it (tailSlice).
+func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, args msg.Encoded) (rets msg.Args, err error) {
+	g, lg := tc.group, tc.domain.Log()
+	seq := g.currentSeq
+	if seq == 0 {
+		seq = rt.nextSeq
+	}
+	rt.chargeOn(c.th, rt.costs.LogAppend)
+	rec, lerr := lg.BeginInboundEncoded(seq, fn, args)
+	if lerr != nil {
+		return nil, errnoFromString("ENOSPC: " + lerr.Error())
+	}
+	outer, outerLog := g.curRec, g.curLog
+	g.curRec, g.curLog = rec, lg
+	defer func() {
+		if rec != nil {
+			// The handler panicked: like a crashed message call's, its
+			// half-written record is discarded.
+			g.curRec, g.curLog = outer, outerLog
+			lg.DropRecord(rec)
+		}
+	}()
+	rets, err = h(sub, args)
+	g.curRec, g.curLog = outer, outerLog
+	errStr := errnoString(err)
+	if s := rt.logResult(c.th, tc, fn, args, rec, g, rets, errStr); s != errStr {
+		err = errnoFromString(s)
+	}
+	rec = nil
+	return rets, err
 }
 
 // callMessage performs one message-passing call, transparently retrying
@@ -404,20 +449,29 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 
 func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Args, errStr string) {
 	rt.charge(rt.costs.MessagePull)
-	if pc.rec != nil {
-		rt.charge(rt.costs.LogAppend)
-		lg := pc.to.domain.Log()
-		pol := pc.to.policies[pc.fn]
+	rt.finishCall(pc, rets, rt.logResult(nil, pc.to, pc.fn, pc.args, pc.rec, pc.fromGrp, rets, errStr))
+}
+
+// logResult closes a logged call, on either transport: the callee's record
+// rec (nil: fn is not logged) ends with the results, and the record the
+// caller's group from is executing, if any, gains them for the caller's
+// own replay. Each log write is charged to th (nil: the message thread).
+// It returns errStr, replaced when a domain is full.
+func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args msg.Encoded, rec *msg.Record, from *group, rets msg.Args, errStr string) string {
+	if rec != nil {
+		rt.chargeOn(th, rt.costs.LogAppend)
+		lg := to.domain.Log()
+		pol := to.policies[fn]
 		if errStr != "" && !pol.KeepFailed {
 			// A failed call changed no component state: logging it would
 			// only bloat the replay (EAGAIN accept/recv polls especially).
-			lg.DropRecord(pc.rec)
+			lg.DropRecord(rec)
 		} else {
 			sess, class := msg.SessionID(""), msg.ClassDurable
 			if pol.Classify != nil {
-				sess, class = pol.Classify(pc.args, rets, errnoFromString(errStr))
+				sess, class = pol.Classify(args, rets, errnoFromString(errStr))
 			}
-			if err := lg.EndInbound(pc.rec, sess, class, rets, errStr); err != nil {
+			if err := lg.EndInbound(rec, sess, class, rets, errStr); err != nil {
 				errStr = "ENOSPC: " + err.Error()
 			}
 			// Session sub-resource lifecycle (nil-safe when the
@@ -426,24 +480,24 @@ func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Args, errStr string) {
 			if sess != "" {
 				switch class {
 				case msg.ClassOpener:
-					rt.sessions.Observe(pc.to.desc.Name, string(sess))
+					rt.sessions.Observe(to.desc.Name, string(sess))
 				case msg.ClassCanceler:
-					rt.sessions.Dissolve(pc.to.desc.Name, string(sess))
+					rt.sessions.Dissolve(to.desc.Name, string(sess))
 				}
 			}
-			rt.maybeCompact(pc.to)
+			rt.maybeCompact(th, to)
 		}
 	}
 	// Return-value logging for encapsulated restoration of the caller.
-	if pc.fromGrp != nil && pc.fromGrp.curRec != nil {
-		rt.charge(rt.costs.LogAppend)
-		if err := pc.fromGrp.curLog.AppendOutboundTo(pc.fromGrp.curRec, pc.to.desc.Name, pc.fn, rets, errStr); err != nil {
+	if from != nil && from.curRec != nil {
+		rt.chargeOn(th, rt.costs.LogAppend)
+		if err := from.curLog.AppendOutboundTo(from.curRec, to.desc.Name, fn, rets, errStr); err != nil {
 			// A full caller domain poisons future restoration of the
 			// caller; surface it as the call's error.
 			errStr = "ENOSPC: " + err.Error()
 		}
 	}
-	rt.finishCall(pc, rets, errStr)
+	return errStr
 }
 
 // finishCall resolves a pending call and wakes its caller.
@@ -467,7 +521,7 @@ func (rt *Runtime) finishCall(pc *pendingCall, rets msg.Args, errStr string) {
 
 // maybeCompact triggers the component's log compactor once the log
 // exceeds the configured shrink threshold (§V-F).
-func (rt *Runtime) maybeCompact(c *component) {
+func (rt *Runtime) maybeCompact(th *sched.Thread, c *component) {
 	if !rt.cfg.LogShrinkEnabled {
 		return
 	}
@@ -488,7 +542,7 @@ func (rt *Runtime) maybeCompact(c *component) {
 		if after := lg.Len(); before-after > touched {
 			touched = before - after
 		}
-		rt.charge(time.Duration(touched) * rt.costs.LogAppend)
+		rt.chargeOn(th, time.Duration(touched)*rt.costs.LogAppend)
 	}
 }
 

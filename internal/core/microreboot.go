@@ -42,10 +42,10 @@ type MicrorebootRecord struct {
 // session-local escalates to the component rung:
 //
 //   - the configuration opted in (Config.Microreboot);
-//   - the group is a singleton: inside a merged group a replayed call to
-//     a co-member runs directly with the replay context attached, so it
-//     would consult the wrong record's ReplayRets — merged groups always
-//     recover at component granularity;
+//   - the group is a singleton: a merged group's members share one
+//     worker, and a session of one reaches into the co-member's state
+//     (a VFS fd holds a 9PFS fid) — merged groups always recover at
+//     component granularity;
 //   - the component is stateful (stateless ones re-init, which is
 //     already cheap) and rebootable;
 //   - it implements both SessionResolver (to name the session) and

@@ -55,28 +55,32 @@ func (c *Ctx) rebootAs(name, reason string) error {
 	return nil
 }
 
-// replayRetDivergence compares a replayed call's outcome against the
-// logged one, byte-for-byte over the encoded results. Encoding both
-// sides through the message codec sidesteps any-typed comparison
-// pitfalls (ints decoded as their original widths, []byte identity):
-// two results are the same iff they transport the same.
-func replayRetDivergence(comp string, v *msg.RecordView, rets msg.Args, err error) *ReplayDivergenceError {
-	de := &ReplayDivergenceError{Component: comp, WantFn: v.Fn, GotFn: v.Fn, RetMismatch: true, Seq: v.Seq}
+// retCheck compares a replayed call's outcome against the logged one,
+// byte-for-byte over the encoded results. Encoding both sides through the
+// message codec sidesteps any-typed comparison pitfalls (ints decoded as
+// their original widths, []byte identity): two results are the same iff
+// they transport the same. The two encode buffers are reused from one
+// replayed entry to the next, so a match allocates nothing.
+type retCheck struct{ want, got []byte }
+
+func (rc *retCheck) divergence(comp string, v *msg.RecordView, rets msg.Args, err error) *ReplayDivergenceError {
+	var detail string
 	if got := errnoString(err); got != v.Err {
-		de.Detail = fmt.Sprintf("logged error %q, replay returned %q", v.Err, got)
-		return de
+		detail = fmt.Sprintf("logged error %q, replay returned %q", v.Err, got)
+	} else {
+		want, werr := msg.AppendArgs(rc.want[:0], v.Rets)
+		got, gerr := msg.AppendArgs(rc.got[:0], rets)
+		rc.want, rc.got = want, got
+		switch {
+		case werr != nil || gerr != nil:
+			detail = fmt.Sprintf("result encoding failed (logged: %v, replay: %v)", werr, gerr)
+		case !bytes.Equal(want, got):
+			detail = fmt.Sprintf("logged rets %v, replay produced %v", v.Rets, rets)
+		default:
+			return nil
+		}
 	}
-	wantB, werr := msg.EncodeArgs(v.Rets)
-	gotB, gerr := msg.EncodeArgs(rets)
-	if werr != nil || gerr != nil {
-		de.Detail = fmt.Sprintf("result encoding failed (logged: %v, replay: %v)", werr, gerr)
-		return de
-	}
-	if !bytes.Equal(wantB, gotB) {
-		de.Detail = fmt.Sprintf("logged rets %v, replay produced %v", v.Rets, rets)
-		return de
-	}
-	return nil
+	return &ReplayDivergenceError{Component: comp, WantFn: v.Fn, GotFn: v.Fn, RetMismatch: true, Seq: v.Seq, Detail: detail}
 }
 
 // watchdogLoop is the hang detector: a component whose current call has

@@ -449,7 +449,11 @@ func (rt *Runtime) selectImage(r *recovery, c *component) error {
 // tailSlice selects the component rung's replay slice: each stateful
 // member's retained log past its image, plus the archived records a
 // rollback re-admits, in global sequence order so cross-member orderings
-// inside a merged group are preserved.
+// inside a merged group are preserved. At one seq the records keep member
+// order, which is registration order, and boot order registers a callee
+// before its callers: so the record a direct call into a co-member left
+// replays before the caller's record that made it (callLogged), and the
+// caller's later calls into the co-member find the state that call built.
 func (rt *Runtime) tailSlice(g *group, r *recovery) ([]replayItem, error) {
 	var items []replayItem
 	for _, c := range g.members {
@@ -462,10 +466,12 @@ func (rt *Runtime) tailSlice(g *group, r *recovery) ([]replayItem, error) {
 		}
 		cover := c.domain.Log().EpochSeq()
 		for _, v := range views {
-			if v.Seq <= cover {
+			if cover != 0 && v.Seq <= cover {
 				// Already in the restored image: a record that was still open
 				// when its covering truncation ran closes into the log below
-				// the epoch seq; replaying it would double-apply the call.
+				// the epoch seq; replaying it would double-apply the call. A
+				// zero epoch seq covers nothing, not even a co-member record
+				// logged before the first message was minted (seq 0).
 				continue
 			}
 			items = append(items, replayItem{c: c, v: v})
@@ -512,17 +518,16 @@ func (rt *Runtime) replay(t *sched.Thread, g *group, r *recovery, items []replay
 			// it swallowed the error, the restored state is untrusted.
 			return rs.diverged
 		}
-		if rt.cfg.ReplayRetCheck && !v.Synthetic && v.Class != msg.ClassCanceler {
-			// Opt-in determinism oracle: a replayed call must reproduce the
-			// results the original produced, or the restored state cannot
-			// be trusted. Synthetic records are exempt — they are
-			// state-install commands, not calls with a logged outcome.
-			// Cancelers are exempt too: they stay in the log only to
-			// reproduce resource numbering, and when the session they close
-			// was created on the unlogged data path (an accepted
-			// connection) replay legitimately answers "already gone" —
-			// idempotent dissolution, not corruption.
-			if de := replayRetDivergence(c.desc.Name, v, rets, err); de != nil {
+		if !v.Synthetic && v.Class != msg.ClassCanceler {
+			// A replayed call must reproduce the results the original
+			// produced, or the restored state cannot be trusted. Synthetic
+			// records are exempt — they are state-install commands, not
+			// calls with a logged outcome. Cancelers are exempt too: they
+			// stay in the log only to reproduce resource numbering, and when
+			// the session they close was created on the unlogged data path
+			// (an accepted connection) replay legitimately answers "already
+			// gone" — idempotent dissolution, not corruption.
+			if de := g.check.divergence(c.desc.Name, v, rets, err); de != nil {
 				rt.tracer.Instant(r.phase, trace.KindDetect, c.desc.Name, "replay-divergence", de.Error())
 				return de
 			}

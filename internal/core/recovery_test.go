@@ -282,7 +282,6 @@ func TestRecoveryStageSelection(t *testing.T) {
 			want: want{image: map[string]imageChoice{"kv": imagePreWatermark}, epochSeq: 3, slice: slice{first: 4, last: 5, archive: 2}, records: 1}},
 		{name: "divergence rollback retry", cfg: func() Config {
 			cfg := defenseConfig()
-			cfg.ReplayRetCheck = true
 			return cfg
 		},
 			comps: func() []Component { return []Component{&nondetComp{name: "nd"}} },

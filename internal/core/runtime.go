@@ -135,7 +135,7 @@ func NewRuntime(cfg Config) *Runtime {
 		policy = sched.NewRoundRobin()
 	}
 	s := sched.New(clk, policy)
-	m := mem.New(cfg.MemorySize)
+	m := mem.New(DefaultMemorySize)
 	if err := s.SetMemory(m); err != nil {
 		panic(err) // fresh scheduler; cannot already have memory
 	}
@@ -160,13 +160,6 @@ func NewRuntime(cfg Config) *Runtime {
 
 // Config returns the runtime configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
-
-// SetCostModel replaces the virtual-time cost model. Must be called
-// before Boot.
-func (rt *Runtime) SetCostModel(c CostModel) {
-	rt.costs = c
-	rt.sch.SetDispatchCost(c.Dispatch)
-}
 
 // Clock returns the runtime's virtual clock.
 func (rt *Runtime) Clock() *clock.Virtual { return rt.clk }

@@ -8,8 +8,8 @@
 //     quiescent points. Host writes into a component's private arena are
 //     never legitimate mid-run, so a moved stamp between two seals is
 //     direct evidence of out-of-band tampering.
-//   - Taint: once a detector fires (a broken seal, or a ReplayRetCheck
-//     divergence during replay), the first suspect log seq becomes the
+//   - Taint: once a detector fires (a broken seal, or a replayed call
+//     whose results diverge from the log), the first suspect log seq becomes the
 //     taint watermark W. Recovery then restores the newest checkpoint
 //     image whose epoch seq strictly predates W (ckpt.History.SelectBefore),
 //     quarantines every image at or after W, drops the tainted log tail,
@@ -105,7 +105,7 @@ type Taint struct {
 	// are dropped, images with EpochSeq >= Watermark are quarantined.
 	Watermark uint64
 	// Detector names what fired: "seal" (arena tamper) or "divergence"
-	// (ReplayRetCheck mismatch during replay).
+	// (a replay return mismatch).
 	Detector string
 }
 

@@ -46,11 +46,6 @@ func (i *Injector) CrashAfter(component, fn string, n int) error {
 	return i.rt.ArmFaultSpec(component, fn, core.FaultSpec{Kind: core.FaultCrash, After: n})
 }
 
-// HangAfter makes the nth invocation of component.fn hang forever.
-func (i *Injector) HangAfter(component, fn string, n int) error {
-	return i.rt.ArmFaultSpec(component, fn, core.FaultSpec{Kind: core.FaultHang, After: n})
-}
-
 // LeakBytes allocates total bytes from the component's arena in blockSize
 // chunks and never frees them: the memory-leak flavour of software aging
 // (the paper's ukallocbuddy leak, issue #689).

@@ -71,9 +71,6 @@ func NewDomain(owner string, m *mem.Memory, key mem.Key, npages int) (*Domain, e
 	return d, nil
 }
 
-// Owner returns the component name this domain belongs to.
-func (d *Domain) Owner() string { return d.owner }
-
 // Key returns the domain's protection key.
 func (d *Domain) Key() mem.Key { return d.key }
 

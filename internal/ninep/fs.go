@@ -37,9 +37,6 @@ func NewExportFS() *ExportFS {
 	return fs
 }
 
-// Root returns the root qid.
-func (fs *ExportFS) Root() Qid { return fs.root.qid }
-
 func splitPath(path string) []string {
 	var out []string
 	for _, part := range strings.Split(path, "/") {

@@ -286,6 +286,46 @@ func TestComponentRebootKeepsFileState(t *testing.T) {
 	})
 }
 
+// TestMergedRebootKeepsFileState: in FSm, VFS and 9PFS reboot together,
+// and the composite must come back with both its fd and its fid table.
+// The warm file's fid is not the lowest free one (the file opened before
+// it is closed), so a fid rebuilt by lowest-free allocation instead of
+// from 9PFS's own log would name nothing on the host.
+func TestMergedRebootKeepsFileState(t *testing.T) {
+	runInstance(t, fullConfig(core.FSmConfig()), func(s *Sys) {
+		first, err := s.Open("/first.txt", OCreate|ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, err := s.Open("/warm.txt", OCreate|ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(first); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []string{"abc", "def"} {
+			if _, err := s.Write(fd, []byte(w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Reboot("vfs"); err != nil {
+			t.Fatalf("reboot vfs in FSm: %v", err)
+		}
+		if _, err := s.Write(fd, []byte("ghi")); err != nil {
+			t.Fatalf("write on the warm fd after the composite reboot: %v", err)
+		}
+		data, err := s.Pread(fd, 100, 0)
+		if err != nil || string(data) != "abcdefghi" {
+			t.Fatalf("content after the composite reboot = %q, %v", data, err)
+		}
+		rt := s.Instance().Runtime()
+		if rec := rt.Reboots(); len(rec) != 1 || rec[0].ReplayedEntries == 0 {
+			t.Fatalf("reboot records = %+v, want one that replayed", rec)
+		}
+	})
+}
+
 func TestLWIPRebootKeepsConnections(t *testing.T) {
 	// The heart of Table V: a live TCP connection survives an LWIP
 	// reboot because the extracted seq/ACK state is reinstalled.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,8 +20,8 @@ import (
 )
 
 // fpProbe is the one component the fingerprint rows add to the image
-// when the real ones cannot show a flavour: bump returns a host-side
-// counter that SaveState omits, so its replay diverges from the log
+// when the real ones cannot show a flavour: bump returns a counter that
+// SaveState omits, so its replay diverges from the log
 // (restore failure, divergence-stamped rollback); put crashes on the
 // poison key every time (the deterministic bug a fallback replaces).
 type fpProbe struct {
@@ -70,9 +71,21 @@ func (p *fpProbe) LogPolicies() map[string]core.LogPolicy {
 	}
 }
 
-// SaveState deliberately captures neither n nor data.
-func (p *fpProbe) SaveState() ([]byte, error) { return []byte("x"), nil }
-func (p *fpProbe) RestoreState([]byte) error  { return nil }
+// SaveState captures data but deliberately not n: bump's replay diverges
+// from the log, put's does not.
+func (p *fpProbe) SaveState() ([]byte, error) {
+	return []byte(strings.Join(msg.SortedKeys(nil, p.data), "\n")), nil
+}
+
+func (p *fpProbe) RestoreState(b []byte) error {
+	p.data = map[string]string{}
+	for _, k := range strings.Split(string(b), "\n") {
+		if k != "" {
+			p.data[k] = "set"
+		}
+	}
+	return nil
+}
 
 // recoveryFlavour is one row of the oracle: a configuration, optional
 // probe components, and a script that provokes exactly one flavour of
@@ -142,7 +155,6 @@ func fpArm(t *testing.T, s *Sys, comp, fn string, kind core.FaultKind) {
 
 func fpDefense() core.Config {
 	cc := core.DaSConfig()
-	cc.ReplayRetCheck = true
 	cc.Ckpt = ckpt.Policy{EveryCalls: 3}
 	cc.Defense = defense.Policy{Enabled: true, Rerandomize: true, SealEveryCalls: 4, HistoryDepth: 8, Seed: 7}
 	return cc
@@ -195,10 +207,9 @@ func recoveryFlavours() []*recoveryFlavour {
 			if err := s.Reboot("vfs"); err != nil {
 				t.Fatalf("Reboot(vfs) in FSm: %v", err)
 			}
-			// At the recorded commit the VFS+9PFS composite comes back without
-			// its fid table (a replayed call into the co-member consults the
-			// outer record's ReplayRets), so the outcomes are recorded, not
-			// asserted: the oracle pins the mechanism, whatever it does.
+			// The composite comes back with its fd and fid tables, each member
+			// replayed from its own log; the outcomes are recorded, not
+			// asserted (TestMergedRebootKeepsFileState asserts them).
 			_, err := s.Write(fd, []byte("after\n"))
 			row.notef("write after composite reboot: %v", err)
 			fpArm(t, s, "vfs", "stat", core.FaultCrash)
@@ -312,11 +323,7 @@ func recoveryFlavours() []*recoveryFlavour {
 				}
 				fpAfter(t, s, fd)
 			}},
-		{name: "restore-failure", core: func() core.Config {
-			cc := core.DaSConfig()
-			cc.ReplayRetCheck = true
-			return cc
-		}, probe: &fpProbe{}, script: func(t *testing.T, s *Sys, row *recoveryFlavour) {
+		{name: "restore-failure", core: core.DaSConfig, probe: &fpProbe{}, script: func(t *testing.T, s *Sys, row *recoveryFlavour) {
 			fd := fpWarm(t, s)
 			c := s.Ctx()
 			for i := 0; i < 2; i++ {

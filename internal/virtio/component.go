@@ -63,12 +63,6 @@ func (c *Comp) Describe() core.Descriptor {
 	}
 }
 
-// NetDevice returns the virtio-net device (nil before Init).
-func (c *Comp) NetDevice() *Device { return c.netDev }
-
-// P9Device returns the virtio-9p device (nil before Init).
-func (c *Comp) P9Device() *Device { return c.p9Dev }
-
 // Init allocates the rings inside the component arena and attaches the
 // devices to the host. Re-running Init (a full VM reboot) re-creates the
 // rings and re-attaches — the coordinated reset path.

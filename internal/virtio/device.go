@@ -45,9 +45,6 @@ func NewDevice(name string, m *mem.Memory, txBase, rxBase mem.Addr, slots, slotS
 	return &Device{Name: name, tx: tx, rx: rx}, nil
 }
 
-// SlotSize returns the ring slot payload capacity.
-func (d *Device) SlotSize() int { return d.tx.slotSize }
-
 // Desynced reports whether the host has detected an uncoordinated ring
 // reset; a desynced device drops all traffic.
 func (d *Device) Desynced() bool { return d.desync }

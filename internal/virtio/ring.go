@@ -44,9 +44,6 @@ func NewRing(m *mem.Memory, base mem.Addr, slots, slotSize int) (*Ring, error) {
 	return &Ring{m: m, base: base, slots: slots, slotSize: slotSize}, nil
 }
 
-// SlotSize returns the maximum payload a slot carries.
-func (r *Ring) SlotSize() int { return r.slotSize }
-
 // read and write go through the guest's protection-checked accessor or,
 // when acc is nil, through host DMA. Both callees are concrete methods, so
 // the index words passed to them stay on the caller's stack.

@@ -94,7 +94,7 @@ type (
 	// (Runtime.AgingStats).
 	AgingStats = aging.Stats
 	// CkptPolicy names an incremental quiescent-point checkpoint cadence
-	// (CoreConfig.Ckpt / CkptPerComponent). The zero policy is the
+	// (CoreConfig.Ckpt). The zero policy is the
 	// paper's behaviour: one post-init checkpoint, full-log replay.
 	CkptPolicy = ckpt.Policy
 	// CkptStats is one component's lifetime checkpoint accounting
