@@ -56,8 +56,8 @@ var recoverySentinels = map[string]bool{
 // logged bytes, gossip deltas, or codec output (the detrange analyzer's
 // scope): the runtime core and message layer (log bytes), the cluster
 // and gossip layers (deltas, convergence digests), the checkpoint
-// engine (image blobs), and the microreboot registry (recovery
-// ordering).
+// engine (image blobs), the microreboot registry (recovery ordering),
+// and the VFS and LWIP components (the records their compactors write).
 var detrangePkgs = map[string]bool{
 	modulePath + "/internal/core":           true,
 	modulePath + "/internal/msg":            true,
@@ -65,6 +65,8 @@ var detrangePkgs = map[string]bool{
 	modulePath + "/internal/cluster/gossip": true,
 	modulePath + "/internal/ckpt":           true,
 	modulePath + "/internal/microreboot":    true,
+	modulePath + "/internal/vfs":            true,
+	modulePath + "/internal/lwip":           true,
 }
 
 // NewFacts computes the fact base for the import-closure of roots.

@@ -250,7 +250,7 @@ type group struct {
 
 	// curRec/curLog locate the log record of the inbound call the group
 	// is currently handling; outbound return values append there.
-	curRec *msg.Record
+	curRec msg.Ref
 	curLog *msg.Log
 
 	// rec is the group's recovery: the one in flight while rebooting is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vampos/internal/msg"
 	"vampos/internal/sched"
 )
 
@@ -47,7 +48,7 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 			g.rebooting = false
 			g.failedTwice = false
 			g.currentSeq = 0
-			g.curRec, g.curLog = nil, nil
+			g.curRec, g.curLog = msg.Ref{}, nil
 		}
 	}
 	// Scrub every component: memory, allocators, logs, runtime state.

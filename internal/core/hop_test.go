@@ -50,6 +50,67 @@ func TestMessageCallWithArgsAllocatesOnlyWhatItHandsOn(t *testing.T) {
 	}
 }
 
+// relayComp's "fwd" is logged and calls "proc" once, so the result of
+// that call lands in fwd's record as its outbound result. Its compactor
+// drops every completed record once the log passes the shrink threshold,
+// keeping the log bounded however many calls run.
+type relayComp struct{}
+
+func (relayComp) Describe() Descriptor {
+	return Descriptor{Name: "relay", Stateful: true, HeapPages: 4, DomainPages: 16}
+}
+
+func (relayComp) Init(*Ctx) error { return nil }
+
+func (relayComp) Exports() map[string]Handler {
+	return map[string]Handler{
+		"fwd": func(ctx *Ctx, _ msg.Encoded) (msg.Args, error) {
+			rets, err := ctx.Call("proc", "pid")
+			if err != nil {
+				return nil, err
+			}
+			return msg.Args{len(rets)}, nil
+		},
+	}
+}
+
+func (relayComp) LogPolicies() map[string]LogPolicy { return map[string]LogPolicy{"fwd": {}} }
+
+func (relayComp) CompactLog(lg *msg.Log) error {
+	lg.RemoveWhere(func(msg.RecordView) bool { return true })
+	return nil
+}
+
+// TestLoggedCallAllocatesOnlyItsResults: a DaS call into a logged function
+// whose handler makes one call out allocates only the two handlers'
+// result literals, 2. The record takes a free slot of the callee's log
+// table and the outbound result goes into that slot's Outbound array;
+// when each record was allocated on its own, with an Outbound slice
+// grown from nil, the call allocated 4.
+func TestLoggedCallAllocatesOnlyItsResults(t *testing.T) {
+	allocs := -1.0
+	cfg := DaSConfig()
+	cfg.LogShrinkThreshold = 16
+	var stats msg.LogStats
+	run(t, cfg, []Component{relayComp{}, &statelessComp{name: "proc"}}, func(c *Ctx) {
+		for i := 0; i < 3*cfg.LogShrinkThreshold; i++ {
+			mustCall(t, c, "relay", "fwd")
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := c.Call("relay", "fwd"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		stats = c.rt.comps["relay"].domain.Log().Stats()
+	})
+	if want := uint64(3*cfg.LogShrinkThreshold + 201); stats.Appended != want || stats.Compacted == 0 {
+		t.Fatalf("log stats %+v, want %d appended and some compacted", stats, want)
+	}
+	if allocs > 2 {
+		t.Fatalf("%v allocations per logged call with one call out, want at most 2", allocs)
+	}
+}
+
 // TestInjectAllocatesOnlyItsCall: an injection's small arguments ride in
 // the one allocation that carries the call to the message thread.
 func TestInjectAllocatesOnlyItsCall(t *testing.T) {

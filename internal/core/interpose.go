@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -19,7 +20,7 @@ type pendingCall struct {
 	fn      string
 	args    msg.Encoded // in the caller's Ctx.args, or the injection's buf
 	caller  *sched.Thread
-	rec     *msg.Record // inbound log record, nil when not logged
+	rec     msg.Ref // inbound log record, zero when not logged
 
 	done     bool
 	rets     msg.Args
@@ -232,7 +233,7 @@ func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, 
 	outer, outerLog := g.curRec, g.curLog
 	g.curRec, g.curLog = rec, lg
 	defer func() {
-		if rec != nil {
+		if rec.Logged() {
 			// The handler panicked: like a crashed message call's, its
 			// half-written record is discarded.
 			g.curRec, g.curLog = outer, outerLog
@@ -245,7 +246,7 @@ func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, 
 	if s := rt.logResult(c.th, tc, fn, args, rec, g, rets, errStr); s != errStr {
 		err = errnoFromString(s)
 	}
-	rec = nil
+	rec = msg.Ref{}
 	return rets, err
 }
 
@@ -434,10 +435,8 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 	if err := g.mailbox.PushEncoded(&msg.Message{
 		Seq: pc.seq, From: pc.from, To: pc.to.desc.Name, Fn: pc.fn,
 	}, pc.args); err != nil {
-		if pc.rec != nil {
-			pc.to.domain.Log().DropRecord(pc.rec)
-			pc.rec = nil
-		}
+		pc.to.domain.Log().DropRecord(pc.rec)
+		pc.rec = msg.Ref{}
 		rt.finishCall(pc, nil, "ENOSPC: "+err.Error())
 		return
 	}
@@ -453,12 +452,12 @@ func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Args, errStr string) {
 }
 
 // logResult closes a logged call, on either transport: the callee's record
-// rec (nil: fn is not logged) ends with the results, and the record the
+// rec (zero: fn is not logged) ends with the results, and the record the
 // caller's group from is executing, if any, gains them for the caller's
 // own replay. Each log write is charged to th (nil: the message thread).
 // It returns errStr, replaced when a domain is full.
-func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args msg.Encoded, rec *msg.Record, from *group, rets msg.Args, errStr string) string {
-	if rec != nil {
+func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args msg.Encoded, rec msg.Ref, from *group, rets msg.Args, errStr string) string {
+	if rec.Logged() {
 		rt.chargeOn(th, rt.costs.LogAppend)
 		lg := to.domain.Log()
 		pol := to.policies[fn]
@@ -471,7 +470,7 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 			if pol.Classify != nil {
 				sess, class = pol.Classify(args, rets, errnoFromString(errStr))
 			}
-			if err := lg.EndInbound(rec, sess, class, rets, errStr); err != nil {
+			if err := lg.EndInbound(rec, sess, class, rets, errStr); logFull(err) {
 				errStr = "ENOSPC: " + err.Error()
 			}
 			// Session sub-resource lifecycle (nil-safe when the
@@ -489,9 +488,9 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 		}
 	}
 	// Return-value logging for encapsulated restoration of the caller.
-	if from != nil && from.curRec != nil {
+	if from != nil && from.curRec.Logged() {
 		rt.chargeOn(th, rt.costs.LogAppend)
-		if err := from.curLog.AppendOutboundTo(from.curRec, to.desc.Name, fn, rets, errStr); err != nil {
+		if err := from.curLog.AppendOutboundTo(from.curRec, to.desc.Name, fn, rets, errStr); logFull(err) {
 			// A full caller domain poisons future restoration of the
 			// caller; surface it as the call's error.
 			errStr = "ENOSPC: " + err.Error()
@@ -499,6 +498,11 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 	}
 	return errStr
 }
+
+// logFull reports whether a log write failed for want of domain memory.
+// A stale record (its log was reset under the call, by ResetLog) has
+// nothing left to log into; the call's outcome stands.
+func logFull(err error) bool { return err != nil && !errors.Is(err, msg.ErrStaleRecord) }
 
 // finishCall resolves a pending call and wakes its caller.
 func (rt *Runtime) finishCall(pc *pendingCall, rets msg.Args, errStr string) {

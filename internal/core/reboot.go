@@ -116,7 +116,7 @@ func (rt *Runtime) watchdogLoop(t *sched.Thread) {
 			parent, fn, args := rt.detect(g.members[0], g.currentSeq, "hang",
 				fmt.Sprintf("busy %v > threshold %v", nowV-g.busySinceV, rt.cfg.HangThreshold), "hang")
 			g.currentSeq = 0
-			g.curRec = nil
+			g.curRec = msg.Ref{}
 			g.curLog = nil
 			// Hangs attribute to sessions the same way crashes do; the
 			// stuck worker is killed either way.

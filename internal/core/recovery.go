@@ -177,10 +177,8 @@ func (rt *Runtime) detect(victim *component, seq uint64, event, detail, observed
 	}
 	if pc != nil && !pc.done {
 		fn, args = pc.fn, pc.args
-		if pc.rec != nil {
-			victim.domain.Log().DropRecord(pc.rec)
-			pc.rec = nil
-		}
+		victim.domain.Log().DropRecord(pc.rec)
+		pc.rec = msg.Ref{}
 		pc.rebooted = true
 		rt.finishCall(pc, nil, "")
 	}

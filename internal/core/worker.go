@@ -109,7 +109,7 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message, args msg.Encoded)
 	}
 	g.currentSeq = m.Seq
 	g.busySinceV = t.Elapsed()
-	if pc != nil && pc.rec != nil {
+	if pc != nil && pc.rec.Logged() {
 		g.curRec = pc.rec
 		g.curLog = c.domain.Log()
 	}
@@ -133,7 +133,7 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message, args msg.Encoded)
 	}
 	rets, err, pv, panicked := rt.invokeChecked(h, ctx, c.desc.Name, m.Fn, args)
 	g.currentSeq = 0
-	g.curRec = nil
+	g.curRec = msg.Ref{}
 	g.curLog = nil
 	if panicked {
 		reason := fmt.Sprint(pv)

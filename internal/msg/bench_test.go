@@ -96,16 +96,25 @@ func BenchmarkPushPull(b *testing.B) {
 	}
 }
 
-// BenchmarkLogRecord: one logged call, arguments in and results out. The
-// log is emptied every 64 records, as the shrinker and truncation do.
+// BenchmarkLogRecord: one logged call as the hop logs it — arguments
+// already encoded by the caller, one outbound result, the results at the
+// end. The log is emptied every 64 records, as the shrinker and
+// truncation do.
 func BenchmarkLogRecord(b *testing.B) {
 	lg := benchDomain(b).Log()
-	args, rets := benchArgs(), Args{159}
+	args, err := AppendArgs(nil, benchArgs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	outbound, rets := Args{159}, Args{159}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := lg.BeginInbound(uint64(i+1), "write", args)
+		rec, err := lg.BeginInboundEncoded(uint64(i+1), "write", args)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lg.AppendOutboundTo(rec, "lwip", "sock_net_write", outbound, ""); err != nil {
 			b.Fatal(err)
 		}
 		if err := lg.EndInbound(rec, "fd:3", ClassTransient, rets, ""); err != nil {

@@ -210,18 +210,20 @@ func TestPulledArgsSurviveScratchReuse(t *testing.T) {
 func TestHandlerBytesSurviveTheNextPull(t *testing.T) {
 	d := newTestDomain(t)
 	lg := d.Log()
-	push := func(seq uint64, payload string) {
+	push := func(seq uint64, payload string) Ref {
 		t.Helper()
 		e, err := AppendArgs(nil, Args{3, []byte(payload)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lg.BeginInboundEncoded(seq, "write", e); err != nil {
+		rec, err := lg.BeginInboundEncoded(seq, "write", e)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := d.PushEncoded(&Message{Seq: seq, Fn: "write"}, e); err != nil {
 			t.Fatal(err)
 		}
+		return rec
 	}
 	var buf []byte // the worker's
 	pull := func() Encoded {
@@ -233,7 +235,7 @@ func TestHandlerBytesSurviveTheNextPull(t *testing.T) {
 		buf = args
 		return args
 	}
-	push(1, "first-payload")
+	first := push(1, "first-payload")
 	push(2, "OTHER-PAYLOAD")
 	got, err := pull().Bytes(1)
 	if err != nil {
@@ -246,7 +248,7 @@ func TestHandlerBytesSurviveTheNextPull(t *testing.T) {
 		t.Fatalf("the handler's Bytes now reads %q: it aliases the worker's buffer", got)
 	}
 	scribble(got)
-	if err := lg.EndInbound(lg.entries[0], "fd:3", ClassTransient, Args{13}, ""); err != nil {
+	if err := lg.EndInbound(first, "fd:3", ClassTransient, Args{13}, ""); err != nil {
 		t.Fatal(err)
 	}
 	views, err := lg.Entries()

@@ -79,7 +79,7 @@ func FuzzLogDecode(f *testing.F) {
 		}
 		logCall(t, l, 2, "write", Args{3, []byte("some body bytes")}, "fd:3", ClassTransient)
 		// Overwrite a window of the first record's stored argument bytes.
-		e := l.entries[0]
+		e, _ := l.live(r)
 		if e.argsN > 0 && len(corrupt) > 0 {
 			off := int(skew) % e.argsN
 			w := corrupt
@@ -100,6 +100,24 @@ func FuzzLogDecode(f *testing.F) {
 		}
 		// The raw decoder must also survive the bytes as-is.
 		_, _ = DecodeArgs(corrupt)
+	})
+}
+
+// FuzzLogOps reads arbitrary bytes as a log history, three bytes a step
+// (decodeLogOps), and runs it against the table log and refLog with the
+// oracles of TestLogTableMatchesReference after every step.
+func FuzzLogOps(f *testing.F) {
+	f.Add([]byte(nil))
+	// begin, outbound, end as an opener, begin, end as a transient,
+	// canceler on the opener's session, reuse of the freed slot, then a
+	// stale end and outbound through the first handles.
+	f.Add([]byte{0, 1, 0, 2, 0, 1, 3, 0, 5, 0, 2, 0, 3, 1, 9, 3, 0, 13, 0, 3, 0, 3, 1, 0, 2, 1, 0})
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 6, 128, 0, 10, 1, 7, 7, 255, 0, 8, 1, 0, 11, 0, 0, 0, 2, 2, 3, 2, 45})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) > 3*256 {
+			p = p[:3*256]
+		}
+		runLogOps(t, decodeLogOps(p))
 	})
 }
 

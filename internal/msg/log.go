@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"fmt"
 
 	"vampos/internal/mem"
@@ -61,7 +62,23 @@ type Outbound struct {
 	retsN  int
 }
 
-// Record is one logged inbound call.
+// ErrStaleRecord reports a write through a Ref whose record has left the
+// log (dropped, shrunk, compacted, truncated or reset). Its slot may hold
+// another record by now; the write is refused rather than landing there.
+var ErrStaleRecord = errors.New("msg: stale log record")
+
+// Ref is a caller's handle on one logged record: the record's slot in its
+// log's table and the slot's generation when the record took it. The zero
+// Ref means "not logged". A Ref may outlive its record: every use checks
+// the generation, so it can never reach the slot's next occupant.
+type Ref struct {
+	slot, gen uint32
+}
+
+// Logged reports whether r names a record, live or since removed.
+func (r Ref) Logged() bool { return r.gen != 0 }
+
+// Record is one logged inbound call: a slot of its log's table.
 type Record struct {
 	Seq       uint64
 	Fn        string
@@ -75,6 +92,9 @@ type Record struct {
 	rets      mem.Addr
 	retsN     int
 	open      bool // still in flight (EndInbound not yet called)
+	// gen counts the slot's occupants and vacancies: odd while a record
+	// holds the slot, even while it is free.
+	gen uint32
 }
 
 // LogStats summarises log activity for the Table III/IV experiments.
@@ -93,10 +113,17 @@ type LogStats struct {
 // Log is the function-call and return-value log of one component, stored
 // in its message domain.
 type Log struct {
-	d       *Domain
-	entries []*Record
-	closed  map[SessionID]bool
-	stats   LogStats
+	d *Domain
+	// The record table: recs holds every slot, live or free; free lists
+	// the free slots; order lists the live slots in append order. A
+	// removed record's slot, with its Outbound array, goes to the next
+	// record, so once the table has grown to the log's peak, logging a
+	// call allocates nothing.
+	recs   []Record
+	free   []uint32
+	order  []uint32
+	closed map[SessionID]bool
+	stats  LogStats
 	// ShrinkEnabled controls session-aware shrinking; the Table III
 	// "normal log entries" column is measured with it off.
 	ShrinkEnabled bool
@@ -126,7 +153,7 @@ func newLog(d *Domain) *Log {
 }
 
 // Len returns the number of retained records.
-func (l *Log) Len() int { return len(l.entries) }
+func (l *Log) Len() int { return len(l.order) }
 
 // Stats returns a copy of the log counters.
 func (l *Log) Stats() LogStats { return l.stats }
@@ -137,33 +164,62 @@ func (l *Log) Stats() LogStats { return l.stats }
 // applied at EndInbound, when return values (and hence opener session
 // ids) are known. Tracking of which record is currently being handled is
 // the runtime's job: the call may queue behind others in the mailbox.
-func (l *Log) BeginInbound(seq uint64, fn string, args Args) (*Record, error) {
+func (l *Log) BeginInbound(seq uint64, fn string, args Args) (Ref, error) {
 	p, err := l.d.encode(args)
 	if err != nil {
-		return nil, err
+		return Ref{}, err
 	}
 	return l.BeginInboundEncoded(seq, fn, p)
 }
 
 // BeginInboundEncoded is BeginInbound for arguments already encoded: it
 // copies args into domain memory.
-func (l *Log) BeginInboundEncoded(seq uint64, fn string, args Encoded) (*Record, error) {
+func (l *Log) BeginInboundEncoded(seq uint64, fn string, args Encoded) (Ref, error) {
 	addr, n, err := l.d.store(args)
 	if err != nil {
-		return nil, err
+		return Ref{}, err
 	}
-	r := &Record{Seq: seq, Fn: fn, args: addr, argsN: n, open: true, Class: ClassDurable}
-	l.entries = append(l.entries, r)
+	return l.add(Record{Seq: seq, Fn: fn, args: addr, argsN: n, open: true, Class: ClassDurable}), nil
+}
+
+// add places r in a free slot, growing the table only when none is left,
+// and appends it to the log.
+func (l *Log) add(r Record) Ref {
+	var s uint32
+	if n := len(l.free); n > 0 {
+		s, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		s = uint32(len(l.recs))
+		l.recs = append(l.recs, Record{})
+	}
+	e := &l.recs[s]
+	r.gen, r.Outbound = e.gen+1, e.Outbound
+	*e = r
+	l.order = append(l.order, s)
 	l.stats.Appended++
-	l.note("append", fn, 1)
-	return r, nil
+	l.note("append", r.Fn, 1)
+	return Ref{s, r.gen}
+}
+
+// live returns the record ref names: nil for the zero Ref, and nil with
+// ErrStaleRecord when its record has left the log.
+func (l *Log) live(ref Ref) (*Record, error) {
+	switch {
+	case !ref.Logged():
+		return nil, nil
+	case int(ref.slot) < len(l.recs) && l.recs[ref.slot].gen == ref.gen:
+		return &l.recs[ref.slot], nil
+	}
+	return nil, ErrStaleRecord
 }
 
 // AppendOutboundTo attaches the logged return values of an outbound call
-// to the record whose handling produced it.
-func (l *Log) AppendOutboundTo(r *Record, target, fn string, rets Args, callErr string) error {
+// to the record whose handling produced it. A zero ref is a no-op; a
+// stale one gets ErrStaleRecord.
+func (l *Log) AppendOutboundTo(ref Ref, target, fn string, rets Args, callErr string) error {
+	r, err := l.live(ref)
 	if r == nil {
-		return nil
+		return err
 	}
 	addr, n, err := l.d.storeArgs(rets)
 	if err != nil {
@@ -179,10 +235,12 @@ func (l *Log) AppendOutboundTo(r *Record, target, fn string, rets Args, callErr 
 // class and error outcome, then applies the session-aware shrinking
 // rules. The results are stored so that a replaying handler can
 // reproduce the exact resource numbers (fds, fids) the original call
-// returned, independent of how the log has been shrunk since.
-func (l *Log) EndInbound(r *Record, session SessionID, class Class, rets Args, callErr string) error {
+// returned, independent of how the log has been shrunk since. A zero ref
+// is a no-op; a stale one gets ErrStaleRecord.
+func (l *Log) EndInbound(ref Ref, session SessionID, class Class, rets Args, callErr string) error {
+	r, err := l.live(ref)
 	if r == nil {
-		return nil
+		return err
 	}
 	addr, n, err := l.d.storeArgs(rets)
 	if err != nil {
@@ -223,13 +281,15 @@ func (l *Log) EndInbound(r *Record, session SessionID, class Class, rets Args, c
 // because the component crashed while handling it. Replaying it would
 // re-execute the crashing input with no logged outbound results, so the
 // reboot manager discards it (the caller sees the call fail and retry).
-func (l *Log) DropRecord(r *Record) {
+// A zero or stale ref is a no-op.
+func (l *Log) DropRecord(ref Ref) {
+	r, _ := l.live(ref)
 	if r == nil {
 		return
 	}
-	before := l.stats.Removed
+	fn := r.Fn
 	l.removeWhere(func(e *Record) bool { return e == r })
-	l.note("drop", r.Fn, int(l.stats.Removed-before))
+	l.note("drop", fn, 1)
 }
 
 // AppendSynthetic appends a compaction-produced record that replays as a
@@ -243,17 +303,13 @@ func (l *Log) AppendSynthetic(fn string, args Args, session SessionID) error {
 		return err
 	}
 	var seq uint64
-	for _, e := range l.entries {
-		if e.Seq > seq {
-			seq = e.Seq
-		}
+	for _, s := range l.order {
+		seq = max(seq, l.recs[s].Seq)
 	}
-	l.entries = append(l.entries, &Record{
+	l.add(Record{
 		Seq: seq, Fn: fn, args: addr, argsN: n, Session: session,
 		Class: ClassDurable, Synthetic: true,
 	})
-	l.stats.Appended++
-	l.note("append", fn, 1)
 	return nil
 }
 
@@ -281,28 +337,30 @@ func (l *Log) RemoveWhere(pred func(RecordView) bool) int {
 }
 
 func (l *Log) removeWhere(pred func(*Record) bool) {
-	kept := l.entries[:0]
-	for _, e := range l.entries {
-		if pred(e) {
-			l.freeRecord(e)
+	kept := l.order[:0]
+	for _, s := range l.order {
+		if pred(&l.recs[s]) {
+			l.freeSlot(s)
 			l.stats.Removed++
 			continue
 		}
-		kept = append(kept, e)
+		kept = append(kept, s)
 	}
-	// Clear the tail so freed records are not retained by the backing array.
-	for i := len(kept); i < len(l.entries); i++ {
-		l.entries[i] = nil
-	}
-	l.entries = kept
+	l.order = kept
 }
 
-func (l *Log) freeRecord(e *Record) {
+// freeSlot releases the record's domain memory and returns its slot,
+// keeping the Outbound array for the next occupant.
+func (l *Log) freeSlot(s uint32) {
+	e := &l.recs[s]
 	l.d.release(e.args, e.argsN)
 	l.d.release(e.rets, e.retsN)
 	for _, o := range e.Outbound {
 		l.d.release(o.rets, o.retsN)
 	}
+	clear(e.Outbound)
+	*e = Record{gen: e.gen + 1, Outbound: e.Outbound[:0]}
+	l.free = append(l.free, s)
 }
 
 // Reset discards every record and closed-session mark. Used by tests and
@@ -347,7 +405,7 @@ func viewOf(e *Record) RecordView {
 // Entries decodes and returns every completed record in append order.
 // The replayer walks this during encapsulated restoration.
 func (l *Log) Entries() ([]RecordView, error) {
-	return l.views(make([]RecordView, 0, len(l.entries)), func(*Record) bool { return true })
+	return l.views(make([]RecordView, 0, len(l.order)), func(*Record) bool { return true })
 }
 
 // SessionEntries decodes and returns the completed records of one
@@ -361,7 +419,8 @@ func (l *Log) SessionEntries(session SessionID) ([]RecordView, error) {
 
 // views appends the views of the completed records keep selects to out.
 func (l *Log) views(out []RecordView, keep func(*Record) bool) ([]RecordView, error) {
-	for _, e := range l.entries {
+	for _, s := range l.order {
+		e := &l.recs[s]
 		if e.open || !keep(e) {
 			continue
 		}
@@ -409,8 +468,8 @@ func (l *Log) HasLiveOpener(session SessionID) bool {
 	if l.closed[session] {
 		return false
 	}
-	for _, e := range l.entries {
-		if !e.open && e.Session == session && e.Class == ClassOpener && e.Err == "" {
+	for _, s := range l.order {
+		if e := &l.recs[s]; !e.open && e.Session == session && e.Class == ClassOpener && e.Err == "" {
 			return true
 		}
 	}
@@ -435,13 +494,13 @@ func (l *Log) EpochSeq() uint64 { return l.epochSeq }
 // records, or zero when none exist. The checkpoint manager truncates up
 // to this point after capturing an image at a quiescent boundary.
 func (l *Log) MaxCompletedSeq() uint64 {
-	var max uint64
-	for _, e := range l.entries {
-		if !e.open && e.Seq > max {
-			max = e.Seq
+	var seq uint64
+	for _, s := range l.order {
+		if e := &l.recs[s]; !e.open {
+			seq = max(seq, e.Seq)
 		}
 	}
-	return max
+	return seq
 }
 
 // TruncateBefore atomically drops every completed record with sequence
@@ -475,10 +534,10 @@ func (l *Log) TruncateBefore(seq uint64) (dropped, folded int) {
 		return true
 	})
 	if len(l.closed) > 0 {
-		surviving := make(map[SessionID]bool, len(l.entries))
-		for _, e := range l.entries {
-			if e.Session != "" {
-				surviving[e.Session] = true
+		surviving := make(map[SessionID]bool, len(l.order))
+		for _, s := range l.order {
+			if sess := l.recs[s].Session; sess != "" {
+				surviving[sess] = true
 			}
 		}
 		for s := range l.closed {

@@ -1,7 +1,10 @@
 package msg
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,8 +68,8 @@ func TestLogTruncateProperties(t *testing.T) {
 
 		// Open records survive any cut.
 		open := 0
-		for _, e := range l.entries {
-			if e.open {
+		for _, s := range l.order {
+			if l.recs[s].open {
 				open++
 			}
 		}
@@ -132,6 +135,381 @@ func TestLogTruncateProperties(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refLog is the log as it was before the record table: one allocated
+// Record per call, retained through a []*Record in append order, a
+// removal dropping the pointer. The table log must be indistinguishable
+// from it through every view, count and byte of domain memory. Its only
+// departure is the stale-handle contract: a write through a handle whose
+// record has left the log is refused (it used to land in the detached
+// struct).
+type refLog struct {
+	d       *Domain
+	entries []*Record
+	closed  map[SessionID]bool
+	stats   LogStats
+	events  []string
+}
+
+func (m *refLog) note(op, fn string, n int) {
+	if n > 0 {
+		m.events = append(m.events, fmt.Sprintf("%s %s %d", op, fn, n))
+	}
+}
+
+func (m *refLog) live(r *Record) bool {
+	for _, e := range m.entries {
+		if e == r {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *refLog) begin(seq uint64, fn string, args Args) (*Record, error) {
+	addr, n, err := m.d.storeArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	r := &Record{Seq: seq, Fn: fn, args: addr, argsN: n, open: true, Class: ClassDurable}
+	m.entries = append(m.entries, r)
+	m.stats.Appended++
+	m.note("append", fn, 1)
+	return r, nil
+}
+
+func (m *refLog) outbound(r *Record, target, fn string, rets Args, callErr string) error {
+	if !m.live(r) {
+		return ErrStaleRecord
+	}
+	addr, n, err := m.d.storeArgs(rets)
+	if err != nil {
+		return err
+	}
+	r.Outbound = append(r.Outbound, Outbound{Target: target, Fn: fn, Err: callErr, rets: addr, retsN: n})
+	return nil
+}
+
+func (m *refLog) end(r *Record, session SessionID, class Class, rets Args, callErr string) error {
+	if !m.live(r) {
+		return ErrStaleRecord
+	}
+	addr, n, err := m.d.storeArgs(rets)
+	if err != nil {
+		return err
+	}
+	r.rets, r.retsN = addr, n
+	r.open = false
+	r.Session, r.Class, r.Err = session, class, callErr
+	if session == "" {
+		return nil
+	}
+	before := m.stats.Removed
+	switch class {
+	case ClassCanceler:
+		m.removeWhere(func(e *Record) bool { return e != r && e.Session == session && e.Class == ClassTransient })
+		m.closed[session] = true
+	case ClassOpener:
+		if m.closed[session] {
+			m.removeWhere(func(e *Record) bool { return e != r && e.Session == session })
+			delete(m.closed, session)
+		}
+	}
+	m.note("shrink", string(session), int(m.stats.Removed-before))
+	return nil
+}
+
+func (m *refLog) drop(r *Record) {
+	before := m.stats.Removed
+	m.removeWhere(func(e *Record) bool { return e == r })
+	m.note("drop", r.Fn, int(m.stats.Removed-before))
+}
+
+func (m *refLog) synthetic(fn string, args Args, session SessionID) error {
+	addr, n, err := m.d.storeArgs(args)
+	if err != nil {
+		return err
+	}
+	var seq uint64
+	for _, e := range m.entries {
+		seq = max(seq, e.Seq)
+	}
+	m.entries = append(m.entries, &Record{
+		Seq: seq, Fn: fn, args: addr, argsN: n, Session: session,
+		Class: ClassDurable, Synthetic: true,
+	})
+	m.stats.Appended++
+	m.note("append", fn, 1)
+	return nil
+}
+
+// compact removes the completed records pred selects, as RemoveSession
+// and RemoveWhere do.
+func (m *refLog) compact(fn string, pred func(*Record) bool) int {
+	before := m.stats.Removed
+	m.removeWhere(func(e *Record) bool { return !e.open && pred(e) })
+	n := int(m.stats.Removed - before)
+	m.stats.Compacted += uint64(n)
+	m.note("compact", fn, n)
+	return n
+}
+
+func (m *refLog) truncate(seq uint64) (dropped, folded int) {
+	before := m.stats.Removed
+	m.removeWhere(func(e *Record) bool {
+		if e.open || e.Seq > seq {
+			return false
+		}
+		if e.Class == ClassDurable {
+			folded++
+		}
+		return true
+	})
+	surviving := make(map[SessionID]bool)
+	for _, e := range m.entries {
+		surviving[e.Session] = true
+	}
+	for s := range m.closed {
+		if !surviving[s] {
+			delete(m.closed, s)
+		}
+	}
+	dropped = int(m.stats.Removed-before) - folded
+	m.stats.Truncated += uint64(dropped)
+	m.stats.Folded += uint64(folded)
+	m.note("truncate", "", dropped+folded)
+	return dropped, folded
+}
+
+func (m *refLog) dropFrom(seq uint64) int {
+	before := m.stats.Removed
+	m.removeWhere(func(e *Record) bool { return !e.open && e.Seq >= seq })
+	n := int(m.stats.Removed - before)
+	m.note("drop", "", n)
+	return n
+}
+
+func (m *refLog) reset() {
+	m.removeWhere(func(*Record) bool { return true })
+	m.closed = make(map[SessionID]bool)
+}
+
+func (m *refLog) removeWhere(pred func(*Record) bool) {
+	kept := m.entries[:0]
+	for _, e := range m.entries {
+		if pred(e) {
+			m.d.release(e.args, e.argsN)
+			m.d.release(e.rets, e.retsN)
+			for _, o := range e.Outbound {
+				m.d.release(o.rets, o.retsN)
+			}
+			m.stats.Removed++
+			continue
+		}
+		kept = append(kept, e)
+	}
+	m.entries = kept
+}
+
+func (m *refLog) views() ([]RecordView, error) {
+	var out []RecordView
+	for _, e := range m.entries {
+		if e.open {
+			continue
+		}
+		v, err := m.d.Log().view(e)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// logOp is one step of a random log history; its fields pick the
+// operation and its operands.
+type logOp struct{ Kind, A, B uint8 }
+
+// decodeLogOps reads a history three bytes per step.
+func decodeLogOps(p []byte) []logOp {
+	ops := make([]logOp, 0, len(p)/3)
+	for ; len(p) >= 3; p = p[3:] {
+		ops = append(ops, logOp{p[0], p[1], p[2]})
+	}
+	return ops
+}
+
+// handle is one record as the caller holds it, in both logs.
+type handle struct {
+	ref Ref
+	rec *Record
+}
+
+// runLogOps drives ops through a table log and a refLog side by side and
+// fails t at the first step after which they differ.
+func runLogOps(t testing.TB, ops []logOp) {
+	t.Helper()
+	newDomain := func() *Domain {
+		d, err := NewDomain("vfs", mem.New(128*mem.PageSize), 7, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d := newDomain()
+	l := d.Log()
+	var events []string
+	l.Observer = func(op, fn string, n int) { events = append(events, fmt.Sprintf("%s %s %d", op, fn, n)) }
+	m := &refLog{d: newDomain(), closed: make(map[SessionID]bool)}
+
+	fns := []string{"open", "write", "read", "close"}
+	sessions := []SessionID{"", "fd:3", "fd:4", "sock:1"}
+	classes := []Class{ClassDurable, ClassOpener, ClassTransient, ClassCanceler}
+	var hs []handle
+	seq := uint64(0)
+	pick := func(a uint8) (handle, bool) {
+		if len(hs) == 0 {
+			return handle{}, false
+		}
+		return hs[int(a)%len(hs)], true
+	}
+	sameErr := func(step int, what string, got, want error) {
+		if (got == nil) != (want == nil) || got != nil && errors.Is(want, ErrStaleRecord) != errors.Is(got, ErrStaleRecord) {
+			t.Fatalf("step %d %s: error %v, reference %v", step, what, got, want)
+		}
+	}
+	for i, op := range ops {
+		switch op.Kind % 12 {
+		case 0, 1:
+			seq++
+			fn, args := fns[op.A%4], Args{int(op.A), "payload"}
+			ref, err := l.BeginInbound(seq, fn, args)
+			rec, werr := m.begin(seq, fn, args)
+			sameErr(i, "begin", err, werr)
+			if err == nil {
+				hs = append(hs, handle{ref, rec})
+			}
+		case 2:
+			if h, ok := pick(op.A); ok {
+				rets := Args{int(op.B), []byte("outbound")}
+				sameErr(i, "outbound", l.AppendOutboundTo(h.ref, "9pfs", fns[op.B%4], rets, ""),
+					m.outbound(h.rec, "9pfs", fns[op.B%4], rets, ""))
+			}
+		case 3, 4:
+			if h, ok := pick(op.A); ok {
+				sess, class, callErr := sessions[op.B%4], classes[op.B/4%4], ""
+				if op.B&0x40 != 0 {
+					callErr = "EIO"
+				}
+				rets := Args{int64(op.B)}
+				sameErr(i, "end", l.EndInbound(h.ref, sess, class, rets, callErr),
+					m.end(h.rec, sess, class, rets, callErr))
+			}
+		case 5:
+			if h, ok := pick(op.A); ok {
+				l.DropRecord(h.ref)
+				m.drop(h.rec)
+			}
+		case 6:
+			cut := seq * uint64(op.A) / 255
+			gd, gf := l.TruncateBefore(cut)
+			wd, wf := m.truncate(cut)
+			if gd != wd || gf != wf {
+				t.Fatalf("step %d: TruncateBefore(%d) = %d, %d; reference %d, %d", i, cut, gd, gf, wd, wf)
+			}
+		case 7:
+			cut := seq * uint64(op.A) / 255
+			if got, want := l.DropFrom(cut), m.dropFrom(cut); got != want {
+				t.Fatalf("step %d: DropFrom(%d) = %d, reference %d", i, cut, got, want)
+			}
+		case 8:
+			sess := sessions[op.A%4]
+			got := l.RemoveSession(sess)
+			want := m.compact(string(sess), func(e *Record) bool { return e.Session == sess })
+			if got != want {
+				t.Fatalf("step %d: RemoveSession(%s) = %d, reference %d", i, sess, got, want)
+			}
+		case 9:
+			fn := fns[op.A%4]
+			got := l.RemoveWhere(func(v RecordView) bool { return v.Fn == fn })
+			want := m.compact("", func(e *Record) bool { return e.Fn == fn })
+			if got != want {
+				t.Fatalf("step %d: RemoveWhere(fn %s) = %d, reference %d", i, fn, got, want)
+			}
+		case 10:
+			sess, args := sessions[op.A%4], Args{int(op.B)}
+			sameErr(i, "synthetic", l.AppendSynthetic("__set_offset", args, sess),
+				m.synthetic("__set_offset", args, sess))
+		case 11:
+			if op.A%8 == 0 {
+				l.Reset()
+				m.reset()
+			}
+		}
+		checkAgainstRef(t, i, l, m, hs, events)
+	}
+}
+
+// checkAgainstRef compares everything the log shows: its views, counters,
+// domain bytes and observer events, and every handle — live in the table
+// exactly when its record is live in the reference, and then equal to it.
+func checkAgainstRef(t testing.TB, step int, l *Log, m *refLog, hs []handle, events []string) {
+	t.Helper()
+	got, gerr := l.Entries()
+	want, werr := m.views()
+	if gerr != nil || werr != nil {
+		t.Fatalf("step %d: Entries: %v, reference %v", step, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+		t.Fatalf("step %d: Entries\n%+v\nreference\n%+v", step, got, want)
+	}
+	if l.Stats() != m.stats {
+		t.Fatalf("step %d: Stats %+v, reference %+v", step, l.Stats(), m.stats)
+	}
+	if l.Len() != len(m.entries) || l.ClosedSessions() != len(m.closed) {
+		t.Fatalf("step %d: Len %d, %d closed; reference %d, %d", step, l.Len(), l.ClosedSessions(), len(m.entries), len(m.closed))
+	}
+	if g, w := l.d.BytesInUse(), m.d.BytesInUse(); g != w {
+		t.Fatalf("step %d: BytesInUse %d, reference %d", step, g, w)
+	}
+	if !slices.Equal(events, m.events) {
+		t.Fatalf("step %d: observer saw\n%q\nreference\n%q", step, events, m.events)
+	}
+	for i, h := range hs {
+		r, _ := l.live(h.ref)
+		live := m.live(h.rec)
+		if (r != nil) != live {
+			t.Fatalf("step %d: handle %d live in the table %v, in the reference %v", step, i, r != nil, live)
+		}
+		if r == nil {
+			continue
+		}
+		a, b := *r, *h.rec
+		if !slices.Equal(a.Outbound, b.Outbound) {
+			t.Fatalf("step %d: handle %d outbound %+v, reference %+v", step, i, a.Outbound, b.Outbound)
+		}
+		a.Outbound, b.Outbound, a.gen = nil, nil, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("step %d: handle %d record %+v, reference %+v", step, i, a, b)
+		}
+	}
+}
+
+// TestLogTableMatchesReference runs random histories of every log
+// mutation — begin, outbound, end in all four classes, drop, truncation,
+// taint drop, session and predicate compaction, synthetic records and
+// reset — against the table log and refLog, comparing after every step.
+// Handles are picked among every record ever logged, so many writes go
+// through stale ones and must be refused without touching a live record.
+func TestLogTableMatchesReference(t *testing.T) {
+	f := func(ops []logOp) bool {
+		runLogOps(t, ops)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

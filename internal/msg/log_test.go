@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ func newTestLog(t *testing.T) *Log {
 }
 
 // logCall drives a full Begin/End cycle, as the interposition layer does.
-func logCall(t *testing.T, l *Log, seq uint64, fn string, args Args, sess SessionID, class Class) *Record {
+func logCall(t *testing.T, l *Log, seq uint64, fn string, args Args, sess SessionID, class Class) Ref {
 	t.Helper()
 	r, err := l.BeginInbound(seq, fn, args)
 	if err != nil {
@@ -72,7 +73,7 @@ func TestOutboundAttachesToInFlight(t *testing.T) {
 
 func TestOutboundToNilRecordIsNoOp(t *testing.T) {
 	l := newTestLog(t)
-	if err := l.AppendOutboundTo(nil, "x", "f", Args{1}, ""); err != nil {
+	if err := l.AppendOutboundTo(Ref{}, "x", "f", Args{1}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if l.Len() != 0 {
@@ -170,7 +171,8 @@ func TestDropRecord(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("Len = %d after DropRecord, want 0", l.Len())
 	}
-	l.DropRecord(nil) // nil is a no-op
+	l.DropRecord(Ref{}) // the zero Ref is a no-op
+	l.DropRecord(r)     // and so is a stale one
 }
 
 func TestInFlightRecordsExcludedFromEntries(t *testing.T) {
@@ -236,5 +238,89 @@ func TestLogStats(t *testing.T) {
 	l.MarkReplayed(2)
 	if l.Stats().Replayed != 2 {
 		t.Fatalf("Replayed = %d, want 2", l.Stats().Replayed)
+	}
+}
+
+// TestStaleRefIsRefused: once a record leaves the log, its slot goes to
+// the next record. A write through the old handle must fail with
+// ErrStaleRecord and leave the new occupant as it was; dropping through
+// it stays a no-op.
+func TestStaleRefIsRefused(t *testing.T) {
+	l := newTestLog(t)
+	old, err := l.BeginInbound(1, "write", Args{3, []byte("crashed")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.DropRecord(old)
+	cur, err := l.BeginInbound(2, "write", Args{3, []byte("retried")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.slot != old.slot {
+		t.Fatalf("the retry took slot %d, not the freed slot %d", cur.slot, old.slot)
+	}
+	inUse := l.d.BytesInUse()
+	if err := l.AppendOutboundTo(old, "9pfs", "uk_9pfs_write", Args{7}, ""); !errors.Is(err, ErrStaleRecord) {
+		t.Fatalf("AppendOutboundTo through a stale ref: %v, want ErrStaleRecord", err)
+	}
+	if err := l.EndInbound(old, "fd:3", ClassTransient, Args{7}, ""); !errors.Is(err, ErrStaleRecord) {
+		t.Fatalf("EndInbound through a stale ref: %v, want ErrStaleRecord", err)
+	}
+	l.DropRecord(old)
+	if got := l.d.BytesInUse(); got != inUse || l.Len() != 1 {
+		t.Fatalf("stale writes changed the log: %d records, %d bytes in use (want 1, %d)", l.Len(), got, inUse)
+	}
+	if r, _ := l.live(cur); !r.open || len(r.Outbound) != 0 {
+		t.Fatalf("the slot's new occupant was written through the stale ref: %+v", *r)
+	}
+	if err := l.EndInbound(cur, "fd:3", ClassTransient, Args{7}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := l.Entries(); len(entries) != 1 || entries[0].Seq != 2 {
+		t.Fatalf("Entries = %+v, want the retried record alone", entries)
+	}
+}
+
+// TestLoggingACallAllocatesNothing: once the table has grown to the log's
+// peak, a logged call with two outbound results, ended as a transient and
+// then shrunk away by its session's canceler, reuses a slot and its
+// Outbound array and allocates nothing.
+func TestLoggingACallAllocatesNothing(t *testing.T) {
+	l := newTestLog(t)
+	args, err := AppendArgs(nil, Args{3, []byte("payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, rets := Args{[]byte("fid"), 7}, Args{159}
+	seq := uint64(0)
+	call := func(fn string, class Class, outbound int) {
+		seq++
+		r, err := l.BeginInboundEncoded(seq, fn, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < outbound; i++ {
+			if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_write", out, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.EndInbound(r, "fd:3", class, rets, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// open (reusing the closed session drops its opener and canceler),
+	// write, close (dropping the write).
+	cycle := func() {
+		call("open", ClassOpener, 0)
+		call("write", ClassTransient, 2)
+		call("close", ClassCanceler, 0)
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("%v allocations per logged cycle, want 0", n)
+	}
+	if l.Len() != 2 || len(l.recs) != 3 {
+		t.Fatalf("%d records in a table of %d slots, want 2 in 3", l.Len(), len(l.recs))
 	}
 }

@@ -122,3 +122,45 @@ func TestClosedMarksBoundedAcrossTruncation(t *testing.T) {
 			l.Stats().Removed-removedBefore)
 	}
 }
+
+// TestRecordTableBoundedAcrossTruncation: the record table grows only
+// when no slot is free, so across 10,000 open/write/close cycles with
+// periodic truncation its slot count never exceeds the most records the
+// log held at once, open ones included. A removal path that forgot to
+// return its slot would grow the table by one per leak, without limit.
+func TestRecordTableBoundedAcrossTruncation(t *testing.T) {
+	l := newTestLog(t)
+	seq, peak := uint64(0), 0
+	call := func(fn string, args Args, sess SessionID, class Class) {
+		t.Helper()
+		seq++
+		r, err := l.BeginInbound(seq, fn, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, l.Len())
+		if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_"+fn, Args{int(seq)}, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.EndInbound(r, sess, class, nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		if len(l.recs) > peak {
+			t.Fatalf("seq %d: %d slots for a peak of %d records", seq, len(l.recs), peak)
+		}
+	}
+	for cycle := 0; cycle < 10000; cycle++ {
+		sess := SessionID(fmt.Sprintf("fd:%d", cycle%5))
+		call("open", Args{"/a"}, sess, ClassOpener)
+		call("write", Args{cycle, []byte("x")}, sess, ClassTransient)
+		if cycle%3 != 0 { // every third session stays open across the cut
+			call("close", Args{cycle}, sess, ClassCanceler)
+		}
+		if cycle%10 == 9 {
+			l.TruncateBefore(l.MaxCompletedSeq())
+		}
+	}
+	if peak > 20 || len(l.recs) != peak || len(l.free)+l.Len() != len(l.recs) {
+		t.Fatalf("%d slots, %d free, %d records, peak %d", len(l.recs), len(l.free), l.Len(), peak)
+	}
+}

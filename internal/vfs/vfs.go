@@ -84,6 +84,8 @@ type Comp struct {
 	pipes    map[int]*pipeBuf
 	nextPipe int
 	maxFDs   int
+	// fdOrder is CompactLog's buffer for the fds in ascending order.
+	fdOrder []int
 
 	// staticBase is the component's data/bss analogue: a region Init
 	// writes into the arena so the post-init checkpoint has the resident
@@ -938,9 +940,13 @@ func (c *Comp) setOffsetSynthetic(ctx *core.Ctx, args msg.Encoded) (msg.Args, er
 
 // CompactLog implements core.Compactor: replace each open file's
 // transient records with one synthetic offset-install record (the
-// paper's "extracts and resets the offset value in VFS").
+// paper's "extracts and resets the offset value in VFS"). The fds go in
+// ascending order, so the log's append order, its domain layout and the
+// synthetic records' replay order are the same on every run.
 func (c *Comp) CompactLog(log *msg.Log) error {
-	for fd, f := range c.fds {
+	c.fdOrder = msg.SortedKeys(c.fdOrder, c.fds)
+	for _, fd := range c.fdOrder {
+		f := c.fds[fd]
 		if f.Kind != kindFile {
 			// Socket transients carry no offset; just drop them.
 			sess := msg.SessionID(fmt.Sprintf("fd:%d", fd))

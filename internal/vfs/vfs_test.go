@@ -274,6 +274,43 @@ func TestCompactorReplacesTransients(t *testing.T) {
 	}
 }
 
+// TestCompactionOrderIsDeterministic: compaction walks the fds in
+// ascending order, so with three files holding transients past the
+// shrink threshold, their synthetic offset records land in the log in fd
+// order on every run, never in the fd map's iteration order.
+func TestCompactionOrderIsDeterministic(t *testing.T) {
+	cfg := core.DaSConfig()
+	cfg.LogShrinkThreshold = 12
+	for i := 0; i < 20; i++ {
+		var fds, synth []int
+		rt := run(t, cfg, func(c *core.Ctx, v *Comp, stub *stub9pfs) {
+			for _, path := range []string{"/a", "/b", "/c"} {
+				fds = append(fds, callInt(t, c, "open", path, OCreate|ORdwr))
+			}
+			for round := 0; round < 5; round++ {
+				for _, fd := range fds {
+					if _, err := c.Call("vfs", "write", fd, []byte("x")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+		recs, err := rt.LogRecords("vfs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.Synthetic {
+				fd, _ := r.Args.Int(0)
+				synth = append(synth, fd)
+			}
+		}
+		if fmt.Sprint(synth) != fmt.Sprint(fds) {
+			t.Fatalf("run %d: synthetic records for fds %v, want %v in ascending order", i, synth, fds)
+		}
+	}
+}
+
 func TestRebootReplaysAgainstBackendWithoutReinvoking(t *testing.T) {
 	run(t, core.DaSConfig(), func(c *core.Ctx, v *Comp, stub *stub9pfs) {
 		fd := callInt(t, c, "open", "/f", OCreate|ORdwr)
