@@ -5,15 +5,17 @@ import (
 	"go/types"
 )
 
-// NoSharedRef enforces value semantics on cross-component payloads: a
-// pointer, map, chan, func, or non-[]byte slice placed into msg.Args
-// would hand the receiving protection domain a live reference into the
-// sender's pages — tunnelling under the simulated MPK wall in
-// internal/mem — and would make the function-call log unreplayable
-// (the log stores the encoded copy; the reference's pointee keeps
-// mutating). []byte is permitted because it crosses as bytes: encoding
-// copies it into the caller's call slot, and the handler's
-// msg.Encoded.Bytes copies it out again.
+// NoSharedRef enforces value semantics on cross-component payloads,
+// arguments and results alike: a pointer, map, chan, func, or non-[]byte
+// slice placed into msg.Args would hand the receiving protection domain
+// a live reference into the sender's pages — tunnelling under the
+// simulated MPK wall in internal/mem — and would make the function-call
+// log unreplayable (the log stores the encoded copy; the reference's
+// pointee keeps mutating). []byte is permitted because it crosses as
+// bytes both ways: Call encodes arguments into the caller's call slot and
+// Ret encodes results into the callee's reply buffer, the message thread
+// copies each into the other side's buffer, and the msg.Encoded
+// accessors copy the bytes out again.
 var NoSharedRef = &Analyzer{
 	Name: "nosharedref",
 	Doc: "msg.Args payloads must be values the codec copies (nil, bool, ints, " +
@@ -46,6 +48,7 @@ func runNoSharedRef(pass *Pass) error {
 var msgArgsInjectors = map[string]int{
 	"Call":   2, // (*core.Ctx).Call(target, fn string, args ...any)
 	"Inject": 3, // (*core.Runtime).Inject(from, target, fn, args ...any)
+	"Ret":    0, // (*core.Ctx).Ret(vals ...any): a handler's results
 }
 
 // checkCallArgs flags reference payloads passed to the runtime's

@@ -37,9 +37,20 @@ func forwarded(ctx *core.Ctx, args msg.Args) {
 }
 
 // handler returns a reference out of a core.Handler body.
-var handler core.Handler = func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+var handler core.Handler = func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	p := new(int)
-	return msg.Args{p}, nil // want `pointer \(\*int\)`
+	return ctx.Ret(p) // want `pointer \(\*int\)`
+}
+
+// mapResult returns a map among its results.
+var mapResult core.Handler = func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
+	counts := map[string]int{"open": 1}
+	return ctx.Ret(len(counts), counts) // want `map \(map\[string\]int\)`
+}
+
+// goodResult returns values the codec copies.
+var goodResult core.Handler = func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
+	return ctx.Ret(3, "fd", []byte("copied"))
 }
 
 // annotated is a justified reference payload (it never crosses a real

@@ -308,7 +308,7 @@ func (g *Comp) Exports() map[string]core.Handler {
 		// gsp_put(key string, val []byte, deleted bool) -> (delta []byte)
 		// Local write: bump the clock past everything seen for the key,
 		// install, and queue the delta for every peer.
-		"gsp_put": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"gsp_put": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			key, err := args.Str(0)
 			if err != nil {
 				return nil, err
@@ -332,18 +332,18 @@ func (g *Comp) Exports() map[string]core.Handler {
 				Deleted: deleted,
 			}
 			if !deleted {
-				e.Val = append([]byte(nil), val...)
+				e.Val = val
 			}
 			g.table[key] = e
 			g.enqueue(e, -1)
 			g.puts++
-			return msg.Args{EncodeEntries([]Entry{e})}, nil
+			return ctx.Ret(EncodeEntries([]Entry{e}))
 		},
 		// gsp_apply(payload []byte, from int) -> (accepted []byte, n int)
 		// Merge incoming entries; winners re-flood to every peer except
 		// the sender (stale deltas lose the merge and stop propagating,
 		// which is what makes flooding converge).
-		"gsp_apply": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"gsp_apply": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			payload, err := args.Bytes(0)
 			if err != nil {
 				return nil, err
@@ -363,12 +363,12 @@ func (g *Comp) Exports() map[string]core.Handler {
 			}
 			g.accepted += uint64(len(accepted))
 			g.rejected += uint64(len(entries) - len(accepted))
-			return msg.Args{EncodeEntries(accepted), len(accepted)}, nil
+			return ctx.Ret(EncodeEntries(accepted), len(accepted))
 		},
 		// gsp_drain(peer int) -> (payload []byte, n int)
 		// Hand the pending deltas for one peer to the coordinator wire
 		// and clear the queue.
-		"gsp_drain": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"gsp_drain": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			peer, err := args.Int(0)
 			if err != nil {
 				return nil, err
@@ -379,37 +379,37 @@ func (g *Comp) Exports() map[string]core.Handler {
 			q := g.out[peer]
 			g.out[peer] = nil
 			g.drains++
-			return msg.Args{EncodeEntries(q), len(q)}, nil
+			return ctx.Ret(EncodeEntries(q), len(q))
 		},
 		// gsp_get(key string) -> (payload []byte, n int)
 		// Read one key's current entry (n=0 when absent). Read-only, not
 		// logged: the coordinator's targeted lookup for quorum reads and
 		// for repairing a stale owner after a rejected write delta.
-		"gsp_get": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"gsp_get": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			key, err := args.Str(0)
 			if err != nil {
 				return nil, err
 			}
 			e, ok := g.table[key]
 			if !ok {
-				return msg.Args{EncodeEntries(nil), 0}, nil
+				return ctx.Ret(EncodeEntries(nil), 0)
 			}
-			return msg.Args{EncodeEntries([]Entry{e}), 1}, nil
+			return ctx.Ret(EncodeEntries([]Entry{e}), 1)
 		},
 		// gsp_state() -> (payload []byte, n int)
 		// Canonical full-state snapshot, sorted by key: the anti-entropy
 		// payload for joiners and the byte-comparable convergence digest.
-		"gsp_state": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"gsp_state": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			entries := make([]Entry, 0, len(g.table))
 			for _, e := range g.table {
 				entries = append(entries, e)
 			}
 			SortEntries(entries)
-			return msg.Args{EncodeEntries(entries), len(entries)}, nil
+			return ctx.Ret(EncodeEntries(entries), len(entries))
 		},
 		// gsp_stats() -> (puts, applies, accepted, rejected, drains)
-		"gsp_stats": func(_ *core.Ctx, args msg.Encoded) (msg.Args, error) {
-			return msg.Args{g.puts, g.applies, g.accepted, g.rejected, g.drains}, nil
+		"gsp_stats": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
+			return ctx.Ret(g.puts, g.applies, g.accepted, g.rejected, g.drains)
 		},
 	}
 }

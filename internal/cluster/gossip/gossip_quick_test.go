@@ -169,13 +169,13 @@ func TestPutRefusesOversizedKey(t *testing.T) {
 }
 
 // invoke runs an export on the encoding of args, as a direct call does.
-func invoke(t *testing.T, h core.Handler, args ...any) (msg.Args, error) {
+func invoke(t *testing.T, h core.Handler, args ...any) (msg.Encoded, error) {
 	t.Helper()
 	enc, err := msg.AppendArgs(nil, args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h(nil, enc)
+	return h(new(core.Ctx), enc)
 }
 
 // TestGetExport: gsp_get returns the key's current entry (n=1) or an

@@ -28,13 +28,13 @@ func (l *leakComp) Init(*Ctx) error { return nil }
 
 func (l *leakComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"work": func(ctx *Ctx, _ msg.Encoded) (msg.Args, error) {
+		"work": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) {
 			if l.leakEach > 0 {
 				if _, err := ctx.Heap().Alloc(l.leakEach); err != nil {
 					return nil, err
 				}
 			}
-			return msg.Args{1}, nil
+			return ctx.Ret(1)
 		},
 	}
 }

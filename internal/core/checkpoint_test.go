@@ -144,20 +144,20 @@ func (d *nondetComp) Init(*Ctx) error { return nil }
 
 func (d *nondetComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"bump": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"bump": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			if d.crash {
 				d.crash = false
 				panic("injected crash in bump")
 			}
 			d.n++
-			return msg.Args{d.n}, nil
+			return ctx.Ret(d.n)
 		},
 	}
 }
 
 func (d *nondetComp) LogPolicies() map[string]LogPolicy {
 	return map[string]LogPolicy{
-		"bump": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"bump": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			return "", msg.ClassDurable
 		}},
 	}
@@ -168,27 +168,37 @@ func (d *nondetComp) SaveState() ([]byte, error)  { return []byte("x"), nil }
 func (d *nondetComp) RestoreState(p []byte) error { return nil }
 
 // TestReplayReturnCheckAllocatesNothing: the check runs on every replayed
-// entry, so a matching one costs no allocation — both sides encode into
-// the group's reused buffers — while a mismatch is still reported.
+// entry, so a matching one costs no allocation — it compares the logged
+// bytes with the replayed ones — while a mismatch is still reported.
 func TestReplayReturnCheckAllocatesNothing(t *testing.T) {
-	var rc retCheck
-	v := &msg.RecordView{Seq: 7, Fn: "put", Rets: msg.Args{3, "value", []byte("bytes")}}
-	rets := msg.Args{3, "value", []byte("bytes")}
-	if de := rc.divergence("kv", v, rets, nil); de != nil {
+	enc := func(args ...any) msg.Encoded {
+		e, err := msg.EncodeArgs(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	v := &msg.RecordView{Seq: 7, Fn: "put", Rets: enc(3, "value", []byte("bytes"))}
+	rets := enc(3, "value", []byte("bytes"))
+	if de := retDivergence("kv", v, rets, nil); de != nil {
 		t.Fatalf("equal results diverged: %v", de)
 	}
 	n := testing.AllocsPerRun(100, func() {
-		if rc.divergence("kv", v, rets, nil) != nil {
+		if retDivergence("kv", v, rets, nil) != nil {
 			t.Fatal("equal results diverged")
 		}
 	})
 	if n != 0 {
 		t.Fatalf("%v allocations to check one replayed entry, want 0", n)
 	}
-	if de := rc.divergence("kv", v, msg.Args{4, "value", []byte("bytes")}, nil); de == nil || de.Seq != 7 {
+	de := retDivergence("kv", v, enc(4, "value", []byte("bytes")), nil)
+	if de == nil || de.Seq != 7 {
 		t.Fatalf("different results: %v, want a divergence at seq 7", de)
 	}
-	if de := rc.divergence("kv", v, rets, ENOENT); de == nil {
+	if want := "logged rets [3 value [98 121 116 101 115]], replay produced [4 value [98 121 116 101 115]]"; de.Detail != want {
+		t.Fatalf("divergence detail %q, want %q", de.Detail, want)
+	}
+	if de := retDivergence("kv", v, rets, ENOENT); de == nil {
 		t.Fatal("a replay error the log does not hold went unreported")
 	}
 }

@@ -17,8 +17,10 @@ import (
 // merged configurations). args is the call's encoding in a buffer its
 // owner reuses once the handler returns — the worker's pull buffer, the
 // caller's slot on a direct call, the log's copy on replay — so a handler
-// keeps only what its accessors return, never args itself.
-type Handler func(ctx *Ctx, args msg.Encoded) (msg.Args, error)
+// keeps only what its accessors return, never args itself. A handler
+// returns its results as ctx.Ret(vals...), the results of a call it made,
+// or nil, which transports as the empty list.
+type Handler func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error)
 
 // Descriptor declares a component's static properties to the runtime.
 type Descriptor struct {
@@ -80,9 +82,10 @@ type ColdResetter interface {
 type LogPolicy struct {
 	// Classify maps a completed call to its session and shrink class.
 	// It runs on the message thread and sees the encoded arguments, still
-	// in the caller's slot, the results and the transported error. A nil
-	// Classify logs the call as durable with no session.
-	Classify func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class)
+	// in the caller's slot, the encoded results, still in the callee's
+	// reply buffer, and the transported error. A nil Classify logs the
+	// call as durable with no session.
+	Classify func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class)
 	// KeepFailed retains records of calls that returned an error. The
 	// default (false) drops them: a failed call changed no state, and
 	// polling patterns (EAGAIN accept/recv) would otherwise flood the log.
@@ -147,7 +150,7 @@ type RuntimeKeeper interface {
 
 // Durable is the classification for calls that stay in the log until
 // their session disappears. Exported so component policies read naturally.
-func Durable(msg.Encoded, msg.Args, error) (msg.SessionID, msg.Class) {
+func Durable(msg.Encoded, msg.Encoded, error) (msg.SessionID, msg.Class) {
 	return "", msg.ClassDurable
 }
 
@@ -256,9 +259,6 @@ type group struct {
 	// rec is the group's recovery: the one in flight while rebooting is
 	// set, the last one after (nil before the first). See recovery.go.
 	rec *recovery
-	// check holds the replay return check's encode buffers, reused by
-	// every replayed entry of every recovery of the group.
-	check retCheck
 
 	// failStopNotified marks that the graceful-termination handler ran.
 	failStopNotified bool

@@ -54,7 +54,7 @@ func (k *kvComp) Exports() map[string]Handler {
 	}
 }
 
-func (k *kvComp) put(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+func (k *kvComp) put(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 	key, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -86,10 +86,10 @@ func (k *kvComp) put(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 	k.data[key] = val
 	// The result depends on this key's session alone, so a session
 	// microreboot's replay reproduces it against the other keys' state.
-	return msg.Args{len(val)}, nil
+	return ctx.Ret(len(val))
 }
 
-func (k *kvComp) get(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+func (k *kvComp) get(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 	key, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -98,10 +98,10 @@ func (k *kvComp) get(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 	if !ok {
 		return nil, ENOENT
 	}
-	return msg.Args{v}, nil
+	return ctx.Ret(v)
 }
 
-func (k *kvComp) del(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+func (k *kvComp) del(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 	key, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -110,17 +110,17 @@ func (k *kvComp) del(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (k *kvComp) echo(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+func (k *kvComp) echo(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 	s, err := args.Str(0)
 	if err != nil {
 		return nil, err
 	}
-	return msg.Args{s + "!"}, nil
+	return ctx.Ret(s + "!")
 }
 
 func (k *kvComp) LogPolicies() map[string]LogPolicy {
 	bySessionKey := func(class msg.Class) LogPolicy {
-		return LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		return LogPolicy{Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			key, err := args.Str(0)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -184,16 +184,16 @@ func (s *statelessComp) Init(*Ctx) error {
 
 func (s *statelessComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"pid": func(*Ctx, msg.Encoded) (msg.Args, error) {
-			return msg.Args{4242}, nil
+		"pid": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) {
+			return ctx.Ret(4242)
 		},
 		// echo reads its first argument in place and answers with the
 		// size of the encoding it was handed.
-		"echo": func(_ *Ctx, args msg.Encoded) (msg.Args, error) {
+		"echo": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			if _, err := args.Int(0); err != nil {
 				return nil, err
 			}
-			return msg.Args{len(args)}, nil
+			return ctx.Ret(len(args))
 		},
 	}
 }
@@ -223,7 +223,7 @@ func run(t *testing.T, cfg Config, comps []Component, main func(*Ctx)) *Runtime 
 	return rt
 }
 
-func mustCall(t *testing.T, c *Ctx, target, fn string, args ...any) msg.Args {
+func mustCall(t *testing.T, c *Ctx, target, fn string, args ...any) msg.Encoded {
 	t.Helper()
 	rets, err := c.Call(target, fn, args...)
 	if err != nil {
@@ -360,7 +360,7 @@ func (d *detCrasher) Describe() Descriptor {
 func (d *detCrasher) Init(*Ctx) error { return nil }
 func (d *detCrasher) Exports() map[string]Handler {
 	return map[string]Handler{
-		"boom": func(*Ctx, msg.Encoded) (msg.Args, error) { panic("deterministic") },
+		"boom": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) { panic("deterministic") },
 	}
 }
 
@@ -495,13 +495,13 @@ func (e *countingEcho) Describe() Descriptor {
 func (e *countingEcho) Init(*Ctx) error { return nil }
 func (e *countingEcho) Exports() map[string]Handler {
 	return map[string]Handler{
-		"echo": func(_ *Ctx, args msg.Encoded) (msg.Args, error) {
+		"echo": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			e.calls++
 			s, err := args.Str(0)
 			if err != nil {
 				return nil, err
 			}
-			return msg.Args{s + "!"}, nil
+			return ctx.Ret(s + "!")
 		},
 	}
 }

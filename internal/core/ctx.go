@@ -31,6 +31,10 @@ type Ctx struct {
 	// reason reused by every call: the slot's arguments while a message
 	// call is in flight, the handler's on a direct call.
 	args msg.Encoded
+	// rets is where Ret encodes results: on a worker, its reply buffer's
+	// free tail. scratch is what Bytes copies into.
+	rets    msg.Encoded
+	scratch []byte
 }
 
 // replayState drives one record's replay during encapsulated restoration.
@@ -84,11 +88,32 @@ func (c *Ctx) Yield() { c.th.Yield() }
 // restoration replay.
 func (c *Ctx) InReplay() bool { return c.replay != nil }
 
+// Ret encodes a handler's results into a buffer the context owns, which
+// holds them until they are delivered: a handler returns ctx.Ret(vals...).
+// It keeps no reference to vals, so they stay on the handler's stack.
+func (c *Ctx) Ret(vals ...any) (msg.Encoded, error) {
+	enc, err := msg.AppendArgs(c.rets[:0], vals)
+	if err != nil {
+		return nil, err
+	}
+	c.rets = enc
+	return enc, nil
+}
+
+// Bytes is e.Bytes(i) into a buffer the context owns, for a handler that
+// only uses the bytes inside the call: they stay valid until the handler
+// returns or calls Bytes again, across any yield in between.
+func (c *Ctx) Bytes(e msg.Encoded, i int) ([]byte, error) {
+	b, err := e.AppendBytes(c.scratch[:0], i)
+	c.scratch = b
+	return b, err
+}
+
 // ReplayRets returns the results the replayed call produced originally.
 // Handlers that allocate externally visible resource numbers (fds, fids)
 // consult it so the replayed allocation reproduces the original number
 // exactly, regardless of how the log was shrunk since.
-func (c *Ctx) ReplayRets() (msg.Args, bool) {
+func (c *Ctx) ReplayRets() (msg.Encoded, bool) {
 	if c.replay == nil {
 		return nil, false
 	}

@@ -224,7 +224,7 @@ func (b *breachComp) Init(*Ctx) error {
 
 func (b *breachComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"poke": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"poke": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			addr, err := args.Uint64(0)
 			if err != nil {
 				return nil, err
@@ -234,8 +234,8 @@ func (b *breachComp) Exports() map[string]Handler {
 			}
 			return nil, nil
 		},
-		"ping": func(*Ctx, msg.Encoded) (msg.Args, error) {
-			return msg.Args{"pong"}, nil
+		"ping": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) {
+			return ctx.Ret("pong")
 		},
 	}
 }
@@ -347,7 +347,7 @@ func (a *arenaKV) slot(args msg.Encoded) (mem.Addr, error) {
 
 func (a *arenaKV) Exports() map[string]Handler {
 	return map[string]Handler{
-		"put": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"put": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			at, err := a.slot(args)
 			if err != nil {
 				return nil, err
@@ -364,13 +364,16 @@ func (a *arenaKV) Exports() map[string]Handler {
 			copy(buf, val)
 			return nil, ctx.Mem().Write(at, buf)
 		},
-		"get": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"get": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			at, err := a.slot(args)
 			if err != nil {
 				return nil, err
 			}
 			buf, err := ctx.Mem().ReadBytes(at, 16)
-			return msg.Args{string(bytes.TrimRight(buf, "\x00"))}, err
+			if err != nil {
+				return nil, err
+			}
+			return ctx.Ret(string(bytes.TrimRight(buf, "\x00")))
 		},
 	}
 }

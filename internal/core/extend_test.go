@@ -23,7 +23,7 @@ func newFlakyKV(name, crashKey string) *flakyKV {
 func (f *flakyKV) Exports() map[string]Handler {
 	exp := f.kvComp.Exports()
 	orig := exp["put"]
-	exp["put"] = func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+	exp["put"] = func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 		if key, err := args.Str(0); err == nil && key == f.crashKey {
 			panic("deterministic bug in flaky put")
 		}

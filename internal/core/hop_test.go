@@ -1,19 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"vampos/internal/msg"
 )
 
 // TestMessageCallAllocatesOnlyWhatItHandsOn: one DaS round trip of the
-// smallest call allocates only the handler's results, which it hands to
-// the caller. The caller's call slot and the handler's Ctx are reused
-// through their owners; the queues, the codec scratch, the pulled Message
-// and the fault check add nothing.
+// smallest call allocates nothing. Its results cross as bytes: encoded
+// by Ret into the worker's reply buffer, copied by the message thread into
+// the caller's call slot. The slot, the handler's Ctx and the reply
+// buffer are reused through their owners; the queues, the codec scratch,
+// the pulled Message and the fault check add nothing.
 func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
 	allocs := -1.0
 	run(t, DaSConfig(), []Component{&statelessComp{name: "proc"}}, func(c *Ctx) {
@@ -24,8 +27,8 @@ func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
 			}
 		})
 	})
-	if allocs > 1 {
-		t.Fatalf("%v allocations per message-passing call, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocations per message-passing call, want 0", allocs)
 	}
 }
 
@@ -33,7 +36,7 @@ func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
 // hop as bytes — encoded into the caller's slot, copied into the mailbox,
 // pulled into the worker's buffer, read in place — so a call with an int
 // too large for the runtime's static boxes and a []byte allocates no more
-// than the argumentless one: the handler's results.
+// than the argumentless one: nothing.
 func TestMessageCallWithArgsAllocatesOnlyWhatItHandsOn(t *testing.T) {
 	allocs := -1.0
 	payload := make([]byte, 64)
@@ -45,8 +48,8 @@ func TestMessageCallWithArgsAllocatesOnlyWhatItHandsOn(t *testing.T) {
 			}
 		})
 	})
-	if allocs > 1 {
-		t.Fatalf("%v allocations per message-passing call with arguments, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocations per message-passing call with arguments, want 0", allocs)
 	}
 }
 
@@ -64,12 +67,12 @@ func (relayComp) Init(*Ctx) error { return nil }
 
 func (relayComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"fwd": func(ctx *Ctx, _ msg.Encoded) (msg.Args, error) {
+		"fwd": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) {
 			rets, err := ctx.Call("proc", "pid")
 			if err != nil {
 				return nil, err
 			}
-			return msg.Args{len(rets)}, nil
+			return ctx.Ret(len(rets))
 		},
 	}
 }
@@ -82,11 +85,11 @@ func (relayComp) CompactLog(lg *msg.Log) error {
 }
 
 // TestLoggedCallAllocatesOnlyItsResults: a DaS call into a logged function
-// whose handler makes one call out allocates only the two handlers'
-// result literals, 2. The record takes a free slot of the callee's log
-// table and the outbound result goes into that slot's Outbound array;
-// when each record was allocated on its own, with an Outbound slice
-// grown from nil, the call allocated 4.
+// whose handler makes one call out allocates nothing. The record takes a
+// free slot of the callee's log table, the outbound result goes into that
+// slot's Outbound array, and both handlers' results cross as bytes; with
+// boxed result literals the call allocated 2, and 4 when each record was
+// allocated on its own.
 func TestLoggedCallAllocatesOnlyItsResults(t *testing.T) {
 	allocs := -1.0
 	cfg := DaSConfig()
@@ -106,8 +109,8 @@ func TestLoggedCallAllocatesOnlyItsResults(t *testing.T) {
 	if want := uint64(3*cfg.LogShrinkThreshold + 201); stats.Appended != want || stats.Compacted == 0 {
 		t.Fatalf("log stats %+v, want %d appended and some compacted", stats, want)
 	}
-	if allocs > 2 {
-		t.Fatalf("%v allocations per logged call with one call out, want at most 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocations per logged call with one call out, want 0", allocs)
 	}
 }
 
@@ -192,7 +195,7 @@ func (l *lateReplier) Init(*Ctx) error { return nil }
 
 func (l *lateReplier) Exports() map[string]Handler {
 	return map[string]Handler{
-		"echo": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"echo": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			if l.crashed == 0 {
 				l.crashed = ctx.comp.group.currentSeq
 				panic("injected crash in echo")
@@ -203,10 +206,14 @@ func (l *lateReplier) Exports() map[string]Handler {
 				// leave the schedule and the clock exactly as they were.
 				rt := ctx.rt
 				rt.mq = append(rt.mq,
-					mqItem{kind: mqReply, pc: l.caller.call, seq: l.crashed, rets: msg.Args{"late"}},
-					mqItem{kind: mqReply, seq: l.crashed, rets: msg.Args{"orphan"}})
+					mqItem{kind: mqReply, pc: l.caller.call, seq: l.crashed, rets: msg.Encoded{1, 7, 4, 'l', 'a', 't', 'e'}},
+					mqItem{kind: mqReply, seq: l.crashed, rets: msg.Encoded{1, 7, 6, 'o', 'r', 'p', 'h', 'a', 'n'}})
 			}
-			return msg.DecodeArgs(args)
+			s, err := args.Str(0)
+			if err != nil {
+				return nil, err
+			}
+			return ctx.Ret(s)
 		},
 	}
 }
@@ -314,5 +321,73 @@ func TestFullRestartWithWorkQueued(t *testing.T) {
 		if errs[key] == nil {
 			t.Errorf("the call in flight for %q succeeded across a full restart", key)
 		}
+	}
+}
+
+// stateComp's "get" returns the component's own state as its result.
+type stateComp struct{ state []byte }
+
+func (*stateComp) Describe() Descriptor {
+	return Descriptor{Name: "state", HeapPages: 4, DomainPages: 4}
+}
+
+func (*stateComp) Init(*Ctx) error { return nil }
+
+func (s *stateComp) Exports() map[string]Handler {
+	return map[string]Handler{
+		"get": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) { return ctx.Ret(s.state) },
+	}
+}
+
+// TestResultsDoNotAliasTheCallee: a handler that returns a slice of its
+// own state hands the caller bytes, not the slice. Whatever the caller
+// does to its results — the bytes read out of them, the encoding itself —
+// the callee's state stays as it was, and so does the next reply.
+func TestResultsDoNotAliasTheCallee(t *testing.T) {
+	s := &stateComp{state: []byte("callee-state")}
+	run(t, DaSConfig(), []Component{s}, func(c *Ctx) {
+		rets := mustCall(t, c, "state", "get")
+		b, err := rets.Bytes(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(b, "XXXXXX")
+		for i := range rets {
+			rets[i] = 0xFF
+		}
+		again, err := mustCall(t, c, "state", "get").Bytes(0)
+		if err != nil || string(again) != "callee-state" {
+			t.Fatalf("second call returned %q, %v", again, err)
+		}
+	})
+	if string(s.state) != "callee-state" {
+		t.Fatalf("callee state is %q after the caller wrote its results", s.state)
+	}
+}
+
+// TestRetEncodesAsEncodeArgs: whatever list a handler hands Ret, the
+// bytes are msg.EncodeArgs's for the same list — the empty list included,
+// through one context's reused buffer — so results log, compare and
+// decode exactly as boxed results did.
+func TestRetEncodesAsEncodeArgs(t *testing.T) {
+	var ctx Ctx
+	f := func(i int, i64 int64, u uint64, fl float64, s string, b []byte, ok bool, pick uint32) bool {
+		all := []any{nil, ok, i, i64, u, fl, s, b}
+		list := make(msg.Args, pick%10)
+		for j := range list {
+			list[j] = all[(pick>>4+uint32(j)*5)%uint32(len(all))]
+		}
+		want, err := msg.EncodeArgs(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ctx.Ret(list...)
+		return err == nil && bytes.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Ret(3, []int{1}); err == nil || !strings.Contains(err.Error(), "unsupported kind") {
+		t.Fatalf("Ret of an unencodable result: %v, want the codec's error", err)
 	}
 }

@@ -23,7 +23,7 @@ type pendingCall struct {
 	rec     msg.Ref // inbound log record, zero when not logged
 
 	done     bool
-	rets     msg.Args
+	rets     msg.Encoded // the message thread's copy; its array serves every call
 	errStr   string
 	rebooted bool // failed because the target rebooted: retryable once
 	noReply  bool // fire-and-forget injection
@@ -123,7 +123,8 @@ const (
 type mqItem struct {
 	kind   mqKind
 	pc     *pendingCall
-	rets   msg.Args
+	rets   msg.Encoded   // mqReply: the results, in w's reply buffer
+	w      *workerThread // mqReply: the worker that replied, nil for none
 	errStr string
 	grp    *group     // mqFailure, mqTamper, mqBreach
 	comp   *component // mqTamper: victim; mqBreach: offender
@@ -163,8 +164,10 @@ func (rt *Runtime) submitFrom(th *sched.Thread, it mqItem) {
 // encoding into the target's message domain (and into its log if the
 // target's policy asks), the target's thread executes the function, and
 // the message thread carries the results back (logging them into the
-// caller's record when the caller is a logged component).
-func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
+// caller's record when the caller is a logged component) and copies them
+// into the caller's slot. The results are valid until the context's next
+// call.
+func (c *Ctx) Call(target, fn string, args ...any) (msg.Encoded, error) {
 	rt := c.rt
 	tc, ok := rt.comps[target]
 	if !ok {
@@ -194,7 +197,7 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 		if tr := rt.tracer; tr != nil {
 			sub.span = tr.Begin(c.span, trace.KindDirect, c.callerName(), target, fn)
 		}
-		var rets msg.Args
+		var rets msg.Encoded
 		err := rt.checkFault(sub, target, fn)
 		if err == nil {
 			if rt.cfg.MessagePassing && c.replay == nil && rt.loggingWanted(tc, fn) {
@@ -206,9 +209,19 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 		if tr := rt.tracer; tr != nil {
 			tr.EndErr(sub.span, errnoString(err))
 		}
-		return rets, err
+		return results(rets), err
 	}
 	return rt.callMessage(c, tc, fn, enc)
+}
+
+// noResults is the empty list, which nil results transport as.
+var noResults = msg.Encoded{0}
+
+func results(rets msg.Encoded) msg.Encoded {
+	if len(rets) == 0 {
+		return noResults
+	}
+	return rets
 }
 
 // callLogged runs a direct call into a co-member's logged function and
@@ -219,7 +232,7 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 // logged functions from its own record. The callee's record takes the seq
 // of the call the group is executing (the newest seq minted outside one),
 // so it replays right before the record that made it (tailSlice).
-func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, args msg.Encoded) (rets msg.Args, err error) {
+func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, args msg.Encoded) (rets msg.Encoded, err error) {
 	g, lg := tc.group, tc.domain.Log()
 	seq := g.currentSeq
 	if seq == 0 {
@@ -241,6 +254,7 @@ func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, 
 		}
 	}()
 	rets, err = h(sub, args)
+	rets = results(rets)
 	g.curRec, g.curLog = outer, outerLog
 	errStr := errnoString(err)
 	if s := rt.logResult(c.th, tc, fn, args, rec, g, rets, errStr); s != errStr {
@@ -253,7 +267,7 @@ func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, 
 // callMessage performs one message-passing call, transparently retrying
 // once when the target reboots mid-call (re-executing the same input, as
 // the fault model prescribes), and failing permanently after that.
-func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Encoded) (msg.Args, error) {
+func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Encoded) (msg.Encoded, error) {
 	g := tc.group
 	if g.failedTwice {
 		return nil, fmt.Errorf("%w: %s", ErrComponentFailed, tc.desc.Name)
@@ -273,7 +287,7 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Encode
 		// drain is the one place with a canonical order.
 		*pc = pendingCall{
 			from: c.callerName(), fromGrp: fromGrp,
-			to: tc, fn: fn, args: args, caller: c.th,
+			to: tc, fn: fn, args: args, caller: c.th, rets: pc.rets[:0],
 		}
 		if tr := rt.tracer; tr != nil {
 			pc.span = tr.Begin(c.span, trace.KindCall, c.callerName(), tc.desc.Name, fn)
@@ -399,6 +413,11 @@ func (rt *Runtime) msgLoop(t *sched.Thread) {
 			if pc := it.pc; pc != nil && !pc.done && pc.seq == it.seq {
 				rt.handleReply(pc, it.rets, it.errStr)
 			}
+			if w := it.w; w != nil {
+				if w.unread--; w.unread == 0 {
+					w.replies = w.replies[:0]
+				}
+			}
 		case mqFailure:
 			rt.handleFailure(it.grp, it.seq, it.reason)
 		case mqTamper:
@@ -446,7 +465,7 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 	}
 }
 
-func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Args, errStr string) {
+func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Encoded, errStr string) {
 	rt.charge(rt.costs.MessagePull)
 	rt.finishCall(pc, rets, rt.logResult(nil, pc.to, pc.fn, pc.args, pc.rec, pc.fromGrp, rets, errStr))
 }
@@ -456,7 +475,7 @@ func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Args, errStr string) {
 // caller's group from is executing, if any, gains them for the caller's
 // own replay. Each log write is charged to th (nil: the message thread).
 // It returns errStr, replaced when a domain is full.
-func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args msg.Encoded, rec msg.Ref, from *group, rets msg.Args, errStr string) string {
+func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args msg.Encoded, rec msg.Ref, from *group, rets msg.Encoded, errStr string) string {
 	if rec.Logged() {
 		rt.chargeOn(th, rt.costs.LogAppend)
 		lg := to.domain.Log()
@@ -470,7 +489,7 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 			if pol.Classify != nil {
 				sess, class = pol.Classify(args, rets, errnoFromString(errStr))
 			}
-			if err := lg.EndInbound(rec, sess, class, rets, errStr); logFull(err) {
+			if err := lg.EndInboundEncoded(rec, sess, class, rets, errStr); logFull(err) {
 				errStr = "ENOSPC: " + err.Error()
 			}
 			// Session sub-resource lifecycle (nil-safe when the
@@ -504,9 +523,12 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 // nothing left to log into; the call's outcome stands.
 func logFull(err error) bool { return err != nil && !errors.Is(err, msg.ErrStaleRecord) }
 
-// finishCall resolves a pending call and wakes its caller.
-func (rt *Runtime) finishCall(pc *pendingCall, rets msg.Args, errStr string) {
-	pc.rets = rets
+// finishCall resolves a pending call, copies the results into the slot of
+// a caller that waits (their isolation copy) and wakes it.
+func (rt *Runtime) finishCall(pc *pendingCall, rets msg.Encoded, errStr string) {
+	if !pc.noReply {
+		pc.rets = append(pc.rets[:0], results(rets)...)
+	}
 	pc.errStr = errStr
 	pc.done = true
 	// The pending table is conductor-owned; resolve the entry here rather
@@ -552,7 +574,7 @@ func (rt *Runtime) maybeCompact(th *sched.Thread, c *component) {
 
 // feedFromLog answers an out-of-group call during replay from the logged
 // outbound results (paper Fig. 3).
-func (rt *Runtime) feedFromLog(c *Ctx, target, fn string) (msg.Args, error) {
+func (rt *Runtime) feedFromLog(c *Ctx, target, fn string) (msg.Encoded, error) {
 	rs := c.replay
 	if rs.idx >= len(rs.rec.Outbound) {
 		de := &ReplayDivergenceError{

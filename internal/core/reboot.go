@@ -55,32 +55,30 @@ func (c *Ctx) rebootAs(name, reason string) error {
 	return nil
 }
 
-// retCheck compares a replayed call's outcome against the logged one,
-// byte-for-byte over the encoded results. Encoding both sides through the
-// message codec sidesteps any-typed comparison pitfalls (ints decoded as
-// their original widths, []byte identity): two results are the same iff
-// they transport the same. The two encode buffers are reused from one
-// replayed entry to the next, so a match allocates nothing.
-type retCheck struct{ want, got []byte }
-
-func (rc *retCheck) divergence(comp string, v *msg.RecordView, rets msg.Args, err error) *ReplayDivergenceError {
+// retDivergence compares a replayed call's outcome against the logged
+// one, byte for byte over the encoded results: two results are the same
+// iff they transport the same, which sidesteps any-typed comparison
+// pitfalls (ints of two widths, []byte identity). Only a mismatch
+// decodes, to print both sides.
+func retDivergence(comp string, v *msg.RecordView, rets msg.Encoded, err error) *ReplayDivergenceError {
 	var detail string
 	if got := errnoString(err); got != v.Err {
 		detail = fmt.Sprintf("logged error %q, replay returned %q", v.Err, got)
+	} else if !bytes.Equal(v.Rets, rets) {
+		detail = fmt.Sprintf("logged rets %v, replay produced %v", showRets(v.Rets), showRets(rets))
 	} else {
-		want, werr := msg.AppendArgs(rc.want[:0], v.Rets)
-		got, gerr := msg.AppendArgs(rc.got[:0], rets)
-		rc.want, rc.got = want, got
-		switch {
-		case werr != nil || gerr != nil:
-			detail = fmt.Sprintf("result encoding failed (logged: %v, replay: %v)", werr, gerr)
-		case !bytes.Equal(want, got):
-			detail = fmt.Sprintf("logged rets %v, replay produced %v", v.Rets, rets)
-		default:
-			return nil
-		}
+		return nil
 	}
 	return &ReplayDivergenceError{Component: comp, WantFn: v.Fn, GotFn: v.Fn, RetMismatch: true, Seq: v.Seq, Detail: detail}
+}
+
+// showRets prints an encoding as its decoded list, or its bytes when it
+// does not decode.
+func showRets(e msg.Encoded) any {
+	if args, err := msg.DecodeArgs(e); err == nil {
+		return args
+	}
+	return fmt.Sprintf("% x", []byte(e))
 }
 
 // watchdogLoop is the hang detector: a component whose current call has

@@ -525,7 +525,7 @@ func (rt *Runtime) replay(t *sched.Thread, g *group, r *recovery, items []replay
 			// the session they close was created on the unlogged data path
 			// (an accepted connection) replay legitimately answers "already
 			// gone" — idempotent dissolution, not corruption.
-			if de := g.check.divergence(c.desc.Name, v, rets, err); de != nil {
+			if de := retDivergence(c.desc.Name, v, rets, err); de != nil {
 				rt.tracer.Instant(r.phase, trace.KindDetect, c.desc.Name, "replay-divergence", de.Error())
 				return de
 			}

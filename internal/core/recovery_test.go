@@ -83,7 +83,7 @@ func (d *dawdler) Describe() Descriptor {
 func (d *dawdler) Init(*Ctx) error { return nil }
 func (d *dawdler) Exports() map[string]Handler {
 	return map[string]Handler{
-		"op": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"op": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			ctx.Sleep(200 * time.Microsecond)
 			fn := "echo"
 			if d.flip {
@@ -92,7 +92,7 @@ func (d *dawdler) Exports() map[string]Handler {
 			_, _ = ctx.Call("backend", fn, "x")
 			return nil, nil
 		},
-		"crash": func(*Ctx, msg.Encoded) (msg.Args, error) { panic("dawdler: crash") },
+		"crash": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) { panic("dawdler: crash") },
 	}
 }
 func (d *dawdler) LogPolicies() map[string]LogPolicy {

@@ -128,7 +128,7 @@ func (k *tinyDomainKV) Describe() Descriptor {
 
 func (k *tinyDomainKV) Exports() map[string]Handler {
 	exp := k.kvComp.Exports()
-	exp["blob"] = func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+	exp["blob"] = func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 		return nil, nil
 	}
 	return exp
@@ -183,7 +183,7 @@ func (d *divergentComp) Describe() Descriptor {
 func (d *divergentComp) Init(*Ctx) error { return nil }
 func (d *divergentComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"op": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"op": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			fn := "echo"
 			if d.flip {
 				fn = "other"
@@ -247,7 +247,7 @@ func (slowComp) Describe() Descriptor {
 func (slowComp) Init(*Ctx) error { return nil }
 func (slowComp) Exports() map[string]Handler {
 	return map[string]Handler{
-		"work": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"work": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			ctx.Sleep(20 * time.Millisecond) // long-running request
 			return nil, nil
 		},

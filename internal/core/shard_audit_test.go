@@ -64,7 +64,7 @@ func (h *hangEcho) Init(*Ctx) error { return nil }
 
 func (h *hangEcho) Exports() map[string]Handler {
 	return map[string]Handler{
-		"echo": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"echo": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			s, err := args.Str(0)
 			if err != nil {
 				return nil, err
@@ -75,7 +75,7 @@ func (h *hangEcho) Exports() map[string]Handler {
 					ctx.Sleep(10 * time.Second)
 				}
 			}
-			return msg.Args{s + "!"}, nil
+			return ctx.Ret(s + "!")
 		},
 	}
 }
@@ -95,7 +95,7 @@ func (r *relay) Init(*Ctx) error { return nil }
 
 func (r *relay) Exports() map[string]Handler {
 	return map[string]Handler{
-		"relay": func(ctx *Ctx, args msg.Encoded) (msg.Args, error) {
+		"relay": func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
 			s, err := args.Str(0)
 			if err != nil {
 				return nil, err

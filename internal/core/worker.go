@@ -25,6 +25,11 @@ type workerThread struct {
 	// args is the buffer each message's arguments are pulled into, for
 	// the same reason reused: no handler keeps its args past returning.
 	args msg.Encoded
+	// replies holds the results of the unread replies the message thread
+	// has not taken; it rewinds the buffer once it has taken them all. A
+	// handler blocked in a call meanwhile writes past the end only.
+	replies msg.Encoded
+	unread  int
 }
 
 // spawnWorker creates (or re-creates, to run a recovery) a group's thread.
@@ -114,7 +119,7 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message, args msg.Encoded)
 		g.curLog = c.domain.Log()
 	}
 	ctx := &w.ctx
-	*ctx = Ctx{rt: rt, comp: c, th: t, call: ctx.call, args: ctx.args}
+	*ctx = Ctx{rt: rt, comp: c, th: t, call: ctx.call, args: ctx.args, scratch: ctx.scratch, rets: w.replies[len(w.replies):]}
 	var parent trace.SpanID
 	if pc != nil {
 		parent = pc.span
@@ -158,7 +163,12 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message, args msg.Encoded)
 		c.errs.Add(1)
 	}
 	c.busyV.Add(int64(t.Elapsed() - g.busySinceV))
-	rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, seq: m.Seq, rets: rets, errStr: errnoString(err)})
+	// Ret encoded the results at the buffer's tail, so this append moves
+	// them at most; results from anywhere else are copied.
+	n := len(w.replies)
+	w.replies = append(w.replies, rets...)
+	w.unread++
+	rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, seq: m.Seq, rets: w.replies[n:], w: w, errStr: errnoString(err)})
 	if watchFaults && t.Accessor().Faults() > faultsBefore {
 		// The handler raised protection faults: a PKRU-misuse attempt,
 		// confined by interposition but evidence of compromise. The reply
@@ -174,21 +184,21 @@ func (rt *Runtime) execMessage(w *workerThread, m msg.Message, args msg.Encoded)
 // invokeChecked fires any armed fault for the invocation, then invokes.
 // An errno fault short-circuits the handler: the call returns the
 // injected error without executing.
-func (rt *Runtime) invokeChecked(h Handler, ctx *Ctx, component, fn string, args msg.Encoded) (rets msg.Args, err error, pv any, panicked bool) {
+func (rt *Runtime) invokeChecked(h Handler, ctx *Ctx, component, fn string, args msg.Encoded) (rets msg.Encoded, err error, pv any, panicked bool) {
 	defer capturePanic(&pv, &panicked)
 	if err = rt.checkFault(ctx, component, fn); err == nil {
 		rets, err = h(ctx, args)
 	}
-	return rets, err, nil, false
+	return results(rets), err, nil, false
 }
 
 // invoke runs a handler, converting panics — crashes, nil dereferences,
 // protection faults turned into panics — into a captured failure, while
 // letting the scheduler's kill-unwind pass through.
-func (rt *Runtime) invoke(h Handler, ctx *Ctx, args msg.Encoded) (rets msg.Args, err error, pv any, panicked bool) {
+func (rt *Runtime) invoke(h Handler, ctx *Ctx, args msg.Encoded) (rets msg.Encoded, err error, pv any, panicked bool) {
 	defer capturePanic(&pv, &panicked)
 	rets, err = h(ctx, args)
-	return rets, err, nil, false
+	return results(rets), err, nil, false
 }
 
 // capturePanic is the deferred half of invoke and invokeChecked.

@@ -125,7 +125,7 @@ func (Saboteur) Init(*core.Ctx) error { return nil }
 func (Saboteur) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
 		// wild_write(addr uint64, value int) — attempt a stray store.
-		"wild_write": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"wild_write": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			addr, err := args.Uint64(0)
 			if err != nil {
 				return nil, err
@@ -140,7 +140,7 @@ func (Saboteur) Exports() map[string]core.Handler {
 			return nil, nil
 		},
 		// own_write scribbles inside the saboteur's own arena (allowed).
-		"own_write": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"own_write": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			addr, err := ctx.Heap().Alloc(64)
 			if err != nil {
 				return nil, err
@@ -148,7 +148,7 @@ func (Saboteur) Exports() map[string]core.Handler {
 			if err := ctx.Mem().Write(addr, []byte("mine")); err != nil {
 				return nil, core.Errno("EFAULT: " + err.Error())
 			}
-			return msg.Args{uint64(addr)}, nil
+			return ctx.Ret(uint64(addr))
 		},
 	}
 }

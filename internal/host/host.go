@@ -11,6 +11,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vampos/internal/clock"
@@ -246,20 +247,19 @@ func (h *Host) switchLoop(t *sched.Thread) {
 			t.Block("no net device")
 			continue
 		}
-		frame, ok, err := h.netDev.HostRecv()
-		if err != nil || !ok {
+		batch = batch[:0]
+		for len(batch) == 0 || h.sch.Shards() > 0 {
+			// Pop into the array an earlier batch left at this slot.
+			batch = slices.Grow(batch, 1)
+			f, ok, err := h.netDev.HostRecvInto(batch[:len(batch)+1][len(batch)])
+			if err != nil || !ok {
+				break
+			}
+			batch = append(batch, f)
+		}
+		if len(batch) == 0 {
 			t.Block("switch idle")
 			continue
-		}
-		batch = append(batch[:0], frame)
-		if h.sch.Shards() > 0 {
-			for {
-				f, ok, err := h.netDev.HostRecv()
-				if err != nil || !ok {
-					break
-				}
-				batch = append(batch, f)
-			}
 		}
 		h.wireSleep(t)
 		for _, frame := range batch {

@@ -172,8 +172,8 @@ func (c *Comp) Exports() map[string]core.Handler {
 // LWIP. Data-path functions (send/recv/accept/rx_pump) are NOT logged;
 // their effects live in the extracted runtime state.
 func (c *Comp) LogPolicies() map[string]core.LogPolicy {
-	sockSession := func(argIdx int) func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
-		return func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+	sockSession := func(argIdx int) func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
+		return func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			id, err := args.Int(argIdx)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -182,7 +182,7 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		}
 	}
 	return map[string]core.LogPolicy{
-		"socket": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"socket": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			id, err := rets.Int(0)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -196,7 +196,7 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		"setsockopt":     {Classify: sockSession(0)},
 		"shutdown":       {Classify: sockSession(0)},
 		"sock_net_ioctl": {Classify: sockSession(0)},
-		"sock_net_close": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"sock_net_close": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			id, err := args.Int(0)
 			if err != nil {
 				return "", msg.ClassDurable
@@ -334,7 +334,7 @@ func (c *Comp) getSock(args msg.Encoded, idx int) (*sock, error) {
 	return s, nil
 }
 
-func (c *Comp) socket(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) socket(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	// During replay the logged result dictates the id: a session
 	// microreboot replays onto the live table, where nextSock has long
@@ -355,10 +355,10 @@ func (c *Comp) socket(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	c.allocPCB(ctx, s)
 	c.socks[s.ID] = s
 	c.saveRuntime(ctx)
-	return msg.Args{s.ID}, nil
+	return ctx.Ret(s.ID)
 }
 
-func (c *Comp) bind(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) bind(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -379,7 +379,7 @@ func (c *Comp) bind(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) listen(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) listen(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -409,7 +409,7 @@ func (c *Comp) listen(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 }
 
 // connect starts an active open; completion is observed via conn_state.
-func (c *Comp) connect(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) connect(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -438,7 +438,7 @@ func (c *Comp) connect(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 }
 
 // accept pops one established connection; EAGAIN when none is ready.
-func (c *Comp) accept(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) accept(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -471,17 +471,17 @@ func (c *Comp) accept(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	}
 	c.saveRuntime(ctx)
 	st := picked.m.Snapshot()
-	return msg.Args{picked.ID, uint64(st.Remote), int(st.RemotePort)}, nil
+	return ctx.Ret(picked.ID, uint64(st.Remote), int(st.RemotePort))
 }
 
 // send transmits on a connected socket.
-func (c *Comp) send(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) send(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
 	}
-	data, err := args.Bytes(1)
+	data, err := ctx.Bytes(args, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -502,11 +502,11 @@ func (c *Comp) send(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 		return nil, core.EPIPE
 	}
 	c.saveRuntime(ctx)
-	return msg.Args{len(data)}, nil
+	return ctx.Ret(len(data))
 }
 
 // recv returns up to n buffered bytes; (empty, eof=true) at stream end.
-func (c *Comp) recv(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) recv(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -524,16 +524,16 @@ func (c *Comp) recv(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			return nil, core.ECONNRESET
 		}
 		if s.m.PeerClosed() || s.m.State() == StateDone {
-			return msg.Args{[]byte{}, true}, nil // EOF
+			return ctx.Ret([]byte{}, true) // EOF
 		}
 		return nil, core.EAGAIN
 	}
-	data := s.m.Recv(n)
+	data := s.m.Consume(n)
 	c.saveRuntime(ctx)
-	return msg.Args{data, false}, nil
+	return ctx.Ret(data, false)
 }
 
-func (c *Comp) shutdown(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) shutdown(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -546,7 +546,7 @@ func (c *Comp) shutdown(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) sockClose(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) sockClose(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	s, err := c.getSock(args, 0)
 	if err != nil {
@@ -573,7 +573,7 @@ func (c *Comp) destroySock(ctx *core.Ctx, s *sock) {
 	delete(c.socks, s.ID)
 }
 
-func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
@@ -582,10 +582,10 @@ func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if err != nil {
 		return nil, err
 	}
-	return msg.Args{s.Opts[opt]}, nil
+	return ctx.Ret(s.Opts[opt])
 }
 
-func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
@@ -602,7 +602,7 @@ func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
@@ -612,24 +612,24 @@ func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if s.m != nil {
 		n = s.m.Readable()
 	}
-	return msg.Args{n}, nil
+	return ctx.Ret(n)
 }
 
 // connState reports the machine state for connect() completion polling.
-func (c *Comp) connState(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) connState(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	s, err := c.getSock(args, 0)
 	if err != nil {
 		return nil, err
 	}
 	if s.m == nil {
-		return msg.Args{int(StateClosed)}, nil
+		return ctx.Ret(int(StateClosed))
 	}
-	return msg.Args{int(s.m.State())}, nil
+	return ctx.Ret(int(s.m.State()))
 }
 
 // rxPump drains the receive ring through NETDEV and demultiplexes each
 // segment. It is injected (fire-and-forget) by the virtio RX interrupt.
-func (c *Comp) rxPump(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) rxPump(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	defer c.enter(ctx)()
 	changed := false
 	for {
@@ -637,11 +637,13 @@ func (c *Comp) rxPump(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 		if err != nil {
 			break // EAGAIN: ring drained (or device gone)
 		}
-		frame, err := rets.Bytes(0)
+		frame, err := ctx.Bytes(rets, 0)
 		if err != nil {
 			break
 		}
-		seg, err := DecodeSegment(frame)
+		// The payload stays in the frame: demux is done with it (onData
+		// copies it into the receive buffer) before anything yields.
+		seg, err := parseSegment(frame)
 		if err != nil {
 			continue
 		}

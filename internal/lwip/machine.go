@@ -1,6 +1,7 @@
 package lwip
 
 import (
+	"bytes"
 	"fmt"
 )
 
@@ -62,7 +63,11 @@ type MachineState struct {
 
 // Machine is one TCP connection endpoint.
 type Machine struct {
-	st    MachineState
+	st MachineState
+	// head counts the read bytes at the front of st.RecvBuf. A delivery
+	// drops them once they are as many as the unread ones, so the buffer
+	// stays within twice the unread bytes and keeps its array.
+	head  int
 	reset bool
 	out   func(Segment)
 }
@@ -111,15 +116,18 @@ func (m *Machine) State() ConnState { return m.st.State }
 // Snapshot returns a copy of the serialisable machine state.
 func (m *Machine) Snapshot() MachineState {
 	st := m.st
-	st.RecvBuf = append([]byte(nil), st.RecvBuf...)
+	st.RecvBuf = append([]byte(nil), m.unread()...)
 	return st
 }
+
+// unread returns the delivered bytes not yet read, in place.
+func (m *Machine) unread() []byte { return m.st.RecvBuf[m.head:] }
 
 // WasReset reports whether the connection ended by RST.
 func (m *Machine) WasReset() bool { return m.reset }
 
 // Readable returns the number of delivered, unread bytes.
-func (m *Machine) Readable() int { return len(m.st.RecvBuf) }
+func (m *Machine) Readable() int { return len(m.st.RecvBuf) - m.head }
 
 // PeerClosed reports whether the peer half-closed (FIN received).
 func (m *Machine) PeerClosed() bool { return m.st.PeerClosed }
@@ -178,6 +186,9 @@ func (m *Machine) onData(s Segment) {
 			// without restoring its sequence numbers.
 			m.abort()
 			return
+		}
+		if m.head > 0 && m.head >= m.Readable() {
+			m.st.RecvBuf, m.head = m.st.RecvBuf[:copy(m.st.RecvBuf, m.unread())], 0
 		}
 		m.st.RecvBuf = append(m.st.RecvBuf, s.Payload...)
 		m.st.RcvNxt += uint32(len(s.Payload))
@@ -239,17 +250,17 @@ func (m *Machine) Send(payload []byte) error {
 }
 
 // Recv removes and returns up to n delivered bytes.
-func (m *Machine) Recv(n int) []byte {
-	if n <= 0 || len(m.st.RecvBuf) == 0 {
+func (m *Machine) Recv(n int) []byte { return bytes.Clone(m.Consume(n)) }
+
+// Consume is Recv in place: the bytes stay in the receive buffer, valid
+// until the next segment is delivered.
+func (m *Machine) Consume(n int) []byte {
+	n = min(n, m.Readable())
+	if n <= 0 {
 		return nil
 	}
-	if n > len(m.st.RecvBuf) {
-		n = len(m.st.RecvBuf)
-	}
-	out := make([]byte, n)
-	copy(out, m.st.RecvBuf)
-	m.st.RecvBuf = m.st.RecvBuf[n:]
-	return out
+	m.head += n
+	return m.st.RecvBuf[m.head-n : m.head : m.head]
 }
 
 // Close half-closes our side with a FIN.

@@ -282,3 +282,73 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecvKeepsItsBuffer: reading delivered bytes keeps the receive
+// buffer's array, so a warm delivery appends in place. A delivery then a
+// full Recv allocates only the copy Recv hands out, and Consume, which
+// reads in place, nothing.
+func TestRecvKeepsItsBuffer(t *testing.T) {
+	m := Restore(MachineState{State: StateEstablished, RcvNxt: 1}, func(Segment) {})
+	payload := []byte("0123456789")
+	deliver := func() {
+		m.OnSegment(Segment{Seq: m.st.RcvNxt, Flags: FlagACK | FlagPSH, Payload: payload})
+	}
+	deliver()
+	m.Recv(len(payload))
+	if n := testing.AllocsPerRun(100, func() { deliver(); m.Recv(len(payload)) }); n != 1 {
+		t.Fatalf("%v allocations per delivery and Recv, want 1 (the bytes Recv returns)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { deliver(); m.Consume(len(payload)) }); n != 0 {
+		t.Fatalf("%v allocations per delivery and Consume, want 0", n)
+	}
+}
+
+// TestRecvBufferMatchesAQueue: under any mix of deliveries and reads of
+// any size, the unread bytes — what Readable counts, Snapshot and the
+// runtime blob save — are exactly a plain byte queue's, and the buffer
+// stays within twice the most bytes ever unread at once.
+func TestRecvBufferMatchesAQueue(t *testing.T) {
+	f := func(ops []uint8) bool {
+		m := Restore(MachineState{State: StateEstablished, RcvNxt: 1}, func(Segment) {})
+		var queue []byte
+		peak := 0
+		for i, op := range ops {
+			n := int(op%16) + 1
+			if op&0x80 != 0 {
+				p := bytes.Repeat([]byte{byte(i)}, n)
+				m.OnSegment(Segment{Seq: m.st.RcvNxt, Flags: FlagACK, Payload: p})
+				queue = append(queue, p...)
+				peak = max(peak, len(queue))
+			} else {
+				var got []byte
+				if op&0x40 != 0 {
+					got = m.Recv(n)
+				} else {
+					got = bytes.Clone(m.Consume(n))
+				}
+				n = min(n, len(queue))
+				if !bytes.Equal(got, queue[:n]) {
+					t.Fatalf("step %d read %q, want %q", i, got, queue[:n])
+				}
+				queue = queue[n:]
+			}
+			var enc sockEncoder
+			blob := enc.encode(map[int]*sock{1: {ID: 1, State: sockConn, m: m}}, 1, 0, true)
+			_, _, socks, err := decodeSocks(blob, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Readable() != len(queue) || !bytes.Equal(m.Snapshot().RecvBuf, queue) ||
+				!bytes.Equal(socks[0].m.st.RecvBuf, queue) {
+				t.Fatalf("step %d: unread %d %q, saved %q, want %q", i, m.Readable(), m.Snapshot().RecvBuf, socks[0].m.st.RecvBuf, queue)
+			}
+			if len(m.st.RecvBuf) > 2*peak {
+				t.Fatalf("step %d: receive buffer of %d bytes for at most %d unread", i, len(m.st.RecvBuf), peak)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

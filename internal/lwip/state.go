@@ -72,7 +72,8 @@ func (e *sockEncoder) encode(socks map[int]*sock, nextSock int, isn uint32, all 
 		b = be.AppendUint32(b, m.RcvNxt)
 		b = be.AppendUint32(b, m.FinSeq)
 		b = msg.AppendBool(msg.AppendBool(msg.AppendBool(b, m.PeerClosed), m.FinSent), m.FinAcked)
-		b = append(be.AppendUint32(b, uint32(len(m.RecvBuf))), m.RecvBuf...)
+		unread := s.m.unread()
+		b = append(be.AppendUint32(b, uint32(len(unread))), unread...)
 	}
 	be.PutUint32(b[at:], uint32(n))
 	e.buf = b

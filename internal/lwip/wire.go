@@ -12,6 +12,7 @@
 package lwip
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -98,6 +99,15 @@ func EncodeSegment(s Segment) []byte {
 
 // DecodeSegment parses frame bytes produced by EncodeSegment.
 func DecodeSegment(p []byte) (Segment, error) {
+	s, err := parseSegment(p)
+	if len(s.Payload) > 0 {
+		s.Payload = bytes.Clone(s.Payload)
+	}
+	return s, err
+}
+
+// parseSegment is DecodeSegment with the payload left in place in p.
+func parseSegment(p []byte) (Segment, error) {
 	if len(p) < segHeaderLen {
 		return Segment{}, fmt.Errorf("lwip: segment too short: %d bytes", len(p))
 	}
@@ -115,8 +125,7 @@ func DecodeSegment(p []byte) (Segment, error) {
 		Flags:   Flags(p[20]),
 	}
 	if n > 0 {
-		s.Payload = make([]byte, n)
-		copy(s.Payload, p[segHeaderLen:segHeaderLen+int(n)])
+		s.Payload = p[segHeaderLen : segHeaderLen+int(n)]
 	}
 	return s, nil
 }

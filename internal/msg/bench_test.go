@@ -106,7 +106,7 @@ func BenchmarkLogRecord(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	outbound, rets := Args{159}, Args{159}
+	outbound, rets := mustEncode(Args{159}), mustEncode(Args{159})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -117,7 +117,7 @@ func BenchmarkLogRecord(b *testing.B) {
 		if err := lg.AppendOutboundTo(rec, "lwip", "sock_net_write", outbound, ""); err != nil {
 			b.Fatal(err)
 		}
-		if err := lg.EndInbound(rec, "fd:3", ClassTransient, rets, ""); err != nil {
+		if err := lg.EndInboundEncoded(rec, "fd:3", ClassTransient, rets, ""); err != nil {
 			b.Fatal(err)
 		}
 		if i%64 == 63 {

@@ -260,11 +260,12 @@ func (v value) is(i, n int, name string, kinds ...kindTag) (value, error) {
 	return value{}, fmt.Errorf("msg: arg %d is %s, want %s", i, kindNames[v.kind], name)
 }
 
-// Encoded is an argument list in its wire form, as a handler receives
-// it. Its accessors parse it in place and return what the same accessor
-// returns on DecodeArgs's result, errors included. Only Str and Bytes
-// copy, so nothing they return aliases the buffer, which its owner reuses
-// once the handler returns.
+// Encoded is an argument or result list in its wire form, as a handler
+// receives its arguments and a caller its results. Its accessors parse it
+// in place and return what the same accessor returns on DecodeArgs's
+// result, errors included. Only Str, Bytes and AppendBytes copy, so
+// nothing they return aliases the buffer, which its owner reuses once the
+// handler returns or the caller calls again.
 type Encoded []byte
 
 // at parses e whole and returns its element count and its i-th value
@@ -363,6 +364,19 @@ func (a Args) Bytes(i int) ([]byte, error) {
 func (e Encoded) Bytes(i int) ([]byte, error) {
 	v, err := e.want(i, "[]byte", kindBytes, kindNil)
 	return bytes.Clone(v.raw), err
+}
+
+// AppendBytes is Bytes into a buffer the caller owns: it appends element
+// i's bytes to dst, and returns dst itself on an error or a nil element.
+func (e Encoded) AppendBytes(dst []byte, i int) ([]byte, error) {
+	v, err := e.want(i, "[]byte", kindBytes, kindNil)
+	return append(dst, v.raw...), err
+}
+
+// Len returns the number of elements in e, or DecodeArgs's error.
+func (e Encoded) Len() (int, error) {
+	_, n, err := e.at(-1)
+	return n, err
 }
 
 // Bool extracts args[i] as a bool.

@@ -59,7 +59,7 @@ func TestDecodeArgsCopiesBytesOutOfBuffer(t *testing.T) {
 }
 
 // TestLogEntriesImmuneToViewMutation logs a call with []byte argument,
-// result, and outbound payloads, mutates every byte slice the decoded
+// result, and outbound payloads, mutates every byte slice the
 // RecordView hands out, and asserts a second Entries() — what
 // encapsulated restoration would replay — is byte-for-byte unchanged.
 func TestLogEntriesImmuneToViewMutation(t *testing.T) {
@@ -70,7 +70,7 @@ func TestLogEntriesImmuneToViewMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.AppendOutboundTo(rec, "ninep", "p9_write", Args{[]byte("outbound")}, ""); err != nil {
+	if err := lg.AppendOutboundTo(rec, "ninep", "p9_write", mustEncode(Args{[]byte("outbound")}), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.EndInbound(rec, "fd:3", ClassTransient, Args{[]byte("result"), 8}, ""); err != nil {
@@ -88,13 +88,8 @@ func TestLogEntriesImmuneToViewMutation(t *testing.T) {
 	// Scribble over every slice the view exposes, as a buggy (or
 	// faulty, in the SWIFI sense) replayer might.
 	scribble(first[0].Args)
-	for _, args := range []Args{first[0].Rets, first[0].Outbound[0].Rets} {
-		for _, a := range args {
-			if b, ok := a.([]byte); ok {
-				scribble(b)
-			}
-		}
-	}
+	scribble(first[0].Rets)
+	scribble(first[0].Outbound[0].Rets)
 
 	second, err := lg.Entries()
 	if err != nil {
@@ -184,11 +179,10 @@ func TestPulledArgsSurviveScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	scribble(views[0].Args)
-	for _, args := range []Args{first.Args, views[0].Rets} {
-		for _, a := range args {
-			if b, ok := a.([]byte); ok {
-				scribble(b)
-			}
+	scribble(views[0].Rets)
+	for _, a := range first.Args {
+		if b, ok := a.([]byte); ok {
+			scribble(b)
 		}
 	}
 	again, err := lg.Entries()

@@ -37,11 +37,11 @@ type Domain struct {
 	log   *Log
 
 	// enc and stage are the codec's scratch for the Args forms: encode
-	// writes into enc before store copies it into the pages, load and Pull
-	// copy out of the pages into stage before decoding. They are per
-	// domain because the workers of two domains may load inside one
-	// parallel round; one domain's stores (message thread) and loads (its
-	// group's worker, or the message thread compacting) never overlap.
+	// writes into enc before store copies it into the pages, Pull copies
+	// out of the pages into stage before decoding. They are per domain
+	// because the workers of two domains may pull inside one parallel
+	// round; one domain's stores (message thread) and pulls (its group's
+	// worker) never overlap.
 	enc, stage []byte
 }
 
@@ -125,21 +125,18 @@ func (d *Domain) read(buf []byte, addr mem.Addr, length int) (Encoded, error) {
 	return p, d.m.HostRead(addr, p)
 }
 
-// load decodes args placed by store, without freeing them. The codec
-// copies every []byte and string it decodes, so nothing load returns
-// aliases the domain pages or the staging scratch the next load
-// overwrites: callers may mutate the result freely without corrupting the
-// log it was decoded from.
-func (d *Domain) load(addr mem.Addr, length int) (Args, error) {
+// readValid copies an encoding placed by store into a buffer of its own,
+// without freeing it, and checks that it parses: replay must not start on
+// a malformed record.
+func (d *Domain) readValid(addr mem.Addr, length int) (Encoded, error) {
 	if length == 0 {
 		return nil, nil
 	}
-	p, err := d.read(d.stage, addr, length)
-	if err != nil {
-		return nil, err
+	p, err := d.read(nil, addr, length)
+	if err == nil {
+		_, err = p.Len()
 	}
-	d.stage = p
-	return DecodeArgs(p)
+	return p, err
 }
 
 func (d *Domain) release(addr mem.Addr, length int) {

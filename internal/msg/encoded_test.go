@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -78,11 +79,29 @@ func accessorsAgree(t *testing.T, e Encoded, args Args, i int) {
 	t1, err1 := e.Bool(i)
 	t2, err2 := args.Bool(i)
 	check("Bool", t1, err1, t2, err2)
+	appendAgrees(t, e, i)
+}
+
+// appendAgrees checks AppendBytes at index i on e against Bytes: the
+// same bytes after what dst held, kept intact, or the same error with
+// dst returned as it was.
+func appendAgrees(t testing.TB, e Encoded, i int) {
+	t.Helper()
+	want, werr := e.Bytes(i)
+	dst := append(make([]byte, 0, 8), "dst"...)
+	got, err := e.AppendBytes(dst, i)
+	if !sameResult(nil, err, nil, werr) {
+		t.Fatalf("AppendBytes(%d) on % x: error %v, Bytes: %v", i, []byte(e), err, werr)
+	}
+	if string(got[:3]) != "dst" || !bytes.Equal(got[3:], want) || err != nil && len(got) != 3 {
+		t.Fatalf("AppendBytes(%d) on % x = %q, %v; Bytes gives %q, %v", i, []byte(e), got, err, want, werr)
+	}
 }
 
 // TestEncodedAccessorsMatchDecodedArgs: reading an encoding in place is
 // reading its decoded Args — at every index, one past the end included,
-// for every accessor, errors included.
+// for every accessor, errors included — and AppendBytes is Bytes into
+// the caller's buffer.
 func TestEncodedAccessorsMatchDecodedArgs(t *testing.T) {
 	f := func(in quickArgs) bool {
 		e, err := AppendArgs(nil, Args(in))
@@ -93,7 +112,7 @@ func TestEncodedAccessorsMatchDecodedArgs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, n, err := e.at(-1); err != nil || n != len(in) {
+		if n, err := e.Len(); err != nil || n != len(in) {
 			t.Fatalf("parsed %d args, %v, want %d", n, err, len(in))
 		}
 		for i := 0; i <= len(in); i++ {

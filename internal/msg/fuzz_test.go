@@ -71,7 +71,7 @@ func FuzzLogDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_open", Args{7, []byte("fid")}, ""); err != nil {
+		if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_open", mustEncode(Args{7, []byte("fid")}), ""); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.EndInbound(r, "fd:3", ClassOpener, Args{3}, ""); err != nil {
@@ -122,10 +122,11 @@ func FuzzLogOps(f *testing.F) {
 }
 
 // FuzzEncodedAccessors reads arbitrary bytes in place, the way a handler
-// reads its arguments: no accessor panics at any index, the in-place
-// parse and every accessor fail exactly when DecodeArgs does, with its
-// error, and on a well-formed encoding every accessor returns what the
-// same accessor returns on DecodeArgs's result.
+// reads its arguments and a caller its results: no accessor panics at any
+// index, the in-place parse and every accessor fail exactly when
+// DecodeArgs does, with its error, on a well-formed encoding every
+// accessor returns what the same accessor returns on DecodeArgs's result,
+// and AppendBytes agrees with Bytes on every input.
 func FuzzEncodedAccessors(f *testing.F) {
 	for _, args := range []Args{{}, {nil, true, 7, int64(-3), uint64(9)}, {1.5, "open", []byte("payload"), []byte{}}} {
 		p, err := EncodeArgs(args)
@@ -142,7 +143,7 @@ func FuzzEncodedAccessors(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		e := Encoded(p)
 		args, derr := DecodeArgs(p)
-		_, n, perr := e.at(-1)
+		n, perr := e.Len()
 		if !sameResult(nil, derr, nil, perr) {
 			t.Fatalf("DecodeArgs error %v, in-place parse error %v", derr, perr)
 		}
@@ -163,6 +164,7 @@ func FuzzEncodedAccessors(f *testing.F) {
 			if _, err := e.Bytes(i); !sameResult(nil, err, nil, derr) {
 				t.Fatalf("Bytes(%d) on malformed % x: %v, DecodeArgs: %v", i, p, err, derr)
 			}
+			appendAgrees(t, e, i)
 		}
 	})
 }

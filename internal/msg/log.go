@@ -216,12 +216,12 @@ func (l *Log) live(ref Ref) (*Record, error) {
 // AppendOutboundTo attaches the logged return values of an outbound call
 // to the record whose handling produced it. A zero ref is a no-op; a
 // stale one gets ErrStaleRecord.
-func (l *Log) AppendOutboundTo(ref Ref, target, fn string, rets Args, callErr string) error {
+func (l *Log) AppendOutboundTo(ref Ref, target, fn string, rets Encoded, callErr string) error {
 	r, err := l.live(ref)
 	if r == nil {
 		return err
 	}
-	addr, n, err := l.d.storeArgs(rets)
+	addr, n, err := l.d.store(rets)
 	if err != nil {
 		return err
 	}
@@ -238,11 +238,20 @@ func (l *Log) AppendOutboundTo(ref Ref, target, fn string, rets Args, callErr st
 // returned, independent of how the log has been shrunk since. A zero ref
 // is a no-op; a stale one gets ErrStaleRecord.
 func (l *Log) EndInbound(ref Ref, session SessionID, class Class, rets Args, callErr string) error {
+	p, err := l.d.encode(rets)
+	if err != nil {
+		return err
+	}
+	return l.EndInboundEncoded(ref, session, class, p, callErr)
+}
+
+// EndInboundEncoded is EndInbound for results already encoded.
+func (l *Log) EndInboundEncoded(ref Ref, session SessionID, class Class, rets Encoded, callErr string) error {
 	r, err := l.live(ref)
 	if r == nil {
 		return err
 	}
-	addr, n, err := l.d.storeArgs(rets)
+	addr, n, err := l.d.store(rets)
 	if err != nil {
 		return err
 	}
@@ -373,8 +382,9 @@ func (l *Log) Reset() {
 }
 
 // RecordView is a read-only view of a log record handed to replayers and
-// compactors. Args is the logged encoding, copied out of the domain, as
-// the replayed handler receives it; the results are decoded.
+// compactors. Args and Rets are the logged encodings, copied out of the
+// domain into buffers of the view's own: the arguments as the replayed
+// handler receives them, the results as the original call returned them.
 type RecordView struct {
 	Seq       uint64
 	Fn        string
@@ -383,16 +393,16 @@ type RecordView struct {
 	Err       string
 	Synthetic bool
 	Args      Encoded
-	Rets      Args
+	Rets      Encoded
 	Outbound  []OutboundView
 }
 
-// OutboundView is a decoded outbound result.
+// OutboundView is a logged outbound result.
 type OutboundView struct {
 	Target string
 	Fn     string
 	Err    string
-	Rets   Args
+	Rets   Encoded
 }
 
 func viewOf(e *Record) RecordView {
@@ -433,23 +443,19 @@ func (l *Log) views(out []RecordView, keep func(*Record) bool) ([]RecordView, er
 	return out, nil
 }
 
-// view reads one record out of the domain: its argument bytes into a
-// buffer of the view's own, its results decoded.
+// view reads one record out of the domain, each encoding into a buffer
+// of the view's own.
 func (l *Log) view(e *Record) (RecordView, error) {
 	v := viewOf(e)
-	args, err := l.d.read(nil, e.args, e.argsN)
-	if err == nil {
-		_, _, err = args.at(-1) // replay must not start on a malformed record
-	}
-	if err != nil {
+	var err error
+	if v.Args, err = l.d.readValid(e.args, e.argsN); err != nil {
 		return v, fmt.Errorf("msg: log %q seq %d: %w", l.d.owner, e.Seq, err)
 	}
-	v.Args = args
-	if v.Rets, err = l.d.load(e.rets, e.retsN); err != nil {
+	if v.Rets, err = l.d.readValid(e.rets, e.retsN); err != nil {
 		return v, fmt.Errorf("msg: log %q seq %d rets: %w", l.d.owner, e.Seq, err)
 	}
 	for _, o := range e.Outbound {
-		rets, err := l.d.load(o.rets, o.retsN)
+		rets, err := l.d.readValid(o.rets, o.retsN)
 		if err != nil {
 			return v, fmt.Errorf("msg: log %q seq %d outbound: %w", l.d.owner, e.Seq, err)
 		}

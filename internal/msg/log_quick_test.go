@@ -395,7 +395,7 @@ func runLogOps(t testing.TB, ops []logOp) {
 		case 2:
 			if h, ok := pick(op.A); ok {
 				rets := Args{int(op.B), []byte("outbound")}
-				sameErr(i, "outbound", l.AppendOutboundTo(h.ref, "9pfs", fns[op.B%4], rets, ""),
+				sameErr(i, "outbound", l.AppendOutboundTo(h.ref, "9pfs", fns[op.B%4], mustEncode(rets), ""),
 					m.outbound(h.rec, "9pfs", fns[op.B%4], rets, ""))
 			}
 		case 3, 4:

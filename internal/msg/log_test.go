@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// mustEncode encodes a list the codec accepts.
+func mustEncode(args Args) Encoded {
+	e, err := EncodeArgs(args)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 func newTestLog(t *testing.T) *Log {
 	t.Helper()
 	return newTestDomain(t).Log()
@@ -49,7 +58,7 @@ func TestOutboundAttachesToInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_open", Args{7}, ""); err != nil {
+	if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_open", mustEncode(Args{7}), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.EndInbound(r, "fd:3", ClassOpener, Args{3}, ""); err != nil {
@@ -73,7 +82,7 @@ func TestOutboundAttachesToInFlight(t *testing.T) {
 
 func TestOutboundToNilRecordIsNoOp(t *testing.T) {
 	l := newTestLog(t)
-	if err := l.AppendOutboundTo(Ref{}, "x", "f", Args{1}, ""); err != nil {
+	if err := l.AppendOutboundTo(Ref{}, "x", "f", mustEncode(Args{1}), ""); err != nil {
 		t.Fatal(err)
 	}
 	if l.Len() != 0 {
@@ -260,7 +269,7 @@ func TestStaleRefIsRefused(t *testing.T) {
 		t.Fatalf("the retry took slot %d, not the freed slot %d", cur.slot, old.slot)
 	}
 	inUse := l.d.BytesInUse()
-	if err := l.AppendOutboundTo(old, "9pfs", "uk_9pfs_write", Args{7}, ""); !errors.Is(err, ErrStaleRecord) {
+	if err := l.AppendOutboundTo(old, "9pfs", "uk_9pfs_write", mustEncode(Args{7}), ""); !errors.Is(err, ErrStaleRecord) {
 		t.Fatalf("AppendOutboundTo through a stale ref: %v, want ErrStaleRecord", err)
 	}
 	if err := l.EndInbound(old, "fd:3", ClassTransient, Args{7}, ""); !errors.Is(err, ErrStaleRecord) {
@@ -291,7 +300,7 @@ func TestLoggingACallAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, rets := Args{[]byte("fid"), 7}, Args{159}
+	out, rets := mustEncode(Args{[]byte("fid"), 7}), mustEncode(Args{159})
 	seq := uint64(0)
 	call := func(fn string, class Class, outbound int) {
 		seq++
@@ -304,7 +313,7 @@ func TestLoggingACallAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.EndInbound(r, "fd:3", class, rets, ""); err != nil {
+		if err := l.EndInboundEncoded(r, "fd:3", class, rets, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

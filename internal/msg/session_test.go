@@ -14,7 +14,7 @@ func TestSessionEntriesExtractsOneSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_open", Args{7}, ""); err != nil {
+	if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_open", mustEncode(Args{7}), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.EndInbound(r, "fd:3", ClassOpener, Args{3}, ""); err != nil {
@@ -139,7 +139,7 @@ func TestRecordTableBoundedAcrossTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		peak = max(peak, l.Len())
-		if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_"+fn, Args{int(seq)}, ""); err != nil {
+		if err := l.AppendOutboundTo(r, "9pfs", "uk_9pfs_"+fn, mustEncode(Args{int(seq)}), ""); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.EndInbound(r, sess, class, nil, ""); err != nil {

@@ -48,8 +48,8 @@ func (c *Comp) Exports() map[string]core.Handler {
 }
 
 // tx forwards one frame down to the virtio-net driver.
-func (c *Comp) tx(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
-	frame, err := args.Bytes(0)
+func (c *Comp) tx(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
+	frame, err := ctx.Bytes(args, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -62,16 +62,16 @@ func (c *Comp) tx(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 }
 
 // rxPop pulls one received frame up from the driver; EAGAIN when none.
-func (c *Comp) rxPop(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) rxPop(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	rets, err := ctx.Call("virtio", "net_rx_pop")
 	if err != nil {
 		return nil, err
 	}
-	frame, err := rets.Bytes(0)
+	frame, err := ctx.Bytes(rets, 0)
 	if err != nil {
 		return nil, err
 	}
 	c.RxFrames++
 	c.RxBytes += uint64(len(frame))
-	return msg.Args{frame}, nil
+	return ctx.Ret(frame)
 }

@@ -24,7 +24,7 @@ func (s *stubVirtio) Init(*core.Ctx) error { return nil }
 
 func (s *stubVirtio) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"net_tx": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"net_tx": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			frame, err := args.Bytes(0)
 			if err != nil {
 				return nil, err
@@ -32,13 +32,13 @@ func (s *stubVirtio) Exports() map[string]core.Handler {
 			s.queue = append(s.queue, frame)
 			return nil, nil
 		},
-		"net_rx_pop": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"net_rx_pop": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			if len(s.queue) == 0 {
 				return nil, core.EAGAIN
 			}
 			f := s.queue[0]
 			s.queue = s.queue[1:]
-			return msg.Args{f}, nil
+			return ctx.Ret(f)
 		},
 	}
 }

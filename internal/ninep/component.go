@@ -28,6 +28,7 @@ type Comp struct {
 	// crashOn names an export that panics on its next invocation: the
 	// paper's Fig. 8 failure injection ("we force 9PFS to call panic()").
 	crashOn string
+	resp []byte // rpc's response frame, decoded before rpc yields
 
 	// Stats
 	RPCs uint64
@@ -119,10 +120,10 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 	return map[string]core.LogPolicy{
 		"uk_9pfs_mount": {Classify: core.Durable},
 		"uk_9pfs_mkdir": {Classify: core.Durable},
-		"uk_9pfs_open": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"uk_9pfs_open": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			return fidOf(rets.Int(0)), msg.ClassOpener
 		}},
-		"uk_9pfs_close": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"uk_9pfs_close": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			return fidOf(args.Int(0)), msg.ClassCanceler
 		}},
 	}
@@ -140,10 +141,11 @@ func (c *Comp) rpc(ctx *core.Ctx, t *Fcall) (*Fcall, error) {
 	if err != nil {
 		return nil, err
 	}
-	respBytes, err := rets.Bytes(0)
+	respBytes, err := rets.AppendBytes(c.resp[:0], 0)
 	if err != nil {
 		return nil, err
 	}
+	c.resp = respBytes
 	resp, err := Decode(respBytes)
 	if err != nil {
 		// The reply crossed the host boundary, so a malformed frame means
@@ -180,7 +182,7 @@ func (c *Comp) allocFid(ctx *core.Ctx) int {
 	}
 }
 
-func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	c.maybeCrash("uk_9pfs_mount")
 	c.MountAttempts++
 	if c.attached {
@@ -217,7 +219,7 @@ func splitParts(path string) []string {
 
 // open resolves (and with O_CREATE, creates) path and returns a fid.
 // Flags use the VFS flag vocabulary re-encoded into 9P modes.
-func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	c.maybeCrash("uk_9pfs_open")
 	path, err := args.Str(0)
 	if err != nil {
@@ -240,7 +242,7 @@ func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	// and a concurrent open (vanilla mode) must not pick the same fid.
 	info := &fidInfo{Fid: fid, Path: path}
 	c.fids[fid] = info
-	fail := func(err error, clunk bool) (msg.Args, error) {
+	fail := func(err error, clunk bool) (msg.Encoded, error) {
 		if clunk {
 			c.clunkQuiet(ctx, fid)
 		}
@@ -272,7 +274,7 @@ func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if addr, err := ctx.Heap().Alloc(128); err == nil {
 		info.ctlBlock = addr
 	}
-	return msg.Args{fid}, nil
+	return ctx.Ret(fid)
 }
 
 func (c *Comp) clunkQuiet(ctx *core.Ctx, fid int) {
@@ -291,7 +293,7 @@ func (c *Comp) getFid(args msg.Encoded, idx int) (*fidInfo, error) {
 	return info, nil
 }
 
-func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	c.maybeCrash("uk_9pfs_close")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -305,7 +307,7 @@ func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	c.maybeCrash("uk_9pfs_read")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -341,10 +343,10 @@ func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			break
 		}
 	}
-	return msg.Args{out}, nil
+	return ctx.Ret(out)
 }
 
-func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	c.maybeCrash("uk_9pfs_write")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -354,7 +356,7 @@ func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := args.Bytes(2)
+	data, err := ctx.Bytes(args, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -377,10 +379,10 @@ func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 		}
 		written += int(resp.Count)
 	}
-	return msg.Args{written}, nil
+	return ctx.Ret(written)
 }
 
-func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	c.maybeCrash("uk_9pfs_fsync")
 	info, err := c.getFid(args, 0)
 	if err != nil {
@@ -392,7 +394,7 @@ func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -401,11 +403,11 @@ func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if err != nil {
 		return nil, err
 	}
-	return msg.Args{int64(resp.Stat.Length), resp.Stat.Qid.IsDir()}, nil
+	return ctx.Ret(int64(resp.Stat.Length), resp.Stat.Qid.IsDir())
 }
 
 // lookup resolves a path without keeping state: (exists, size, isdir).
-func (c *Comp) lookup(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) lookup(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -415,21 +417,21 @@ func (c *Comp) lookup(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	}
 	fid := c.tempFid()
 	if err := c.walkTo(ctx, fid, splitParts(path)); err != nil {
-		return msg.Args{false, int64(0), false}, nil
+		return ctx.Ret(false, int64(0), false)
 	}
 	resp, err := c.rpc(ctx, &Fcall{Type: Tstat, Fid: uint32(fid)})
 	c.clunkQuiet(ctx, fid)
 	if err != nil {
 		return nil, err
 	}
-	return msg.Args{true, int64(resp.Stat.Length), resp.Stat.Qid.IsDir()}, nil
+	return ctx.Ret(true, int64(resp.Stat.Length), resp.Stat.Qid.IsDir())
 }
 
 // tempFid returns a fid for transient use, above the normal range so it
 // never collides with replay-reproduced fids.
 func (c *Comp) tempFid() int { return 1 << 20 }
 
-func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -453,7 +455,7 @@ func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) remove(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) remove(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -468,7 +470,7 @@ func (c *Comp) remove(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -479,7 +481,7 @@ func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if err != nil {
 		return nil, err
 	}
-	return msg.Args{resp.Data}, nil
+	return ctx.Ret(resp.Data)
 }
 
 // sessionFns lists the 9PFS exports whose first argument is the fid.

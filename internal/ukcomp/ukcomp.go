@@ -40,15 +40,15 @@ func (p *Process) InjectCrash() { p.crashFn = "getpid" }
 // Exports implements core.Component.
 func (p *Process) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"getpid": func(*core.Ctx, msg.Encoded) (msg.Args, error) {
+		"getpid": func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
 			if p.crashFn == "getpid" {
 				p.crashFn = ""
 				panic("injected fault in process.getpid")
 			}
-			return msg.Args{p.pid}, nil
+			return ctx.Ret(p.pid)
 		},
-		"getppid": func(*core.Ctx, msg.Encoded) (msg.Args, error) {
-			return msg.Args{0}, nil
+		"getppid": func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
+			return ctx.Ret(0)
 		},
 	}
 }
@@ -70,8 +70,8 @@ func (s *Sysinfo) Init(*core.Ctx) error { return nil }
 // Exports implements core.Component.
 func (s *Sysinfo) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"uname": func(*core.Ctx, msg.Encoded) (msg.Args, error) {
-			return msg.Args{"VampOS", "vampos-guest", "0.8.0-vamp", "x86_64"}, nil
+		"uname": func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
+			return ctx.Ret("VampOS", "vampos-guest", "0.8.0-vamp", "x86_64")
 		},
 	}
 }
@@ -92,8 +92,8 @@ func (u *User) Init(*core.Ctx) error { return nil }
 
 // Exports implements core.Component.
 func (u *User) Exports() map[string]core.Handler {
-	uid := func(*core.Ctx, msg.Encoded) (msg.Args, error) {
-		return msg.Args{0}, nil // unikernels run as root
+	uid := func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
+		return ctx.Ret(0) // unikernels run as root
 	}
 	return map[string]core.Handler{
 		"getuid":  uid,
@@ -119,12 +119,12 @@ func (t *Timer) Init(*core.Ctx) error { return nil }
 // Exports implements core.Component.
 func (t *Timer) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"clock_gettime": func(ctx *core.Ctx, _ msg.Encoded) (msg.Args, error) {
+		"clock_gettime": func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
 			now := ctx.Now()
-			return msg.Args{now.Unix(), int64(now.Nanosecond())}, nil
+			return ctx.Ret(now.Unix(), int64(now.Nanosecond()))
 		},
-		"uptime_ns": func(ctx *core.Ctx, _ msg.Encoded) (msg.Args, error) {
-			return msg.Args{int64(ctx.Elapsed())}, nil
+		"uptime_ns": func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
+			return ctx.Ret(int64(ctx.Elapsed()))
 		},
 	}
 }

@@ -42,15 +42,15 @@ func (p *fpProbe) Init(*core.Ctx) error {
 
 func (p *fpProbe) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
-		"bump": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"bump": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			if p.crashNext {
 				p.crashNext = false
 				panic("probe: injected crash in bump")
 			}
 			p.n++
-			return msg.Args{p.n}, nil
+			return ctx.Ret(p.n)
 		},
-		"put": func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"put": func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			key, err := args.Str(0)
 			if err != nil {
 				return nil, err
@@ -59,7 +59,7 @@ func (p *fpProbe) Exports() map[string]core.Handler {
 				panic("probe: deterministic bug in put")
 			}
 			p.data[key] = "set"
-			return msg.Args{len(p.data)}, nil
+			return ctx.Ret(len(p.data))
 		},
 	}
 }

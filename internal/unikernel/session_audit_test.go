@@ -75,7 +75,7 @@ func TestSessionExportAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rets := msg.Args{7, 7}
+	rets := args
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

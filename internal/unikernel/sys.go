@@ -112,7 +112,7 @@ func (s *Sys) Elapsed() time.Duration { return s.ctx.Elapsed() }
 // around it: the causal root the flight recorder follows across every
 // component hop, crash, and recovery the call triggers. The hooks are
 // free (nil-recorder branches, no allocation) when tracing is off.
-func (s *Sys) call(target, fn string, args ...any) (msg.Args, error) {
+func (s *Sys) call(target, fn string, args ...any) (msg.Encoded, error) {
 	sp, prev := s.ctx.BeginSyscall(fn)
 	rets, err := s.ctx.Call(target, fn, args...)
 	s.ctx.EndSyscall(sp, prev, err)
@@ -145,8 +145,12 @@ func (s *Sys) Uname() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	parts := make([]string, 0, len(rets))
-	for i := range rets {
+	n, err := rets.Len()
+	if err != nil {
+		return "", err
+	}
+	parts := make([]string, 0, n)
+	for i := 0; i < n; i++ {
 		p, err := rets.Str(i)
 		if err != nil {
 			return "", err

@@ -10,9 +10,11 @@
 package vfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"vampos/internal/core"
 	"vampos/internal/mem"
@@ -174,23 +176,36 @@ func (c *Comp) Exports() map[string]core.Handler {
 	}
 }
 
+// fdSessions names the fds below 256 once: a run's fds are the lowest
+// free ones, so naming their sessions allocates nothing.
+var fdSessions = func() (ids [256]msg.SessionID) {
+	for fd := range ids {
+		ids[fd] = msg.SessionID("fd:" + strconv.Itoa(fd))
+	}
+	return ids
+}()
+
+// fdSession returns fd's session id, "fd:<fd>", or none on err.
 func fdSession(fd int, err error) msg.SessionID {
 	if err != nil {
 		return ""
 	}
-	return msg.SessionID(fmt.Sprintf("fd:%d", fd))
+	if uint(fd) < uint(len(fdSessions)) {
+		return fdSessions[fd]
+	}
+	return msg.SessionID("fd:" + strconv.Itoa(fd))
 }
 
 // LogPolicies implements core.LogPolicyProvider: the Table II VFS row.
 // stat/vget/readdir change no VFS state and are unlogged.
 func (c *Comp) LogPolicies() map[string]core.LogPolicy {
-	opener := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+	opener := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 		return fdSession(rets.Int(0)), msg.ClassOpener
 	}}
-	transient := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+	transient := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 		return fdSession(args.Int(0)), msg.ClassTransient
 	}}
-	durableFD := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+	durableFD := core.LogPolicy{Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 		return fdSession(args.Int(0)), msg.ClassDurable
 	}}
 	return map[string]core.LogPolicy{
@@ -201,7 +216,7 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		"create":           opener,
 		"vfs_alloc_socket": opener,
 		"sock_accept":      opener,
-		"pipe": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"pipe": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			return fdSession(rets.Int(0)), msg.ClassOpener
 		}},
 		"read":          transient,
@@ -219,7 +234,7 @@ func (c *Comp) LogPolicies() map[string]core.LogPolicy {
 		"setsockopt":    durableFD,
 		"getsockopt":    durableFD,
 		"sock_shutdown": durableFD,
-		"close": {Classify: func(args msg.Encoded, rets msg.Args, callErr error) (msg.SessionID, msg.Class) {
+		"close": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
 			return fdSession(args.Int(0)), msg.ClassCanceler
 		}},
 	}
@@ -301,7 +316,7 @@ func (c *Comp) dropFD(ctx *core.Ctx, f *file) {
 	delete(c.fds, f.FD)
 }
 
-func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	point, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -328,7 +343,7 @@ func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -340,7 +355,7 @@ func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return c.openPath(ctx, path, flags)
 }
 
-func (c *Comp) openPath(ctx *core.Ctx, path string, flags int) (msg.Args, error) {
+func (c *Comp) openPath(ctx *core.Ctx, path string, flags int) (msg.Encoded, error) {
 	fd, err := c.allocFD(ctx)
 	if err != nil {
 		return nil, err
@@ -369,11 +384,11 @@ func (c *Comp) openPath(ctx *core.Ctx, path string, flags int) (msg.Args, error)
 		}
 	}
 	c.installFD(ctx, f)
-	return msg.Args{fd}, nil
+	return ctx.Ret(fd)
 }
 
 // create is open(path, O_CREATE|O_WRONLY|O_TRUNC) under its Table II name.
-func (c *Comp) create(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) create(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -381,7 +396,7 @@ func (c *Comp) create(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return c.openPath(ctx, path, OCreate|OWronly|OTrunc)
 }
 
-func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -402,7 +417,7 @@ func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 		}
 		f.Offset += int64(len(data))
 		c.syncFD(ctx, f)
-		return msg.Args{data, len(data) == 0}, nil
+		return ctx.Ret(data, len(data) == 0)
 	case kindSock:
 		rets, err := ctx.Call("lwip", "recv", f.Sock, n)
 		if err != nil {
@@ -416,22 +431,22 @@ func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 		}
 		if len(p.Data) == 0 {
 			if p.WritersGone {
-				return msg.Args{[]byte{}, true}, nil
+				return ctx.Ret([]byte{}, true)
 			}
 			return nil, core.EAGAIN
 		}
 		if n > len(p.Data) {
 			n = len(p.Data)
 		}
-		out := append([]byte(nil), p.Data[:n]...)
+		rets, err := ctx.Ret(p.Data[:n], false)
 		p.Data = p.Data[n:]
-		return msg.Args{out, false}, nil
+		return rets, err
 	default:
 		return nil, core.EBADF
 	}
 }
 
-func (c *Comp) pread(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) pread(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -455,15 +470,15 @@ func (c *Comp) pread(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if err != nil {
 		return nil, err
 	}
-	return msg.Args{data, len(data) == 0}, nil
+	return ctx.Ret(data, len(data) == 0)
 }
 
-func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
 	}
-	data, err := args.Bytes(1)
+	data, err := ctx.Bytes(args, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -479,7 +494,7 @@ func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 		}
 		f.Offset += int64(n)
 		c.syncFD(ctx, f)
-		return msg.Args{n}, nil
+		return ctx.Ret(n)
 	case kindSock:
 		rets, err := ctx.Call("lwip", "send", f.Sock, data)
 		if err != nil {
@@ -495,13 +510,13 @@ func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 			return nil, core.EPIPE
 		}
 		p.Data = append(p.Data, data...)
-		return msg.Args{len(data)}, nil
+		return ctx.Ret(len(data))
 	default:
 		return nil, core.EBADF
 	}
 }
 
-func (c *Comp) pwrite(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) pwrite(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -525,11 +540,11 @@ func (c *Comp) pwrite(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 }
 
 // writev concatenated at the syscall layer: one buffer here.
-func (c *Comp) writev(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) writev(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	return c.write(ctx, args)
 }
 
-func (c *Comp) lseek(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) lseek(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -568,10 +583,10 @@ func (c *Comp) lseek(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 		return nil, core.EINVAL
 	}
 	c.syncFD(ctx, f)
-	return msg.Args{f.Offset}, nil
+	return ctx.Ret(f.Offset)
 }
 
-func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -605,7 +620,7 @@ func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -619,7 +634,7 @@ func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return nil, nil
 }
 
-func (c *Comp) fcntl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) fcntl(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -630,16 +645,16 @@ func (c *Comp) fcntl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	}
 	switch cmd {
 	case 1: // F_GETFD-ish
-		return msg.Args{0}, nil
+		return ctx.Ret(0)
 	case 1024 + 7: // F_SETFL O_APPEND toggle stand-in
 		f.Append = true
-		return msg.Args{0}, nil
+		return ctx.Ret(0)
 	default:
-		return msg.Args{0}, nil
+		return ctx.Ret(0)
 	}
 }
 
-func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -647,10 +662,10 @@ func (c *Comp) ioctl(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if f.Kind == kindSock {
 		return ctx.Call("lwip", "sock_net_ioctl", f.Sock)
 	}
-	return msg.Args{0}, nil
+	return ctx.Ret(0)
 }
 
-func (c *Comp) pipe(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) pipe(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	rfd, err := c.allocFD(ctx)
 	if err != nil {
 		return nil, err
@@ -675,10 +690,10 @@ func (c *Comp) pipe(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	rf.Pipe = c.nextPipe
 	wf := &file{FD: wfd, Kind: kindPipeW, Pipe: c.nextPipe}
 	c.installFD(ctx, wf)
-	return msg.Args{rfd, wfd}, nil
+	return ctx.Ret(rfd, wfd)
 }
 
-func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -694,10 +709,15 @@ func (c *Comp) stat(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if !exists {
 		return nil, core.ENOENT
 	}
-	return msg.Args{rets[1], rets[2]}, nil // size, isdir
+	size, err1 := rets.Int64(1)
+	isDir, err2 := rets.Bool(2)
+	if err := cmp.Or(err1, err2); err != nil {
+		return nil, err
+	}
+	return ctx.Ret(size, isDir)
 }
 
-func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -705,7 +725,7 @@ func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return ctx.Call("9pfs", "uk_9pfs_mkdir", path)
 }
 
-func (c *Comp) unlink(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) unlink(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -713,7 +733,7 @@ func (c *Comp) unlink(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return ctx.Call("9pfs", "uk_9pfs_remove", path)
 }
 
-func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -726,11 +746,11 @@ func (c *Comp) readdir(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 
 // vget resolves a path like the vnode-cache hook in Unikraft's vfscore;
 // stateless here (no vnode cache), so unlogged.
-func (c *Comp) vget(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) vget(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	return c.stat(ctx, args)
 }
 
-func (c *Comp) allocSocket(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) allocSocket(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	fd, err := c.allocFD(ctx)
 	if err != nil {
 		return nil, err
@@ -747,7 +767,7 @@ func (c *Comp) allocSocket(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	}
 	f := &file{FD: fd, Kind: kindSock, Sock: sockID}
 	c.installFD(ctx, f)
-	return msg.Args{fd}, nil
+	return ctx.Ret(fd)
 }
 
 func (c *Comp) sockFD(args msg.Encoded) (*file, error) {
@@ -761,7 +781,7 @@ func (c *Comp) sockFD(args msg.Encoded) (*file, error) {
 	return f, nil
 }
 
-func (c *Comp) sockBind(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) sockBind(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -773,7 +793,7 @@ func (c *Comp) sockBind(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return ctx.Call("lwip", "bind", f.Sock, port)
 }
 
-func (c *Comp) sockListen(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) sockListen(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -786,7 +806,7 @@ func (c *Comp) sockListen(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 }
 
 // sockAccept pops one ready connection and wraps it in a new fd.
-func (c *Comp) sockAccept(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) sockAccept(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -799,6 +819,11 @@ func (c *Comp) sockAccept(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	if err != nil {
 		return nil, err
 	}
+	raddr, err1 := rets.Uint64(1)
+	rport, err2 := rets.Int(2)
+	if err := cmp.Or(err1, err2); err != nil {
+		return nil, err
+	}
 	fd, err := c.allocFD(ctx)
 	if err != nil {
 		// Undo the accept so the connection is not leaked.
@@ -807,10 +832,10 @@ func (c *Comp) sockAccept(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	}
 	nf := &file{FD: fd, Kind: kindSock, Sock: sockID}
 	c.installFD(ctx, nf)
-	return msg.Args{fd, rets[1], rets[2]}, nil // fd, raddr, rport
+	return ctx.Ret(fd, raddr, rport)
 }
 
-func (c *Comp) sockConnect(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) sockConnect(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -826,7 +851,7 @@ func (c *Comp) sockConnect(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return ctx.Call("lwip", "connect", f.Sock, raddr, port)
 }
 
-func (c *Comp) sockState(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) sockState(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -834,7 +859,7 @@ func (c *Comp) sockState(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return ctx.Call("lwip", "conn_state", f.Sock)
 }
 
-func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -850,7 +875,7 @@ func (c *Comp) setsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return ctx.Call("lwip", "setsockopt", f.Sock, opt, val)
 }
 
-func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -862,7 +887,7 @@ func (c *Comp) getsockopt(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	return ctx.Call("lwip", "getsockopt", f.Sock, opt)
 }
 
-func (c *Comp) sockShutdown(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) sockShutdown(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.sockFD(args)
 	if err != nil {
 		return nil, err
@@ -924,7 +949,7 @@ func (c *Comp) EvictSession(ctx *core.Ctx, session msg.SessionID) error {
 
 // setOffsetSynthetic is the compaction target: it replays as a direct
 // offset install, replacing a run of read/write/lseek records (§V-F).
-func (c *Comp) setOffsetSynthetic(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+func (c *Comp) setOffsetSynthetic(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	f, err := c.getFD(args, 0)
 	if err != nil {
 		return nil, err
@@ -949,13 +974,13 @@ func (c *Comp) CompactLog(log *msg.Log) error {
 		f := c.fds[fd]
 		if f.Kind != kindFile {
 			// Socket transients carry no offset; just drop them.
-			sess := msg.SessionID(fmt.Sprintf("fd:%d", fd))
+			sess := fdSession(fd, nil)
 			log.RemoveWhere(func(r msg.RecordView) bool {
 				return r.Session == sess && r.Class == msg.ClassTransient
 			})
 			continue
 		}
-		sess := msg.SessionID(fmt.Sprintf("fd:%d", fd))
+		sess := fdSession(fd, nil)
 		removed := log.RemoveWhere(func(r msg.RecordView) bool {
 			return r.Session == sess && (r.Class == msg.ClassTransient || r.Synthetic)
 		})

@@ -36,16 +36,16 @@ func (s *stub9pfs) Init(*core.Ctx) error { return nil }
 
 func (s *stub9pfs) Exports() map[string]core.Handler {
 	count := func(name string, h core.Handler) core.Handler {
-		return func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		return func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			s.calls[name]++
 			return h(ctx, args)
 		}
 	}
 	return map[string]core.Handler{
-		"uk_9pfs_mount": count("mount", func(*core.Ctx, msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_mount": count("mount", func(*core.Ctx, msg.Encoded) (msg.Encoded, error) {
 			return nil, nil
 		}),
-		"uk_9pfs_open": count("open", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_open": count("open", func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			path, _ := args.Str(0)
 			flags, _ := args.Int(1)
 			_, exists := s.files[path]
@@ -60,9 +60,9 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			}
 			s.nextFid++
 			s.fids[s.nextFid] = path
-			return msg.Args{s.nextFid}, nil
+			return ctx.Ret(s.nextFid)
 		}),
-		"uk_9pfs_close": count("close", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_close": count("close", func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			fid, _ := args.Int(0)
 			if _, ok := s.fids[fid]; !ok {
 				return nil, core.EBADF
@@ -70,21 +70,21 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			delete(s.fids, fid)
 			return nil, nil
 		}),
-		"uk_9pfs_read": count("read", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_read": count("read", func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			fid, _ := args.Int(0)
 			off, _ := args.Int64(1)
 			n, _ := args.Int(2)
 			data := s.files[s.fids[fid]]
 			if off >= int64(len(data)) {
-				return msg.Args{[]byte{}}, nil
+				return ctx.Ret([]byte{})
 			}
 			end := off + int64(n)
 			if end > int64(len(data)) {
 				end = int64(len(data))
 			}
-			return msg.Args{append([]byte(nil), data[off:end]...)}, nil
+			return ctx.Ret(append([]byte(nil), data[off:end]...))
 		}),
-		"uk_9pfs_write": count("write", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_write": count("write", func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			fid, _ := args.Int(0)
 			off, _ := args.Int64(1)
 			p, _ := args.Bytes(2)
@@ -97,22 +97,22 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			}
 			copy(data[off:], p)
 			s.files[path] = data
-			return msg.Args{len(p)}, nil
+			return ctx.Ret(len(p))
 		}),
-		"uk_9pfs_fsync": count("fsync", func(*core.Ctx, msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_fsync": count("fsync", func(*core.Ctx, msg.Encoded) (msg.Encoded, error) {
 			return nil, nil
 		}),
-		"uk_9pfs_stat": count("stat", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_stat": count("stat", func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			fid, _ := args.Int(0)
-			return msg.Args{int64(len(s.files[s.fids[fid]])), false}, nil
+			return ctx.Ret(int64(len(s.files[s.fids[fid]])), false)
 		}),
-		"uk_9pfs_lookup": count("lookup", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_lookup": count("lookup", func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			path, _ := args.Str(0)
 			data, ok := s.files[path]
-			return msg.Args{ok, int64(len(data)), false}, nil
+			return ctx.Ret(ok, int64(len(data)), false)
 		}),
-		"uk_9pfs_mkdir": count("mkdir", func(*core.Ctx, msg.Encoded) (msg.Args, error) { return nil, nil }),
-		"uk_9pfs_remove": count("remove", func(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
+		"uk_9pfs_mkdir": count("mkdir", func(*core.Ctx, msg.Encoded) (msg.Encoded, error) { return nil, nil }),
+		"uk_9pfs_remove": count("remove", func(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 			path, _ := args.Str(0)
 			if _, ok := s.files[path]; !ok {
 				return nil, core.ENOENT
@@ -120,8 +120,8 @@ func (s *stub9pfs) Exports() map[string]core.Handler {
 			delete(s.files, path)
 			return nil, nil
 		}),
-		"uk_9pfs_readdir": count("readdir", func(*core.Ctx, msg.Encoded) (msg.Args, error) {
-			return msg.Args{[]byte{}}, nil
+		"uk_9pfs_readdir": count("readdir", func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
+			return ctx.Ret([]byte{})
 		}),
 	}
 }
@@ -200,11 +200,11 @@ func TestOffsetsAdvanceIndependently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		da, _ := ra.Bytes(0) // results last until the next call
 		rb, err := c.Call("vfs", "read", fdB, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		da, _ := ra.Bytes(0)
 		db, _ := rb.Bytes(0)
 		if string(da) != "0123" || string(db) != "01" {
 			t.Fatalf("reads = %q, %q", da, db)
@@ -477,4 +477,26 @@ func TestBadFDsEverywhere(t *testing.T) {
 			t.Errorf("write(99) = %v", err)
 		}
 	})
+}
+
+// TestFDSessionIDs: an fd's session id is "fd:<fd>" at every fd, as
+// fmt formats it, and naming one of the fds a run uses allocates nothing.
+func TestFDSessionIDs(t *testing.T) {
+	for fd := -2; fd < 2*len(fdSessions); fd++ {
+		if got, want := fdSession(fd, nil), msg.SessionID(fmt.Sprintf("fd:%d", fd)); got != want {
+			t.Fatalf("fdSession(%d) = %q, want %q", fd, got, want)
+		}
+	}
+	if got := fdSession(3, core.EBADF); got != "" {
+		t.Fatalf("fdSession with an error = %q, want none", got)
+	}
+	var sink msg.SessionID
+	if n := testing.AllocsPerRun(100, func() {
+		for fd := 3; fd < 200; fd++ {
+			sink = fdSession(fd, nil)
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations to name fds 3..199, want 0", n)
+	}
+	_ = sink
 }

@@ -45,6 +45,9 @@ type Comp struct {
 	// message-passing mode the component's worker already serialises;
 	// in vanilla mode callers run on their own threads and must queue.
 	p9Busy bool
+	// frame and resp are the RX rings' pop buffers: a popped frame or
+	// RPC response is encoded as the handler's result before it yields.
+	frame, resp []byte
 }
 
 // New creates the VIRTIO component attached to the given host ports.
@@ -118,8 +121,8 @@ func (c *Comp) Exports() map[string]core.Handler {
 
 // netTx pushes one frame to the host, waiting briefly if the ring is
 // momentarily full.
-func (c *Comp) netTx(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
-	frame, err := args.Bytes(0)
+func (c *Comp) netTx(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
+	frame, err := ctx.Bytes(args, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -137,22 +140,23 @@ func (c *Comp) netTx(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 }
 
 // netRxPop pops one received frame; EAGAIN when the ring is empty.
-func (c *Comp) netRxPop(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
-	frame, ok, err := c.netDev.GuestRecv(ctx.Mem())
+func (c *Comp) netRxPop(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
+	frame, ok, err := c.netDev.rx.pop(ctx.Mem(), c.frame)
 	if err != nil {
 		return nil, core.Errno("EIO: " + err.Error())
 	}
 	if !ok {
 		return nil, core.EAGAIN
 	}
-	return msg.Args{frame}, nil
+	c.frame = frame
+	return ctx.Ret(frame)
 }
 
 // p9RPC sends one encoded 9P T-message and waits for its R-message. The
 // driver serialises RPCs (one virtio-9p channel), so the first response
 // is the response.
-func (c *Comp) p9RPC(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
-	req, err := args.Bytes(0)
+func (c *Comp) p9RPC(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
+	req, err := ctx.Bytes(args, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -168,12 +172,13 @@ func (c *Comp) p9RPC(ctx *core.Ctx, args msg.Encoded) (msg.Args, error) {
 	}
 	deadline := ctx.Elapsed() + rpcTimeout
 	for {
-		resp, ok, err := c.p9Dev.GuestRecv(ctx.Mem())
+		resp, ok, err := c.p9Dev.rx.pop(ctx.Mem(), c.resp)
 		if err != nil {
 			return nil, core.Errno("EIO: " + err.Error())
 		}
 		if ok {
-			return msg.Args{resp}, nil
+			c.resp = resp
+			return ctx.Ret(resp)
 		}
 		if ctx.Elapsed() >= deadline {
 			return nil, core.Errno("EIO: 9p rpc timeout")

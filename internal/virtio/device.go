@@ -68,7 +68,11 @@ func (d *Device) GuestRecv(acc *mem.Accessor) ([]byte, bool, error) {
 
 // HostRecv pops the next guest-sent payload, detecting uncoordinated
 // ring resets via the shadow producer index.
-func (d *Device) HostRecv() ([]byte, bool, error) {
+func (d *Device) HostRecv() ([]byte, bool, error) { return d.HostRecvInto(nil) }
+
+// HostRecvInto is HostRecv into buf's array, for a caller that keeps the
+// buffer for its next pop.
+func (d *Device) HostRecvInto(buf []byte) ([]byte, bool, error) {
 	prod, _, err := d.tx.Indices()
 	if err != nil {
 		return nil, false, err
@@ -82,7 +86,7 @@ func (d *Device) HostRecv() ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	d.lastTxProd = prod
-	return d.tx.HostPop()
+	return d.tx.pop(nil, buf)
 }
 
 // HostSend pushes a payload onto the RX ring and raises the guest IRQ.

@@ -14,6 +14,7 @@ package virtio
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"vampos/internal/mem"
 )
@@ -108,8 +109,9 @@ func (r *Ring) push(acc *mem.Accessor, payload []byte) error {
 	return r.writeU32(acc, 0, prod+1)
 }
 
-// pop removes the oldest payload through acc, or as the host when acc is nil.
-func (r *Ring) pop(acc *mem.Accessor) ([]byte, bool, error) {
+// pop removes the oldest payload through acc, or as the host when acc is
+// nil, reading it into buf's array (a new one when buf is too small).
+func (r *Ring) pop(acc *mem.Accessor, buf []byte) ([]byte, bool, error) {
 	prod, err := r.readU32(acc, 0)
 	if err != nil {
 		return nil, false, err
@@ -129,7 +131,7 @@ func (r *Ring) pop(acc *mem.Accessor) ([]byte, bool, error) {
 	if int(n) > r.slotSize {
 		return nil, false, fmt.Errorf("virtio: corrupt slot length %d", n)
 	}
-	p := make([]byte, n)
+	p := slices.Grow(buf[:0], int(n))[:n]
 	if err := r.read(acc, r.base+mem.Addr(off+4), p); err != nil {
 		return nil, false, err
 	}
@@ -146,7 +148,7 @@ func (r *Ring) GuestPush(acc *mem.Accessor, payload []byte) error {
 
 // GuestPop removes the oldest payload using a protection-checked accessor.
 func (r *Ring) GuestPop(acc *mem.Accessor) ([]byte, bool, error) {
-	return r.pop(acc)
+	return r.pop(acc, nil)
 }
 
 // HostPush appends payload with DMA (unchecked) access.
@@ -156,7 +158,7 @@ func (r *Ring) HostPush(payload []byte) error {
 
 // HostPop removes the oldest payload with DMA access.
 func (r *Ring) HostPop() ([]byte, bool, error) {
-	return r.pop(nil)
+	return r.pop(nil, nil)
 }
 
 // Indices returns the current producer and consumer indices (host read).

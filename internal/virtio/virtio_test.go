@@ -80,6 +80,47 @@ func TestRingRoundTripAllocatesOnlyThePayload(t *testing.T) {
 	}
 }
 
+// TestDeviceRecvIntoReusesTheBuffer: popping into a buffer its caller
+// keeps reads the same bytes as the allocating pop, into the buffer's
+// array once it is large enough, so a warm push and pop each way
+// allocates nothing.
+func TestDeviceRecvIntoReusesTheBuffer(t *testing.T) {
+	m, dev := newTestDevice(t)
+	acc := mem.NewAccessor(m, mem.Allow(5))
+	var hostBuf, guestBuf []byte
+	for i := 0; i < 20; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 1+i*11)
+		if err := dev.GuestSend(acc, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := dev.HostRecvInto(hostBuf)
+		if err != nil || !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("host pop %d = %v, %v, %v; want %v", i, got, ok, err, payload)
+		}
+		if cap(hostBuf) >= len(payload) && &got[0] != &hostBuf[:1][0] {
+			t.Fatalf("host pop %d left a buffer of %d bytes unused", i, cap(hostBuf))
+		}
+		hostBuf = got
+		if err := dev.HostSend(payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err = dev.rx.pop(acc, guestBuf); err != nil || !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("guest pop %d = %v, %v, %v; want %v", i, got, ok, err, payload)
+		}
+		guestBuf = got
+	}
+	frame := make([]byte, 100)
+	n := testing.AllocsPerRun(100, func() {
+		_ = dev.GuestSend(acc, frame)
+		hostBuf, _, _ = dev.HostRecvInto(hostBuf)
+		_ = dev.HostSend(frame)
+		guestBuf, _, _ = dev.rx.pop(acc, guestBuf)
+	})
+	if n != 0 {
+		t.Fatalf("%v allocations per warm push and pop each way, want 0", n)
+	}
+}
+
 // BenchmarkRingPushPop: one frame from the guest driver to the host.
 func BenchmarkRingPushPop(b *testing.B) {
 	m, r := newRingPair(b, 8, 256)
