@@ -22,7 +22,6 @@ var deterministicPkgs = map[string]bool{
 	modulePath + "/internal/aging":          true,
 	modulePath + "/internal/cluster":        true,
 	modulePath + "/internal/cluster/gossip": true,
-	modulePath + "/internal/microreboot":    true,
 	modulePath + "/internal/defense":        true,
 }
 

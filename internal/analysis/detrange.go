@@ -11,8 +11,8 @@ import (
 // DetRange enforces deterministic map iteration in the packages whose
 // output is replayed or byte-compared: the runtime core and message
 // layer (logged bytes), cluster and gossip (deltas, convergence
-// digests), the checkpoint engine (image blobs), and the microreboot
-// registry (recovery ordering). Go randomizes map iteration order per
+// digests), the checkpoint engine (image blobs), and the VFS and LWIP
+// components (compacted records). Go randomizes map iteration order per
 // run, so a map range whose body can affect that output breaks
 // byte-identical campaign matrices and cluster convergence.
 //

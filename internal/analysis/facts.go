@@ -56,15 +56,14 @@ var recoverySentinels = map[string]bool{
 // logged bytes, gossip deltas, or codec output (the detrange analyzer's
 // scope): the runtime core and message layer (log bytes), the cluster
 // and gossip layers (deltas, convergence digests), the checkpoint
-// engine (image blobs), the microreboot registry (recovery ordering),
-// and the VFS and LWIP components (the records their compactors write).
+// engine (image blobs), and the VFS and LWIP components (the records
+// their compactors write).
 var detrangePkgs = map[string]bool{
 	modulePath + "/internal/core":           true,
 	modulePath + "/internal/msg":            true,
 	modulePath + "/internal/cluster":        true,
 	modulePath + "/internal/cluster/gossip": true,
 	modulePath + "/internal/ckpt":           true,
-	modulePath + "/internal/microreboot":    true,
 	modulePath + "/internal/vfs":            true,
 	modulePath + "/internal/lwip":           true,
 }

@@ -88,7 +88,7 @@ func TestTreeFacts(t *testing.T) {
 		"ladder-sentinel vampos/internal/core.ErrMicrorebootEscalated",
 		"ladder-sentinel vampos/internal/cluster.ErrNotReplicated",
 		"component-root vampos/internal/lwip",
-		"ordered-output vampos/internal/microreboot",
+		"ordered-output vampos/internal/vfs",
 	} {
 		if !strings.Contains(summary, want) {
 			t.Errorf("fact base is missing %q", want)

@@ -36,7 +36,6 @@ import (
 
 	"vampos/internal/cluster/gossip"
 	"vampos/internal/core"
-	"vampos/internal/microreboot"
 	"vampos/internal/unikernel"
 )
 
@@ -93,6 +92,40 @@ type Stats struct {
 	GossipRounds, DeltasDelivered uint64
 }
 
+// Rung identifies one level of the four-rung recovery ladder, smallest
+// first. Rungs 1–2 live in internal/core, rung 3 here, rung 4 is core's
+// whole-image FullRestart.
+type Rung uint8
+
+// The ladder, in escalation order.
+const (
+	// RungSession: evict one session and replay its log slice while the
+	// component keeps serving every other session.
+	RungSession Rung = iota + 1
+	// RungComponent: reboot the whole component group — checkpoint
+	// restore plus encapsulated log replay.
+	RungComponent
+	// RungInstance: kill the member instance and resync it from peers.
+	RungInstance
+	// RungRestart: restart the whole image; nothing is restored.
+	RungRestart
+)
+
+func (r Rung) String() string {
+	switch r {
+	case RungSession:
+		return "session-microreboot"
+	case RungComponent:
+		return "component-reboot"
+	case RungInstance:
+		return "instance-kill"
+	case RungRestart:
+		return "full-restart"
+	default:
+		return fmt.Sprintf("Rung(%d)", uint8(r))
+	}
+}
+
 // EscalationRecord reports how Recover resolved a fault.
 type EscalationRecord struct {
 	Node      int
@@ -101,7 +134,7 @@ type EscalationRecord struct {
 	// fault was only component-attributable (rung 1 is then skipped).
 	Session string
 	// Rung is the ladder level that resolved the fault.
-	Rung microreboot.Rung
+	Rung Rung
 	// Err is the failure that forced climbing past an earlier rung; nil
 	// when the first attempted rung sufficed.
 	Err error
@@ -677,7 +710,7 @@ func (c *Cluster) Recover(id int, component, session string) (EscalationRecord, 
 			return s.MicrorebootSession(component, session)
 		})
 		if err == nil {
-			rec.Rung = microreboot.RungSession
+			rec.Rung = RungSession
 			c.stats.SessionMicroreboots++
 			return rec, nil
 		}
@@ -685,7 +718,7 @@ func (c *Cluster) Recover(id int, component, session string) (EscalationRecord, 
 	}
 	err := c.nodes[id].do(func(s *unikernel.Sys) error { return s.Reboot(component) })
 	if err == nil {
-		rec.Rung = microreboot.RungComponent
+		rec.Rung = RungComponent
 		c.stats.ComponentReboots++
 		return rec, nil
 	}
@@ -698,14 +731,14 @@ func (c *Cluster) Recover(id int, component, session string) (EscalationRecord, 
 		}
 	}
 	if live > 1 {
-		rec.Rung = microreboot.RungInstance
+		rec.Rung = RungInstance
 		rec.Escalated = true
 		if kerr := c.KillInstance(id); kerr != nil && !errors.Is(kerr, err) {
 			return rec, kerr
 		}
 		return rec, nil
 	}
-	rec.Rung = microreboot.RungRestart
+	rec.Rung = RungRestart
 	c.stats.FullRestarts++
 	if ferr := c.nodes[id].do(func(s *unikernel.Sys) error { return s.FullReboot() }); ferr != nil {
 		return rec, ferr

@@ -180,7 +180,7 @@ func TestEscalationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverComponent(vfs): %v", err)
 	}
-	if rec.Escalated {
+	if rec.Escalated || rec.Rung.String() != "component-reboot" {
 		t.Fatalf("vfs reboot escalated: %+v", rec)
 	}
 	if !c.Alive(0) {
@@ -191,7 +191,7 @@ func TestEscalationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverComponent(virtio): %v", err)
 	}
-	if !rec.Escalated || rec.Err == nil {
+	if !rec.Escalated || rec.Err == nil || rec.Rung.String() != "instance-kill" {
 		t.Fatalf("virtio fault did not escalate: %+v", rec)
 	}
 	if c.Alive(0) {
@@ -226,7 +226,7 @@ func TestGossipComponentReboot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, err := c.RecoverComponent(1, "gossip")
-	if err != nil || rec.Escalated {
+	if err != nil || rec.Escalated || rec.Rung.String() != "component-reboot" {
 		t.Fatalf("gossip reboot: rec=%+v err=%v", rec, err)
 	}
 	after, err := c.Snapshot(1)
@@ -235,6 +235,21 @@ func TestGossipComponentReboot(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatal("gossip table diverged across component reboot")
+	}
+}
+
+// TestRungStrings pins the ladder's names: escalation records print them.
+func TestRungStrings(t *testing.T) {
+	for r, want := range map[Rung]string{
+		RungSession:   "session-microreboot",
+		RungComponent: "component-reboot",
+		RungInstance:  "instance-kill",
+		RungRestart:   "full-restart",
+		Rung(9):       "Rung(9)",
+	} {
+		if got := r.String(); got != want {
+			t.Errorf("Rung(%d).String() = %q, want %q", uint8(r), got, want)
+		}
 	}
 }
 

@@ -492,17 +492,6 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 			if err := lg.EndInboundEncoded(rec, sess, class, rets, errStr); logFull(err) {
 				errStr = "ENOSPC: " + err.Error()
 			}
-			// Session sub-resource lifecycle (nil-safe when the
-			// Microreboot config is off): openers birth sub-resources,
-			// cancelers dissolve them.
-			if sess != "" {
-				switch class {
-				case msg.ClassOpener:
-					rt.sessions.Observe(to.desc.Name, string(sess))
-				case msg.ClassCanceler:
-					rt.sessions.Dissolve(to.desc.Name, string(sess))
-				}
-			}
 			rt.maybeCompact(th, to)
 		}
 	}

@@ -5,16 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"vampos/internal/microreboot"
 	"vampos/internal/msg"
 )
-
-// SessionStatus is the reconciliation state of one session sub-resource
-// (re-exported from internal/microreboot for runtime consumers).
-type SessionStatus = microreboot.Status
-
-// SessionRegistryStats is the session registry's accounting.
-type SessionRegistryStats = microreboot.Stats
 
 // ErrMicrorebootEscalated reports that a requested session microreboot
 // could not complete at the session rung and was escalated to a
@@ -54,44 +46,31 @@ type MicrorebootRecord struct {
 //     non-session calls return "" and escalate;
 //   - the log holds a live opener for that session, so replaying its
 //     slice can actually rebuild it.
-func (rt *Runtime) attributeSession(g *group, fn string, args msg.Encoded) (*component, msg.SessionID, bool) {
+//
+// A nil component means rung 2.
+func (rt *Runtime) attributeSession(g *group, fn string, args msg.Encoded) (*component, msg.SessionID) {
 	if !rt.cfg.Microreboot || len(g.members) != 1 || fn == "" {
-		return nil, "", false
+		return nil, ""
 	}
 	c := g.members[0]
 	if !c.desc.Stateful || c.desc.Unrebootable {
-		return nil, "", false
+		return nil, ""
 	}
 	res, okR := c.comp.(SessionResolver)
 	_, okE := c.comp.(SessionEvictor)
 	if !okR || !okE {
-		return nil, "", false
+		return nil, ""
 	}
 	session := res.SessionOf(fn, args)
-	if session == "" {
-		return nil, "", false
+	if session == "" || !c.domain.Log().HasLiveOpener(session) {
+		return nil, ""
 	}
-	if !c.domain.Log().HasLiveOpener(session) {
-		return nil, "", false
-	}
-	return c, session, true
+	return c, session
 }
 
 // Microreboots returns the completed session-microreboot records in
 // order. Safe to call from any goroutine.
 func (rt *Runtime) Microreboots() []MicrorebootRecord { return copyRecords(rt, &rt.microreboots) }
-
-// Sessions returns the session sub-resource snapshot of the registry
-// (nil slice when the Microreboot config is off).
-func (rt *Runtime) Sessions() []SessionStatus {
-	return rt.sessions.Snapshot()
-}
-
-// SessionStats returns the session registry's accounting (zero when the
-// Microreboot config is off).
-func (rt *Runtime) SessionStats() SessionRegistryStats {
-	return rt.sessions.Stats()
-}
 
 // MicrorebootSession proactively microreboots one session of the named
 // component: evict its live state and rebuild it from the log while the
@@ -121,9 +100,6 @@ func (c *Ctx) MicrorebootSession(name, session string) error {
 	sid := msg.SessionID(session)
 	if !tc.domain.Log().HasLiveOpener(sid) {
 		return fmt.Errorf("core: %s/%s has no live opener in the log", name, session)
-	}
-	if err := rt.sessions.BeginRecovery(name, session, "proactive"); err != nil {
-		return err
 	}
 	// The outcome is read from this call's own recovery: another
 	// component's microreboot completing meanwhile says nothing about it.

@@ -100,14 +100,10 @@ func (rt *Runtime) beginRecovery(g *group, comp *component, session msg.SessionI
 
 // recoverFrom begins the recovery a detected failure calls for: rung 1
 // when the failed call is attributable to one session, rung 2 (the
-// component reboot) otherwise — and when the registry refuses because the
-// session is already recovering or escalated: stacking recoveries is
-// unsound.
+// component reboot) otherwise. Recoveries never stack: every caller has
+// checked that the group is neither recovering nor dead.
 func (rt *Runtime) recoverFrom(g *group, fn string, args msg.Encoded, reason string, killWorker bool, parent trace.SpanID) {
-	c, session, ok := rt.attributeSession(g, fn, args)
-	if !ok || rt.sessions.BeginRecovery(c.desc.Name, string(session), reason) != nil {
-		c, session = nil, ""
-	}
+	c, session := rt.attributeSession(g, fn, args)
 	rt.beginRecovery(g, c, session, reason, killWorker, parent)
 }
 
@@ -265,9 +261,6 @@ func (rt *Runtime) recoverGroup(t *sched.Thread, g *group) bool {
 // a child of the escalated microreboot span, preserving the causal chain.
 func (rt *Runtime) escalate(g *group, r *recovery, cause error) {
 	rt.stats.microEscalations.Add(1)
-	// Best-effort: the registry may refuse if the entry was never
-	// registered, which cannot happen on this path, but stay nil-safe.
-	_ = rt.sessions.Escalate(r.comp.desc.Name, string(r.session), cause.Error())
 	r.reason = fmt.Sprintf("%s (escalated from session %s: %v)", r.reason, r.session, cause)
 	r.comp, r.session = nil, ""
 	micro := r.span
@@ -545,16 +538,16 @@ func (rt *Runtime) replay(t *sched.Thread, g *group, r *recovery, items []replay
 }
 
 // resume puts back what replay cannot regenerate. At the session rung
-// that is nothing but the registry entry — no runtime-state reinstall,
-// the component never went down. At the component rung: runtime data
-// (LWIP seq/ACK numbers), then the defense epilogue — every tainted
-// member is re-squared around the rolled-back state: a fresh capture at
-// this quiescent point becomes the new latest image (ranked below the
-// quarantined ones by epoch seq), the replayed prefix folds into it, and
-// a fresh seal makes the post-tamper host stamps the new clean baseline.
+// that is nothing — the component never went down. At the component
+// rung: runtime data (LWIP seq/ACK numbers), then the defense epilogue —
+// every tainted member is re-squared around the rolled-back state: a
+// fresh capture at this quiescent point becomes the new latest image
+// (ranked below the quarantined ones by epoch seq), the replayed prefix
+// folds into it, and a fresh seal makes the post-tamper host stamps the
+// new clean baseline.
 func (rt *Runtime) resume(t *sched.Thread, g *group, r *recovery) error {
 	if r.comp != nil {
-		return rt.sessions.Resolve(r.comp.desc.Name, string(r.session))
+		return nil
 	}
 	for _, c := range g.members {
 		rk, ok := c.comp.(RuntimeKeeper)
@@ -610,10 +603,6 @@ func (rt *Runtime) record(t *sched.Thread, g *group, r *recovery) {
 			}
 			c.reboots.Add(1)
 			rec.Components[i] = c.desc.Name
-			// Rung-2 reconciliation: the encapsulated replay rebuilt every
-			// session the log preserved, so escalated/recovering
-			// sub-resources observe Live again.
-			rt.sessions.ComponentRecovered(c.desc.Name)
 		}
 		rt.recMu.Lock()
 		rt.reboots = append(rt.reboots, *rec)

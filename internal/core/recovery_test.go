@@ -177,6 +177,41 @@ func TestMicrorebootOutcomeIsTheCallersOwn(t *testing.T) {
 	}
 }
 
+// TestSessionHealsAtRungOneAfterEscalation: once an escalated session
+// microreboot's component reboot succeeds, the log still holds the
+// session's live opener, so a later microreboot of it — or of any other
+// session the reboot carried along — heals at rung 1 again.
+func TestSessionHealsAtRungOneAfterEscalation(t *testing.T) {
+	kv := &sessKV{refuse: true}
+	kv.name, kv.checkpointed = "kv", true
+	cfg := DaSConfig()
+	cfg.Microreboot = true
+	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
+		mustCall(t, c, "kv", "put", "a", "1")
+		mustCall(t, c, "kv", "put", "b", "2")
+		if err := c.MicrorebootSession("kv", "k:a"); !errors.Is(err, ErrMicrorebootEscalated) {
+			t.Fatalf("refused microreboot = %v, want ErrMicrorebootEscalated", err)
+		}
+		kv.refuse = false
+		for _, session := range []string{"k:a", "k:b"} {
+			if err := c.MicrorebootSession("kv", session); err != nil {
+				t.Fatalf("MicrorebootSession(%s) after the component reboot: %v", session, err)
+			}
+		}
+		for key, want := range map[string]string{"a": "1", "b": "2"} {
+			if got, err := mustCall(t, c, "kv", "get", key).Str(0); err != nil || got != want {
+				t.Errorf("get %s = %q, %v; want %q", key, got, err, want)
+			}
+		}
+	})
+	if n := len(rt.Reboots()); n != 1 {
+		t.Errorf("component reboots = %d, want 1 (the escalation's only)", n)
+	}
+	if n := len(rt.Microreboots()); n != 2 {
+		t.Errorf("microreboots = %d, want 2 (both heal at rung 1)", n)
+	}
+}
+
 // TestRecoveryStageSelection: each flavour of recovery is a row — which
 // image every member restored from and what the replay stage was handed.
 // These are the decisions the pipeline makes from the recovery value and

@@ -9,7 +9,6 @@ import (
 	"vampos/internal/ckpt"
 	"vampos/internal/clock"
 	"vampos/internal/mem"
-	"vampos/internal/microreboot"
 	"vampos/internal/msg"
 	"vampos/internal/sched"
 	"vampos/internal/trace"
@@ -101,11 +100,6 @@ type Runtime struct {
 	armedMu sync.Mutex
 	armed   map[string]*armedFault
 
-	// sessions tracks every live session sub-resource for rung-1
-	// recovery; nil unless cfg.Microreboot (all registry methods are
-	// nil-safe, so hooks stay unconditional).
-	sessions *microreboot.Registry
-
 	// agingDriver is the adaptive-rejuvenation controller Boot starts
 	// when cfg.Aging is enabled (nil otherwise or when one was created
 	// manually with NewAgingDriver).
@@ -151,9 +145,6 @@ func NewRuntime(cfg Config) *Runtime {
 		memry:   m,
 		comps:   make(map[string]*component),
 		nextKey: keyFirstComp,
-	}
-	if cfg.Microreboot {
-		rt.sessions = microreboot.NewRegistry(clk.Elapsed)
 	}
 	return rt
 }

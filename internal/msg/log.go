@@ -322,18 +322,6 @@ func (l *Log) AppendSynthetic(fn string, args Args, session SessionID) error {
 	return nil
 }
 
-// RemoveSession removes every record of the session, counting the
-// removals as compaction. Component compactors call this before
-// appending a synthetic replacement.
-func (l *Log) RemoveSession(session SessionID) int {
-	before := l.stats.Removed
-	l.removeWhere(func(e *Record) bool { return e.Session == session && !e.open })
-	n := int(l.stats.Removed - before)
-	l.stats.Compacted += uint64(n)
-	l.note("compact", string(session), n)
-	return n
-}
-
 // RemoveWhere removes completed records matching the predicate, counting
 // them as compaction, and returns how many were removed.
 func (l *Log) RemoveWhere(pred func(RecordView) bool) int {

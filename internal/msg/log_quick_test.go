@@ -246,14 +246,14 @@ func (m *refLog) synthetic(fn string, args Args, session SessionID) error {
 	return nil
 }
 
-// compact removes the completed records pred selects, as RemoveSession
-// and RemoveWhere do.
-func (m *refLog) compact(fn string, pred func(*Record) bool) int {
+// compact removes the completed records pred selects, as RemoveWhere
+// does.
+func (m *refLog) compact(pred func(*Record) bool) int {
 	before := m.stats.Removed
 	m.removeWhere(func(e *Record) bool { return !e.open && pred(e) })
 	n := int(m.stats.Removed - before)
 	m.stats.Compacted += uint64(n)
-	m.note("compact", fn, n)
+	m.note("compact", "", n)
 	return n
 }
 
@@ -427,15 +427,15 @@ func runLogOps(t testing.TB, ops []logOp) {
 			}
 		case 8:
 			sess := sessions[op.A%4]
-			got := l.RemoveSession(sess)
-			want := m.compact(string(sess), func(e *Record) bool { return e.Session == sess })
+			got := l.RemoveWhere(func(v RecordView) bool { return v.Session == sess })
+			want := m.compact(func(e *Record) bool { return e.Session == sess })
 			if got != want {
-				t.Fatalf("step %d: RemoveSession(%s) = %d, reference %d", i, sess, got, want)
+				t.Fatalf("step %d: RemoveWhere(session %s) = %d, reference %d", i, sess, got, want)
 			}
 		case 9:
 			fn := fns[op.A%4]
 			got := l.RemoveWhere(func(v RecordView) bool { return v.Fn == fn })
-			want := m.compact("", func(e *Record) bool { return e.Fn == fn })
+			want := m.compact(func(e *Record) bool { return e.Fn == fn })
 			if got != want {
 				t.Fatalf("step %d: RemoveWhere(fn %s) = %d, reference %d", i, fn, got, want)
 			}

@@ -205,9 +205,9 @@ func TestSyntheticAndRemoveSession(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		logCall(t, l, uint64(2+i), "write", Args{3, []byte("x")}, "fd:3", ClassTransient)
 	}
-	removed := l.RemoveSession("fd:3")
+	removed := l.RemoveWhere(func(v RecordView) bool { return v.Session == "fd:3" })
 	if removed != 6 {
-		t.Fatalf("RemoveSession removed %d, want 6", removed)
+		t.Fatalf("RemoveWhere(session fd:3) removed %d, want 6", removed)
 	}
 	if err := l.AppendSynthetic("__vfs_install_fd", Args{3, "/a", int64(5)}, "fd:3"); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"vampos/internal/core"
 	"vampos/internal/host"
+	"vampos/internal/msg"
 )
 
 func microConfig() Config {
@@ -168,29 +169,24 @@ func TestSessionMicrorebootKeepsOtherConnectionsServing(t *testing.T) {
 		echo(connA, "a-before")
 		echo(connB, "b-before")
 
-		// Pick the victim: the most recently observed vfs session is the
-		// accept for connB's server-side fd.
+		// Pick the victim: the most recently opened vfs session still live
+		// in the log is the accept for connB's server-side fd.
 		rt := s.Instance().Runtime()
-		sessions := rt.Sessions()
-		if len(sessions) == 0 {
-			t.Fatal("no sessions observed")
+		views, err := rt.LogRecords("vfs")
+		if err != nil {
+			t.Fatal(err)
 		}
-		victim := sessions[len(sessions)-1]
-		if victim.Key.Component != "vfs" {
-			// Find the last vfs session instead.
-			found := false
-			for i := len(sessions) - 1; i >= 0; i-- {
-				if sessions[i].Key.Component == "vfs" {
-					victim, found = sessions[i], true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("no vfs session in %+v", sessions)
+		var victim msg.SessionID
+		for i := len(views) - 1; i >= 0 && victim == ""; i-- {
+			if v := views[i]; v.Class == msg.ClassOpener && rt.SessionLive("vfs", v.Session) {
+				victim = v.Session
 			}
 		}
-		if err := s.MicrorebootSession("vfs", victim.Key.Session); err != nil {
-			t.Fatalf("MicrorebootSession(%s): %v", victim.Key.Session, err)
+		if victim == "" {
+			t.Fatal("no live vfs session in the log")
+		}
+		if err := s.MicrorebootSession("vfs", string(victim)); err != nil {
+			t.Fatalf("MicrorebootSession(%s): %v", victim, err)
 		}
 		// Both connections serve on: the victim session was rebuilt from
 		// its log slice, the other was never touched.

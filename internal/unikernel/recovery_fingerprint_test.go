@@ -406,7 +406,6 @@ func recoveryFingerprint(inst *Instance, rec *trace.Recorder) string {
 	fmt.Fprintf(&b, "sched dispatches=%d advances=%d spawned=%d killed=%d leaps=%d leaped=%d rounds=%d slices=%d penflushes=%d penned=%d\n",
 		st.Dispatches, st.ClockAdvances, st.Spawned, st.Killed, st.Leaps, st.Leaped, st.Rounds, st.Slices, st.PenFlushes, st.Penned)
 	fmt.Fprintf(&b, "runtime %+v\n", rt.Stats())
-	fmt.Fprintf(&b, "sessions %+v\n", rt.SessionStats())
 	fmt.Fprintf(&b, "clock %v\n", rt.Clock().Elapsed())
 	for _, name := range rt.Components() {
 		cs, _ := rt.ComponentStats(name)

@@ -48,7 +48,6 @@ import (
 	"vampos/internal/core"
 	"vampos/internal/defense"
 	"vampos/internal/faults"
-	"vampos/internal/microreboot"
 	"vampos/internal/trace"
 	"vampos/internal/unikernel"
 )
@@ -213,31 +212,29 @@ type (
 // NewCluster boots a gossip-replicated cluster of unikernel instances.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
-// Session microreboots (internal/microreboot): when a fault is
-// attributable to one session — one fd, socket or fid — rung 1 of the
-// recovery ladder evicts just that session's state from the live
-// component and replays its surviving log slice in place, while every
-// other session keeps serving. Enable with CoreConfig.Microreboot;
-// trigger proactively with Sys.MicrorebootSession.
+// Session microreboots: when a fault is attributable to one session —
+// one fd, socket or fid — rung 1 of the recovery ladder evicts just that
+// session's state from the live component and replays its surviving log
+// slice in place, while every other session keeps serving. The
+// restoration log is the only record of a session: rung 1 applies while
+// the log holds the session's live opener (Runtime.SessionLive). Enable
+// with CoreConfig.Microreboot; trigger proactively with
+// Sys.MicrorebootSession.
 type (
 	// MicrorebootRecord is one completed session microreboot
 	// (Runtime.Microreboots).
 	MicrorebootRecord = core.MicrorebootRecord
-	// SessionStatus is the reconciliation state of one observed session
-	// sub-resource: Live, Recovering, Dissolved or Escalated
-	// (Runtime.Sessions).
-	SessionStatus = core.SessionStatus
 	// RecoveryRung identifies one level of the four-rung ladder: session
 	// microreboot, component reboot, instance kill, full restart.
-	RecoveryRung = microreboot.Rung
+	RecoveryRung = cluster.Rung
 )
 
 // The four rungs of the recovery ladder, smallest blast radius first.
 const (
-	RungSession   = microreboot.RungSession
-	RungComponent = microreboot.RungComponent
-	RungInstance  = microreboot.RungInstance
-	RungRestart   = microreboot.RungRestart
+	RungSession   = cluster.RungSession
+	RungComponent = cluster.RungComponent
+	RungInstance  = cluster.RungInstance
+	RungRestart   = cluster.RungRestart
 )
 
 // FaultSessionCrash is the campaign's session-granular crash: it pairs
