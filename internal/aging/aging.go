@@ -232,14 +232,8 @@ func NewMonitor(p Policy) *Monitor {
 	return &Monitor{policy: p.WithDefaults()}
 }
 
-// Policy returns the normalized policy the monitor enforces.
-func (m *Monitor) Policy() Policy { return m.policy }
-
 // Stats returns a copy of the monitor's accounting.
 func (m *Monitor) Stats() Stats { return m.stats }
-
-// Score returns the most recent window score.
-func (m *Monitor) Score() Score { return m.score }
 
 // Observe appends one sensor reading, recomputes the window score, and
 // updates the hysteresis latch. It returns the new score.
@@ -417,13 +411,4 @@ func (e *Engine) Stats(name string) (Stats, bool) {
 		return Stats{}, false
 	}
 	return m.Stats(), true
-}
-
-// AllStats returns every monitor's accounting keyed by component.
-func (e *Engine) AllStats() map[string]Stats {
-	out := make(map[string]Stats, len(e.mons))
-	for name, m := range e.mons {
-		out[name] = m.Stats()
-	}
-	return out
 }

@@ -157,10 +157,6 @@ func hasMethods(named *types.Named, names ...string) bool {
 	return true
 }
 
-// ComponentOf returns the component identity of a package path ("" when
-// the path is not a component package).
-func (f *Facts) ComponentOf(path string) string { return componentOf(path) }
-
 // OrderedOutputPkg reports whether path is in detrange's scope: the
 // packages whose map-iteration order can reach logged bytes, gossip
 // deltas, or codec output.

@@ -94,9 +94,6 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor maps an import path to the directory holding its sources, or
 // "" when the path does not belong to the module (or an override).
 func (l *Loader) dirFor(path string) string {

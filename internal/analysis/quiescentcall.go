@@ -31,7 +31,7 @@ var QuiescentCall = &Analyzer{
 }
 
 func runQuiescentCall(pass *Pass) error {
-	if pass.Facts.ComponentOf(pass.Path) == "" {
+	if componentOf(pass.Path) == "" {
 		return nil
 	}
 	for _, f := range pass.Files {

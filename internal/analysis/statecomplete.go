@@ -31,7 +31,7 @@ var StateComplete = &Analyzer{
 }
 
 func runStateComplete(pass *Pass) error {
-	if pass.Facts.ComponentOf(pass.Path) == "" {
+	if componentOf(pass.Path) == "" {
 		return nil
 	}
 	decls := declIndex(pass)

@@ -1,17 +1,23 @@
 package analysis_test
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
 	"vampos/internal/analysis"
+	"vampos/internal/golden"
 )
 
 // loadTree loads every package of the module with one loader and
@@ -66,11 +72,11 @@ func TestTreeCleanWithinBudget(t *testing.T) {
 // processCPU returns the user plus system CPU time this process has used.
 func processCPU(t *testing.T) time.Duration {
 	t.Helper()
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+	used, err := golden.ProcessCPU()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return used
 }
 
 // TestTreeFacts pins the cross-package fact base the analyzers depend
@@ -146,4 +152,322 @@ func TestNoUnexplainedAllows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// surfaceKeep lists the package-level names production code does not
+// reference but the tree keeps on purpose, each with its reason. A name
+// is "pkgpath.Name" for a func, type, var or const and
+// "pkgpath.Type.Method" for a method. There are four kinds of reason: a
+// paper feature only tests drive, a name a README or DESIGN snippet
+// uses, a cross-package oracle hook with no production equivalent, and
+// the boxed msg.Args accessors the benchmark module still needs.
+var surfaceKeep = map[string]string{
+	// Paper features (§VIII) that only tests drive; the version-switch
+	// recovery fingerprint pins them.
+	"vampos/internal/core.Runtime.RegisterFallback":   "§VIII N-version fallback: registers the alternative implementation a fail-stopped group switches to",
+	"vampos/internal/core.Runtime.VersionSwitches":    "§VIII N-version fallback: the record of switches the version-switch fingerprint prints",
+	"vampos/internal/core.Runtime.SetFailStopHandler": "§VIII graceful termination: the handler a permanently failed group runs",
+
+	// Snippets in README.md and DESIGN.md.
+	"vampos/internal/cluster.Cluster.GetVia": "the quorum read of README's cluster snippet and DESIGN's read-path section",
+
+	// Cross-package oracle hooks with no production equivalent.
+	"vampos/internal/core.Runtime.LogRecords":  "oracle: the session property and microreboot e2e tests audit the restoration log's records",
+	"vampos/internal/core.Runtime.SessionLive": "oracle: the microreboot e2e test checks a session's live opener in the restoration log",
+	"vampos/internal/core.Runtime.ImageMetas":  "oracle: the recovery fingerprint and the defense tests read the retained images' quarantine marks",
+	"vampos/internal/trace.WithDispatches":     "oracle: a dispatch-recording recorder forces every idle poll to run, which the poll-leap tests compare against",
+	"vampos/internal/unikernel.Sys.Connect":    "oracle: the only path that exercises the vfs and lwip connect exports",
+	"vampos/internal/host.Peer.Listen":         "oracle: the listening peer Sys.Connect dials",
+	"vampos/internal/host.PeerListener.Accept": "oracle: accepts the connection Sys.Connect makes",
+	"vampos/internal/host.Peer.IP":             "oracle: the address Sys.Connect dials",
+
+	// The boxed-Args accessors go with the Args path once the benchmark
+	// module no longer compiles against it.
+	"vampos/internal/msg.Args.Int":    "boxed-Args accessor, removed with the Args path",
+	"vampos/internal/msg.Args.Int64":  "boxed-Args accessor, removed with the Args path",
+	"vampos/internal/msg.Args.Uint64": "boxed-Args accessor, removed with the Args path",
+	"vampos/internal/msg.Args.Str":    "boxed-Args accessor, removed with the Args path",
+	"vampos/internal/msg.Args.Bool":   "boxed-Args accessor, removed with the Args path",
+}
+
+// surfaceExemptPkgs are the packages whose declarations the guard does
+// not check: test-support packages, whose whole purpose is to be called
+// from tests, and the root facade, whose users live outside the module.
+var surfaceExemptPkgs = map[string]bool{
+	"vampos":                                true,
+	"vampos/internal/golden":                true,
+	"vampos/internal/analysis/analysistest": true,
+}
+
+// TestNoTestOnlySurface fails when a package-level func, method, type,
+// var or const in a non-test file is referenced from no non-test
+// position outside its own declaration: such a name is surface that only
+// tests reach, and no recovery path goes through it. It belongs in the
+// package's _test.go files, or its tests belong on the production path.
+//
+// Exempt are the packages in surfaceExemptPkgs; methods named after a
+// method of an interface visible in the loaded packages or their
+// imports (they may be called through that interface); a const whose
+// const block has a referenced sibling; any name that appears as a
+// selector in the benchmark module, which this loader cannot type-check
+// (its uses are found by parsing); and the names in surfaceKeep. A keep
+// entry that production references, or that names nothing, fails the
+// test as an unused //vampos:allow does.
+//
+// This is a test rather than an analyzer because it needs Info.Uses from
+// every package at once, which neither a Pass nor the Facts carry.
+func TestNoTestOnlySurface(t *testing.T) {
+	start := processCPU(t)
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, _ := loadTree(t)
+	bench := benchmarkSelectors(t, pkgs[0].Fset, loader.ModuleRoot)
+	viaIface := interfaceReachable(pkgs, visibleInterfaces(pkgs))
+	uses := make(map[types.Object][]token.Pos)
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.Info.Uses {
+			uses[origin(obj)] = append(uses[origin(obj)], id.Pos())
+		}
+	}
+	// referenced reports whether obj has a use outside its own
+	// declaration, which spans [from, to).
+	referenced := func(obj types.Object, from, to token.Pos) bool {
+		for _, p := range uses[obj] {
+			if p < from || p >= to {
+				return true
+			}
+		}
+		return false
+	}
+
+	var found, benchOnly []string
+	declared := make(map[string]bool)
+	for _, pkg := range pkgs {
+		if surfaceExemptPkgs[pkg.Path] {
+			continue
+		}
+		// check reports the name declared by id unless it is used or
+		// exempt; key is its surfaceKeep spelling, and inBench says the
+		// benchmark module selects a name like it.
+		check := func(id *ast.Ident, key string, exempt, inBench bool, from, to token.Pos) {
+			obj := pkg.Info.Defs[id]
+			if obj == nil || id.Name == "_" {
+				return
+			}
+			declared[key] = true
+			_, kept := surfaceKeep[key]
+			used := exempt || referenced(obj, from, to)
+			at := fmt.Sprintf("%s: %s", pkg.Fset.Position(id.Pos()), key)
+			switch {
+			case used || inBench:
+				if kept {
+					t.Errorf("keep entry %s is referenced from production or exempt; drop it from surfaceKeep", key)
+				}
+				if !used {
+					benchOnly = append(benchOnly, at)
+				}
+			case !kept:
+				found = append(found, at)
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv == nil {
+						if name != "main" && name != "init" {
+							check(d.Name, pkg.Path+"."+name, false, bench[pkg.Path+"."+name], d.Pos(), d.End())
+						}
+						continue
+					}
+					fn := pkg.Info.Defs[d.Name].(*types.Func)
+					check(d.Name, pkg.Path+"."+recvName(fn)+"."+name, viaIface[fn], bench["."+name], d.Pos(), d.End())
+				case *ast.GenDecl:
+					// A const whose block has a referenced sibling is
+					// part of an enumeration that is in use.
+					blockUsed := false
+					for _, s := range d.Specs {
+						if vs, ok := s.(*ast.ValueSpec); ok && d.Tok == token.CONST {
+							for _, id := range vs.Names {
+								if obj := pkg.Info.Defs[id]; obj != nil && referenced(obj, vs.Pos(), vs.End()) {
+									blockUsed = true
+								}
+							}
+						}
+					}
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							key := pkg.Path + "." + s.Name.Name
+							check(s.Name, key, false, bench[key], s.Pos(), s.End())
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								key := pkg.Path + "." + id.Name
+								check(id, key, blockUsed, bench[key], s.Pos(), s.End())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for key := range surfaceKeep {
+		if !declared[key] {
+			t.Errorf("keep entry %s names no declaration; drop it from surfaceKeep", key)
+		}
+	}
+	// Names that only a same-named benchmark selector keeps are listed,
+	// not failed: the benchmark module may reach them, and parsing alone
+	// cannot tell.
+	sort.Strings(benchOnly)
+	for _, b := range benchOnly {
+		t.Logf("%s is reached only by a benchmark/ selector of that name", b)
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Errorf("%s is referenced only from tests, or nowhere", f)
+	}
+	if len(found) > 0 {
+		t.Logf("%d names only tests reach", len(found))
+	}
+	if used := processCPU(t) - start; used > 5*time.Second {
+		t.Errorf("surface scan took %v of CPU, over the 5s budget", used)
+	}
+}
+
+// origin maps an instantiated generic func or field back to its
+// declaration, so a use through an instance counts for the original.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// recvName names a method's receiver type, through one pointer.
+func recvName(fn *types.Func) string {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return t.String()
+}
+
+// visibleInterfaces collects, by method name, every non-empty interface
+// visible to the loaded packages: the named interfaces in their scopes
+// and their direct imports' scopes, the interface literals their code
+// spells out, and the universe's error.
+func visibleInterfaces(pkgs []*analysis.Package) map[string][]*types.Interface {
+	byName := make(map[string][]*types.Interface)
+	seen := make(map[*types.Interface]bool)
+	add := func(t types.Type) {
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seen[it] {
+			return
+		}
+		seen[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	scope := func(p *types.Package) {
+		for _, n := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(n).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		scope(pkg.Types)
+		for _, imp := range pkg.Types.Imports() {
+			scope(imp)
+		}
+		for _, tv := range pkg.Info.Types {
+			if tv.IsType() {
+				add(tv.Type)
+			}
+		}
+	}
+	return byName
+}
+
+// interfaceReachable returns the methods that may be called through a
+// visible interface: every method, declared or promoted from an
+// embedded field, in the method set of a module type that implements
+// a visible interface having that method's name.
+func interfaceReachable(pkgs []*analysis.Package, ifaces map[string][]*types.Interface) map[types.Object]bool {
+	reach := make(map[types.Object]bool)
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			ms := types.NewMethodSet(ptr)
+			for i := 0; i < ms.Len(); i++ {
+				m := ms.At(i).Obj()
+				for _, it := range ifaces[m.Name()] {
+					if types.Implements(ptr, it) {
+						reach[origin(m)] = true
+						break
+					}
+				}
+			}
+		}
+	}
+	return reach
+}
+
+// benchmarkSelectors parses (without type-checking: it is a separate
+// module) every Go file of the benchmark module and returns what it
+// selects: "path.Name" for a package-qualified name and ".Name" for a
+// field or method of some value, so the guard never asks to delete
+// something the benchmark compiles against.
+func benchmarkSelectors(t *testing.T, fset *token.FileSet, modRoot string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(modRoot, "benchmark", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark sources found: %v", err)
+	}
+	sel := make(map[string]bool)
+	for _, name := range files {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imports := make(map[string]string)
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			local := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = path
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			s, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := s.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				sel[imports[x.Name]+"."+s.Sel.Name] = true
+			} else {
+				sel["."+s.Sel.Name] = true
+			}
+			return true
+		})
+	}
+	return sel
 }

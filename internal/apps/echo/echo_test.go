@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vampos/internal/core"
+	"vampos/internal/lwip"
 	"vampos/internal/unikernel"
 )
 
@@ -104,8 +105,8 @@ func TestEchoSurvivesLWIPRejuvenation(t *testing.T) {
 				t.Fatalf("reboot %d: %v", i, err)
 			}
 		}
-		if conn.WasReset() {
-			t.Fatal("connection reset across LWIP rejuvenations")
+		if st := conn.State(); st != lwip.StateEstablished {
+			t.Fatalf("connection is %v across LWIP rejuvenations, want established (not reset)", st)
 		}
 		conn.Close(th)
 	})

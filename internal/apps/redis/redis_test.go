@@ -162,18 +162,18 @@ func TestRedisSurvives9PFSFailure(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			c.cmd("SET warm" + strconv.Itoa(i) + " v")
 		}
-		// Make the next 9P fsync path crash inside 9PFS.
-		inst := s.Instance()
-		compI, _ := inst.Runtime().Component("9pfs")
-		_ = compI
-		injectPanicOnNext9PFSCall(t, s)
+		// Make the next 9P write crash inside 9PFS: the paper's Fig. 8
+		// failure injection ("we force 9PFS to call panic()").
+		if err := s.Instance().Runtime().ArmFault("9pfs", "uk_9pfs_write", core.FaultCrash); err != nil {
+			t.Fatal(err)
+		}
 		if got := c.cmd("SET boom now"); got != "+OK" {
 			t.Fatalf("SET across 9pfs crash = %q", got)
 		}
 		if v, ok := c.get("boom"); !ok || v != "now" {
 			t.Fatalf("boom = %q, %v", v, ok)
 		}
-		rt := inst.Runtime()
+		rt := s.Instance().Runtime()
 		if rt.Stats().Failures != 1 {
 			t.Fatalf("failures = %d, want 1", rt.Stats().Failures)
 		}
@@ -182,20 +182,4 @@ func TestRedisSurvives9PFSFailure(t *testing.T) {
 			t.Fatalf("reboots = %+v", reboots)
 		}
 	})
-}
-
-// injectPanicOnNext9PFSCall arms a one-shot crash on the 9PFS component
-// using the faults hook (a write-path call panics).
-func injectPanicOnNext9PFSCall(t *testing.T, s *unikernel.Sys) {
-	t.Helper()
-	type crasher interface{ InjectCrashOnce(fn string) }
-	comp, ok := s.Instance().Runtime().Component("9pfs")
-	if !ok {
-		t.Fatal("no 9pfs component")
-	}
-	cr, ok := comp.(crasher)
-	if !ok {
-		t.Skip("9pfs has no crash hook yet")
-	}
-	cr.InjectCrashOnce("uk_9pfs_write")
 }

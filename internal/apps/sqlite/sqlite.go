@@ -474,13 +474,4 @@ func (a *App) execDrop(s *unikernel.Sys, toks []string) (*Result, error) {
 	return &Result{}, nil
 }
 
-// MustExec is a test/workload convenience that panics on error.
-func (a *App) MustExec(s *unikernel.Sys, sql string) *Result {
-	res, err := a.Exec(s, sql)
-	if err != nil {
-		panic(fmt.Sprintf("sqlite: %s: %v", sql, err))
-	}
-	return res
-}
-
 var _ unikernel.App = (*App)(nil)

@@ -67,9 +67,6 @@ func NewTracker(p Policy) *Tracker {
 	return &Tracker{policy: p}
 }
 
-// Policy returns the cadence the tracker enforces.
-func (t *Tracker) Policy() Policy { return t.policy }
-
 // Stats returns a copy of the accumulated statistics.
 func (t *Tracker) Stats() Stats { return t.stats }
 

@@ -51,9 +51,6 @@ func NewHistory(depth int) *History {
 	return &History{depth: depth}
 }
 
-// Len returns the number of retained images.
-func (h *History) Len() int { return len(h.entries) }
-
 // Add appends a freshly captured image, evicting the oldest entry when
 // the ring is full.
 func (h *History) Add(meta ImageMeta, image any) {
@@ -63,14 +60,6 @@ func (h *History) Add(meta ImageMeta, image any) {
 		h.entries[len(h.entries)-1] = HistoryEntry{}
 		h.entries = h.entries[:len(h.entries)-1]
 	}
-}
-
-// Latest returns the most recently added entry, quarantined or not.
-func (h *History) Latest() (HistoryEntry, bool) {
-	if len(h.entries) == 0 {
-		return HistoryEntry{}, false
-	}
-	return h.entries[len(h.entries)-1], true
 }
 
 // SelectBefore returns the retained non-quarantined image with the

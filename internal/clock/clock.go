@@ -18,12 +18,6 @@ import (
 	"time"
 )
 
-// Clock is a readable time source.
-type Clock interface {
-	// Now returns the current time on this clock.
-	Now() time.Time
-}
-
 // Epoch is the instant at which every Virtual clock starts. The concrete
 // value is arbitrary; experiments report durations, never absolute times.
 var Epoch = time.Date(2024, 6, 24, 0, 0, 0, 0, time.UTC)
@@ -61,14 +55,6 @@ func (v *Virtual) Elapsed() time.Duration {
 // time views (a thread's Elapsed while it runs inside a buffered round
 // slice) use it to render absolute times without reading the shared offset.
 func (v *Virtual) At(d time.Duration) time.Time { return Epoch.Add(d) }
-
-// Watermark returns the monotone global watermark of the sharded
-// simulation. Under the round engine each shard runs ahead of this value
-// by at most its own in-flight slice charges (its shard-local virtual
-// time); the watermark itself advances only on the conductor, at commit,
-// in merge order — so it never moves backwards and never exposes a
-// half-committed round. With a single baton it is simply Elapsed.
-func (v *Virtual) Watermark() time.Duration { return v.Elapsed() }
 
 // Advance moves the clock forward by d and fires, in deadline order, every
 // timer whose deadline has been reached. It returns the number of timers
@@ -153,25 +139,6 @@ func (v *Virtual) LeapPolls(t *Timer, period, tail, until time.Duration) int {
 	return int(k)
 }
 
-// NextDeadline returns the deadline of the earliest pending timer. The
-// second result is false when no timer is pending.
-func (v *Virtual) NextDeadline() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.timers) == 0 {
-		return time.Time{}, false
-	}
-	return Epoch.Add(v.timers[0].at), true
-}
-
-// PendingTimers returns the number of timers that have not yet fired or
-// been stopped.
-func (v *Virtual) PendingTimers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.timers)
-}
-
 // Timer is a virtual-time callback: pending from an arming until it fires
 // or is stopped. The zero value is an unarmed timer ready for Arm.
 type Timer struct {
@@ -182,19 +149,13 @@ type Timer struct {
 	owner *Virtual // nil until first armed
 }
 
-// AfterFunc registers fn to run once the clock has advanced d past the
-// current instant. The callback runs on the goroutine that calls Advance.
-// A non-positive d fires on the next Advance call (even Advance(0)).
-func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {
-	t := &Timer{}
-	v.Arm(t, d, fn)
-	return t
-}
-
-// Arm is AfterFunc on a timer the caller owns, so a timer that is armed
-// over and over (a thread's sleep timer) is allocated once. Arming a timer
-// that is still pending moves its deadline. Every arming takes a fresh
-// creation id, so equal deadlines fire in arming order.
+// Arm registers fn to run once the clock has advanced d past the current
+// instant, on a timer the caller owns, so a timer that is armed over and
+// over (a thread's sleep timer) is allocated once. The callback runs on
+// the goroutine that calls Advance; a non-positive d fires on the next
+// Advance call (even Advance(0)). Arming a timer that is still pending
+// moves its deadline. Every arming takes a fresh creation id, so equal
+// deadlines fire in arming order.
 func (v *Virtual) Arm(t *Timer, d time.Duration, fn func()) {
 	if fn == nil {
 		panic("clock: timer with nil callback")
@@ -262,11 +223,3 @@ func (h *timerHeap) Pop() any {
 	*h = old[:n-1]
 	return t
 }
-
-// Wall is a Clock backed by the real system clock.
-type Wall struct{}
-
-// Now returns the current wall-clock time.
-//
-//vampos:allow detclock -- Wall IS the sanctioned bridge to the host clock; deterministic code takes a Clock and is handed Virtual
-func (Wall) Now() time.Time { return time.Now() }

@@ -379,15 +379,6 @@ func TestAdvanceSumProperty(t *testing.T) {
 	}
 }
 
-func TestWallClockAdvances(t *testing.T) {
-	var w Wall
-	a := w.Now()
-	b := w.Now()
-	if b.Before(a) {
-		t.Fatalf("wall clock went backwards: %v then %v", a, b)
-	}
-}
-
 // BenchmarkArmFire: arm a reused timer and advance the clock to it — what
 // one Thread.Sleep costs in this package.
 func BenchmarkArmFire(b *testing.B) {

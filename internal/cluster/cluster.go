@@ -210,18 +210,11 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Nodes returns the member count.
-func (c *Cluster) Nodes() int { return c.cfg.Nodes }
-
 // Alive reports whether member id is running.
 func (c *Cluster) Alive(id int) bool { return id >= 0 && id < len(c.alive) && c.alive[id] }
 
 // Stats returns a copy of the lifetime accounting.
 func (c *Cluster) Stats() Stats { return c.stats }
-
-// Instance exposes a member's unikernel instance (read-only use: the
-// member only executes inside coordinator calls).
-func (c *Cluster) Instance(id int) *unikernel.Instance { return c.nodes[id].inst }
 
 // NodeVirtual returns member id's virtual clock reading.
 func (c *Cluster) NodeVirtual(id int) time.Duration { return c.nodes[id].virtual() }
@@ -376,13 +369,6 @@ func (c *Cluster) syncKey(to, from int, key string) error {
 func (c *Cluster) PutVia(via int, key, val string) error {
 	c.stats.Puts++
 	return c.writeVia(via, key, val, false)
-}
-
-// DelVia deletes key as a client attached to member via, with the same
-// acknowledgement rule as PutVia.
-func (c *Cluster) DelVia(via int, key string) error {
-	c.stats.Dels++
-	return c.writeVia(via, key, "", true)
 }
 
 func (c *Cluster) writeVia(via int, key, val string, del bool) error {

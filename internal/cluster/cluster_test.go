@@ -105,7 +105,7 @@ func TestKillReviveDurability(t *testing.T) {
 	}
 	// Writes during the outage fail over to the survivors and still ack.
 	for i := 0; i < 6; i++ {
-		put((victim + 1 + i%2) % 3, fmt.Sprintf("out%02d", i), fmt.Sprintf("o%d", i))
+		put((victim+1+i%2)%3, fmt.Sprintf("out%02d", i), fmt.Sprintf("o%d", i))
 	}
 	if err := c.ReviveInstance(victim); err != nil {
 		t.Fatalf("ReviveInstance: %v", err)

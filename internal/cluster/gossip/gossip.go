@@ -115,18 +115,6 @@ func Compare(a, b Entry) int {
 	return 0
 }
 
-// Merge returns the greater entry under Compare. Because it is a pure
-// semilattice join (max of a total order), it is commutative,
-// associative and idempotent — the properties the quick tests pin and
-// the reason delta application in any interleaving equals a full-state
-// merge.
-func Merge(a, b Entry) Entry {
-	if Compare(b, a) > 0 {
-		return b
-	}
-	return a
-}
-
 // Next builds the clock of a fresh local write at node self: the
 // current winner's clock with self's slot bumped. The new clock's sum
 // strictly exceeds everything this node has seen for the key, so a

@@ -120,9 +120,6 @@ func (rt *Runtime) NewAgingDriver(p aging.Policy, targets ...string) *AgingDrive
 	return &AgingDriver{rt: rt, engine: aging.NewEngine(p, targets...)}
 }
 
-// Targets returns the monitored components in rejuvenation order.
-func (d *AgingDriver) Targets() []string { return d.engine.Components() }
-
 // Policy returns the normalized policy the driver enforces.
 func (d *AgingDriver) Policy() aging.Policy { return d.engine.Policy() }
 
@@ -168,11 +165,6 @@ func (d *AgingDriver) Stop() { d.stop.Store(true) }
 // Stats returns the named target's monitor accounting.
 func (d *AgingDriver) Stats(name string) (aging.Stats, bool) {
 	return d.engine.Stats(name)
-}
-
-// AllStats returns every target's monitor accounting keyed by component.
-func (d *AgingDriver) AllStats() map[string]aging.Stats {
-	return d.engine.AllStats()
 }
 
 // AgingDriver returns the controller Boot started for Config.Aging, or

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vampos/internal/msg"
+	"vampos/internal/trace"
 )
 
 // kvComp is a stateful toy component: a string->string store with
@@ -288,9 +289,8 @@ func TestUnknownTargets(t *testing.T) {
 
 func TestCrashTriggersRebootAndReplayRestoresState(t *testing.T) {
 	kv := &kvComp{name: "kv", panicOn: "bomb"}
-	var failures []string
 	rt := NewRuntime(DaSConfig())
-	rt.SetFailureObserver(func(comp, reason string) { failures = append(failures, comp) })
+	tr := rt.NewTracer("detect")
 	if err := rt.Register(kv); err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,14 @@ func TestCrashTriggersRebootAndReplayRestoresState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var failures []string
+	for _, e := range tr.Snapshot() {
+		if e.Kind == trace.KindDetect {
+			failures = append(failures, e.Component)
+		}
+	}
 	if len(failures) != 1 || failures[0] != "kv" {
-		t.Fatalf("failures = %v, want [kv]", failures)
+		t.Fatalf("detected failures = %v, want [kv]", failures)
 	}
 	reboots := rt.Reboots()
 	if len(reboots) != 1 {

@@ -186,10 +186,6 @@ func (c *Ctx) SaveRuntimeState(state []byte) {
 // Thread exposes the underlying simulated thread (for host integration).
 func (c *Ctx) Thread() *sched.Thread { return c.th }
 
-// Tracer returns the runtime's flight recorder (nil when tracing is
-// off). All recorder methods are safe on the nil result.
-func (c *Ctx) Tracer() *trace.Recorder { return c.rt.tracer }
-
 // BeginSyscall opens a trace span for one application system call — the
 // causal root that every component hop, crash and recovery the call
 // triggers will hang from. It returns the new span and the context's

@@ -102,7 +102,7 @@ func (rt *Runtime) captureSeal(c *component) {
 // recovering fail-stops the group, like any failure then.
 func (rt *Runtime) handleTamper(g *group, victim *component, watermark uint64, detector string) {
 	rt.stats.tampers.Add(1)
-	rt.detect(victim, 0, "tamper", fmt.Sprintf("detector=%s watermark=%d", detector, watermark), "tamper")
+	rt.detect(victim, 0, "tamper", fmt.Sprintf("detector=%s watermark=%d", detector, watermark))
 	rt.stampTaint(victim, defense.Taint{Watermark: watermark, Detector: detector})
 	if g.failedTwice || g.rebooting {
 		rt.failStop(g, "fail-stop: tamper during recovery")
@@ -121,7 +121,7 @@ func (rt *Runtime) handleBreach(g *group, offender *component) {
 		return
 	}
 	rt.stats.breaches.Add(1)
-	rt.detect(offender, 0, "pkru-misuse", "protection fault raised by handler; rebooting offender", "pkru-misuse")
+	rt.detect(offender, 0, "pkru-misuse", "protection fault raised by handler; rebooting offender")
 	rt.beginRecovery(g, nil, "", "pkru-misuse", false, 0)
 }
 

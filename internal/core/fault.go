@@ -9,9 +9,6 @@ import (
 	"vampos/internal/trace"
 )
 
-// memAddr narrows a raw address back to the arena address type.
-func memAddr(a uint64) mem.Addr { return mem.Addr(a) }
-
 // FaultKind selects the injected failure mode (paper §II-B fault model).
 type FaultKind uint8
 
@@ -215,7 +212,7 @@ func (h *componentHeap) Alloc(n int64) (uint64, error) {
 }
 
 func (h *componentHeap) Free(addr uint64) error {
-	return h.c.heap.Free(memAddr(addr))
+	return h.c.heap.Free(mem.Addr(addr))
 }
 
 func (h *componentHeap) Stats() HeapStats {

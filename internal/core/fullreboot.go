@@ -2,18 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"vampos/internal/msg"
 	"vampos/internal/sched"
 )
-
-// FullRestartStats describes one whole-image restart.
-type FullRestartStats struct {
-	VirtualDuration time.Duration
-	WallDuration    time.Duration
-	At              time.Time
-}
 
 // FullRestart is the baseline the paper compares against: the regular
 // reboot that restarts the whole unikernel image. Every component is
@@ -30,10 +22,6 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 	if !rt.booted {
 		return fmt.Errorf("core: FullRestart before Boot")
 	}
-	startV := rt.clk.Elapsed()
-	//vampos:allow detclock -- full-restart latency is reported in wall time alongside virtual time (recovery comparison); the reading never feeds back into the simulation
-	startW := time.Now()
-
 	if rt.cfg.MessagePassing {
 		// Fail everything in flight in seq order (deterministic caller
 		// wake order); queued mailbox work dies with it.
@@ -75,20 +63,5 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 		rt.appHeap = heap
 	}
 	// Re-initialise in boot order, re-taking checkpoints.
-	if err := rt.initAll(c.th, "full restart init"); err != nil {
-		return err
-	}
-	rt.recMu.Lock()
-	rt.fullRestarts = append(rt.fullRestarts, FullRestartStats{
-		VirtualDuration: rt.clk.Elapsed() - startV,
-		//vampos:allow detclock -- closes the wall-time measurement opened at FullRestart entry; presentation-only
-		WallDuration: time.Since(startW),
-		At:           rt.clk.Now(),
-	})
-	rt.recMu.Unlock()
-	return nil
+	return rt.initAll(c.th, "full restart init")
 }
-
-// FullRestarts returns the record of whole-image restarts. Safe to call
-// from any goroutine.
-func (rt *Runtime) FullRestarts() []FullRestartStats { return copyRecords(rt, &rt.fullRestarts) }

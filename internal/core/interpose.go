@@ -508,8 +508,8 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 }
 
 // logFull reports whether a log write failed for want of domain memory.
-// A stale record (its log was reset under the call, by ResetLog) has
-// nothing left to log into; the call's outcome stands.
+// A stale record (its log was reset under the call) has nothing left to
+// log into; the call's outcome stands.
 func logFull(err error) bool { return err != nil && !errors.Is(err, msg.ErrStaleRecord) }
 
 // finishCall resolves a pending call, copies the results into the slot of

@@ -13,7 +13,7 @@ import (
 // discard its half-written log record, and start the recovery.
 func (rt *Runtime) handleFailure(g *group, seq uint64, reason string) {
 	rt.stats.failures.Add(1)
-	parent, fn, args := rt.detect(g.members[0], seq, "failure", reason, reason)
+	parent, fn, args := rt.detect(g.members[0], seq, "failure", reason)
 	if g.failedTwice || g.rebooting {
 		rt.failStop(g, "fail-stop: "+reason)
 		return
@@ -112,7 +112,7 @@ func (rt *Runtime) watchdogLoop(t *sched.Thread) {
 			}
 			rt.stats.hangs.Add(1)
 			parent, fn, args := rt.detect(g.members[0], g.currentSeq, "hang",
-				fmt.Sprintf("busy %v > threshold %v", nowV-g.busySinceV, rt.cfg.HangThreshold), "hang")
+				fmt.Sprintf("busy %v > threshold %v", nowV-g.busySinceV, rt.cfg.HangThreshold))
 			g.currentSeq = 0
 			g.curRec = msg.Ref{}
 			g.curLog = nil
@@ -140,10 +140,4 @@ func (rt *Runtime) awaitingDownstream(g *group) bool {
 		}
 	}
 	return false
-}
-
-// SetFailureObserver registers fn to be told about every detected
-// component failure (experiments use it to timestamp injections).
-func (rt *Runtime) SetFailureObserver(fn func(component, reason string)) {
-	rt.onComponentFailure = fn
 }

@@ -157,20 +157,17 @@ func (rt *Runtime) failStop(g *group, why string) {
 
 // detect is the prologue every detection shares. The event is attributed
 // to the component the in-flight call seq addresses (victim when there is
-// none), counted, left in the trace as a KindDetect instant under that
-// call's span, and shown to the failure observer; the call itself fails
-// retryably with its half-written log record discarded. It returns the
-// span the recovery hangs off and the failed call, for session attribution.
-func (rt *Runtime) detect(victim *component, seq uint64, event, detail, observed string) (parent trace.SpanID, fn string, args msg.Encoded) {
+// none), counted, and left in the trace as a KindDetect instant under
+// that call's span; the call itself fails retryably with its half-written
+// log record discarded. It returns the span the recovery hangs off and
+// the failed call, for session attribution.
+func (rt *Runtime) detect(victim *component, seq uint64, event, detail string) (parent trace.SpanID, fn string, args msg.Encoded) {
 	pc := rt.pending.get(seq)
 	if pc != nil {
 		victim, parent = pc.to, pc.span
 	}
 	victim.failures.Add(1)
 	rt.tracer.Instant(parent, trace.KindDetect, victim.desc.Name, event, detail)
-	if rt.onComponentFailure != nil {
-		rt.onComponentFailure(victim.desc.Name, observed)
-	}
 	if pc != nil && !pc.done {
 		fn, args = pc.fn, pc.args
 		victim.domain.Log().DropRecord(pc.rec)

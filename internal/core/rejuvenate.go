@@ -38,13 +38,6 @@ func (rt *Runtime) NewRejuvenator(interval time.Duration, targets ...string) *Re
 	return &Rejuvenator{rt: rt, interval: interval, targets: targets}
 }
 
-// Targets returns the rejuvenation schedule.
-func (r *Rejuvenator) Targets() []string {
-	out := make([]string, len(r.targets))
-	copy(out, r.targets)
-	return out
-}
-
 // Run executes the schedule on the calling thread until Stop is called
 // (or the simulation ends). Typically launched with ctx.Go.
 func (r *Rejuvenator) Run(ctx *Ctx) {

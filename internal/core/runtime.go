@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	//vampos:allow schedonly -- recMu guards reboot/full-restart records snapshotted by campaign worker goroutines while simulated threads append
+	//vampos:allow schedonly -- recMu guards reboot/microreboot records snapshotted by campaign worker goroutines while simulated threads append
 	"sync"
 	"time"
 
@@ -16,9 +16,9 @@ import (
 
 // Protection-key layout. The paper's tag budget per application (e.g.
 // "app + nine components + message domain + thread scheduler = 12 tags"
-// for Redis/Nginx) maps directly onto this assignment.
+// for Redis/Nginx) maps directly onto this assignment; key 0 stays on
+// boot pages.
 const (
-	keyDefault   mem.Key = 0 // boot/bootstrap pages
 	keyScheduler mem.Key = 1 // scheduler metadata
 	keyDomains   mem.Key = 2 // all message domains share one tag
 	keyApp       mem.Key = 3 // application heap
@@ -87,13 +87,11 @@ type Runtime struct {
 	stopped bool
 
 	stats runtimeCounters
-	// recMu guards reboots, microreboots and fullRestarts: appended to by
-	// simulated threads, snapshotted by Reboots()/Microreboots()/
-	// FullRestarts() from any goroutine.
+	// recMu guards reboots and microreboots: appended to by simulated
+	// threads, snapshotted by Reboots()/Microreboots() from any goroutine.
 	recMu        sync.Mutex
 	reboots      []RebootRecord
 	microreboots []MicrorebootRecord
-	fullRestarts []FullRestartStats
 	// armedMu guards armed: checkFault runs inside handler slices, which
 	// under the sharded-baton engine execute concurrently across shards,
 	// while campaigns arm and inspect from outside the scheduler.
@@ -111,8 +109,6 @@ type Runtime struct {
 	// nil check away from doing nothing.
 	tracer *trace.Recorder
 
-	// onComponentFailure, if set, observes every detected failure.
-	onComponentFailure func(component, reason string)
 	// onFailStop, if set, runs the graceful-termination handler when a
 	// group fail-stops permanently (§VIII).
 	onFailStop func(ctx *Ctx, component string)
@@ -148,9 +144,6 @@ func NewRuntime(cfg Config) *Runtime {
 	}
 	return rt
 }
-
-// Config returns the runtime configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Clock returns the runtime's virtual clock.
 func (rt *Runtime) Clock() *clock.Virtual { return rt.clk }
@@ -500,12 +493,6 @@ func (rt *Runtime) Run(main func(*Ctx)) error {
 // simulated thread is current when the IRQ fires.
 func (rt *Runtime) IRQContext(name string) *Ctx {
 	return &Ctx{rt: rt, appName: name}
-}
-
-// InjectIRQ fires a fire-and-forget call into a component from an IRQ
-// context.
-func (rt *Runtime) InjectIRQ(from *Ctx, target, fn string, args ...any) error {
-	return rt.Inject(from, target, fn, args...)
 }
 
 // appCtx builds an application-thread context.

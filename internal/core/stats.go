@@ -185,17 +185,6 @@ func (rt *Runtime) ComponentStats(name string) (ComponentStats, bool) {
 	return cs, true
 }
 
-// ResetLog discards a component's retained restoration log. It exists
-// for benchmarks that deliberately disable session-aware shrinking: the
-// paper warns that such logs grow without bound (§V-F), and an unbounded
-// benchmark loop would otherwise exhaust the message domain. After a
-// reset, a reboot restores only the checkpoint image.
-func (rt *Runtime) ResetLog(name string) {
-	if c, ok := rt.comps[name]; ok && c.domain != nil {
-		c.domain.Log().Reset()
-	}
-}
-
 // LogLen returns the retained log length of a component, or -1 when the
 // component is unknown or unlogged.
 func (rt *Runtime) LogLen(name string) int {
@@ -323,15 +312,6 @@ func (rt *Runtime) Exports(name string) []string {
 	}
 	sort.Strings(fns)
 	return fns
-}
-
-// Describe returns the registered descriptor of a component.
-func (rt *Runtime) Describe(name string) (Descriptor, bool) {
-	c, ok := rt.comps[name]
-	if !ok {
-		return Descriptor{}, false
-	}
-	return c.desc, true
 }
 
 // GroupOf returns the scheduling/protection group name of a component.

@@ -137,14 +137,11 @@ func TestStatsConsistentAcrossCrashRebootCycles(t *testing.T) {
 	if cs.Reboots != uint64(len(recs)) {
 		t.Errorf("ComponentStats.Reboots = %d, reboot records = %d", cs.Reboots, len(recs))
 	}
-	if fr := rt.FullRestarts(); len(fr) != 0 {
-		t.Errorf("full restarts = %d, want 0", len(fr))
-	}
 }
 
 // TestStatsSnapshotsRaceFreeUnderLoad hammers the snapshot accessors
 // from a separate goroutine while the simulation crashes and reboots a
-// component. Run with -race this proves Stats/Reboots/FullRestarts are
+// component. Run with -race this proves Stats/Reboots/VersionSwitches are
 // safe to call from outside the simulation.
 func TestStatsSnapshotsRaceFreeUnderLoad(t *testing.T) {
 	kv := &kvComp{name: "kv"}
@@ -168,7 +165,6 @@ func TestStatsSnapshotsRaceFreeUnderLoad(t *testing.T) {
 			}
 			_ = rt.Stats()
 			_ = rt.Reboots()
-			_ = rt.FullRestarts()
 			_ = rt.VersionSwitches()
 			n++
 			if n == 1 {

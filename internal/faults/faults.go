@@ -1,5 +1,6 @@
-// Package faults is the experiment-facing fault-injection toolkit: the
-// fail-stop crashes and hangs of the paper's fault model (§II-B), the
+// Package faults is the experiment-facing fault-injection toolkit beside
+// the runtime's own armed faults (the fail-stop crashes and hangs of the
+// paper's fault model, §II-B, armed with core.Runtime.ArmFault): the
 // software-aging generators (allocator leaks and fragmentation) that
 // motivate rejuvenation, and a saboteur component demonstrating that
 // MPK-style protection domains confine wild writes (§V-D).
@@ -13,38 +14,15 @@ import (
 	"vampos/internal/msg"
 )
 
-// Injector arms faults against one runtime.
+// Injector wears out one runtime's component arenas: the software-aging
+// faults. Crashes, hangs and errnos are armed on the runtime itself
+// (core.Runtime.ArmFault and ArmFaultSpec).
 type Injector struct {
 	rt *core.Runtime
 }
 
 // NewInjector creates an injector for the runtime.
 func NewInjector(rt *core.Runtime) *Injector { return &Injector{rt: rt} }
-
-// CrashOnce makes the next invocation of component.fn panic.
-func (i *Injector) CrashOnce(component, fn string) error {
-	return i.rt.ArmFault(component, fn, core.FaultCrash)
-}
-
-// HangOnce makes the next invocation of component.fn never return,
-// triggering the hang detector.
-func (i *Injector) HangOnce(component, fn string) error {
-	return i.rt.ArmFault(component, fn, core.FaultHang)
-}
-
-// ErrnoOnce makes the next invocation of component.fn return the given
-// errno without executing: a transient error that must not trigger any
-// recovery. An empty errno defaults to EIO.
-func (i *Injector) ErrnoOnce(component, fn string, errno core.Errno) error {
-	return i.rt.ArmFaultSpec(component, fn, core.FaultSpec{Kind: core.FaultErrno, Errno: errno})
-}
-
-// CrashAfter makes the nth invocation of component.fn panic (earlier
-// invocations execute normally): campaigns walk a crash through a
-// component's invocation history with it.
-func (i *Injector) CrashAfter(component, fn string, n int) error {
-	return i.rt.ArmFaultSpec(component, fn, core.FaultSpec{Kind: core.FaultCrash, After: n})
-}
 
 // LeakBytes allocates total bytes from the component's arena in blockSize
 // chunks and never frees them: the memory-leak flavour of software aging
@@ -134,7 +112,7 @@ func (Saboteur) Exports() map[string]core.Handler {
 			if err != nil {
 				return nil, err
 			}
-			if err := ctx.Mem().Write(memAddrOf(addr), []byte{byte(val)}); err != nil {
+			if err := ctx.Mem().Write(mem.Addr(addr), []byte{byte(val)}); err != nil {
 				return nil, core.Errno("EFAULT: " + err.Error())
 			}
 			return nil, nil
@@ -152,6 +130,3 @@ func (Saboteur) Exports() map[string]core.Handler {
 		},
 	}
 }
-
-// memAddrOf converts a raw address for the accessor API.
-func memAddrOf(a uint64) mem.Addr { return mem.Addr(a) }

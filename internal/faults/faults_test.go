@@ -40,7 +40,7 @@ func TestCrashInjectionRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inj.CrashOnce("9pfs", "uk_9pfs_write"); err != nil {
+		if err := s.Instance().Runtime().ArmFault("9pfs", "uk_9pfs_write", core.FaultCrash); err != nil {
 			t.Fatal(err)
 		}
 		// The write crashes 9PFS; VampOS reboots it and retries.
@@ -59,7 +59,7 @@ func TestCrashInjectionRecovers(t *testing.T) {
 
 func TestHangInjectionDetectedAndRecovered(t *testing.T) {
 	inst := withInstance(t, core.DaSConfig(), nil, func(s *unikernel.Sys, inj *Injector) {
-		if err := inj.HangOnce("process", "getpid"); err != nil {
+		if err := s.Instance().Runtime().ArmFault("process", "getpid", core.FaultHang); err != nil {
 			t.Fatal(err)
 		}
 		pid, err := s.Getpid()
@@ -78,10 +78,10 @@ func TestHangInjectionDetectedAndRecovered(t *testing.T) {
 
 func TestArmFaultValidatesTarget(t *testing.T) {
 	withInstance(t, core.DaSConfig(), nil, func(s *unikernel.Sys, inj *Injector) {
-		if err := inj.CrashOnce("ghost", "x"); err == nil {
+		if err := s.Instance().Runtime().ArmFault("ghost", "x", core.FaultCrash); err == nil {
 			t.Error("armed fault on unknown component")
 		}
-		if err := inj.CrashOnce("vfs", "nope"); err == nil {
+		if err := s.Instance().Runtime().ArmFault("vfs", "nope", core.FaultCrash); err == nil {
 			t.Error("armed fault on unknown function")
 		}
 	})
@@ -89,7 +89,7 @@ func TestArmFaultValidatesTarget(t *testing.T) {
 
 func TestArmFaultErrorsListCandidates(t *testing.T) {
 	withInstance(t, core.DaSConfig(), nil, func(s *unikernel.Sys, inj *Injector) {
-		err := inj.CrashOnce("ghost", "x")
+		err := s.Instance().Runtime().ArmFault("ghost", "x", core.FaultCrash)
 		if err == nil {
 			t.Fatal("armed fault on unknown component")
 		}
@@ -98,7 +98,7 @@ func TestArmFaultErrorsListCandidates(t *testing.T) {
 				t.Errorf("unknown-component error %q does not list %q", err, want)
 			}
 		}
-		err = inj.CrashOnce("vfs", "nope")
+		err = s.Instance().Runtime().ArmFault("vfs", "nope", core.FaultCrash)
 		if err == nil {
 			t.Fatal("armed fault on unknown function")
 		}
@@ -116,7 +116,7 @@ func TestErrnoInjectionIsTransient(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inj.ErrnoOnce("9pfs", "uk_9pfs_write", core.EIO); err != nil {
+		if err := s.Instance().Runtime().ArmFaultSpec("9pfs", "uk_9pfs_write", core.FaultSpec{Kind: core.FaultErrno, Errno: core.EIO}); err != nil {
 			t.Fatal(err)
 		}
 		// The injected errno surfaces to the caller as a plain error …
@@ -143,7 +143,7 @@ func TestErrnoInjectionIsTransient(t *testing.T) {
 
 func TestCrashAfterNthInvocation(t *testing.T) {
 	inst := withInstance(t, core.DaSConfig(), nil, func(s *unikernel.Sys, inj *Injector) {
-		if err := inj.CrashAfter("process", "getpid", 3); err != nil {
+		if err := s.Instance().Runtime().ArmFaultSpec("process", "getpid", core.FaultSpec{Kind: core.FaultCrash, After: 3}); err != nil {
 			t.Fatal(err)
 		}
 		// The first two invocations execute normally.
@@ -376,15 +376,16 @@ func TestWildWriteCorruptsInVanilla(t *testing.T) {
 func TestDeterministicCrashFailsStop(t *testing.T) {
 	withInstance(t, core.DaSConfig(), nil, func(s *unikernel.Sys, inj *Injector) {
 		// Arm the same fault twice in a row: the retry re-triggers it,
-		// modelling a deterministic bug → fail-stop (§II-B).
+		// modelling a deterministic bug → fail-stop (§II-B). The exact
+		// fault fires on the first invocation; the any-function fault,
+		// consulted only once no exact one is armed, fires on the retry.
 		rt := s.Instance().Runtime()
 		if err := rt.ArmFault("sysinfo", "uname", core.FaultCrash); err != nil {
 			t.Fatal(err)
 		}
-		// Re-arm from the failure observer so the retry also crashes.
-		rt.SetFailureObserver(func(comp, reason string) {
-			_ = rt.ArmFault("sysinfo", "uname", core.FaultCrash)
-		})
+		if err := rt.ArmFault("sysinfo", core.AnyFunction, core.FaultCrash); err != nil {
+			t.Fatal(err)
+		}
 		_, err := s.Uname()
 		if !errors.Is(err, core.ErrComponentFailed) {
 			t.Fatalf("deterministic crash = %v, want ErrComponentFailed", err)

@@ -1,5 +1,6 @@
 // Package golden holds the compare-or-rewrite step every golden-file
-// test in the tree shares. A golden is the recorded output of a
+// test in the tree shares, and the CPU budget the golden-heavy test
+// binaries run within. A golden is the recorded output of a
 // deterministic run (a campaign matrix, a recovery fingerprint, a bench
 // figure's virtual columns), so a moved byte is a behaviour change,
 // never noise.

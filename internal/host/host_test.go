@@ -80,7 +80,7 @@ func (w *world) guestRPC(t *testing.T, th *sched.Thread, req *ninep.Fcall) *nine
 	}
 	deadline := w.sch.Clock().Elapsed() + time.Second
 	for {
-		resp, ok, err := w.p9Dev.GuestRecv(acc)
+		resp, ok, err := w.p9Dev.GuestRecvInto(acc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestP9BadRequestAnsweredWithRerror(t *testing.T) {
 		}
 		deadline := w.sch.Clock().Elapsed() + time.Second
 		for {
-			resp, ok, err := w.p9Dev.GuestRecv(acc)
+			resp, ok, err := w.p9Dev.GuestRecvInto(acc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,13 +218,16 @@ func TestReattachResetsP9Session(t *testing.T) {
 	w := newWorld(t)
 	w.run(t, func(th *sched.Thread) {
 		w.guestRPC(t, th, &ninep.Fcall{Type: ninep.Tattach, Tag: 1, Fid: 0, AFid: ninep.NoFid})
-		if w.h.Server().Fids() != 1 {
-			t.Fatalf("fids = %d", w.h.Server().Fids())
+		// fid 0 is live: walking it to itself succeeds.
+		walk0 := &ninep.Fcall{Type: ninep.Twalk, Tag: 2, Fid: 0, NewFid: 0}
+		if r, _ := w.h.Server().Handle(walk0); r.Type != ninep.Rwalk {
+			t.Fatalf("walk of the attached fid = %v", r)
 		}
-		// A re-attach (full VM reboot) starts a fresh session.
+		// A re-attach (full VM reboot) starts a fresh session: no fid
+		// of the old one is known.
 		w.h.Attach9P(w.p9Dev)
-		if w.h.Server().Fids() != 0 {
-			t.Fatalf("fids after re-attach = %d, want 0", w.h.Server().Fids())
+		if r, _ := w.h.Server().Handle(walk0); r.Type != ninep.Rerror {
+			t.Fatalf("walk of an old-session fid after re-attach = %v, want Rerror", r)
 		}
 		// The export itself survived.
 		if err := w.h.FS().WriteFile("/durable", []byte("x")); err != nil {

@@ -235,6 +235,3 @@ func (c *PeerConn) Close(t *sched.Thread) {
 
 // State exposes the connection state for assertions.
 func (c *PeerConn) State() lwip.ConnState { return c.m.State() }
-
-// WasReset reports whether the guest reset the connection.
-func (c *PeerConn) WasReset() bool { return c.m.WasReset() }

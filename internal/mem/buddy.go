@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MinBlock is the smallest buddy block in bytes.
 const MinBlock = 32
@@ -93,9 +90,6 @@ func orderFor(n int64) int {
 	return ord
 }
 
-// Base returns the arena base address.
-func (b *Buddy) Base() Addr { return b.base }
-
 // Size returns the arena size in bytes.
 func (b *Buddy) Size() int64 { return b.size }
 
@@ -169,15 +163,6 @@ func (b *Buddy) Free(addr Addr) error {
 	return nil
 }
 
-// BlockSize returns the usable size of the live allocation at addr.
-func (b *Buddy) BlockSize(addr Addr) (int64, bool) {
-	ord, ok := b.alloced[addr-b.base]
-	if !ok {
-		return 0, false
-	}
-	return blockSize(ord), true
-}
-
 // Stats returns a copy of the allocator statistics with the
 // largest-free-block field freshly computed.
 func (b *Buddy) Stats() BuddyStats {
@@ -214,17 +199,6 @@ func (b *Buddy) Clone() *Buddy {
 		c.alloced[off] = ord
 	}
 	return c
-}
-
-// LiveAllocations returns the addresses of all outstanding allocations in
-// ascending order; the leak detector in the aging experiment walks it.
-func (b *Buddy) LiveAllocations() []Addr {
-	out := make([]Addr, 0, len(b.alloced))
-	for off := range b.alloced {
-		out = append(out, b.base+off)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (b *Buddy) popFree(ord int) Addr {

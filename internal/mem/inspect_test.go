@@ -1,0 +1,93 @@
+package mem
+
+import (
+	"fmt"
+	"sort"
+)
+
+// Page, key and allocator operations only the tests use.
+
+// WithWrite returns p with full read/write access added for key k.
+func (p PKRU) WithWrite(k Key) PKRU {
+	return p &^ (PKRU(3) << (2 * k))
+}
+
+// Without returns p with all access to key k removed.
+func (p PKRU) Without(k Key) PKRU {
+	if k == 0 {
+		return p // key 0 is not revocable, as on real hardware setups
+	}
+	return p | PKRU(1)<<(2*k)
+}
+
+// FreePages unmaps n pages starting at base, zeroing their contents and
+// resetting their key. base must be page-aligned.
+func (m *Memory) FreePages(base Addr, n int) error {
+	start, err := m.pageIndex(base, n)
+	if err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := start; i < start+n; i++ {
+		m.owned[i] = false
+		m.keys[i] = 0
+		m.frames[i] = nil
+		// Unmapping changes content (to zeros), so the page is dirty
+		// relative to any snapshot that saw the old bytes.
+		m.verClk++
+		m.vers[i] = m.verClk
+	}
+	return nil
+}
+
+// SetKey retags n pages starting at base with key.
+func (m *Memory) SetKey(base Addr, n int, key Key) error {
+	if key >= NumKeys {
+		return fmt.Errorf("mem: SetKey: key %d out of range", key)
+	}
+	start, err := m.pageIndex(base, n)
+	if err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := start; i < start+n; i++ {
+		m.keys[i] = key
+	}
+	return nil
+}
+
+// KeyAt returns the protection key of the page containing addr.
+func (m *Memory) KeyAt(addr Addr) (Key, error) {
+	i, err := m.pageIndex(addr&^Addr(PageSize-1), 1)
+	if err != nil {
+		return 0, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.keys[i], nil
+}
+
+// Base returns the arena base address.
+func (b *Buddy) Base() Addr { return b.base }
+
+// BlockSize returns the usable size of the live allocation at addr.
+func (b *Buddy) BlockSize(addr Addr) (int64, bool) {
+	ord, ok := b.alloced[addr-b.base]
+	if !ok {
+		return 0, false
+	}
+	return blockSize(ord), true
+}
+
+// LiveAllocations returns the addresses of all outstanding allocations in
+// ascending order.
+func (b *Buddy) LiveAllocations() []Addr {
+	out := make([]Addr, 0, len(b.alloced))
+	for off := range b.alloced {
+		out = append(out, b.base+off)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}

@@ -60,19 +60,6 @@ func (p PKRU) WithRead(k Key) PKRU {
 	return p
 }
 
-// WithWrite returns p with full read/write access added for key k.
-func (p PKRU) WithWrite(k Key) PKRU {
-	return p &^ (PKRU(3) << (2 * k))
-}
-
-// Without returns p with all access to key k removed.
-func (p PKRU) Without(k Key) PKRU {
-	if k == 0 {
-		return p // key 0 is not revocable, as on real hardware setups
-	}
-	return p | PKRU(1)<<(2*k)
-}
-
 // CanRead reports whether p permits reads of pages tagged k.
 func (p PKRU) CanRead(k Key) bool {
 	return k == 0 || p&(PKRU(1)<<(2*k)) == 0
@@ -245,56 +232,6 @@ func (m *Memory) findRun(n int) (int, bool) {
 	return scan(0, m.npages)
 }
 
-// FreePages unmaps n pages starting at base, zeroing their contents and
-// resetting their key. base must be page-aligned.
-func (m *Memory) FreePages(base Addr, n int) error {
-	start, err := m.pageIndex(base, n)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := start; i < start+n; i++ {
-		m.owned[i] = false
-		m.keys[i] = 0
-		m.frames[i] = nil
-		// Unmapping changes content (to zeros), so the page is dirty
-		// relative to any snapshot that saw the old bytes.
-		m.verClk++
-		m.vers[i] = m.verClk
-	}
-	return nil
-}
-
-// SetKey retags n pages starting at base with key. The reboot manager uses
-// this when reassigning a merged component's region.
-func (m *Memory) SetKey(base Addr, n int, key Key) error {
-	if key >= NumKeys {
-		return fmt.Errorf("mem: SetKey: key %d out of range", key)
-	}
-	start, err := m.pageIndex(base, n)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := start; i < start+n; i++ {
-		m.keys[i] = key
-	}
-	return nil
-}
-
-// KeyAt returns the protection key of the page containing addr.
-func (m *Memory) KeyAt(addr Addr) (Key, error) {
-	i, err := m.pageIndex(addr&^Addr(PageSize-1), 1)
-	if err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.keys[i], nil
-}
-
 func (m *Memory) pageIndex(base Addr, n int) (int, error) {
 	if base%PageSize != 0 {
 		return 0, fmt.Errorf("mem: address %#x not page-aligned", uint64(base))
@@ -408,9 +345,6 @@ type Accessor struct {
 func NewAccessor(m *Memory, pkru PKRU) *Accessor {
 	return &Accessor{mem: m, pkru: pkru}
 }
-
-// PKRU returns the accessor's current PKRU word.
-func (a *Accessor) PKRU() PKRU { return a.pkru }
 
 // SetPKRU replaces the accessor's PKRU word.
 func (a *Accessor) SetPKRU(p PKRU) { a.pkru = p }

@@ -26,7 +26,6 @@ type Message struct {
 type Domain struct {
 	owner string
 	m     *mem.Memory
-	key   mem.Key
 	base  mem.Addr
 	pages int
 	heap  *mem.Buddy
@@ -66,13 +65,10 @@ func NewDomain(owner string, m *mem.Memory, key mem.Key, npages int) (*Domain, e
 	if err != nil {
 		return nil, err
 	}
-	d := &Domain{owner: owner, m: m, key: key, base: base, pages: npages, heap: heap}
+	d := &Domain{owner: owner, m: m, base: base, pages: npages, heap: heap}
 	d.log = newLog(d)
 	return d, nil
 }
-
-// Key returns the domain's protection key.
-func (d *Domain) Key() mem.Key { return d.key }
 
 // Log returns the domain's restoration log.
 func (d *Domain) Log() *Log { return d.log }

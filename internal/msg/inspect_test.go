@@ -1,0 +1,7 @@
+package msg
+
+// ClosedSessions returns the number of closed-session marks currently
+// retained. Session ids are monotonically increasing resource numbers,
+// so without purging at truncation this would grow without bound under
+// sustained open/close load (the regression the boundedness test pins).
+func (l *Log) ClosedSessions() int { return len(l.closed) }

@@ -470,12 +470,6 @@ func (l *Log) HasLiveOpener(session SessionID) bool {
 	return false
 }
 
-// ClosedSessions returns the number of closed-session marks currently
-// retained. Session ids are monotonically increasing resource numbers,
-// so without purging at truncation this would grow without bound under
-// sustained open/close load (the regression the boundedness test pins).
-func (l *Log) ClosedSessions() int { return len(l.closed) }
-
 // Epoch returns the number of truncations applied so far.
 func (l *Log) Epoch() uint64 { return l.epoch }
 

@@ -25,9 +25,6 @@ type Comp struct {
 	fids     map[int]*fidInfo
 	tag      uint16
 
-	// crashOn names an export that panics on its next invocation: the
-	// paper's Fig. 8 failure injection ("we force 9PFS to call panic()").
-	crashOn string
 	resp []byte // rpc's response frame, decoded before rpc yields
 
 	// Stats
@@ -35,17 +32,6 @@ type Comp struct {
 	// MountAttempts counts uk_9pfs_mount invocations — the restore
 	// side-effect the checkpoint ablation observes.
 	MountAttempts uint64
-}
-
-// InjectCrashOnce arms a one-shot fail-stop in the named export.
-func (c *Comp) InjectCrashOnce(fn string) { c.crashOn = fn }
-
-// maybeCrash fires an armed injection.
-func (c *Comp) maybeCrash(fn string) {
-	if c.crashOn == fn {
-		c.crashOn = ""
-		panic("injected fault in 9pfs." + fn)
-	}
 }
 
 type fidInfo struct {
@@ -183,7 +169,6 @@ func (c *Comp) allocFid(ctx *core.Ctx) int {
 }
 
 func (c *Comp) mount(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
-	c.maybeCrash("uk_9pfs_mount")
 	c.MountAttempts++
 	if c.attached {
 		return nil, core.EEXIST
@@ -213,14 +198,9 @@ func (c *Comp) walkTo(ctx *core.Ctx, newFid int, parts []string) error {
 	return nil
 }
 
-func splitParts(path string) []string {
-	return splitPath(path)
-}
-
 // open resolves (and with O_CREATE, creates) path and returns a fid.
 // Flags use the VFS flag vocabulary re-encoded into 9P modes.
 func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
-	c.maybeCrash("uk_9pfs_open")
 	path, err := args.Str(0)
 	if err != nil {
 		return nil, err
@@ -236,7 +216,7 @@ func (c *Comp) open(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	if flags&0x200 != 0 {    // O_TRUNC
 		mode |= OTRUNC
 	}
-	parts := splitParts(path)
+	parts := splitPath(path)
 	fid := c.allocFid(ctx)
 	// Reserve the fid before the first RPC: handlers yield inside RPCs,
 	// and a concurrent open (vanilla mode) must not pick the same fid.
@@ -294,7 +274,6 @@ func (c *Comp) getFid(args msg.Encoded, idx int) (*fidInfo, error) {
 }
 
 func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
-	c.maybeCrash("uk_9pfs_close")
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -308,7 +287,6 @@ func (c *Comp) close(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 }
 
 func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
-	c.maybeCrash("uk_9pfs_read")
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -347,7 +325,6 @@ func (c *Comp) read(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 }
 
 func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
-	c.maybeCrash("uk_9pfs_write")
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -383,7 +360,6 @@ func (c *Comp) write(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 }
 
 func (c *Comp) fsync(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
-	c.maybeCrash("uk_9pfs_fsync")
 	info, err := c.getFid(args, 0)
 	if err != nil {
 		return nil, err
@@ -416,7 +392,7 @@ func (c *Comp) lookup(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 		return nil, core.EIO
 	}
 	fid := c.tempFid()
-	if err := c.walkTo(ctx, fid, splitParts(path)); err != nil {
+	if err := c.walkTo(ctx, fid, splitPath(path)); err != nil {
 		return ctx.Ret(false, int64(0), false)
 	}
 	resp, err := c.rpc(ctx, &Fcall{Type: Tstat, Fid: uint32(fid)})
@@ -436,7 +412,7 @@ func (c *Comp) mkdir(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := splitParts(path)
+	parts := splitPath(path)
 	if len(parts) == 0 {
 		return nil, core.EEXIST
 	}
@@ -461,7 +437,7 @@ func (c *Comp) remove(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 		return nil, err
 	}
 	fid := c.tempFid()
-	if err := c.walkTo(ctx, fid, splitParts(path)); err != nil {
+	if err := c.walkTo(ctx, fid, splitPath(path)); err != nil {
 		return nil, err
 	}
 	if _, err := c.rpc(ctx, &Fcall{Type: Tremove, Fid: uint32(fid)}); err != nil {

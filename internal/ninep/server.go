@@ -35,9 +35,6 @@ func NewServer(fs *ExportFS) *Server {
 // FS returns the export the server serves.
 func (s *Server) FS() *ExportFS { return s.fs }
 
-// Fids returns the number of live fids (leak observation in tests).
-func (s *Server) Fids() int { return len(s.fids) }
-
 func rerror(tag uint16, ename string) *Fcall {
 	return &Fcall{Type: Rerror, Tag: tag, Ename: ename}
 }

@@ -54,19 +54,17 @@ func TestKillSleepingThread(t *testing.T) {
 func TestPanicAfterParkReachesHandler(t *testing.T) {
 	s := newSched(nil)
 	boom := errors.New("component fault")
-	var captured any
 	th := s.Spawn("crasher", mem.AllowAll, func(th *Thread) {
 		th.Yield()
 		th.Sleep(time.Millisecond)
 		panic(boom)
 	})
-	th.SetPanicHandler(func(v any) { captured = v })
 	s.Spawn("bystander", mem.AllowAll, func(th *Thread) { th.Yield() })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if captured != boom || th.PanicValue() != boom {
-		t.Fatalf("handler got %v, PanicValue %v; want %v", captured, th.PanicValue(), boom)
+	if th.State() != StateDone || th.PanicValue() != boom {
+		t.Fatalf("crasher is %v with PanicValue %v; want done with %v", th.State(), th.PanicValue(), boom)
 	}
 }
 
@@ -166,7 +164,6 @@ func TestCloseUnwindsEveryParkedThread(t *testing.T) {
 			body(th)
 		})
 		th.OnKill = func() { handlers++ }
-		th.SetPanicHandler(func(any) { handlers++ })
 	}
 	spawn("blocked", func(th *Thread) { th.Block("forever") })
 	spawn("sleeping", func(th *Thread) { th.Sleep(time.Hour) })
@@ -199,7 +196,7 @@ func TestCloseUnwindsEveryParkedThread(t *testing.T) {
 		}
 	}
 	if cleaned != 5 || handlers != 0 {
-		t.Fatalf("deferred cleanups = %d (want 5), kill/panic handlers run = %d (want 0)", cleaned, handlers)
+		t.Fatalf("deferred cleanups = %d (want 5), kill handlers run = %d (want 0)", cleaned, handlers)
 	}
 	if s.Stats().Dispatches != dispatches || s.Clock().Elapsed() != clock {
 		t.Fatal("Close dispatched a thread or moved the virtual clock")

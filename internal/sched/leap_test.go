@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"vampos/internal/clock"
 	"vampos/internal/mem"
 )
 
@@ -30,7 +31,7 @@ const (
 	actWake                  // Wake thread who (an actor, or a poller when who < 0)
 	actSet                   // flag = true
 	actClear                 // flag = false
-	actTimer                 // bare AfterFunc(arg) that flips the flag and wakes nobody
+	actTimer                 // bare timer armed for arg that flips the flag and wakes nobody
 	actCharge                // Charge(arg)
 	actKill                  // Kill poller 0, then spawn a thread that plain-Sleeps arg
 	numActs
@@ -145,7 +146,7 @@ func (sc scene) run(t testing.TB, leap bool) (outcome, Stats) {
 				case actClear:
 					th.Do(func() { flag = false })
 				case actTimer:
-					th.Do(func() { s.Clock().AfterFunc(step.arg, func() { flag = !flag }) })
+					th.Do(func() { s.Clock().Arm(new(clock.Timer), step.arg, func() { flag = !flag }) })
 				case actCharge:
 					th.Charge(step.arg)
 				case actKill:
@@ -164,7 +165,7 @@ func (sc scene) run(t testing.TB, leap bool) (outcome, Stats) {
 		actors = append(actors, th)
 	}
 	for _, at := range sc.timers {
-		s.Clock().AfterFunc(at, func() { flag = true })
+		s.Clock().Arm(new(clock.Timer), at, func() { flag = true })
 	}
 	err := s.Run()
 	if err != nil && !errors.Is(err, ErrDeadlock) {

@@ -28,7 +28,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,9 +199,6 @@ func (s *Scheduler) Clock() *clock.Virtual { return s.clk }
 // Stats returns a copy of the scheduler counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
-// Policy returns the active scheduling policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // Current returns the running thread, or nil outside Run.
 func (s *Scheduler) Current() *Thread { return s.current }
 
@@ -225,7 +221,6 @@ type Thread struct {
 	panicVal   any // non-nil when fn ended by panic (not a kill)
 	dispatches uint64
 	parkedOn   parkReason
-	onPanic    func(any)
 	// wakeTimer ends a Sleep by running wake (t.Wake, bound once); it is
 	// re-armed for every sleep and pending only while the thread sleeps.
 	wakeTimer clock.Timer
@@ -285,9 +280,6 @@ func (t *Thread) PanicValue() any { return t.panicVal }
 // Accessor returns the thread's protection-checked memory accessor, or
 // nil when the scheduler was built without SetMemory.
 func (t *Thread) Accessor() *mem.Accessor { return t.acc }
-
-// PKRU returns the thread's protection word.
-func (t *Thread) PKRU() mem.PKRU { return t.pkru }
 
 // SetPKRU installs a new protection word, effective immediately.
 func (t *Thread) SetPKRU(p mem.PKRU) {
@@ -533,9 +525,6 @@ func (s *Scheduler) Hint(target *Thread) {
 // Stop makes Run return after the current dispatch completes.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Stopped reports whether Stop has been requested.
-func (s *Scheduler) Stopped() bool { return s.stopped }
-
 // Close unwinds every thread that has not finished, so a simulation that
 // will not run again gives up its parked coroutines and everything their
 // stacks reference. Call it from the host goroutine once Run has returned
@@ -711,16 +700,8 @@ func (s *Scheduler) dispatch(t *Thread) {
 		if t.killed && t.OnKill != nil {
 			t.OnKill()
 		}
-		if t.panicVal != nil && t.onPanic != nil {
-			t.onPanic(t.panicVal)
-		}
 	}
 }
-
-// SetPanicHandler installs fn to run (on the scheduler goroutine) if the
-// thread's function ends in a panic. The failure detector uses this to
-// turn component crashes into reboot triggers instead of process aborts.
-func (t *Thread) SetPanicHandler(fn func(any)) { t.onPanic = fn }
 
 func (s *Scheduler) allDone() bool {
 	for _, t := range s.threads {
@@ -729,14 +710,6 @@ func (s *Scheduler) allDone() bool {
 		}
 	}
 	return true
-}
-
-// Threads returns a snapshot of all threads ever spawned, in id order.
-func (s *Scheduler) Threads() []*Thread {
-	out := make([]*Thread, len(s.threads))
-	copy(out, s.threads)
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
 }
 
 func (s *Scheduler) dumpThreads() string {

@@ -96,9 +96,6 @@ func (s *Scheduler) Shards() int { return s.nshards }
 // thread's first dispatch.
 func (t *Thread) SetClass(c Class) { t.class = c }
 
-// Class returns the thread's scheduling class.
-func (t *Thread) Class() Class { return t.class }
-
 // SetShard assigns the thread's shard ordinal. Threads that share
 // mutable memory outside the message-passing boundary must be given the
 // same ordinal: equal ordinals share a bucket at every shard count,
@@ -401,9 +398,6 @@ func (s *Scheduler) commitSlice(t *Thread) {
 	if t.state == StateDone {
 		if t.killed && t.OnKill != nil {
 			t.OnKill()
-		}
-		if t.panicVal != nil && t.onPanic != nil {
-			t.onPanic(t.panicVal)
 		}
 		return
 	}

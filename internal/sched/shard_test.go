@@ -49,6 +49,7 @@ func TestShardRunnersJoinOnEveryExit(t *testing.T) {
 		}
 	}
 	handled := 0
+	var crashed *Thread
 	exits := []struct {
 		name  string
 		build func(s *Scheduler)
@@ -75,8 +76,7 @@ func TestShardRunnersJoinOnEveryExit(t *testing.T) {
 		{"panic", func(s *Scheduler) {
 			spawnDomain(s, "a", 0, looper(rounds, nil))
 			spawnDomain(s, "b", 1, looper(rounds, nil))
-			c := spawnDomain(s, "c", 2, looper(rounds/2, func(*Thread) { panic("mid-round") }))
-			c.SetPanicHandler(func(any) { handled++ })
+			crashed = spawnDomain(s, "c", 2, looper(rounds/2, func(*Thread) { panic("mid-round") }))
 		}, nil},
 		{"kill", func(s *Scheduler) {
 			victim := spawnDomain(s, "victim", 1, looper(-1, nil))
@@ -110,8 +110,11 @@ func TestShardRunnersJoinOnEveryExit(t *testing.T) {
 			if runtime.GOMAXPROCS(0) > 1 && peak <= base {
 				t.Fatalf("never more than %d goroutines during Run (%d before): no runner was started", peak, base)
 			}
-			if (exit.name == "panic" || exit.name == "kill") && handled != 1 {
-				t.Fatalf("panic/kill handler ran %d times", handled)
+			if exit.name == "kill" && handled != 1 {
+				t.Fatalf("kill handler ran %d times", handled)
+			}
+			if exit.name == "panic" && (crashed.State() != StateDone || crashed.PanicValue() != "mid-round") {
+				t.Fatalf("crashed thread is %v with PanicValue %v", crashed.State(), crashed.PanicValue())
 			}
 			s.Close()
 		})

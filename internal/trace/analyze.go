@@ -32,44 +32,6 @@ func PhaseNames() []string {
 	return []string{PhaseQuiesce, PhaseRestore, PhaseReplay, PhaseResume}
 }
 
-// CheckpointSpan is one incremental checkpoint reconstructed from a
-// KindCkpt span.
-type CheckpointSpan struct {
-	Component  string
-	Start, End time.Duration // virtual offsets since boot
-	Detail     string        // "dirty=N truncated=M folded=K", or the error
-	Failed     bool
-}
-
-// Virtual is the checkpoint's virtual duration.
-func (c CheckpointSpan) Virtual() time.Duration { return c.End - c.Start }
-
-// Checkpoints extracts every completed checkpoint span, in start order.
-// KindCkpt events live in the bounded ring, so old checkpoints may have
-// been evicted on long runs; the component Stats counters remain exact.
-func Checkpoints(events []Event) []CheckpointSpan {
-	var out []CheckpointSpan
-	for _, e := range events {
-		if e.Kind != KindCkpt || e.Open {
-			continue
-		}
-		out = append(out, CheckpointSpan{
-			Component: e.Component,
-			Start:     e.VirtStart, End: e.VirtEnd,
-			Detail: e.Detail,
-			Failed: e.Name != PhaseCheckpoint || (e.Detail != "" && !isCkptOK(e.Detail)),
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// isCkptOK reports whether a checkpoint span's detail is the success
-// summary the checkpoint manager writes, rather than an error string.
-func isCkptOK(detail string) bool {
-	return len(detail) >= 6 && detail[:6] == "dirty="
-}
-
 // RebootTimeline is one component-group reboot reconstructed from the
 // event stream: the figure-6 phase breakdown and the figure-8 recovery
 // segment both read from it.
@@ -138,9 +100,6 @@ type MicrorebootSpan struct {
 	SpanID    SpanID
 	Phases    map[string]time.Duration
 }
-
-// Virtual is the microreboot's total virtual duration.
-func (m MicrorebootSpan) Virtual() time.Duration { return m.End - m.Start }
 
 // Microreboots reconstructs every session microreboot in the snapshot,
 // in start order. Microreboot and phase events are sticky, so the

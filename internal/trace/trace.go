@@ -275,9 +275,6 @@ func (r *Recorder) Name() string {
 	return r.name
 }
 
-// Enabled reports whether the recorder records anything.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // CapturesDispatches reports whether WithDispatches was given.
 func (r *Recorder) CapturesDispatches() bool { return r != nil && r.dispatches }
 

@@ -12,9 +12,8 @@ import (
 
 // Process implements process-related functions.
 type Process struct {
-	pid     int
-	inits   int
-	crashFn string // fault injection: export name that panics once
+	pid   int
+	inits int
 }
 
 // NewProcess creates the PROCESS component.
@@ -31,20 +30,10 @@ func (p *Process) Init(*core.Ctx) error {
 	return nil
 }
 
-// Inits reports how many times the component booted (reboot observation).
-func (p *Process) Inits() int { return p.inits }
-
-// InjectCrash makes the next getpid call panic (fail-stop injection).
-func (p *Process) InjectCrash() { p.crashFn = "getpid" }
-
 // Exports implements core.Component.
 func (p *Process) Exports() map[string]core.Handler {
 	return map[string]core.Handler{
 		"getpid": func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {
-			if p.crashFn == "getpid" {
-				p.crashFn = ""
-				panic("injected fault in process.getpid")
-			}
 			return ctx.Ret(p.pid)
 		},
 		"getppid": func(ctx *core.Ctx, _ msg.Encoded) (msg.Encoded, error) {

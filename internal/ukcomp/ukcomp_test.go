@@ -112,7 +112,9 @@ func TestProcessRebootReinitialises(t *testing.T) {
 
 func TestProcessCrashHook(t *testing.T) {
 	runAll(t, func(c *core.Ctx, p *Process) {
-		p.InjectCrash()
+		if err := c.Runtime().ArmFault("process", "getpid", core.FaultCrash); err != nil {
+			t.Fatal(err)
+		}
 		// The crash is recovered transparently by the reboot + retry.
 		rets, err := c.Call("process", "getpid")
 		if err != nil {

@@ -152,7 +152,7 @@ func New(cfg Config) (*Instance, error) {
 		}
 		irqCtx := rt.IRQContext("irq/net")
 		inst.virtioC.OnRxIRQ = func() {
-			_ = rt.InjectIRQ(irqCtx, "lwip", "rx_pump")
+			_ = rt.Inject(irqCtx, "lwip", "rx_pump")
 		}
 	}
 	inst.vfsC = vfs.New()

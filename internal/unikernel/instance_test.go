@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vampos/internal/core"
+	"vampos/internal/lwip"
 	"vampos/internal/sched"
 )
 
@@ -351,10 +352,10 @@ func TestLWIPRebootKeepsConnections(t *testing.T) {
 		}
 		got, err := conn.RecvExactly(th, 6, time.Second)
 		if err != nil || string(got) != "after!" {
-			t.Fatalf("post-reboot echo = %q, %v (reset=%v)", got, err, conn.WasReset())
+			t.Fatalf("post-reboot echo = %q, %v (state %v)", got, err, conn.State())
 		}
-		if conn.WasReset() {
-			t.Fatal("connection was reset across LWIP reboot")
+		if st := conn.State(); st != lwip.StateEstablished {
+			t.Fatalf("connection is %v across LWIP reboot, want established (not reset)", st)
 		}
 		conn.Close(th)
 	})
@@ -389,8 +390,9 @@ func TestInjectedCrashRecoversTransparently(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Crash PROCESS mid-call: the syscall retries transparently.
-		proc, _ := s.Instance().Runtime().Component("process")
-		proc.(interface{ InjectCrash() }).InjectCrash()
+		if err := s.Instance().Runtime().ArmFault("process", "getpid", core.FaultCrash); err != nil {
+			t.Fatal(err)
+		}
 		pid, err := s.Getpid()
 		if err != nil || pid != 1 {
 			t.Fatalf("getpid across crash = %d, %v", pid, err)

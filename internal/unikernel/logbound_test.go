@@ -31,7 +31,7 @@ func TestLogsStayBoundedUnderChurn(t *testing.T) {
 			}
 		}
 		rt := s.Instance().Runtime()
-		threshold := rt.Config().LogShrinkThreshold
+		threshold := core.DefaultLogShrinkThreshold
 		for _, comp := range []string{"vfs", "9pfs", "lwip"} {
 			if n := rt.LogLen(comp); n > threshold+10 {
 				t.Errorf("%s log = %d entries after churn, want bounded near threshold %d",

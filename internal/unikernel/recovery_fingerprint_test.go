@@ -91,11 +91,14 @@ func (p *fpProbe) RestoreState(b []byte) error {
 // probe components, and a script that provokes exactly one flavour of
 // recovery on the controller thread.
 type recoveryFlavour struct {
-	name   string
-	core   func() core.Config
-	probe  *fpProbe // registered as "probe" when set
-	alt    *fpProbe // registered as probe's fallback when set
-	script func(t *testing.T, s *Sys, row *recoveryFlavour)
+	name  string
+	core  func() core.Config
+	probe *fpProbe // registered as "probe" when set
+	alt   *fpProbe // registered as probe's fallback when set
+	// vfsNoCkpt boots VFS without its checkpoint image, so a reboot
+	// re-runs its Init.
+	vfsNoCkpt bool
+	script    func(t *testing.T, s *Sys, row *recoveryFlavour)
 	// notes are outcomes a script records instead of asserting; they are
 	// part of the fingerprint.
 	notes []string
@@ -215,6 +218,18 @@ func recoveryFlavours() []*recoveryFlavour {
 			fpArm(t, s, "vfs", "stat", core.FaultCrash)
 			_, _, err = s.Stat("/warm.txt")
 			row.notef("stat across composite crash: %v", err)
+		}},
+		{name: "merged-nockpt", core: core.FSmConfig, vfsNoCkpt: true, script: func(t *testing.T, s *Sys, row *recoveryFlavour) {
+			// The merged FS group with a VFS that has no checkpoint image:
+			// VFS's cold Init re-mounts against a freshly reset 9PFS
+			// before 9PFS's log replays, so the restore fails today. The
+			// outcomes are recorded, not asserted, until the order is
+			// fixed.
+			fd := fpWarm(t, s)
+			err := s.Reboot("vfs")
+			row.notef("Reboot(vfs) in FSm without a VFS checkpoint: %v", err)
+			_, err = s.Write(fd, []byte("after\n"))
+			row.notef("write after composite reboot: %v", err)
 		}},
 		{name: "taint-seal", core: fpDefense, script: func(t *testing.T, s *Sys, _ *recoveryFlavour) {
 			fd := fpWarm(t, s)
@@ -374,9 +389,15 @@ func recoveryFingerprint(inst *Instance, rec *trace.Recorder) string {
 			i, m.Component, m.Session, m.Reason, m.VirtualDuration, m.ReplayedEntries,
 			m.At.Sub(rt.Clock().At(0)))
 	}
-	fmt.Fprintf(&b, "fullrestarts %d\n", len(rt.FullRestarts()))
-
 	evs := rec.Snapshot()
+	fullRestarts := 0
+	for _, e := range evs {
+		if e.Kind == trace.KindReboot && e.Component == "image" {
+			fullRestarts++
+		}
+	}
+	fmt.Fprintf(&b, "fullrestarts %d\n", fullRestarts)
+
 	byID := make(map[trace.SpanID]trace.Event, len(evs))
 	for _, e := range evs {
 		byID[e.ID] = e
@@ -438,7 +459,7 @@ func runRecoveryFlavour(t *testing.T, row *recoveryFlavour, shards int) string {
 	cc := row.core()
 	cc.Shards = shards
 	cc.MaxVirtualTime = time.Hour
-	inst, err := New(Config{Core: cc, FS: true})
+	inst, err := New(Config{Core: cc, FS: true, VFSNoCheckpoint: row.vfsNoCkpt})
 	if err != nil {
 		t.Fatal(err)
 	}

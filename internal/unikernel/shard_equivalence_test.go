@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"vampos/internal/core"
+	"vampos/internal/ninep"
 )
 
 // shardConfig is the DaS configuration with n shard batons.
@@ -134,28 +135,54 @@ func instanceFingerprint(t *testing.T, inst *Instance) []byte {
 }
 
 // walkExport appends the host export's full tree (paths and contents) —
-// the "final host shadow" leg of the equivalence property.
+// the "final host shadow" leg of the equivalence property. It reads the
+// export as the guest's 9PFS does, over a 9P session of its own, so the
+// live session's fids are untouched.
 func walkExport(b *bytes.Buffer, inst *Instance, path string) {
-	fs := inst.Host().FS()
-	names, err := fs.List(path)
-	if err != nil {
-		data, rerr := fs.ReadFile(path)
-		if rerr != nil {
-			fmt.Fprintf(b, "shadow %s unreadable: %v\n", path, rerr)
+	srv := ninep.NewServer(inst.Host().FS())
+	rpc := func(f *ninep.Fcall) *ninep.Fcall {
+		r, err := srv.Handle(f)
+		if err != nil {
+			panic(err)
+		}
+		return r
+	}
+	rpc(&ninep.Fcall{Type: ninep.Tattach, Fid: 0, AFid: ninep.NoFid})
+	var walk func(path string)
+	walk = func(path string) {
+		names := strings.FieldsFunc(path, func(r rune) bool { return r == '/' })
+		if r := rpc(&ninep.Fcall{Type: ninep.Twalk, Fid: 0, NewFid: 1, Names: names}); r.Type == ninep.Rerror || len(r.Qids) != len(names) {
+			fmt.Fprintf(b, "shadow %s unreadable: %s\n", path, r.Ename)
 			return
 		}
-		fmt.Fprintf(b, "shadow %s %d %x\n", path, len(data), data)
-		return
-	}
-	sort.Strings(names)
-	fmt.Fprintf(b, "shadowdir %s\n", path)
-	for _, n := range names {
-		child := path + "/" + n
-		if path == "/" {
-			child = "/" + n
+		st := rpc(&ninep.Fcall{Type: ninep.Tstat, Fid: 1}).Stat
+		rpc(&ninep.Fcall{Type: ninep.Topen, Fid: 1, Mode: ninep.OREAD})
+		var data []byte
+		for {
+			r := rpc(&ninep.Fcall{Type: ninep.Tread, Fid: 1, Offset: uint64(len(data)), Count: 1 << 16})
+			if len(r.Data) == 0 {
+				break
+			}
+			data = append(data, r.Data...)
 		}
-		walkExport(b, inst, child)
+		rpc(&ninep.Fcall{Type: ninep.Tclunk, Fid: 1})
+		if st.Mode&ninep.DMDIR == 0 {
+			fmt.Fprintf(b, "shadow %s %d %x\n", path, len(data), data)
+			return
+		}
+		fmt.Fprintf(b, "shadowdir %s\n", path)
+		for _, n := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			if n == "" {
+				continue
+			}
+			child := path + "/" + n
+			if path == "/" {
+				child = "/" + n
+			}
+			walk(child)
+		}
 	}
+	walk(path)
 }
 
 // runShardFingerprint runs the ops workload at the given shard count and

@@ -102,9 +102,6 @@ func (s *Sys) pollWait() {
 	s.ctx.Sleep(pollInterval)
 }
 
-// Now returns the current virtual time.
-func (s *Sys) Now() time.Time { return s.ctx.Now() }
-
 // Elapsed returns virtual time since boot.
 func (s *Sys) Elapsed() time.Duration { return s.ctx.Elapsed() }
 
@@ -263,15 +260,6 @@ func (s *Sys) Writev(fd int, bufs ...[]byte) (int, error) {
 	return rets.Int(0)
 }
 
-// Lseek moves the file offset.
-func (s *Sys) Lseek(fd int, off int64, whence int) (int64, error) {
-	rets, err := s.call("vfs", "lseek", fd, off, whence)
-	if err != nil {
-		return 0, err
-	}
-	return rets.Int64(0)
-}
-
 // Close closes a descriptor.
 func (s *Sys) Close(fd int) error {
 	_, err := s.call("vfs", "close", fd)
@@ -351,15 +339,6 @@ func (s *Sys) Pipe() (int, int, error) {
 	return r, w, nil
 }
 
-// Fcntl performs a descriptor control operation.
-func (s *Sys) Fcntl(fd, cmd int) (int, error) {
-	rets, err := s.call("vfs", "fcntl", fd, cmd)
-	if err != nil {
-		return 0, err
-	}
-	return rets.Int(0)
-}
-
 // --- sockets ---
 
 // Socket allocates a TCP socket descriptor.
@@ -436,18 +415,6 @@ func (s *Sys) Send(fd int, data []byte) (int, error) { return s.Write(fd, data) 
 
 // Recv reads from a socket, blocking (the paper's socket_read).
 func (s *Sys) Recv(fd, n int) ([]byte, bool, error) { return s.Read(fd, n) }
-
-// SetSockOpt sets a socket option.
-func (s *Sys) SetSockOpt(fd, opt, val int) error {
-	_, err := s.call("vfs", "setsockopt", fd, opt, val)
-	return err
-}
-
-// Shutdown half-closes a socket.
-func (s *Sys) Shutdown(fd int) error {
-	_, err := s.call("vfs", "sock_shutdown", fd)
-	return err
-}
 
 // --- host-side conveniences for experiments ---
 

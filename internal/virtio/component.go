@@ -141,7 +141,7 @@ func (c *Comp) netTx(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 
 // netRxPop pops one received frame; EAGAIN when the ring is empty.
 func (c *Comp) netRxPop(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
-	frame, ok, err := c.netDev.rx.pop(ctx.Mem(), c.frame)
+	frame, ok, err := c.netDev.GuestRecvInto(ctx.Mem(), c.frame)
 	if err != nil {
 		return nil, core.Errno("EIO: " + err.Error())
 	}
@@ -172,7 +172,7 @@ func (c *Comp) p9RPC(ctx *core.Ctx, args msg.Encoded) (msg.Encoded, error) {
 	}
 	deadline := ctx.Elapsed() + rpcTimeout
 	for {
-		resp, ok, err := c.p9Dev.rx.pop(ctx.Mem(), c.resp)
+		resp, ok, err := c.p9Dev.GuestRecvInto(ctx.Mem(), c.resp)
 		if err != nil {
 			return nil, core.Errno("EIO: " + err.Error())
 		}

@@ -45,10 +45,6 @@ func NewDevice(name string, m *mem.Memory, txBase, rxBase mem.Addr, slots, slotS
 	return &Device{Name: name, tx: tx, rx: rx}, nil
 }
 
-// Desynced reports whether the host has detected an uncoordinated ring
-// reset; a desynced device drops all traffic.
-func (d *Device) Desynced() bool { return d.desync }
-
 // GuestSend pushes a payload onto the TX ring and rings the doorbell.
 func (d *Device) GuestSend(acc *mem.Accessor, payload []byte) error {
 	if err := d.tx.GuestPush(acc, payload); err != nil {
@@ -61,9 +57,11 @@ func (d *Device) GuestSend(acc *mem.Accessor, payload []byte) error {
 	return nil
 }
 
-// GuestRecv pops a payload from the RX ring.
-func (d *Device) GuestRecv(acc *mem.Accessor) ([]byte, bool, error) {
-	return d.rx.GuestPop(acc)
+// GuestRecvInto pops a payload from the RX ring with a protection-checked
+// accessor, into buf's array, for a driver that keeps the buffer for its
+// next pop.
+func (d *Device) GuestRecvInto(acc *mem.Accessor, buf []byte) ([]byte, bool, error) {
+	return d.rx.pop(acc, buf)
 }
 
 // HostRecv pops the next guest-sent payload, detecting uncoordinated

@@ -146,11 +146,6 @@ func (r *Ring) GuestPush(acc *mem.Accessor, payload []byte) error {
 	return r.push(acc, payload)
 }
 
-// GuestPop removes the oldest payload using a protection-checked accessor.
-func (r *Ring) GuestPop(acc *mem.Accessor) ([]byte, bool, error) {
-	return r.pop(acc, nil)
-}
-
 // HostPush appends payload with DMA (unchecked) access.
 func (r *Ring) HostPush(payload []byte) error {
 	return r.push(nil, payload)

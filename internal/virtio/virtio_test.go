@@ -258,9 +258,9 @@ func TestDeviceNotifyAndIRQ(t *testing.T) {
 	if irqs != 1 {
 		t.Fatalf("irqs = %d", irqs)
 	}
-	got, ok, err := dev.GuestRecv(acc)
+	got, ok, err := dev.GuestRecvInto(acc, nil)
 	if err != nil || !ok || string(got) != "rx" {
-		t.Fatalf("GuestRecv = %q ok=%v err=%v", got, ok, err)
+		t.Fatalf("GuestRecvInto = %q ok=%v err=%v", got, ok, err)
 	}
 	got, ok, err = dev.HostRecv()
 	if err != nil || !ok || string(got) != "tx" {

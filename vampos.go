@@ -13,8 +13,9 @@
 //     internal/unikernel).
 //   - Vanilla/Noop/DaS/FSm/NETm configs: the paper's five experimental
 //     configurations (§VII-A).
-//   - Injector: fail-stop crash, hang, leak and fragmentation injection
-//     (§II-B fault model and the software-aging motivation).
+//   - Runtime.ArmFault / Injector: fail-stop crash and hang injection
+//     (§II-B fault model), and leak and fragmentation injection (the
+//     software-aging motivation).
 //   - The apps sub-packages (internal/apps/...): SQLite-, Nginx-, Redis-
 //     and Echo-analogue applications from §VI.
 //   - internal/bench: runners that regenerate every table and figure of
@@ -66,7 +67,7 @@ type (
 	CoreConfig = core.Config
 	// Runtime exposes stats, reboot records and fault arming.
 	Runtime = core.Runtime
-	// Injector arms crashes, hangs, leaks and fragmentation.
+	// Injector injects leaks and fragmentation.
 	Injector = faults.Injector
 	// Errno is the POSIX-flavoured error type used across components.
 	Errno = core.Errno

@@ -51,7 +51,10 @@ func TestFacadeInjector(t *testing.T) {
 	err = inst.Run(func(s *vampos.Sys) {
 		defer s.Stop()
 		inj := vampos.NewInjector(inst.Runtime())
-		if err := inj.CrashOnce("process", "getpid"); err != nil {
+		if _, err := inj.HeapStats("vfs"); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Runtime().ArmFault("process", "getpid", vampos.FaultCrash); err != nil {
 			t.Fatal(err)
 		}
 		if pid, err := s.Getpid(); err != nil || pid != 1 {
