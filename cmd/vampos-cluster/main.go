@@ -82,7 +82,7 @@ func main() {
 		if err != nil {
 			fail(1, err)
 		}
-		if !rec.Escalated {
+		if rec.Rung != cluster.RungInstance {
 			fail(1, fmt.Errorf("VIRTIO fault did not escalate: %+v", rec))
 		}
 		fmt.Printf("  component reboot refused (%v) -> escalated to instance kill\n", rec.Err)
@@ -113,7 +113,7 @@ func main() {
 	}
 
 	for i := 0; i < *writes-2*third; i++ {
-		put((*victim + i) % *nodes, fmt.Sprintf("post%03d", i), fmt.Sprintf("v%d", i))
+		put((*victim+i)%*nodes, fmt.Sprintf("post%03d", i), fmt.Sprintf("v%d", i))
 	}
 	quiet(c)
 

@@ -142,7 +142,7 @@ func runFig6Target(target Fig6Target, scale Scale) (*Fig6Row, *trace.Recorder, e
 // row. Any disagreement is a bug in the instrumentation, not a
 // measurement artifact, so it is an error rather than a footnote.
 func fillFig6Phases(row *Fig6Row, rec *trace.Recorder, trials int) error {
-	tls := trace.RebootTimelines(rec.Snapshot())
+	tls := trace.RebootTimelines(rec.Snapshot(), trace.KindReboot)
 	if len(tls) != trials {
 		return fmt.Errorf("trace/record divergence: %d reboot spans in trace, %d trials", len(tls), trials)
 	}

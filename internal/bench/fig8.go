@@ -248,8 +248,8 @@ func fillFig8Recovery(series *Fig8Series, rec *trace.Recorder, inst *unikernel.I
 			Phases:      rcv.Reboot.Phases,
 		}
 	case VariantFullReboot:
-		for _, tl := range trace.RebootTimelines(events) {
-			if tl.Group != "image" {
+		for _, tl := range trace.RebootTimelines(events, trace.KindReboot) {
+			if tl.Component != "image" {
 				continue
 			}
 			series.Recovery = &Fig8Recovery{

@@ -89,7 +89,7 @@ func (t *trial) runCluster(cc core.Config, res *CellResult, j *judgement) error 
 		// unrebootable component. The first rung (component reboot) must
 		// refuse, and the ladder must escalate to instance kill.
 		esc, err := c.RecoverComponent(victim, "virtio")
-		j.check("escalation", err == nil && esc.Escalated && errors.Is(esc.Err, core.ErrUnrebootable) && !c.Alive(victim),
+		j.check("escalation", err == nil && esc.Rung == cluster.RungInstance && errors.Is(esc.Err, core.ErrUnrebootable) && !c.Alive(victim),
 			"want component reboot refused (ErrUnrebootable) then instance kill; got rec=%+v err=%v alive=%v",
 			esc, err, c.Alive(victim))
 		// Failover: with one member dead, every write still finds a

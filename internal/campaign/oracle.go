@@ -214,7 +214,7 @@ func traceComplete(cell Cell, events []trace.Event, runtimeReboots int) error {
 	if err := trace.Validate(events); err != nil {
 		return err
 	}
-	timelines := trace.RebootTimelines(events)
+	timelines := trace.RebootTimelines(events, trace.KindReboot)
 	if len(timelines) != runtimeReboots {
 		return fmt.Errorf("trace has %d reboot spans, runtime recorded %d", len(timelines), runtimeReboots)
 	}

@@ -223,14 +223,14 @@ func (k *sessionFault) judge(j *judgement) {
 
 	// The trace tells the same story as the runtime records: one
 	// KindMicroreboot span per attempt, escalations parented to it.
-	spans := trace.Microreboots(j.events)
+	spans := trace.RebootTimelines(j.events, trace.KindMicroreboot)
 	valid := trace.Validate(j.events)
 	traceOK := valid == nil && uint64(len(spans)) == attempted
 	if traceOK && st.Microreboots >= 1 {
-		traceOK = len(spans) == 1 && !spans[0].Escalated && len(spans[0].Phases) >= 3
+		traceOK = len(spans) == 1 && !spans[0].Failed && len(spans[0].Phases) >= 3
 	}
 	if traceOK && st.MicroEscalates >= 1 {
-		traceOK = len(spans) == 1 && spans[0].Escalated
+		traceOK = len(spans) == 1 && spans[0].Failed
 	}
 	j.check("trace-complete", traceOK, "validate=%v spans=%d attempted=%d (%+v)",
 		valid, len(spans), attempted, spans)

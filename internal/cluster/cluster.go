@@ -133,14 +133,12 @@ type EscalationRecord struct {
 	// Session is the faulted session the caller attributed, "" when the
 	// fault was only component-attributable (rung 1 is then skipped).
 	Session string
-	// Rung is the ladder level that resolved the fault.
+	// Rung is the ladder level that resolved the fault. At RungInstance
+	// the member was killed; the caller decides when to ReviveInstance.
 	Rung Rung
 	// Err is the failure that forced climbing past an earlier rung; nil
 	// when the first attempted rung sufficed.
 	Err error
-	// Escalated is true when the member was killed (rung 3); the caller
-	// decides when to ReviveInstance.
-	Escalated bool
 }
 
 // ErrNotReplicated reports a write that could not reach a full quorum
@@ -175,22 +173,14 @@ func New(cfg Config) (*Cluster, error) {
 	for i := range c.cut {
 		c.cut[i] = make([]bool, cfg.Nodes)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		n, err := newNode(i, cfg.Nodes, cfg.Core, cfg.BootDelay)
+	for i := range c.nodes {
+		n, err := startNode(i, cfg)
 		if err != nil {
 			c.Stop()
 			return nil, err
 		}
-		if cfg.OnInstance != nil {
-			cfg.OnInstance(i, n.inst)
-		}
-		n.start()
 		c.nodes[i] = n
 		c.alive[i] = true
-		if err := n.barrier(); err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("cluster: boot node %d: %w", i, err)
-		}
 	}
 	return c, nil
 }
@@ -622,21 +612,15 @@ func (c *Cluster) ReviveInstance(id int) error {
 	if donor < 0 && peers > 0 {
 		return fmt.Errorf("cluster: revive node %d: %d live peers but none reachable for anti-entropy resync", id, peers)
 	}
-	n, err := newNode(id, c.cfg.Nodes, c.cfg.Core, c.cfg.BootDelay)
+	n, err := startNode(id, c.cfg)
 	if err != nil {
 		return err
-	}
-	if c.cfg.OnInstance != nil {
-		c.cfg.OnInstance(id, n.inst)
-	}
-	n.start()
-	if err := n.barrier(); err != nil {
-		return fmt.Errorf("cluster: reboot node %d: %w", id, err)
 	}
 	if err := n.do(func(s *unikernel.Sys) error {
 		s.Sleep(n.inst.Config().BootDelay)
 		return nil
 	}); err != nil {
+		n.inst.Close() // the member died while booting
 		return err
 	}
 	c.nodes[id].inst.Close() // the dead incarnation is unreachable from here on
@@ -718,7 +702,6 @@ func (c *Cluster) Recover(id int, component, session string) (EscalationRecord, 
 	}
 	if live > 1 {
 		rec.Rung = RungInstance
-		rec.Escalated = true
 		if kerr := c.KillInstance(id); kerr != nil && !errors.Is(kerr, err) {
 			return rec, kerr
 		}

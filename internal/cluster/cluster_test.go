@@ -3,10 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vampos/internal/core"
+	"vampos/internal/unikernel"
 )
 
 func newTestCluster(t *testing.T) *Cluster {
@@ -180,7 +183,7 @@ func TestEscalationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverComponent(vfs): %v", err)
 	}
-	if rec.Escalated || rec.Rung.String() != "component-reboot" {
+	if rec.Rung.String() != "component-reboot" {
 		t.Fatalf("vfs reboot escalated: %+v", rec)
 	}
 	if !c.Alive(0) {
@@ -191,7 +194,7 @@ func TestEscalationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverComponent(virtio): %v", err)
 	}
-	if !rec.Escalated || rec.Err == nil || rec.Rung.String() != "instance-kill" {
+	if rec.Err == nil || rec.Rung.String() != "instance-kill" {
 		t.Fatalf("virtio fault did not escalate: %+v", rec)
 	}
 	if c.Alive(0) {
@@ -226,7 +229,7 @@ func TestGossipComponentReboot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, err := c.RecoverComponent(1, "gossip")
-	if err != nil || rec.Escalated || rec.Rung.String() != "component-reboot" {
+	if err != nil || rec.Rung.String() != "component-reboot" {
 		t.Fatalf("gossip reboot: rec=%+v err=%v", rec, err)
 	}
 	after, err := c.Snapshot(1)
@@ -367,5 +370,59 @@ func TestReviveRequiresDonor(t *testing.T) {
 	expectEverywhere(t, c, "k", "v")
 	if st := c.Stats(); st.Revives != 1 || st.Resyncs != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestBackstopNamesTheCause: a member whose simulation the virtual-time
+// backstop stops mid-command reports why, on that command, on every
+// later one and on the kill.
+func TestBackstopNamesTheCause(t *testing.T) {
+	cfg := core.DaSConfig()
+	cfg.MaxVirtualTime = 2 * time.Second
+	c, err := New(Config{Core: cfg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(c.Stop)
+	n := c.nodes[0]
+	err = n.do(func(s *unikernel.Sys) error { s.Sleep(time.Hour); return nil })
+	if err == nil || strings.Contains(err.Error(), "%!") || !errors.Is(err, errHalted) {
+		t.Fatalf("command past the backstop = %v, want a wrapped %v", err, errHalted)
+	}
+	err = n.do(func(*unikernel.Sys) error { return nil })
+	if err == nil || strings.Contains(err.Error(), "%!") || !errors.Is(err, errHalted) {
+		t.Fatalf("next command = %v, want a wrapped %v", err, errHalted)
+	}
+	if err := c.KillInstance(0); err != errHalted {
+		t.Fatalf("KillInstance = %v, want %v", err, errHalted)
+	}
+}
+
+// TestEveryPathEndsTheMember: boot, a write, a kill, a revive and Stop
+// between them end every member's coroutine — an iter.Pull that is
+// never stopped leaves a goroutine parked for good.
+func TestEveryPathEndsTheMember(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := c.PutVia(0, "k", "v"); err != nil {
+		t.Fatalf("PutVia: %v", err)
+	}
+	if err := c.KillInstance(1); err != nil {
+		t.Fatalf("KillInstance: %v", err)
+	}
+	if err := c.ReviveInstance(1); err != nil {
+		t.Fatalf("ReviveInstance: %v", err)
+	}
+	c.Stop()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50 && n > base; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after Stop, %d before New: a member was left parked", n, base)
 	}
 }

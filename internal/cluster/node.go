@@ -1,150 +1,126 @@
+//go:build go1.23
+
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"time"
 
 	"vampos/internal/apps/redis"
 	"vampos/internal/cluster/gossip"
-	"vampos/internal/core"
 	"vampos/internal/unikernel"
 )
 
 // node is one cluster member: a full unikernel instance (redis app,
-// VFS/9PFS, LWIP/NETDEV, VIRTIO, plus the gossip component) driven in
-// lockstep by the coordinator. The member's discrete-event simulation
-// lives on a dedicated host goroutine, but it only ever executes while
-// the coordinator is blocked inside do(): the control thread parks on
-// the cmds channel — freezing the whole instance, virtual clock
-// included, at a quiescent point — until the coordinator hands it a
-// command and waits for the reply. At most one simulated world runs at
-// any real-time instant, which is what keeps multi-instance trials as
-// deterministic as single-instance ones.
+// VFS/9PFS, LWIP/NETDEV, VIRTIO, plus the gossip component) that the
+// coordinator drives as a coroutine. The member's Run executes inside
+// an iter.Pull coroutine; its control thread yields once after booting
+// the app and once after each command, which hands control straight
+// back to the coordinator and freezes the whole instance, virtual clock
+// included, at a quiescent point. The member only runs inside next(),
+// so at most one simulated world runs at a time, which keeps
+// multi-instance trials as deterministic as single-instance ones.
 type node struct {
 	id   int
 	inst *unikernel.Instance
 	kv   *redis.App
 
-	cmds chan func(*unikernel.Sys) error
-	done chan error
-	exit chan error
+	next func() (struct{}, bool) // runs the member until it yields or ends
+	stop func()                  // makes the control thread's yield return false
 
-	bootErr error // set by serve before exit when StartApp failed
-	reaped  bool  // coordinator-side: exit consumed
-	exitErr error
+	cmd  func(*unikernel.Sys) error // the command next hands the control thread
+	res  error                      // its result
+	down bool                       // the coroutine has ended
+	err  error                      // why it ended; nil after a clean kill
 }
 
-// newNode assembles (but does not boot) member id of an n-member
-// cluster. The redis app runs without its AOF: in a cluster, durability
-// comes from replication, and losing the local store on instance death
-// is exactly the failure the anti-entropy resync must cover.
-func newNode(id, nodes int, coreCfg core.Config, bootDelay time.Duration) (*node, error) {
+// errHalted is the cause of death of a member whose simulation stopped
+// on its own before the coordinator killed it (the runtime's
+// virtual-time backstop).
+var errHalted = errors.New("cluster: member simulation stopped before it was killed")
+
+// startNode assembles member id, hands it to the OnInstance hook, and
+// boots it up to its first yield. The redis app runs without its AOF:
+// in a cluster, durability comes from replication, and losing the local
+// store on instance death is exactly the failure the anti-entropy
+// resync must cover.
+func startNode(id int, cfg Config) (*node, error) {
 	kv := redis.New()
 	kv.AOF = false
-	cfg := kv.Profile(unikernel.Config{Core: coreCfg, BootDelay: bootDelay})
-	inst, err := unikernel.New(cfg)
+	inst, err := unikernel.New(kv.Profile(unikernel.Config{Core: cfg.Core, BootDelay: cfg.BootDelay}))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: assemble node %d: %w", id, err)
 	}
-	if err := inst.Runtime().Register(gossip.New(id, nodes)); err != nil {
+	if err := inst.Runtime().Register(gossip.New(id, cfg.Nodes)); err != nil {
 		return nil, fmt.Errorf("cluster: register gossip on node %d: %w", id, err)
 	}
-	return &node{
-		id:   id,
-		inst: inst,
-		kv:   kv,
-		cmds: make(chan func(*unikernel.Sys) error),
-		done: make(chan error),
-		exit: make(chan error, 1),
-	}, nil
-}
-
-// start boots the member on its own host goroutine. The goroutine is
-// not free-running concurrency: serve immediately parks on cmds, and
-// every subsequent step happens inside a do() rendezvous with the
-// coordinator, so execution stays coordinator-serialised.
-func (n *node) start() {
-	//vampos:allow schedonly -- one host goroutine per member instance is required to hold its simulation; the coordinator serialises all execution through the cmds/done rendezvous, so only one simulated world ever runs at a time
-	go func() {
-		err := n.inst.Run(n.serve)
-		if err == nil {
-			err = n.bootErr
-		}
-		n.exit <- err
-	}()
-}
-
-// serve is the member's control thread: boot the app, then execute
-// coordinator commands until the channel closes (instance kill).
-// Blocking on the cmds receive holds the scheduler baton, so the
-// instance is frozen — no virtual time passes — between commands.
-func (n *node) serve(s *unikernel.Sys) {
-	defer s.Stop()
-	if err := s.StartApp(n.kv); err != nil {
-		n.bootErr = err
-		return
+	if cfg.OnInstance != nil {
+		cfg.OnInstance(id, inst)
 	}
-	for cmd := range n.cmds {
-		n.done <- cmd(s)
+	n := &node{id: id, inst: inst, kv: kv}
+	n.next, n.stop = iter.Pull(n.run)
+	if _, ok := n.next(); !ok {
+		n.down = true
+		inst.Close()
+		return nil, fmt.Errorf("cluster: boot node %d: %w", id, n.err)
+	}
+	return n, nil
+}
+
+// run is the coroutine body: the member's whole simulation. Its control
+// thread boots the app, then yields and executes one command per
+// resume until yield reports the kill.
+func (n *node) run(yield func(struct{}) bool) {
+	killed := false
+	err := n.inst.Run(func(s *unikernel.Sys) {
+		defer s.Stop()
+		if n.err = s.StartApp(n.kv); n.err != nil {
+			return
+		}
+		for yield(struct{}{}) {
+			n.res = n.cmd(s)
+		}
+		killed = true
+	})
+	switch {
+	case err != nil:
+		n.err = err
+	case n.err == nil && !killed:
+		n.err = errHalted
 	}
 }
 
 // do runs one command inside the member's simulation and returns its
-// result. The exit arm catches a member that died (boot failure,
-// virtual-time backstop) instead of deadlocking; the two ready states
-// are mutually exclusive, so the select is deterministic.
+// result, or the cause of death when the member died before or during
+// it.
 func (n *node) do(cmd func(*unikernel.Sys) error) error {
-	if n.reaped {
-		return fmt.Errorf("cluster: node %d is down: %w", n.id, n.exitErr)
+	if n.down {
+		return fmt.Errorf("cluster: node %d is down: %w", n.id, n.err)
 	}
-	select {
-	case n.cmds <- cmd:
-	case err := <-n.exit:
-		n.reap(err)
-		return fmt.Errorf("cluster: node %d died: %w", n.id, err)
+	n.cmd = cmd
+	if _, ok := n.next(); !ok {
+		n.down = true
+		return fmt.Errorf("cluster: node %d died mid-command: %w", n.id, n.err)
 	}
-	select {
-	case err := <-n.done:
-		return err
-	case err := <-n.exit:
-		n.reap(err)
-		return fmt.Errorf("cluster: node %d died mid-command: %w", n.id, err)
-	}
+	return n.res
 }
 
-// barrier waits for the member to finish booting (a no-op command only
-// completes once StartApp returned and serve is accepting commands).
-func (n *node) barrier() error {
-	return n.do(func(*unikernel.Sys) error { return nil })
-}
-
-// kill simulates whole-instance death: close the command channel so
-// serve unwinds, the simulation stops, and all in-instance state —
-// redis store, gossip table, component logs — is gone for good.
+// kill simulates whole-instance death: the control thread's yield
+// returns false, it unwinds, the simulation stops, and all in-instance
+// state — redis store, gossip table, component logs — is gone for good.
+// It returns nil for a clean kill, else the cause of death.
 func (n *node) kill() error {
-	if n.reaped {
-		return n.exitErr
-	}
-	close(n.cmds)
-	n.reap(<-n.exit)
-	return n.exitErr
-}
-
-func (n *node) reap(err error) {
-	if err == nil && n.bootErr != nil {
-		err = n.bootErr
-	}
-	n.reaped = true
-	n.exitErr = err
+	n.stop()
+	n.down = true
+	return n.err
 }
 
 // virtual reads the member's virtual clock: through the simulation for
-// a live member, directly off the (now quiescent) runtime clock for a
-// dead one — the reap rendezvous established the happens-before.
+// a live member, directly off the quiescent runtime clock for a dead
+// one.
 func (n *node) virtual() time.Duration {
-	if n.reaped {
-		return n.inst.Runtime().Clock().Elapsed()
-	}
 	var d time.Duration
 	if err := n.do(func(s *unikernel.Sys) error { d = s.Elapsed(); return nil }); err != nil {
 		return n.inst.Runtime().Clock().Elapsed()

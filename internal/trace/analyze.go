@@ -32,96 +32,47 @@ func PhaseNames() []string {
 	return []string{PhaseQuiesce, PhaseRestore, PhaseReplay, PhaseResume}
 }
 
-// RebootTimeline is one component-group reboot reconstructed from the
-// event stream: the figure-6 phase breakdown and the figure-8 recovery
-// segment both read from it.
+// RebootTimeline is one recovery span reconstructed from the event
+// stream with its phases: a component-group or image reboot
+// (KindReboot) or a session microreboot (KindMicroreboot). The figure-6
+// phase breakdown, the figure-8 recovery segment and the campaign's
+// trace oracles all read it.
 type RebootTimeline struct {
-	Group  string
-	Reason string
+	// Component and Name are the span's: the rebooted group ("image" for
+	// a full restart) and the reboot's reason, or the microrebooted
+	// component and session.
+	Component, Name string
 	// Start/End are virtual offsets since boot.
 	Start, End time.Duration
-	Wall       time.Duration
 	// Phases maps phase name -> virtual duration.
 	Phases map[string]time.Duration
-	// Failed marks a reboot whose restoration failed (fail-stop).
+	// Failed marks a span that did not end "ok": a reboot whose
+	// restoration failed (fail-stop), or a microreboot that escalated to
+	// a component reboot.
 	Failed bool
-	// SpanID is the reboot span's id (for cross-referencing).
-	SpanID SpanID
 }
 
-// Virtual is the reboot's total virtual duration.
+// Virtual is the span's total virtual duration.
 func (t RebootTimeline) Virtual() time.Duration { return t.End - t.Start }
 
-// RebootTimelines reconstructs every reboot in the snapshot, in start
-// order. Reboot and phase events are sticky in the recorder, so the
-// reconstruction is exact regardless of ring evictions.
-func RebootTimelines(events []Event) []RebootTimeline {
+// RebootTimelines reconstructs every span of kind (KindReboot or
+// KindMicroreboot) in the snapshot, in start order. These spans and
+// their phases are sticky in the recorder, so the reconstruction is
+// exact regardless of ring evictions.
+func RebootTimelines(events []Event, kind Kind) []RebootTimeline {
 	var out []RebootTimeline
-	byID := make(map[SpanID]int) // reboot span id -> index in out
+	byID := make(map[SpanID]int) // span id -> index in out
 	for _, e := range events {
-		if e.Kind != KindReboot {
+		if e.Kind != kind {
 			continue
-		}
-		tl := RebootTimeline{
-			Group: e.Component, Reason: e.Name,
-			Start: e.VirtStart, End: e.VirtEnd,
-			Wall:   e.WallDuration(),
-			Phases: make(map[string]time.Duration),
-			SpanID: e.ID,
-		}
-		if e.Detail != "" && e.Detail != "ok" {
-			tl.Failed = true
 		}
 		byID[e.ID] = len(out)
-		out = append(out, tl)
-	}
-	for _, e := range events {
-		if e.Kind != KindPhase {
-			continue
-		}
-		if i, ok := byID[e.Parent]; ok {
-			out[i].Phases[e.Name] += e.VirtDuration()
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// MicrorebootSpan is one session-granular recovery reconstructed from a
-// KindMicroreboot span: which component, which session, whether it
-// completed at rung 1 or escalated into a component reboot.
-type MicrorebootSpan struct {
-	Component string
-	Session   string
-	Start     time.Duration
-	End       time.Duration
-	Escalated bool
-	Detail    string
-	SpanID    SpanID
-	Phases    map[string]time.Duration
-}
-
-// Microreboots reconstructs every session microreboot in the snapshot,
-// in start order. Microreboot and phase events are sticky, so the
-// reconstruction is exact regardless of ring evictions.
-func Microreboots(events []Event) []MicrorebootSpan {
-	var out []MicrorebootSpan
-	byID := make(map[SpanID]int)
-	for _, e := range events {
-		if e.Kind != KindMicroreboot {
-			continue
-		}
-		m := MicrorebootSpan{
-			Component: e.Component, Session: e.Name,
+		out = append(out, RebootTimeline{
+			Component: e.Component, Name: e.Name,
 			Start: e.VirtStart, End: e.VirtEnd,
-			Detail: e.Detail, SpanID: e.ID,
 			Phases: make(map[string]time.Duration),
-		}
-		if e.Detail != "" && e.Detail != "ok" {
-			m.Escalated = true
-		}
-		byID[e.ID] = len(out)
-		out = append(out, m)
+			Failed: e.Detail != "" && e.Detail != "ok",
+		})
 	}
 	for _, e := range events {
 		if e.Kind != KindPhase {
@@ -150,7 +101,7 @@ type Recovery struct {
 // at or after it. Detection and crash instants between the fault and
 // the reboot end are attributed to that recovery.
 func Recoveries(events []Event) []Recovery {
-	timelines := RebootTimelines(events)
+	timelines := RebootTimelines(events, KindReboot)
 	var out []Recovery
 	for _, e := range events {
 		if e.Kind != KindFault {

@@ -128,7 +128,7 @@ func (d DurationDist) Histogram() string {
 
 // writeRebootSummary renders the reboot phase breakdowns.
 func writeRebootSummary(w io.Writer, evs []Event) error {
-	tls := RebootTimelines(evs)
+	tls := RebootTimelines(evs, KindReboot)
 	if len(tls) == 0 {
 		return nil
 	}
@@ -138,13 +138,13 @@ func writeRebootSummary(w io.Writer, evs []Event) error {
 		if tl.Failed {
 			status = "FAILED"
 		}
-		fmt.Fprintf(w, "%-14s at %s total %-10v [%s]", tl.Group, fmtOffset(tl.Start), tl.Virtual(), status)
+		fmt.Fprintf(w, "%-14s at %s total %-10v [%s]", tl.Component, fmtOffset(tl.Start), tl.Virtual(), status)
 		for _, ph := range PhaseNames() {
 			if d, ok := tl.Phases[ph]; ok {
 				fmt.Fprintf(w, " %s=%v", ph, d)
 			}
 		}
-		fmt.Fprintf(w, " (%s)\n", tl.Reason)
+		fmt.Fprintf(w, " (%s)\n", tl.Name)
 	}
 	return nil
 }

@@ -156,12 +156,12 @@ func TestRebootTimelinesAndRecoveries(t *testing.T) {
 	r := New("t", clk.now)
 	buildRecoveryTrace(clk, r)
 	evs := r.Snapshot()
-	tls := RebootTimelines(evs)
+	tls := RebootTimelines(evs, KindReboot)
 	if len(tls) != 1 {
 		t.Fatalf("timelines = %d, want 1", len(tls))
 	}
 	tl := tls[0]
-	if tl.Group != "9pfs" || tl.Failed {
+	if tl.Component != "9pfs" || tl.Failed {
 		t.Fatalf("timeline = %+v", tl)
 	}
 	var phaseSum time.Duration
