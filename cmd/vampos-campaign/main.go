@@ -29,8 +29,6 @@ func main() {
 		configs    = flag.String("configs", "", "comma-separated configs (noop,das,fsm,netm); empty = noop,das")
 		components = flag.String("components", "", "comma-separated target components (for the cluster workload: victim members node0,node1,node2); empty = every registered component")
 		faultsF    = flag.String("faults", "", "comma-separated faults (crash,hang,errno,leak,wildwrite,aging,sessioncrash; attacks: tamper,badframe,xdomtouch; cluster workload: instancekill,partition); empty = crash,hang (cluster: both cluster kinds)")
-		defenseF   = flag.Bool("defense", false, "add the attack-shaped fault kinds (tamper, badframe, xdomtouch) to the fault slice; their trials always run with the defense pipeline armed")
-		functions  = flag.String("functions", "any", "fault-site granularity: any (one wildcard site per component) or each (one cell per exported function)")
 		seed       = flag.Int64("seed", 1, "campaign seed; every trial's randomness derives from it")
 		trial      = flag.String("trial", "", "run only these cell IDs (comma-separated, e.g. redis/das/9pfs/*/crash)")
 		parallel   = flag.Int("parallel", 0, "worker-pool size; 0 = GOMAXPROCS")
@@ -39,54 +37,22 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "dump a Chrome trace for every failing trial into this directory")
 		list       = flag.Bool("list", false, "print the enumerated cell IDs and exit without running")
 		ckptEvery  = flag.Int("ckpt-every", 0, "incremental checkpoint cadence: re-checkpoint each eligible component after N completed calls (0 = paper behaviour, post-init checkpoint only)")
-		ckptThresh = flag.Int("ckpt-threshold", 0, "incremental checkpoint log trigger: re-checkpoint when the retained log exceeds N records (0 = off)")
-		agingPd    = flag.Duration("aging", 0, "override the aging cells' adaptive sensor sample period (0 = campaign default)")
-		agingLeak  = flag.Float64("aging-leak", 0, "override the aging cells' leak-slope threshold (bytes per virtual second; 0 = campaign default)")
-		agingFrag  = flag.Float64("aging-frag", 0, "enable/override the aging cells' fragmentation threshold in [0,1] (0 = campaign default, negative = sensor off)")
 	)
 	flag.Parse()
 
-	faults := faultNames(splitList(*faultsF))
-	if *defenseF {
-		// -defense widens the slice with the attack kinds on top of
-		// whatever fault selection is in effect (the crash/hang default
-		// when -faults is empty).
-		if len(faults) == 0 {
-			faults = campaign.DefaultFaults()
-		}
-		for _, f := range campaign.DefenseFaults() {
-			if !containsFault(faults, f) {
-				faults = append(faults, f)
-			}
-		}
-	}
 	opts := campaign.Options{
 		Space: campaign.SpaceOptions{
 			Workloads:  splitList(*workloads),
 			Configs:    splitList(*configs),
 			Components: splitList(*components),
-			Faults:     faults,
-			Functions:  *functions,
+			Faults:     faultNames(splitList(*faultsF)),
 		},
 		Seed:     *seed,
 		Parallel: *parallel,
 		Shards:   *shards,
 		TraceDir: *traceDir,
 		Trials:   splitList(*trial),
-		Ckpt:     ckpt.Policy{EveryCalls: *ckptEvery, LogThreshold: *ckptThresh},
-	}
-	if *agingPd != 0 || *agingLeak != 0 || *agingFrag != 0 {
-		pol := campaign.DefaultAgingPolicy()
-		if *agingPd > 0 {
-			pol.SamplePeriod = *agingPd
-		}
-		if *agingLeak != 0 {
-			pol.Thresholds.LeakSlope = *agingLeak
-		}
-		if *agingFrag != 0 {
-			pol.Thresholds.Fragmentation = *agingFrag
-		}
-		opts.Aging = pol
+		Ckpt:     ckpt.Policy{EveryCalls: *ckptEvery},
 	}
 
 	if *list {
@@ -153,13 +119,4 @@ func faultNames(names []string) []campaign.FaultName {
 		out = append(out, campaign.FaultName(n))
 	}
 	return out
-}
-
-func containsFault(fs []campaign.FaultName, want campaign.FaultName) bool {
-	for _, f := range fs {
-		if f == want {
-			return true
-		}
-	}
-	return false
 }

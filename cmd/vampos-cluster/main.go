@@ -5,9 +5,11 @@
 // the outage, then recover and verify convergence — every surviving
 // replica byte-agrees and no acknowledged write is lost.
 //
-//	vampos-cluster [-nodes 3] [-replication 2] [-config das]
-//	               [-fault instancekill|partition] [-victim 1]
-//	               [-writes 60] [-gossip-every 8]
+//	vampos-cluster [-fault instancekill|partition]
+//
+// The walk-through is fixed: three DaS members with write quorum W=2,
+// member 1 takes the fault, and 60 client writes run with a background
+// gossip round every 8.
 //
 // Exit status is 1 when a recovery invariant fails, 2 on usage errors.
 package main
@@ -22,41 +24,33 @@ import (
 	"vampos/internal/core"
 )
 
+const (
+	nodes       = 3
+	replication = 2 // owner + one backup apply before the ack
+	victim      = 1 // member that takes the fault
+	writes      = 60
+	gossipEvery = 8 // background gossip round every N writes
+)
+
 func main() {
-	var (
-		nodes       = flag.Int("nodes", 3, "cluster members")
-		replication = flag.Int("replication", 2, "write quorum W: owner + W-1 backups must apply before ack")
-		configF     = flag.String("config", "das", "core configuration: noop, das, fsm, netm")
-		faultF      = flag.String("fault", "instancekill", "instance-level fault: instancekill (VIRTIO fault escalated to whole-instance kill) or partition")
-		victim      = flag.Int("victim", 1, "member that takes the fault")
-		writes      = flag.Int("writes", 60, "total client writes across the run")
-		gossipEvery = flag.Int("gossip-every", 8, "background gossip round every N writes")
-	)
+	faultF := flag.String("fault", "instancekill", "instance-level fault: instancekill (VIRTIO fault escalated to whole-instance kill) or partition")
 	flag.Parse()
 
-	cc, err := coreConfig(*configF)
-	if err != nil {
-		fail(2, err)
-	}
-	if *victim < 0 || *victim >= *nodes {
-		fail(2, fmt.Errorf("victim %d out of range 0..%d", *victim, *nodes-1))
-	}
 	if *faultF != "instancekill" && *faultF != "partition" {
 		fail(2, fmt.Errorf("unknown fault %q (instancekill, partition)", *faultF))
 	}
 
-	c, err := cluster.New(cluster.Config{Nodes: *nodes, Replication: *replication, Core: cc})
+	c, err := cluster.New(cluster.Config{Nodes: nodes, Replication: replication, Core: core.DaSConfig()})
 	if err != nil {
 		fail(2, err)
 	}
 	defer c.Stop()
-	fmt.Printf("booted %d members (replication W=%d, %s)\n", *nodes, *replication, *configF)
+	fmt.Printf("booted %d members (replication W=%d, das)\n", nodes, replication)
 
 	shadow := map[string]string{}
-	failures := 0
 	put := func(via int, key, val string) {
 		if !c.Alive(via) {
-			via = (via + 1) % *nodes
+			via = (via + 1) % nodes
 		}
 		if err := c.PutVia(via, key, val); err != nil {
 			fmt.Printf("  write %s via node %d refused: %v\n", key, via, err)
@@ -65,10 +59,10 @@ func main() {
 		}
 	}
 
-	third := *writes / 3
+	third := writes / 3
 	for i := 0; i < third; i++ {
-		put(i%*nodes, fmt.Sprintf("warm%03d", i), fmt.Sprintf("v%d", i))
-		if (i+1)%*gossipEvery == 0 {
+		put(i%nodes, fmt.Sprintf("warm%03d", i), fmt.Sprintf("v%d", i))
+		if (i+1)%gossipEvery == 0 {
 			mustGossip(c)
 		}
 	}
@@ -77,8 +71,8 @@ func main() {
 
 	switch *faultF {
 	case "instancekill":
-		fmt.Printf("injecting VIRTIO fault on node %d ...\n", *victim)
-		rec, err := c.RecoverComponent(*victim, "virtio")
+		fmt.Printf("injecting VIRTIO fault on node %d ...\n", victim)
+		rec, err := c.RecoverComponent(victim, "virtio")
 		if err != nil {
 			fail(1, err)
 		}
@@ -87,14 +81,14 @@ func main() {
 		}
 		fmt.Printf("  component reboot refused (%v) -> escalated to instance kill\n", rec.Err)
 	case "partition":
-		fmt.Printf("partitioning node %d from its peers ...\n", *victim)
-		c.Isolate(*victim)
+		fmt.Printf("partitioning node %d from its peers ...\n", victim)
+		c.Isolate(victim)
 	}
 
 	before := len(shadow)
 	for i := 0; i < third; i++ {
-		put((*victim+1+i)%*nodes, fmt.Sprintf("out%03d", i), fmt.Sprintf("v%d", i))
-		if (i+1)%*gossipEvery == 0 {
+		put((victim+1+i)%nodes, fmt.Sprintf("out%03d", i), fmt.Sprintf("v%d", i))
+		if (i+1)%gossipEvery == 0 {
 			mustGossip(c)
 		}
 	}
@@ -102,18 +96,18 @@ func main() {
 
 	switch *faultF {
 	case "instancekill":
-		if err := c.ReviveInstance(*victim); err != nil {
+		if err := c.ReviveInstance(victim); err != nil {
 			fail(1, err)
 		}
 		fmt.Printf("revived node %d (boot + anti-entropy resync), virtual clock %v\n",
-			*victim, c.NodeVirtual(*victim))
+			victim, c.NodeVirtual(victim))
 	case "partition":
 		c.Heal()
 		fmt.Println("partition healed; queued deltas flow on the next gossip round")
 	}
 
-	for i := 0; i < *writes-2*third; i++ {
-		put((*victim+i)%*nodes, fmt.Sprintf("post%03d", i), fmt.Sprintf("v%d", i))
+	for i := 0; i < writes-2*third; i++ {
+		put((victim+i)%nodes, fmt.Sprintf("post%03d", i), fmt.Sprintf("v%d", i))
 	}
 	quiet(c)
 
@@ -128,7 +122,7 @@ func main() {
 	sort.Strings(keys)
 	lost := 0
 	for _, k := range keys {
-		for id := 0; id < *nodes; id++ {
+		for id := 0; id < nodes; id++ {
 			if !c.Alive(id) {
 				continue
 			}
@@ -145,25 +139,7 @@ func main() {
 	fmt.Printf("stats: kills=%d revives=%d resyncs=%d componentReboots=%d escalations=%d gossipRounds=%d deltas=%d\n",
 		st.Kills, st.Revives, st.Resyncs, st.ComponentReboots, st.Escalations, st.GossipRounds, st.DeltasDelivered)
 	if !conv || lost > 0 {
-		failures++
-	}
-	if failures > 0 {
 		os.Exit(1)
-	}
-}
-
-func coreConfig(name string) (core.Config, error) {
-	switch name {
-	case "noop":
-		return core.NoopConfig(), nil
-	case "das":
-		return core.DaSConfig(), nil
-	case "fsm":
-		return core.FSmConfig(), nil
-	case "netm":
-		return core.NETmConfig(), nil
-	default:
-		return core.Config{}, fmt.Errorf("unknown config %q (noop, das, fsm, netm)", name)
 	}
 }
 

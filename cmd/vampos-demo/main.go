@@ -3,20 +3,21 @@
 // zero lost requests (§VII-D), failure recovery of a warm key-value
 // store after an injected 9PFS fail-stop (§VII-E) with a full-reboot
 // baseline for contrast, and sensor-driven adaptive rejuvenation of a
-// deliberately leaky TCP/IP stack (§IV's software-aging motivation;
-// tune it with -aging, -aging-leak and -aging-frag), and session
-// microreboots — rung 1 of the recovery ladder — where a crash
-// attributable to one file descriptor is healed by evicting and
+// deliberately leaky TCP/IP stack (§IV's software-aging motivation),
+// and session microreboots — rung 1 of the recovery ladder — where a
+// crash attributable to one file descriptor is healed by evicting and
 // replaying just that session while its neighbours never notice.
-// The final scene (skip with -defense=false) turns recovery into a
-// security response: a host-side tamper of the VFS arena is caught by
-// the arena seal, recovery rolls back to a checkpoint strictly predating
-// the taint watermark, and the reboot re-randomizes the arena layout.
+// The final scene turns recovery into a security response: a host-side
+// tamper of the VFS arena is caught by the arena seal, recovery rolls
+// back to a checkpoint strictly predating the taint watermark, and the
+// reboot re-randomizes the arena layout.
 //
 // With -trace <file>, every scene records into a flight recorder and the
 // merged Chrome trace-event JSON is written on exit; load it at
 // ui.perfetto.dev to follow the causal chain from a syscall through the
 // injected crash, its detection, and the phased component reboot.
+//
+// Exit status is 1 when a scene fails to tell its story.
 package main
 
 import (
@@ -39,48 +40,36 @@ import (
 // is given; nil recording stays disabled (and free).
 var recorders []*vampos.TraceRecorder
 
-var (
-	tracePath  = flag.String("trace", "", "write a merged Chrome trace of the demos to this file")
-	ckptEvery  = flag.Int("ckpt-every", 0, "incremental checkpoint cadence for stateful components (completed calls; 0 = paper behaviour, post-init checkpoint only)")
-	ckptThresh = flag.Int("ckpt-threshold", 0, "incremental checkpoint log trigger (retained records; 0 = off)")
-	agingPd    = flag.Duration("aging", 10*time.Millisecond, "adaptive rejuvenation sensor sample period for the aging scene")
-	agingLeak  = flag.Float64("aging-leak", 256<<10, "adaptive leak-slope threshold (bytes per virtual second)")
-	agingFrag  = flag.Float64("aging-frag", -1, "adaptive fragmentation threshold in [0,1] (negative = sensor off)")
-	defenseF   = flag.Bool("defense", true, "include the active-defense scene (tamper detection, taint-aware rollback, re-randomized reboot)")
-	defSeal    = flag.Int("defense-seal", 4, "defense scene: verify each sealed arena every N completed calls")
-)
+var tracePath = flag.String("trace", "", "write a merged Chrome trace of the demos to this file")
 
-// demoAgingPolicy builds the aging scene's sensor policy from the flags.
-func demoAgingPolicy() vampos.AgingPolicy {
-	return vampos.AgingPolicy{
-		SamplePeriod: *agingPd,
-		Window:       4,
-		Thresholds: vampos.AgingThresholds{
-			LeakSlope:     *agingLeak,
-			Fragmentation: *agingFrag,
-			LogBacklog:    -1,
-			LatencyDrift:  -1,
-			ErrorRate:     -1,
-		},
-		Cooldown: 200 * time.Millisecond,
-	}
-}
-
-// demoConfig is the shared instance profile of both scenes, with the
-// checkpoint flags applied.
+// demoConfig is the shared instance profile of every scene.
 func demoConfig() vampos.Config {
 	cfg := vampos.Config{Core: vampos.DaSConfig(), FS: true, Net: true, Sysinfo: true}
 	cfg.Core.MaxVirtualTime = time.Hour
-	cfg.Core.Ckpt = vampos.CkptPolicy{EveryCalls: *ckptEvery, LogThreshold: *ckptThresh}
 	return cfg
 }
 
-// record attaches a recorder named name to inst when tracing is on.
-func record(inst *vampos.Instance, name string) {
-	if *tracePath == "" {
-		return
+// runScene builds an instance from cfg, records it as name when tracing
+// is on, and runs body as the controller thread, stopping the simulation
+// when body returns. The error is New's or Run's if either failed, else
+// body's.
+func runScene(cfg vampos.Config, name string, body func(*vampos.Sys, *vampos.Instance) error) error {
+	inst, err := vampos.New(cfg)
+	if err != nil {
+		return err
 	}
-	recorders = append(recorders, inst.NewTracer(name))
+	defer inst.Close()
+	if *tracePath != "" {
+		recorders = append(recorders, inst.NewTracer(name))
+	}
+	var bodyErr error
+	if err := inst.Run(func(s *vampos.Sys) {
+		defer s.Stop()
+		bodyErr = body(s, inst)
+	}); err != nil {
+		return err
+	}
+	return bodyErr
 }
 
 func main() {
@@ -113,57 +102,40 @@ func writeTrace(path string) error {
 func run() error {
 	fmt.Println("VampOS demo — component-level reboot recovery of a unikernel")
 	fmt.Println(strings.Repeat("=", 64))
-	if err := rejuvenationDemo(); err != nil {
-		return err
+	for i, scene := range []func() error{rejuvenationDemo, recoveryDemo, agingDemo, microrebootDemo, defenseDemo} {
+		if i > 0 {
+			fmt.Println()
+		}
+		if err := scene(); err != nil {
+			return err
+		}
 	}
-	fmt.Println()
-	if err := recoveryDemo(); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := agingDemo(); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := microrebootDemo(); err != nil {
-		return err
-	}
-	if !*defenseF {
-		return nil
-	}
-	fmt.Println()
-	return defenseDemo()
+	return nil
 }
 
 // rejuvenationDemo reboots every unikernel component under a live HTTP
 // client and shows that no request is lost.
 func rejuvenationDemo() error {
 	fmt.Println("\n[1/5] Software rejuvenation under load (paper §VII-D)")
-	inst, err := vampos.New(demoConfig())
-	if err != nil {
-		return err
-	}
-	record(inst, "demo/rejuvenation")
-	if err := inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180))); err != nil {
-		return err
-	}
-	return inst.Run(func(s *vampos.Sys) {
-		defer s.Stop()
+	return runScene(demoConfig(), "demo/rejuvenation", func(s *vampos.Sys, inst *vampos.Instance) error {
+		if err := inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180))); err != nil {
+			return err
+		}
 		web := nginx.New()
 		if err := s.StartApp(web); err != nil {
-			fmt.Println("  start nginx:", err)
-			return
+			return fmt.Errorf("start nginx: %w", err)
 		}
 		fmt.Println("  nginx serving on :80 with components:",
 			strings.Join(inst.Runtime().Components(), ", "))
 		peer := s.NewPeer()
 		var ok, fail int
+		var clientErr error
 		clientDone := false
 		s.GoHost("demo/client", func(th *sched.Thread) {
 			defer func() { clientDone = true }()
 			conn, err := peer.Dial(th, nginx.DefaultPort, 2*time.Second)
 			if err != nil {
-				fmt.Println("  client dial:", err)
+				clientErr = fmt.Errorf("client dial: %w", err)
 				return
 			}
 			for i := 0; i < 120; i++ {
@@ -204,18 +176,22 @@ func rejuvenationDemo() error {
 			}
 			comp := targets[i%len(targets)]
 			if err := s.Reboot(comp); err != nil {
-				fmt.Println("  reboot", comp, ":", err)
-				return
+				return fmt.Errorf("reboot %s: %w", comp, err)
 			}
 			i++
+		}
+		if clientErr != nil {
+			return clientErr
 		}
 		fmt.Printf("  rebooted %d components while the client ran\n", i)
 		fmt.Printf("  requests: %d ok, %d failed (success ratio %.1f%%)\n",
 			ok, fail, 100*float64(ok)/float64(ok+fail))
-		for _, rec := range inst.Runtime().Reboots()[:min(3, len(inst.Runtime().Reboots()))] {
+		recs := inst.Runtime().Reboots()
+		for _, rec := range recs[:min(3, len(recs))] {
 			fmt.Printf("  e.g. %-12s rebooted in %v (replayed %d log entries)\n",
 				rec.Group, rec.VirtualDuration, rec.ReplayedEntries)
 		}
+		return nil
 	})
 }
 
@@ -224,17 +200,10 @@ func rejuvenationDemo() error {
 func recoveryDemo() error {
 	fmt.Println("[2/5] Failure recovery of a warm Redis (paper §VII-E)")
 	for _, variant := range []string{"vampos", "full-reboot"} {
-		inst, err := vampos.New(demoConfig())
-		if err != nil {
-			return err
-		}
-		record(inst, "demo/recovery-"+variant)
-		err = inst.Run(func(s *vampos.Sys) {
-			defer s.Stop()
+		err := runScene(demoConfig(), "demo/recovery-"+variant, func(s *vampos.Sys, inst *vampos.Instance) error {
 			kv := redis.New()
 			if err := s.StartApp(kv); err != nil {
-				fmt.Println("  start redis:", err)
-				return
+				return fmt.Errorf("start redis: %w", err)
 			}
 			for i := 0; i < 2000; i++ {
 				kv.Execute(s, fmt.Sprintf("SET key%05d %s", i, strings.Repeat("v", 16)))
@@ -244,30 +213,30 @@ func recoveryDemo() error {
 			switch variant {
 			case "vampos":
 				if err := inst.Runtime().ArmFault("9pfs", "uk_9pfs_write", vampos.FaultCrash); err != nil {
-					fmt.Println("  arm fault:", err)
-					return
+					return fmt.Errorf("arm fault: %w", err)
 				}
 				if resp := kv.Execute(s, "SET trigger x"); !strings.HasPrefix(resp, "+OK") {
-					fmt.Println("  trigger SET failed:", strings.TrimSpace(resp))
-					return
+					return fmt.Errorf("trigger SET failed: %s", strings.TrimSpace(resp))
 				}
 				rec := inst.Runtime().Reboots()
+				if len(rec) == 0 {
+					return errors.New("the armed 9PFS crash never fired")
+				}
 				fmt.Printf("  [%s] 9PFS crashed and was rebooted in %v; the SET retried transparently\n",
 					variant, rec[len(rec)-1].VirtualDuration)
 			case "full-reboot":
 				if err := s.FullReboot(); err != nil {
-					fmt.Println("  full reboot:", err)
-					return
+					return fmt.Errorf("full reboot: %w", err)
 				}
 				fmt.Printf("  [%s] whole image restarted; AOF replayed %d entries\n",
 					variant, kv.AOFReplayed)
 			}
 			downtime := s.Elapsed() - before
 			if resp := kv.Execute(s, "GET key00042"); !strings.Contains(resp, "v") {
-				fmt.Println("  data lost:", strings.TrimSpace(resp))
-				return
+				return fmt.Errorf("data lost: %s", strings.TrimSpace(resp))
 			}
 			fmt.Printf("  [%s] service disruption: %v; key data intact\n", variant, downtime)
+			return nil
 		})
 		if err != nil {
 			return err
@@ -283,23 +252,28 @@ func agingDemo() error {
 	const target = "lwip"
 	fmt.Println("[3/5] Adaptive aging-driven rejuvenation (paper §IV motivation)")
 	cfg := demoConfig()
-	cfg.Core.Aging = demoAgingPolicy()
-	cfg.Core.AgingTargets = []string{target}
-	inst, err := vampos.New(cfg)
-	if err != nil {
-		return err
+	cfg.Core.Aging = vampos.AgingPolicy{
+		SamplePeriod: 10 * time.Millisecond,
+		Window:       4,
+		Thresholds: vampos.AgingThresholds{
+			LeakSlope:     256 << 10, // bytes per virtual second
+			Fragmentation: -1,
+			LogBacklog:    -1,
+			LatencyDrift:  -1,
+			ErrorRate:     -1,
+		},
+		Cooldown: 200 * time.Millisecond,
 	}
-	record(inst, "demo/aging")
-	return inst.Run(func(s *vampos.Sys) {
-		defer s.Stop()
+	cfg.Core.AgingTargets = []string{target}
+	return runScene(cfg, "demo/aging", func(s *vampos.Sys, inst *vampos.Instance) error {
 		if err := s.StartApp(echo.New()); err != nil {
-			fmt.Println("  start echo:", err)
-			return
+			return fmt.Errorf("start echo: %w", err)
 		}
 		pol := inst.Runtime().AgingDriver().Policy()
 		fmt.Printf("  watching %s: leak-slope > %.0f B/s (sampled every %v)\n",
 			target, pol.Thresholds.LeakSlope, pol.SamplePeriod)
 		var ok, fail int
+		var clientErr error
 		clientDone := false
 		stop := false
 		peer := s.NewPeer()
@@ -307,7 +281,7 @@ func agingDemo() error {
 			defer func() { clientDone = true }()
 			conn, err := peer.Dial(th, echo.DefaultPort, 2*time.Second)
 			if err != nil {
-				fmt.Println("  client dial:", err)
+				clientErr = fmt.Errorf("client dial: %w", err)
 				return
 			}
 			defer conn.Close(th)
@@ -326,14 +300,12 @@ func agingDemo() error {
 		inj := vampos.NewInjector(inst.Runtime())
 		before, err := inj.HeapStats(target)
 		if err != nil {
-			fmt.Println("  heap stats:", err)
-			return
+			return fmt.Errorf("heap stats: %w", err)
 		}
 		var leaked int64
 		for i := 0; i < 64; i++ {
 			if _, err := inj.LeakBytes(target, 8<<10, 8<<10); err != nil {
-				fmt.Println("  leak:", err)
-				return
+				return fmt.Errorf("leak: %w", err)
 			}
 			leaked += 8 << 10
 			s.Sleep(5 * time.Millisecond)
@@ -351,24 +323,20 @@ func agingDemo() error {
 		for !clientDone {
 			s.Sleep(5 * time.Millisecond)
 		}
+		if clientErr != nil {
+			return clientErr
+		}
 		st, okst := inst.Runtime().AgingStats(target)
 		if !okst || st.Rejuvenations == 0 {
-			fmt.Println("  sensors never fired — leak too slow for the configured thresholds")
-			return
+			return errors.New("sensors never fired: the leak is too slow for the policy's thresholds")
 		}
 		after, _ := inj.HeapStats(target)
 		fmt.Printf("  sensors fired (%s): %d rejuvenation(s), heap %dKiB -> %dKiB\n",
 			st.LastCause, st.Rejuvenations, (before.AllocatedBytes+leaked)>>10, after.AllocatedBytes>>10)
 		fmt.Printf("  requests during the scene: %d ok, %d failed\n", ok, fail)
 		fmt.Println("\nThe controller healed the aged component from observed health, not a wall timer.")
+		return nil
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // microrebootDemo walks rung 1 of the recovery ladder: a crash
@@ -379,67 +347,57 @@ func microrebootDemo() error {
 	fmt.Println("[4/5] Session microreboot — recovery ladder rung 1 (finest granularity)")
 	cfg := demoConfig()
 	cfg.Core.Microreboot = true
-	inst, err := vampos.New(cfg)
-	if err != nil {
-		return err
-	}
-	record(inst, "demo/microreboot")
-	return inst.Run(func(s *vampos.Sys) {
-		defer s.Stop()
+	return runScene(cfg, "demo/microreboot", func(s *vampos.Sys, inst *vampos.Instance) error {
 		fd1, err := s.Open("/journal.log", vampos.OCreate|vampos.ORdwr)
 		if err != nil {
-			fmt.Println("  open:", err)
-			return
+			return fmt.Errorf("open: %w", err)
 		}
 		fd2, err := s.Open("/sidecar.log", vampos.OCreate|vampos.ORdwr)
 		if err != nil {
-			fmt.Println("  open:", err)
-			return
+			return fmt.Errorf("open: %w", err)
 		}
 		s.Write(fd1, []byte("journal-"))
 		s.Write(fd2, []byte("sidecar"))
 		rt := inst.Runtime()
 		if err := rt.ArmFaultSpec("vfs", "pwrite", vampos.FaultSpec{Kind: vampos.FaultCrash, After: 1}); err != nil {
-			fmt.Println("  arm fault:", err)
-			return
+			return fmt.Errorf("arm fault: %w", err)
 		}
 		fmt.Printf("  two sessions open (fd:%d, fd:%d); crash armed on fd:%d's next pwrite\n", fd1, fd2, fd1)
 		if _, err := s.Pwrite(fd1, []byte("J"), 0); err != nil {
-			fmt.Println("  pwrite:", err)
-			return
+			return fmt.Errorf("pwrite: %w", err)
 		}
 		recs := rt.Microreboots()
 		if len(recs) == 0 {
-			fmt.Println("  no microreboot happened (is Microreboot enabled?)")
-			return
+			return errors.New("no microreboot happened")
 		}
 		m := recs[len(recs)-1]
 		fmt.Printf("  crash attributed to session %s: evicted + replayed %d log entries in %v\n",
 			m.Session, m.ReplayedEntries, m.VirtualDuration)
 		fmt.Printf("  component reboots: %d — the other session never noticed\n", len(rt.Reboots()))
-		if data, err := s.Pread(fd2, 16, 0); err == nil {
-			fmt.Printf("  untouched fd:%d still reads %q\n", fd2, data)
+		data, err := s.Pread(fd2, 16, 0)
+		if err != nil {
+			return fmt.Errorf("pread the untouched session: %w", err)
 		}
+		fmt.Printf("  untouched fd:%d still reads %q\n", fd2, data)
 		// A pipe's two fds share one buffer: eviction refuses, and the
 		// ladder climbs honestly to the component reboot.
 		r, w, err := s.Pipe()
 		if err != nil {
-			fmt.Println("  pipe:", err)
-			return
+			return fmt.Errorf("pipe: %w", err)
 		}
 		s.Write(w, []byte("in-flight"))
-		err = s.MicrorebootSession("vfs", fmt.Sprintf("fd:%d", r))
-		if errors.Is(err, vampos.ErrMicrorebootEscalated) {
-			fmt.Printf("  pipe session refused eviction; escalated to component reboot (%d total)\n",
-				len(rt.Reboots()))
-		} else if err != nil {
-			fmt.Println("  microreboot:", err)
-			return
+		if err := s.MicrorebootSession("vfs", fmt.Sprintf("fd:%d", r)); !errors.Is(err, vampos.ErrMicrorebootEscalated) {
+			return fmt.Errorf("pipe microreboot did not escalate: %v", err)
 		}
-		if data, _, err := s.Read(r, 16); err == nil {
-			fmt.Printf("  pipe content survived the rung-2 reboot: %q\n", data)
+		fmt.Printf("  pipe session refused eviction; escalated to component reboot (%d total)\n",
+			len(rt.Reboots()))
+		data, _, err = s.Read(r, 16)
+		if err != nil {
+			return fmt.Errorf("read the pipe after the reboot: %w", err)
 		}
+		fmt.Printf("  pipe content survived the rung-2 reboot: %q\n", data)
 		fmt.Println("\nThe ladder: session microreboot -> component reboot -> instance kill -> full restart.")
+		return nil
 	})
 }
 
@@ -450,30 +408,22 @@ func microrebootDemo() error {
 // (quarantining everything newer), and the reboot re-randomizes the
 // arena layout so any address the attacker learned is dead.
 func defenseDemo() error {
+	const sealEvery = 4 // verify each sealed arena every N completed calls
 	fmt.Println("[5/5] Active defense — tamper, taint-aware rollback, re-randomized reboot")
 	cfg := demoConfig()
-	if cfg.Core.Ckpt.EveryCalls == 0 && cfg.Core.Ckpt.LogThreshold == 0 {
-		// The rollback needs an image history to land on.
-		cfg.Core.Ckpt = vampos.CkptPolicy{EveryCalls: 8}
-	}
+	// The rollback needs an image history to land on.
+	cfg.Core.Ckpt = vampos.CkptPolicy{EveryCalls: 8}
 	cfg.Core.Defense = vampos.DefensePolicy{
 		Enabled:        true,
 		Rerandomize:    true,
-		SealEveryCalls: *defSeal,
+		SealEveryCalls: sealEvery,
 		HistoryDepth:   4,
 		Seed:           42,
 	}
-	inst, err := vampos.New(cfg)
-	if err != nil {
-		return err
-	}
-	record(inst, "demo/defense")
-	return inst.Run(func(s *vampos.Sys) {
-		defer s.Stop()
+	return runScene(cfg, "demo/defense", func(s *vampos.Sys, inst *vampos.Instance) error {
 		kv := redis.New() // the AOF keeps the vfs path hot
 		if err := s.StartApp(kv); err != nil {
-			fmt.Println("  start redis:", err)
-			return
+			return fmt.Errorf("start redis: %w", err)
 		}
 		for i := 0; i < 40; i++ {
 			kv.Execute(s, fmt.Sprintf("SET key%03d v%03d", i, i))
@@ -481,20 +431,17 @@ func defenseDemo() error {
 		rt := inst.Runtime()
 		fp0 := rt.LayoutFingerprint("vfs")
 		fmt.Printf("  warm store: %d keys, AOF on vfs; arena seals verified every %d calls\n",
-			kv.Keys(), *defSeal)
+			kv.Keys(), sealEvery)
 		heap, ok := rt.ComponentHeap("vfs")
 		if !ok {
-			fmt.Println("  no vfs heap")
-			return
+			return errors.New("no vfs heap")
 		}
 		addr, err := heap.Alloc(32)
 		if err != nil {
-			fmt.Println("  alloc:", err)
-			return
+			return fmt.Errorf("alloc: %w", err)
 		}
 		if err := rt.Memory().HostWrite(mem.Addr(addr), []byte{0xDE, 0xAD, 0xBE, 0xEF}); err != nil {
-			fmt.Println("  tamper:", err)
-			return
+			return fmt.Errorf("tamper: %w", err)
 		}
 		fmt.Println("  host flipped bytes inside the vfs arena — never legitimate mid-run")
 		deadline := s.Elapsed() + 5*time.Second
@@ -503,13 +450,11 @@ func defenseDemo() error {
 			s.Sleep(time.Millisecond)
 		}
 		if rt.Stats().TamperDetections == 0 {
-			fmt.Println("  seal never broke — tamper undetected?")
-			return
+			return errors.New("seal never broke: the tamper went undetected")
 		}
 		recs := rt.Reboots()
 		if len(recs) == 0 {
-			fmt.Println("  detection without a reboot?")
-			return
+			return errors.New("detection without a reboot")
 		}
 		r := recs[len(recs)-1]
 		fmt.Printf("  seal broke (%s) -> taint watermark seq %d\n", r.Reason, r.TaintWatermark)
@@ -518,11 +463,11 @@ func defenseDemo() error {
 			r.RestoredEpochSeq, r.QuarantinedImages, r.ReplayedEntries)
 		fp1 := rt.LayoutFingerprint("vfs")
 		fmt.Printf("  fresh incarnation re-randomized its arena: fingerprint %#x -> %#x\n", fp0, fp1)
-		if resp := kv.Execute(s, "GET key007"); strings.Contains(resp, "v007") {
-			fmt.Println("  pre-attack data intact; post-watermark state never trusted again")
-		} else {
-			fmt.Println("  pre-attack data lost:", strings.TrimSpace(resp))
+		if resp := kv.Execute(s, "GET key007"); !strings.Contains(resp, "v007") {
+			return fmt.Errorf("pre-attack data lost: %s", strings.TrimSpace(resp))
 		}
+		fmt.Println("  pre-attack data intact; post-watermark state never trusted again")
 		fmt.Println("\nRecovery is the security response: detect, roll back past the taint, re-randomize.")
+		return nil
 	})
 }

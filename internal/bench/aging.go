@@ -62,17 +62,16 @@ type AgingResult struct {
 	Rows          []AgingRow
 }
 
-// agingBenchPolicy is the adaptive arm's sensor policy: leak slope (and,
-// when the scale enables it, fragmentation), with a slope threshold far
-// above the echo workload's own allocation churn and far below the
-// injected drip rate, so firings are unambiguous.
-func agingBenchPolicy(scale Scale) aging.Policy {
+// agingBenchPolicy is the adaptive arm's sensor policy: leak slope only,
+// with a threshold far above the echo workload's own allocation churn
+// and far below the injected drip rate, so firings are unambiguous.
+func agingBenchPolicy() aging.Policy {
 	return aging.Policy{
-		SamplePeriod: scale.AgingSamplePeriod,
+		SamplePeriod: 10 * time.Millisecond,
 		Window:       4,
 		Thresholds: aging.Thresholds{
-			LeakSlope:     scale.AgingLeakSlope,
-			Fragmentation: scale.AgingFrag,
+			LeakSlope:     256 << 10,
+			Fragmentation: -1,
 			LogBacklog:    -1,
 			LatencyDrift:  -1,
 			ErrorRate:     -1,
@@ -89,7 +88,7 @@ func agingBenchPolicy(scale Scale) aging.Policy {
 // lost requests; the periodic arm pays blind reboots before and after
 // the aging window; the no-rejuvenation arm ages monotonically.
 func RunAging(scale Scale) (*AgingResult, error) {
-	res := &AgingResult{PeriodicEvery: scale.AgingPeriodicEvery, Policy: agingBenchPolicy(scale).WithDefaults()}
+	res := &AgingResult{PeriodicEvery: scale.AgingPeriodicEvery, Policy: agingBenchPolicy().WithDefaults()}
 	for _, arm := range []AgingArm{AgingNone, AgingPeriodic, AgingAdaptive} {
 		row, err := runAgingArm(arm, scale)
 		if err != nil {
@@ -104,7 +103,7 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 	const target = "lwip"
 	cc := coreConfig(DaS)
 	if arm == AgingAdaptive {
-		cc.Aging = agingBenchPolicy(scale)
+		cc.Aging = agingBenchPolicy()
 		cc.AgingTargets = []string{target}
 	}
 	row := &AgingRow{Arm: arm}
@@ -149,6 +148,7 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 		// drip the leak during the middle half of the run.
 		inj := faults.NewInjector(inst.Runtime())
 		const tick = 5 * time.Millisecond
+		const leakStep = 4 << 10 // bytes dripped into the target per tick
 		nextSample := time.Duration(0)
 		for {
 			now := s.Elapsed() - start
@@ -156,10 +156,10 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 				break
 			}
 			if now >= duration/4 && now < 3*duration/4 {
-				if _, err := inj.LeakBytes(target, scale.AgingLeakStep, scale.AgingLeakStep); err != nil {
+				if _, err := inj.LeakBytes(target, leakStep, leakStep); err != nil {
 					return fmt.Errorf("leak drip: %w", err)
 				}
-				row.LeakedBytes += scale.AgingLeakStep
+				row.LeakedBytes += leakStep
 			}
 			if now >= nextSample {
 				hs, err := inj.HeapStats(target)

@@ -77,33 +77,25 @@ type Scale struct {
 	EchoMessages  int // stand-in for "159-byte messages × 1 minute"
 
 	// Table V
-	SiegeClients     int           // paper: 100
-	SiegeRequests    int           // requests per client
-	RejuvInterval    time.Duration // paper: 30 s, scaled down proportionally
-	FullRebootEvery  time.Duration // interval for the baseline variant
-	SiegeTimeout     time.Duration // per-request client timeout
-	ClientsReconnect bool          // siege clients redial after resets
+	SiegeClients    int           // paper: 100
+	SiegeRequests   int           // requests per client
+	RejuvInterval   time.Duration // paper: 30 s, scaled down proportionally
+	FullRebootEvery time.Duration // interval for the baseline variant
 
 	// Fig. 8
-	Fig8WarmKeys  int           // paper: 1,000,000
-	Fig8Duration  time.Duration // observed window (virtual)
-	Fig8GETRate   int           // paper: 1,000 GET/s
-	Fig8InjectAt  time.Duration // when the 9PFS fault fires
-	Fig8ProbeEach time.Duration // latency probe period (paper: 1/s)
+	Fig8WarmKeys int           // paper: 1,000,000
+	Fig8Duration time.Duration // observed window (virtual)
+	Fig8GETRate  int           // paper: 1,000 GET/s
+	Fig8InjectAt time.Duration // when the 9PFS fault fires
 
 	// Checkpoint figure (recovery latency vs calls-since-boot)
-	RecoveryCalls         []int // calls-since-boot grid
-	RecoveryCkptEvery     int   // checkpoint cadence of the "on" arm
-	RecoveryCkptThreshold int   // optional log-length trigger of the "on" arm (0 = cadence only)
+	RecoveryCalls     []int // calls-since-boot grid
+	RecoveryCkptEvery int   // checkpoint cadence of the "on" arm
 
 	// Aging figure (adaptive vs periodic vs no rejuvenation)
 	AgingDuration      time.Duration // virtual run length per arm
 	AgingClients       int           // concurrent echo clients
-	AgingLeakStep      int64         // bytes dripped into the target per tick
 	AgingPeriodicEvery time.Duration // fixed interval of the periodic arm
-	AgingSamplePeriod  time.Duration // adaptive arm's sensor sample period
-	AgingLeakSlope     float64       // adaptive leak-slope threshold (B per virtual second)
-	AgingFrag          float64       // adaptive fragmentation threshold (negative = sensor off)
 
 	// Microreboot figure (recovery ladder: session microreboot vs
 	// component reboot vs full restart on a many-session workload)
@@ -117,7 +109,6 @@ type Scale struct {
 
 	// Cluster availability figure (sync vs async replication across an
 	// instance kill)
-	ClusterNodes       int // cluster members
 	ClusterWrites      int // total write stream length
 	ClusterKillAt      int // write index at which the victim dies
 	ClusterReviveAt    int // write index at which it revives and resyncs
@@ -128,7 +119,6 @@ type Scale struct {
 	ScalingOpsPerCell int   // SETs each cell's client issues
 	ScalingValueBytes int   // SET value size
 	ScalingCPUWork    int   // checksum passes per SET (CPU weight of each handler slice)
-	ScalingShards     int   // shard-baton count for the scaled rows
 	ScalingProcs      []int // GOMAXPROCS grid (first entry is the baseline row)
 }
 
@@ -147,27 +137,19 @@ func DefaultScale() Scale {
 		SiegeRequests:      40,
 		RejuvInterval:      2 * time.Second,
 		FullRebootEvery:    2 * time.Second,
-		SiegeTimeout:       2 * time.Second,
-		ClientsReconnect:   true,
 		Fig8WarmKeys:       4000,
 		Fig8Duration:       30 * time.Second,
 		Fig8GETRate:        200,
 		Fig8InjectAt:       10 * time.Second,
-		Fig8ProbeEach:      time.Second,
 		RecoveryCalls:      []int{32, 128, 512},
 		RecoveryCkptEvery:  32,
 		AgingDuration:      2 * time.Second,
 		AgingClients:       4,
-		AgingLeakStep:      4 << 10,
 		AgingPeriodicEvery: 150 * time.Millisecond,
-		AgingSamplePeriod:  10 * time.Millisecond,
-		AgingLeakSlope:     256 << 10,
-		AgingFrag:          -1,
 		MicroSessions:      32,
 		MicroWritesPer:     8,
 		DefenseWarmWrites:  48,
 		DefenseTailWrites:  24,
-		ClusterNodes:       3,
 		ClusterWrites:      120,
 		// The kill lands mid-gossip-interval (44 % 8 != 0) so the victim
 		// holds an acknowledged, not-yet-gossiped tail when it dies — the
@@ -179,7 +161,6 @@ func DefaultScale() Scale {
 		ScalingOpsPerCell:  400,
 		ScalingValueBytes:  512,
 		ScalingCPUWork:     2048,
-		ScalingShards:      4,
 		ScalingProcs:       []int{1, 2, 4},
 	}
 }

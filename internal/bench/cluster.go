@@ -48,6 +48,9 @@ type ClusterRow struct {
 	Virtual           time.Duration // max member virtual time at the end
 }
 
+// clusterNodes is the availability figure's member count.
+const clusterNodes = 3
+
 // ClusterResult is the availability figure: N replicated members serve
 // a write stream through a whole-instance kill and revival, under
 // synchronous-quorum and asynchronous-gossip replication.
@@ -67,7 +70,7 @@ type ClusterResult struct {
 // against the surviving state.
 func RunCluster(scale Scale) (*ClusterResult, error) {
 	res := &ClusterResult{
-		Nodes:    scale.ClusterNodes,
+		Nodes:    clusterNodes,
 		KillAt:   scale.ClusterKillAt,
 		ReviveAt: scale.ClusterReviveAt,
 		Victim:   1,
@@ -93,7 +96,7 @@ func runClusterArm(scale Scale, arm ClusterArm, w, victim int) (ClusterRow, erro
 	row := ClusterRow{Arm: arm, Replication: w, Writes: scale.ClusterWrites}
 	cc := CoreConfig(DaS)
 	cc.MaxVirtualTime = 12 * time.Hour
-	c, err := cluster.New(cluster.Config{Nodes: scale.ClusterNodes, Replication: w, Core: cc})
+	c, err := cluster.New(cluster.Config{Nodes: clusterNodes, Replication: w, Core: cc})
 	if err != nil {
 		return row, err
 	}
@@ -101,8 +104,8 @@ func runClusterArm(scale Scale, arm ClusterArm, w, victim int) (ClusterRow, erro
 
 	shadow := map[string]string{}
 	via := func(i int) int {
-		for k := 0; k < scale.ClusterNodes; k++ {
-			id := (i + k) % scale.ClusterNodes
+		for k := 0; k < clusterNodes; k++ {
+			id := (i + k) % clusterNodes
 			if c.Alive(id) {
 				return id
 			}
@@ -155,7 +158,7 @@ func runClusterArm(scale Scale, arm ClusterArm, w, victim int) (ClusterRow, erro
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		for id := 0; id < scale.ClusterNodes; id++ {
+		for id := 0; id < clusterNodes; id++ {
 			if !c.Alive(id) {
 				continue
 			}
@@ -175,7 +178,7 @@ func runClusterArm(scale Scale, arm ClusterArm, w, victim int) (ClusterRow, erro
 	row.Rejected = int(st.Rejected)
 	row.DeltasDelivered = st.DeltasDelivered
 	row.GossipRounds = st.GossipRounds
-	for id := 0; id < scale.ClusterNodes; id++ {
+	for id := 0; id < clusterNodes; id++ {
 		if v := c.NodeVirtual(id); v > row.Virtual {
 			row.Virtual = v
 		}

@@ -139,7 +139,7 @@ func runFig8Variant(variant Table5Variant, scale Scale) (*Fig8Series, *trace.Rec
 			cl.Close()
 		})
 
-		// Latency probe: one timed GET per probe period.
+		// Latency probe: one timed GET a second, as in the paper.
 		probePeer := s.NewPeer()
 		probeDone := false
 		s.GoHost("fig8/probe", func(th *sched.Thread) {
@@ -172,7 +172,7 @@ func runFig8Variant(variant Table5Variant, scale Scale) (*Fig8Series, *trace.Rec
 						return
 					}
 				}
-				if sleep := scale.Fig8ProbeEach - lat; sleep > 0 {
+				if sleep := time.Second - lat; sleep > 0 {
 					th.Sleep(sleep)
 				}
 			}

@@ -48,7 +48,7 @@ func RunRecovery(scale Scale) (*RecoveryResult, error) {
 			return nil, fmt.Errorf("recovery off/%d: %w", calls, err)
 		}
 		res.Off = append(res.Off, *off)
-		on, err := runRecoveryPoint(calls, ckpt.Policy{EveryCalls: scale.RecoveryCkptEvery, LogThreshold: scale.RecoveryCkptThreshold})
+		on, err := runRecoveryPoint(calls, ckpt.Policy{EveryCalls: scale.RecoveryCkptEvery})
 		if err != nil {
 			return nil, fmt.Errorf("recovery on/%d: %w", calls, err)
 		}

@@ -87,7 +87,7 @@ type ScalingResult struct {
 	// Baseline is the single-shard row (Shards=1, GOMAXPROCS=1): the
 	// legacy-equivalent configuration the scaled rows are compared to.
 	Baseline ScalingRow
-	// Rows are the scaled configurations: Shards=ScalingShards at each
+	// Rows are the scaled configurations: scalingShards shards at each
 	// GOMAXPROCS in ScalingProcs.
 	Rows []ScalingRow
 
@@ -117,6 +117,9 @@ type ScalingResult struct {
 	FingerprintOK bool
 }
 
+// scalingShards is the shard-baton count of the scaled rows.
+const scalingShards = 4
+
 // RunScaling measures sustained redis-over-lwip throughput against core
 // count. Rows run sequentially, each in a fresh instance, with
 // GOMAXPROCS temporarily pinned to the row's value.
@@ -137,7 +140,7 @@ func RunScaling(scale Scale) (*ScalingResult, error) {
 	}
 	res.Baseline = base
 	for _, p := range procs {
-		row, err := runScalingRow(scale, p, scale.ScalingShards)
+		row, err := runScalingRow(scale, p, scalingShards)
 		if err != nil {
 			return nil, err
 		}

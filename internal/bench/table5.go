@@ -57,6 +57,9 @@ func RunTable5(scale Scale) (*Table5Result, error) {
 	return res, nil
 }
 
+// siegeTimeout is a siege client's per-request timeout.
+const siegeTimeout = 2 * time.Second
+
 func runTable5Variant(variant Table5Variant, scale Scale) (*Table5Row, error) {
 	row := &Table5Row{Variant: variant}
 	err := runInstance(fullProfile(coreConfig(DaS)), seedIndex, func(s *unikernel.Sys, _ *unikernel.Instance) error {
@@ -76,7 +79,7 @@ func runTable5Variant(variant Table5Variant, scale Scale) (*Table5Row, error) {
 				redial := func() bool {
 					for attempt := 0; attempt < 5; attempt++ {
 						var err error
-						cl, err = DialHTTP(s, th, peer, nginx.DefaultPort, scale.SiegeTimeout)
+						cl, err = DialHTTP(s, th, peer, nginx.DefaultPort, siegeTimeout)
 						if err == nil {
 							return true
 						}
@@ -93,14 +96,12 @@ func runTable5Variant(variant Table5Variant, scale Scale) (*Table5Row, error) {
 					// rejuvenation intervals, like the paper's 100
 					// threads over a minute.
 					th.Sleep(scale.RejuvInterval / time.Duration(scale.SiegeRequests/4+1))
-					if _, err := cl.Get("/index.html", scale.SiegeTimeout); err != nil {
+					if _, err := cl.Get("/index.html", siegeTimeout); err != nil {
 						fails++
-						if scale.ClientsReconnect {
-							cl.Close()
-							if !redial() {
-								fails += scale.SiegeRequests - i - 1
-								return
-							}
+						cl.Close()
+						if !redial() {
+							fails += scale.SiegeRequests - i - 1
+							return
 						}
 						continue
 					}

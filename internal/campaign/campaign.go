@@ -20,7 +20,6 @@ import (
 	"slices"
 	"sync"
 
-	"vampos/internal/aging"
 	"vampos/internal/ckpt"
 )
 
@@ -41,10 +40,6 @@ type Options struct {
 	// checkpointing for every checkpoint-eligible component of every
 	// trial instance, and arms the checkpoint recovery oracle.
 	Ckpt ckpt.Policy
-	// Aging, when enabled, replaces DefaultAgingPolicy as the adaptive-
-	// rejuvenation policy aging cells arm. The leak-slope sensor should
-	// stay enabled: the aging oracle attributes the rejuvenation to it.
-	Aging aging.Policy
 	// Shards sets every trial instance's shard-baton count (core
 	// Config.Shards): 0 keeps the legacy single-baton scheduler, any
 	// positive count runs the deterministic round engine. Trial outcomes

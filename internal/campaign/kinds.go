@@ -117,7 +117,6 @@ func (k *leakFault) judge(j *judgement) {
 // sensors, not from the trial.
 type agingFault struct {
 	baseKind
-	policy        aging.Policy // the effective adaptive policy
 	before, after core.HeapStats
 	stats         aging.Stats
 	statsOK       bool
@@ -127,11 +126,7 @@ type agingFault struct {
 func (k *agingFault) configure(t *trial, cc *core.Config, opts Options) {
 	// Boot starts the adaptive controller; the trial only arms the
 	// leak and observes.
-	k.policy = DefaultAgingPolicy()
-	if opts.Aging.Enabled() {
-		k.policy = opts.Aging
-	}
-	cc.Aging = k.policy
+	cc.Aging = trialAgingPolicy()
 	cc.AgingTargets = []string{t.cell.Component}
 }
 
@@ -170,7 +165,7 @@ func (k *agingFault) arm(t *trial, s *unikernel.Sys) error {
 		if ok && (st.Rejuvenations > 0 || st.Failures > 0) {
 			break
 		}
-		s.Sleep(k.policy.WithDefaults().SamplePeriod)
+		s.Sleep(trialAgingPolicy().SamplePeriod)
 	}
 	k.stats, k.statsOK = rt.AgingStats(comp)
 	k.after, _ = inj.HeapStats(comp)

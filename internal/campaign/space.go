@@ -75,10 +75,6 @@ func AllFaults() []FaultName {
 		FaultTamper, FaultBadFrame, FaultXDomTouch}
 }
 
-// DefenseFaults lists the attack-shaped fault kinds, which run with the
-// defense pipeline armed (Config.Defense) regardless of -defense.
-func DefenseFaults() []FaultName { return []FaultName{FaultTamper, FaultBadFrame, FaultXDomTouch} }
-
 func (f FaultName) defenseFault() bool {
 	return f == FaultTamper || f == FaultBadFrame || f == FaultXDomTouch
 }
@@ -162,11 +158,6 @@ type SpaceOptions struct {
 	Configs    []string
 	Components []string
 	Faults     []FaultName
-	// Functions selects fault-site granularity: "any" (default) arms one
-	// wildcard fault per component; "each" produces one cell per exported
-	// function of the component (a much larger space in which faults on
-	// cold functions may legitimately never trigger).
-	Functions string
 }
 
 func (o SpaceOptions) fill() SpaceOptions {
@@ -178,9 +169,6 @@ func (o SpaceOptions) fill() SpaceOptions {
 	}
 	if len(o.Faults) == 0 {
 		o.Faults = DefaultFaults()
-	}
-	if o.Functions == "" {
-		o.Functions = "any"
 	}
 	return o
 }
@@ -323,21 +311,11 @@ func EnumerateSpace(o SpaceOptions) ([]Cell, error) {
 						})
 						continue
 					}
-					fns := []string{core.AnyFunction}
-					if o.Functions == "each" && fault != FaultLeak && fault != FaultWildWrite && fault != FaultAging {
-						fns = fns[:0]
-						for _, p := range byComp[comp] {
-							fns = append(fns, p.Fn)
-						}
-						sort.Strings(fns)
-					}
-					for _, fn := range fns {
-						cells = append(cells, Cell{
-							Workload: w, Config: cfg, Component: comp,
-							Function: fn, Fault: fault,
-							Expected: unrebootable && fault.rebootInducing(),
-						})
-					}
+					cells = append(cells, Cell{
+						Workload: w, Config: cfg, Component: comp,
+						Function: core.AnyFunction, Fault: fault,
+						Expected: unrebootable && fault.rebootInducing(),
+					})
 				}
 			}
 		}

@@ -23,12 +23,11 @@ const (
 	trialSettle         = 2 * time.Second  // recovery settling before verify
 )
 
-// DefaultAgingPolicy is the adaptive-rejuvenation policy aging cells
-// arm when Options.Aging is unset: leak-slope only, with every other
-// sensor disabled so the trial observes a deterministic cause, and a
-// threshold far above the target workloads' own allocation churn but
-// far below the injected drip.
-func DefaultAgingPolicy() aging.Policy {
+// trialAgingPolicy is the adaptive-rejuvenation policy aging cells arm:
+// leak-slope only, with every other sensor disabled so the trial
+// observes a deterministic cause, and a threshold far above the target
+// workloads' own allocation churn but far below the injected drip.
+func trialAgingPolicy() aging.Policy {
 	return aging.Policy{
 		SamplePeriod: 5 * time.Millisecond,
 		Window:       4,

@@ -1,9 +1,9 @@
 // Package faults is the experiment-facing fault-injection toolkit beside
 // the runtime's own armed faults (the fail-stop crashes and hangs of the
 // paper's fault model, §II-B, armed with core.Runtime.ArmFault): the
-// software-aging generators (allocator leaks and fragmentation) that
-// motivate rejuvenation, and a saboteur component demonstrating that
-// MPK-style protection domains confine wild writes (§V-D).
+// allocator leaks of software aging that motivate rejuvenation, and a
+// saboteur component demonstrating that MPK-style protection domains
+// confine wild writes (§V-D).
 package faults
 
 import (
@@ -42,34 +42,6 @@ func (i *Injector) LeakBytes(component string, total, blockSize int64) (leaked i
 		leaked += blockSize
 	}
 	return leaked, nil
-}
-
-// Fragment riddles the component arena with small holes: it allocates
-// pairs of blocks and frees every other one, leaving free space that no
-// large allocation can use — the fragmentation flavour of aging.
-func (i *Injector) Fragment(component string, pairs int, blockSize int64) error {
-	heap, ok := i.rt.ComponentHeap(component)
-	if !ok {
-		return fmt.Errorf("faults: no heap for component %q", component)
-	}
-	if blockSize <= 0 {
-		blockSize = 64
-	}
-	for p := 0; p < pairs; p++ {
-		keep, err := heap.Alloc(blockSize)
-		if err != nil {
-			return err
-		}
-		_ = keep // deliberately retained
-		hole, err := heap.Alloc(blockSize)
-		if err != nil {
-			return err
-		}
-		if err := heap.Free(hole); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // HeapStats exposes a component's allocator health.

@@ -14,8 +14,8 @@
 //   - Vanilla/Noop/DaS/FSm/NETm configs: the paper's five experimental
 //     configurations (§VII-A).
 //   - Runtime.ArmFault / Injector: fail-stop crash and hang injection
-//     (§II-B fault model), and leak and fragmentation injection (the
-//     software-aging motivation).
+//     (§II-B fault model), and leak injection (the software-aging
+//     motivation).
 //   - The apps sub-packages (internal/apps/...): SQLite-, Nginx-, Redis-
 //     and Echo-analogue applications from §VI.
 //   - internal/bench: runners that regenerate every table and figure of
@@ -67,7 +67,7 @@ type (
 	CoreConfig = core.Config
 	// Runtime exposes stats, reboot records and fault arming.
 	Runtime = core.Runtime
-	// Injector injects leaks and fragmentation.
+	// Injector injects allocator leaks.
 	Injector = faults.Injector
 	// Errno is the POSIX-flavoured error type used across components.
 	Errno = core.Errno
@@ -256,10 +256,10 @@ type (
 	DefensePolicy = defense.Policy
 )
 
-// Attack-shaped campaign fault kinds (cmd/vampos-campaign -defense):
-// host-side arena tampering, a corrupted 9P response frame, and a PKRU
-// misuse attempt from a saboteur component. Their trials always run with
-// the defense pipeline armed.
+// Attack-shaped campaign fault kinds (cmd/vampos-campaign -faults
+// tamper,badframe,xdomtouch): host-side arena tampering, a corrupted 9P
+// response frame, and a PKRU misuse attempt from a saboteur component.
+// Their trials always run with the defense pipeline armed.
 const (
 	FaultTamper    = campaign.FaultTamper
 	FaultBadFrame  = campaign.FaultBadFrame
