@@ -75,7 +75,8 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Print(matrix.Render())
-	fmt.Fprintf(os.Stderr, "campaign wall time: %v (parallel=%d)\n", time.Since(start).Round(time.Millisecond), *parallel)
+	fmt.Fprintf(os.Stderr, "campaign wall time: %v (parallel=%d)\n", time.Since(start).Round(time.Millisecond),
+		campaign.PoolSize(*parallel, len(matrix.Cells)))
 
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)

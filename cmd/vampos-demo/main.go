@@ -254,15 +254,8 @@ func agingDemo() error {
 	cfg := demoConfig()
 	cfg.Core.Aging = vampos.AgingPolicy{
 		SamplePeriod: 10 * time.Millisecond,
-		Window:       4,
-		Thresholds: vampos.AgingThresholds{
-			LeakSlope:     256 << 10, // bytes per virtual second
-			Fragmentation: -1,
-			LogBacklog:    -1,
-			LatencyDrift:  -1,
-			ErrorRate:     -1,
-		},
-		Cooldown: 200 * time.Millisecond,
+		LeakSlope:    256 << 10, // bytes per virtual second
+		Cooldown:     200 * time.Millisecond,
 	}
 	cfg.Core.AgingTargets = []string{target}
 	return runScene(cfg, "demo/aging", func(s *vampos.Sys, inst *vampos.Instance) error {
@@ -271,7 +264,7 @@ func agingDemo() error {
 		}
 		pol := inst.Runtime().AgingDriver().Policy()
 		fmt.Printf("  watching %s: leak-slope > %.0f B/s (sampled every %v)\n",
-			target, pol.Thresholds.LeakSlope, pol.SamplePeriod)
+			target, pol.LeakSlope, pol.SamplePeriod)
 		var ok, fail int
 		var clientErr error
 		clientDone := false
@@ -415,7 +408,6 @@ func defenseDemo() error {
 	cfg.Core.Ckpt = vampos.CkptPolicy{EveryCalls: 8}
 	cfg.Core.Defense = vampos.DefensePolicy{
 		Enabled:        true,
-		Rerandomize:    true,
 		SealEveryCalls: sealEvery,
 		HistoryDepth:   4,
 		Seed:           42,

@@ -1,20 +1,17 @@
-// Package aging turns the runtime's per-component health counters into
-// rejuvenation decisions.
+// Package aging turns a component's heap growth into rejuvenation
+// decisions.
 //
 // The paper motivates component-level reboot with software aging:
 // allocator leaks and external fragmentation that only a reboot reclaims
 // (§IV). The blind answer is a fixed-interval rejuvenation timer; this
 // package is the observed-health answer. A Sample is one quiescent-point
-// reading of a component's aging sensors — allocator leak bytes and
-// external fragmentation from the buddy allocator, retained-log backlog
-// from the message layer, per-call latency drift and handler error rate
-// from the runtime's call counters. A Monitor keeps a sliding window of
-// samples per component, condenses the window into a Score, and applies
-// the firing policy: threshold crossing with hysteresis, a per-component
-// cooldown between proactive reboots, and exponential backoff after a
-// failed or diverged restore. An Engine composes monitors over a
-// dependency-ordered component list so rolling rejuvenation reboots
-// providers before their dependents.
+// reading of a component arena's allocated bytes. A Monitor keeps a
+// sliding window of samples per component, condenses the window into a
+// leak-slope Score, and applies the firing policy: threshold crossing
+// with hysteresis, a per-component cooldown between proactive reboots,
+// and exponential backoff after a failed or diverged restore. An Engine
+// composes monitors over a dependency-ordered component list so rolling
+// rejuvenation reboots providers before their dependents.
 //
 // Like internal/ckpt, this package is pure policy and bookkeeping: no
 // goroutines, no locks, no wall clock. All timestamps are virtual-clock
@@ -26,158 +23,84 @@ package aging
 
 import "time"
 
-// Sample is one quiescent-point reading of a component's aging sensors.
-// All counters are cumulative since boot; the monitor differentiates
-// them across its window.
+// Sample is one quiescent-point reading of a component's heap.
 type Sample struct {
 	// At is the virtual-clock offset of the reading.
 	At time.Duration
 	// HeapAllocated is the component arena's allocated byte count — the
 	// leak sensor's raw input.
 	HeapAllocated int64
-	// HeapLive is the arena's live allocation count.
-	HeapLive int
-	// Fragmentation is the arena's external fragmentation in [0,1]
-	// (1 - largest free block / free bytes).
-	Fragmentation float64
-	// LogLen is the component's retained restoration-log length.
-	LogLen int
-	// Calls is the cumulative count of completed inbound calls.
-	Calls uint64
-	// Errors is the cumulative count of inbound calls that returned an
-	// error.
-	Errors uint64
-	// Busy is the cumulative virtual time spent executing inbound calls.
-	Busy time.Duration
 }
 
-// Score is a window of samples condensed into the five sensor readings,
-// each compared against its threshold into a normalized total.
+// Score is a window of samples condensed into the leak slope and its
+// ratio to the firing threshold.
 type Score struct {
 	// LeakSlope is the allocated-bytes growth rate in bytes per virtual
 	// second across the window.
 	LeakSlope float64
-	// Fragmentation is the newest sample's external fragmentation.
-	Fragmentation float64
-	// LogBacklog is the newest sample's retained-log length.
-	LogBacklog int
-	// LatencyDrift is the window's mean per-call virtual latency divided
-	// by the baseline mean captured from the first full window (1 = no
-	// drift; 0 when no baseline exists yet).
-	LatencyDrift float64
-	// ErrorRate is the fraction of calls across the window that returned
-	// an error.
-	ErrorRate float64
-	// Total is the maximum of the per-sensor observed/threshold ratios:
-	// >= 1 means at least one sensor crossed its threshold. Sensors with
-	// a disabled threshold contribute nothing.
+	// Total is LeakSlope over the policy's threshold: >= 1 means the
+	// sensor crossed it. Zero when the heap did not grow or the sensor
+	// is disabled.
 	Total float64
-	// Cause names the dominant sensor ("leak-slope", "fragmentation",
-	// "log-backlog", "latency-drift", "error-rate"), empty when Total is
-	// zero.
+	// Cause is "leak-slope" when Total is positive, empty otherwise.
 	Cause string
 }
 
-// Thresholds are the per-sensor firing levels. A zero field is replaced
-// by its default in Policy.WithDefaults; a negative field disables that
-// sensor entirely.
-type Thresholds struct {
-	// LeakSlope fires on allocated-bytes growth above this many bytes
-	// per virtual second.
-	LeakSlope float64
-	// Fragmentation fires on external fragmentation above this value.
-	Fragmentation float64
-	// LogBacklog fires when the retained log exceeds this many records.
-	LogBacklog int
-	// LatencyDrift fires when mean per-call latency exceeds baseline by
-	// this factor.
-	LatencyDrift float64
-	// ErrorRate fires when the window's handler error fraction exceeds
-	// this value.
-	ErrorRate float64
-}
-
 // Policy is one component's (or a config-wide) rejuvenation policy. The
-// zero Policy is disabled: sensors are never sampled and nothing fires.
+// zero Policy is disabled: nothing is sampled and nothing fires.
 type Policy struct {
 	// SamplePeriod is the virtual-clock cadence at which the controller
 	// samples every monitored component. Zero disables the policy.
 	SamplePeriod time.Duration
-	// Window is how many samples the slope/drift/error sensors span.
-	Window int
-	// Thresholds are the per-sensor firing levels.
-	Thresholds Thresholds
-	// HysteresisRatio re-arms a fired monitor only once its Total falls
-	// back below this fraction of the firing level, so a component
-	// hovering at the threshold cannot flap.
-	HysteresisRatio float64
+	// LeakSlope fires on allocated-bytes growth above this many bytes
+	// per virtual second. Zero means DefaultLeakSlope; a negative value
+	// disables the sensor.
+	LeakSlope float64
 	// Cooldown is the minimum virtual time between proactive reboots of
 	// the same component.
 	Cooldown time.Duration
-	// BackoffBase is the penalty after a failed or diverged restore;
-	// it doubles per consecutive failure up to BackoffMax.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff.
-	BackoffMax time.Duration
 }
 
 // Enabled reports whether the policy samples and fires at all.
 func (p Policy) Enabled() bool { return p.SamplePeriod > 0 }
 
-// Policy defaults. The sensor thresholds are deliberately conservative:
+// Policy defaults. The leak threshold is deliberately conservative:
 // rejuvenation is cheap but not free, and a false positive under load
 // still costs the replay tail.
 const (
-	DefaultSamplePeriod    = 50 * time.Millisecond
-	DefaultWindow          = 8
-	DefaultLeakSlope       = 1 << 20 // 1 MiB growth per virtual second
-	DefaultFragmentation   = 0.5
-	DefaultLogBacklog      = 4096
-	DefaultLatencyDrift    = 4.0
-	DefaultErrorRate       = 0.5
-	DefaultHysteresisRatio = 0.5
-	DefaultCooldown        = 500 * time.Millisecond
-	DefaultBackoffBase     = 250 * time.Millisecond
-	DefaultBackoffMax      = 8 * time.Second
+	DefaultSamplePeriod = 50 * time.Millisecond
+	DefaultLeakSlope    = 1 << 20 // 1 MiB growth per virtual second
+	DefaultCooldown     = 500 * time.Millisecond
 )
 
-// WithDefaults replaces zero fields with defaults (negative thresholds
-// stay negative: that sensor is disabled). The zero Policy stays
+// The firing rules every policy shares.
+const (
+	// window is how many samples the leak slope spans; a monitor fires
+	// only with a full window.
+	window = 4
+	// hysteresisRatio re-arms a fired monitor only once its Total falls
+	// back below this fraction of the firing level, so a component
+	// hovering at the threshold cannot flap.
+	hysteresisRatio = 0.5
+	// backoffBase is the penalty after a failed or diverged restore; it
+	// doubles per consecutive failure up to backoffMax.
+	backoffBase = 250 * time.Millisecond
+	backoffMax  = 8 * time.Second
+)
+
+// WithDefaults replaces zero fields with defaults (a negative LeakSlope
+// stays negative: the sensor is disabled). The zero Policy stays
 // disabled — defaults only flesh out a policy that was switched on by
 // setting SamplePeriod or by DefaultPolicy.
 func (p Policy) WithDefaults() Policy {
 	if !p.Enabled() {
 		return p
 	}
-	if p.Window == 0 {
-		p.Window = DefaultWindow
-	}
-	if p.Thresholds.LeakSlope == 0 {
-		p.Thresholds.LeakSlope = DefaultLeakSlope
-	}
-	if p.Thresholds.Fragmentation == 0 {
-		p.Thresholds.Fragmentation = DefaultFragmentation
-	}
-	if p.Thresholds.LogBacklog == 0 {
-		p.Thresholds.LogBacklog = DefaultLogBacklog
-	}
-	if p.Thresholds.LatencyDrift == 0 {
-		p.Thresholds.LatencyDrift = DefaultLatencyDrift
-	}
-	if p.Thresholds.ErrorRate == 0 {
-		p.Thresholds.ErrorRate = DefaultErrorRate
-	}
-	if p.HysteresisRatio == 0 {
-		p.HysteresisRatio = DefaultHysteresisRatio
+	if p.LeakSlope == 0 {
+		p.LeakSlope = DefaultLeakSlope
 	}
 	if p.Cooldown == 0 {
 		p.Cooldown = DefaultCooldown
-	}
-	if p.BackoffBase == 0 {
-		p.BackoffBase = DefaultBackoffBase
-	}
-	if p.BackoffMax == 0 {
-		p.BackoffMax = DefaultBackoffMax
 	}
 	return p
 }
@@ -219,11 +142,10 @@ type Stats struct {
 // the owning controller thread serializes access under the scheduler
 // baton.
 type Monitor struct {
-	policy   Policy
-	window   []Sample
-	baseline float64 // baseline mean per-call latency (virtual ns/call)
-	score    Score
-	stats    Stats
+	policy Policy
+	window []Sample
+	score  Score
+	stats  Stats
 }
 
 // NewMonitor returns a monitor for the policy (normalized through
@@ -240,14 +162,14 @@ func (m *Monitor) Stats() Stats { return m.stats }
 func (m *Monitor) Observe(s Sample) Score {
 	m.stats.Samples++
 	m.window = append(m.window, s)
-	if w := m.policy.Window; len(m.window) > w {
-		m.window = m.window[len(m.window)-w:]
+	if len(m.window) > window {
+		m.window = m.window[len(m.window)-window:]
 	}
 	m.score = m.computeScore()
 	m.stats.LastScore = m.score
 	if m.score.Total >= 1 {
 		m.stats.Hot = true
-	} else if m.score.Total < m.policy.HysteresisRatio {
+	} else if m.score.Total < hysteresisRatio {
 		m.stats.Hot = false
 	}
 	return m.score
@@ -261,43 +183,12 @@ func (m *Monitor) computeScore() Score {
 		return sc
 	}
 	first, last := m.window[0], m.window[n-1]
-	sc.Fragmentation = last.Fragmentation
-	sc.LogBacklog = last.LogLen
 	if dt := (last.At - first.At).Seconds(); dt > 0 {
 		sc.LeakSlope = float64(last.HeapAllocated-first.HeapAllocated) / dt
 	}
-	if dc := last.Calls - first.Calls; dc > 0 && last.Calls >= first.Calls {
-		mean := float64(last.Busy-first.Busy) / float64(dc) // virtual ns/call
-		// The baseline is the first full window with traffic: everything
-		// after it is drift.
-		if m.baseline == 0 && n >= m.policy.Window && mean > 0 {
-			m.baseline = mean
-		}
-		if m.baseline > 0 {
-			sc.LatencyDrift = mean / m.baseline
-		}
-		sc.ErrorRate = float64(last.Errors-first.Errors) / float64(dc)
-	}
-	type sensor struct {
-		cause     string
-		observed  float64
-		threshold float64
-	}
-	t := m.policy.Thresholds
-	for _, s := range []sensor{
-		{"leak-slope", sc.LeakSlope, t.LeakSlope},
-		{"fragmentation", sc.Fragmentation, t.Fragmentation},
-		{"log-backlog", float64(sc.LogBacklog), float64(t.LogBacklog)},
-		{"latency-drift", sc.LatencyDrift, t.LatencyDrift},
-		{"error-rate", sc.ErrorRate, t.ErrorRate},
-	} {
-		if s.threshold <= 0 || s.observed <= 0 {
-			continue
-		}
-		if ratio := s.observed / s.threshold; ratio > sc.Total {
-			sc.Total = ratio
-			sc.Cause = s.cause
-		}
+	if t := m.policy.LeakSlope; t > 0 && sc.LeakSlope > 0 {
+		sc.Total = sc.LeakSlope / t
+		sc.Cause = "leak-slope"
 	}
 	return sc
 }
@@ -306,7 +197,7 @@ func (m *Monitor) computeScore() Score {
 // over threshold with a full sensor window, and neither cooldown nor
 // backoff in force. A blocked firing is counted as suppressed.
 func (m *Monitor) Due(now time.Duration) bool {
-	if !m.policy.Enabled() || !m.stats.Hot || len(m.window) < m.policy.Window {
+	if !m.policy.Enabled() || !m.stats.Hot || len(m.window) < window {
 		return false
 	}
 	if now < m.stats.CooldownUntil || now < m.stats.BackoffUntil {
@@ -331,15 +222,14 @@ func (m *Monitor) NoteRejuvenation(now time.Duration, ok bool) {
 		m.stats.BackoffUntil = 0
 		m.stats.CooldownUntil = now + m.policy.Cooldown
 		m.window = m.window[:0]
-		m.baseline = 0
 		m.score = Score{}
 		return
 	}
 	m.stats.Failures++
 	m.stats.BackoffLevel++
-	d := m.policy.BackoffBase << (m.stats.BackoffLevel - 1)
-	if d <= 0 || d > m.policy.BackoffMax {
-		d = m.policy.BackoffMax
+	d := backoffBase << (m.stats.BackoffLevel - 1)
+	if d <= 0 || d > backoffMax {
+		d = backoffMax
 	}
 	m.stats.BackoffUntil = now + d
 }

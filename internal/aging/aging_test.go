@@ -10,20 +10,14 @@ import (
 func testPolicy() Policy {
 	return Policy{
 		SamplePeriod: 10 * time.Millisecond,
-		Window:       4,
-		Thresholds: Thresholds{
-			LeakSlope:     1000, // bytes per virtual second
-			Fragmentation: 0.5,
-			LogBacklog:    100,
-			LatencyDrift:  3.0,
-			ErrorRate:     0.25,
-		},
-		HysteresisRatio: 0.5,
-		Cooldown:        100 * time.Millisecond,
-		BackoffBase:     50 * time.Millisecond,
-		BackoffMax:      200 * time.Millisecond,
+		LeakSlope:    1000, // bytes per virtual second
+		Cooldown:     100 * time.Millisecond,
 	}
 }
+
+// leaking grows the heap 100 bytes per sample: at the tests' 10ms step
+// that is 10_000 bytes/s, 10x testPolicy's threshold.
+func leaking(i int) Sample { return Sample{HeapAllocated: int64(100 * i)} }
 
 // feed observes n samples advancing virtual time by step, generating
 // each sample through gen(i).
@@ -43,35 +37,37 @@ func TestZeroPolicyDisabled(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("zero policy reports enabled")
 	}
-	if got := p.WithDefaults(); got.Enabled() || got.Window != 0 {
+	if got := p.WithDefaults(); got.Enabled() || got != (Policy{}) {
 		t.Fatalf("WithDefaults fleshed out a disabled policy: %+v", got)
 	}
 	m := NewMonitor(p)
-	m.Observe(Sample{At: time.Second, HeapAllocated: 1 << 30, Fragmentation: 1})
+	feed(m, 4, 10*time.Millisecond, func(i int) Sample { return Sample{HeapAllocated: int64(i) << 30} })
 	if m.Due(2 * time.Second) {
 		t.Fatal("disabled monitor fired")
 	}
 }
 
 func TestWithDefaultsFillsZerosKeepsNegatives(t *testing.T) {
-	p := Policy{SamplePeriod: time.Millisecond, Thresholds: Thresholds{Fragmentation: -1}}.WithDefaults()
-	if p.Window != DefaultWindow || p.Cooldown != DefaultCooldown {
+	p := Policy{SamplePeriod: time.Millisecond}.WithDefaults()
+	if p.LeakSlope != DefaultLeakSlope || p.Cooldown != DefaultCooldown {
 		t.Fatalf("defaults not applied: %+v", p)
 	}
-	if p.Thresholds.Fragmentation != -1 {
-		t.Fatalf("negative threshold overwritten: %v", p.Thresholds.Fragmentation)
+	off := Policy{SamplePeriod: time.Millisecond, LeakSlope: -1}
+	if got := off.WithDefaults().LeakSlope; got != -1 {
+		t.Fatalf("negative threshold overwritten: %v", got)
 	}
-	if p.Thresholds.LeakSlope != DefaultLeakSlope {
-		t.Fatalf("zero threshold not defaulted: %v", p.Thresholds.LeakSlope)
+	// A disabled sensor never fires, however fast the heap grows.
+	m := NewMonitor(off)
+	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample { return Sample{HeapAllocated: int64(i) << 30} })
+	if m.Due(now) {
+		t.Fatalf("disabled sensor fired: %+v", m.Score())
 	}
 }
 
 func TestLeakSlopeFires(t *testing.T) {
 	m := NewMonitor(testPolicy())
 	// 100 bytes per 10ms = 10_000 bytes/s, 10x the 1000 B/s threshold.
-	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample {
-		return Sample{HeapAllocated: int64(100 * i)}
-	})
+	now := feed(m, 4, 10*time.Millisecond, leaking)
 	if sc := m.Score(); sc.Cause != "leak-slope" || sc.Total < 1 {
 		t.Fatalf("score = %+v, want leak-slope over threshold", sc)
 	}
@@ -83,93 +79,19 @@ func TestLeakSlopeFires(t *testing.T) {
 func TestStableComponentNeverFires(t *testing.T) {
 	m := NewMonitor(testPolicy())
 	now := feed(m, 12, 10*time.Millisecond, func(i int) Sample {
-		return Sample{
-			HeapAllocated: 4096,
-			Fragmentation: 0.1,
-			LogLen:        5,
-			Calls:         uint64(10 * (i + 1)),
-			Busy:          time.Duration(10*(i+1)) * time.Microsecond,
-		}
+		return Sample{HeapAllocated: 4096}
 	})
 	if m.Due(now) {
 		t.Fatalf("stable component due; score %+v", m.Score())
 	}
 }
 
-func TestFragmentationFires(t *testing.T) {
-	m := NewMonitor(testPolicy())
-	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample {
-		return Sample{Fragmentation: 0.9}
-	})
-	if sc := m.Score(); sc.Cause != "fragmentation" {
-		t.Fatalf("cause = %q, want fragmentation", sc.Cause)
-	}
-	if !m.Due(now) {
-		t.Fatal("fragmented component not due")
-	}
-}
-
-func TestLogBacklogFires(t *testing.T) {
-	m := NewMonitor(testPolicy())
-	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample {
-		return Sample{LogLen: 500}
-	})
-	if sc := m.Score(); sc.Cause != "log-backlog" {
-		t.Fatalf("cause = %q, want log-backlog", sc.Cause)
-	}
-	if !m.Due(now) {
-		t.Fatal("backlogged component not due")
-	}
-}
-
-func TestLatencyDriftAgainstBaseline(t *testing.T) {
-	m := NewMonitor(testPolicy())
-	// First full window: 1µs per call — becomes the baseline. Then per-
-	// call latency climbs to 10µs: drift 10x against a 3x threshold.
-	now := feed(m, 12, 10*time.Millisecond, func(i int) Sample {
-		perCall := time.Microsecond
-		if i >= 4 {
-			perCall = 10 * time.Microsecond
-		}
-		return Sample{
-			Calls: uint64(10 * (i + 1)),
-			Busy:  time.Duration(10*(i+1)) * perCall, // approximate cumulative
-		}
-	})
-	sc := m.Score()
-	if sc.LatencyDrift < 3 {
-		t.Fatalf("latency drift = %v, want >= 3", sc.LatencyDrift)
-	}
-	if sc.Cause != "latency-drift" {
-		t.Fatalf("cause = %q, want latency-drift", sc.Cause)
-	}
-	if !m.Due(now) {
-		t.Fatal("drifting component not due")
-	}
-}
-
-func TestErrorRateFires(t *testing.T) {
-	m := NewMonitor(testPolicy())
-	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample {
-		return Sample{
-			Calls:  uint64(10 * (i + 1)),
-			Errors: uint64(5 * (i + 1)), // 50% error rate
-			Busy:   time.Duration(10*(i+1)) * time.Microsecond,
-		}
-	})
-	if sc := m.Score(); sc.Cause != "error-rate" {
-		t.Fatalf("cause = %q, want error-rate", sc.Cause)
-	}
-	if !m.Due(now) {
-		t.Fatal("erroring component not due")
-	}
-}
-
 func TestDueRequiresFullWindow(t *testing.T) {
 	m := NewMonitor(testPolicy())
-	now := feed(m, 2, 10*time.Millisecond, func(i int) Sample {
-		return Sample{Fragmentation: 0.9}
-	})
+	now := feed(m, 2, 10*time.Millisecond, leaking)
+	if !m.Stats().Hot {
+		t.Fatalf("two leaking samples did not cross the threshold: %+v", m.Score())
+	}
 	if m.Due(now) {
 		t.Fatal("fired before the sensor window filled")
 	}
@@ -177,23 +99,25 @@ func TestDueRequiresFullWindow(t *testing.T) {
 
 func TestHysteresisLatch(t *testing.T) {
 	m := NewMonitor(testPolicy())
-	// Cross the fragmentation threshold, then hover just under it: the
-	// latch must hold until the score falls below threshold*ratio.
-	frags := []float64{0.9, 0.9, 0.9, 0.9, 0.45, 0.45, 0.2}
-	var now time.Duration
-	for i, f := range frags {
-		now = time.Duration(i+1) * 10 * time.Millisecond
-		m.Observe(Sample{At: now, Fragmentation: f})
+	// Cross the leak threshold, then hover just under it: the latch
+	// must hold until the score falls below threshold*ratio. A full
+	// window spans 30ms, so 30 bytes of growth across it is exactly the
+	// 1000 B/s threshold: the windows ending at each sample from the
+	// fourth on grow 60, 27, 27 and 12 bytes — Totals 2, 0.9, 0.9, 0.4.
+	heap := []int64{0, 20, 40, 60, 47, 67, 72}
+	observe := func(m *Monitor, n int) {
+		for i, h := range heap[:n] {
+			m.Observe(Sample{At: time.Duration(i+1) * 10 * time.Millisecond, HeapAllocated: h})
+		}
 	}
-	// 0.45/0.5 = 0.9 total: under the threshold but above the 0.5
-	// hysteresis ratio — the final 0.2 sample (0.4 total) released it.
+	observe(m, len(heap))
+	// 0.9 total: under the threshold but above the 0.5 hysteresis
+	// ratio — the final sample (0.4 total) released it.
 	if m.Stats().Hot {
 		t.Fatal("latch not released below hysteresis ratio")
 	}
 	m2 := NewMonitor(testPolicy())
-	for i, f := range frags[:6] {
-		m2.Observe(Sample{At: time.Duration(i+1) * 10 * time.Millisecond, Fragmentation: f})
-	}
+	observe(m2, 6)
 	if !m2.Stats().Hot {
 		t.Fatal("latch released while hovering above hysteresis ratio")
 	}
@@ -201,22 +125,20 @@ func TestHysteresisLatch(t *testing.T) {
 
 func TestCooldownAfterSuccess(t *testing.T) {
 	m := NewMonitor(testPolicy())
-	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample {
-		return Sample{Fragmentation: 0.9}
-	})
+	now := feed(m, 4, 10*time.Millisecond, leaking)
 	if !m.Due(now) {
 		t.Fatal("not due before rejuvenation")
 	}
 	m.NoteRejuvenation(now, true)
 	st := m.Stats()
-	if st.Rejuvenations != 1 || st.LastCause != "fragmentation" {
+	if st.Rejuvenations != 1 || st.LastCause != "leak-slope" {
 		t.Fatalf("stats after success: %+v", st)
 	}
 	// Refill the window with aged samples inside the cooldown: must stay
 	// suppressed, then fire once the cooldown passes.
 	for i := 0; i < 4; i++ {
 		now += 10 * time.Millisecond
-		m.Observe(Sample{At: now, Fragmentation: 0.9})
+		m.Observe(Sample{At: now, HeapAllocated: int64(100 * i)})
 	}
 	if m.Due(now) {
 		t.Fatal("fired inside cooldown")
@@ -231,29 +153,26 @@ func TestCooldownAfterSuccess(t *testing.T) {
 }
 
 func TestExponentialBackoffAfterFailures(t *testing.T) {
-	p := testPolicy()
-	m := NewMonitor(p)
-	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample {
-		return Sample{Fragmentation: 0.9}
-	})
+	m := NewMonitor(testPolicy())
+	now := feed(m, 4, 10*time.Millisecond, leaking)
 	m.NoteRejuvenation(now, false)
 	st := m.Stats()
 	if st.Failures != 1 || st.BackoffLevel != 1 {
 		t.Fatalf("after first failure: %+v", st)
 	}
-	if got, want := st.BackoffUntil-now, p.BackoffBase; got != want {
+	if got, want := st.BackoffUntil-now, backoffBase; got != want {
 		t.Fatalf("first backoff = %v, want %v", got, want)
 	}
 	m.NoteRejuvenation(now, false)
-	if got, want := m.Stats().BackoffUntil-now, 2*p.BackoffBase; got != want {
+	if got, want := m.Stats().BackoffUntil-now, 2*backoffBase; got != want {
 		t.Fatalf("second backoff = %v, want %v", got, want)
 	}
-	// Keep failing: the penalty must cap at BackoffMax.
+	// Keep failing: the penalty must cap at backoffMax.
 	for i := 0; i < 10; i++ {
 		m.NoteRejuvenation(now, false)
 	}
-	if got := m.Stats().BackoffUntil - now; got != p.BackoffMax {
-		t.Fatalf("capped backoff = %v, want %v", got, p.BackoffMax)
+	if got := m.Stats().BackoffUntil - now; got != backoffMax {
+		t.Fatalf("capped backoff = %v, want %v", got, backoffMax)
 	}
 	if m.Due(now) {
 		t.Fatal("fired while backoff in force")
@@ -267,13 +186,7 @@ func TestExponentialBackoffAfterFailures(t *testing.T) {
 
 func TestSuccessResetsWindowAndBaseline(t *testing.T) {
 	m := NewMonitor(testPolicy())
-	now := feed(m, 8, 10*time.Millisecond, func(i int) Sample {
-		return Sample{
-			HeapAllocated: int64(1000 * i),
-			Calls:         uint64(10 * (i + 1)),
-			Busy:          time.Duration(10*(i+1)) * time.Microsecond,
-		}
-	})
+	now := feed(m, 8, 10*time.Millisecond, leaking)
 	m.NoteRejuvenation(now, true)
 	if sc := m.Score(); sc.Total != 0 || sc.Cause != "" {
 		t.Fatalf("score not reset: %+v", sc)
@@ -285,18 +198,6 @@ func TestSuccessResetsWindowAndBaseline(t *testing.T) {
 	}
 }
 
-func TestDisabledSensorNeverFires(t *testing.T) {
-	p := testPolicy()
-	p.Thresholds.Fragmentation = -1
-	m := NewMonitor(p)
-	now := feed(m, 4, 10*time.Millisecond, func(i int) Sample {
-		return Sample{Fragmentation: 0.99}
-	})
-	if m.Due(now) {
-		t.Fatalf("disabled sensor fired: %+v", m.Score())
-	}
-}
-
 func TestEngineDependencyOrder(t *testing.T) {
 	e := NewEngine(testPolicy(), "virtio", "netdev", "lwip", "vfs")
 	var now time.Duration
@@ -304,9 +205,9 @@ func TestEngineDependencyOrder(t *testing.T) {
 		now = time.Duration(i+1) * 10 * time.Millisecond
 		// Age the dependent first, then the provider: Due must still
 		// return provider order (registration order), not arrival order.
-		e.Observe("vfs", Sample{At: now, Fragmentation: 0.9})
-		e.Observe("netdev", Sample{At: now, Fragmentation: 0.9})
-		e.Observe("lwip", Sample{At: now, Fragmentation: 0.1})
+		e.Observe("vfs", Sample{At: now, HeapAllocated: int64(100 * i)})
+		e.Observe("netdev", Sample{At: now, HeapAllocated: int64(100 * i)})
+		e.Observe("lwip", Sample{At: now, HeapAllocated: 4096})
 	}
 	due := e.Due(now)
 	if len(due) != 2 || due[0] != "netdev" || due[1] != "vfs" {

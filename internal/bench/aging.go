@@ -68,15 +68,8 @@ type AgingResult struct {
 func agingBenchPolicy() aging.Policy {
 	return aging.Policy{
 		SamplePeriod: 10 * time.Millisecond,
-		Window:       4,
-		Thresholds: aging.Thresholds{
-			LeakSlope:     256 << 10,
-			Fragmentation: -1,
-			LogBacklog:    -1,
-			LatencyDrift:  -1,
-			ErrorRate:     -1,
-		},
-		Cooldown: 200 * time.Millisecond,
+		LeakSlope:    256 << 10,
+		Cooldown:     200 * time.Millisecond,
 	}
 }
 
@@ -221,7 +214,7 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 func (r *AgingResult) Render() string {
 	t := &table{
 		title: fmt.Sprintf("Aging figure — leaky LWIP under echo load (periodic every %v, adaptive leak-slope %.0f B/s)",
-			r.PeriodicEvery, r.Policy.Thresholds.LeakSlope),
+			r.PeriodicEvery, r.Policy.LeakSlope),
 		headers: []string{"arm", "ok", "fails", "reboots", "rejuv", "cause", "heap start", "heap peak", "heap end", "frag end", "leaked"},
 	}
 	for _, row := range r.Rows {

@@ -77,10 +77,9 @@ type Scale struct {
 	EchoMessages  int // stand-in for "159-byte messages × 1 minute"
 
 	// Table V
-	SiegeClients    int           // paper: 100
-	SiegeRequests   int           // requests per client
-	RejuvInterval   time.Duration // paper: 30 s, scaled down proportionally
-	FullRebootEvery time.Duration // interval for the baseline variant
+	SiegeClients  int           // paper: 100
+	SiegeRequests int           // requests per client
+	RejuvInterval time.Duration // paper: 30 s, scaled down proportionally; also the full-reboot arm's interval
 
 	// Fig. 8
 	Fig8WarmKeys int           // paper: 1,000,000
@@ -136,7 +135,6 @@ func DefaultScale() Scale {
 		SiegeClients:       10,
 		SiegeRequests:      40,
 		RejuvInterval:      2 * time.Second,
-		FullRebootEvery:    2 * time.Second,
 		Fig8WarmKeys:       4000,
 		Fig8Duration:       30 * time.Second,
 		Fig8GETRate:        200,
@@ -179,7 +177,6 @@ func PaperScale() Scale {
 	s.SiegeClients = 100
 	s.SiegeRequests = 100
 	s.RejuvInterval = 30 * time.Second
-	s.FullRebootEvery = 30 * time.Second
 	s.Fig8WarmKeys = 1000000
 	s.Fig8Duration = 60 * time.Second
 	s.Fig8GETRate = 1000

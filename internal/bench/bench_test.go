@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +39,57 @@ func TestEveryExperimentHasAGolden(t *testing.T) {
 			t.Errorf("experiment %q has no golden: %v", exp, err)
 		}
 	}
+}
+
+// TestBenchBaselinesMatchDefaultScale: each checked-in BENCH_*.json
+// baseline was run at DefaultScale, and its Scale block says so in full,
+// so a reader can rerun any baseline from the block alone.
+func TestBenchBaselinesMatchDefaultScale(t *testing.T) {
+	def, err := json.Marshal(DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scaleKeys(t, "DefaultScale()", def)
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no BENCH_*.json baselines found (err %v)", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ Scale json.RawMessage }
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		got := scaleKeys(t, f, doc.Scale)
+		var differ []string
+		for k := range want {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				differ = append(differ, k)
+			}
+		}
+		for k := range got {
+			if _, ok := want[k]; !ok {
+				differ = append(differ, k)
+			}
+		}
+		if len(differ) > 0 {
+			slices.Sort(differ)
+			t.Errorf("%s: Scale keys missing, extra or unequal to DefaultScale(): %v", f, differ)
+		}
+	}
+}
+
+// scaleKeys decodes a Scale object into its keys' values.
+func scaleKeys(t *testing.T, where string, raw []byte) map[string]any {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("%s: Scale: %v", where, err)
+	}
+	return m
 }
 
 // tinyScale keeps each experiment under a couple of seconds while still

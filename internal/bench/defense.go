@@ -118,7 +118,6 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 	if withDefense {
 		cc.Defense = defense.Policy{
 			Enabled:        true,
-			Rerandomize:    true,
 			SealEveryCalls: defSealEvery,
 			HistoryDepth:   defHistory,
 			Seed:           defSeed,

@@ -71,19 +71,20 @@ func Run(opts Options) (*Matrix, error) {
 	return RunCells(cells, opts)
 }
 
-// RunCells executes an explicit cell list on the worker pool. Results
-// keep enumeration order regardless of completion order.
-func RunCells(cells []Cell, opts Options) (*Matrix, error) {
-	parallel := opts.Parallel
+// PoolSize is the number of workers RunCells starts for the given
+// Options.Parallel and cell count: GOMAXPROCS when parallel is not
+// positive, never more than the cells, and at least one.
+func PoolSize(parallel, cells int) int {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
+	return max(1, min(parallel, cells))
+}
+
+// RunCells executes an explicit cell list on the worker pool. Results
+// keep enumeration order regardless of completion order.
+func RunCells(cells []Cell, opts Options) (*Matrix, error) {
+	parallel := PoolSize(opts.Parallel, len(cells))
 	results := make([]CellResult, len(cells))
 	jobs := make(chan int)
 	var wg sync.WaitGroup

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,6 +22,25 @@ func smallSpace() SpaceOptions {
 		Configs:    []string{"das"},
 		Components: []string{"lwip"},
 		Faults:     []FaultName{FaultCrash, FaultHang},
+	}
+}
+
+// TestPoolSize: the worker count RunCells starts (and the campaign
+// command reports) is the flag, or GOMAXPROCS for 0, capped at the cell
+// count and never below one.
+func TestPoolSize(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ parallel, cells, want int }{
+		{3, 10, 3},
+		{3, 2, 2},
+		{0, 1000, procs},
+		{-1, 1000, procs},
+		{0, 1, 1},
+		{4, 0, 1},
+	} {
+		if got := PoolSize(c.parallel, c.cells); got != c.want {
+			t.Errorf("PoolSize(%d, %d) = %d, want %d", c.parallel, c.cells, got, c.want)
+		}
 	}
 }
 

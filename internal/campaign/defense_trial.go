@@ -49,7 +49,6 @@ func (k *attack) configure(t *trial, cc *core.Config, _ Options) {
 	}
 	cc.Defense = defense.Policy{
 		Enabled:        true,
-		Rerandomize:    true,
 		RebootOnFault:  t.cell.Fault == FaultXDomTouch,
 		SealEveryCalls: defenseSealEvery,
 		HistoryDepth:   defenseHistory,

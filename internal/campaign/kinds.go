@@ -113,8 +113,8 @@ func (k *leakFault) judge(j *judgement) {
 }
 
 // agingFault drips a leak while the adaptive rejuvenation controller
-// watches the target's health sensors: any reboot must come from the
-// sensors, not from the trial.
+// watches the target's leak slope: any reboot must come from the
+// sensor, not from the trial.
 type agingFault struct {
 	baseKind
 	before, after core.HeapStats

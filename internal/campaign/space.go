@@ -26,7 +26,7 @@ const (
 	FaultWildWrite FaultName = "wildwrite"
 	// FaultAging arms a gradual allocator leak while an adaptive
 	// rejuvenation controller (Config.Aging) watches the component's
-	// health sensors: recovery must be sensor-triggered, not scheduled.
+	// leak slope: recovery must be sensor-triggered, not scheduled.
 	FaultAging FaultName = "aging"
 	// FaultInstanceKill is an instance-level fault of the cluster
 	// workload: a VIRTIO fault on one member that component reboot

@@ -30,15 +30,8 @@ const (
 func trialAgingPolicy() aging.Policy {
 	return aging.Policy{
 		SamplePeriod: 5 * time.Millisecond,
-		Window:       4,
-		Thresholds: aging.Thresholds{
-			LeakSlope:     1 << 20, // bytes per virtual second
-			Fragmentation: -1,
-			LogBacklog:    -1,
-			LatencyDrift:  -1,
-			ErrorRate:     -1,
-		},
-		Cooldown: 50 * time.Millisecond,
+		LeakSlope:    1 << 20, // bytes per virtual second
+		Cooldown:     50 * time.Millisecond,
 	}
 }
 

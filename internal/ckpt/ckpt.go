@@ -5,12 +5,11 @@
 // initialization (§V-E), so recovery replays every call the component
 // ever completed — reboot latency grows linearly with time-since-boot.
 // This package bounds the replay tail: a Policy names a cadence (every N
-// completed inbound calls, or whenever the retained log outgrows a
-// threshold), and a Tracker carries one component's position against
-// that cadence plus its lifetime checkpoint statistics. The mechanism —
-// dirty-page snapshot deltas and log-epoch truncation — lives in
-// internal/mem and internal/msg; the scheduling hook that invokes it at
-// quiescent points lives in internal/core. This package is pure policy
+// completed inbound calls), and a Tracker carries one component's
+// position against that cadence plus its lifetime checkpoint
+// statistics. The mechanism — dirty-page snapshot deltas and log-epoch
+// truncation — lives in internal/mem and internal/msg; the scheduling
+// hook that invokes it at quiescent points lives in internal/core. This package is pure policy
 // and bookkeeping so it can be configured from every CLI and inspected
 // through Stats without importing the runtime.
 package ckpt
@@ -23,14 +22,10 @@ type Policy struct {
 	// EveryCalls re-checkpoints after this many completed inbound calls
 	// since the last checkpoint. Zero disables the call-count trigger.
 	EveryCalls int
-	// LogThreshold re-checkpoints whenever the retained log holds more
-	// than this many records at a quiescent point. Zero disables the
-	// log-length trigger.
-	LogThreshold int
 }
 
 // Enabled reports whether the policy triggers checkpoints at all.
-func (p Policy) Enabled() bool { return p.EveryCalls > 0 || p.LogThreshold > 0 }
+func (p Policy) Enabled() bool { return p.EveryCalls > 0 }
 
 // Stats is one component's lifetime checkpoint accounting, exported
 // through core.ComponentStats and the bench/campaign JSON.
@@ -73,17 +68,10 @@ func (t *Tracker) Stats() Stats { return t.stats }
 // NoteCall records one completed inbound call.
 func (t *Tracker) NoteCall() { t.stats.CallsSinceCheckpoint++ }
 
-// Due reports whether the policy asks for a checkpoint now, given the
-// component's current retained-log length. Call it only at a quiescent
-// point; the answer is meaningless mid-call.
-func (t *Tracker) Due(logLen int) bool {
-	if t.policy.EveryCalls > 0 && t.stats.CallsSinceCheckpoint >= t.policy.EveryCalls {
-		return true
-	}
-	if t.policy.LogThreshold > 0 && logLen > t.policy.LogThreshold {
-		return true
-	}
-	return false
+// Due reports whether the policy asks for a checkpoint now. Call it only
+// at a quiescent point; the answer is meaningless mid-call.
+func (t *Tracker) Due() bool {
+	return t.policy.EveryCalls > 0 && t.stats.CallsSinceCheckpoint >= t.policy.EveryCalls
 }
 
 // NoteCheckpoint records a completed checkpoint: how many dirty pages it

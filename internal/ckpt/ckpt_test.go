@@ -9,8 +9,6 @@ func TestPolicyEnabled(t *testing.T) {
 	}{
 		{Policy{}, false},
 		{Policy{EveryCalls: 8}, true},
-		{Policy{LogThreshold: 100}, true},
-		{Policy{EveryCalls: 8, LogThreshold: 100}, true},
 	}
 	for _, c := range cases {
 		if got := c.p.Enabled(); got != c.want {
@@ -25,32 +23,20 @@ func TestTrackerCallCadence(t *testing.T) {
 	tr := NewTracker(Policy{EveryCalls: 3})
 	for i := 0; i < 2; i++ {
 		tr.NoteCall()
-		if tr.Due(0) {
+		if tr.Due() {
 			t.Fatalf("due after %d calls, cadence 3", i+1)
 		}
 	}
 	tr.NoteCall()
-	if !tr.Due(0) {
+	if !tr.Due() {
 		t.Fatal("not due after 3 calls")
 	}
 	tr.NoteCheckpoint(5, 2, 1)
-	if tr.Due(0) {
+	if tr.Due() {
 		t.Fatal("still due right after a checkpoint")
 	}
 	if got := tr.Stats().CallsSinceCheckpoint; got != 0 {
 		t.Fatalf("CallsSinceCheckpoint = %d after checkpoint, want 0", got)
-	}
-}
-
-// TestTrackerLogThreshold: the log-length trigger fires only when the
-// retained log exceeds the threshold, independent of the call count.
-func TestTrackerLogThreshold(t *testing.T) {
-	tr := NewTracker(Policy{LogThreshold: 10})
-	if tr.Due(10) {
-		t.Fatal("due at exactly the threshold (trigger is strict-greater)")
-	}
-	if !tr.Due(11) {
-		t.Fatal("not due above the threshold")
 	}
 }
 
@@ -61,7 +47,7 @@ func TestTrackerDisabledStillAccounts(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.NoteCall()
 	}
-	if tr.Due(1 << 20) {
+	if tr.Due() {
 		t.Fatal("disabled policy reported due")
 	}
 	tr.NoteCheckpoint(7, 3, 2)

@@ -13,10 +13,10 @@ import (
 // (internal/aging holds the policy half). The paper motivates component
 // reboot with software aging — leaks and fragmentation that only a
 // reboot reclaims (§IV) — and the blind answer is Rejuvenator's fixed
-// interval. The AgingDriver instead samples each component's health
-// sensors at quiescent points on the virtual clock, scores them through
+// interval. The AgingDriver instead samples each component's heap at
+// quiescent points on the virtual clock, scores its leak slope through
 // the aging.Engine, and rejuvenates only the components whose observed
-// aging crossed a threshold, in dependency (boot) order, re-imaging
+// aging crossed the threshold, in dependency (boot) order, re-imaging
 // each one immediately after its reboot so the next recovery replays a
 // near-empty log tail from a clean checkpoint.
 
@@ -61,32 +61,20 @@ func (c *Ctx) Rejuvenate(name string) error {
 	return err
 }
 
-// agingSample reads one component's aging sensors. The caller runs under
-// the cooperative scheduler baton, which is exactly the quiescence the
-// counters need: no handler frame mutates the arena or the log while the
-// sample is assembled.
+// agingSample reads one component's heap. The caller runs under the
+// cooperative scheduler baton, which is exactly the quiescence the
+// reading needs: no handler frame mutates the arena while it is taken.
 func (rt *Runtime) agingSample(c *component, now time.Duration) aging.Sample {
-	s := aging.Sample{
-		At:     now,
-		Calls:  c.calls.Load(),
-		Errors: c.errs.Load(),
-		Busy:   time.Duration(c.busyV.Load()),
-	}
+	s := aging.Sample{At: now}
 	if c.heap != nil {
-		hs := c.heap.Stats()
-		s.HeapAllocated = hs.AllocatedBytes
-		s.HeapLive = hs.LiveAllocs
-		s.Fragmentation = hs.ExternalFragmentation()
-	}
-	if c.domain != nil {
-		s.LogLen = c.domain.Log().Len()
+		s.HeapAllocated = c.heap.Stats().AllocatedBytes
 	}
 	return s
 }
 
 // AgingDriver is the adaptive-rejuvenation controller: the sensor-driven
 // successor of the fixed-interval Rejuvenator. It samples every target's
-// aging sensors each SamplePeriod of virtual time, feeds them to the
+// heap each SamplePeriod of virtual time, feeds the readings to the
 // policy engine, and rejuvenates the components the engine declares due,
 // in dependency order. Boot starts one automatically when Config.Aging
 // is enabled; tests and experiments may also run one by hand via

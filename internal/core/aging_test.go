@@ -39,20 +39,13 @@ func (l *leakComp) Exports() map[string]Handler {
 	}
 }
 
-// leakOnlyPolicy fires on leak slope alone, with every other sensor
-// disabled, so the tests observe a deterministic cause.
+// leakOnlyPolicy fires on heap growth above 50 KB per virtual second,
+// far below the leaky test component's drip of about 5 MB/s.
 func leakOnlyPolicy() aging.Policy {
 	return aging.Policy{
 		SamplePeriod: time.Millisecond,
-		Window:       4,
-		Thresholds: aging.Thresholds{
-			LeakSlope:     50_000, // bytes per virtual second
-			Fragmentation: -1,
-			LogBacklog:    -1,
-			LatencyDrift:  -1,
-			ErrorRate:     -1,
-		},
-		Cooldown: 10 * time.Millisecond,
+		LeakSlope:    50_000, // bytes per virtual second
+		Cooldown:     10 * time.Millisecond,
 	}
 }
 

@@ -65,7 +65,7 @@ func (rt *Runtime) maybeCheckpoint(g *group) {
 			// post-reboot capture runs while the latch is still set.
 			continue
 		}
-		if !c.tracker.Due(c.domain.Log().Len()) {
+		if !c.tracker.Due() {
 			continue
 		}
 		if err := rt.checkpointComponent(g.worker.t, c); err != nil {

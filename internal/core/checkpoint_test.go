@@ -57,27 +57,6 @@ func TestCadenceCheckpointBoundsReplay(t *testing.T) {
 	}
 }
 
-// TestLogThresholdTrigger: the log-length trigger checkpoints once the
-// retained log outgrows the threshold, independent of call counts.
-func TestLogThresholdTrigger(t *testing.T) {
-	kv := &kvComp{name: "kv", checkpointed: true}
-	cfg := DaSConfig()
-	cfg.Ckpt = ckpt.Policy{LogThreshold: 5}
-	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
-		for i := 0; i < 12; i++ {
-			k := strconv.Itoa(i)
-			mustCall(t, c, "kv", "put", k, k)
-		}
-	})
-	cs, _ := rt.CheckpointStats("kv")
-	if cs.CheckpointCount == 0 {
-		t.Fatal("log-threshold trigger never fired")
-	}
-	if got := rt.LogLen("kv"); got > 6 {
-		t.Fatalf("retained log = %d entries, threshold 5 never enforced", got)
-	}
-}
-
 // TestManualCheckpoint: Ctx.Checkpoint forces an image regardless of
 // policy; the covered prefix is truncated and later recovery replays
 // only calls made after it.

@@ -214,11 +214,11 @@ type component struct {
 	reboots  atomic.Uint64
 	micro    atomic.Uint64 // completed session microreboots
 
-	// calls/errs/busyV are the aging sensors' raw inputs: completed
-	// inbound calls, those that returned an error, and the cumulative
-	// virtual time their handlers ran. Atomics for the same reason as
+	// calls/errs/busyV count completed inbound calls, those that
+	// returned an error, and the cumulative virtual time their handlers
+	// ran, for ComponentStats. Atomics for the same reason as
 	// failures/reboots. Replayed calls during restoration do not count —
-	// replay latency is recovery cost, not service drift.
+	// replay latency is recovery cost, not service time.
 	calls atomic.Uint64
 	errs  atomic.Uint64
 	busyV atomic.Int64 // virtual nanoseconds

@@ -73,7 +73,7 @@ type Config struct {
 	// Aging enables adaptive sensor-driven rejuvenation: when the policy
 	// is enabled (SamplePeriod > 0) and the runtime is message-passing,
 	// Boot starts a controller thread that samples every rebootable
-	// component's aging sensors on the virtual clock and schedules
+	// component's heap on the virtual clock and schedules
 	// checkpoint-aware rolling rejuvenation through the reboot manager.
 	// The zero policy keeps rejuvenation manual (Ctx.Reboot, Rejuvenator).
 	Aging aging.Policy

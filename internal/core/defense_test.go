@@ -17,7 +17,7 @@ import (
 
 func defenseConfig() Config {
 	cfg := DaSConfig()
-	cfg.Defense = defense.Policy{Enabled: true, Rerandomize: true}
+	cfg.Defense = defense.Policy{Enabled: true}
 	return cfg
 }
 

@@ -361,7 +361,7 @@ func (rt *Runtime) restoreMember(t *sched.Thread, r *recovery, c *component) err
 			}
 		}
 	}
-	if pol := rt.cfg.Defense; pol.Enabled && pol.Rerandomize {
+	if pol := rt.cfg.Defense; pol.Enabled {
 		// Cold members re-randomize before Init so even the boot
 		// allocations land on a fresh layout. Checkpoint-restored members
 		// keep their image's allocation map (live blocks cannot move — the

@@ -373,7 +373,7 @@ func (rt *Runtime) Boot(boot *sched.Thread) error {
 		rt.msgThread = rt.sch.Spawn("vampos/msg", mem.Allow(keyDomains), rt.msgLoop)
 		rt.sch.Spawn("vampos/watchdog", mem.Allow(keyScheduler), rt.watchdogLoop)
 		if rt.cfg.Aging.Enabled() {
-			// Adaptive rejuvenation controller: samples aging sensors on
+			// Adaptive rejuvenation controller: samples component heaps on
 			// the virtual clock and schedules checkpoint-aware rolling
 			// reboots. Vanilla mode has no component reboots to schedule,
 			// hence the message-passing gate.

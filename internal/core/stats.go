@@ -102,9 +102,9 @@ type ComponentStats struct {
 	// Ckpt is the component's incremental-checkpoint accounting (zero
 	// for components that are not checkpoint-eligible).
 	Ckpt ckpt.Stats
-	// Calls/Errors/Busy are the aging sensors' raw inputs: completed
-	// inbound calls, calls that returned an error, and cumulative virtual
-	// handler time (replay excluded).
+	// Calls/Errors/Busy count completed inbound calls, calls that
+	// returned an error, and cumulative virtual handler time (replay
+	// excluded).
 	Calls  uint64
 	Errors uint64
 	Busy   time.Duration

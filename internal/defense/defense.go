@@ -28,7 +28,8 @@ package defense
 type Policy struct {
 	// Enabled turns the pipeline on: seals are captured and verified,
 	// detections stamp taint watermarks, recovery becomes taint-aware,
-	// and reboots re-randomize arena layouts when Rerandomize is set.
+	// and every reboot re-randomizes its component's arena layout from a
+	// fresh per-reboot seed.
 	Enabled bool
 	// SealEveryCalls verifies each checkpointed component's arena seal
 	// every N completed inbound calls (at the quiescent point). Smaller
@@ -39,9 +40,6 @@ type Policy struct {
 	// Defaults to 4 when Enabled; the minimum useful depth is 2 (latest
 	// plus one pre-watermark fallback).
 	HistoryDepth int
-	// Rerandomize permutes each component's arena layout from a fresh
-	// per-reboot seed on every reboot/rejuvenation.
-	Rerandomize bool
 	// RebootOnFault reboots a component whose handler raised protection
 	// faults (PKRU misuse): the attempt was confined, but the component
 	// is now suspect and gets a fresh — re-randomized — incarnation.

@@ -159,7 +159,7 @@ func fpArm(t *testing.T, s *Sys, comp, fn string, kind core.FaultKind) {
 func fpDefense() core.Config {
 	cc := core.DaSConfig()
 	cc.Ckpt = ckpt.Policy{EveryCalls: 3}
-	cc.Defense = defense.Policy{Enabled: true, Rerandomize: true, SealEveryCalls: 4, HistoryDepth: 8, Seed: 7}
+	cc.Defense = defense.Policy{Enabled: true, SealEveryCalls: 4, HistoryDepth: 8, Seed: 7}
 	return cc
 }
 

@@ -28,15 +28,8 @@ func TestRejuvenationUnderWorkloadE2E(t *testing.T) {
 	cfg.Core.Ckpt.EveryCalls = 32
 	cfg.Core.Aging = aging.Policy{
 		SamplePeriod: 2 * time.Millisecond,
-		Window:       4,
-		Thresholds: aging.Thresholds{
-			LeakSlope:     1 << 20, // bytes per virtual second
-			Fragmentation: -1,
-			LogBacklog:    -1,
-			LatencyDrift:  -1,
-			ErrorRate:     -1,
-		},
-		Cooldown: 20 * time.Millisecond,
+		LeakSlope:    1 << 20, // bytes per virtual second
+		Cooldown:     20 * time.Millisecond,
 	}
 	cfg.Core.AgingTargets = []string{target}
 	inst, err := unikernel.New(cfg)

@@ -79,17 +79,13 @@ type (
 	// Rejuvenator drives periodic proactive component reboots (§VII-D).
 	Rejuvenator = core.Rejuvenator
 	// AgingDriver is the adaptive rejuvenation controller: it samples
-	// per-component aging sensors at quiescent points on the virtual
-	// clock and reboots only the components whose observed aging crossed
-	// the policy thresholds (CoreConfig.Aging, Runtime.NewAgingDriver).
+	// each component's heap at quiescent points on the virtual clock and
+	// reboots only the components whose leak slope crossed the policy
+	// threshold (CoreConfig.Aging, Runtime.NewAgingDriver).
 	AgingDriver = core.AgingDriver
 	// AgingPolicy configures the adaptive controller: sample period,
-	// sensor window, per-sensor thresholds, hysteresis, cooldown and
-	// failure backoff (internal/aging).
+	// leak-slope threshold and cooldown (internal/aging).
 	AgingPolicy = aging.Policy
-	// AgingThresholds are the per-sensor firing levels of an AgingPolicy
-	// (negative disables a sensor, zero takes the default).
-	AgingThresholds = aging.Thresholds
 	// AgingStats is one monitored component's rejuvenation accounting
 	// (Runtime.AgingStats).
 	AgingStats = aging.Stats
@@ -159,7 +155,7 @@ var (
 	// NETmConfig merges the network components LWIP and NETDEV.
 	NETmConfig = core.NETmConfig
 	// DefaultAgingPolicy is the enabled adaptive-rejuvenation policy with
-	// every sensor at its default threshold.
+	// every field at its default.
 	DefaultAgingPolicy = aging.DefaultPolicy
 )
 
