@@ -18,21 +18,23 @@ import (
 	"vampos/internal/apps/redis"
 	"vampos/internal/apps/sqlite"
 	"vampos/internal/bench"
+	"vampos/internal/core"
 	"vampos/internal/sched"
+	"vampos/internal/unikernel"
 )
 
 // benchConfigs are the two headline configurations; the full five-way
 // comparison runs in internal/bench.
 var benchConfigs = []struct {
 	name string
-	core func() vampos.CoreConfig
+	core func() core.Config
 }{
-	{"unikraft", vampos.VanillaConfig},
+	{"unikraft", core.VanillaConfig},
 	{"vampos-das", vampos.DaSConfig},
 }
 
 // runBench boots an instance and executes body as the controller.
-func runBench(b *testing.B, coreCfg vampos.CoreConfig, body func(s *vampos.Sys)) {
+func runBench(b *testing.B, coreCfg core.Config, body func(s *vampos.Sys)) {
 	b.Helper()
 	coreCfg.MaxVirtualTime = 12 * time.Hour
 	inst, err := vampos.New(vampos.Config{Core: coreCfg, FS: true, Net: true, Sysinfo: true})
@@ -63,7 +65,7 @@ func BenchmarkFig5SyscallOverhead(b *testing.B) {
 			return err
 		}},
 		{"open_close", func(s *vampos.Sys, _ int) error {
-			fd, err := s.Open("/bench.dat", vampos.ORdonly)
+			fd, err := s.Open("/bench.dat", unikernel.ORdonly)
 			if err != nil {
 				return err
 			}
@@ -128,7 +130,7 @@ func BenchmarkTable3LogShrinking(b *testing.B) {
 						}
 						b.StartTimer()
 					}
-					fd, err := s.Open("/bench.dat", vampos.OCreate|vampos.OWronly)
+					fd, err := s.Open("/bench.dat", vampos.OCreate|unikernel.OWronly)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -150,15 +152,15 @@ func BenchmarkTable3LogShrinking(b *testing.B) {
 func BenchmarkFig6ComponentReboot(b *testing.B) {
 	for _, target := range []struct {
 		name string
-		core func() vampos.CoreConfig
+		core func() core.Config
 		comp string
 	}{
 		{"PROCESS", vampos.DaSConfig, "process"},
 		{"VFS", vampos.DaSConfig, "vfs"},
 		{"LWIP", vampos.DaSConfig, "lwip"},
 		{"9PFS", vampos.DaSConfig, "9pfs"},
-		{"VFS+9PFS", vampos.FSmConfig, "vfs"},
-		{"LWIP+NETDEV", vampos.NETmConfig, "lwip"},
+		{"VFS+9PFS", core.FSmConfig, "vfs"},
+		{"LWIP+NETDEV", core.NETmConfig, "lwip"},
 	} {
 		b.Run(target.name, func(b *testing.B) {
 			runBench(b, target.core(), func(s *vampos.Sys) {

@@ -10,7 +10,10 @@
 // The final scene turns recovery into a security response: a host-side
 // tamper of the VFS arena is caught by the arena seal, recovery rolls
 // back to a checkpoint strictly predating the taint watermark, and the
-// reboot re-randomizes the arena layout.
+// reboot re-randomizes the arena layout. The last two scenes climb past
+// the single instance: a gossip-replicated three-member cluster survives
+// a VIRTIO fault escalated to killing a whole member, then a network
+// partition, and loses no acknowledged write either time.
 //
 // With -trace <file>, every scene records into a flight recorder and the
 // merged Chrome trace-event JSON is written on exit; load it at
@@ -25,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -102,7 +106,12 @@ func writeTrace(path string) error {
 func run() error {
 	fmt.Println("VampOS demo — component-level reboot recovery of a unikernel")
 	fmt.Println(strings.Repeat("=", 64))
-	for i, scene := range []func() error{rejuvenationDemo, recoveryDemo, agingDemo, microrebootDemo, defenseDemo} {
+	scenes := []func() error{
+		rejuvenationDemo, recoveryDemo, agingDemo, microrebootDemo, defenseDemo,
+		func() error { return clusterDemo(false) },
+		func() error { return clusterDemo(true) },
+	}
+	for i, scene := range scenes {
 		if i > 0 {
 			fmt.Println()
 		}
@@ -116,7 +125,7 @@ func run() error {
 // rejuvenationDemo reboots every unikernel component under a live HTTP
 // client and shows that no request is lost.
 func rejuvenationDemo() error {
-	fmt.Println("\n[1/5] Software rejuvenation under load (paper §VII-D)")
+	fmt.Println("\n[1/7] Software rejuvenation under load (paper §VII-D)")
 	return runScene(demoConfig(), "demo/rejuvenation", func(s *vampos.Sys, inst *vampos.Instance) error {
 		if err := inst.Host().FS().WriteFile("/www/index.html", []byte(strings.Repeat("x", 180))); err != nil {
 			return err
@@ -198,7 +207,7 @@ func rejuvenationDemo() error {
 // recoveryDemo injects a 9PFS fail-stop under a warm Redis and compares
 // VampOS recovery with the full-reboot baseline.
 func recoveryDemo() error {
-	fmt.Println("[2/5] Failure recovery of a warm Redis (paper §VII-E)")
+	fmt.Println("[2/7] Failure recovery of a warm Redis (paper §VII-E)")
 	for _, variant := range []string{"vampos", "full-reboot"} {
 		err := runScene(demoConfig(), "demo/recovery-"+variant, func(s *vampos.Sys, inst *vampos.Instance) error {
 			kv := redis.New()
@@ -250,7 +259,7 @@ func recoveryDemo() error {
 // echo client and lets the sensor-driven controller notice and heal it.
 func agingDemo() error {
 	const target = "lwip"
-	fmt.Println("[3/5] Adaptive aging-driven rejuvenation (paper §IV motivation)")
+	fmt.Println("[3/7] Adaptive aging-driven rejuvenation (paper §IV motivation)")
 	cfg := demoConfig()
 	cfg.Core.Aging = vampos.AgingPolicy{
 		SamplePeriod: 10 * time.Millisecond,
@@ -337,7 +346,7 @@ func agingDemo() error {
 // just that session inside the live VFS, then a pipe — whose shared
 // buffer refuses eviction — shows the honest escalation to rung 2.
 func microrebootDemo() error {
-	fmt.Println("[4/5] Session microreboot — recovery ladder rung 1 (finest granularity)")
+	fmt.Println("[4/7] Session microreboot — recovery ladder rung 1 (finest granularity)")
 	cfg := demoConfig()
 	cfg.Core.Microreboot = true
 	return runScene(cfg, "demo/microreboot", func(s *vampos.Sys, inst *vampos.Instance) error {
@@ -402,7 +411,7 @@ func microrebootDemo() error {
 // arena layout so any address the attacker learned is dead.
 func defenseDemo() error {
 	const sealEvery = 4 // verify each sealed arena every N completed calls
-	fmt.Println("[5/5] Active defense — tamper, taint-aware rollback, re-randomized reboot")
+	fmt.Println("[5/7] Active defense — tamper, taint-aware rollback, re-randomized reboot")
 	cfg := demoConfig()
 	// The rollback needs an image history to land on.
 	cfg.Core.Ckpt = vampos.CkptPolicy{EveryCalls: 8}
@@ -462,4 +471,151 @@ func defenseDemo() error {
 		fmt.Println("\nRecovery is the security response: detect, roll back past the taint, re-randomize.")
 		return nil
 	})
+}
+
+// The cluster scenes' fixed walk-through: three DaS members with write
+// quorum W=2, member 1 takes the fault, and 60 client writes run with a
+// background gossip round every 8.
+const (
+	clusterNodes       = 3
+	clusterReplication = 2 // owner + one backup apply before the ack
+	clusterVictim      = 1
+	clusterWrites      = 60
+	clusterGossipEvery = 8
+)
+
+// clusterDemo walks a gossip-replicated cluster up the rung above the
+// component reboot: warm a replicated write set, fail one member — a
+// VIRTIO fault escalated to a whole-instance kill, or a network
+// partition — keep serving through the outage, recover, and check that
+// every live replica holds every acknowledged write.
+func clusterDemo(partition bool) error {
+	name := "demo/cluster-instancekill"
+	if partition {
+		name = "demo/cluster-partition"
+		fmt.Println("[7/7] Cluster — a partitioned member refuses writes, heals and reconverges")
+	} else {
+		fmt.Println("[6/7] Cluster — a VIRTIO fault escalated to killing the whole member")
+	}
+	cfg := vampos.ClusterConfig{Nodes: clusterNodes, Replication: clusterReplication, Core: vampos.DaSConfig()}
+	if *tracePath != "" {
+		cfg.OnInstance = func(id int, inst *vampos.Instance) {
+			recorders = append(recorders, inst.NewTracer(fmt.Sprintf("%s/node%d", name, id)))
+		}
+	}
+	c, err := vampos.NewCluster(cfg)
+	if err != nil {
+		return err
+	}
+	defer c.Stop()
+	fmt.Printf("  booted %d members (replication W=%d, das)\n", clusterNodes, clusterReplication)
+
+	shadow := map[string]string{} // every acknowledged write
+	// writes issues n writes named prefix000.., the i-th via member
+	// first+i (the next one when that member is down), with a gossip
+	// round every clusterGossipEvery writes when gossip is set.
+	writes := func(prefix string, n, first int, gossip bool) error {
+		for i := 0; i < n; i++ {
+			via := (first + i) % clusterNodes
+			if !c.Alive(via) {
+				via = (via + 1) % clusterNodes
+			}
+			key, val := fmt.Sprintf("%s%03d", prefix, i), fmt.Sprintf("v%d", i)
+			if err := c.PutVia(via, key, val); err != nil {
+				fmt.Printf("    write %s via node %d refused: %v\n", key, via, err)
+			} else {
+				shadow[key] = val
+			}
+			if gossip && (i+1)%clusterGossipEvery == 0 {
+				if _, err := c.GossipRound(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+
+	third := clusterWrites / 3
+	if err := writes("warm", third, 0, true); err != nil {
+		return err
+	}
+	if _, err := c.GossipUntilQuiet(); err != nil {
+		return err
+	}
+	fmt.Printf("  warm: %d writes acknowledged and converged\n", len(shadow))
+
+	if partition {
+		fmt.Printf("  partitioning node %d from its peers ...\n", clusterVictim)
+		c.Isolate(clusterVictim)
+	} else {
+		fmt.Printf("  injecting VIRTIO fault on node %d ...\n", clusterVictim)
+		rec, err := c.RecoverComponent(clusterVictim, "virtio")
+		if err != nil {
+			return err
+		}
+		if c.Alive(clusterVictim) {
+			return fmt.Errorf("VIRTIO fault did not escalate to an instance kill: %+v", rec)
+		}
+		fmt.Printf("    component reboot refused (%v) -> escalated to instance kill\n", rec.Err)
+	}
+
+	before := len(shadow)
+	if err := writes("out", third, clusterVictim+1, true); err != nil {
+		return err
+	}
+	fmt.Printf("  outage: %d of %d writes acknowledged\n", len(shadow)-before, third)
+
+	if partition {
+		c.Heal()
+		fmt.Println("  partition healed; queued deltas flow on the next gossip round")
+	} else {
+		if err := c.ReviveInstance(clusterVictim); err != nil {
+			return err
+		}
+		fmt.Printf("  revived node %d (boot + anti-entropy resync), virtual clock %v\n",
+			clusterVictim, c.NodeVirtual(clusterVictim))
+	}
+
+	if err := writes("post", clusterWrites-2*third, clusterVictim, false); err != nil {
+		return err
+	}
+	if _, err := c.GossipUntilQuiet(); err != nil {
+		return err
+	}
+	conv, err := c.Converged()
+	if err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(shadow))
+	for k := range shadow {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	lost := 0
+	for _, k := range keys {
+		for id := 0; id < clusterNodes; id++ {
+			if !c.Alive(id) {
+				continue
+			}
+			got, ok, err := c.GetFrom(id, k)
+			if err != nil || !ok || got != shadow[k] {
+				lost++
+				fmt.Printf("    LOST: %s on node %d (got %q, present=%v, err=%v)\n", k, id, got, ok, err)
+				break
+			}
+		}
+	}
+	st := c.Stats()
+	fmt.Printf("  converged=%v, acked=%d rejected=%d, acked-writes-lost=%d\n", conv, st.Acked, st.Rejected, lost)
+	fmt.Printf("  stats: kills=%d revives=%d resyncs=%d componentReboots=%d escalations=%d gossipRounds=%d deltas=%d\n",
+		st.Kills, st.Revives, st.Resyncs, st.ComponentReboots, st.Escalations, st.GossipRounds, st.DeltasDelivered)
+	if !conv || lost > 0 {
+		return fmt.Errorf("cluster recovery broke an invariant: converged=%v, %d acknowledged writes lost", conv, lost)
+	}
+	if partition {
+		fmt.Println("\nA cut-off member refuses what it cannot replicate, so no acknowledged write is lost.")
+	} else {
+		fmt.Println("\nA member the component reboot cannot save is killed, served around and rebuilt from its peers.")
+	}
+	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"vampos/internal/golden"
 )
 
-// TestDemoGolden runs all five scenes and compares what they print with
+// TestDemoGolden runs all seven scenes and compares what they print with
 // testdata/demo.golden. Every number the demo prints is virtual time or
 // a count, so the output is deterministic: a moved byte is a scene that
 // changed its story, and a scene that fails returns its error.

@@ -68,9 +68,8 @@ func (p Policy) Enabled() bool { return p.SamplePeriod > 0 }
 // rejuvenation is cheap but not free, and a false positive under load
 // still costs the replay tail.
 const (
-	DefaultSamplePeriod = 50 * time.Millisecond
-	DefaultLeakSlope    = 1 << 20 // 1 MiB growth per virtual second
-	DefaultCooldown     = 500 * time.Millisecond
+	DefaultLeakSlope = 1 << 20 // 1 MiB growth per virtual second
+	DefaultCooldown  = 500 * time.Millisecond
 )
 
 // The firing rules every policy shares.
@@ -91,7 +90,7 @@ const (
 // WithDefaults replaces zero fields with defaults (a negative LeakSlope
 // stays negative: the sensor is disabled). The zero Policy stays
 // disabled — defaults only flesh out a policy that was switched on by
-// setting SamplePeriod or by DefaultPolicy.
+// setting SamplePeriod.
 func (p Policy) WithDefaults() Policy {
 	if !p.Enabled() {
 		return p
@@ -103,11 +102,6 @@ func (p Policy) WithDefaults() Policy {
 		p.Cooldown = DefaultCooldown
 	}
 	return p
-}
-
-// DefaultPolicy is the enabled policy with every default.
-func DefaultPolicy() Policy {
-	return Policy{SamplePeriod: DefaultSamplePeriod}.WithDefaults()
 }
 
 // Stats is one monitor's lifetime accounting, exported through

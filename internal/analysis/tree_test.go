@@ -192,9 +192,10 @@ var surfaceKeep = map[string]string{
 
 // surfaceExemptPkgs are the packages whose declarations the guard does
 // not check: test-support packages, whose whole purpose is to be called
-// from tests, and the root facade, whose users live outside the module.
+// from tests. The root facade is checked like any other package: each
+// of its names needs a user among the demo, the quickstart example or
+// another facade declaration.
 var surfaceExemptPkgs = map[string]bool{
-	"vampos":                                true,
 	"vampos/internal/golden":                true,
 	"vampos/internal/analysis/analysistest": true,
 }

@@ -133,7 +133,7 @@ func TestConfigAgingAutoStartsDriver(t *testing.T) {
 
 func TestVanillaConfigIgnoresAging(t *testing.T) {
 	cfg := VanillaConfig()
-	cfg.Aging = aging.DefaultPolicy()
+	cfg.Aging = aging.Policy{SamplePeriod: 50 * time.Millisecond}
 	rt := run(t, cfg, []Component{&kvComp{name: "kv"}}, func(c *Ctx) {
 		mustCall(t, c, "kv", "put", "a", "1")
 	})

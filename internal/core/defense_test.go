@@ -111,6 +111,75 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 	}
 }
 
+// TestRollbackRewindsEpochSeq: a taint rollback lands on an image older
+// than the log's latest truncation, so the log's epoch seq must come back
+// down to what the installed image covers — the post-rollback capture's —
+// instead of keeping the quarantined image's coverage. A checkpoint and a
+// second, ordinary crash then restore that capture's successor and replay
+// exactly the call made after it.
+func TestRollbackRewindsEpochSeq(t *testing.T) {
+	kv := &kvComp{name: "kv", checkpointed: true}
+	cfg := defenseConfig()
+	cfg.Defense.SealEveryCalls = 4
+	cfg.Ckpt = ckpt.Policy{EveryCalls: 2}
+	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
+		// The attack of TestTamperDetectionAndTaintRollback: put4's image
+		// is the latest truncation, and put5's verification rolls back to
+		// the image before the seal watermark.
+		mustCall(t, c, "kv", "put", "k1", "1")
+		mustCall(t, c, "kv", "put", "k2", "2")
+		tc := c.rt.comps["kv"]
+		if err := c.rt.memry.HostWrite(tc.heapBase+mem.PageSize, []byte{0xde, 0xad}); err != nil {
+			t.Fatal(err)
+		}
+		mustCall(t, c, "kv", "put", "k3", "3")
+		mustCall(t, c, "kv", "put", "k4", "4")
+		lastTrunc := tc.domain.Log().EpochSeq()
+		mustCall(t, c, "kv", "put", "k5", "5")
+		// Queued behind the tamper reboot.
+		mustCall(t, c, "kv", "get", "k1")
+		metas := c.rt.ImageMetas("kv")
+		installed := metas[len(metas)-1]
+		if installed.Quarantined || installed.EpochSeq >= lastTrunc {
+			t.Fatalf("image metas %+v: want a clean post-rollback capture below the last truncation seq %d", metas, lastTrunc)
+		}
+		if got := tc.domain.Log().EpochSeq(); got != installed.EpochSeq {
+			t.Fatalf("log epoch seq %d after the rollback, want %d: the installed image's coverage (last truncation was %d)",
+				got, installed.EpochSeq, lastTrunc)
+		}
+		// A checkpoint, one more call, then an ordinary crash: recovery
+		// restores the checkpoint and replays only put6.
+		if err := c.Checkpoint("kv"); err != nil {
+			t.Fatal(err)
+		}
+		if got, metas := tc.domain.Log().EpochSeq(), c.rt.ImageMetas("kv"); got != metas[len(metas)-1].EpochSeq {
+			t.Fatalf("log epoch seq %d after the checkpoint, want the new image's %d", got, metas[len(metas)-1].EpochSeq)
+		}
+		mustCall(t, c, "kv", "put", "k6", "6")
+		if err := c.rt.ArmFault("kv", "get", FaultCrash); err != nil {
+			t.Fatal(err)
+		}
+		for _, kv := range [][2]string{{"k6", "6"}, {"k1", "1"}} {
+			rets := mustCall(t, c, "kv", "get", kv[0])
+			if v, _ := rets.Str(0); v != kv[1] {
+				t.Errorf("%s = %q after the second recovery, want %q", kv[0], v, kv[1])
+			}
+		}
+		for _, k := range []string{"k2", "k3", "k4", "k5"} {
+			if _, err := c.Call("kv", "get", k); !errors.Is(err, ENOENT) {
+				t.Errorf("tainted key %s came back in the second recovery (err=%v)", k, err)
+			}
+		}
+	})
+	recs := rt.Reboots()
+	if len(recs) != 2 {
+		t.Fatalf("reboots = %d, want the rollback and the crash reboot", len(recs))
+	}
+	if r := recs[1]; r.TaintWatermark != 0 || r.ReplayedEntries != 1 {
+		t.Fatalf("second recovery %+v: want an untainted restore replaying 1 entry (put6)", r)
+	}
+}
+
 // TestDivergenceTaintRetry: with defense enabled, a replay return
 // divergence is treated as corruption evidence — the diverging seq
 // becomes the taint watermark and the restore retries below it instead

@@ -45,14 +45,12 @@ const (
 
 // Sentinel errors surfaced by the runtime itself.
 var (
-	// ErrComponentRebooted reports that the target component failed (or
-	// was proactively rebooted) while handling the call. Call retries
-	// such failures once transparently — re-executing the same input, as
-	// the paper's fault model prescribes — before surfacing this error.
-	ErrComponentRebooted = errors.New("core: component rebooted during call")
-
-	// ErrComponentFailed reports a component that failed again right
-	// after a reboot: the deterministic-fault fail-stop of §II-B.
+	// ErrComponentFailed reports the deterministic-fault fail-stop of
+	// §II-B. A call whose target fails or reboots mid-call is re-executed
+	// once, transparently, with the same input; if that retry fails too,
+	// the target's registered fallback version (if any) is swapped in and
+	// the call retried on it, and only then does Call return this error.
+	// Every later call to the fail-stopped group returns it at once.
 	ErrComponentFailed = errors.New("core: component failed permanently")
 
 	// ErrUnrebootable reports an attempt to reboot a component whose

@@ -264,9 +264,11 @@ func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, 
 	return rets, err
 }
 
-// callMessage performs one message-passing call, transparently retrying
-// once when the target reboots mid-call (re-executing the same input, as
-// the fault model prescribes), and failing permanently after that.
+// callMessage performs one message-passing call. When the target
+// reboots mid-call it re-executes the same input once, transparently, as
+// the fault model prescribes. A second failure swaps in the target's
+// registered fallback version and retries on it; with no unused
+// fallback the group fail-stops and the call returns ErrComponentFailed.
 func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Encoded) (msg.Encoded, error) {
 	g := tc.group
 	if g.failedTwice {

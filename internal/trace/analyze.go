@@ -138,107 +138,6 @@ func Recoveries(events []Event) []Recovery {
 	return out
 }
 
-// HopKey identifies one directed component pair.
-type HopKey struct {
-	From, To string
-}
-
-func (k HopKey) String() string { return k.From + "->" + k.To }
-
-// HopStats aggregates the message-hop latencies of one component pair.
-// Request is the caller-to-handler latency (call start to exec start);
-// Reply is handler-end to caller-wakeup; RoundTrip is the full call
-// span as the caller experienced it.
-type HopStats struct {
-	Count     int
-	Request   DurationDist
-	Reply     DurationDist
-	RoundTrip DurationDist
-}
-
-// DurationDist is a tiny streaming distribution: count, sum, min, max
-// plus a log2-µs histogram (bucket i counts durations in [2^i, 2^(i+1))
-// microseconds; bucket 0 also holds sub-microsecond values).
-type DurationDist struct {
-	N        int
-	Sum      time.Duration
-	Min, Max time.Duration
-	Buckets  [20]int
-}
-
-// Add folds one sample in.
-func (d *DurationDist) Add(v time.Duration) {
-	if d.N == 0 || v < d.Min {
-		d.Min = v
-	}
-	if v > d.Max {
-		d.Max = v
-	}
-	d.N++
-	d.Sum += v
-	us := v.Microseconds()
-	b := 0
-	for us > 1 && b < len(d.Buckets)-1 {
-		us >>= 1
-		b++
-	}
-	d.Buckets[b]++
-}
-
-// Mean is the sample mean (zero when empty).
-func (d DurationDist) Mean() time.Duration {
-	if d.N == 0 {
-		return 0
-	}
-	return d.Sum / time.Duration(d.N)
-}
-
-// Hops computes per-component-pair hop-latency statistics from KindCall
-// spans and their KindExec children. Calls whose exec span was evicted
-// contribute only to RoundTrip.
-func Hops(events []Event) map[HopKey]*HopStats {
-	calls := make(map[SpanID]Event)
-	for _, e := range events {
-		if e.Kind == KindCall && !e.Open {
-			calls[e.ID] = e
-		}
-	}
-	out := make(map[HopKey]*HopStats)
-	get := func(k HopKey) *HopStats {
-		h, ok := out[k]
-		if !ok {
-			h = &HopStats{}
-			out[k] = h
-		}
-		return h
-	}
-	seenExec := make(map[SpanID]bool)
-	for _, e := range events {
-		if e.Kind != KindExec || e.Open {
-			continue
-		}
-		call, ok := calls[e.Parent]
-		if !ok {
-			continue
-		}
-		seenExec[call.ID] = true
-		h := get(HopKey{From: call.Component, To: call.Peer})
-		h.Count++
-		h.Request.Add(e.VirtStart - call.VirtStart)
-		h.Reply.Add(call.VirtEnd - e.VirtEnd)
-		h.RoundTrip.Add(call.VirtDuration())
-	}
-	for id, call := range calls {
-		if seenExec[id] {
-			continue
-		}
-		h := get(HopKey{From: call.Component, To: call.Peer})
-		h.Count++
-		h.RoundTrip.Add(call.VirtDuration())
-	}
-	return out
-}
-
 // Validate checks structural invariants of a snapshot: ids are unique,
 // parents (when present in the snapshot) start no later than their
 // children end, and closed spans have End >= Start. It returns the

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -191,34 +190,6 @@ func TestRebootTimelinesAndRecoveries(t *testing.T) {
 	}
 }
 
-func TestHops(t *testing.T) {
-	clk := &fakeClock{}
-	r := New("t", clk.now)
-	for i := 0; i < 3; i++ {
-		call := r.Begin(0, KindCall, "app", "vfs", "open")
-		clk.advance(2 * time.Microsecond) // request hop
-		exec := r.Begin(call, KindExec, "vfs", "", "open")
-		clk.advance(10 * time.Microsecond)
-		r.End(exec)
-		clk.advance(3 * time.Microsecond) // reply hop
-		r.End(call)
-	}
-	hops := Hops(r.Snapshot())
-	h, ok := hops[HopKey{From: "app", To: "vfs"}]
-	if !ok {
-		t.Fatalf("no app->vfs hops: %v", hops)
-	}
-	if h.Count != 3 {
-		t.Fatalf("count = %d, want 3", h.Count)
-	}
-	if h.Request.Mean() != 2*time.Microsecond || h.Reply.Mean() != 3*time.Microsecond {
-		t.Fatalf("req %v reply %v", h.Request.Mean(), h.Reply.Mean())
-	}
-	if h.RoundTrip.Mean() != 15*time.Microsecond {
-		t.Fatalf("rtt = %v", h.RoundTrip.Mean())
-	}
-}
-
 // TestChromeExportValid asserts the exporter emits valid Chrome
 // trace-event JSON: parseable, timestamp-sorted, complete X events
 // carrying durations, instants marked "i".
@@ -270,22 +241,6 @@ func TestChromeExportValid(t *testing.T) {
 	for _, want := range []string{"syscall", "call", "exec", "fault", "crash", "detect", "reboot", "phase"} {
 		if kinds[want] == 0 {
 			t.Fatalf("no %q events in export (kinds: %v)", want, kinds)
-		}
-	}
-}
-
-func TestWriteText(t *testing.T) {
-	clk := &fakeClock{}
-	r := New("demo", clk.now)
-	buildRecoveryTrace(clk, r)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"syscall app.write", "reboot 9pfs", "hop latencies", "--- reboots ---", PhaseQuiesce} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("text output missing %q:\n%s", want, out)
 		}
 	}
 }

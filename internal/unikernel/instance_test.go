@@ -327,6 +327,62 @@ func TestMergedRebootKeepsFileState(t *testing.T) {
 	})
 }
 
+// TestMergedReplayKeepsSameSeqOrder: an O_APPEND open in FSm leaves two
+// records with one seq — 9PFS's uk_9pfs_open and VFS's open, whose
+// replay stats the fid 9PFS's record re-opens to restore the offset at
+// the file's end. The composite's replay slice (8 files: 8 + 8 opens
+// and 8 writes, over sort.Slice's 12-element insertion-sort cut-off)
+// must keep the callee's record first at each seq; replayed the other
+// way round, an fd's offset restarts at 0 and the next write lands on
+// the file's head.
+func TestMergedReplayKeepsSameSeqOrder(t *testing.T) {
+	const files = 8
+	cfg := fullConfig(core.FSmConfig())
+	inst, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	name := func(i int) string { return "/append" + strconv.Itoa(i) }
+	for i := 0; i < files; i++ {
+		if err := inst.Host().FS().WriteFile(name(i), []byte("head")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = inst.Run(func(s *Sys) {
+		defer s.Stop()
+		fds := make([]int, files)
+		for i := range fds {
+			fd, err := s.Open(name(i), OAppend|ORdwr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Write(fd, []byte("+")); err != nil {
+				t.Fatal(err)
+			}
+			fds[i] = fd
+		}
+		if err := s.Reboot("vfs"); err != nil {
+			t.Fatalf("reboot vfs in FSm: %v", err)
+		}
+		if rec := s.Instance().Runtime().Reboots(); len(rec) != 1 || rec[0].ReplayedEntries <= 12 {
+			t.Fatalf("reboot records = %+v, want one replaying more than 12 entries", rec)
+		}
+		for i, fd := range fds {
+			if _, err := s.Write(fd, []byte("tail")); err != nil {
+				t.Fatal(err)
+			}
+			data, err := s.Pread(fd, 64, 0)
+			if err != nil || string(data) != "head+tail" {
+				t.Errorf("%s after the composite reboot = %q, %v; want \"head+tail\"", name(i), data, err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestLWIPRebootKeepsConnections(t *testing.T) {
 	// The heart of Table V: a live TCP connection survives an LWIP
 	// reboot because the extracted seq/ACK state is reinstalled.

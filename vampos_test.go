@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"vampos"
+	"vampos/internal/core"
+	"vampos/internal/unikernel"
 )
 
 // The doc-comment quickstart, as a test: boot, write, reboot VFS, read.
@@ -60,7 +62,7 @@ func TestFacadeInjector(t *testing.T) {
 		if pid, err := s.Getpid(); err != nil || pid != 1 {
 			t.Fatalf("getpid across crash = %d, %v", pid, err)
 		}
-		if err := s.Reboot("virtio"); !errors.Is(err, vampos.ErrUnrebootable) {
+		if err := s.Reboot("virtio"); !errors.Is(err, core.ErrUnrebootable) {
 			t.Fatalf("virtio reboot = %v", err)
 		}
 	})
@@ -78,10 +80,10 @@ func TestErrnoComparability(t *testing.T) {
 	}
 	err = inst.Run(func(s *vampos.Sys) {
 		defer s.Stop()
-		if _, err := s.Open("/missing", vampos.ORdonly); !errors.Is(err, vampos.ENOENT) {
+		if _, err := s.Open("/missing", unikernel.ORdonly); !errors.Is(err, core.ENOENT) {
 			t.Errorf("open missing = %v, want ENOENT", err)
 		}
-		if err := s.Close(999); !errors.Is(err, vampos.EBADF) {
+		if err := s.Close(999); !errors.Is(err, core.EBADF) {
 			t.Errorf("close bad fd = %v, want EBADF", err)
 		}
 	})
