@@ -13,8 +13,6 @@ package clock
 import (
 	"container/heap"
 	"fmt"
-	//vampos:allow schedonly -- Virtual.mu keeps clock reads safe for observers outside the cooperative loop (bench render, campaign oracles)
-	"sync"
 	"time"
 )
 
@@ -25,10 +23,12 @@ var Epoch = time.Date(2024, 6, 24, 0, 0, 0, 0, time.UTC)
 // Virtual is a manually advanced clock with an ordered set of pending
 // timers. The zero value is ready to use and reads Epoch.
 //
-// Virtual is safe for concurrent use, although in the cooperative
-// simulation only one goroutine is ever runnable at a time.
+// Virtual has one writer: the scheduler's conductor, which advances it
+// and arms and stops its timers. During a parallel round the clock holds
+// still: slices journal their charges and read their own shard-local time
+// (sched.Thread.Elapsed), and observers such as the flight recorder only
+// read it. It takes no lock.
 type Virtual struct {
-	mu     sync.Mutex
 	offset time.Duration // elapsed since Epoch
 	timers timerHeap
 	nextID int64
@@ -38,18 +38,10 @@ type Virtual struct {
 func NewVirtual() *Virtual { return &Virtual{} }
 
 // Now returns Epoch plus all time advanced so far.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return Epoch.Add(v.offset)
-}
+func (v *Virtual) Now() time.Time { return Epoch.Add(v.offset) }
 
 // Elapsed returns the total virtual time advanced since Epoch.
-func (v *Virtual) Elapsed() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.offset
-}
+func (v *Virtual) Elapsed() time.Duration { return v.offset }
 
 // At converts an offset since Epoch into an absolute instant. Shard-local
 // time views (a thread's Elapsed while it runs inside a buffered round
@@ -65,16 +57,12 @@ func (v *Virtual) Advance(d time.Duration) int {
 	if d < 0 {
 		panic(fmt.Sprintf("clock: Advance(%v): negative duration", d))
 	}
-	v.mu.Lock()
-	fired := v.advanceLocked(v.offset + d)
-	v.mu.Unlock()
-	return fired
+	return v.advanceTo(v.offset + d)
 }
 
-// advanceLocked moves the clock to target, firing what falls due on the
-// way. The caller holds v.mu; it is dropped around each callback, which may
-// arm and stop timers.
-func (v *Virtual) advanceLocked(target time.Duration) int {
+// advanceTo moves the clock to target, firing what falls due on the way.
+// A callback may arm and stop timers.
+func (v *Virtual) advanceTo(target time.Duration) int {
 	fired := 0
 	for len(v.timers) > 0 && v.timers[0].at <= target {
 		t := heap.Pop(&v.timers).(*Timer)
@@ -82,10 +70,7 @@ func (v *Virtual) advanceLocked(target time.Duration) int {
 		if t.at > v.offset {
 			v.offset = t.at
 		}
-		cb := t.fn
-		v.mu.Unlock()
-		cb()
-		v.mu.Lock()
+		t.fn()
 		fired++
 	}
 	if target > v.offset {
@@ -98,13 +83,11 @@ func (v *Virtual) advanceLocked(target time.Duration) int {
 // fires every timer due at that instant. It reports whether any timer was
 // pending. The scheduler calls this when all threads are blocked.
 func (v *Virtual) AdvanceToNext() bool {
-	v.mu.Lock()
-	pending := len(v.timers) > 0
-	if pending {
-		v.advanceLocked(max(v.timers[0].at, v.offset))
+	if len(v.timers) == 0 {
+		return false
 	}
-	v.mu.Unlock() // not deferred: a callback that panics does so unlocked
-	return pending
+	v.advanceTo(max(v.timers[0].at, v.offset))
+	return true
 }
 
 // LeapPolls is for the scheduler's conductor alone. t is the wake timer of
@@ -117,8 +100,6 @@ func (v *Virtual) AdvanceToNext() bool {
 // a_(k-1) + tail, t due at a_k under the id its k-th re-arming would have
 // taken, so equal deadlines still fire in arming order. It returns k.
 func (v *Virtual) LeapPolls(t *Timer, period, tail, until time.Duration) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if len(v.timers) == 0 || v.timers[0] != t {
 		return 0
 	}
@@ -163,8 +144,6 @@ func (v *Virtual) Arm(t *Timer, d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if t.owner != nil && t.index >= 0 {
 		heap.Remove(&v.timers, t.index)
 	}
@@ -179,13 +158,10 @@ func (t *Timer) Stop() bool {
 	if t == nil || t.owner == nil {
 		return false
 	}
-	v := t.owner
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if t.index < 0 {
 		return false
 	}
-	heap.Remove(&v.timers, t.index)
+	heap.Remove(&t.owner.timers, t.index)
 	return true
 }
 

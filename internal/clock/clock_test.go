@@ -391,3 +391,15 @@ func BenchmarkArmFire(b *testing.B) {
 		v.AdvanceToNext()
 	}
 }
+
+// BenchmarkAdvance: charge a cost-model increment with a timer pending
+// but not due — what every Thread.Charge on the conductor costs here.
+func BenchmarkAdvance(b *testing.B) {
+	v := NewVirtual()
+	var timer Timer
+	v.Arm(&timer, time.Hour, func() {})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v.Advance(time.Nanosecond)
+	}
+}

@@ -7,8 +7,6 @@ import "time"
 // NextDeadline returns the deadline of the earliest pending timer. The
 // second result is false when no timer is pending.
 func (v *Virtual) NextDeadline() (time.Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if len(v.timers) == 0 {
 		return time.Time{}, false
 	}
@@ -17,11 +15,7 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 
 // PendingTimers returns the number of timers that have not yet fired or
 // been stopped.
-func (v *Virtual) PendingTimers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.timers)
-}
+func (v *Virtual) PendingTimers() int { return len(v.timers) }
 
 // AfterFunc is Arm on a fresh timer.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) *Timer {

@@ -80,7 +80,7 @@ func (relayComp) Exports() map[string]Handler {
 func (relayComp) LogPolicies() map[string]LogPolicy { return map[string]LogPolicy{"fwd": {}} }
 
 func (relayComp) CompactLog(lg *msg.Log) error {
-	lg.RemoveWhere(func(msg.RecordView) bool { return true })
+	lg.RemoveWhere(func(msg.RecordKey) bool { return true })
 	return nil
 }
 

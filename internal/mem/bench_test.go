@@ -111,3 +111,16 @@ func BenchmarkAccessorWrite256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHostWrite64: a 64-byte host-side store, the size of a message
+// domain's slot header — the access every hop makes without a PKRU check.
+func BenchmarkHostWrite64(b *testing.B) {
+	m, buf := benchArena(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.HostWrite(Addr(i%benchResident)*PageSize, buf[:64]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -27,16 +27,13 @@ func (m *Memory) FreePages(base Addr, n int) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i := start; i < start+n; i++ {
 		m.owned[i] = false
 		m.keys[i] = 0
 		m.frames[i] = nil
 		// Unmapping changes content (to zeros), so the page is dirty
 		// relative to any snapshot that saw the old bytes.
-		m.verClk++
-		m.vers[i] = m.verClk
+		m.vers[i] = m.verClk.Add(1)
 	}
 	return nil
 }
@@ -50,8 +47,6 @@ func (m *Memory) SetKey(base Addr, n int, key Key) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i := start; i < start+n; i++ {
 		m.keys[i] = key
 	}
@@ -64,8 +59,6 @@ func (m *Memory) KeyAt(addr Addr) (Key, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.keys[i], nil
 }
 

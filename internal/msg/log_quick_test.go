@@ -427,14 +427,14 @@ func runLogOps(t testing.TB, ops []logOp) {
 			}
 		case 8:
 			sess := sessions[op.A%4]
-			got := l.RemoveWhere(func(v RecordView) bool { return v.Session == sess })
+			got := l.RemoveWhere(func(v RecordKey) bool { return v.Session == sess })
 			want := m.compact(func(e *Record) bool { return e.Session == sess })
 			if got != want {
 				t.Fatalf("step %d: RemoveWhere(session %s) = %d, reference %d", i, sess, got, want)
 			}
 		case 9:
 			fn := fns[op.A%4]
-			got := l.RemoveWhere(func(v RecordView) bool { return v.Fn == fn })
+			got := l.RemoveWhere(func(v RecordKey) bool { return v.Fn == fn })
 			want := m.compact(func(e *Record) bool { return e.Fn == fn })
 			if got != want {
 				t.Fatalf("step %d: RemoveWhere(fn %s) = %d, reference %d", i, fn, got, want)

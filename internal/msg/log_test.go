@@ -205,7 +205,7 @@ func TestSyntheticAndRemoveSession(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		logCall(t, l, uint64(2+i), "write", Args{3, []byte("x")}, "fd:3", ClassTransient)
 	}
-	removed := l.RemoveWhere(func(v RecordView) bool { return v.Session == "fd:3" })
+	removed := l.RemoveWhere(func(v RecordKey) bool { return v.Session == "fd:3" })
 	if removed != 6 {
 		t.Fatalf("RemoveWhere(session fd:3) removed %d, want 6", removed)
 	}
@@ -226,7 +226,7 @@ func TestRemoveWhere(t *testing.T) {
 	logCall(t, l, 1, "open", Args{"/a"}, "fd:3", ClassOpener)
 	logCall(t, l, 2, "write", Args{3, []byte("x")}, "fd:3", ClassTransient)
 	logCall(t, l, 3, "fcntl", Args{3, 1}, "fd:3", ClassDurable)
-	n := l.RemoveWhere(func(r RecordView) bool { return r.Fn == "write" })
+	n := l.RemoveWhere(func(r RecordKey) bool { return r.Fn == "write" })
 	if n != 1 || l.Len() != 2 {
 		t.Fatalf("RemoveWhere removed %d, len %d", n, l.Len())
 	}

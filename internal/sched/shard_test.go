@@ -434,3 +434,132 @@ func TestShardRoundAllocatesNothing(t *testing.T) {
 	}
 	s.Close()
 }
+
+// TestShardRunnerDisjointPages: mem.Memory takes no lock, because the
+// slices of one round run threads of different ordinals and those never
+// share a page. Two such threads write their own pages of one Memory, and
+// each raises a protection fault, inside the same parallel rounds; under
+// -race this is the proof, and afterwards the dirty tracking and the
+// fault count must have seen every access.
+func TestShardRunnerDisjointPages(t *testing.T) {
+	const pages, rounds = 8, 200
+	m := mem.New(4 * pages * mem.PageSize)
+	s := newSched(nil)
+	s.SetShards(2)
+	if err := s.SetMemory(m); err != nil {
+		t.Fatal(err)
+	}
+	var bases [2]mem.Addr
+	for k := range bases {
+		base, err := m.AllocPages(pages, mem.Key(k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[k] = base
+	}
+	guard, err := m.AllocPages(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare, err := m.AllocPages(pages, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Images taken before the run: the writers' ranges, the page both
+	// fault on, pages nobody touches, and the whole space.
+	ranges := []struct {
+		name  string
+		base  mem.Addr
+		n     int
+		dirty int
+	}{
+		{"writer0", bases[0], pages, pages},
+		{"writer1", bases[1], pages, pages},
+		{"guard", guard, 1, 0},
+		{"spare", spare, pages, 0},
+	}
+	before := make([]*mem.Snapshot, len(ranges))
+	for i, r := range ranges {
+		if before[i], err = m.Snapshot(r.base, r.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := m.Snapshot(0, int(m.Size()/mem.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var threads [2]*Thread
+	var faults [2]error
+	for k := range threads {
+		threads[k] = s.Spawn(fmt.Sprintf("writer%d", k), mem.Allow(mem.Key(k+1)), func(th *Thread) {
+			acc := th.Accessor()
+			for i := 0; i < rounds; i++ {
+				if !th.Buffering() {
+					t.Errorf("writer%d: iteration %d ran outside a round slice", k, i)
+				}
+				pg := bases[k] + mem.Addr(i%pages)*mem.PageSize
+				if err := acc.Write(pg, []byte{byte(k), byte(i)}); err != nil {
+					t.Errorf("writer%d: %v", k, err)
+				}
+				if i == rounds/2 {
+					faults[k] = acc.Write(guard, []byte{1})
+				}
+				th.Charge(time.Microsecond)
+				th.Yield()
+			}
+		})
+		threads[k].SetClass(ClassDomain)
+		threads[k].SetShard(k)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Rounds < rounds {
+		t.Fatalf("%d parallel rounds, want at least %d", st.Rounds, rounds)
+	}
+	for k, th := range threads {
+		var f *mem.Fault
+		if !errors.As(faults[k], &f) || f.Addr != guard {
+			t.Errorf("writer%d's guard-page write = %v, want a fault at %#x", k, faults[k], guard)
+		}
+		if n := th.Accessor().Faults(); n != 1 {
+			t.Errorf("writer%d's accessor counted %d faults, want 1", k, n)
+		}
+	}
+	if n := m.Faults(); n != 2 {
+		t.Errorf("memory counted %d faults, want one from each side", n)
+	}
+	for i, r := range ranges {
+		if n, err := m.DirtyPages(before[i]); err != nil || n != r.dirty {
+			t.Errorf("%s: %d dirty pages, %v; want %d", r.name, n, err, r.dirty)
+		}
+	}
+	next, dirty, err := m.SnapshotDelta(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dirty != 2*pages {
+		t.Errorf("SnapshotDelta found %d dirty pages, want %d", dirty, 2*pages)
+	}
+	// Each written page carries a stamp of its own: the version clock
+	// both sides bump lost no increment.
+	seen := map[uint64]bool{}
+	for k, base := range bases {
+		first := int(base / mem.PageSize)
+		for i := 0; i < pages; i++ {
+			v := next.Vers[first+i]
+			if v == whole.Vers[first+i] || seen[v] {
+				t.Errorf("writer%d page %d: stamp %d not fresh and unique", k, i, v)
+			}
+			seen[v] = true
+			got := make([]byte, 2)
+			if err := m.HostRead(base+mem.Addr(i)*mem.PageSize, got); err != nil {
+				t.Fatal(err)
+			}
+			last := rounds - pages + i // the last iteration to write page i
+			if want := []byte{byte(k), byte(last)}; !reflect.DeepEqual(got, want) {
+				t.Errorf("writer%d page %d holds %v, want %v", k, i, got, want)
+			}
+		}
+	}
+}
