@@ -52,8 +52,9 @@ func (im shareImage) matches() bool {
 // image; after every step each retained image must still equal its copy —
 // a live write never shows through a shared page — and a restore must
 // reproduce the copy byte for byte. A second goroutine reads the oldest
-// image's pages without the memory lock throughout, so under -race any
-// write into a captured buffer is reported.
+// image's own buffers (its pages and version stamps) throughout, so under
+// -race any write into a captured buffer is reported. It never reads the
+// live Memory: a Memory has one owner at a time and takes no lock.
 func TestSharedImagesMatchPrivateCopies(t *testing.T) {
 	const span = sharePages * PageSize
 	prop := func(ops []shareOp) bool {
@@ -65,6 +66,7 @@ func TestSharedImagesMatchPrivateCopies(t *testing.T) {
 		}
 		images := []shareImage{{first, bytes.Clone(live), slices.Clone(keys)}}
 
+		firstVers := slices.Clone(first.Vers)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -79,8 +81,8 @@ func TestSharedImagesMatchPrivateCopies(t *testing.T) {
 				for _, p := range first.pages {
 					_ = bytes.IndexByte(p, 0xFF)
 				}
-				if _, err := m.DirtyPages(first); err != nil {
-					t.Error(err)
+				if !slices.Equal(first.Vers, firstVers) {
+					t.Error("a captured image's version stamps changed")
 					return
 				}
 				runtime.Gosched()
