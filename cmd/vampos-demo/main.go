@@ -271,7 +271,7 @@ func agingDemo() error {
 		if err := s.StartApp(echo.New()); err != nil {
 			return fmt.Errorf("start echo: %w", err)
 		}
-		pol := inst.Runtime().AgingDriver().Policy()
+		pol := cfg.Core.Aging
 		fmt.Printf("  watching %s: leak-slope > %.0f B/s (sampled every %v)\n",
 			target, pol.LeakSlope, pol.SamplePeriod)
 		var ok, fail int

@@ -9,9 +9,8 @@
 // sliding window of samples per component, condenses the window into a
 // leak-slope Score, and applies the firing policy: threshold crossing
 // with hysteresis, a per-component cooldown between proactive reboots,
-// and exponential backoff after a failed or diverged restore. An Engine
-// composes monitors over a dependency-ordered component list so rolling
-// rejuvenation reboots providers before their dependents.
+// and exponential backoff after a failed or diverged restore. The
+// runtime's controller keeps one Monitor per target.
 //
 // Like internal/ckpt, this package is pure policy and bookkeeping: no
 // goroutines, no locks, no wall clock. All timestamps are virtual-clock
@@ -226,73 +225,4 @@ func (m *Monitor) NoteRejuvenation(now time.Duration, ok bool) {
 		d = backoffMax
 	}
 	m.stats.BackoffUntil = now + d
-}
-
-// Engine composes one monitor per component over a dependency-ordered
-// list: Due returns candidates in that order, so a rolling rejuvenation
-// pass reboots providers before the components that depend on them.
-type Engine struct {
-	policy Policy
-	order  []string
-	mons   map[string]*Monitor
-}
-
-// NewEngine returns an engine monitoring the listed components in the
-// given (dependency) order.
-func NewEngine(p Policy, components ...string) *Engine {
-	e := &Engine{
-		policy: p.WithDefaults(),
-		order:  append([]string(nil), components...),
-		mons:   make(map[string]*Monitor, len(components)),
-	}
-	for _, name := range e.order {
-		e.mons[name] = NewMonitor(e.policy)
-	}
-	return e
-}
-
-// Policy returns the engine's normalized policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
-// Components returns the monitored components in dependency order.
-func (e *Engine) Components() []string {
-	return append([]string(nil), e.order...)
-}
-
-// Observe feeds one sample to the named component's monitor and returns
-// its new score. Samples for unmonitored components are ignored.
-func (e *Engine) Observe(name string, s Sample) Score {
-	m, ok := e.mons[name]
-	if !ok {
-		return Score{}
-	}
-	return m.Observe(s)
-}
-
-// Due returns the components whose monitors ask for rejuvenation now,
-// in dependency order.
-func (e *Engine) Due(now time.Duration) []string {
-	var due []string
-	for _, name := range e.order {
-		if e.mons[name].Due(now) {
-			due = append(due, name)
-		}
-	}
-	return due
-}
-
-// NoteResult records a rejuvenation outcome for the named component.
-func (e *Engine) NoteResult(name string, now time.Duration, ok bool) {
-	if m, found := e.mons[name]; found {
-		m.NoteRejuvenation(now, ok)
-	}
-}
-
-// Stats returns the named component's monitor accounting.
-func (e *Engine) Stats(name string) (Stats, bool) {
-	m, ok := e.mons[name]
-	if !ok {
-		return Stats{}, false
-	}
-	return m.Stats(), true
 }

@@ -197,38 +197,3 @@ func TestSuccessResetsWindowAndBaseline(t *testing.T) {
 		t.Fatalf("slope computed across reboot: %+v", sc)
 	}
 }
-
-func TestEngineDependencyOrder(t *testing.T) {
-	e := NewEngine(testPolicy(), "virtio", "netdev", "lwip", "vfs")
-	var now time.Duration
-	for i := 0; i < 4; i++ {
-		now = time.Duration(i+1) * 10 * time.Millisecond
-		// Age the dependent first, then the provider: Due must still
-		// return provider order (registration order), not arrival order.
-		e.Observe("vfs", Sample{At: now, HeapAllocated: int64(100 * i)})
-		e.Observe("netdev", Sample{At: now, HeapAllocated: int64(100 * i)})
-		e.Observe("lwip", Sample{At: now, HeapAllocated: 4096})
-	}
-	due := e.Due(now)
-	if len(due) != 2 || due[0] != "netdev" || due[1] != "vfs" {
-		t.Fatalf("due = %v, want [netdev vfs]", due)
-	}
-	e.NoteResult("netdev", now, true)
-	st, ok := e.Stats("netdev")
-	if !ok || st.Rejuvenations != 1 {
-		t.Fatalf("netdev stats = %+v ok=%v", st, ok)
-	}
-	if _, ok := e.Stats("unknown"); ok {
-		t.Fatal("stats for unmonitored component")
-	}
-	if got := e.Components(); len(got) != 4 || got[0] != "virtio" {
-		t.Fatalf("components = %v", got)
-	}
-	// Observing an unmonitored component is a no-op, not a panic.
-	if sc := e.Observe("ghost", Sample{At: now}); sc.Total != 0 {
-		t.Fatalf("ghost observe = %+v", sc)
-	}
-	if all := e.AllStats(); len(all) != 4 {
-		t.Fatalf("AllStats len = %d", len(all))
-	}
-}

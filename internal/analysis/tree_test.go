@@ -51,7 +51,9 @@ func loadTree(t *testing.T) ([]*analysis.Package, *analysis.Facts) {
 // the 5-second budget that keeps vampos-vet cheap enough for CI and
 // pre-commit use. The budget is this process's own CPU time, not wall
 // time: under `go test ./...` other packages' tests share the cores, and
-// waiting for a core is not analyzer cost.
+// waiting for a core is not analyzer cost. The race detector multiplies
+// CPU time, so a -race build checks the diagnostics and skips the
+// budget, as golden.RunWithinCPU does.
 func TestTreeCleanWithinBudget(t *testing.T) {
 	start := processCPU(t)
 	pkgs, facts := loadTree(t)
@@ -64,7 +66,7 @@ func TestTreeCleanWithinBudget(t *testing.T) {
 			t.Errorf("tree not clean: %s", d)
 		}
 	}
-	if used := processCPU(t) - start; used > 5*time.Second {
+	if used := processCPU(t) - start; used > 5*time.Second && !golden.RaceEnabled {
 		t.Errorf("full-tree analysis took %v of CPU, over the 5s budget", used)
 	}
 }
@@ -334,7 +336,7 @@ func TestNoTestOnlySurface(t *testing.T) {
 	if len(found) > 0 {
 		t.Logf("%d names only tests reach", len(found))
 	}
-	if used := processCPU(t) - start; used > 5*time.Second {
+	if used := processCPU(t) - start; used > 5*time.Second && !golden.RaceEnabled {
 		t.Errorf("surface scan took %v of CPU, over the 5s budget", used)
 	}
 }

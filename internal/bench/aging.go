@@ -6,6 +6,7 @@ import (
 
 	"vampos/internal/aging"
 	"vampos/internal/apps/echo"
+	"vampos/internal/core"
 	"vampos/internal/faults"
 	"vampos/internal/sched"
 	"vampos/internal/unikernel"
@@ -18,11 +19,12 @@ type AgingArm string
 const (
 	// AgingNone never rejuvenates: the leak accumulates monotonically.
 	AgingNone AgingArm = "none"
-	// AgingPeriodic is the blind administrator: a fixed-interval
-	// Rejuvenator that reboots the target on a wall schedule, aged or not.
+	// AgingPeriodic is the blind administrator: a fixed-interval loop
+	// that reboots the target on a virtual-time schedule, aged or not.
 	AgingPeriodic AgingArm = "periodic"
-	// AgingAdaptive is the sensor-driven AgingDriver: it rejuvenates only
-	// when the component's observed aging crosses the policy thresholds.
+	// AgingAdaptive is the runtime's sensor-driven controller: it
+	// rejuvenates only when the component's observed aging crosses the
+	// policy thresholds.
 	AgingAdaptive AgingArm = "adaptive"
 )
 
@@ -133,9 +135,19 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 			})
 		}
 		if arm == AgingPeriodic {
-			rej := inst.Runtime().NewRejuvenator(scale.AgingPeriodicEvery, target)
-			s.Ctx().Go("rejuvenator", rej.Run)
-			defer rej.Stop()
+			// The blind administrator: reboot the target every period,
+			// aged or not, until the arm ends.
+			stop := false
+			defer func() { stop = true }()
+			s.Ctx().Go("rejuvenator", func(c *core.Ctx) {
+				for !stop {
+					c.Sleep(scale.AgingPeriodicEvery)
+					if stop {
+						return
+					}
+					_ = c.Reboot(target)
+				}
+			})
 		}
 		// Controller loop: sample the target's allocator every tick, and
 		// drip the leak during the middle half of the run.

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -43,8 +45,15 @@ func TestEveryExperimentHasAGolden(t *testing.T) {
 
 // TestBenchBaselinesMatchDefaultScale: each checked-in BENCH_*.json
 // baseline was run at DefaultScale, and its Scale block says so in full,
-// so a reader can rerun any baseline from the block alone.
+// so a reader can rerun any baseline from the block alone. The
+// experiments that take well under a second at that scale — recovery,
+// microreboot, defense and cluster — are rerun, and every section of
+// their file must equal the fresh result, so a baseline cannot drift
+// from the code unnoticed. Aging (about 8 s) and scaling (about 10 s,
+// with wall-clock numbers no rerun reproduces) keep the Scale check
+// only.
 func TestBenchBaselinesMatchDefaultScale(t *testing.T) {
+	rerun := map[string]bool{"recovery": true, "microreboot": true, "defense": true, "cluster": true}
 	def, err := json.Marshal(DefaultScale())
 	if err != nil {
 		t.Fatal(err)
@@ -59,11 +68,8 @@ func TestBenchBaselinesMatchDefaultScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc struct{ Scale json.RawMessage }
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		got := scaleKeys(t, f, doc.Scale)
+		doc := sections(t, f, raw)
+		got := scaleKeys(t, f, doc["Scale"])
 		var differ []string
 		for k := range want {
 			if !reflect.DeepEqual(got[k], want[k]) {
@@ -79,7 +85,47 @@ func TestBenchBaselinesMatchDefaultScale(t *testing.T) {
 			slices.Sort(differ)
 			t.Errorf("%s: Scale keys missing, extra or unequal to DefaultScale(): %v", f, differ)
 		}
+		exp := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
+		if !rerun[exp] {
+			continue
+		}
+		suite := &Suite{Scale: DefaultScale()}
+		if err := suite.Run(exp, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		var fresh bytes.Buffer
+		if err := suite.WriteJSON(&fresh); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range sections(t, "a fresh "+exp+" run", fresh.Bytes()) {
+			old, ok := doc[k]
+			if !ok {
+				old = []byte("null") // a section added after the file was recorded
+			}
+			if !bytes.Equal(old, v) {
+				t.Errorf("%s: section %s differs from a fresh run at DefaultScale(); rerun vampos-bench -exp %s -json", f, k, exp)
+			}
+		}
 	}
+}
+
+// sections decodes a suite's JSON into its top-level sections, each
+// compacted so that two encodings compare byte for byte.
+func sections(t *testing.T, where string, raw []byte) map[string][]byte {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	out := make(map[string][]byte, len(doc))
+	for k, v := range doc {
+		var c bytes.Buffer
+		if err := json.Compact(&c, v); err != nil {
+			t.Fatalf("%s: %s: %v", where, k, err)
+		}
+		out[k] = c.Bytes()
+	}
+	return out
 }
 
 // scaleKeys decodes a Scale object into its keys' values.

@@ -9,6 +9,7 @@ import (
 	"vampos/internal/apps/nginx"
 	"vampos/internal/apps/redis"
 	"vampos/internal/apps/sqlite"
+	"vampos/internal/host"
 	"vampos/internal/sched"
 	"vampos/internal/unikernel"
 )
@@ -112,10 +113,9 @@ func runAppWorkload(app string, cfg ConfigName, scale Scale, threshold int) (*Fi
 		row.Virtual = clk.Elapsed() - v0
 		row.ResidentBytes = inst.Runtime().ResidentBytes()
 		row.DomainBytes = inst.Runtime().DomainBytes()
-		lat := inst.Host().Latencies()
 		fsyncs := fs.FsyncCount - fsync0
 		others := (inst.Host().Server().Handled - srvHandled0) - fsyncs
-		ioTime := time.Duration(fsyncs)*lat.P9Fsync + time.Duration(others)*lat.P9Op
+		ioTime := time.Duration(fsyncs)*host.P9FsyncLatency + time.Duration(others)*host.P9OpLatency
 		if row.Virtual > 0 {
 			row.IOShare = float64(ioTime) / float64(row.Virtual)
 		}

@@ -48,9 +48,6 @@ type Config struct {
 	Replication int
 	// Core is the per-member runtime configuration. Default DaSConfig.
 	Core core.Config
-	// BootDelay is the out-of-simulation boot cost charged to a revived
-	// member's virtual clock. Zero takes the unikernel default (300ms).
-	BootDelay time.Duration
 	// OnInstance, when set, is called for every assembled member (boots
 	// and revivals) before it starts — the hook campaigns use to attach
 	// flight recorders.
@@ -617,7 +614,7 @@ func (c *Cluster) ReviveInstance(id int) error {
 		return err
 	}
 	if err := n.do(func(s *unikernel.Sys) error {
-		s.Sleep(n.inst.Config().BootDelay)
+		s.Sleep(unikernel.BootDelay)
 		return nil
 	}); err != nil {
 		n.inst.Close() // the member died while booting

@@ -49,7 +49,7 @@ var errHalted = errors.New("cluster: member simulation stopped before it was kil
 func startNode(id int, cfg Config) (*node, error) {
 	kv := redis.New()
 	kv.AOF = false
-	inst, err := unikernel.New(kv.Profile(unikernel.Config{Core: cfg.Core, BootDelay: cfg.BootDelay}))
+	inst, err := unikernel.New(kv.Profile(unikernel.Config{Core: cfg.Core}))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: assemble node %d: %w", id, err)
 	}

@@ -1,24 +1,23 @@
 package core
 
 import (
-	//vampos:allow schedonly -- AgingDriver.stop is flipped by host-side goroutines (campaign verify, tests) while the controller thread polls it; see Rejuvenator.Stop
-	"sync/atomic"
-	"time"
-
 	"vampos/internal/aging"
+	"vampos/internal/mem"
+	"vampos/internal/sched"
 	"vampos/internal/trace"
 )
 
 // This file is the runtime half of adaptive aging-driven rejuvenation
 // (internal/aging holds the policy half). The paper motivates component
 // reboot with software aging — leaks and fragmentation that only a
-// reboot reclaims (§IV) — and the blind answer is Rejuvenator's fixed
-// interval. The AgingDriver instead samples each component's heap at
-// quiescent points on the virtual clock, scores its leak slope through
-// the aging.Engine, and rejuvenates only the components whose observed
-// aging crossed the threshold, in dependency (boot) order, re-imaging
-// each one immediately after its reboot so the next recovery replays a
-// near-empty log tail from a clean checkpoint.
+// reboot reclaims (§IV) — and the blind answer is a fixed-interval
+// reboot schedule, which the figures that compare against it run as
+// their own loops. The controller here instead samples each target's
+// heap at quiescent points on the virtual clock, scores its leak slope
+// through one aging.Monitor per target, and rejuvenates only the
+// targets whose observed aging crossed the threshold, in target order,
+// re-imaging each one immediately after its reboot so the next recovery
+// replays a near-empty log tail from a clean checkpoint.
 
 // Rejuvenate proactively reboots the named component, checkpoint-aware:
 // the reboot restores from the component's last checkpoint image and
@@ -61,116 +60,89 @@ func (c *Ctx) Rejuvenate(name string) error {
 	return err
 }
 
-// agingSample reads one component's heap. The caller runs under the
-// cooperative scheduler baton, which is exactly the quiescence the
-// reading needs: no handler frame mutates the arena while it is taken.
-func (rt *Runtime) agingSample(c *component, now time.Duration) aging.Sample {
-	s := aging.Sample{At: now}
-	if c.heap != nil {
-		s.HeapAllocated = c.heap.Stats().AllocatedBytes
-	}
-	return s
-}
-
-// AgingDriver is the adaptive-rejuvenation controller: the sensor-driven
-// successor of the fixed-interval Rejuvenator. It samples every target's
-// heap each SamplePeriod of virtual time, feeds the readings to the
-// policy engine, and rejuvenates the components the engine declares due,
-// in dependency order. Boot starts one automatically when Config.Aging
-// is enabled; tests and experiments may also run one by hand via
-// NewAgingDriver + Ctx.Go.
-type AgingDriver struct {
-	rt     *Runtime
-	engine *aging.Engine
-	// stop is atomic for the same reason as Rejuvenator.stop: Stop is
-	// called from host-side goroutines while the controller thread polls.
-	stop atomic.Bool
-
-	// Stats
-	Rounds  uint64 // completed sample sweeps
-	Reboots uint64 // successful rejuvenations
-	Errors  uint64 // failed rejuvenations (each arming backoff)
-	LastErr error
-}
-
-// NewAgingDriver creates an adaptive controller over the given policy.
-// An empty target list means every rebootable registered component, in
-// boot order — which is dependency order, since substrates register
-// first, so a rolling pass reboots providers before their dependents.
-func (rt *Runtime) NewAgingDriver(p aging.Policy, targets ...string) *AgingDriver {
-	if len(targets) == 0 {
+// startAging starts the adaptive-rejuvenation controller, the thread
+// Boot runs when Config.Aging is enabled. Its targets are
+// Config.AgingTargets, or, when that is empty, every rebootable
+// component in boot order — which is dependency order, since substrates
+// register first, so a rolling pass reboots providers before their
+// dependents. Each target gets one monitor.
+func (rt *Runtime) startAging() error {
+	names := rt.cfg.AgingTargets
+	if len(names) == 0 {
 		for _, c := range rt.order {
 			if !c.desc.Unrebootable {
-				targets = append(targets, c.desc.Name)
+				names = append(names, c.desc.Name)
 			}
 		}
 	}
-	return &AgingDriver{rt: rt, engine: aging.NewEngine(p, targets...)}
+	for _, name := range names {
+		c, ok := rt.comps[name]
+		if !ok {
+			return &UnknownComponentError{Name: name}
+		}
+		c.aging = aging.NewMonitor(rt.cfg.Aging)
+		rt.agingTargets = append(rt.agingTargets, c)
+	}
+	rt.sch.Spawn("vampos/aging", mem.Allow(keyScheduler), func(t *sched.Thread) {
+		rt.agingLoop(&Ctx{rt: rt, th: t, appName: "aging"})
+	})
+	return nil
 }
 
-// Policy returns the normalized policy the driver enforces.
-func (d *AgingDriver) Policy() aging.Policy { return d.engine.Policy() }
-
-// Run executes the sample/score/rejuvenate loop on the calling thread
-// until Stop is called or the simulation ends. Typically launched with
-// ctx.Go (Boot does so automatically when Config.Aging is enabled).
-func (d *AgingDriver) Run(ctx *Ctx) {
-	period := d.engine.Policy().SamplePeriod
-	for !d.stop.Load() && !d.rt.stopped {
-		ctx.Sleep(period)
-		if d.stop.Load() || d.rt.stopped {
+// agingLoop samples every target's heap each SamplePeriod of virtual
+// time and rejuvenates the targets whose monitors are due, until the
+// simulation stops. A sample is read under the cooperative scheduler
+// baton, which is exactly the quiescence it needs: no handler frame
+// mutates the arena while it is taken. Every target's Due is evaluated
+// before any target is rejuvenated, so a sweep counts its suppressed
+// firings against the same instant whatever the reboots cost.
+func (rt *Runtime) agingLoop(ctx *Ctx) {
+	var due []*component
+	for !rt.stopped {
+		ctx.Sleep(rt.cfg.Aging.SamplePeriod)
+		if rt.stopped {
 			return
 		}
 		now := ctx.Elapsed()
-		for _, name := range d.engine.Components() {
-			c, ok := d.rt.comps[name]
-			if !ok || c.group == nil || c.group.failedTwice {
+		for _, c := range rt.agingTargets {
+			if c.group.failedTwice {
 				continue
 			}
-			d.engine.Observe(name, d.rt.agingSample(c, now))
+			s := aging.Sample{At: now}
+			if c.heap != nil {
+				s.HeapAllocated = c.heap.Stats().AllocatedBytes
+			}
+			c.aging.Observe(s)
 		}
-		for _, name := range d.engine.Due(now) {
-			if d.stop.Load() || d.rt.stopped {
+		due = due[:0]
+		for _, c := range rt.agingTargets {
+			if c.aging.Due(now) {
+				due = append(due, c)
+			}
+		}
+		for _, c := range due {
+			if rt.stopped {
 				return
 			}
-			err := ctx.Rejuvenate(name)
-			d.engine.NoteResult(name, ctx.Elapsed(), err == nil)
-			if err != nil {
-				d.Errors++
-				d.LastErr = err
-			} else {
-				d.Reboots++
-			}
+			err := ctx.Rejuvenate(c.desc.Name)
+			c.aging.NoteRejuvenation(ctx.Elapsed(), err == nil)
 		}
-		d.Rounds++
 	}
 }
-
-// Stop ends the controller after the current sweep. Safe to call from
-// any goroutine.
-func (d *AgingDriver) Stop() { d.stop.Store(true) }
-
-// Stats returns the named target's monitor accounting.
-func (d *AgingDriver) Stats(name string) (aging.Stats, bool) {
-	return d.engine.Stats(name)
-}
-
-// AgingDriver returns the controller Boot started for Config.Aging, or
-// nil when adaptive rejuvenation is not configured.
-func (rt *Runtime) AgingDriver() *AgingDriver { return rt.agingDriver }
 
 // AgingStats returns the named component's adaptive-rejuvenation monitor
 // accounting; false when no controller runs or the component is not a
 // target.
 func (rt *Runtime) AgingStats(name string) (aging.Stats, bool) {
-	if rt.agingDriver == nil {
+	c, ok := rt.comps[name]
+	if !ok || c.aging == nil {
 		return aging.Stats{}, false
 	}
-	return rt.agingDriver.Stats(name)
+	return c.aging.Stats(), true
 }
 
-// agingHot reports whether the boot-started adaptive controller has the
-// named component latched over its aging threshold, or is still inside
+// agingHot reports whether the adaptive controller has the component
+// latched over its aging threshold, or is still inside
 // the cooldown that follows a rejuvenation. The checkpoint cadence
 // consults this so it never images an arena the controller is about to
 // rejuvenate. The cooldown half matters for continuous aging: right
@@ -183,10 +155,10 @@ func (rt *Runtime) AgingStats(name string) (aging.Stats, bool) {
 // cooldown lapses and the cadence resumes. Reads happen on the worker
 // thread while the controller mutates the monitor, but both run under
 // the cooperative scheduler baton, which serializes them.
-func (rt *Runtime) agingHot(name string) bool {
-	st, ok := rt.AgingStats(name)
-	if !ok {
+func (rt *Runtime) agingHot(c *component) bool {
+	if c.aging == nil {
 		return false
 	}
+	st := c.aging.Stats()
 	return st.Hot || rt.clk.Elapsed() < st.CooldownUntil
 }

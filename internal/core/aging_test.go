@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -49,12 +48,23 @@ func leakOnlyPolicy() aging.Policy {
 	}
 }
 
+// awaitRejuvenation sleeps until the controller has rejuvenated the
+// named target once, or 30 virtual seconds have passed.
+func awaitRejuvenation(c *Ctx, name string) {
+	for st, _ := c.Runtime().AgingStats(name); st.Rejuvenations == 0 && c.Elapsed() < 30*time.Second; st, _ = c.Runtime().AgingStats(name) {
+		c.Sleep(time.Millisecond)
+	}
+}
+
+// TestAgingDriverRejuvenatesLeakyComponent runs the controller over its
+// default targets: every rebootable component, so the unrebootable stub
+// gets no monitor, and only the leaking target is rejuvenated.
 func TestAgingDriverRejuvenatesLeakyComponent(t *testing.T) {
 	leaky := &leakComp{name: "leaky", leakEach: 256}
 	stable := &statelessComp{name: "stable"}
-	rt := run(t, DaSConfig(), []Component{leaky, stable}, func(c *Ctx) {
-		d := c.Runtime().NewAgingDriver(leakOnlyPolicy())
-		c.Go("aging", d.Run)
+	cfg := DaSConfig()
+	cfg.Aging = leakOnlyPolicy()
+	rt := run(t, cfg, []Component{virtioStub{}, leaky, stable}, func(c *Ctx) {
 		// 256 B leaked every ~50µs of virtual time: ~5 MB/s, 100x the
 		// 50 kB/s threshold. The stable component serves alongside.
 		for i := 0; i < 300; i++ {
@@ -62,16 +72,10 @@ func TestAgingDriverRejuvenatesLeakyComponent(t *testing.T) {
 			mustCall(t, c, "stable", "pid")
 			c.Sleep(50 * time.Microsecond)
 		}
-		for d.Reboots == 0 && c.Elapsed() < 30*time.Second {
-			c.Sleep(time.Millisecond)
-		}
-		d.Stop()
-		if d.Reboots == 0 {
-			t.Fatalf("adaptive driver never rejuvenated (errors=%d last=%v)", d.Errors, d.LastErr)
-		}
-		st, ok := d.Stats("leaky")
+		awaitRejuvenation(c, "leaky")
+		st, ok := c.Runtime().AgingStats("leaky")
 		if !ok || st.Rejuvenations == 0 {
-			t.Fatalf("leaky monitor stats = %+v ok=%v", st, ok)
+			t.Fatalf("controller never rejuvenated: leaky monitor stats = %+v ok=%v", st, ok)
 		}
 		if st.LastCause != "leak-slope" {
 			t.Fatalf("rejuvenation cause = %q, want leak-slope", st.LastCause)
@@ -83,6 +87,12 @@ func TestAgingDriverRejuvenatesLeakyComponent(t *testing.T) {
 			t.Fatalf("arena still holds %d leaked bytes", cs.Heap.AllocatedBytes)
 		}
 	})
+	if _, ok := rt.AgingStats("virtio"); ok {
+		t.Fatal("the unrebootable stub is a default aging target")
+	}
+	if _, ok := rt.AgingStats("stable"); !ok {
+		t.Fatal("the rebootable stable component is not a default aging target")
+	}
 	var rejuv int
 	for _, rec := range rt.Reboots() {
 		if rec.Reason != "rejuvenation" {
@@ -101,26 +111,58 @@ func TestAgingDriverRejuvenatesLeakyComponent(t *testing.T) {
 	}
 }
 
+// TestAgingRejuvenatesInBootOrder: two targets that leak at the same
+// rate become due in one sweep, and the controller rejuvenates them in
+// boot order — providers before dependents — although the dependent
+// leaks first in every step.
+func TestAgingRejuvenatesInBootOrder(t *testing.T) {
+	pol := leakOnlyPolicy()
+	pol.Cooldown = time.Hour // one rejuvenation each
+	cfg := DaSConfig()
+	cfg.Aging = pol
+	provider := &leakComp{name: "provider", leakEach: 256}
+	dependent := &leakComp{name: "dependent", leakEach: 256}
+	rt := run(t, cfg, []Component{provider, dependent}, func(c *Ctx) {
+		rejuvenated := func(name string) bool {
+			st, _ := c.Runtime().AgingStats(name)
+			return st.Rejuvenations > 0
+		}
+		for !(rejuvenated("provider") && rejuvenated("dependent")) && c.Elapsed() < 30*time.Second {
+			mustCall(t, c, "dependent", "work")
+			mustCall(t, c, "provider", "work")
+			c.Sleep(50 * time.Microsecond)
+		}
+	})
+	var order []string
+	for _, rec := range rt.Reboots() {
+		order = append(order, rec.Group)
+	}
+	if len(order) != 2 || order[0] != "provider" || order[1] != "dependent" {
+		t.Fatalf("rejuvenation order = %v, want [provider dependent]", order)
+	}
+	// Each monitor's cooldown starts when its own rejuvenation ends: the
+	// two lie less than a sample period apart, so one sweep fired both.
+	p, _ := rt.AgingStats("provider")
+	d, _ := rt.AgingStats("dependent")
+	if gap := d.CooldownUntil - p.CooldownUntil; gap <= 0 || gap >= pol.SamplePeriod {
+		t.Fatalf("rejuvenations %v apart, want both inside one %v sweep", gap, pol.SamplePeriod)
+	}
+}
+
 func TestConfigAgingAutoStartsDriver(t *testing.T) {
 	leaky := &leakComp{name: "leaky", leakEach: 256}
 	cfg := DaSConfig()
 	cfg.Aging = leakOnlyPolicy()
 	cfg.AgingTargets = []string{"leaky"}
 	rt := run(t, cfg, []Component{leaky, &statelessComp{name: "stable"}}, func(c *Ctx) {
-		d := c.Runtime().AgingDriver()
-		if d == nil {
-			t.Fatal("Boot did not start the aging driver")
-		}
-		if got := d.Targets(); len(got) != 1 || got[0] != "leaky" {
-			t.Fatalf("targets = %v, want [leaky]", got)
+		if got := c.Runtime().agingTargets; len(got) != 1 || got[0].desc.Name != "leaky" {
+			t.Fatalf("Boot did not start the controller over [leaky]: targets %d", len(got))
 		}
 		for i := 0; i < 300; i++ {
 			mustCall(t, c, "leaky", "work")
 			c.Sleep(50 * time.Microsecond)
 		}
-		for d.Reboots == 0 && c.Elapsed() < 30*time.Second {
-			c.Sleep(time.Millisecond)
-		}
+		awaitRejuvenation(c, "leaky")
 	})
 	st, ok := rt.AgingStats("leaky")
 	if !ok || st.Rejuvenations == 0 {
@@ -137,8 +179,8 @@ func TestVanillaConfigIgnoresAging(t *testing.T) {
 	rt := run(t, cfg, []Component{&kvComp{name: "kv"}}, func(c *Ctx) {
 		mustCall(t, c, "kv", "put", "a", "1")
 	})
-	if rt.AgingDriver() != nil {
-		t.Fatal("vanilla runtime started an aging driver")
+	if _, ok := rt.AgingStats("kv"); ok || rt.agingTargets != nil {
+		t.Fatal("vanilla runtime started an aging controller")
 	}
 }
 
@@ -204,8 +246,8 @@ func TestRejuvenateCheckpointAware(t *testing.T) {
 // must not slip a checkpoint into that blind interval. The explicit
 // Ctx.Checkpoint path stays ungated — it is how Rejuvenate re-images
 // the clean component right after the reboot, while the latch is still
-// set. The driver is left inert (huge sample period) and the test
-// drives the engine by hand, so every transition is deterministic.
+// set. The controller is left inert (huge sample period) and the test
+// drives the monitor by hand, so every transition is deterministic.
 func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 	kv := &kvComp{name: "kv", checkpointed: true}
 	cfg := DaSConfig()
@@ -216,9 +258,9 @@ func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 	cfg.Aging = pol
 	cfg.AgingTargets = []string{"kv"}
 	run(t, cfg, []Component{kv}, func(c *Ctx) {
-		drv := c.Runtime().AgingDriver()
-		if drv == nil {
-			t.Fatal("Boot did not start the aging driver")
+		mon := c.Runtime().comps["kv"].aging
+		if mon == nil {
+			t.Fatal("Boot did not start the aging controller")
 		}
 		puts := func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -238,7 +280,7 @@ func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 		// Latch the monitor: a window of samples whose leak slope is far
 		// over the 50 kB/s threshold.
 		for i := 0; i < 4; i++ {
-			drv.engine.Observe("kv", aging.Sample{
+			mon.Observe(aging.Sample{
 				At:            c.Elapsed() + time.Duration(i)*time.Millisecond,
 				HeapAllocated: int64(i) * (1 << 20),
 			})
@@ -260,9 +302,9 @@ func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 		}
 		// A successful rejuvenation releases the latch and starts the
 		// cooldown; the gate must hold until the cooldown lapses.
-		drv.engine.NoteResult("kv", c.Elapsed(), true)
+		mon.NoteRejuvenation(c.Elapsed(), true)
 		if st, _ := c.Runtime().AgingStats("kv"); st.Hot || st.CooldownUntil <= c.Elapsed() {
-			t.Fatalf("NoteResult did not release the latch into cooldown: %+v", st)
+			t.Fatalf("NoteRejuvenation did not release the latch into cooldown: %+v", st)
 		}
 		puts(16, 24)
 		if got := count(); got != manual {
@@ -319,93 +361,5 @@ func TestRejuvenateEmitsTraceSpan(t *testing.T) {
 	}
 	if reboot.Name != "rejuvenation" {
 		t.Fatalf("reboot span reason = %q", reboot.Name)
-	}
-}
-
-// TestRejuvenatorStopSafeFromHost is the regression test for the
-// unsynchronized Rejuvenator.stop flag: Stop is called from a host-side
-// goroutine while the schedule thread polls the flag. Run with -race
-// this proves the flag is safe to flip from outside the baton.
-func TestRejuvenatorStopSafeFromHost(t *testing.T) {
-	kv := &kvComp{name: "kv"}
-	cfg := DaSConfig()
-	cfg.MaxVirtualTime = time.Hour
-	rt := NewRuntime(cfg)
-	if err := rt.Register(kv); err != nil {
-		t.Fatal(err)
-	}
-	var rej *Rejuvenator
-	started := make(chan struct{})
-	stopped := make(chan struct{})
-	go func() {
-		<-started
-		for len(rt.Reboots()) == 0 {
-			runtime.Gosched()
-		}
-		rej.Stop()
-		close(stopped)
-	}()
-	err := rt.Run(func(c *Ctx) {
-		rej = c.Runtime().NewRejuvenator(300*time.Microsecond, "kv")
-		close(started)
-		c.Go("rej", rej.Run)
-		for {
-			select {
-			case <-stopped:
-				return
-			default:
-				mustCall(t, c, "kv", "put", "k", "v")
-				c.Sleep(100 * time.Microsecond)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rt.Reboots()) == 0 {
-		t.Fatal("rejuvenator never ran")
-	}
-}
-
-// TestAgingDriverStopSafeFromHost gives the adaptive driver the same
-// outside-the-baton Stop guarantee.
-func TestAgingDriverStopSafeFromHost(t *testing.T) {
-	leaky := &leakComp{name: "leaky", leakEach: 256}
-	cfg := DaSConfig()
-	cfg.MaxVirtualTime = time.Hour
-	rt := NewRuntime(cfg)
-	if err := rt.Register(leaky); err != nil {
-		t.Fatal(err)
-	}
-	var drv *AgingDriver
-	started := make(chan struct{})
-	stopped := make(chan struct{})
-	go func() {
-		<-started
-		for len(rt.Reboots()) == 0 {
-			runtime.Gosched()
-		}
-		drv.Stop()
-		close(stopped)
-	}()
-	err := rt.Run(func(c *Ctx) {
-		drv = c.Runtime().NewAgingDriver(leakOnlyPolicy())
-		close(started)
-		c.Go("aging", drv.Run)
-		for {
-			select {
-			case <-stopped:
-				return
-			default:
-				mustCall(t, c, "leaky", "work")
-				c.Sleep(50 * time.Microsecond)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drv.Reboots == 0 {
-		t.Fatal("driver never rejuvenated")
 	}
 }

@@ -53,7 +53,7 @@ func (rt *Runtime) maybeCheckpoint(g *group) {
 		if c.tracker == nil || c.checkpoint == nil {
 			continue
 		}
-		if rt.agingHot(c.desc.Name) {
+		if rt.agingHot(c) {
 			// The adaptive-aging monitor has this component latched over
 			// threshold: a rejuvenation is imminent, and imaging the arena
 			// now would bake the accumulated leak or fragmentation into
@@ -141,8 +141,8 @@ func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 	}
 	// Charge what the mechanism actually moved: dirty pages copied into
 	// the image (the whole point of the delta) plus the log rewrite.
-	rt.chargeOn(th, time.Duration(dirtyPages)*rt.costs.SnapshotPerPage)
-	rt.chargeOn(th, time.Duration(dropped+folded)*rt.costs.LogAppend)
+	rt.chargeOn(th, time.Duration(dirtyPages)*costSnapshotPerPage)
+	rt.chargeOn(th, time.Duration(dropped+folded)*costLogAppend)
 	c.tracker.NoteCheckpoint(dirtyPages, dropped, folded)
 	rt.stats.checkpoints.Add(1)
 	if tr != nil {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vampos/internal/aging"
 	"vampos/internal/ckpt"
 	"vampos/internal/defense"
 	"vampos/internal/mem"
@@ -78,7 +79,9 @@ type ColdResetter interface {
 }
 
 // LogPolicy describes how one exported function is logged for
-// encapsulated restoration.
+// encapsulated restoration. The record of a call that returned an error
+// is always dropped: a failed call changed no state, and polling
+// patterns (EAGAIN accept/recv) would otherwise flood the log.
 type LogPolicy struct {
 	// Classify maps a completed call to its session and shrink class.
 	// It runs on the message thread and sees the encoded arguments, still
@@ -86,10 +89,6 @@ type LogPolicy struct {
 	// reply buffer, and the transported error. A nil Classify logs the
 	// call as durable with no session.
 	Classify func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class)
-	// KeepFailed retains records of calls that returned an error. The
-	// default (false) drops them: a failed call changed no state, and
-	// polling patterns (EAGAIN accept/recv) would otherwise flood the log.
-	KeepFailed bool
 }
 
 // LogPolicyProvider is implemented by stateful components. Only functions
@@ -175,6 +174,9 @@ type component struct {
 	// runtime is not message-passing. Touched only under the cooperative
 	// scheduler baton.
 	tracker *ckpt.Tracker
+	// aging is the adaptive-rejuvenation monitor; nil unless the
+	// component is a target of the controller Boot started.
+	aging *aging.Monitor
 
 	// Defense state (all nil/zero unless Config.Defense is enabled and the
 	// component is checkpoint-eligible; touched only under the baton

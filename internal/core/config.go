@@ -63,7 +63,7 @@ type Config struct {
 	// WatchdogPeriod is the hang-detector scan interval (virtual time).
 	WatchdogPeriod time.Duration
 	// MaxVirtualTime aborts the simulation when the virtual clock passes
-	// it — a backstop against livelocked experiments. Zero disables.
+	// it — a backstop against livelocked experiments. Zero means 24 hours.
 	MaxVirtualTime time.Duration
 	// Ckpt is the incremental-checkpoint cadence applied to every
 	// checkpoint-eligible component (Stateful with Checkpoint set). The
@@ -75,10 +75,12 @@ type Config struct {
 	// Boot starts a controller thread that samples every rebootable
 	// component's heap on the virtual clock and schedules
 	// checkpoint-aware rolling rejuvenation through the reboot manager.
-	// The zero policy keeps rejuvenation manual (Ctx.Reboot, Rejuvenator).
+	// The zero policy keeps rejuvenation manual (Ctx.Reboot,
+	// Ctx.Rejuvenate).
 	Aging aging.Policy
 	// AgingTargets restricts the adaptive controller to the named
-	// components; empty means every rebootable component in boot order.
+	// components, in the order it rejuvenates them; empty means every
+	// rebootable component in boot order. Boot fails on an unknown name.
 	AgingTargets []string
 	// Microreboot enables session-granular recovery (rung 1 of the
 	// recovery ladder): a failure attributable to one session of an

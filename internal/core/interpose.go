@@ -192,7 +192,7 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Encoded, error) {
 	sameGroup := c.comp != nil && c.comp.group == tc.group
 	if !rt.cfg.MessagePassing || sameGroup {
 		rt.stats.directCalls.Add(1)
-		rt.chargeOn(c.th, rt.costs.DirectCall)
+		rt.chargeOn(c.th, costDirectCall)
 		sub := &Ctx{rt: rt, comp: tc, th: c.th, replay: c.replay}
 		if tr := rt.tracer; tr != nil {
 			sub.span = tr.Begin(c.span, trace.KindDirect, c.callerName(), target, fn)
@@ -238,7 +238,7 @@ func (rt *Runtime) callLogged(c, sub *Ctx, tc *component, fn string, h Handler, 
 	if seq == 0 {
 		seq = rt.nextSeq
 	}
-	rt.chargeOn(c.th, rt.costs.LogAppend)
+	rt.chargeOn(c.th, costLogAppend)
 	rec, lerr := lg.BeginInboundEncoded(seq, fn, args)
 	if lerr != nil {
 		return nil, errnoFromString("ENOSPC: " + lerr.Error())
@@ -440,9 +440,9 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 	pc.seq = rt.nextSeq
 	rt.pending.add(pc)
 	rt.stats.messages.Add(1)
-	rt.charge(rt.costs.MessagePush)
+	rt.charge(costMessagePush)
 	if rt.loggingWanted(pc.to, pc.fn) {
-		rt.charge(rt.costs.LogAppend)
+		rt.charge(costLogAppend)
 		rec, err := pc.to.domain.Log().BeginInboundEncoded(pc.seq, pc.fn, pc.args)
 		if err != nil {
 			rt.finishCall(pc, nil, "ENOSPC: "+err.Error())
@@ -468,7 +468,7 @@ func (rt *Runtime) handlePush(pc *pendingCall) {
 }
 
 func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Encoded, errStr string) {
-	rt.charge(rt.costs.MessagePull)
+	rt.charge(costMessagePull)
 	rt.finishCall(pc, rets, rt.logResult(nil, pc.to, pc.fn, pc.args, pc.rec, pc.fromGrp, rets, errStr))
 }
 
@@ -479,17 +479,16 @@ func (rt *Runtime) handleReply(pc *pendingCall, rets msg.Encoded, errStr string)
 // It returns errStr, replaced when a domain is full.
 func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args msg.Encoded, rec msg.Ref, from *group, rets msg.Encoded, errStr string) string {
 	if rec.Logged() {
-		rt.chargeOn(th, rt.costs.LogAppend)
+		rt.chargeOn(th, costLogAppend)
 		lg := to.domain.Log()
-		pol := to.policies[fn]
-		if errStr != "" && !pol.KeepFailed {
+		if errStr != "" {
 			// A failed call changed no component state: logging it would
 			// only bloat the replay (EAGAIN accept/recv polls especially).
 			lg.DropRecord(rec)
 		} else {
 			sess, class := msg.SessionID(""), msg.ClassDurable
-			if pol.Classify != nil {
-				sess, class = pol.Classify(args, rets, errnoFromString(errStr))
+			if classify := to.policies[fn].Classify; classify != nil {
+				sess, class = classify(args, rets, errnoFromString(errStr))
 			}
 			if err := lg.EndInboundEncoded(rec, sess, class, rets, errStr); logFull(err) {
 				errStr = "ENOSPC: " + err.Error()
@@ -499,7 +498,7 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 	}
 	// Return-value logging for encapsulated restoration of the caller.
 	if from != nil && from.curRec.Logged() {
-		rt.chargeOn(th, rt.costs.LogAppend)
+		rt.chargeOn(th, costLogAppend)
 		if err := from.curLog.AppendOutboundTo(from.curRec, to.desc.Name, fn, rets, errStr); logFull(err) {
 			// A full caller domain poisons future restoration of the
 			// caller; surface it as the call's error.
@@ -559,7 +558,7 @@ func (rt *Runtime) maybeCompact(th *sched.Thread, c *component) {
 		if after := lg.Len(); before-after > touched {
 			touched = before - after
 		}
-		rt.chargeOn(th, time.Duration(touched)*rt.costs.LogAppend)
+		rt.chargeOn(th, time.Duration(touched)*costLogAppend)
 	}
 }
 

@@ -343,7 +343,7 @@ func (rt *Runtime) restoreMember(t *sched.Thread, r *recovery, c *component) err
 		if cr, ok := c.comp.(ColdResetter); ok {
 			cr.Reset()
 		}
-		t.Charge(rt.costs.ColdInit)
+		t.Charge(costColdInit)
 	} else {
 		if err := rt.memry.Restore(c.checkpoint.memSnap); err != nil {
 			return err
@@ -354,7 +354,7 @@ func (rt *Runtime) restoreMember(t *sched.Thread, r *recovery, c *component) err
 		// so a mostly-untouched arena no longer bills its full span on
 		// every reboot.
 		r.pass.rec.RestoredPages += c.checkpoint.memSnap.Resident
-		t.Charge(time.Duration(c.checkpoint.memSnap.Resident) * rt.costs.SnapshotPerPage)
+		t.Charge(time.Duration(c.checkpoint.memSnap.Resident) * costSnapshotPerPage)
 		if ss, ok := c.comp.(StateSaver); ok && c.checkpoint.control != nil {
 			if err := ss.RestoreState(c.checkpoint.control); err != nil {
 				return fmt.Errorf("core: restore state of %q: %w", c.desc.Name, err)
@@ -520,7 +520,7 @@ func (rt *Runtime) replay(t *sched.Thread, g *group, r *recovery, items []replay
 				return de
 			}
 		}
-		t.Charge(rt.costs.ReplayPerEntry)
+		t.Charge(costReplayPerEntry)
 		c.domain.Log().MarkReplayed(1)
 		// Replay is execution: the arena now reflects this call, and the
 		// next checkpoint (the post-rollback re-square in particular, whose

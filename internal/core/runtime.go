@@ -25,41 +25,26 @@ const (
 	keyFirstComp mem.Key = 4 // first component group key
 )
 
-// CostModel charges virtual time for runtime mechanisms so that
-// experiment timelines measured on the virtual clock reflect the paper's
-// cost structure (message hops, log writes, snapshot loads). Constants
-// are calibrated against the paper's Unikraft/Xeon measurements; wall
-// clock benchmarks are reported separately by the bench harness.
-type CostModel struct {
-	Dispatch        time.Duration // one context switch
-	MessagePush     time.Duration // argument copy into a message domain
-	MessagePull     time.Duration // message removal by the receiver
-	DirectCall      time.Duration // vanilla / intra-merge function call
-	LogAppend       time.Duration // one log record write
-	SnapshotPerPage time.Duration // checkpoint restore, per page
-	ReplayPerEntry  time.Duration // one replayed log record
-	ColdInit        time.Duration // stateless re-initialisation
-}
-
-// DefaultCostModel returns the calibrated defaults.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		Dispatch:        200 * time.Nanosecond,
-		MessagePush:     120 * time.Nanosecond,
-		MessagePull:     80 * time.Nanosecond,
-		DirectCall:      60 * time.Nanosecond,
-		LogAppend:       80 * time.Nanosecond,
-		SnapshotPerPage: 10 * time.Microsecond,
-		ReplayPerEntry:  2 * time.Microsecond,
-		ColdInit:        5 * time.Microsecond,
-	}
-}
+// Virtual-time charges for runtime mechanisms, so that experiment
+// timelines measured on the virtual clock reflect the paper's cost
+// structure (message hops, log writes, snapshot loads). The values are
+// calibrated against the paper's Unikraft/Xeon measurements; wall-clock
+// benchmarks are reported separately by the bench harness.
+const (
+	costDispatch        = 200 * time.Nanosecond // one context switch
+	costMessagePush     = 120 * time.Nanosecond // argument copy into a message domain
+	costMessagePull     = 80 * time.Nanosecond  // message removal by the receiver
+	costDirectCall      = 60 * time.Nanosecond  // vanilla / intra-merge function call
+	costLogAppend       = 80 * time.Nanosecond  // one log record write
+	costSnapshotPerPage = 10 * time.Microsecond // checkpoint restore, per page
+	costReplayPerEntry  = 2 * time.Microsecond  // one replayed log record
+	costColdInit        = 5 * time.Microsecond  // stateless re-initialisation
+)
 
 // Runtime is one booted VampOS unikernel: its address space, scheduler,
 // components, message thread and reboot manager.
 type Runtime struct {
 	cfg   Config
-	costs CostModel
 	clk   *clock.Virtual
 	sch   *sched.Scheduler
 	memry *mem.Memory
@@ -98,10 +83,10 @@ type Runtime struct {
 	armedMu sync.Mutex
 	armed   map[string]*armedFault
 
-	// agingDriver is the adaptive-rejuvenation controller Boot starts
-	// when cfg.Aging is enabled (nil otherwise or when one was created
-	// manually with NewAgingDriver).
-	agingDriver *AgingDriver
+	// agingTargets are the components the adaptive-rejuvenation
+	// controller watches, in the order it rejuvenates them; nil unless
+	// Boot started the controller for cfg.Aging.
+	agingTargets []*component
 
 	// tracer is the optional flight recorder. It lives in host memory,
 	// outside every component domain, so reboots cannot destroy it. A
@@ -129,13 +114,12 @@ func NewRuntime(cfg Config) *Runtime {
 	if err := s.SetMemory(m); err != nil {
 		panic(err) // fresh scheduler; cannot already have memory
 	}
-	s.SetDispatchCost(DefaultCostModel().Dispatch)
+	s.SetDispatchCost(costDispatch)
 	if cfg.MessagePassing && cfg.Shards > 0 {
 		s.SetShards(cfg.Shards)
 	}
 	rt := &Runtime{
 		cfg:     cfg,
-		costs:   DefaultCostModel(),
 		clk:     clk,
 		sch:     s,
 		memry:   m,
@@ -372,16 +356,12 @@ func (rt *Runtime) Boot(boot *sched.Thread) error {
 	if rt.cfg.MessagePassing {
 		rt.msgThread = rt.sch.Spawn("vampos/msg", mem.Allow(keyDomains), rt.msgLoop)
 		rt.sch.Spawn("vampos/watchdog", mem.Allow(keyScheduler), rt.watchdogLoop)
+		// Vanilla mode has no component reboots to schedule, hence the
+		// message-passing gate.
 		if rt.cfg.Aging.Enabled() {
-			// Adaptive rejuvenation controller: samples component heaps on
-			// the virtual clock and schedules checkpoint-aware rolling
-			// reboots. Vanilla mode has no component reboots to schedule,
-			// hence the message-passing gate.
-			d := rt.NewAgingDriver(rt.cfg.Aging, rt.cfg.AgingTargets...)
-			rt.agingDriver = d
-			rt.sch.Spawn("vampos/aging", mem.Allow(keyScheduler), func(t *sched.Thread) {
-				d.Run(&Ctx{rt: rt, th: t, appName: "aging"})
-			})
+			if err := rt.startAging(); err != nil {
+				return err
+			}
 		}
 	}
 	return rt.initAll(boot, "init")

@@ -81,7 +81,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 			continue
 		}
 		w.args = args
-		t.Charge(rt.costs.MessagePull)
+		t.Charge(costMessagePull)
 		if !rt.execMessage(w, m, args) {
 			return // component crashed; the message thread takes over
 		}

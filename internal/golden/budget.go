@@ -28,7 +28,7 @@ func ProcessCPU() (time.Duration, error) {
 // that ran.
 func RunWithinCPU(m *testing.M, budget time.Duration) int {
 	code := m.Run()
-	if code != 0 || raceEnabled || flag.Lookup("test.run").Value.String() != "" ||
+	if code != 0 || RaceEnabled || flag.Lookup("test.run").Value.String() != "" ||
 		flag.Lookup("test.count").Value.String() != "1" {
 		return code
 	}

@@ -2,5 +2,6 @@
 
 package golden
 
-// raceEnabled reports a -race build, whose CPU times no budget covers.
-const raceEnabled = true
+// RaceEnabled reports a -race build, whose CPU times no budget covers
+// and whose instrumentation adds allocations no allocation count allows.
+const RaceEnabled = true

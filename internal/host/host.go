@@ -4,9 +4,8 @@
 //
 // Host services are simulated threads on the same cooperative scheduler
 // as the guest, so the whole experiment is one deterministic simulation;
-// their I/O costs are charged in virtual time through configurable
-// latencies (the substitution for the paper's real storage and gigabit
-// link).
+// their I/O costs are charged in virtual time through fixed latencies
+// (the substitution for the paper's real storage and gigabit link).
 package host
 
 import (
@@ -25,28 +24,18 @@ import (
 // GuestIP is the unikernel's address on the virtual network.
 var GuestIP = lwip.IP4(10, 0, 0, 2)
 
-// Latencies configures the virtual-time cost of host-side operations.
-type Latencies struct {
-	Wire    time.Duration // one frame across the virtual ethernet
-	P9Op    time.Duration // one 9P operation (page-cache-hit cost)
-	P9Fsync time.Duration // one fsync (synchronous storage flush)
-}
-
-// DefaultLatencies mirrors a local NVMe-backed host share and an
-// intra-host virtio link.
-func DefaultLatencies() Latencies {
-	return Latencies{
-		Wire:    10 * time.Microsecond,
-		P9Op:    8 * time.Microsecond,
-		P9Fsync: 250 * time.Microsecond,
-	}
-}
+// Virtual-time costs of host-side operations, mirroring a local
+// NVMe-backed host share and an intra-host virtio link.
+const (
+	WireLatency    = 10 * time.Microsecond  // one frame across the virtual ethernet
+	P9OpLatency    = 8 * time.Microsecond   // one 9P operation (page-cache-hit cost)
+	P9FsyncLatency = 250 * time.Microsecond // one fsync (synchronous storage flush)
+)
 
 // Host is the hypervisor-side world attached to one simulation.
 type Host struct {
 	sch *sched.Scheduler
 	clk *clock.Virtual
-	lat Latencies
 
 	fs    *ninep.ExportFS
 	p9srv *ninep.Server
@@ -91,12 +80,11 @@ func (h *Host) SetTracer(r *trace.Recorder) { h.tracer = r }
 
 // New creates a host over the simulation scheduler. The export file
 // system persists for the host's lifetime, surviving guest reboots.
-func New(sch *sched.Scheduler, lat Latencies) *Host {
+func New(sch *sched.Scheduler) *Host {
 	fs := ninep.NewExportFS()
 	return &Host{
 		sch:   sch,
 		clk:   sch.Clock(),
-		lat:   lat,
 		fs:    fs,
 		p9srv: ninep.NewServer(fs),
 		peers: make(map[lwip.Addr]*Peer),
@@ -108,9 +96,6 @@ func (h *Host) FS() *ninep.ExportFS { return h.fs }
 
 // Server exposes the 9P server (fid-leak observation in tests).
 func (h *Host) Server() *ninep.Server { return h.p9srv }
-
-// Latencies returns the configured cost model.
-func (h *Host) Latencies() Latencies { return h.lat }
 
 // AttachNet implements virtio.Ports.
 func (h *Host) AttachNet(dev *virtio.Device) {
@@ -174,9 +159,9 @@ func (h *Host) p9Loop(t *sched.Thread) {
 			// this means guest-side corruption. Answer with Rerror.
 			resp = &ninep.Fcall{Type: ninep.Rerror, Ename: "EIO: " + err.Error()}
 		} else {
-			cost := h.lat.P9Op
+			cost := P9OpLatency
 			if tmsg.Type == ninep.Tfsync {
-				cost = h.lat.P9Fsync
+				cost = P9FsyncLatency
 			}
 			t.Sleep(cost)
 			resp, err = h.p9srv.Handle(tmsg)
@@ -225,12 +210,11 @@ func (h *Host) wireSleep(t *sched.Thread) {
 	if t == nil {
 		return
 	}
-	w := h.lat.Wire
 	if h.sch.Shards() > 0 {
-		t.Sleep(w - h.clk.Elapsed()%w)
+		t.Sleep(WireLatency - h.clk.Elapsed()%WireLatency)
 		return
 	}
-	t.Sleep(w)
+	t.Sleep(WireLatency)
 }
 
 // switchLoop moves guest TX frames to the addressed peer connection.

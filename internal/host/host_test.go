@@ -31,7 +31,7 @@ func newWorld(t *testing.T) *world {
 	if err := sch.SetMemory(m); err != nil {
 		t.Fatal(err)
 	}
-	h := New(sch, DefaultLatencies())
+	h := New(sch)
 	mk := func(name string) *virtio.Device {
 		tx, err := m.AllocPages(4, 1)
 		if err != nil {
@@ -128,8 +128,8 @@ func TestP9LatencyCharged(t *testing.T) {
 	w.run(t, func(th *sched.Thread) {
 		before := w.sch.Clock().Elapsed()
 		w.guestRPC(t, th, &ninep.Fcall{Type: ninep.Tversion, Tag: 1, Msize: 8192, Version: "9P2000"})
-		if got := w.sch.Clock().Elapsed() - before; got < w.h.Latencies().P9Op {
-			t.Fatalf("rpc advanced %v, want >= %v", got, w.h.Latencies().P9Op)
+		if got := w.sch.Clock().Elapsed() - before; got < P9OpLatency {
+			t.Fatalf("rpc advanced %v, want >= %v", got, P9OpLatency)
 		}
 	})
 }

@@ -16,9 +16,7 @@ import (
 func echoLifecycle(t *testing.T) {
 	t.Helper()
 	base := runtime.NumGoroutine()
-	cfg := fullConfig(core.DaSConfig())
-	cfg.AppHeapPages = 16
-	inst := runInstance(t, cfg, func(s *Sys) {
+	inst := runInstance(t, fullConfig(core.DaSConfig()), func(s *Sys) {
 		if err := s.StartApp(&echoApp{}); err != nil {
 			t.Errorf("StartApp: %v", err)
 			return

@@ -32,31 +32,18 @@ type Config struct {
 	Net bool
 	// Sysinfo links the SYSINFO component.
 	Sysinfo bool
-	// Latencies configures host I/O costs; zero value means defaults.
-	Latencies host.Latencies
-	// AppHeapPages sizes the application arena (power of two). Zero
-	// means 65536 pages = 256 MiB, enough for the Redis workload.
-	AppHeapPages int
-	// BootDelay models the out-of-simulation part of a full reboot (VM
-	// teardown, firmware, kernel boot) in virtual time.
-	BootDelay time.Duration
 	// VFSNoCheckpoint disables VFS's checkpoint-based initialization
 	// (forcing cold re-init + replay): the §V-E ablation knob.
 	VFSNoCheckpoint bool
 }
 
-func (c Config) fill() Config {
-	if c.Latencies == (host.Latencies{}) {
-		c.Latencies = host.DefaultLatencies()
-	}
-	if c.AppHeapPages == 0 {
-		c.AppHeapPages = 65536
-	}
-	if c.BootDelay == 0 {
-		c.BootDelay = 300 * time.Millisecond
-	}
-	return c
-}
+// BootDelay models the out-of-simulation part of a full reboot (VM
+// teardown, firmware, kernel boot) in virtual time.
+const BootDelay = 300 * time.Millisecond
+
+// appHeapPages sizes the application arena: 65536 pages = 256 MiB,
+// enough for the Redis workload.
+const appHeapPages = 65536
 
 // Instance is one assembled unikernel plus its host-side world.
 type Instance struct {
@@ -87,7 +74,6 @@ type App interface {
 // New assembles an instance. Components register in bottom-up boot
 // order; which ones exist follows the application profile flags.
 func New(cfg Config) (*Instance, error) {
-	cfg = cfg.fill()
 	// Component merges only make sense when both members are linked:
 	// an application profile without the network keeps FSm semantics
 	// but degenerates NETm to plain DaS, as the paper's per-app builds do.
@@ -110,7 +96,7 @@ func New(cfg Config) (*Instance, error) {
 	}
 	cfg.Core.Merges = merges
 	rt := core.NewRuntime(cfg.Core)
-	h := host.New(rt.Scheduler(), cfg.Latencies)
+	h := host.New(rt.Scheduler())
 	inst := &Instance{cfg: cfg, rt: rt, host: h}
 
 	inst.procC = ukcomp.NewProcess()
@@ -186,16 +172,13 @@ func (i *Instance) NewTracer(name string, opts ...trace.Option) *trace.Recorder 
 // Host exposes the hypervisor-side world (export FS, peers).
 func (i *Instance) Host() *host.Host { return i.host }
 
-// Config returns the instance configuration.
-func (i *Instance) Config() Config { return i.cfg }
-
 // Run boots the instance and executes control as the experiment
 // controller thread. It returns when control returns (the simulation
 // stops) or on a boot error.
 func (i *Instance) Run(control func(*Sys)) error {
 	i.host.Start()
 	return i.rt.Run(func(ctx *core.Ctx) {
-		if _, err := i.rt.EnsureAppHeap(i.cfg.AppHeapPages); err != nil {
+		if _, err := i.rt.EnsureAppHeap(appHeapPages); err != nil {
 			panic(fmt.Sprintf("unikernel: app heap: %v", err))
 		}
 		control(&Sys{ctx: ctx, inst: i})
@@ -237,7 +220,7 @@ func (s *Sys) FullReboot() error {
 		i.rt.Tracer().EndErr(sp, "restart failed: "+err.Error())
 		return err
 	}
-	s.ctx.Sleep(i.cfg.BootDelay)
+	s.ctx.Sleep(BootDelay)
 	if i.app != nil {
 		if err := i.app.Main(s); err != nil {
 			i.rt.Tracer().EndErr(sp, "app restart failed: "+err.Error())

@@ -490,7 +490,7 @@ func TestFullRebootLosesConnectionsAndFiles(t *testing.T) {
 			t.Fatalf("full reboot: %v", err)
 		}
 		downtime := s.Elapsed() - before
-		if downtime < s.Instance().Config().BootDelay {
+		if downtime < BootDelay {
 			t.Fatalf("downtime %v below boot delay", downtime)
 		}
 		// The old connection is dead (reset or timed out), as the

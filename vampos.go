@@ -126,7 +126,7 @@ type (
 	// the component-reboot -> instance-reboot escalation ladder.
 	Cluster = cluster.Cluster
 	// ClusterConfig sizes the cluster (members, write quorum W, core
-	// configuration, boot delay, gossip round cap).
+	// configuration, per-member hook).
 	ClusterConfig = cluster.Config
 )
 
