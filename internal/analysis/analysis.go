@@ -39,9 +39,9 @@
 //
 // The four recovery-completeness analyzers consume a cross-package
 // fact base (Facts) computed in a single pass over the loaded module's
-// type information: component roots, SaveState/RestoreState and
-// session-resolver/evictor implementers, sentinel error values, and
-// the deterministic-package sets.
+// type information: component roots, SaveState/RestoreState
+// implementers, sentinel error values, and the deterministic-package
+// sets.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, and an analysistest-style golden-test

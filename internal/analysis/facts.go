@@ -15,9 +15,6 @@ import (
 //   - component root packages (static layout knowledge, componentOf),
 //   - named types implementing the SaveState/RestoreState checkpoint
 //     protocol (statecomplete's subjects),
-//   - named types implementing the session-resolver / session-evictor
-//     protocols (recovery-path methods, listed in -facts output so the
-//     attribution surface is auditable),
 //   - sentinel error values (exported Err* variables of type error in
 //     module packages; laddererr's subjects),
 //   - the runtime's Ctx and Cluster types (quiescentcall / laddererr
@@ -30,9 +27,7 @@ import (
 // fixtures that pose as module packages (or override internal/core with
 // a miniature stand-in) produce exactly the facts their imports declare.
 type Facts struct {
-	stateSavers      map[*types.Named]bool
-	sessionResolvers map[*types.Named]bool
-	sessionEvictors  map[*types.Named]bool
+	stateSavers map[*types.Named]bool
 	// sentinels holds every exported package-level `var ErrX` of type
 	// error in a module package; recovery marks the subset that names
 	// a recovery-ladder outcome.
@@ -71,11 +66,9 @@ var detrangePkgs = map[string]bool{
 // NewFacts computes the fact base for the import-closure of roots.
 func NewFacts(roots ...*types.Package) *Facts {
 	f := &Facts{
-		stateSavers:      make(map[*types.Named]bool),
-		sessionResolvers: make(map[*types.Named]bool),
-		sessionEvictors:  make(map[*types.Named]bool),
-		sentinels:        make(map[types.Object]bool),
-		recovery:         make(map[types.Object]bool),
+		stateSavers: make(map[*types.Named]bool),
+		sentinels:   make(map[types.Object]bool),
+		recovery:    make(map[types.Object]bool),
 	}
 	seen := make(map[*types.Package]bool)
 	var walk func(p *types.Package)
@@ -119,12 +112,6 @@ func (f *Facts) scanScope(p *types.Package) {
 			}
 			if hasMethods(named, "SaveState", "RestoreState") {
 				f.stateSavers[named] = true
-			}
-			if hasMethods(named, "SessionOf", "SessionFns") {
-				f.sessionResolvers[named] = true
-			}
-			if hasMethods(named, "EvictSession") {
-				f.sessionEvictors[named] = true
 			}
 			if name == "Ctx" && p.Path() == modulePath+"/internal/core" {
 				f.ctx = o
@@ -207,14 +194,9 @@ func (f *Facts) Summary() []string {
 			out = append(out, fmt.Sprintf("deterministic  %s", p))
 		}
 	}
-	named := func(kind string, m map[*types.Named]bool) {
-		for n := range m {
-			out = append(out, fmt.Sprintf("%s %s.%s", kind, n.Obj().Pkg().Path(), n.Obj().Name()))
-		}
+	for n := range f.stateSavers {
+		out = append(out, fmt.Sprintf("state-saver     %s.%s", n.Obj().Pkg().Path(), n.Obj().Name()))
 	}
-	named("state-saver    ", f.stateSavers)
-	named("session-resolve", f.sessionResolvers)
-	named("session-evict  ", f.sessionEvictors)
 	for o := range f.sentinels {
 		kind := "sentinel       "
 		if f.recovery[o] {

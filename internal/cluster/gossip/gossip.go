@@ -272,11 +272,12 @@ func (g *Comp) Init(*core.Ctx) error {
 // LogPolicies implements core.LogPolicyProvider: every state-changing
 // export is durable so replay reconstructs the table and outboxes
 // exactly; the read-only snapshots are not logged.
-func (g *Comp) LogPolicies() map[string]core.LogPolicy {
-	return map[string]core.LogPolicy{
-		"gsp_put":   {Classify: core.Durable},
-		"gsp_apply": {Classify: core.Durable},
-		"gsp_drain": {Classify: core.Durable},
+func (g *Comp) LogPolicies() (*msg.Namespace, map[string]core.LogPolicy) {
+	durable := core.LogPolicy{Class: msg.ClassDurable}
+	return nil, map[string]core.LogPolicy{
+		"gsp_put":   durable,
+		"gsp_apply": durable,
+		"gsp_drain": durable,
 	}
 }
 

@@ -177,7 +177,7 @@ func TestVanillaConfigIgnoresAging(t *testing.T) {
 	cfg := VanillaConfig()
 	cfg.Aging = aging.Policy{SamplePeriod: 50 * time.Millisecond}
 	rt := run(t, cfg, []Component{&kvComp{name: "kv"}}, func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
+		mustCall(t, c, "kv", "put", 1, "1")
 	})
 	if _, ok := rt.AgingStats("kv"); ok || rt.agingTargets != nil {
 		t.Fatal("vanilla runtime started an aging controller")
@@ -194,7 +194,7 @@ func TestRejuvenateCheckpointAware(t *testing.T) {
 	kv := &kvComp{name: "kv", checkpointed: true}
 	rt := run(t, DaSConfig(), []Component{kv}, func(c *Ctx) {
 		for i := 0; i < 40; i++ {
-			mustCall(t, c, "kv", "put", "k"+strconv.Itoa(i), "v")
+			mustCall(t, c, "kv", "put", i, "v")
 		}
 		if n := c.Runtime().LogLen("kv"); n < 40 {
 			t.Fatalf("retained log = %d, want >= 40", n)
@@ -216,7 +216,7 @@ func TestRejuvenateCheckpointAware(t *testing.T) {
 		}
 		// All state survived both reboots.
 		for i := 0; i < 40; i++ {
-			if v, _ := mustCall(t, c, "kv", "get", "k"+strconv.Itoa(i)).Str(0); v != "v" {
+			if v, _ := mustCall(t, c, "kv", "get", i).Str(0); v != "v" {
 				t.Fatalf("k%d lost after rejuvenation", i)
 			}
 		}
@@ -264,8 +264,7 @@ func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 		}
 		puts := func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				k := strconv.Itoa(i)
-				mustCall(t, c, "kv", "put", k, k)
+				mustCall(t, c, "kv", "put", i, strconv.Itoa(i))
 			}
 		}
 		count := func() uint64 {
@@ -328,7 +327,7 @@ func TestRejuvenateEmitsTraceSpan(t *testing.T) {
 	}
 	rec := rt.NewTracer("test/rejuv")
 	err := rt.Run(func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
+		mustCall(t, c, "kv", "put", 1, "1")
 		if err := c.Rejuvenate("kv"); err != nil {
 			t.Fatalf("Rejuvenate: %v", err)
 		}

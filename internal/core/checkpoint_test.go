@@ -23,13 +23,13 @@ func TestCadenceCheckpointBoundsReplay(t *testing.T) {
 	cfg.Ckpt = ckpt.Policy{EveryCalls: 4}
 	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
 		for i := 0; i < 10; i++ {
-			mustCall(t, c, "kv", "put", "k"+strconv.Itoa(i), strconv.Itoa(i))
+			mustCall(t, c, "kv", "put", i, strconv.Itoa(i))
 		}
 		if err := c.Reboot("kv"); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			rets := mustCall(t, c, "kv", "get", "k"+strconv.Itoa(i))
+			rets := mustCall(t, c, "kv", "get", i)
 			if v, _ := rets.Str(0); v != strconv.Itoa(i) {
 				t.Errorf("k%d = %q after checkpointed recovery", i, v)
 			}
@@ -63,22 +63,22 @@ func TestCadenceCheckpointBoundsReplay(t *testing.T) {
 func TestManualCheckpoint(t *testing.T) {
 	kv := &kvComp{name: "kv", checkpointed: true}
 	rt := run(t, DaSConfig(), []Component{kv}, func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
-		mustCall(t, c, "kv", "put", "b", "2")
+		mustCall(t, c, "kv", "put", 1, "1")
+		mustCall(t, c, "kv", "put", 2, "2")
 		if err := c.Checkpoint("kv"); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.rt.LogLen("kv"); got != 0 {
 			t.Fatalf("log = %d entries after manual checkpoint, want 0", got)
 		}
-		mustCall(t, c, "kv", "put", "c", "3")
+		mustCall(t, c, "kv", "put", 3, "3")
 		if err := c.Reboot("kv"); err != nil {
 			t.Fatal(err)
 		}
-		for _, pair := range [][2]string{{"a", "1"}, {"b", "2"}, {"c", "3"}} {
-			rets := mustCall(t, c, "kv", "get", pair[0])
-			if v, _ := rets.Str(0); v != pair[1] {
-				t.Errorf("%s = %q after recovery, want %s", pair[0], v, pair[1])
+		for key := 1; key <= 3; key++ {
+			rets := mustCall(t, c, "kv", "get", key)
+			if v, _ := rets.Str(0); v != strconv.Itoa(key) {
+				t.Errorf("%d = %q after recovery, want %d", key, v, key)
 			}
 		}
 	})
@@ -134,12 +134,8 @@ func (d *nondetComp) Exports() map[string]Handler {
 	}
 }
 
-func (d *nondetComp) LogPolicies() map[string]LogPolicy {
-	return map[string]LogPolicy{
-		"bump": {Classify: func(args msg.Encoded, rets msg.Encoded, callErr error) (msg.SessionID, msg.Class) {
-			return "", msg.ClassDurable
-		}},
-	}
+func (d *nondetComp) LogPolicies() (*msg.Namespace, map[string]LogPolicy) {
+	return nil, map[string]LogPolicy{"bump": {Class: msg.ClassDurable}}
 }
 
 // SaveState deliberately omits n.

@@ -33,8 +33,8 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 	cfg.Ckpt = ckpt.Policy{EveryCalls: 2}
 	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
 		// put1 captures the initial seal; put2 lands a cadence checkpoint.
-		mustCall(t, c, "kv", "put", "k1", "1")
-		mustCall(t, c, "kv", "put", "k2", "2")
+		mustCall(t, c, "kv", "put", 1, "1")
+		mustCall(t, c, "kv", "put", 2, "2")
 		// Host-side tamper between calls: flip bytes deep in kv's arena.
 		tc := c.rt.comps["kv"]
 		if err := c.rt.memry.HostWrite(tc.heapBase+mem.PageSize, []byte{0xde, 0xad}); err != nil {
@@ -42,14 +42,14 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 		}
 		// put4 checkpoints the now-tampered arena; put5's verification
 		// (sealCalls reaches 4) breaks the seal and reboots kv.
-		mustCall(t, c, "kv", "put", "k3", "3")
-		mustCall(t, c, "kv", "put", "k4", "4")
-		mustCall(t, c, "kv", "put", "k5", "5")
+		mustCall(t, c, "kv", "put", 3, "3")
+		mustCall(t, c, "kv", "put", 4, "4")
+		mustCall(t, c, "kv", "put", 5, "5")
 		// Queued during the tamper reboot; answered from the rolled-back
 		// store. Only put1 predates the watermark, so only k1 survives —
 		// the post-seal calls ran against (or after) a tampered arena and
 		// taint-aware recovery refuses to replay them.
-		rets := mustCall(t, c, "kv", "get", "k1")
+		rets := mustCall(t, c, "kv", "get", 1)
 		if v, _ := rets.Str(0); v != "1" {
 			t.Errorf("k1 = %q after taint rollback, want 1", v)
 		}
@@ -66,13 +66,13 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 		if quarantined != 2 || clean == 0 {
 			t.Errorf("image metas %+v: want 2 quarantined and >=1 clean", c.rt.ImageMetas("kv"))
 		}
-		for _, k := range []string{"k2", "k3", "k4", "k5"} {
+		for k := 2; k <= 5; k++ {
 			if _, err := c.Call("kv", "get", k); !errors.Is(err, ENOENT) {
-				t.Errorf("tainted key %s survived rollback (err=%v)", k, err)
+				t.Errorf("tainted key %d survived rollback (err=%v)", k, err)
 			}
 		}
 		// The component serves normally in its new incarnation.
-		mustCall(t, c, "kv", "put", "k6", "6")
+		mustCall(t, c, "kv", "put", 6, "6")
 	})
 	st := rt.Stats()
 	if st.TamperDetections != 1 {
@@ -126,18 +126,18 @@ func TestRollbackRewindsEpochSeq(t *testing.T) {
 		// The attack of TestTamperDetectionAndTaintRollback: put4's image
 		// is the latest truncation, and put5's verification rolls back to
 		// the image before the seal watermark.
-		mustCall(t, c, "kv", "put", "k1", "1")
-		mustCall(t, c, "kv", "put", "k2", "2")
+		mustCall(t, c, "kv", "put", 1, "1")
+		mustCall(t, c, "kv", "put", 2, "2")
 		tc := c.rt.comps["kv"]
 		if err := c.rt.memry.HostWrite(tc.heapBase+mem.PageSize, []byte{0xde, 0xad}); err != nil {
 			t.Fatal(err)
 		}
-		mustCall(t, c, "kv", "put", "k3", "3")
-		mustCall(t, c, "kv", "put", "k4", "4")
+		mustCall(t, c, "kv", "put", 3, "3")
+		mustCall(t, c, "kv", "put", 4, "4")
 		lastTrunc := tc.domain.Log().EpochSeq()
-		mustCall(t, c, "kv", "put", "k5", "5")
+		mustCall(t, c, "kv", "put", 5, "5")
 		// Queued behind the tamper reboot.
-		mustCall(t, c, "kv", "get", "k1")
+		mustCall(t, c, "kv", "get", 1)
 		metas := c.rt.ImageMetas("kv")
 		installed := metas[len(metas)-1]
 		if installed.Quarantined || installed.EpochSeq >= lastTrunc {
@@ -155,19 +155,19 @@ func TestRollbackRewindsEpochSeq(t *testing.T) {
 		if got, metas := tc.domain.Log().EpochSeq(), c.rt.ImageMetas("kv"); got != metas[len(metas)-1].EpochSeq {
 			t.Fatalf("log epoch seq %d after the checkpoint, want the new image's %d", got, metas[len(metas)-1].EpochSeq)
 		}
-		mustCall(t, c, "kv", "put", "k6", "6")
+		mustCall(t, c, "kv", "put", 6, "6")
 		if err := c.rt.ArmFault("kv", "get", FaultCrash); err != nil {
 			t.Fatal(err)
 		}
-		for _, kv := range [][2]string{{"k6", "6"}, {"k1", "1"}} {
-			rets := mustCall(t, c, "kv", "get", kv[0])
-			if v, _ := rets.Str(0); v != kv[1] {
-				t.Errorf("%s = %q after the second recovery, want %q", kv[0], v, kv[1])
+		for _, k := range []int{6, 1} {
+			rets := mustCall(t, c, "kv", "get", k)
+			if v, _ := rets.Str(0); v != strconv.Itoa(k) {
+				t.Errorf("%d = %q after the second recovery, want %d", k, v, k)
 			}
 		}
-		for _, k := range []string{"k2", "k3", "k4", "k5"} {
+		for k := 2; k <= 5; k++ {
 			if _, err := c.Call("kv", "get", k); !errors.Is(err, ENOENT) {
-				t.Errorf("tainted key %s came back in the second recovery (err=%v)", k, err)
+				t.Errorf("tainted key %d came back in the second recovery (err=%v)", k, err)
 			}
 		}
 	})
@@ -240,13 +240,13 @@ func TestRerandomizedRebootsChangeFingerprint(t *testing.T) {
 	cfg.Defense.Seed = 42
 	var fps []uint64
 	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
+		mustCall(t, c, "kv", "put", 1, "1")
 		for i := 0; i < 3; i++ {
 			if err := c.Reboot("kv"); err != nil {
 				t.Fatal(err)
 			}
 			fps = append(fps, c.rt.LayoutFingerprint("kv"))
-			rets := mustCall(t, c, "kv", "get", "a")
+			rets := mustCall(t, c, "kv", "get", 1)
 			if v, _ := rets.Str(0); v != "1" {
 				t.Fatalf("a = %q after reboot %d", v, i)
 			}
@@ -319,7 +319,7 @@ func TestPKRUMisuseRebootsOffender(t *testing.T) {
 	cfg := defenseConfig()
 	cfg.Defense.RebootOnFault = true
 	rt := run(t, cfg, []Component{kv, mal}, func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
+		mustCall(t, c, "kv", "put", 1, "1")
 		victim := c.rt.comps["kv"].heapBase
 		_, err := c.Call("mal", "poke", uint64(victim))
 		if err == nil || !strings.Contains(err.Error(), "EFAULT") {
@@ -327,7 +327,7 @@ func TestPKRUMisuseRebootsOffender(t *testing.T) {
 		}
 		// The victim's state is untouched and the offender serves again
 		// after its punitive reboot.
-		rets := mustCall(t, c, "kv", "get", "a")
+		rets := mustCall(t, c, "kv", "get", 1)
 		if v, _ := rets.Str(0); v != "1" {
 			t.Errorf("victim state a = %q after breach, want 1", v)
 		}
@@ -371,7 +371,7 @@ func TestDefenseDisabledIsInert(t *testing.T) {
 	cfg.Ckpt = ckpt.Policy{EveryCalls: 2}
 	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
 		for i := 0; i < 6; i++ {
-			mustCall(t, c, "kv", "put", "k"+strconv.Itoa(i), strconv.Itoa(i))
+			mustCall(t, c, "kv", "put", i, strconv.Itoa(i))
 		}
 		if err := c.Reboot("kv"); err != nil {
 			t.Fatal(err)
@@ -447,8 +447,8 @@ func (a *arenaKV) Exports() map[string]Handler {
 	}
 }
 
-func (a *arenaKV) LogPolicies() map[string]LogPolicy {
-	return map[string]LogPolicy{"put": {}} // "get" is state-unchanged: not logged
+func (a *arenaKV) LogPolicies() (*msg.Namespace, map[string]LogPolicy) {
+	return nil, map[string]LogPolicy{"put": {Class: msg.ClassDurable}} // "get" is state-unchanged: not logged
 }
 
 // TestTaintRollbackAcrossSharedImages: with the default history depth of

@@ -64,6 +64,9 @@ func (rt *Runtime) RegisterFallback(name string, alt Component) error {
 	if alt.Describe().Name != name {
 		return fmt.Errorf("core: fallback for %q describes itself as %q", name, alt.Describe().Name)
 	}
+	if _, _, err := sessionTable(alt); err != nil {
+		return err
+	}
 	c.fallback = alt
 	return nil
 }
@@ -86,10 +89,7 @@ func (rt *Runtime) trySwapFallback(th *sched.Thread, tc *component) bool {
 	tc.fallbackUsed = true
 	tc.comp = tc.fallback
 	tc.exports = tc.fallback.Exports()
-	tc.policies = nil
-	if lp, ok := tc.fallback.(LogPolicyProvider); ok {
-		tc.policies = lp.LogPolicies()
-	}
+	tc.sessions, tc.policies, _ = sessionTable(tc.fallback) // checked by RegisterFallback
 	// The old version's memory image means nothing to the new code:
 	// discard the checkpoint so the swap cold-boots and replays.
 	tc.checkpoint = nil

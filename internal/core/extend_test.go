@@ -11,10 +11,10 @@ import (
 // flakyKV crashes deterministically on a chosen key until replaced.
 type flakyKV struct {
 	kvComp
-	crashKey string
+	crashKey int
 }
 
-func newFlakyKV(name, crashKey string) *flakyKV {
+func newFlakyKV(name string, crashKey int) *flakyKV {
 	f := &flakyKV{crashKey: crashKey}
 	f.kvComp.name = name
 	return f
@@ -24,7 +24,7 @@ func (f *flakyKV) Exports() map[string]Handler {
 	exp := f.kvComp.Exports()
 	orig := exp["put"]
 	exp["put"] = func(ctx *Ctx, args msg.Encoded) (msg.Encoded, error) {
-		if key, err := args.Str(0); err == nil && key == f.crashKey {
+		if key, err := args.Int(0); err == nil && key == f.crashKey {
 			panic("deterministic bug in flaky put")
 		}
 		return orig(ctx, args)
@@ -38,7 +38,7 @@ func newFixedKV(name string) *kvComp {
 }
 
 func TestFallbackSwapsInOnDeterministicBug(t *testing.T) {
-	flaky := newFlakyKV("kv", "poison")
+	flaky := newFlakyKV("kv", 13)
 	fixed := newFixedKV("kv")
 	cfg := DaSConfig()
 	cfg.MaxVirtualTime = time.Hour
@@ -50,24 +50,24 @@ func TestFallbackSwapsInOnDeterministicBug(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := rt.Run(func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
-		mustCall(t, c, "kv", "put", "b", "2")
+		mustCall(t, c, "kv", "put", 1, "1")
+		mustCall(t, c, "kv", "put", 2, "2")
 		// The poison key crashes the buggy version on every attempt; the
 		// runtime swaps in the fixed version, replays the log, and the
 		// retried call succeeds.
-		rets := mustCall(t, c, "kv", "put", "poison", "3")
+		rets := mustCall(t, c, "kv", "put", 13, "3")
 		if n, _ := rets.Int(0); n == 0 {
 			t.Error("put returned no count")
 		}
 		// State written before the bug survived the version switch.
-		rets = mustCall(t, c, "kv", "get", "a")
+		rets = mustCall(t, c, "kv", "get", 1)
 		if v, _ := rets.Str(0); v != "1" {
 			t.Errorf("a = %q after version switch", v)
 		}
 		// The new version is serving (its init seed is visible).
-		rets = mustCall(t, c, "kv", "get", "__boot")
+		rets = mustCall(t, c, "kv", "get", bootKey)
 		if v, _ := rets.Str(0); v != "fixed-version" {
-			t.Errorf("__boot = %q, want fixed-version", v)
+			t.Errorf("boot seed = %q, want fixed-version", v)
 		}
 	})
 	if err != nil {
@@ -93,8 +93,8 @@ func TestFallbackSwapsInOnDeterministicBug(t *testing.T) {
 }
 
 func TestFallbackThatAlsoFailsFailsStop(t *testing.T) {
-	flaky := newFlakyKV("kv", "poison")
-	alsoFlaky := newFlakyKV("kv", "poison")
+	flaky := newFlakyKV("kv", 13)
+	alsoFlaky := newFlakyKV("kv", 13)
 	cfg := DaSConfig()
 	cfg.MaxVirtualTime = time.Hour
 	rt := NewRuntime(cfg)
@@ -105,7 +105,7 @@ func TestFallbackThatAlsoFailsFailsStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := rt.Run(func(c *Ctx) {
-		_, err := c.Call("kv", "put", "poison", "x")
+		_, err := c.Call("kv", "put", 13, "x")
 		if !errors.Is(err, ErrComponentFailed) {
 			t.Errorf("double-buggy versions = %v, want ErrComponentFailed", err)
 		}
@@ -154,7 +154,7 @@ func TestFailStopHandlerRunsOnceWithWorkingComponents(t *testing.T) {
 		failedComp = component
 		// The graceful-termination path: save state through a healthy
 		// component (the paper's "store the in-memory KVs to storage").
-		if _, err := ctx.Call("kv", "put", "lastrites", "saved"); err == nil {
+		if _, err := ctx.Call("kv", "put", 14, "saved"); err == nil {
 			savedViaHealthy = true
 		}
 		// Calls into the dead group fail fast, not hang.
@@ -185,7 +185,7 @@ func TestFailStopHandlerRunsOnceWithWorkingComponents(t *testing.T) {
 	if !savedViaHealthy {
 		t.Fatal("handler could not save state through the healthy component")
 	}
-	if v := healthy.data["lastrites"]; v != "saved" {
+	if v := healthy.data[14]; v != "saved" {
 		t.Fatalf("lastrites = %q", v)
 	}
 }

@@ -77,7 +77,9 @@ func (relayComp) Exports() map[string]Handler {
 	}
 }
 
-func (relayComp) LogPolicies() map[string]LogPolicy { return map[string]LogPolicy{"fwd": {}} }
+func (relayComp) LogPolicies() (*msg.Namespace, map[string]LogPolicy) {
+	return nil, map[string]LogPolicy{"fwd": {Class: msg.ClassDurable}}
+}
 
 func (relayComp) CompactLog(lg *msg.Log) error {
 	lg.RemoveWhere(func(msg.RecordKey) bool { return true })
@@ -150,12 +152,12 @@ func TestUnencodableArgumentFailsBeforeTheHop(t *testing.T) {
 	}{{"das", DaSConfig()}, {"vanilla", VanillaConfig()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, tc.cfg, []Component{&kvComp{name: "kv"}}, func(c *Ctx) {
-				mustCall(t, c, "kv", "put", "a", "1")
+				mustCall(t, c, "kv", "put", 1, "1")
 				lg := c.rt.comps["kv"].domain.Log()
 				at, stats, logged := c.Elapsed(), c.rt.Stats(), lg.Stats().Appended
 				for what, err := range map[string]error{
-					"Call":   func() error { _, err := c.Call("kv", "put", "b", struct{}{}); return err }(),
-					"Inject": c.rt.Inject(c, "kv", "put", "c", float32(1)),
+					"Call":   func() error { _, err := c.Call("kv", "put", 2, struct{}{}); return err }(),
+					"Inject": c.rt.Inject(c, "kv", "put", 3, float32(1)),
 				} {
 					if err == nil || !strings.Contains(err.Error(), "unsupported kind") || strings.Contains(err.Error(), "ENOSPC") {
 						t.Errorf("%s with an unencodable argument: %v, want the codec's error", what, err)
@@ -276,15 +278,16 @@ func TestErrnoRehydratesWithoutAllocating(t *testing.T) {
 // dies with the image, none of it runs afterwards, and both queues serve
 // the next calls from a clean state.
 func TestFullRestartWithWorkQueued(t *testing.T) {
-	kv := &kvComp{name: "kv", hangOn: "hang"}
+	key := map[string]int{"before": 1, "after": 2, "queued1": 3, "queued2": 4, "injected": 5, "hang": 7}
+	kv := &kvComp{name: "kv", hangOn: key["hang"]}
 	errs := make(map[string]error)
 	run(t, DaSConfig(), []Component{kv}, func(c *Ctx) {
 		rt := c.Runtime()
-		mustCall(t, c, "kv", "put", "before", "1")
-		for _, key := range []string{"hang", "queued1", "queued2"} {
-			key := key
-			c.Go("caller-"+key, func(c *Ctx) {
-				_, errs[key] = c.Call("kv", "put", key, "x")
+		mustCall(t, c, "kv", "put", key["before"], "1")
+		for _, name := range []string{"hang", "queued1", "queued2"} {
+			name := name
+			c.Go("caller-"+name, func(c *Ctx) {
+				_, errs[name] = c.Call("kv", "put", key[name], "x")
 			})
 			c.Sleep(time.Microsecond) // one caller at a time, in this order
 		}
@@ -292,7 +295,7 @@ func TestFullRestartWithWorkQueued(t *testing.T) {
 		if got := mailbox.Pending(); got != 2 {
 			t.Fatalf("setup: %d calls wait behind the hung one, want 2", got)
 		}
-		if err := rt.Inject(c, "kv", "put", "injected", "x"); err != nil {
+		if err := rt.Inject(c, "kv", "put", key["injected"], "x"); err != nil {
 			t.Fatal(err)
 		}
 		if len(rt.mq) == rt.mqHead {
@@ -307,19 +310,19 @@ func TestFullRestartWithWorkQueued(t *testing.T) {
 				mailbox.Pending(), len(rt.mq)-rt.mqHead)
 		}
 		c.Sleep(time.Millisecond) // the failed callers run and finish
-		for _, key := range []string{"before", "hang", "queued1", "queued2", "injected"} {
-			if _, err := c.Call("kv", "get", key); !errors.Is(err, ENOENT) {
-				t.Errorf("get %s after the restart = %v, want ENOENT", key, err)
+		for _, name := range []string{"before", "hang", "queued1", "queued2", "injected"} {
+			if _, err := c.Call("kv", "get", key[name]); !errors.Is(err, ENOENT) {
+				t.Errorf("get %s after the restart = %v, want ENOENT", name, err)
 			}
 		}
-		mustCall(t, c, "kv", "put", "after", "2")
-		if v, _ := mustCall(t, c, "kv", "get", "after").Str(0); v != "2" {
+		mustCall(t, c, "kv", "put", key["after"], "2")
+		if v, _ := mustCall(t, c, "kv", "get", key["after"]).Str(0); v != "2" {
 			t.Errorf("after = %q, want 2", v)
 		}
 	})
-	for _, key := range []string{"hang", "queued1", "queued2"} {
-		if errs[key] == nil {
-			t.Errorf("the call in flight for %q succeeded across a full restart", key)
+	for _, name := range []string{"hang", "queued1", "queued2"} {
+		if errs[name] == nil {
+			t.Errorf("the call in flight for %q succeeded across a full restart", name)
 		}
 	}
 }

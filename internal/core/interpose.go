@@ -386,11 +386,7 @@ func (rt *Runtime) Inject(from *Ctx, target, fn string, args ...any) error {
 
 // loggingWanted reports whether calls to fn on c are logged.
 func (rt *Runtime) loggingWanted(c *component, fn string) bool {
-	if !c.desc.Stateful || c.policies == nil {
-		return false
-	}
-	_, ok := c.policies[fn]
-	return ok
+	return c.desc.Stateful && c.policies[fn].Class != 0
 }
 
 // msgLoop is the message thread (paper §V-D): it owns every message
@@ -486,11 +482,9 @@ func (rt *Runtime) logResult(th *sched.Thread, to *component, fn string, args ms
 			// only bloat the replay (EAGAIN accept/recv polls especially).
 			lg.DropRecord(rec)
 		} else {
-			sess, class := msg.SessionID(""), msg.ClassDurable
-			if classify := to.policies[fn].Classify; classify != nil {
-				sess, class = classify(args, rets, errnoFromString(errStr))
-			}
-			if err := lg.EndInboundEncoded(rec, sess, class, rets, errStr); logFull(err) {
+			pol := to.policies[fn]
+			sess := pol.Session.Read(to.sessions, args, rets)
+			if err := lg.EndInboundEncoded(rec, sess, pol.Class, rets, errStr); logFull(err) {
 				errStr = "ENOSPC: " + err.Error()
 			}
 			rt.maybeCompact(th, to)

@@ -286,7 +286,11 @@ func (rt *Runtime) runStages(t *sched.Thread, g *group, r *recovery) error {
 			return fmt.Errorf("core: %q lost its session evictor", c.desc.Name)
 		}
 		c.imageFrom = imageNone
-		if err = ev.EvictSession(&Ctx{rt: rt, comp: c, th: t, span: r.phase}, r.session); err != nil {
+		n, ok := c.sessions.Parse(r.session)
+		if !ok {
+			return fmt.Errorf("core: evict %s/%s: not a session of its namespace", c.desc.Name, r.session)
+		}
+		if err = ev.EvictSession(&Ctx{rt: rt, comp: c, th: t, span: r.phase}, n); err != nil {
 			return fmt.Errorf("core: evict %s/%s: %w", c.desc.Name, r.session, err)
 		}
 		r.enter(tr, g, trace.PhaseReplay, "")

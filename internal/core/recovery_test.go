@@ -12,29 +12,21 @@ import (
 )
 
 // sessKV is kvComp made session-bearing: every key is a session (put
-// opens "k:<key>", del closes it), a session's live state is its map
-// entry, and evicting it can be made to dawdle or to refuse.
+// opens "k:<key>" and a fault in it is the key's, del closes it), a
+// session's live state is its map entry, and evicting it can be made to
+// dawdle or to refuse.
 type sessKV struct {
 	kvComp
 	refuse     bool
 	evictDelay time.Duration
 }
 
-func (s *sessKV) SessionOf(fn string, args msg.Encoded) msg.SessionID {
-	if key, err := args.Str(0); err == nil && fn == "put" {
-		return msg.SessionID("k:" + key)
-	}
-	return ""
-}
-
-func (s *sessKV) SessionFns() []string { return []string{"put"} }
-
-func (s *sessKV) EvictSession(ctx *Ctx, session msg.SessionID) error {
+func (s *sessKV) EvictSession(ctx *Ctx, key int) error {
 	ctx.Sleep(s.evictDelay)
 	if s.refuse {
 		return errors.New("sessKV refuses eviction")
 	}
-	delete(s.data, string(session)[len("k:"):])
+	delete(s.data, key)
 	return nil
 }
 
@@ -95,8 +87,8 @@ func (d *dawdler) Exports() map[string]Handler {
 		"crash": func(ctx *Ctx, _ msg.Encoded) (msg.Encoded, error) { panic("dawdler: crash") },
 	}
 }
-func (d *dawdler) LogPolicies() map[string]LogPolicy {
-	return map[string]LogPolicy{"op": {Classify: Durable}}
+func (d *dawdler) LogPolicies() (*msg.Namespace, map[string]LogPolicy) {
+	return nil, map[string]LogPolicy{"op": {Class: msg.ClassDurable}}
 }
 
 // TestRebootOfGroupThatFailStoppedMeanwhile: a proactive reboot issued
@@ -152,8 +144,8 @@ func TestMicrorebootOutcomeIsTheCallersOwn(t *testing.T) {
 	cfg := DaSConfig()
 	cfg.Microreboot = true
 	rt := run(t, cfg, []Component{a, b}, func(c *Ctx) {
-		mustCall(t, c, "a", "put", "x", "1")
-		mustCall(t, c, "b", "put", "y", "2")
+		mustCall(t, c, "a", "put", 1, "1")
+		mustCall(t, c, "b", "put", 2, "2")
 		ga := c.rt.comps["a"].group
 		var otherErr error
 		otherDone := false
@@ -161,10 +153,10 @@ func TestMicrorebootOutcomeIsTheCallersOwn(t *testing.T) {
 			for !ga.rebooting {
 				cc.Sleep(10 * time.Microsecond)
 			}
-			otherErr = cc.MicrorebootSession("b", "k:y")
+			otherErr = cc.MicrorebootSession("b", "k:2")
 			otherDone = true
 		})
-		err := c.MicrorebootSession("a", "k:x")
+		err := c.MicrorebootSession("a", "k:1")
 		if !otherDone || otherErr != nil {
 			t.Fatalf("b's microreboot did not complete inside a's (done=%v err=%v): the test exercises nothing", otherDone, otherErr)
 		}
@@ -187,20 +179,20 @@ func TestSessionHealsAtRungOneAfterEscalation(t *testing.T) {
 	cfg := DaSConfig()
 	cfg.Microreboot = true
 	rt := run(t, cfg, []Component{kv}, func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
-		mustCall(t, c, "kv", "put", "b", "2")
-		if err := c.MicrorebootSession("kv", "k:a"); !errors.Is(err, ErrMicrorebootEscalated) {
+		mustCall(t, c, "kv", "put", 1, "1")
+		mustCall(t, c, "kv", "put", 2, "2")
+		if err := c.MicrorebootSession("kv", "k:1"); !errors.Is(err, ErrMicrorebootEscalated) {
 			t.Fatalf("refused microreboot = %v, want ErrMicrorebootEscalated", err)
 		}
 		kv.refuse = false
-		for _, session := range []string{"k:a", "k:b"} {
+		for _, session := range []string{"k:1", "k:2"} {
 			if err := c.MicrorebootSession("kv", session); err != nil {
 				t.Fatalf("MicrorebootSession(%s) after the component reboot: %v", session, err)
 			}
 		}
-		for key, want := range map[string]string{"a": "1", "b": "2"} {
+		for key, want := range map[int]string{1: "1", 2: "2"} {
 			if got, err := mustCall(t, c, "kv", "get", key).Str(0); err != nil || got != want {
-				t.Errorf("get %s = %q, %v; want %q", key, got, err, want)
+				t.Errorf("get %d = %q, %v; want %q", key, got, err, want)
 			}
 		}
 	})
@@ -230,7 +222,7 @@ func TestRecoveryStageSelection(t *testing.T) {
 		slice    slice
 		records  int // RebootRecords + MicrorebootRecords
 	}
-	put := func(t *testing.T, c *Ctx, comp string, keys ...string) {
+	put := func(t *testing.T, c *Ctx, comp string, keys ...int) {
 		for _, k := range keys {
 			mustCall(t, c, comp, "put", k, "v")
 		}
@@ -243,15 +235,15 @@ func TestRecoveryStageSelection(t *testing.T) {
 		want  want
 	}{
 		{name: "crash reboot, no image", cfg: DaSConfig,
-			comps: func() []Component { return []Component{&kvComp{name: "kv", panicOn: "boom"}} },
+			comps: func() []Component { return []Component{&kvComp{name: "kv", panicOn: 9}} },
 			run: func(t *testing.T, c *Ctx) {
-				put(t, c, "kv", "a", "b", "boom")
+				put(t, c, "kv", 1, 2, 9)
 			},
 			want: want{image: map[string]imageChoice{"kv": imageCold}, slice: slice{first: 1, last: 2, live: 2}, records: 1}},
 		{name: "hang reboot, post-init image", cfg: DaSConfig,
-			comps: func() []Component { return []Component{&kvComp{name: "kv", checkpointed: true, hangOn: "stuck"}} },
+			comps: func() []Component { return []Component{&kvComp{name: "kv", checkpointed: true, hangOn: 8}} },
 			run: func(t *testing.T, c *Ctx) {
-				put(t, c, "kv", "a", "stuck")
+				put(t, c, "kv", 1, 8)
 			},
 			want: want{image: map[string]imageChoice{"kv": imageLatest}, postInit: true, slice: slice{first: 1, last: 1, live: 1}, records: 1}},
 		{name: "proactive reboot, stateless", cfg: DaSConfig,
@@ -269,7 +261,7 @@ func TestRecoveryStageSelection(t *testing.T) {
 		},
 			comps: func() []Component { return []Component{&kvComp{name: "kv", checkpointed: true}} },
 			run: func(t *testing.T, c *Ctx) {
-				put(t, c, "kv", "a", "b", "c") // image after b: c is the tail
+				put(t, c, "kv", 1, 2, 3) // image after 2: 3 is the tail
 				if err := c.Rejuvenate("kv"); err != nil {
 					t.Fatal(err)
 				}
@@ -284,9 +276,9 @@ func TestRecoveryStageSelection(t *testing.T) {
 				return []Component{&kvComp{name: "ka", checkpointed: true}, &kvComp{name: "kb"}}
 			},
 			run: func(t *testing.T, c *Ctx) {
-				put(t, c, "ka", "a")
-				put(t, c, "kb", "b")
-				put(t, c, "ka", "c")
+				put(t, c, "ka", 1)
+				put(t, c, "kb", 2)
+				put(t, c, "ka", 3)
 				if err := c.Reboot("kb"); err != nil {
 					t.Fatal(err)
 				}
@@ -304,13 +296,13 @@ func TestRecoveryStageSelection(t *testing.T) {
 				// Seal after put1, image after put3, clean verification after
 				// put5: the watermark is 6. The tamper lands before put6, whose
 				// image is quarantined; put9's verification breaks the seal.
-				put(t, c, "kv", "k1", "k2", "k3", "k4", "k5")
+				put(t, c, "kv", 1, 2, 3, 4, 5)
 				tc := c.rt.comps["kv"]
 				if err := c.rt.memry.HostWrite(tc.heapBase+mem.PageSize, []byte{0xde, 0xad}); err != nil {
 					t.Fatal(err)
 				}
-				put(t, c, "kv", "k6", "k7", "k8", "k9")
-				mustCall(t, c, "kv", "get", "k1") // queues behind the tamper reboot
+				put(t, c, "kv", 6, 7, 8, 9)
+				mustCall(t, c, "kv", "get", 1) // queues behind the tamper reboot
 			},
 			// The image after put3 predates the watermark; puts 4 and 5 lie
 			// between it and the watermark and only the archive holds them.
@@ -340,8 +332,8 @@ func TestRecoveryStageSelection(t *testing.T) {
 				return []Component{s}
 			},
 			run: func(t *testing.T, c *Ctx) {
-				put(t, c, "kv", "a", "b", "a")
-				if err := c.MicrorebootSession("kv", "k:a"); err != nil {
+				put(t, c, "kv", 1, 2, 1)
+				if err := c.MicrorebootSession("kv", "k:1"); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -357,19 +349,19 @@ func TestRecoveryStageSelection(t *testing.T) {
 				return []Component{s}
 			},
 			run: func(t *testing.T, c *Ctx) {
-				put(t, c, "kv", "a", "b")
-				if err := c.MicrorebootSession("kv", "k:a"); !errors.Is(err, ErrMicrorebootEscalated) {
+				put(t, c, "kv", 1, 2)
+				if err := c.MicrorebootSession("kv", "k:1"); !errors.Is(err, ErrMicrorebootEscalated) {
 					t.Fatalf("MicrorebootSession = %v, want ErrMicrorebootEscalated", err)
 				}
 			},
 			want: want{image: map[string]imageChoice{"kv": imageLatest}, postInit: true, slice: slice{first: 1, last: 2, live: 2}, records: 1}},
 		{name: "version switch", cfg: DaSConfig,
-			comps: func() []Component { return []Component{newFlakyKV("kv", "poison")} },
+			comps: func() []Component { return []Component{newFlakyKV("kv", 13)} },
 			run: func(t *testing.T, c *Ctx) {
 				if err := c.rt.RegisterFallback("kv", newFixedKV("kv")); err != nil {
 					t.Fatal(err)
 				}
-				put(t, c, "kv", "a", "b", "poison")
+				put(t, c, "kv", 1, 2, 13)
 			},
 			// Two crash reboots of the buggy version, then the alternate
 			// cold-boots and replays the same two records.
@@ -411,5 +403,31 @@ func TestRecoveryStageSelection(t *testing.T) {
 				t.Errorf("replayed %d of the %d records selected", r.pass.rec.ReplayedEntries, n)
 			}
 		})
+	}
+}
+
+// namelessKV reads session slots but names no namespace to mint them in.
+type namelessKV struct{ kvComp }
+
+func (k *namelessKV) LogPolicies() (*msg.Namespace, map[string]LogPolicy) {
+	_, rows := k.kvComp.LogPolicies()
+	return nil, rows
+}
+
+// TestSessionTableNeedsANamespace: a component whose rows read a session
+// slot without naming the namespace the sessions live in is refused at
+// registration, as a fallback too, instead of failing at its first
+// logged call.
+func TestSessionTableNeedsANamespace(t *testing.T) {
+	bad := &namelessKV{kvComp{name: "kv"}}
+	if err := NewRuntime(DaSConfig()).Register(bad); err == nil {
+		t.Error("Register accepted a session table without a namespace")
+	}
+	rt := NewRuntime(DaSConfig())
+	if err := rt.Register(&kvComp{name: "kv"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RegisterFallback("kv", bad); err == nil {
+		t.Error("RegisterFallback accepted a session table without a namespace")
 	}
 }

@@ -81,7 +81,7 @@ type Runtime struct {
 	// under the sharded-baton engine execute concurrently across shards,
 	// while campaigns arm and inspect from outside the scheduler.
 	armedMu sync.Mutex
-	armed   map[string]*armedFault
+	armed   map[faultSite]*armedFault
 
 	// agingTargets are the components the adaptive-rejuvenation
 	// controller watches, in the order it rejuvenates them; nil unless
@@ -207,8 +207,9 @@ func (rt *Runtime) Register(c Component) error {
 		d.DomainPages = DefaultDomainPages
 	}
 	rec := &component{comp: c, desc: d, exports: c.Exports()}
-	if lp, ok := c.(LogPolicyProvider); ok {
-		rec.policies = lp.LogPolicies()
+	var err error
+	if rec.sessions, rec.policies, err = sessionTable(c); err != nil {
+		return err
 	}
 	rt.comps[d.Name] = rec
 	rt.order = append(rt.order, rec)

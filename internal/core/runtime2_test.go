@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"strconv"
 	"testing"
 	"time"
 
@@ -13,7 +12,7 @@ func TestFullRestartScrubsEverything(t *testing.T) {
 	kv := &kvComp{name: "kv", initSeed: "gen"}
 	run(t, DaSConfig(), []Component{kv}, func(c *Ctx) {
 		for i := 0; i < 8; i++ {
-			mustCall(t, c, "kv", "put", "k"+strconv.Itoa(i), "v")
+			mustCall(t, c, "kv", "put", i, "v")
 		}
 		if rt := c.Runtime(); rt.LogLen("kv") == 0 {
 			t.Fatal("setup: nothing logged")
@@ -22,15 +21,15 @@ func TestFullRestartScrubsEverything(t *testing.T) {
 			t.Fatalf("FullRestart: %v", err)
 		}
 		// All volatile state gone; the component re-initialised.
-		if _, err := c.Call("kv", "get", "k3"); !errors.Is(err, ENOENT) {
+		if _, err := c.Call("kv", "get", 3); !errors.Is(err, ENOENT) {
 			t.Errorf("k3 after full restart = %v, want ENOENT", err)
 		}
 		if got := c.Runtime().LogLen("kv"); got != 0 {
 			t.Errorf("log length after full restart = %d", got)
 		}
 		// And the instance keeps working.
-		mustCall(t, c, "kv", "put", "fresh", "1")
-		rets := mustCall(t, c, "kv", "get", "fresh")
+		mustCall(t, c, "kv", "put", 16, "1")
+		rets := mustCall(t, c, "kv", "get", 16)
 		if v, _ := rets.Str(0); v != "1" {
 			t.Errorf("fresh = %q", v)
 		}
@@ -43,11 +42,11 @@ func TestFullRestartScrubsEverything(t *testing.T) {
 func TestFullRestartVanilla(t *testing.T) {
 	kv := &kvComp{name: "kv"}
 	run(t, VanillaConfig(), []Component{kv}, func(c *Ctx) {
-		mustCall(t, c, "kv", "put", "a", "1")
+		mustCall(t, c, "kv", "put", 1, "1")
 		if err := c.Runtime().FullRestart(c); err != nil {
 			t.Fatalf("FullRestart: %v", err)
 		}
-		if _, err := c.Call("kv", "get", "a"); !errors.Is(err, ENOENT) {
+		if _, err := c.Call("kv", "get", 1); !errors.Is(err, ENOENT) {
 			t.Errorf("a survives vanilla full restart: %v", err)
 		}
 	})
@@ -107,7 +106,7 @@ func TestDomainExhaustionSurfacesAsCallError(t *testing.T) {
 			t.Fatal("oversized logged call succeeded")
 		}
 		// Small calls still work afterwards.
-		mustCall(t, c, "kv", "put", "a", "1")
+		mustCall(t, c, "kv", "put", 1, "1")
 	})
 }
 
@@ -131,10 +130,10 @@ func (k *tinyDomainKV) Exports() map[string]Handler {
 	return exp
 }
 
-func (k *tinyDomainKV) LogPolicies() map[string]LogPolicy {
-	p := k.kvComp.LogPolicies()
-	p["blob"] = LogPolicy{Classify: Durable}
-	return p
+func (k *tinyDomainKV) LogPolicies() (*msg.Namespace, map[string]LogPolicy) {
+	ns, p := k.kvComp.LogPolicies()
+	p["blob"] = LogPolicy{Class: msg.ClassDurable}
+	return ns, p
 }
 
 func TestReplayDivergenceFailsStopSafely(t *testing.T) {
@@ -193,8 +192,8 @@ func (d *divergentComp) Exports() map[string]Handler {
 		},
 	}
 }
-func (d *divergentComp) LogPolicies() map[string]LogPolicy {
-	return map[string]LogPolicy{"op": {Classify: Durable}}
+func (d *divergentComp) LogPolicies() (*msg.Namespace, map[string]LogPolicy) {
+	return nil, map[string]LogPolicy{"op": {Class: msg.ClassDurable}}
 }
 
 func TestKeysInUseWithMerges(t *testing.T) {

@@ -174,8 +174,8 @@ func TestTraceCanonicalOrderUnderRounds(t *testing.T) {
 			c.GoShard("dom"+name, 10+i, func(cc *Ctx) {
 				defer cc.Thread().Do(func() { done++ })
 				for j := 0; j < 8; j++ {
-					mustCall(t, cc, name, "put", "k", "v")
-					mustCall(t, cc, name, "get", "k")
+					mustCall(t, cc, name, "put", 1, "v")
+					mustCall(t, cc, name, "get", 1)
 				}
 			})
 		}

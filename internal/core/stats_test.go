@@ -26,25 +26,25 @@ func TestHangInMergedGroupRebootsWholeGroup(t *testing.T) {
 		}
 	}
 	err := rt.Run(func(c *Ctx) {
-		mustCall(t, c, "front", "put", "a", "1")
-		mustCall(t, c, "backend", "put", "b", "2")
+		mustCall(t, c, "front", "put", 1, "1")
+		mustCall(t, c, "backend", "put", 2, "2")
 		if err := rt.ArmFault("backend", "put", FaultHang); err != nil {
 			t.Errorf("ArmFault: %v", err)
 			return
 		}
 		// The armed hang parks the composite's worker; the watchdog
 		// reboots the whole group and the retry succeeds.
-		mustCall(t, c, "backend", "put", "stuck", "3")
-		rets := mustCall(t, c, "backend", "get", "stuck")
+		mustCall(t, c, "backend", "put", 8, "3")
+		rets := mustCall(t, c, "backend", "get", 8)
 		if v, _ := rets.Str(0); v != "3" {
 			t.Errorf("stuck = %q after retry, want 3", v)
 		}
 		// Both members' pre-hang state survived the composite reboot.
-		rets = mustCall(t, c, "front", "get", "a")
+		rets = mustCall(t, c, "front", "get", 1)
 		if v, _ := rets.Str(0); v != "1!" {
 			t.Errorf("front a = %q, want 1!", v)
 		}
-		rets = mustCall(t, c, "backend", "get", "b")
+		rets = mustCall(t, c, "backend", "get", 2)
 		if v, _ := rets.Str(0); v != "2" {
 			t.Errorf("backend b = %q, want 2", v)
 		}
@@ -78,7 +78,7 @@ func TestStatsConsistentAcrossCrashRebootCycles(t *testing.T) {
 	kv := &kvComp{name: "kv"}
 	rt := run(t, DaSConfig(), []Component{kv}, func(c *Ctx) {
 		for i := 0; i < cycles; i++ {
-			bomb := "bomb" + strconv.Itoa(i)
+			bomb := i + 1
 			kv.panicOn = bomb
 			// Crash + failure reboot + transparent retry.
 			mustCall(t, c, "kv", "put", bomb, "v"+strconv.Itoa(i))
@@ -90,7 +90,7 @@ func TestStatsConsistentAcrossCrashRebootCycles(t *testing.T) {
 		}
 		// All writes survived every cycle.
 		for i := 0; i < cycles; i++ {
-			rets := mustCall(t, c, "kv", "get", "bomb"+strconv.Itoa(i))
+			rets := mustCall(t, c, "kv", "get", i+1)
 			if v, _ := rets.Str(0); v != "v"+strconv.Itoa(i) {
 				t.Errorf("bomb%d = %q", i, v)
 			}
@@ -178,7 +178,7 @@ func TestStatsSnapshotsRaceFreeUnderLoad(t *testing.T) {
 	<-first
 	err := rt.Run(func(c *Ctx) {
 		for i := 0; i < 20; i++ {
-			bomb := "bomb" + strconv.Itoa(i)
+			bomb := i + 1
 			kv.panicOn = bomb
 			mustCall(t, c, "kv", "put", bomb, "v")
 		}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"vampos/internal/mem"
 )
@@ -14,6 +16,43 @@ import (
 // discard the previous open/close pair for it, reproducing the paper's
 // "-1 entries for open()" behaviour (Table III).
 type SessionID string
+
+// Namespace is the set of session ids one component names its resources
+// by: "<name>:<n>" for resource number n ("fd:5", "sock:2", "fid:9").
+// The ids below 256 come from a table built once, so naming the session
+// of a run's lowest-numbered resources allocates nothing.
+type Namespace struct {
+	prefix string
+	ids    [256]SessionID
+}
+
+// NewNamespace returns the namespace whose ids read "<name>:<n>".
+func NewNamespace(name string) *Namespace {
+	ns := &Namespace{prefix: name + ":"}
+	for n := range ns.ids {
+		ns.ids[n] = SessionID(ns.prefix + strconv.Itoa(n))
+	}
+	return ns
+}
+
+// ID returns resource n's session id.
+func (ns *Namespace) ID(n int) SessionID {
+	if uint(n) < uint(len(ns.ids)) {
+		return ns.ids[n]
+	}
+	return SessionID(ns.prefix + strconv.Itoa(n))
+}
+
+// Parse returns the resource number id names, or false when id is not
+// an id of ns.
+func (ns *Namespace) Parse(id SessionID) (int, bool) {
+	num, ok := strings.CutPrefix(string(id), ns.prefix)
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(num)
+	return n, err == nil
+}
 
 // Class determines how the session-aware shrinker treats a logged call
 // (paper §V-F).

@@ -64,11 +64,9 @@ func (p *fpProbe) Exports() map[string]core.Handler {
 	}
 }
 
-func (p *fpProbe) LogPolicies() map[string]core.LogPolicy {
-	return map[string]core.LogPolicy{
-		"bump": {Classify: core.Durable},
-		"put":  {Classify: core.Durable},
-	}
+func (p *fpProbe) LogPolicies() (*msg.Namespace, map[string]core.LogPolicy) {
+	durable := core.LogPolicy{Class: msg.ClassDurable}
+	return nil, map[string]core.LogPolicy{"bump": durable, "put": durable}
 }
 
 // SaveState captures data but deliberately not n: bump's replay diverges

@@ -37,7 +37,7 @@ func BenchmarkCompactLog(b *testing.B) {
 	c := &Comp{fds: map[int]*file{}}
 	for fd := 3; fd <= 6; fd++ {
 		c.fds[fd] = &file{FD: fd, Kind: kindFile}
-		record(uint64(fd), fdSession(fd, nil), msg.ClassOpener)
+		record(uint64(fd), fdSessions.ID(fd), msg.ClassOpener)
 	}
 	const transients = 97
 	seq := uint64(len(c.fds))
@@ -47,7 +47,7 @@ func BenchmarkCompactLog(b *testing.B) {
 		b.StopTimer()
 		for k := 0; k < transients; k++ {
 			seq++
-			record(seq, fdSession(4, nil), msg.ClassTransient)
+			record(seq, fdSessions.ID(4), msg.ClassTransient)
 		}
 		c.fds[4].Offset = int64(i)
 		b.StartTimer()

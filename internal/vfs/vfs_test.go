@@ -480,20 +480,22 @@ func TestBadFDsEverywhere(t *testing.T) {
 }
 
 // TestFDSessionIDs: an fd's session id is "fd:<fd>" at every fd, as
-// fmt formats it, and naming one of the fds a run uses allocates nothing.
+// fmt formats it, it parses back to the fd, and naming one of the fds a
+// run uses allocates nothing.
 func TestFDSessionIDs(t *testing.T) {
-	for fd := -2; fd < 2*len(fdSessions); fd++ {
-		if got, want := fdSession(fd, nil), msg.SessionID(fmt.Sprintf("fd:%d", fd)); got != want {
-			t.Fatalf("fdSession(%d) = %q, want %q", fd, got, want)
+	for fd := -2; fd < 512; fd++ {
+		got, want := fdSessions.ID(fd), msg.SessionID(fmt.Sprintf("fd:%d", fd))
+		if got != want {
+			t.Fatalf("fdSessions.ID(%d) = %q, want %q", fd, got, want)
 		}
-	}
-	if got := fdSession(3, core.EBADF); got != "" {
-		t.Fatalf("fdSession with an error = %q, want none", got)
+		if n, ok := fdSessions.Parse(got); !ok || n != fd {
+			t.Fatalf("fdSessions.Parse(%q) = %d, %v", got, n, ok)
+		}
 	}
 	var sink msg.SessionID
 	if n := testing.AllocsPerRun(100, func() {
 		for fd := 3; fd < 200; fd++ {
-			sink = fdSession(fd, nil)
+			sink = fdSessions.ID(fd)
 		}
 	}); n != 0 {
 		t.Fatalf("%v allocations to name fds 3..199, want 0", n)
