@@ -36,7 +36,6 @@ import (
 	"vampos/internal/apps/echo"
 	"vampos/internal/apps/nginx"
 	"vampos/internal/apps/redis"
-	"vampos/internal/mem"
 	"vampos/internal/sched"
 )
 
@@ -299,11 +298,9 @@ func agingDemo() error {
 				th.Sleep(10 * time.Millisecond)
 			}
 		})
-		inj := vampos.NewInjector(inst.Runtime())
-		before, err := inj.HeapStats(target)
-		if err != nil {
-			return fmt.Errorf("heap stats: %w", err)
-		}
+		rt := inst.Runtime()
+		inj := vampos.NewInjector(rt)
+		before, _ := rt.ComponentStats(target)
 		var leaked int64
 		for i := 0; i < 64; i++ {
 			if _, err := inj.LeakBytes(target, 8<<10, 8<<10); err != nil {
@@ -313,10 +310,10 @@ func agingDemo() error {
 			s.Sleep(5 * time.Millisecond)
 		}
 		fmt.Printf("  dripped a %dKiB leak into %s (heap %dKiB -> observing...)\n",
-			leaked>>10, target, before.AllocatedBytes>>10)
+			leaked>>10, target, before.Heap.AllocatedBytes>>10)
 		deadline := s.Elapsed() + 10*time.Second
 		for s.Elapsed() < deadline {
-			if st, okst := inst.Runtime().AgingStats(target); okst && st.Rejuvenations > 0 {
+			if cs, _ := rt.ComponentStats(target); cs.Aging != nil && cs.Aging.Rejuvenations > 0 {
 				break
 			}
 			s.Sleep(pol.SamplePeriod)
@@ -328,13 +325,13 @@ func agingDemo() error {
 		if clientErr != nil {
 			return clientErr
 		}
-		st, okst := inst.Runtime().AgingStats(target)
-		if !okst || st.Rejuvenations == 0 {
+		after, _ := rt.ComponentStats(target)
+		st := after.Aging
+		if st == nil || st.Rejuvenations == 0 {
 			return errors.New("sensors never fired: the leak is too slow for the policy's thresholds")
 		}
-		after, _ := inj.HeapStats(target)
 		fmt.Printf("  sensors fired (%s): %d rejuvenation(s), heap %dKiB -> %dKiB\n",
-			st.LastCause, st.Rejuvenations, (before.AllocatedBytes+leaked)>>10, after.AllocatedBytes>>10)
+			st.LastCause, st.Rejuvenations, (before.Heap.AllocatedBytes+leaked)>>10, after.Heap.AllocatedBytes>>10)
 		fmt.Printf("  requests during the scene: %d ok, %d failed\n", ok, fail)
 		fmt.Println("\nThe controller healed the aged component from observed health, not a wall timer.")
 		return nil
@@ -430,7 +427,7 @@ func defenseDemo() error {
 			kv.Execute(s, fmt.Sprintf("SET key%03d v%03d", i, i))
 		}
 		rt := inst.Runtime()
-		fp0 := rt.LayoutFingerprint("vfs")
+		before, _ := rt.ComponentStats("vfs")
 		fmt.Printf("  warm store: %d keys, AOF on vfs; arena seals verified every %d calls\n",
 			kv.Keys(), sealEvery)
 		heap, ok := rt.ComponentHeap("vfs")
@@ -441,7 +438,7 @@ func defenseDemo() error {
 		if err != nil {
 			return fmt.Errorf("alloc: %w", err)
 		}
-		if err := rt.Memory().HostWrite(mem.Addr(addr), []byte{0xDE, 0xAD, 0xBE, 0xEF}); err != nil {
+		if err := rt.Memory().HostWrite(addr, []byte{0xDE, 0xAD, 0xBE, 0xEF}); err != nil {
 			return fmt.Errorf("tamper: %w", err)
 		}
 		fmt.Println("  host flipped bytes inside the vfs arena — never legitimate mid-run")
@@ -462,8 +459,9 @@ func defenseDemo() error {
 		fmt.Printf("  rolled back to the image at epoch seq %d — strictly before the watermark —\n"+
 			"  quarantined %d newer image(s), replayed %d un-tainted log entries\n",
 			r.RestoredEpochSeq, r.QuarantinedImages, r.ReplayedEntries)
-		fp1 := rt.LayoutFingerprint("vfs")
-		fmt.Printf("  fresh incarnation re-randomized its arena: fingerprint %#x -> %#x\n", fp0, fp1)
+		after, _ := rt.ComponentStats("vfs")
+		fmt.Printf("  fresh incarnation re-randomized its arena: fingerprint %#x -> %#x\n",
+			before.LayoutFingerprint, after.LayoutFingerprint)
 		if resp := kv.Execute(s, "GET key007"); !strings.Contains(resp, "v007") {
 			return fmt.Errorf("pre-attack data lost: %s", strings.TrimSpace(resp))
 		}

@@ -104,7 +104,7 @@ func (p Policy) WithDefaults() Policy {
 }
 
 // Stats is one monitor's lifetime accounting, exported through
-// core.Runtime.AgingStats and the bench/campaign JSON.
+// core.ComponentStats.Aging and the bench/campaign JSON.
 type Stats struct {
 	// Samples is the number of sensor readings observed.
 	Samples uint64

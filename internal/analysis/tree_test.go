@@ -167,7 +167,6 @@ var surfaceKeep = map[string]string{
 	// Paper features (§VIII) that only tests drive; the version-switch
 	// recovery fingerprint pins them.
 	"vampos/internal/core.Runtime.RegisterFallback":   "§VIII N-version fallback: registers the alternative implementation a fail-stopped group switches to",
-	"vampos/internal/core.Runtime.VersionSwitches":    "§VIII N-version fallback: the record of switches the version-switch fingerprint prints",
 	"vampos/internal/core.Runtime.SetFailStopHandler": "§VIII graceful termination: the handler a permanently failed group runs",
 
 	// Snippets in README.md and DESIGN.md.

@@ -127,7 +127,8 @@ func measureRebootAfterOps(ops int, shrink bool) (time.Duration, int, error) {
 				return err
 			}
 		}
-		logLen = inst.Runtime().LogLen("vfs")
+		cs, _ := inst.Runtime().ComponentStats("vfs")
+		logLen = cs.LogLen
 		rec, err := rebootRecord(s, "vfs")
 		dur = rec.VirtualDuration
 		return err

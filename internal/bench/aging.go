@@ -167,12 +167,9 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 				row.LeakedBytes += leakStep
 			}
 			if now >= nextSample {
-				hs, err := inj.HeapStats(target)
-				if err != nil {
-					return err
-				}
+				cs, _ := inst.Runtime().ComponentStats(target)
 				row.Trajectory = append(row.Trajectory, AgingSamplePoint{
-					At: now, Allocated: hs.AllocatedBytes, Frag: hs.Fragmentation,
+					At: now, Allocated: cs.Heap.AllocatedBytes, Frag: cs.Heap.ExternalFragmentation(),
 				})
 				nextSample = now + 50*time.Millisecond
 			}
@@ -183,17 +180,14 @@ func runAgingArm(arm AgingArm, scale Scale) (*AgingRow, error) {
 		for doneClients < scale.AgingClients {
 			s.Sleep(10 * time.Millisecond)
 		}
-		hs, err := inj.HeapStats(target)
-		if err != nil {
-			return err
-		}
+		cs, _ := inst.Runtime().ComponentStats(target)
+		row.FragEnd = cs.Heap.ExternalFragmentation()
 		row.Trajectory = append(row.Trajectory, AgingSamplePoint{
-			At: s.Elapsed() - start, Allocated: hs.AllocatedBytes, Frag: hs.Fragmentation,
+			At: s.Elapsed() - start, Allocated: cs.Heap.AllocatedBytes, Frag: row.FragEnd,
 		})
-		row.FragEnd = hs.Fragmentation
 		row.Virtual = s.Elapsed() - start
-		if st, ok := inst.Runtime().AgingStats(target); ok {
-			row.Cause = st.LastCause
+		if cs.Aging != nil {
+			row.Cause = cs.Aging.LastCause
 		}
 		for _, rec := range inst.Runtime().Reboots() {
 			if rec.Group != target {

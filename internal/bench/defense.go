@@ -7,7 +7,6 @@ import (
 
 	"vampos/internal/ckpt"
 	"vampos/internal/defense"
-	"vampos/internal/mem"
 	"vampos/internal/unikernel"
 )
 
@@ -152,7 +151,8 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 				return err
 			}
 		}
-		arm.FingerprintBefore = rt.LayoutFingerprint("vfs")
+		before, _ := rt.ComponentStats("vfs")
+		arm.FingerprintBefore = before.LayoutFingerprint
 
 		// The attack: a host-side byte flip inside the VFS arena. Never
 		// legitimate mid-run — but without the seal machinery, perfectly
@@ -166,7 +166,7 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 			return err
 		}
 		planted := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-		if err := rt.Memory().HostWrite(mem.Addr(addr), planted); err != nil {
+		if err := rt.Memory().HostWrite(addr, planted); err != nil {
 			return err
 		}
 
@@ -211,7 +211,8 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 		arm.Quarantined = rec.QuarantinedImages
 		arm.Replayed = rec.ReplayedEntries
 		arm.RecoveryVirtual = rec.VirtualDuration
-		arm.FingerprintAfter = rt.LayoutFingerprint("vfs")
+		after, _ := rt.ComponentStats("vfs")
+		arm.FingerprintAfter = after.LayoutFingerprint
 
 		if withDefense {
 			// Structural evidence: a rollback that lands strictly before
@@ -223,7 +224,7 @@ func runDefenseArm(scale Scale, withDefense bool) (DefenseArm, error) {
 			// image postdates the flip, so a restore-to-latest resurrects
 			// the planted bytes.
 			got := make([]byte, len(planted))
-			if err := rt.Memory().HostRead(mem.Addr(addr), got); err != nil {
+			if err := rt.Memory().HostRead(addr, got); err != nil {
 				return err
 			}
 			arm.CorruptionSurvived = bytes.Equal(got, planted)

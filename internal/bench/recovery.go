@@ -76,12 +76,11 @@ func runRecoveryPoint(calls int, pol ckpt.Policy) (*RecoveryPoint, error) {
 				return err
 			}
 		}
-		pt.LogLen = inst.Runtime().LogLen("vfs")
-		if cs, ok := inst.Runtime().CheckpointStats("vfs"); ok {
-			pt.Checkpoints = cs.CheckpointCount
-			pt.Truncated = cs.TruncatedEntries + cs.FoldedEntries
-			pt.DirtyPages = cs.DirtyPages
-		}
+		cs, _ := inst.Runtime().ComponentStats("vfs")
+		pt.LogLen = cs.LogLen
+		pt.Checkpoints = cs.Ckpt.CheckpointCount
+		pt.Truncated = cs.Ckpt.TruncatedEntries + cs.Ckpt.FoldedEntries
+		pt.DirtyPages = cs.Ckpt.DirtyPages
 		rec, err := rebootRecord(s, "vfs")
 		if err != nil {
 			return err

@@ -45,9 +45,8 @@ func runTable3Pass(scale Scale, shrink bool, out map[string]float64) error {
 func logTotal(inst *unikernel.Instance) int {
 	total := 0
 	for _, name := range []string{"vfs", "9pfs", "lwip"} {
-		if n := inst.Runtime().LogLen(name); n > 0 {
-			total += n
-		}
+		cs, _ := inst.Runtime().ComponentStats(name)
+		total += cs.LogLen
 	}
 	return total
 }

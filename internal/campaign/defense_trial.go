@@ -9,7 +9,6 @@ import (
 	"vampos/internal/core"
 	"vampos/internal/defense"
 	"vampos/internal/faults"
-	"vampos/internal/mem"
 	"vampos/internal/unikernel"
 )
 
@@ -81,7 +80,7 @@ func (k *attack) arm(t *trial, s *unikernel.Sys) error {
 		if err != nil {
 			return err
 		}
-		if err := rt.Memory().HostWrite(mem.Addr(addr), []byte{0xDE, 0xAD, 0xBE, 0xEF}); err != nil {
+		if err := rt.Memory().HostWrite(addr, []byte{0xDE, 0xAD, 0xBE, 0xEF}); err != nil {
 			return err
 		}
 	case FaultBadFrame:
@@ -123,12 +122,12 @@ func (k *attack) arm(t *trial, s *unikernel.Sys) error {
 		// as tampering and reboot the victim, muddying the verdict.
 		memObj := rt.Memory()
 		witness := make([]byte, 16)
-		if err := memObj.HostRead(mem.Addr(victimAddr), witness); err != nil {
+		if err := memObj.HostRead(victimAddr, witness); err != nil {
 			return err
 		}
 		faults0 := memObj.Faults()
 		strike := func() {
-			_, werr := s.Ctx().Call("saboteur", "wild_write", victimAddr, 0xFF)
+			_, werr := s.Ctx().Call("saboteur", "wild_write", uint64(victimAddr), 0xFF)
 			if werr != nil && strings.Contains(werr.Error(), "EFAULT") {
 				k.efaults++
 			} else {
@@ -144,7 +143,7 @@ func (k *attack) arm(t *trial, s *unikernel.Sys) error {
 			return fmt.Errorf("no punitive reboot after second strike")
 		}
 		got := make([]byte, len(witness))
-		if err := memObj.HostRead(mem.Addr(victimAddr), got); err != nil {
+		if err := memObj.HostRead(victimAddr, got); err != nil {
 			return err
 		}
 		k.intact = string(got) == string(witness)
@@ -198,7 +197,8 @@ func (k *attack) judge(j *judgement) {
 	if cell.Fault == FaultXDomTouch {
 		attacker = "saboteur"
 	}
-	attackerGroup, _ := j.rt.GroupOf(attacker)
+	ac, _ := j.rt.ComponentStats(attacker)
+	attackerGroup := ac.Group
 
 	switch cell.Fault {
 	case FaultTamper:

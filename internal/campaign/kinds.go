@@ -8,7 +8,6 @@ import (
 	"vampos/internal/aging"
 	"vampos/internal/core"
 	"vampos/internal/faults"
-	"vampos/internal/mem"
 	"vampos/internal/trace"
 	"vampos/internal/unikernel"
 )
@@ -71,27 +70,24 @@ func (k *armedFault) judge(j *judgement) {
 // (§VII-D). VIRTIO refuses that reboot — the expected-unrecoverable path.
 type leakFault struct {
 	baseKind
-	before, after core.HeapStats
+	before, after core.ComponentStats
 	rebootErr     error
 	done          bool
 }
 
 func (k *leakFault) arm(t *trial, s *unikernel.Sys) error {
 	comp := t.cell.Component
-	inj := faults.NewInjector(t.inst.Runtime())
-	before, err := inj.HeapStats(comp)
-	if err != nil {
+	rt := t.inst.Runtime()
+	before, _ := rt.ComponentStats(comp)
+	if _, err := faults.NewInjector(rt).LeakBytes(comp, leakBytes, leakBlock); err != nil {
 		return err
 	}
-	if _, err := inj.LeakBytes(comp, leakBytes, leakBlock); err != nil {
-		return err
-	}
-	k.before, _ = inj.HeapStats(comp)
-	if k.before.AllocatedBytes <= before.AllocatedBytes {
+	k.before, _ = rt.ComponentStats(comp)
+	if k.before.Heap.AllocatedBytes <= before.Heap.AllocatedBytes {
 		return fmt.Errorf("leak did not grow %s's heap", comp)
 	}
 	k.rebootErr = s.Reboot(comp)
-	k.after, _ = inj.HeapStats(comp)
+	k.after, _ = rt.ComponentStats(comp)
 	k.done = true
 	return nil
 }
@@ -106,8 +102,8 @@ func (k *leakFault) judge(j *judgement) {
 	} else {
 		ok, seen := j.confined(j.target, 1)
 		j.check("containment", ok, "%s (want exactly group %q)", seen, j.target)
-		j.check("rejuvenation", k.done && k.rebootErr == nil && k.after.AllocatedBytes < k.before.AllocatedBytes,
-			"reboot err=%v, heap %d -> %d bytes", k.rebootErr, k.before.AllocatedBytes, k.after.AllocatedBytes)
+		j.check("rejuvenation", k.done && k.rebootErr == nil && k.after.Heap.AllocatedBytes < k.before.Heap.AllocatedBytes,
+			"reboot err=%v, heap %d -> %d bytes", k.rebootErr, k.before.Heap.AllocatedBytes, k.after.Heap.AllocatedBytes)
 	}
 	j.instanceTail()
 }
@@ -117,7 +113,7 @@ func (k *leakFault) judge(j *judgement) {
 // sensor, not from the trial.
 type agingFault struct {
 	baseKind
-	before, after core.HeapStats
+	before, after core.ComponentStats
 	stats         aging.Stats
 	statsOK       bool
 	done          bool
@@ -134,10 +130,7 @@ func (k *agingFault) arm(t *trial, s *unikernel.Sys) error {
 	comp := t.cell.Component
 	rt := t.inst.Runtime()
 	inj := faults.NewInjector(rt)
-	before, err := inj.HeapStats(comp)
-	if err != nil {
-		return err
-	}
+	before, _ := rt.ComponentStats(comp)
 	// Drip the leak so the controller's sample window observes a
 	// slope, rather than a step it could only see once. The
 	// controller may fire mid-drip (the whole point), so the "before"
@@ -148,12 +141,12 @@ func (k *agingFault) arm(t *trial, s *unikernel.Sys) error {
 		if _, err := inj.LeakBytes(comp, agingLeakStep, agingLeakStep); err != nil {
 			return err
 		}
-		if hs, err := inj.HeapStats(comp); err == nil && hs.AllocatedBytes > k.before.AllocatedBytes {
-			k.before = hs
+		if cs, _ := rt.ComponentStats(comp); cs.Heap.AllocatedBytes > k.before.Heap.AllocatedBytes {
+			k.before = cs
 		}
 		s.Sleep(agingLeakPause)
 	}
-	if k.before.AllocatedBytes <= before.AllocatedBytes {
+	if k.before.Heap.AllocatedBytes <= before.Heap.AllocatedBytes {
 		return fmt.Errorf("aging leak did not grow %s's heap", comp)
 	}
 	// Wait (bounded, virtual time) for the sensor-driven controller
@@ -161,14 +154,16 @@ func (k *agingFault) arm(t *trial, s *unikernel.Sys) error {
 	// targets — a refused one that armed backoff.
 	deadline := s.Elapsed() + agingWait
 	for s.Elapsed() < deadline {
-		st, ok := rt.AgingStats(comp)
-		if ok && (st.Rejuvenations > 0 || st.Failures > 0) {
+		cs, _ := rt.ComponentStats(comp)
+		if st := cs.Aging; st != nil && (st.Rejuvenations > 0 || st.Failures > 0) {
 			break
 		}
 		s.Sleep(trialAgingPolicy().SamplePeriod)
 	}
-	k.stats, k.statsOK = rt.AgingStats(comp)
-	k.after, _ = inj.HeapStats(comp)
+	k.after, _ = rt.ComponentStats(comp)
+	if k.after.Aging != nil {
+		k.stats, k.statsOK = *k.after.Aging, true
+	}
 	k.done = true
 	return nil
 }
@@ -200,11 +195,11 @@ func (k *agingFault) judge(j *judgement) {
 		k.stats.Rejuvenations > 0 &&
 		k.stats.LastCause == "leak-slope" &&
 		sensorOnly &&
-		k.after.AllocatedBytes < k.before.AllocatedBytes &&
-		k.after.Fragmentation <= 0.5,
+		k.after.Heap.AllocatedBytes < k.before.Heap.AllocatedBytes &&
+		k.after.Heap.ExternalFragmentation() <= 0.5,
 		"done=%v statsOK=%v rejuvenations=%d cause=%q sensorOnly=%v heap %d -> %d bytes frag %.2f",
 		k.done, k.statsOK, k.stats.Rejuvenations, k.stats.LastCause,
-		sensorOnly, k.before.AllocatedBytes, k.after.AllocatedBytes, k.after.Fragmentation)
+		sensorOnly, k.before.Heap.AllocatedBytes, k.after.Heap.AllocatedBytes, k.after.Heap.ExternalFragmentation())
 	j.instanceTail()
 }
 
@@ -234,14 +229,14 @@ func (k *wildWrite) arm(t *trial, s *unikernel.Sys) error {
 	}
 	memObj := rt.Memory()
 	witness := []byte("precious")
-	if err := memObj.HostWrite(mem.Addr(victimAddr), witness); err != nil {
+	if err := memObj.HostWrite(victimAddr, witness); err != nil {
 		return err
 	}
 	faults0 := memObj.Faults()
-	_, werr := s.Ctx().Call("saboteur", "wild_write", victimAddr, 0xFF)
+	_, werr := s.Ctx().Call("saboteur", "wild_write", uint64(victimAddr), 0xFF)
 	k.efault = werr != nil && strings.Contains(werr.Error(), "EFAULT")
 	got := make([]byte, len(witness))
-	if err := memObj.HostRead(mem.Addr(victimAddr), got); err != nil {
+	if err := memObj.HostRead(victimAddr, got); err != nil {
 		return err
 	}
 	k.intact = string(got) == string(witness)

@@ -145,8 +145,8 @@ func (j *judgement) checkpoint(requireRestore bool) {
 	}
 	cell := j.t.cell
 	restored := true
-	if cs, eligible := j.rt.CheckpointStats(cell.Component); requireRestore && eligible &&
-		cs.CheckpointCount > 0 && !cell.Expected && len(j.reboots) > 0 {
+	if cs, _ := j.rt.ComponentStats(cell.Component); requireRestore &&
+		cs.Ckpt.CheckpointCount > 0 && !cell.Expected && len(j.reboots) > 0 {
 		restored = false
 		for _, r := range j.reboots {
 			if r.Group == j.target && r.RestoredPages > 0 {

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"vampos/internal/aging"
@@ -58,19 +60,12 @@ func (t *trial) pastDeadline(s *unikernel.Sys) bool {
 // trialSeed hashes the campaign seed and the cell ID into the per-trial
 // seed (FNV-1a), so any cell reproduces in isolation from -seed alone.
 func trialSeed(campaignSeed int64, id string) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	for _, b := range []byte(id) {
-		mix(b)
-	}
-	s := uint64(campaignSeed)
-	for i := 0; i < 8; i++ {
-		mix(byte(s >> (8 * i)))
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], uint64(campaignSeed))
+	h.Write(seed[:])
+	return h.Sum64()
 }
 
 // runTrial executes one cell on a fresh, fully isolated instance (or
@@ -181,7 +176,8 @@ func (t *trial) runInstance(cc core.Config, k faultKind, res *CellResult, j *jud
 	res.Reboots = len(rt.Reboots()) + len(rt.Microreboots())
 	res.ClientErrs = t.errs
 	j.rt, j.st, j.reboots, j.events, j.phaseErr = rt, rt.Stats(), rt.Reboots(), rec.Snapshot(), phaseErr
-	j.target, _ = rt.GroupOf(t.cell.Component)
+	cs, _ := rt.ComponentStats(t.cell.Component)
+	j.target = cs.Group
 	k.judge(j)
 	return nil
 }

@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"time"
@@ -209,12 +210,9 @@ func (c *Cluster) NodeVirtual(id int) time.Duration { return c.nodes[id].virtual
 // fnv1a is the same hash the campaign seeder uses; here it anchors
 // per-key ring placement.
 func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }
 
 func (c *Cluster) reachable(i, j int) bool {

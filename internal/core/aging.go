@@ -130,17 +130,6 @@ func (rt *Runtime) agingLoop(ctx *Ctx) {
 	}
 }
 
-// AgingStats returns the named component's adaptive-rejuvenation monitor
-// accounting; false when no controller runs or the component is not a
-// target.
-func (rt *Runtime) AgingStats(name string) (aging.Stats, bool) {
-	c, ok := rt.comps[name]
-	if !ok || c.aging == nil {
-		return aging.Stats{}, false
-	}
-	return c.aging.Stats(), true
-}
-
 // agingHot reports whether the adaptive controller has the component
 // latched over its aging threshold, or is still inside
 // the cooldown that follows a rejuvenation. The checkpoint cadence

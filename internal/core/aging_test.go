@@ -48,10 +48,19 @@ func leakOnlyPolicy() aging.Policy {
 	}
 }
 
+// agingOf reads a component's aging accounting from ComponentStats; ok
+// is false when the component is not a controller target.
+func agingOf(rt *Runtime, name string) (aging.Stats, bool) {
+	if st := statsOf(rt, name).Aging; st != nil {
+		return *st, true
+	}
+	return aging.Stats{}, false
+}
+
 // awaitRejuvenation sleeps until the controller has rejuvenated the
 // named target once, or 30 virtual seconds have passed.
 func awaitRejuvenation(c *Ctx, name string) {
-	for st, _ := c.Runtime().AgingStats(name); st.Rejuvenations == 0 && c.Elapsed() < 30*time.Second; st, _ = c.Runtime().AgingStats(name) {
+	for st, _ := agingOf(c.Runtime(), name); st.Rejuvenations == 0 && c.Elapsed() < 30*time.Second; st, _ = agingOf(c.Runtime(), name) {
 		c.Sleep(time.Millisecond)
 	}
 }
@@ -73,7 +82,7 @@ func TestAgingDriverRejuvenatesLeakyComponent(t *testing.T) {
 			c.Sleep(50 * time.Microsecond)
 		}
 		awaitRejuvenation(c, "leaky")
-		st, ok := c.Runtime().AgingStats("leaky")
+		st, ok := agingOf(c.Runtime(), "leaky")
 		if !ok || st.Rejuvenations == 0 {
 			t.Fatalf("controller never rejuvenated: leaky monitor stats = %+v ok=%v", st, ok)
 		}
@@ -87,10 +96,10 @@ func TestAgingDriverRejuvenatesLeakyComponent(t *testing.T) {
 			t.Fatalf("arena still holds %d leaked bytes", cs.Heap.AllocatedBytes)
 		}
 	})
-	if _, ok := rt.AgingStats("virtio"); ok {
+	if _, ok := agingOf(rt, "virtio"); ok {
 		t.Fatal("the unrebootable stub is a default aging target")
 	}
-	if _, ok := rt.AgingStats("stable"); !ok {
+	if _, ok := agingOf(rt, "stable"); !ok {
 		t.Fatal("the rebootable stable component is not a default aging target")
 	}
 	var rejuv int
@@ -124,7 +133,7 @@ func TestAgingRejuvenatesInBootOrder(t *testing.T) {
 	dependent := &leakComp{name: "dependent", leakEach: 256}
 	rt := run(t, cfg, []Component{provider, dependent}, func(c *Ctx) {
 		rejuvenated := func(name string) bool {
-			st, _ := c.Runtime().AgingStats(name)
+			st, _ := agingOf(c.Runtime(), name)
 			return st.Rejuvenations > 0
 		}
 		for !(rejuvenated("provider") && rejuvenated("dependent")) && c.Elapsed() < 30*time.Second {
@@ -142,8 +151,8 @@ func TestAgingRejuvenatesInBootOrder(t *testing.T) {
 	}
 	// Each monitor's cooldown starts when its own rejuvenation ends: the
 	// two lie less than a sample period apart, so one sweep fired both.
-	p, _ := rt.AgingStats("provider")
-	d, _ := rt.AgingStats("dependent")
+	p, _ := agingOf(rt, "provider")
+	d, _ := agingOf(rt, "dependent")
 	if gap := d.CooldownUntil - p.CooldownUntil; gap <= 0 || gap >= pol.SamplePeriod {
 		t.Fatalf("rejuvenations %v apart, want both inside one %v sweep", gap, pol.SamplePeriod)
 	}
@@ -164,11 +173,11 @@ func TestConfigAgingAutoStartsDriver(t *testing.T) {
 		}
 		awaitRejuvenation(c, "leaky")
 	})
-	st, ok := rt.AgingStats("leaky")
+	st, ok := agingOf(rt, "leaky")
 	if !ok || st.Rejuvenations == 0 {
 		t.Fatalf("AgingStats(leaky) = %+v ok=%v, want rejuvenations", st, ok)
 	}
-	if _, ok := rt.AgingStats("stable"); ok {
+	if _, ok := agingOf(rt, "stable"); ok {
 		t.Fatal("untargeted component has aging stats")
 	}
 }
@@ -179,7 +188,7 @@ func TestVanillaConfigIgnoresAging(t *testing.T) {
 	rt := run(t, cfg, []Component{&kvComp{name: "kv"}}, func(c *Ctx) {
 		mustCall(t, c, "kv", "put", 1, "1")
 	})
-	if _, ok := rt.AgingStats("kv"); ok || rt.agingTargets != nil {
+	if _, ok := agingOf(rt, "kv"); ok || rt.agingTargets != nil {
 		t.Fatal("vanilla runtime started an aging controller")
 	}
 }
@@ -196,19 +205,19 @@ func TestRejuvenateCheckpointAware(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			mustCall(t, c, "kv", "put", i, "v")
 		}
-		if n := c.Runtime().LogLen("kv"); n < 40 {
+		if n := statsOf(c.Runtime(), "kv").LogLen; n < 40 {
 			t.Fatalf("retained log = %d, want >= 40", n)
 		}
 		if err := c.Rejuvenate("kv"); err != nil {
 			t.Fatalf("Rejuvenate: %v", err)
 		}
-		cps, _ := c.Runtime().CheckpointStats("kv")
+		cps := statsOf(c.Runtime(), "kv").Ckpt
 		if cps.CheckpointCount == 0 {
 			t.Fatal("rejuvenation took no post-reboot checkpoint")
 		}
 		// The post-reboot checkpoint truncated the replayed prefix: the
 		// next recovery starts from the clean image, near-empty tail.
-		if n := c.Runtime().LogLen("kv"); n > 2 {
+		if n := statsOf(c.Runtime(), "kv").LogLen; n > 2 {
 			t.Fatalf("retained log after rejuvenation = %d, want near-empty", n)
 		}
 		if err := c.Reboot("kv"); err != nil {
@@ -268,8 +277,7 @@ func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 			}
 		}
 		count := func() uint64 {
-			cs, _ := c.Runtime().CheckpointStats("kv")
-			return cs.CheckpointCount
+			return statsOf(c.Runtime(), "kv").Ckpt.CheckpointCount
 		}
 		puts(0, 8)
 		healthy := count()
@@ -284,7 +292,7 @@ func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 				HeapAllocated: int64(i) * (1 << 20),
 			})
 		}
-		if st, _ := c.Runtime().AgingStats("kv"); !st.Hot {
+		if st, _ := agingOf(c.Runtime(), "kv"); !st.Hot {
 			t.Fatalf("monitor did not latch: %+v", st)
 		}
 		puts(8, 16)
@@ -302,7 +310,7 @@ func TestCadenceCheckpointGatedWhileAging(t *testing.T) {
 		// A successful rejuvenation releases the latch and starts the
 		// cooldown; the gate must hold until the cooldown lapses.
 		mon.NoteRejuvenation(c.Elapsed(), true)
-		if st, _ := c.Runtime().AgingStats("kv"); st.Hot || st.CooldownUntil <= c.Elapsed() {
+		if st, _ := agingOf(c.Runtime(), "kv"); st.Hot || st.CooldownUntil <= c.Elapsed() {
 			t.Fatalf("NoteRejuvenation did not release the latch into cooldown: %+v", st)
 		}
 		puts(16, 24)

@@ -170,14 +170,3 @@ func (c *Ctx) Checkpoint(name string) error {
 	}
 	return c.rt.checkpointComponent(c.th, tc)
 }
-
-// CheckpointStats returns the named component's checkpoint accounting.
-// The second result is false when the component is unknown or not
-// checkpoint-eligible.
-func (rt *Runtime) CheckpointStats(name string) (ckpt.Stats, bool) {
-	c, ok := rt.comps[name]
-	if !ok || c.tracker == nil {
-		return ckpt.Stats{}, false
-	}
-	return c.tracker.Stats(), true
-}

@@ -35,10 +35,7 @@ func TestCadenceCheckpointBoundsReplay(t *testing.T) {
 			}
 		}
 	})
-	cs, ok := rt.CheckpointStats("kv")
-	if !ok {
-		t.Fatal("kv not checkpoint-eligible")
-	}
+	cs := statsOf(rt, "kv").Ckpt
 	if cs.CheckpointCount < 2 {
 		t.Fatalf("CheckpointCount = %d over 10 calls at cadence 4, want >= 2", cs.CheckpointCount)
 	}
@@ -68,7 +65,7 @@ func TestManualCheckpoint(t *testing.T) {
 		if err := c.Checkpoint("kv"); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.rt.LogLen("kv"); got != 0 {
+		if got := statsOf(c.rt, "kv").LogLen; got != 0 {
 			t.Fatalf("log = %d entries after manual checkpoint, want 0", got)
 		}
 		mustCall(t, c, "kv", "put", 3, "3")
@@ -82,7 +79,7 @@ func TestManualCheckpoint(t *testing.T) {
 			}
 		}
 	})
-	cs, _ := rt.CheckpointStats("kv")
+	cs := statsOf(rt, "kv").Ckpt
 	if cs.CheckpointCount != 1 {
 		t.Fatalf("CheckpointCount = %d, want 1", cs.CheckpointCount)
 	}

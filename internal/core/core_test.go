@@ -233,6 +233,12 @@ func mustCall(t *testing.T, c *Ctx, target, fn string, args ...any) msg.Encoded 
 	return rets
 }
 
+// statsOf reads one component's ComponentStats.
+func statsOf(rt *Runtime, name string) ComponentStats {
+	cs, _ := rt.ComponentStats(name)
+	return cs
+}
+
 func TestVanillaDirectCalls(t *testing.T) {
 	kv := &kvComp{name: "kv"}
 	rt := run(t, VanillaConfig(), []Component{kv}, func(c *Ctx) {
@@ -246,8 +252,8 @@ func TestVanillaDirectCalls(t *testing.T) {
 	if st.DirectCalls == 0 || st.Messages != 0 {
 		t.Fatalf("vanilla stats = %+v, want direct calls only", st)
 	}
-	if rt.LogLen("kv") != 0 {
-		t.Fatalf("vanilla logged %d entries, want 0", rt.LogLen("kv"))
+	if statsOf(rt, "kv").LogLen != 0 {
+		t.Fatalf("vanilla logged %d entries, want 0", statsOf(rt, "kv").LogLen)
 	}
 }
 
@@ -269,7 +275,7 @@ func TestMessagePassingCallAndLogging(t *testing.T) {
 		t.Fatalf("Messages = %d, want 4", st.Messages)
 	}
 	// puts logged, gets not
-	if got := rt.LogLen("kv"); got != 2 {
+	if got := statsOf(rt, "kv").LogLen; got != 2 {
 		t.Fatalf("log length = %d, want 2", got)
 	}
 }
@@ -455,14 +461,14 @@ func TestSessionShrinkingAcrossRuntime(t *testing.T) {
 		mustCall(t, c, "kv", "put", 1, "3") // reuse discards closed pair
 	})
 	// k:1(open#2) + k:2(open) = 2 retained (old 1 pair dropped on reuse).
-	if got := rt.LogLen("kv"); got != 3 {
+	if got := statsOf(rt, "kv").LogLen; got != 3 {
 		// open 2, del-canceled pair removed on reuse, new open 1, and the
 		// canceler del itself was kept until reuse: recount precisely:
 		// put 1 (opener), put 2 (opener), del 1 (canceler -> closes k:1),
 		// put 1 (opener, reuse -> removes old put+del) = entries: put 2, put 1 = 2? or 3.
 		t.Logf("retained entries = %d", got)
 	}
-	if got := rt.LogLen("kv"); got != 2 {
+	if got := statsOf(rt, "kv").LogLen; got != 2 {
 		t.Fatalf("log length = %d, want 2 (put 2 + put 1)", got)
 	}
 }
@@ -533,8 +539,7 @@ func TestMergedGroupDirectCallsAndCompositeReboot(t *testing.T) {
 			t.Errorf("backend 2 = %q, want 9", v)
 		}
 	})
-	gf, _ := rt.GroupOf("front")
-	gb, _ := rt.GroupOf("backend")
+	gf, gb := statsOf(rt, "front").Group, statsOf(rt, "backend").Group
 	if gf != gb {
 		t.Fatalf("merged components in different groups: %q vs %q", gf, gb)
 	}

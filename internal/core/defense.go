@@ -179,17 +179,6 @@ func (c *component) archiveTruncated(views []msg.RecordView, truncSeq uint64) {
 // (crash, reboot, retry transparently); without it, a typed errno.
 func (rt *Runtime) DefenseEnabled() bool { return rt.cfg.Defense.Enabled }
 
-// LayoutFingerprint returns the component's arena-layout fingerprint as
-// of its last boot or reboot (zero before the first reboot when defense
-// is off, or for unknown components). Safe from any goroutine.
-func (rt *Runtime) LayoutFingerprint(name string) uint64 {
-	c, ok := rt.comps[name]
-	if !ok {
-		return 0
-	}
-	return c.layoutFP.Load()
-}
-
 // ImageMetas returns the metadata of a component's retained checkpoint
 // images, oldest first (nil when defense is off or the component has no
 // history). Oracles assert quarantine discipline on it.

@@ -102,12 +102,12 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 	if rec.ReplayedEntries != 1 {
 		t.Fatalf("replayed %d entries, want 1 (only the pre-watermark put, from the archive)", rec.ReplayedEntries)
 	}
-	if fp := rt.LayoutFingerprint("kv"); fp == 0 {
+	if fp := statsOf(rt, "kv").LayoutFingerprint; fp == 0 {
 		t.Fatal("layout fingerprint not stamped after defense reboot")
 	}
-	if len(rec.LayoutFingerprints) != 1 || rec.LayoutFingerprints[0] != rt.LayoutFingerprint("kv") {
+	if len(rec.LayoutFingerprints) != 1 || rec.LayoutFingerprints[0] != statsOf(rt, "kv").LayoutFingerprint {
 		t.Fatalf("record fingerprints %v disagree with live fingerprint %d",
-			rec.LayoutFingerprints, rt.LayoutFingerprint("kv"))
+			rec.LayoutFingerprints, statsOf(rt, "kv").LayoutFingerprint)
 	}
 }
 
@@ -245,7 +245,7 @@ func TestRerandomizedRebootsChangeFingerprint(t *testing.T) {
 			if err := c.Reboot("kv"); err != nil {
 				t.Fatal(err)
 			}
-			fps = append(fps, c.rt.LayoutFingerprint("kv"))
+			fps = append(fps, statsOf(c.rt, "kv").LayoutFingerprint)
 			rets := mustCall(t, c, "kv", "get", 1)
 			if v, _ := rets.Str(0); v != "1" {
 				t.Fatalf("a = %q after reboot %d", v, i)
@@ -384,7 +384,7 @@ func TestDefenseDisabledIsInert(t *testing.T) {
 	if metas := rt.ImageMetas("kv"); metas != nil {
 		t.Fatalf("image history %v retained while disabled", metas)
 	}
-	if fp := rt.LayoutFingerprint("kv"); fp != 0 {
+	if fp := statsOf(rt, "kv").LayoutFingerprint; fp != 0 {
 		t.Fatalf("fingerprint %d stamped while disabled", fp)
 	}
 	if rec := rt.Reboots()[0]; rec.LayoutFingerprints != nil || rec.TaintWatermark != 0 {

@@ -71,10 +71,6 @@ func (rt *Runtime) RegisterFallback(name string, alt Component) error {
 	return nil
 }
 
-// VersionSwitches reports how many components were replaced by their
-// fallback implementation.
-func (rt *Runtime) VersionSwitches() uint64 { return rt.stats.versionSwitches.Load() }
-
 // trySwapFallback replaces a deterministically failing component with
 // its registered alternate and reboots the group around it. It runs on
 // the caller's thread; it returns false when no unused fallback exists

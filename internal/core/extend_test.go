@@ -73,8 +73,8 @@ func TestFallbackSwapsInOnDeterministicBug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.VersionSwitches() != 1 {
-		t.Fatalf("VersionSwitches = %d, want 1", rt.VersionSwitches())
+	if rt.Stats().VersionSwitches != 1 {
+		t.Fatalf("VersionSwitches = %d, want 1", rt.Stats().VersionSwitches)
 	}
 	// Both the crash-triggered reboot and the version-switch reboot ran.
 	var reasons []string
@@ -113,8 +113,8 @@ func TestFallbackThatAlsoFailsFailsStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.VersionSwitches() != 1 {
-		t.Fatalf("VersionSwitches = %d (one swap attempted)", rt.VersionSwitches())
+	if rt.Stats().VersionSwitches != 1 {
+		t.Fatalf("VersionSwitches = %d (one swap attempted)", rt.Stats().VersionSwitches)
 	}
 }
 

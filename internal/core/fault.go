@@ -171,62 +171,14 @@ func (rt *Runtime) checkFault(ctx *Ctx, component, fn string) error {
 	return nil
 }
 
-// ComponentHeap exposes a component's arena allocator for fault
-// injection (leaks) and aging observation.
-func (rt *Runtime) ComponentHeap(name string) (Heap, bool) {
+// ComponentHeap returns a component's arena allocator, for fault
+// injection (leaks) and layout probes. A restore swaps in a fresh
+// allocator, so the one returned is valid until the component's next
+// restore: take it again after a reboot.
+func (rt *Runtime) ComponentHeap(name string) (*mem.Buddy, bool) {
 	c, ok := rt.comps[name]
 	if !ok || c.heap == nil {
 		return nil, false
 	}
-	return &componentHeap{rt: rt, c: c}, true
-}
-
-// Heap is a stable handle onto a component's current arena allocator.
-// The underlying allocator object changes across reboots (restores clone
-// a fresh one), so the handle re-resolves on every call.
-type Heap interface {
-	// Alloc reserves n bytes in the component arena.
-	Alloc(n int64) (uint64, error)
-	// Free releases a block.
-	Free(addr uint64) error
-	// Stats returns the allocator statistics.
-	Stats() HeapStats
-}
-
-// HeapStats mirrors mem.BuddyStats for external consumers.
-type HeapStats struct {
-	TotalBytes       int64
-	AllocatedBytes   int64
-	FreeBytes        int64
-	LiveAllocs       int
-	FailedAllocs     uint64
-	LargestFreeBlock int64
-	Fragmentation    float64
-}
-
-type componentHeap struct {
-	rt *Runtime
-	c  *component
-}
-
-func (h *componentHeap) Alloc(n int64) (uint64, error) {
-	a, err := h.c.heap.Alloc(n)
-	return uint64(a), err
-}
-
-func (h *componentHeap) Free(addr uint64) error {
-	return h.c.heap.Free(mem.Addr(addr))
-}
-
-func (h *componentHeap) Stats() HeapStats {
-	s := h.c.heap.Stats()
-	return HeapStats{
-		TotalBytes:       s.TotalBytes,
-		AllocatedBytes:   s.AllocatedBytes,
-		FreeBytes:        s.FreeBytes,
-		LiveAllocs:       s.LiveAllocs,
-		FailedAllocs:     s.FailedAllocs,
-		LargestFreeBlock: s.LargestFreeBlock,
-		Fragmentation:    s.ExternalFragmentation(),
-	}
+	return c.heap, true
 }

@@ -193,25 +193,34 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Encoded, error) {
 	if !rt.cfg.MessagePassing || sameGroup {
 		rt.stats.directCalls.Add(1)
 		rt.chargeOn(c.th, costDirectCall)
-		sub := &Ctx{rt: rt, comp: tc, th: c.th, replay: c.replay}
-		if tr := rt.tracer; tr != nil {
-			sub.span = tr.Begin(c.span, trace.KindDirect, c.callerName(), target, fn)
-		}
-		var rets msg.Encoded
-		err := rt.checkFault(sub, target, fn)
-		if err == nil {
-			if rt.cfg.MessagePassing && c.replay == nil && rt.loggingWanted(tc, fn) {
-				rets, err = rt.callLogged(c, sub, tc, fn, h, enc)
-			} else {
-				rets, err = h(sub, enc)
-			}
-		}
-		if tr := rt.tracer; tr != nil {
-			tr.EndErr(sub.span, errnoString(err))
-		}
+		rets, err := rt.runDirect(c, &Ctx{rt: rt, comp: tc, th: c.th, replay: c.replay}, fn, h, enc)
 		return results(rets), err
 	}
 	return rt.callMessage(c, tc, fn, enc)
+}
+
+// runDirect runs fn on sub's component without a message, inside a
+// KindDirect span under from's: the path of a vanilla or intra-group
+// Call and of a vanilla Inject. An armed fault fires here as it does on
+// the worker, and a logged co-member call is logged (callLogged).
+func (rt *Runtime) runDirect(from, sub *Ctx, fn string, h Handler, enc msg.Encoded) (msg.Encoded, error) {
+	target := sub.comp.desc.Name
+	if tr := rt.tracer; tr != nil {
+		sub.span = tr.Begin(from.span, trace.KindDirect, from.callerName(), target, fn)
+	}
+	var rets msg.Encoded
+	err := rt.checkFault(sub, target, fn)
+	if err == nil {
+		if rt.cfg.MessagePassing && from.replay == nil && rt.loggingWanted(sub.comp, fn) {
+			rets, err = rt.callLogged(from, sub, sub.comp, fn, h, enc)
+		} else {
+			rets, err = h(sub, enc)
+		}
+	}
+	if tr := rt.tracer; tr != nil {
+		tr.EndErr(sub.span, errnoString(err))
+	}
+	return rets, err
 }
 
 // noResults is the empty list, which nil results transport as.
@@ -337,7 +346,8 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Encode
 // into the injection's own buffer, and an encode error fails the
 // injection before anything happens. In vanilla mode the handler runs
 // directly on the calling thread, like an interrupt borrowing the
-// interrupted context.
+// interrupted context, through the same runDirect as a direct Call, so
+// an armed fault fires in both modes.
 func (rt *Runtime) Inject(from *Ctx, target, fn string, args ...any) error {
 	tc, ok := rt.comps[target]
 	if !ok {
@@ -361,14 +371,7 @@ func (rt *Runtime) Inject(from *Ctx, target, fn string, args ...any) error {
 		if !ok {
 			return &UnknownFunctionError{Component: target, Fn: fn}
 		}
-		sub := &Ctx{rt: rt, comp: tc, th: th}
-		if tr := rt.tracer; tr != nil {
-			sub.span = tr.Begin(from.span, trace.KindDirect, from.callerName(), target, fn)
-		}
-		_, err := h(sub, enc)
-		if tr := rt.tracer; tr != nil {
-			tr.EndErr(sub.span, errnoString(err))
-		}
+		_, err := rt.runDirect(from, &Ctx{rt: rt, comp: tc, th: th}, fn, h, enc)
 		return err
 	}
 	pc := &inj.pc

@@ -14,7 +14,7 @@ func TestFullRestartScrubsEverything(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			mustCall(t, c, "kv", "put", i, "v")
 		}
-		if rt := c.Runtime(); rt.LogLen("kv") == 0 {
+		if statsOf(c.Runtime(), "kv").LogLen == 0 {
 			t.Fatal("setup: nothing logged")
 		}
 		if err := c.Runtime().FullRestart(c); err != nil {
@@ -24,7 +24,7 @@ func TestFullRestartScrubsEverything(t *testing.T) {
 		if _, err := c.Call("kv", "get", 3); !errors.Is(err, ENOENT) {
 			t.Errorf("k3 after full restart = %v, want ENOENT", err)
 		}
-		if got := c.Runtime().LogLen("kv"); got != 0 {
+		if got := statsOf(c.Runtime(), "kv").LogLen; got != 0 {
 			t.Errorf("log length after full restart = %d", got)
 		}
 		// And the instance keeps working.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vampos/internal/aging"
 	"vampos/internal/ckpt"
 	"vampos/internal/mem"
 	"vampos/internal/msg"
@@ -86,7 +87,9 @@ type RebootRecord struct {
 	LayoutFingerprints []uint64
 }
 
-// ComponentStats is the per-component health view.
+// ComponentStats is the per-component read surface: every fact the
+// runtime keeps about one component (its group, log, arena, checkpoints,
+// layout and aging) is read from this one snapshot.
 type ComponentStats struct {
 	Name     string
 	Group    string
@@ -105,6 +108,12 @@ type ComponentStats struct {
 	// Ckpt is the component's incremental-checkpoint accounting (zero
 	// for components that are not checkpoint-eligible).
 	Ckpt ckpt.Stats
+	// LayoutFingerprint is the arena-layout fingerprint as of the last
+	// boot or reboot (zero before the first reboot when defense is off).
+	LayoutFingerprint uint64
+	// Aging is the adaptive-rejuvenation monitor's accounting; nil when
+	// no controller runs or the component is not one of its targets.
+	Aging *aging.Stats
 	// Calls/Errors/Busy count completed inbound calls, calls that
 	// returned an error, and cumulative virtual handler time (replay
 	// excluded).
@@ -160,14 +169,15 @@ func (rt *Runtime) ComponentStats(name string) (ComponentStats, bool) {
 		return ComponentStats{}, false
 	}
 	cs := ComponentStats{
-		Name:         c.desc.Name,
-		Stateful:     c.desc.Stateful,
-		Failures:     c.failures.Load(),
-		Reboots:      c.reboots.Load(),
-		Microreboots: c.micro.Load(),
-		Calls:        c.calls.Load(),
-		Errors:       c.errs.Load(),
-		Busy:         time.Duration(c.busyV.Load()),
+		Name:              c.desc.Name,
+		Stateful:          c.desc.Stateful,
+		Failures:          c.failures.Load(),
+		Reboots:           c.reboots.Load(),
+		Microreboots:      c.micro.Load(),
+		Calls:             c.calls.Load(),
+		Errors:            c.errs.Load(),
+		Busy:              time.Duration(c.busyV.Load()),
+		LayoutFingerprint: c.layoutFP.Load(),
 	}
 	if c.group != nil {
 		cs.Group = c.group.name
@@ -185,17 +195,11 @@ func (rt *Runtime) ComponentStats(name string) (ComponentStats, bool) {
 	if c.tracker != nil {
 		cs.Ckpt = c.tracker.Stats()
 	}
-	return cs, true
-}
-
-// LogLen returns the retained log length of a component, or -1 when the
-// component is unknown or unlogged.
-func (rt *Runtime) LogLen(name string) int {
-	c, ok := rt.comps[name]
-	if !ok || c.domain == nil {
-		return -1
+	if c.aging != nil {
+		st := c.aging.Stats()
+		cs.Aging = &st
 	}
-	return c.domain.Log().Len()
+	return cs, true
 }
 
 // LogRecords returns decoded views of a component's retained
@@ -308,13 +312,4 @@ func (rt *Runtime) Exports(name string) []string {
 	}
 	sort.Strings(fns)
 	return fns
-}
-
-// GroupOf returns the scheduling/protection group name of a component.
-func (rt *Runtime) GroupOf(name string) (string, bool) {
-	c, ok := rt.comps[name]
-	if !ok || c.group == nil {
-		return "", false
-	}
-	return c.group.name, true
 }

@@ -141,7 +141,7 @@ func TestStatsConsistentAcrossCrashRebootCycles(t *testing.T) {
 
 // TestStatsSnapshotsRaceFreeUnderLoad hammers the snapshot accessors
 // from a separate goroutine while the simulation crashes and reboots a
-// component. Run with -race this proves Stats/Reboots/VersionSwitches are
+// component. Run with -race this proves Stats and Reboots are
 // safe to call from outside the simulation.
 func TestStatsSnapshotsRaceFreeUnderLoad(t *testing.T) {
 	kv := &kvComp{name: "kv"}
@@ -165,7 +165,6 @@ func TestStatsSnapshotsRaceFreeUnderLoad(t *testing.T) {
 			}
 			_ = rt.Stats()
 			_ = rt.Reboots()
-			_ = rt.VersionSwitches()
 			n++
 			if n == 1 {
 				close(first)

@@ -24,6 +24,11 @@
 // internal/ckpt (image history), and internal/core (wiring).
 package defense
 
+import (
+	"encoding/binary"
+	"hash/fnv"
+)
+
 // Policy configures the defense pipeline for one runtime.
 type Policy struct {
 	// Enabled turns the pipeline on: seals are captured and verified,
@@ -131,25 +136,15 @@ func (t *Taint) Tighten(n Taint) bool {
 // different across reboots, never zero (zero would disable
 // re-randomization in mem.Buddy).
 func RebootSeed(base uint64, component string, reboot uint64) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
+	h := fnv.New64a()
+	var v [8]byte
+	binary.LittleEndian.PutUint64(v[:], base)
+	h.Write(v[:])
+	h.Write([]byte(component))
+	binary.LittleEndian.PutUint64(v[:], reboot)
+	h.Write(v[:])
+	if s := h.Sum64(); s != 0 {
+		return s
 	}
-	mix(base)
-	for i := 0; i < len(component); i++ {
-		h ^= uint64(component[i])
-		h *= fnvPrime
-	}
-	mix(reboot)
-	if h == 0 {
-		h = fnvOffset
-	}
-	return h
+	return 14695981039346656037 // the FNV-1a offset basis
 }

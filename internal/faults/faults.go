@@ -44,15 +44,6 @@ func (i *Injector) LeakBytes(component string, total, blockSize int64) (leaked i
 	return leaked, nil
 }
 
-// HeapStats exposes a component's allocator health.
-func (i *Injector) HeapStats(component string) (core.HeapStats, error) {
-	heap, ok := i.rt.ComponentHeap(component)
-	if !ok {
-		return core.HeapStats{}, fmt.Errorf("faults: no heap for component %q", component)
-	}
-	return heap.Stats(), nil
-}
-
 // Saboteur is a component whose only purpose is to misbehave: its
 // wild_write export attempts to store a byte at an arbitrary guest
 // address. Under VampOS protection domains the write faults instead of

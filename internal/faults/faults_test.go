@@ -188,10 +188,7 @@ func TestWildcardFaultFiresOnAnyFunction(t *testing.T) {
 
 func TestLeakAndRejuvenationReclaims(t *testing.T) {
 	withInstance(t, core.DaSConfig(), nil, func(s *unikernel.Sys, inj *Injector) {
-		before, err := inj.HeapStats("vfs")
-		if err != nil {
-			t.Fatal(err)
-		}
+		before := heapStats(t, inj, "vfs")
 		leaked, err := inj.LeakBytes("vfs", 256<<10, 512)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +196,7 @@ func TestLeakAndRejuvenationReclaims(t *testing.T) {
 		if leaked < 256<<10 {
 			t.Fatalf("leaked only %d", leaked)
 		}
-		aged, _ := inj.HeapStats("vfs")
+		aged := heapStats(t, inj, "vfs")
 		if aged.AllocatedBytes <= before.AllocatedBytes {
 			t.Fatal("leak not visible in allocator stats")
 		}
@@ -208,7 +205,7 @@ func TestLeakAndRejuvenationReclaims(t *testing.T) {
 		if err := s.Reboot("vfs"); err != nil {
 			t.Fatal(err)
 		}
-		fresh, _ := inj.HeapStats("vfs")
+		fresh := heapStats(t, inj, "vfs")
 		if fresh.AllocatedBytes >= aged.AllocatedBytes {
 			t.Fatalf("reboot did not reclaim leak: %d >= %d", fresh.AllocatedBytes, aged.AllocatedBytes)
 		}
@@ -220,16 +217,16 @@ func TestFragmentationObservableAndCleared(t *testing.T) {
 		if err := inj.Fragment("lwip", 2000, 64); err != nil {
 			t.Fatal(err)
 		}
-		aged, _ := inj.HeapStats("lwip")
-		if aged.Fragmentation == 0 {
+		aged := heapStats(t, inj, "lwip")
+		if aged.ExternalFragmentation() == 0 {
 			t.Fatal("no fragmentation observed")
 		}
 		if err := s.Reboot("lwip"); err != nil {
 			t.Fatal(err)
 		}
-		fresh, _ := inj.HeapStats("lwip")
-		if fresh.Fragmentation >= aged.Fragmentation {
-			t.Fatalf("reboot did not clear fragmentation: %v >= %v", fresh.Fragmentation, aged.Fragmentation)
+		fresh := heapStats(t, inj, "lwip")
+		if fresh.ExternalFragmentation() >= aged.ExternalFragmentation() {
+			t.Fatalf("reboot did not clear fragmentation: %v >= %v", fresh.ExternalFragmentation(), aged.ExternalFragmentation())
 		}
 	})
 }
@@ -265,18 +262,18 @@ func TestWildWriteConfinedAcrossConfigs(t *testing.T) {
 					t.Fatal(err)
 				}
 				memObj := rt.Memory()
-				if err := memObj.HostWrite(memAddr64(victimAddr), []byte("precious")); err != nil {
+				if err := memObj.HostWrite(victimAddr, []byte("precious")); err != nil {
 					t.Fatal(err)
 				}
 				faults0 := memObj.Faults()
 				// The wild write into the victim's (possibly merged) arena
 				// must fault, not corrupt.
-				_, err = s.Ctx().Call("saboteur", "wild_write", victimAddr, 0xFF)
+				_, err = s.Ctx().Call("saboteur", "wild_write", uint64(victimAddr), 0xFF)
 				if err == nil || !strings.Contains(err.Error(), "EFAULT") {
 					t.Fatalf("wild write = %v, want EFAULT", err)
 				}
 				got := make([]byte, 8)
-				if err := memObj.HostRead(memAddr64(victimAddr), got); err != nil {
+				if err := memObj.HostRead(victimAddr, got); err != nil {
 					t.Fatal(err)
 				}
 				if string(got) != "precious" {
@@ -322,16 +319,16 @@ func TestWildWriteConfinedByProtectionDomains(t *testing.T) {
 			t.Fatal(err)
 		}
 		memObj := s.Instance().Runtime().Memory()
-		if err := memObj.HostWrite(memAddr64(victimAddr), []byte("precious")); err != nil {
+		if err := memObj.HostWrite(victimAddr, []byte("precious")); err != nil {
 			t.Fatal(err)
 		}
 		// The wild write must fault, not corrupt.
-		_, err = s.Ctx().Call("saboteur", "wild_write", victimAddr, 0xFF)
+		_, err = s.Ctx().Call("saboteur", "wild_write", uint64(victimAddr), 0xFF)
 		if err == nil || !strings.Contains(err.Error(), "EFAULT") {
 			t.Fatalf("wild write = %v, want EFAULT", err)
 		}
 		got := make([]byte, 8)
-		if err := memObj.HostRead(memAddr64(victimAddr), got); err != nil {
+		if err := memObj.HostRead(victimAddr, got); err != nil {
 			t.Fatal(err)
 		}
 		if string(got) != "precious" {
@@ -357,14 +354,14 @@ func TestWildWriteCorruptsInVanilla(t *testing.T) {
 			t.Fatal(err)
 		}
 		memObj := s.Instance().Runtime().Memory()
-		if err := memObj.HostWrite(memAddr64(victimAddr), []byte{0}); err != nil {
+		if err := memObj.HostWrite(victimAddr, []byte{0}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Ctx().Call("saboteur", "wild_write", victimAddr, 0x42); err != nil {
+		if _, err := s.Ctx().Call("saboteur", "wild_write", uint64(victimAddr), 0x42); err != nil {
 			t.Fatalf("vanilla wild write failed: %v", err)
 		}
 		got := make([]byte, 1)
-		if err := memObj.HostRead(memAddr64(victimAddr), got); err != nil {
+		if err := memObj.HostRead(victimAddr, got); err != nil {
 			t.Fatal(err)
 		}
 		if got[0] != 0x42 {
@@ -393,4 +390,13 @@ func TestDeterministicCrashFailsStop(t *testing.T) {
 	})
 }
 
-func memAddr64(a uint64) mem.Addr { return mem.Addr(a) }
+// heapStats reads a component's allocator statistics from its
+// ComponentStats.
+func heapStats(t *testing.T, inj *Injector, component string) mem.BuddyStats {
+	t.Helper()
+	cs, ok := inj.rt.ComponentStats(component)
+	if !ok {
+		t.Fatalf("no component %q", component)
+	}
+	return cs.Heap
+}

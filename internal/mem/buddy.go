@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+)
 
 // MinBlock is the smallest buddy block in bytes.
 const MinBlock = 32
@@ -248,16 +252,11 @@ func (b *Buddy) next() uint64 {
 // reboots apart); the free lists make the fingerprint track the actual
 // allocation layout as it evolves.
 func (b *Buddy) Fingerprint() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
+	h := fnv.New64a()
+	var le [8]byte
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
+		binary.LittleEndian.PutUint64(le[:], v)
+		h.Write(le[:])
 	}
 	mix(b.seed)
 	mix(uint64(b.base))
@@ -269,7 +268,7 @@ func (b *Buddy) Fingerprint() uint64 {
 			mix(uint64(off))
 		}
 	}
-	return h
+	return h.Sum64()
 }
 
 // removeFree removes off from the order's free list if present.

@@ -38,6 +38,7 @@ package sched
 
 import (
 	"cmp"
+	"hash/fnv"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -411,10 +412,7 @@ func (s *Scheduler) commitSlice(t *Thread) {
 
 // fnv64a is the FNV-1a hash used by the merge rule's tiebreak.
 func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }

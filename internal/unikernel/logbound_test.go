@@ -33,9 +33,9 @@ func TestLogsStayBoundedUnderChurn(t *testing.T) {
 		rt := s.Instance().Runtime()
 		threshold := core.DefaultLogShrinkThreshold
 		for _, comp := range []string{"vfs", "9pfs", "lwip"} {
-			if n := rt.LogLen(comp); n > threshold+10 {
+			if cs, _ := rt.ComponentStats(comp); cs.LogLen > threshold+10 {
 				t.Errorf("%s log = %d entries after churn, want bounded near threshold %d",
-					comp, n, threshold)
+					comp, cs.LogLen, threshold)
 			}
 		}
 		// And the bounded log still restores correctly.

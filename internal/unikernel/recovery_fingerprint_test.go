@@ -14,7 +14,6 @@ import (
 	"vampos/internal/core"
 	"vampos/internal/defense"
 	"vampos/internal/golden"
-	"vampos/internal/mem"
 	"vampos/internal/msg"
 	"vampos/internal/trace"
 )
@@ -249,7 +248,7 @@ func recoveryFlavours() []*recoveryFlavour {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rt.Memory().HostWrite(mem.Addr(addr), []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+			if err := rt.Memory().HostWrite(addr, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; len(rt.Reboots()) == 0; i++ {
@@ -430,7 +429,7 @@ func recoveryFingerprint(inst *Instance, rec *trace.Recorder) string {
 		cs, _ := rt.ComponentStats(name)
 		fmt.Fprintf(&b, "component %s failures=%d reboots=%d micro=%d calls=%d errs=%d busy=%v loglen=%d log=%+v ckpt=%+v heap=%+v fp=%x\n",
 			name, cs.Failures, cs.Reboots, cs.Microreboots, cs.Calls, cs.Errors, cs.Busy, cs.LogLen, cs.LogStats, cs.Ckpt, cs.Heap,
-			rt.LayoutFingerprint(name))
+			cs.LayoutFingerprint)
 		for _, m := range rt.ImageMetas(name) {
 			fmt.Fprintf(&b, "  image epoch=%d epoch-seq=%d quarantined=%v\n", m.Epoch, m.EpochSeq, m.Quarantined)
 		}

@@ -56,8 +56,9 @@ func TestRejuvenationUnderWorkloadE2E(t *testing.T) {
 				fails = append(fails, strings.TrimSpace(resp))
 			}
 		}
-		if hs, err := inj.HeapStats(target); err == nil {
-			baseAlloc = hs.AllocatedBytes
+		rt := inst.Runtime()
+		if cs, ok := rt.ComponentStats(target); ok {
+			baseAlloc = cs.Heap.AllocatedBytes
 		}
 		// Phase 1: workload with a drip leak into the target. The sensor
 		// window sees a ~2 MB/s slope against a 1 MB/s threshold.
@@ -69,15 +70,15 @@ func TestRejuvenationUnderWorkloadE2E(t *testing.T) {
 					return
 				}
 			}
-			if hs, err := inj.HeapStats(target); err == nil && hs.AllocatedBytes > peakAlloc {
-				peakAlloc = hs.AllocatedBytes
+			if cs, ok := rt.ComponentStats(target); ok && cs.Heap.AllocatedBytes > peakAlloc {
+				peakAlloc = cs.Heap.AllocatedBytes
 			}
 			s.Sleep(time.Millisecond)
 		}
 		// The controller must react on the virtual clock, not a deadline.
 		limit := s.Elapsed() + 10*time.Second
 		for s.Elapsed() < limit {
-			if st, ok := inst.Runtime().AgingStats(target); ok && st.Rejuvenations > 0 {
+			if cs, _ := rt.ComponentStats(target); cs.Aging != nil && cs.Aging.Rejuvenations > 0 {
 				break
 			}
 			s.Sleep(5 * time.Millisecond)
@@ -104,9 +105,10 @@ func TestRejuvenationUnderWorkloadE2E(t *testing.T) {
 	if len(shadow) != 160 {
 		t.Fatalf("shadow holds %d keys, want 160", len(shadow))
 	}
-	st, ok := inst.Runtime().AgingStats(target)
-	if !ok || st.Rejuvenations == 0 {
-		t.Fatalf("sensors never fired: stats=%+v ok=%v", st, ok)
+	cs, _ := inst.Runtime().ComponentStats(target)
+	st := cs.Aging
+	if st == nil || st.Rejuvenations == 0 {
+		t.Fatalf("sensors never fired: stats=%+v", st)
 	}
 	if st.LastCause != "leak-slope" {
 		t.Fatalf("rejuvenation cause = %q, want leak-slope", st.LastCause)
@@ -125,14 +127,12 @@ func TestRejuvenationUnderWorkloadE2E(t *testing.T) {
 	}
 	// The rejuvenation left a fresh checkpoint of the clean component
 	// behind (on top of the incremental cadence's own images).
-	cps, ok := inst.Runtime().CheckpointStats(target)
-	if !ok || cps.CheckpointCount == 0 {
-		t.Fatalf("no checkpoint recorded for %s: %+v ok=%v", target, cps, ok)
+	if cs.Ckpt.CheckpointCount == 0 {
+		t.Fatalf("no checkpoint recorded for %s: %+v", target, cs.Ckpt)
 	}
 	// And the leak was actually shed: the arena ends well below its
 	// dripped peak, within half the drip of the pre-leak baseline
 	// (phase 2's own workload growth rides on top of the baseline).
-	cs, _ := inst.Runtime().ComponentStats(target)
 	if peakAlloc <= baseAlloc {
 		t.Fatalf("drip never grew the arena: base=%d peak=%d", baseAlloc, peakAlloc)
 	}

@@ -253,8 +253,8 @@ func TestCompactorReplacesTransients(t *testing.T) {
 			}
 		}
 		// The log stayed bounded by compaction.
-		if got := c.Runtime().LogLen("vfs"); got > 15 {
-			t.Fatalf("log length = %d, want compacted <= threshold+slack", got)
+		if cs, _ := c.Runtime().ComponentStats("vfs"); cs.LogLen > 15 {
+			t.Fatalf("log length = %d, want compacted <= threshold+slack", cs.LogLen)
 		}
 		// And the synthetic offset record restores correctly on reboot.
 		if err := c.Reboot("vfs"); err != nil {

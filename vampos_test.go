@@ -52,9 +52,8 @@ func TestFacadeInjector(t *testing.T) {
 	}
 	err = inst.Run(func(s *vampos.Sys) {
 		defer s.Stop()
-		inj := vampos.NewInjector(inst.Runtime())
-		if _, err := inj.HeapStats("vfs"); err != nil {
-			t.Fatal(err)
+		if cs, ok := inst.Runtime().ComponentStats("vfs"); !ok || cs.Heap.TotalBytes == 0 {
+			t.Fatal("no vfs heap")
 		}
 		if err := inst.Runtime().ArmFault("process", "getpid", vampos.FaultCrash); err != nil {
 			t.Fatal(err)
