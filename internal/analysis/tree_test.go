@@ -3,15 +3,14 @@ package analysis_test
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -175,12 +174,13 @@ var surfaceKeep = map[string]string{
 	// Cross-package oracle hooks with no production equivalent.
 	"vampos/internal/core.Runtime.LogRecords":  "oracle: the session property and microreboot e2e tests audit the restoration log's records",
 	"vampos/internal/core.Runtime.SessionLive": "oracle: the microreboot e2e test checks a session's live opener in the restoration log",
-	"vampos/internal/core.Runtime.ImageMetas":  "oracle: the recovery fingerprint and the defense tests read the retained images' quarantine marks",
 	"vampos/internal/trace.WithDispatches":     "oracle: a dispatch-recording recorder forces every idle poll to run, which the poll-leap tests compare against",
 	"vampos/internal/unikernel.Sys.Connect":    "oracle: the only path that exercises the vfs and lwip connect exports",
 	"vampos/internal/host.Peer.Listen":         "oracle: the listening peer Sys.Connect dials",
 	"vampos/internal/host.PeerListener.Accept": "oracle: accepts the connection Sys.Connect makes",
 	"vampos/internal/host.Peer.IP":             "oracle: the address Sys.Connect dials",
+	"vampos/internal/host.Host.Stop":           "oracle: the poll-leap test stops the host to time a 9P call out",
+	"vampos/internal/host.PeerConn.State":      "oracle: the echo and instance tests check a connection survives an LWIP reboot unreset",
 
 	// The boxed-Args accessors go with the Args path once the benchmark
 	// module no longer compiles against it.
@@ -210,22 +210,19 @@ var surfaceExemptPkgs = map[string]bool{
 // Exempt are the packages in surfaceExemptPkgs; methods named after a
 // method of an interface visible in the loaded packages or their
 // imports (they may be called through that interface); a const whose
-// const block has a referenced sibling; any name that appears as a
-// selector in the benchmark module, which this loader cannot type-check
-// (its uses are found by parsing); and the names in surfaceKeep. A keep
-// entry that production references, or that names nothing, fails the
-// test as an unused //vampos:allow does.
+// const block has a referenced sibling; and the names in surfaceKeep. The
+// benchmark module is loaded with the tree, so its uses count like any
+// other package's. A keep entry that production references, or that
+// names nothing, fails the test as an unused //vampos:allow does.
 //
 // This is a test rather than an analyzer because it needs Info.Uses from
 // every package at once, which neither a Pass nor the Facts carry.
 func TestNoTestOnlySurface(t *testing.T) {
 	start := processCPU(t)
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	pkgs, _ := loadTree(t)
-	bench := benchmarkSelectors(t, pkgs[0].Fset, loader.ModuleRoot)
+	if !slices.ContainsFunc(pkgs, func(p *analysis.Package) bool { return p.Path == "vampos/benchmark" }) {
+		t.Fatal("the tree's packages miss vampos/benchmark: its uses would go uncounted")
+	}
 	viaIface := interfaceReachable(pkgs, visibleInterfaces(pkgs))
 	uses := make(map[types.Object][]token.Pos)
 	for _, pkg := range pkgs {
@@ -244,16 +241,15 @@ func TestNoTestOnlySurface(t *testing.T) {
 		return false
 	}
 
-	var found, benchOnly []string
+	var found []string
 	declared := make(map[string]bool)
 	for _, pkg := range pkgs {
 		if surfaceExemptPkgs[pkg.Path] {
 			continue
 		}
 		// check reports the name declared by id unless it is used or
-		// exempt; key is its surfaceKeep spelling, and inBench says the
-		// benchmark module selects a name like it.
-		check := func(id *ast.Ident, key string, exempt, inBench bool, from, to token.Pos) {
+		// exempt; key is its surfaceKeep spelling.
+		check := func(id *ast.Ident, key string, exempt bool, from, to token.Pos) {
 			obj := pkg.Info.Defs[id]
 			if obj == nil || id.Name == "_" {
 				return
@@ -263,14 +259,9 @@ func TestNoTestOnlySurface(t *testing.T) {
 			used := exempt || referenced(obj, from, to)
 			at := fmt.Sprintf("%s: %s", pkg.Fset.Position(id.Pos()), key)
 			switch {
-			case used || inBench:
-				if kept {
-					t.Errorf("keep entry %s is referenced from production or exempt; drop it from surfaceKeep", key)
-				}
-				if !used {
-					benchOnly = append(benchOnly, at)
-				}
-			case !kept:
+			case used && kept:
+				t.Errorf("keep entry %s is referenced from production or exempt; drop it from surfaceKeep", key)
+			case !used && !kept:
 				found = append(found, at)
 			}
 		}
@@ -281,12 +272,12 @@ func TestNoTestOnlySurface(t *testing.T) {
 					name := d.Name.Name
 					if d.Recv == nil {
 						if name != "main" && name != "init" {
-							check(d.Name, pkg.Path+"."+name, false, bench[pkg.Path+"."+name], d.Pos(), d.End())
+							check(d.Name, pkg.Path+"."+name, false, d.Pos(), d.End())
 						}
 						continue
 					}
 					fn := pkg.Info.Defs[d.Name].(*types.Func)
-					check(d.Name, pkg.Path+"."+recvName(fn)+"."+name, viaIface[fn], bench["."+name], d.Pos(), d.End())
+					check(d.Name, pkg.Path+"."+recvName(fn)+"."+name, viaIface[fn], d.Pos(), d.End())
 				case *ast.GenDecl:
 					// A const whose block has a referenced sibling is
 					// part of an enumeration that is in use.
@@ -304,11 +295,11 @@ func TestNoTestOnlySurface(t *testing.T) {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							key := pkg.Path + "." + s.Name.Name
-							check(s.Name, key, false, bench[key], s.Pos(), s.End())
+							check(s.Name, key, false, s.Pos(), s.End())
 						case *ast.ValueSpec:
 							for _, id := range s.Names {
 								key := pkg.Path + "." + id.Name
-								check(id, key, blockUsed, bench[key], s.Pos(), s.End())
+								check(id, key, blockUsed, s.Pos(), s.End())
 							}
 						}
 					}
@@ -320,13 +311,6 @@ func TestNoTestOnlySurface(t *testing.T) {
 		if !declared[key] {
 			t.Errorf("keep entry %s names no declaration; drop it from surfaceKeep", key)
 		}
-	}
-	// Names that only a same-named benchmark selector keeps are listed,
-	// not failed: the benchmark module may reach them, and parsing alone
-	// cannot tell.
-	sort.Strings(benchOnly)
-	for _, b := range benchOnly {
-		t.Logf("%s is reached only by a benchmark/ selector of that name", b)
 	}
 	sort.Strings(found)
 	for _, f := range found {
@@ -430,46 +414,4 @@ func interfaceReachable(pkgs []*analysis.Package, ifaces map[string][]*types.Int
 		}
 	}
 	return reach
-}
-
-// benchmarkSelectors parses (without type-checking: it is a separate
-// module) every Go file of the benchmark module and returns what it
-// selects: "path.Name" for a package-qualified name and ".Name" for a
-// field or method of some value, so the guard never asks to delete
-// something the benchmark compiles against.
-func benchmarkSelectors(t *testing.T, fset *token.FileSet, modRoot string) map[string]bool {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(modRoot, "benchmark", "*.go"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no benchmark sources found: %v", err)
-	}
-	sel := make(map[string]bool)
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imports := make(map[string]string)
-		for _, imp := range f.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			local := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = path
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			s, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if x, ok := s.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				sel[imports[x.Name]+"."+s.Sel.Name] = true
-			} else {
-				sel["."+s.Sel.Name] = true
-			}
-			return true
-		})
-	}
-	return sel
 }

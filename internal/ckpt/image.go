@@ -25,49 +25,62 @@ type ImageMeta struct {
 	Quarantined bool
 }
 
-// HistoryEntry pairs an image's metadata with the runtime's opaque image
-// object (internal/core's unexported checkpoint struct).
-type HistoryEntry struct {
+// HistoryEntry pairs an image's metadata with the image itself.
+type HistoryEntry[T any] struct {
 	Meta  ImageMeta
-	Image any
+	Image T
 }
 
 // History is a bounded ring of checkpoint images for one component,
-// newest last. Entries are appended in capture order, but after a
+// newest last, with one entry marked current: the image the component
+// restores from. Entries are appended in capture order, but after a
 // taint-aware rollback the next capture's EpochSeq restarts below a
 // quarantined entry's, so entries are NOT sorted by EpochSeq — selection
 // scans the whole ring.
-type History struct {
+type History[T any] struct {
 	depth   int
-	entries []HistoryEntry
+	entries []HistoryEntry[T]
+	cur     int // index of the current entry; meaningless while empty
 }
 
 // NewHistory returns a history retaining at most depth images. Depth is
 // clamped to at least 1 (the latest image must always be retainable).
-func NewHistory(depth int) *History {
+func NewHistory[T any](depth int) *History[T] {
 	if depth < 1 {
 		depth = 1
 	}
-	return &History{depth: depth}
+	return &History[T]{depth: depth}
 }
 
-// Add appends a freshly captured image, evicting the oldest entry when
-// the ring is full.
-func (h *History) Add(meta ImageMeta, image any) {
-	h.entries = append(h.entries, HistoryEntry{Meta: meta, Image: image})
+// Add appends a freshly captured image and makes it current, evicting
+// the oldest entry when the ring is full.
+func (h *History[T]) Add(meta ImageMeta, image T) {
+	h.entries = append(h.entries, HistoryEntry[T]{Meta: meta, Image: image})
 	if len(h.entries) > h.depth {
 		copy(h.entries, h.entries[1:])
-		h.entries[len(h.entries)-1] = HistoryEntry{}
+		h.entries[len(h.entries)-1] = HistoryEntry[T]{}
 		h.entries = h.entries[:len(h.entries)-1]
 	}
+	h.cur = len(h.entries) - 1
 }
 
-// SelectBefore returns the retained non-quarantined image with the
-// greatest EpochSeq strictly below the watermark. It scans every entry:
-// after a rollback the ring is not EpochSeq-sorted, and quarantined
-// entries must be skipped even when they are the only post-watermark
-// images.
-func (h *History) SelectBefore(watermark uint64) (HistoryEntry, bool) {
+// Current returns the entry the component restores from: the latest
+// added, or the one the last SelectBefore rolled back to. It reports
+// false while the history is empty.
+func (h *History[T]) Current() (HistoryEntry[T], bool) {
+	if len(h.entries) == 0 {
+		return HistoryEntry[T]{}, false
+	}
+	return h.entries[h.cur], true
+}
+
+// SelectBefore makes current, and returns, the retained non-quarantined
+// image with the greatest EpochSeq strictly below the watermark. It
+// scans every entry: after a rollback the ring is not EpochSeq-sorted,
+// and quarantined entries must be skipped even when they are the only
+// post-watermark images. When no image qualifies the current entry is
+// left as it was.
+func (h *History[T]) SelectBefore(watermark uint64) (HistoryEntry[T], bool) {
 	best := -1
 	for i, e := range h.entries {
 		if e.Meta.Quarantined || e.Meta.EpochSeq >= watermark {
@@ -78,8 +91,9 @@ func (h *History) SelectBefore(watermark uint64) (HistoryEntry, bool) {
 		}
 	}
 	if best < 0 {
-		return HistoryEntry{}, false
+		return HistoryEntry[T]{}, false
 	}
+	h.cur = best
 	return h.entries[best], true
 }
 
@@ -87,7 +101,7 @@ func (h *History) SelectBefore(watermark uint64) (HistoryEntry, bool) {
 // watermark as quarantined, returning how many entries it newly
 // quarantined. Quarantine is permanent: such an image may have folded a
 // tampered call and must never be restored.
-func (h *History) QuarantineFrom(watermark uint64) int {
+func (h *History[T]) QuarantineFrom(watermark uint64) int {
 	n := 0
 	for i := range h.entries {
 		e := &h.entries[i]
@@ -100,7 +114,7 @@ func (h *History) QuarantineFrom(watermark uint64) int {
 }
 
 // QuarantinedCount returns how many retained images are quarantined.
-func (h *History) QuarantinedCount() int {
+func (h *History[T]) QuarantinedCount() int {
 	n := 0
 	for _, e := range h.entries {
 		if e.Meta.Quarantined {
@@ -113,7 +127,7 @@ func (h *History) QuarantinedCount() int {
 // OldestEpochSeq returns the smallest EpochSeq among retained
 // non-quarantined images — the earliest point taint-aware restore can
 // land on, and therefore the trim bound for the archived-record tail.
-func (h *History) OldestEpochSeq() (uint64, bool) {
+func (h *History[T]) OldestEpochSeq() (uint64, bool) {
 	found := false
 	var min uint64
 	for _, e := range h.entries {
@@ -129,7 +143,7 @@ func (h *History) OldestEpochSeq() (uint64, bool) {
 
 // Metas returns a copy of every retained entry's metadata, oldest first,
 // for stats and oracles.
-func (h *History) Metas() []ImageMeta {
+func (h *History[T]) Metas() []ImageMeta {
 	out := make([]ImageMeta, len(h.entries))
 	for i, e := range h.entries {
 		out[i] = e.Meta

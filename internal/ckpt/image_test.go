@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistoryRingEviction(t *testing.T) {
-	h := NewHistory(3)
+	h := NewHistory[int](3)
 	for i := 1; i <= 5; i++ {
 		h.Add(ImageMeta{Epoch: uint64(i), EpochSeq: uint64(i * 10)}, i)
 	}
@@ -17,16 +17,19 @@ func TestHistoryRingEviction(t *testing.T) {
 	if metas[0].EpochSeq != 30 || metas[2].EpochSeq != 50 {
 		t.Fatalf("ring holds %v, want epochs 30..50", metas)
 	}
-	latest, ok := h.Latest()
-	if !ok || latest.Meta.EpochSeq != 50 || latest.Image.(int) != 5 {
-		t.Fatalf("Latest = %+v, %v", latest, ok)
+	cur, ok := h.Current()
+	if !ok || cur.Meta.EpochSeq != 50 || cur.Image != 5 {
+		t.Fatalf("Current = %+v, %v; want the latest image", cur, ok)
 	}
 }
 
 func TestHistoryDepthClamped(t *testing.T) {
-	h := NewHistory(0)
-	h.Add(ImageMeta{EpochSeq: 1}, nil)
-	h.Add(ImageMeta{EpochSeq: 2}, nil)
+	h := NewHistory[int](0)
+	if _, ok := h.Current(); ok {
+		t.Fatal("an empty history has a current image")
+	}
+	h.Add(ImageMeta{EpochSeq: 1}, 1)
+	h.Add(ImageMeta{EpochSeq: 2}, 2)
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (depth clamped to 1)", h.Len())
 	}
@@ -38,7 +41,7 @@ func TestHistoryDepthClamped(t *testing.T) {
 // exactly the un-tainted suffix (seqs in (EpochSeq, W)).
 func TestHistorySelectBeforeProperty(t *testing.T) {
 	prop := func(seqs []uint16, watermark uint16, quarantineMask uint8) bool {
-		h := NewHistory(8)
+		h := NewHistory[int](8)
 		for i, s := range seqs {
 			meta := ImageMeta{Epoch: uint64(i), EpochSeq: uint64(s)}
 			if i < 8 && quarantineMask&(1<<uint(i)) != 0 {
@@ -65,8 +68,10 @@ func TestHistorySelectBeforeProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		// Strictly predates the watermark, never quarantined, and newest.
-		return sel.Meta.EpochSeq < w && !sel.Meta.Quarantined && sel.Meta.EpochSeq == want
+		// Strictly predates the watermark, never quarantined, newest, and
+		// now the image a restore uses.
+		cur, _ := h.Current()
+		return sel.Meta.EpochSeq < w && !sel.Meta.Quarantined && sel.Meta.EpochSeq == want && cur == sel
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -77,31 +82,34 @@ func TestHistorySelectBeforeProperty(t *testing.T) {
 // only image below the watermark — selection falls back to an earlier
 // image, or reports failure (full-replay / fail-stop path).
 func TestHistoryQuarantinedNeverSelected(t *testing.T) {
-	h := NewHistory(4)
+	h := NewHistory[string](4)
 	h.Add(ImageMeta{Epoch: 1, EpochSeq: 10}, "clean")
 	h.Add(ImageMeta{Epoch: 2, EpochSeq: 40}, "tainted")
 	if n := h.QuarantineFrom(35); n != 1 {
 		t.Fatalf("QuarantineFrom(35) = %d, want 1", n)
 	}
 	sel, ok := h.SelectBefore(50)
-	if !ok || sel.Image.(string) != "clean" {
+	if !ok || sel.Image != "clean" {
 		t.Fatalf("SelectBefore(50) = %+v, %v; want fallback to clean image", sel, ok)
 	}
 
 	// Only image is quarantined: selection must fail rather than restore it.
-	h2 := NewHistory(4)
+	h2 := NewHistory[string](4)
 	h2.Add(ImageMeta{Epoch: 1, EpochSeq: 40}, "tainted")
 	h2.QuarantineFrom(35)
 	if _, ok := h2.SelectBefore(50); ok {
 		t.Fatal("SelectBefore selected a quarantined image")
 	}
+	if cur, _ := h2.Current(); cur.Image != "tainted" {
+		t.Fatalf("a failed SelectBefore moved the current image to %+v", cur)
+	}
 }
 
 func TestHistoryQuarantinePermanentAndOldest(t *testing.T) {
-	h := NewHistory(4)
-	h.Add(ImageMeta{Epoch: 1, EpochSeq: 5}, nil)
-	h.Add(ImageMeta{Epoch: 2, EpochSeq: 20}, nil)
-	h.Add(ImageMeta{Epoch: 3, EpochSeq: 30}, nil)
+	h := NewHistory[string](4)
+	h.Add(ImageMeta{Epoch: 1, EpochSeq: 5}, "")
+	h.Add(ImageMeta{Epoch: 2, EpochSeq: 20}, "")
+	h.Add(ImageMeta{Epoch: 3, EpochSeq: 30}, "")
 	h.QuarantineFrom(25)
 	if got := h.QuarantinedCount(); got != 1 {
 		t.Fatalf("QuarantinedCount = %d, want 1", got)

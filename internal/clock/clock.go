@@ -37,9 +37,6 @@ type Virtual struct {
 // NewVirtual returns a virtual clock positioned at Epoch.
 func NewVirtual() *Virtual { return &Virtual{} }
 
-// Now returns Epoch plus all time advanced so far.
-func (v *Virtual) Now() time.Time { return Epoch.Add(v.offset) }
-
 // Elapsed returns the total virtual time advanced since Epoch.
 func (v *Virtual) Elapsed() time.Duration { return v.offset }
 

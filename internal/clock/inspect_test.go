@@ -4,6 +4,9 @@ import "time"
 
 // Inspection helpers only the tests use.
 
+// Now returns Epoch plus all time advanced so far.
+func (v *Virtual) Now() time.Time { return Epoch.Add(v.offset) }
+
 // NextDeadline returns the deadline of the earliest pending timer. The
 // second result is false when no timer is pending.
 func (v *Virtual) NextDeadline() (time.Time, bool) {

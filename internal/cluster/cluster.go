@@ -621,15 +621,7 @@ func (c *Cluster) ReviveInstance(id int) error {
 	c.nodes[id].inst.Close() // the dead incarnation is unreachable from here on
 	c.nodes[id] = n
 	if donor >= 0 {
-		var state []byte
-		err := c.nodes[donor].do(func(s *unikernel.Sys) error {
-			rets, err := s.Ctx().Call(gossip.Name, "gsp_state")
-			if err != nil {
-				return err
-			}
-			state, err = rets.Bytes(0)
-			return err
-		})
+		state, err := c.Snapshot(donor)
 		if err != nil {
 			return fmt.Errorf("cluster: resync donor %d: %w", donor, err)
 		}

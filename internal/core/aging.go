@@ -50,7 +50,7 @@ func (c *Ctx) Rejuvenate(name string) error {
 	detail := "ok"
 	if err != nil {
 		detail = err.Error()
-	} else if rt.cfg.MessagePassing && tc.desc.Stateful && tc.desc.Checkpoint && tc.checkpoint != nil {
+	} else if tc.images.current() != nil {
 		if cerr := c.Checkpoint(name); cerr != nil {
 			detail += "; post-reboot checkpoint skipped: " + cerr.Error()
 		}

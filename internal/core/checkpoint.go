@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"vampos/internal/ckpt"
+	"vampos/internal/defense"
+	"vampos/internal/mem"
 	"vampos/internal/msg"
 	"vampos/internal/sched"
 	"vampos/internal/trace"
@@ -19,21 +21,74 @@ import (
 // quiescent, and then truncates the log prefix the fresh image covers,
 // bounding replay to the tail.
 
-// installTrackers attaches a cadence tracker to every checkpoint-eligible
-// component (Stateful with Checkpoint set — the same components that get
-// a post-init image). Runs at Boot, message-passing mode only: vanilla
-// mode has no logs, no workers and no reboots, so nothing to bound.
-func (rt *Runtime) installTrackers() {
-	if !rt.cfg.MessagePassing {
-		return
+// imageStore is everything a checkpoint-eligible component restores
+// from: the retained images with the current one marked, and the defense
+// state that decides which image a restore may land on. Without defense
+// the history holds one image and the defense fields stay zero. Touched
+// only under the cooperative scheduler baton.
+type imageStore struct {
+	hist *ckpt.History[*checkpoint]
+	// archive keeps decoded views of truncated log records still covered
+	// by a retained image, so the un-tainted slice between an older image
+	// and a watermark remains replayable; seal is the arena's host-write
+	// stamp capture from the last clean quiescent verification, sealCalls
+	// the calls since; taint carries a pending detection the next restore
+	// must honour.
+	archive   []msg.RecordView
+	seal      *defense.Seal
+	sealCalls int
+	taint     *defense.Taint
+}
+
+// newImageStore builds c's empty image store at Boot, and again when a
+// full restart or a version switch makes every image of the earlier
+// incarnation meaningless. Building a whole store is the only reset, so
+// none can leave a stale image, archive, seal or taint behind. It returns
+// nil unless c is checkpoint-eligible (Stateful with Checkpoint set) in
+// message-passing mode: vanilla mode has no logs, no workers and no
+// reboots.
+func (rt *Runtime) newImageStore(c *component) *imageStore {
+	if !rt.cfg.MessagePassing || !c.desc.Stateful || !c.desc.Checkpoint {
+		return nil
 	}
-	for _, c := range rt.order {
-		if c.desc.Stateful && c.desc.Checkpoint {
-			// A disabled policy still gets a tracker: manual Ctx.Checkpoint
-			// calls are accounted through it.
-			c.tracker = ckpt.NewTracker(rt.cfg.Ckpt)
+	depth := 1
+	if rt.cfg.Defense.Enabled {
+		depth = rt.cfg.Defense.HistoryDepth
+	}
+	return &imageStore{hist: ckpt.NewHistory[*checkpoint](depth)}
+}
+
+// current returns the image the component restores from, nil when it has
+// none (not checkpoint-eligible, or nothing captured since its store was
+// built): the component then reboots cold.
+func (s *imageStore) current() *checkpoint {
+	if s == nil {
+		return nil
+	}
+	e, _ := s.hist.Current()
+	return e.Image
+}
+
+// captureImage images c's arena, allocator and control state: in full
+// when base is nil (the post-init image), otherwise as a dirty-page delta
+// layered over base. It returns the image and the pages it re-copied.
+func (rt *Runtime) captureImage(c *component, base *mem.Snapshot) (cp *checkpoint, dirty int, err error) {
+	var snap *mem.Snapshot
+	if base == nil {
+		snap, err = rt.memry.Snapshot(c.heapBase, c.heapPages)
+	} else {
+		snap, dirty, err = rt.memry.SnapshotDelta(base)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	cp = &checkpoint{memSnap: snap, heap: c.heap.Clone()}
+	if ss, ok := c.comp.(StateSaver); ok {
+		if cp.control, err = ss.SaveState(); err != nil {
+			return nil, 0, err
 		}
 	}
+	return cp, dirty, nil
 }
 
 // maybeCheckpoint re-checkpoints any group member whose cadence is due.
@@ -50,7 +105,7 @@ func (rt *Runtime) maybeCheckpoint(g *group) {
 		return
 	}
 	for _, c := range g.members {
-		if c.tracker == nil || c.checkpoint == nil {
+		if c.images.current() == nil {
 			continue
 		}
 		if rt.agingHot(c) {
@@ -91,10 +146,7 @@ func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 		tr.EndErr(sp, err.Error())
 		return fmt.Errorf("core: checkpoint %q: %w", c.desc.Name, err)
 	}
-	snap, dirtyPages, err := rt.memry.SnapshotDelta(c.checkpoint.memSnap)
-	if err != nil {
-		return fail(err)
-	}
+	s := c.images
 	// Under defense, the records truncation is about to drop must stay
 	// replayable against older retained images: a taint-aware rollback
 	// replays the un-tainted slice between an old image and the
@@ -102,24 +154,21 @@ func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 	// the live log is truncated. Decode before anything is installed so
 	// a decode failure leaves the component untouched.
 	var truncViews []msg.RecordView
-	if c.images != nil {
+	var err error
+	if rt.cfg.Defense.Enabled {
 		if truncViews, err = c.domain.Log().Entries(); err != nil {
 			return fail(err)
 		}
 	}
-	cp := &checkpoint{memSnap: snap, heap: c.heap.Clone(), takenAt: rt.clk.Now()}
-	if ss, ok := c.comp.(StateSaver); ok {
-		if cp.control, err = ss.SaveState(); err != nil {
-			return fail(err)
-		}
+	cp, dirtyPages, err := rt.captureImage(c, s.current().memSnap)
+	if err != nil {
+		return fail(err)
 	}
-	// The image now reflects every completed call, so the prefix up to
-	// the newest completed record is replayable from the image alone.
-	// Install the image first, then truncate: both run under the baton,
-	// so no observer can see the intermediate state anyway, but the order
-	// keeps a (hypothetical) truncation failure from orphaning entries a
-	// not-yet-installed image would have covered.
-	c.checkpoint = cp
+	// The image reflects every completed call, so the prefix up to the
+	// newest completed record is replayable from the image alone. The
+	// truncation and the install both run under the baton, so no observer
+	// sees one without the other; the image is installed second so its
+	// metadata carries the epoch the truncation advanced to.
 	lg := c.domain.Log()
 	// The image covers every call executed so far, which at a worker
 	// quiescent point is one more than the log shows completed: the
@@ -132,12 +181,12 @@ func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 		truncSeq = c.lastExecSeq
 	}
 	dropped, folded := lg.TruncateBefore(truncSeq)
-	if c.images != nil {
-		// The image's EpochSeq is the truncation seq — exactly the calls
-		// it covers — not lg.EpochSeq(), which after a rollback can stay
-		// inflated above what this capture actually folded.
-		c.images.Add(ckpt.ImageMeta{Epoch: lg.Epoch(), EpochSeq: truncSeq}, cp)
-		c.archiveTruncated(truncViews, truncSeq)
+	// The image's EpochSeq is the truncation seq — exactly the calls it
+	// covers — not lg.EpochSeq(), which after a rollback can stay inflated
+	// above what this capture actually folded.
+	s.hist.Add(ckpt.ImageMeta{Epoch: lg.Epoch(), EpochSeq: truncSeq}, cp)
+	if rt.cfg.Defense.Enabled {
+		s.archiveTruncated(truncViews, truncSeq)
 	}
 	// Charge what the mechanism actually moved: dirty pages copied into
 	// the image (the whole point of the delta) plus the log rewrite.
@@ -160,7 +209,7 @@ func (c *Ctx) Checkpoint(name string) error {
 		if !c.rt.cfg.MessagePassing {
 			return fmt.Errorf("core: checkpoint of %q requires message passing", name)
 		}
-		if !tc.desc.Stateful || !tc.desc.Checkpoint || tc.checkpoint == nil {
+		if tc.images.current() == nil {
 			return fmt.Errorf("core: component %q is not checkpoint-eligible (needs Stateful with Checkpoint)", name)
 		}
 		return nil

@@ -8,7 +8,6 @@ import (
 
 	"vampos/internal/aging"
 	"vampos/internal/ckpt"
-	"vampos/internal/defense"
 	"vampos/internal/mem"
 	"vampos/internal/msg"
 )
@@ -212,35 +211,23 @@ type component struct {
 	heap      *mem.Buddy
 	domain    *msg.Domain
 
-	checkpoint   *checkpoint
 	runtimeState []byte
 
-	// tracker carries the incremental-checkpoint cadence and statistics;
-	// nil for components that are not checkpoint-eligible or when the
-	// runtime is not message-passing. Touched only under the cooperative
+	// images is what the component restores from; nil for components that
+	// are not checkpoint-eligible or when the runtime is not
+	// message-passing. tracker carries the incremental-checkpoint cadence
+	// and lifetime statistics of the components that have a store; it
+	// outlives every store. Both are touched only under the cooperative
 	// scheduler baton.
+	images  *imageStore
 	tracker *ckpt.Tracker
 	// aging is the adaptive-rejuvenation monitor; nil unless the
 	// component is a target of the controller Boot started.
 	aging *aging.Monitor
 
-	// Defense state (all nil/zero unless Config.Defense is enabled and the
-	// component is checkpoint-eligible; touched only under the baton
-	// except layoutFP, which oracles read from campaign goroutines).
-	//
-	// images retains recent checkpoint images so taint-aware rollback can
-	// land strictly before a watermark; archive keeps decoded views of
-	// truncated log records still covered by a retained image, so the
-	// un-tainted slice between an older image and the watermark remains
-	// replayable; seal is the arena's host-write stamp capture from the
-	// last clean quiescent verification; taint carries a pending detection
-	// the next restore must honour.
-	images    *ckpt.History
-	archive   []msg.RecordView
-	seal      *defense.Seal
-	sealCalls int
-	taint     *defense.Taint
-	layoutFP  atomic.Uint64
+	// layoutFP is the arena-layout fingerprint as of the last reboot under
+	// defense; oracles read it from campaign goroutines.
+	layoutFP atomic.Uint64
 	// lastExecSeq is the seq of the newest inbound call whose handler has
 	// completed on this component. At a quiescent point the just-finished
 	// call's log record is still open (EndInbound runs on the message
@@ -272,13 +259,12 @@ type component struct {
 	busyV atomic.Int64 // virtual nanoseconds
 }
 
-// checkpoint is the post-init image used by checkpoint-based
-// initialization.
+// checkpoint is one image a component restores from: the post-init image
+// of checkpoint-based initialization (§V-E), or an incremental capture.
 type checkpoint struct {
 	memSnap *mem.Snapshot
 	heap    *mem.Buddy // allocator metadata at snapshot time; cloned on use
 	control []byte
-	takenAt time.Time
 }
 
 // group is a scheduling unit: one thread, one protection key, one

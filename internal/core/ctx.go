@@ -81,9 +81,6 @@ func (c *Ctx) Sleep(d time.Duration) { c.th.Sleep(d) }
 // (sched.Thread.SleepPoll).
 func (c *Ctx) SleepPoll(d, until time.Duration) { c.th.SleepPoll(d, until) }
 
-// Yield gives up the CPU until the scheduler comes back around.
-func (c *Ctx) Yield() { c.th.Yield() }
-
 // InReplay reports whether the context is executing an encapsulated
 // restoration replay.
 func (c *Ctx) InReplay() bool { return c.replay != nil }

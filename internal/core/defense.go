@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"vampos/internal/ckpt"
 	"vampos/internal/defense"
 	"vampos/internal/msg"
 	"vampos/internal/sched"
@@ -18,21 +17,6 @@ import (
 // (the replay stage, recovery.go) — both of which stamp a taint watermark
 // that the image-selection stage honours.
 
-// installDefense arms the per-component defense state at Boot: every
-// checkpoint-eligible component gets an image-history ring. The post-init
-// image is seeded into it by takeCheckpoint.
-func (rt *Runtime) installDefense() {
-	p := rt.cfg.Defense
-	if !p.Enabled || !rt.cfg.MessagePassing {
-		return
-	}
-	for _, c := range rt.order {
-		if c.desc.Stateful && c.desc.Checkpoint {
-			c.images = ckpt.NewHistory(p.HistoryDepth)
-		}
-	}
-}
-
 // maybeDefense verifies due arena seals at a group quiescent point (the
 // worker calls it between inbound calls). On a broken seal it submits a
 // tamper item to the message thread and returns true: the worker must
@@ -44,30 +28,31 @@ func (rt *Runtime) maybeDefense(t *sched.Thread, g *group) bool {
 		return false
 	}
 	for _, c := range g.members {
-		if c.images == nil {
+		s := c.images
+		if s == nil {
 			continue
 		}
-		if c.seal == nil {
+		if s.seal == nil {
 			rt.captureSeal(c)
 			continue
 		}
-		c.sealCalls++
-		if c.sealCalls < p.SealEveryCalls {
+		s.sealCalls++
+		if s.sealCalls < p.SealEveryCalls {
 			continue
 		}
-		c.sealCalls = 0
+		s.sealCalls = 0
 		cur, err := rt.memry.HostVersions(c.heapBase, c.heapPages)
 		if err != nil {
 			continue
 		}
-		if c.seal.Verify(cur) {
+		if s.seal.Verify(cur) {
 			// Clean: every call up to this quiescent point ran against an
 			// untampered arena. Advance the seal so a later break taints
 			// only the window after this verification.
 			rt.captureSeal(c)
 			continue
 		}
-		w := c.seal.Watermark()
+		w := s.seal.Watermark()
 		rt.submitFrom(t, mqItem{kind: mqTamper, grp: g, comp: c, seq: w, reason: "seal"})
 		return true
 	}
@@ -92,8 +77,8 @@ func (rt *Runtime) captureSeal(c *component) {
 	if es := lg.EpochSeq(); es > seq {
 		seq = es
 	}
-	c.seal = &defense.Seal{Stamps: stamps, Seq: seq}
-	c.sealCalls = 0
+	c.images.seal = &defense.Seal{Stamps: stamps, Seq: seq}
+	c.images.sealCalls = 0
 }
 
 // handleTamper runs on the message thread when a seal broke: stamp the
@@ -128,10 +113,11 @@ func (rt *Runtime) handleBreach(g *group, offender *component) {
 // stampTaint merges a detection into the component's pending taint,
 // keeping the earliest watermark. Returns whether anything tightened.
 func (rt *Runtime) stampTaint(c *component, t defense.Taint) bool {
-	if c.taint == nil {
-		c.taint = &defense.Taint{}
+	s := c.images
+	if s.taint == nil {
+		s.taint = &defense.Taint{}
 	}
-	return c.taint.Tighten(t)
+	return s.taint.Tighten(t)
 }
 
 // stampDivergenceTaint turns a replay divergence into a taint watermark
@@ -160,16 +146,16 @@ func (rt *Runtime) stampDivergenceTaint(g *group, de *ReplayDivergenceError) boo
 // about to drop, then trims the archive to what retained images can
 // still need: records at or below the oldest restorable image's epoch
 // seq can never be part of any replay tail again.
-func (c *component) archiveTruncated(views []msg.RecordView, truncSeq uint64) {
+func (s *imageStore) archiveTruncated(views []msg.RecordView, truncSeq uint64) {
 	for _, v := range views {
 		if v.Seq <= truncSeq {
-			c.archive = append(c.archive, v)
+			s.archive = append(s.archive, v)
 		}
 	}
-	if min, ok := c.images.OldestEpochSeq(); ok {
+	if min, ok := s.hist.OldestEpochSeq(); ok {
 		// DeleteFunc zeroes the vacated tail, so the dropped views'
 		// payloads can be collected.
-		c.archive = slices.DeleteFunc(c.archive, func(v msg.RecordView) bool { return v.Seq <= min })
+		s.archive = slices.DeleteFunc(s.archive, func(v msg.RecordView) bool { return v.Seq <= min })
 	}
 }
 
@@ -178,14 +164,3 @@ func (c *component) archiveTruncated(views []msg.RecordView, truncSeq uint64) {
 // host frame: under defense a corrupted frame is treated as an attack
 // (crash, reboot, retry transparently); without it, a typed errno.
 func (rt *Runtime) DefenseEnabled() bool { return rt.cfg.Defense.Enabled }
-
-// ImageMetas returns the metadata of a component's retained checkpoint
-// images, oldest first (nil when defense is off or the component has no
-// history). Oracles assert quarantine discipline on it.
-func (rt *Runtime) ImageMetas(name string) []ckpt.ImageMeta {
-	c, ok := rt.comps[name]
-	if !ok || c.images == nil {
-		return nil
-	}
-	return c.images.Metas()
-}

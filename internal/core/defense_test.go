@@ -56,7 +56,7 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 		// Image-history discipline, read before further cadence checkpoints
 		// evict the quarantined entries from the depth-bounded ring.
 		var quarantined, clean int
-		for _, m := range c.rt.ImageMetas("kv") {
+		for _, m := range statsOf(c.rt, "kv").Images {
 			if m.Quarantined {
 				quarantined++
 			} else {
@@ -64,7 +64,7 @@ func TestTamperDetectionAndTaintRollback(t *testing.T) {
 			}
 		}
 		if quarantined != 2 || clean == 0 {
-			t.Errorf("image metas %+v: want 2 quarantined and >=1 clean", c.rt.ImageMetas("kv"))
+			t.Errorf("image metas %+v: want 2 quarantined and >=1 clean", statsOf(c.rt, "kv").Images)
 		}
 		for k := 2; k <= 5; k++ {
 			if _, err := c.Call("kv", "get", k); !errors.Is(err, ENOENT) {
@@ -138,7 +138,7 @@ func TestRollbackRewindsEpochSeq(t *testing.T) {
 		mustCall(t, c, "kv", "put", 5, "5")
 		// Queued behind the tamper reboot.
 		mustCall(t, c, "kv", "get", 1)
-		metas := c.rt.ImageMetas("kv")
+		metas := statsOf(c.rt, "kv").Images
 		installed := metas[len(metas)-1]
 		if installed.Quarantined || installed.EpochSeq >= lastTrunc {
 			t.Fatalf("image metas %+v: want a clean post-rollback capture below the last truncation seq %d", metas, lastTrunc)
@@ -152,7 +152,7 @@ func TestRollbackRewindsEpochSeq(t *testing.T) {
 		if err := c.Checkpoint("kv"); err != nil {
 			t.Fatal(err)
 		}
-		if got, metas := tc.domain.Log().EpochSeq(), c.rt.ImageMetas("kv"); got != metas[len(metas)-1].EpochSeq {
+		if got, metas := tc.domain.Log().EpochSeq(), statsOf(c.rt, "kv").Images; got != metas[len(metas)-1].EpochSeq {
 			t.Fatalf("log epoch seq %d after the checkpoint, want the new image's %d", got, metas[len(metas)-1].EpochSeq)
 		}
 		mustCall(t, c, "kv", "put", 6, "6")
@@ -381,7 +381,7 @@ func TestDefenseDisabledIsInert(t *testing.T) {
 	if st.TamperDetections+st.PKRUBreaches+st.TaintRollbacks+st.QuarantinedImages != 0 {
 		t.Fatalf("defense counters moved while disabled: %+v", st)
 	}
-	if metas := rt.ImageMetas("kv"); metas != nil {
+	if metas := statsOf(rt, "kv").Images; metas != nil {
 		t.Fatalf("image history %v retained while disabled", metas)
 	}
 	if fp := statsOf(rt, "kv").LayoutFingerprint; fp != 0 {
@@ -488,7 +488,7 @@ func TestTaintRollbackAcrossSharedImages(t *testing.T) {
 			}
 			put(c, slot)
 		}
-		if n := len(c.rt.ImageMetas("akv")); n != 4 {
+		if n := len(statsOf(c.rt, "akv").Images); n != 4 {
 			t.Fatalf("ring holds %d images before the attack, want 4", n)
 		}
 		// Tamper with slot 2's page: clean, and one shared buffer, in every
@@ -509,13 +509,13 @@ func TestTaintRollbackAcrossSharedImages(t *testing.T) {
 		// after it, before check's gets let the cadence evict from it.
 		mustCall(t, c, "akv", "get", 1)
 		var quarantined int
-		for _, m := range c.rt.ImageMetas("akv") {
+		for _, m := range statsOf(c.rt, "akv").Images {
 			if m.Quarantined {
 				quarantined++
 			}
 		}
 		if quarantined != 2 {
-			t.Errorf("image metas %+v: want the sixth and eighth puts' images quarantined", c.rt.ImageMetas("akv"))
+			t.Errorf("image metas %+v: want the sixth and eighth puts' images quarantined", statsOf(c.rt, "akv").Images)
 		}
 		check(c, "after taint rollback")
 		// New captures chain on the restored image and push the
@@ -536,5 +536,105 @@ func TestTaintRollbackAcrossSharedImages(t *testing.T) {
 	}
 	if recs := rt.Reboots(); len(recs) != 2 || recs[0].RestoredEpochSeq >= recs[0].TaintWatermark {
 		t.Fatalf("reboots %+v: want a rollback below the watermark, then a crash reboot", recs)
+	}
+}
+
+// TestFullRestartDiscardsImageHistory: a full restart starts a new
+// incarnation, so no image, archive, seal or taint of the old one may
+// outlive it. A seal kept across the restart breaks on the scrub's host
+// stamps and rolls the new incarnation back to an image of the old one,
+// bringing back its slots and losing puts made since the restart.
+func TestFullRestartDiscardsImageHistory(t *testing.T) {
+	akv := &arenaKV{}
+	cfg := DaSConfig()
+	cfg.Defense = defense.Policy{Enabled: true, SealEveryCalls: 4}
+	cfg.Ckpt = ckpt.Policy{EveryCalls: 2}
+	rt := run(t, cfg, []Component{akv}, func(c *Ctx) {
+		for slot := 1; slot <= 6; slot++ {
+			mustCall(t, c, "akv", "put", slot, "old")
+		}
+		before := statsOf(c.rt, "akv").Ckpt
+		if err := c.rt.FullRestart(c); err != nil {
+			t.Fatalf("FullRestart: %v", err)
+		}
+		after := statsOf(c.rt, "akv")
+		if after.Ckpt != before {
+			t.Errorf("checkpoint accounting %+v after the restart, want %+v kept", after.Ckpt, before)
+		}
+		if len(after.Images) != 1 {
+			t.Errorf("image metas %+v after the restart, want the new post-init image alone", after.Images)
+		}
+		for slot := 7; slot <= 12; slot++ {
+			mustCall(t, c, "akv", "put", slot, "new")
+		}
+		for slot := 1; slot <= 12; slot++ {
+			want := ""
+			if slot >= 7 {
+				want = "new"
+			}
+			if v, _ := mustCall(t, c, "akv", "get", slot).Str(0); v != want {
+				t.Errorf("slot %d = %q, want %q", slot, v, want)
+			}
+		}
+	})
+	if st := rt.Stats(); st.TamperDetections != 0 || st.TaintRollbacks != 0 {
+		t.Fatalf("detections=%d rollbacks=%d, want none: the restart left a stale seal or image behind",
+			st.TamperDetections, st.TaintRollbacks)
+	}
+	if recs := rt.Reboots(); len(recs) != 0 {
+		t.Fatalf("reboots %+v, want none", recs)
+	}
+}
+
+// TestVersionSwitchDiscardsImageHistory: the swapped-in version cold-boots
+// into a fresh image store. A seal of the old version kept across the
+// switch breaks on the cold boot's scrub, and the rollback it triggers
+// lands on an old-version image and drops puts the new version
+// acknowledged.
+func TestVersionSwitchDiscardsImageHistory(t *testing.T) {
+	flaky := newFlakyKV("kv", 13)
+	flaky.checkpointed = true
+	fixed := newFixedKV("kv")
+	fixed.checkpointed = true
+	cfg := DaSConfig()
+	cfg.MaxVirtualTime = time.Hour
+	cfg.Defense = defense.Policy{Enabled: true, SealEveryCalls: 4}
+	cfg.Ckpt = ckpt.Policy{EveryCalls: 2}
+	rt := NewRuntime(cfg)
+	if err := rt.Register(flaky); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RegisterFallback("kv", fixed); err != nil {
+		t.Fatal(err)
+	}
+	err := rt.Run(func(c *Ctx) {
+		for k := 1; k <= 6; k++ {
+			mustCall(t, c, "kv", "put", k, strconv.Itoa(k))
+		}
+		mustCall(t, c, "kv", "put", 13, "13") // crashes twice, then the swap
+		if metas := statsOf(c.rt, "kv").Images; len(metas) != 0 {
+			t.Errorf("image metas %+v after the switch, want none of the old version", metas)
+		}
+		for k := 20; k <= 30; k++ {
+			mustCall(t, c, "kv", "put", k, strconv.Itoa(k))
+		}
+		for k := 20; k <= 30; k++ {
+			rets, err := c.Call("kv", "get", k)
+			if v, _ := rets.Str(0); err != nil || v != strconv.Itoa(k) {
+				t.Errorf("get %d = %q, %v; want %d", k, v, err, k)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	if st.VersionSwitches != 1 || st.TamperDetections != 0 || st.TaintRollbacks != 0 {
+		t.Fatalf("switches=%d detections=%d rollbacks=%d, want 1/0/0", st.VersionSwitches, st.TamperDetections, st.TaintRollbacks)
+	}
+	for _, r := range rt.Reboots() {
+		if strings.HasPrefix(r.Reason, "tamper") {
+			t.Errorf("reboot %q after the version switch", r.Reason)
+		}
 	}
 }

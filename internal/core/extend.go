@@ -86,9 +86,10 @@ func (rt *Runtime) trySwapFallback(th *sched.Thread, tc *component) bool {
 	tc.comp = tc.fallback
 	tc.exports = tc.fallback.Exports()
 	tc.sessions, tc.policies, _ = sessionTable(tc.fallback) // checked by RegisterFallback
-	// The old version's memory image means nothing to the new code:
-	// discard the checkpoint so the swap cold-boots and replays.
-	tc.checkpoint = nil
+	// The old version's images mean nothing to the new code: a fresh
+	// image store makes the swap cold-boot and replay, and no seal, taint
+	// or archive of the old version outlives it.
+	tc.images = rt.newImageStore(tc)
 	tc.runtimeState = nil
 	rt.stats.versionSwitches.Add(1)
 	g.failedTwice = false

@@ -49,7 +49,7 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 		comp.domain.DropQueued()
 		comp.domain.Log().Reset()
 		comp.runtimeState = nil
-		comp.checkpoint = nil
+		comp.images = rt.newImageStore(comp)
 		if cr, ok := comp.comp.(ColdResetter); ok {
 			cr.Reset()
 		}
@@ -62,6 +62,7 @@ func (rt *Runtime) FullRestart(c *Ctx) error {
 		}
 		rt.appHeap = heap
 	}
-	// Re-initialise in boot order, re-taking checkpoints.
+	// Re-initialise in boot order, seeding the fresh image stores with new
+	// post-init images.
 	return rt.initAll(c.th, "full restart init")
 }

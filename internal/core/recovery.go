@@ -335,7 +335,8 @@ func (rt *Runtime) restoreMember(t *sched.Thread, r *recovery, c *component) err
 	if err := rt.selectImage(r, c); err != nil {
 		return err
 	}
-	cold := !c.desc.Stateful || c.checkpoint == nil
+	cp := c.images.current()
+	cold := cp == nil
 	if cold {
 		// Cold re-initialisation: scrub the arena so no aged state
 		// survives, then boot the component afresh.
@@ -349,18 +350,18 @@ func (rt *Runtime) restoreMember(t *sched.Thread, r *recovery, c *component) err
 		}
 		t.Charge(costColdInit)
 	} else {
-		if err := rt.memry.Restore(c.checkpoint.memSnap); err != nil {
+		if err := rt.memry.Restore(cp.memSnap); err != nil {
 			return err
 		}
-		c.heap = c.checkpoint.heap.Clone()
+		c.heap = cp.heap.Clone()
 		// Charge what the restore actually copies: the image's resident
 		// pages. Absent pages restore as dropped frames (zeros) for free,
 		// so a mostly-untouched arena no longer bills its full span on
 		// every reboot.
-		r.pass.rec.RestoredPages += c.checkpoint.memSnap.Resident
-		t.Charge(time.Duration(c.checkpoint.memSnap.Resident) * costSnapshotPerPage)
-		if ss, ok := c.comp.(StateSaver); ok && c.checkpoint.control != nil {
-			if err := ss.RestoreState(c.checkpoint.control); err != nil {
+		r.pass.rec.RestoredPages += cp.memSnap.Resident
+		t.Charge(time.Duration(cp.memSnap.Resident) * costSnapshotPerPage)
+		if ss, ok := c.comp.(StateSaver); ok && cp.control != nil {
+			if err := ss.RestoreState(cp.control); err != nil {
 				return fmt.Errorf("core: restore state of %q: %w", c.desc.Name, err)
 			}
 		}
@@ -393,34 +394,35 @@ func (rt *Runtime) scrubArena(base mem.Addr, pages int) (*mem.Buddy, error) {
 }
 
 // selectImage settles which image member c restores from. Untainted, that
-// is its latest checkpoint (none: cold). Tainted, it is the taint-aware
-// rollback: quarantine every image the watermark poisons, then land on
-// the newest image strictly predating it. The suspect log tail is dropped
+// is its store's current image (none: cold). Tainted, it is the
+// taint-aware rollback: quarantine every image the watermark poisons,
+// then make the newest image strictly predating it current. The suspect log tail is dropped
 // — those calls ran against (or after) a tampered arena and must not be
 // replayed — and the un-tainted slice that only the archive still holds
 // is handed to the replay stage.
 func (rt *Runtime) selectImage(r *recovery, c *component) error {
 	c.imageFrom = imageLatest
-	if !rt.cfg.Defense.Enabled || c.taint == nil || c.images == nil {
+	s := c.images
+	if s == nil || s.taint == nil {
 		return nil
 	}
-	w := c.taint.Watermark
-	n := c.images.QuarantineFrom(w)
+	w := s.taint.Watermark
+	n := s.hist.QuarantineFrom(w)
 	r.pass.rec.QuarantinedImages += n
 	rt.stats.quarantined.Add(uint64(n))
-	sel, ok := c.images.SelectBefore(w)
+	sel, ok := s.hist.SelectBefore(w)
 	if !ok {
 		return fmt.Errorf("core: taint rollback of %q: no retained checkpoint predates watermark %d (%d images quarantined)",
-			c.desc.Name, w, c.images.QuarantinedCount())
+			c.desc.Name, w, s.hist.QuarantinedCount())
 	}
-	c.checkpoint, c.imageFrom = sel.Image.(*checkpoint), imagePreWatermark
+	c.imageFrom = imagePreWatermark
 	c.domain.Log().DropFrom(w)
 	c.domain.Log().RewindEpoch(sel.Meta.EpochSeq)
 	// Purge the archive of the poisoned suffix the same way DropFrom
 	// purged the live log: records at or past the watermark must never
 	// re-enter any future replay either.
-	c.archive = slices.DeleteFunc(c.archive, func(v msg.RecordView) bool { return v.Seq >= w })
-	for _, v := range c.archive {
+	s.archive = slices.DeleteFunc(s.archive, func(v msg.RecordView) bool { return v.Seq >= w })
+	for _, v := range s.archive {
 		if v.Seq > sel.Meta.EpochSeq {
 			r.pass.archived = append(r.pass.archived, replayItem{c: c, v: v})
 		}
@@ -433,7 +435,7 @@ func (rt *Runtime) selectImage(r *recovery, c *component) error {
 	if tr := rt.tracer; tr != nil {
 		tr.Instant(r.span, trace.KindDetect, c.desc.Name, "rollback",
 			fmt.Sprintf("watermark=%d restored-epoch-seq=%d quarantined=%d detector=%s",
-				w, sel.Meta.EpochSeq, n, c.taint.Detector))
+				w, sel.Meta.EpochSeq, n, s.taint.Detector))
 	}
 	return nil
 }
@@ -564,7 +566,7 @@ func (rt *Runtime) resume(t *sched.Thread, g *group, r *recovery) error {
 		if err := rt.checkpointComponent(t, c); err != nil {
 			return fmt.Errorf("core: post-rollback checkpoint of %q: %w", c.desc.Name, err)
 		}
-		c.taint = nil
+		c.images.taint = nil
 		rt.captureSeal(c)
 	}
 	return nil

@@ -372,7 +372,7 @@ func TestRecoveryStageSelection(t *testing.T) {
 			postInit := map[string]*checkpoint{}
 			rt := run(t, row.cfg(), row.comps(), func(c *Ctx) {
 				for name, tc := range c.rt.comps {
-					postInit[name] = tc.checkpoint
+					postInit[name] = tc.images.current()
 				}
 				row.run(t, c)
 			})
@@ -386,7 +386,7 @@ func TestRecoveryStageSelection(t *testing.T) {
 				if names := []string{"none", "cold", "latest", "pre-watermark"}; tc.imageFrom != img {
 					t.Errorf("%s restored from image: %s, want %s", name, names[tc.imageFrom], names[img])
 				}
-				if got := tc.checkpoint == postInit[name]; img == imageLatest && got != row.want.postInit {
+				if got := tc.images.current() == postInit[name]; img == imageLatest && got != row.want.postInit {
 					t.Errorf("%s restored the post-init image: %v, want %v", name, got, row.want.postInit)
 				}
 				// A rollback re-squares the member with a fresh capture, so which

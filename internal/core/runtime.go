@@ -149,14 +149,6 @@ func (rt *Runtime) SetTracer(r *trace.Recorder) {
 // Tracer returns the attached flight recorder (nil when tracing is off).
 func (rt *Runtime) Tracer() *trace.Recorder { return rt.tracer }
 
-// NewTracer creates a flight recorder on the runtime's virtual clock and
-// attaches it.
-func (rt *Runtime) NewTracer(name string, opts ...trace.Option) *trace.Recorder {
-	r := trace.New(name, rt.clk.Elapsed, opts...)
-	rt.SetTracer(r)
-	return r
-}
-
 // Scheduler exposes the cooperative scheduler so that host-side threads
 // (hypervisor services, workload clients) join the same simulation.
 func (rt *Runtime) Scheduler() *sched.Scheduler { return rt.sch }
@@ -351,8 +343,13 @@ func (rt *Runtime) Boot(boot *sched.Thread) error {
 	if err := rt.allocateRegions(); err != nil {
 		return err
 	}
-	rt.installTrackers()
-	rt.installDefense()
+	for _, c := range rt.order {
+		if c.images = rt.newImageStore(c); c.images != nil {
+			// A disabled policy still gets a tracker: manual Ctx.Checkpoint
+			// calls are accounted through it.
+			c.tracker = ckpt.NewTracker(rt.cfg.Ckpt)
+		}
+	}
 	rt.booted = true
 	if rt.cfg.MessagePassing {
 		rt.msgThread = rt.sch.Spawn("vampos/msg", mem.Allow(keyDomains), rt.msgLoop)
@@ -397,7 +394,8 @@ func (rt *Runtime) initAll(th *sched.Thread, what string) error {
 }
 
 // initComponentMP asks a group's worker to initialise one member, waits
-// for completion, and takes the post-init checkpoint if requested.
+// for completion, and seeds its image store, if it has one, with the
+// post-init image.
 func (rt *Runtime) initComponentMP(boot *sched.Thread, g *group, c *component) error {
 	w := g.worker
 	w.initQueue = append(w.initQueue, c)
@@ -409,34 +407,17 @@ func (rt *Runtime) initComponentMP(boot *sched.Thread, g *group, c *component) e
 	if err := w.initErr[c]; err != nil {
 		return err
 	}
-	if c.desc.Stateful && c.desc.Checkpoint {
-		if err := rt.takeCheckpoint(c); err != nil {
-			return err
-		}
+	if c.images == nil {
+		return nil
 	}
-	return nil
-}
-
-// takeCheckpoint captures the component's post-init image (§V-E).
-func (rt *Runtime) takeCheckpoint(c *component) error {
-	snap, err := rt.memry.Snapshot(c.heapBase, c.heapPages)
+	// The post-init image (§V-E) covers no completed call: under defense
+	// it is the rollback target of last resort.
+	cp, _, err := rt.captureImage(c, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: checkpoint %q: %w", c.desc.Name, err)
 	}
-	cp := &checkpoint{memSnap: snap, heap: c.heap.Clone(), takenAt: rt.clk.Now()}
-	if ss, ok := c.comp.(StateSaver); ok {
-		blob, err := ss.SaveState()
-		if err != nil {
-			return fmt.Errorf("core: checkpoint %q: %w", c.desc.Name, err)
-		}
-		cp.control = blob
-	}
-	c.checkpoint = cp
-	if c.images != nil {
-		// Seed the defense image history with the post-init image: the
-		// rollback target of last resort, covering no completed calls.
-		c.images.Add(ckpt.ImageMeta{Epoch: c.domain.Log().Epoch(), EpochSeq: c.domain.Log().MaxCompletedSeq()}, cp)
-	}
+	lg := c.domain.Log()
+	c.images.hist.Add(ckpt.ImageMeta{Epoch: lg.Epoch(), EpochSeq: lg.MaxCompletedSeq()}, cp)
 	return nil
 }
 

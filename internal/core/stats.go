@@ -106,8 +106,13 @@ type ComponentStats struct {
 	Heap         mem.BuddyStats
 	Pending      int
 	// Ckpt is the component's incremental-checkpoint accounting (zero
-	// for components that are not checkpoint-eligible).
+	// for components that are not checkpoint-eligible). It survives full
+	// restarts and version switches.
 	Ckpt ckpt.Stats
+	// Images is the metadata of the retained checkpoint images, oldest
+	// first; nil when defense is off or the component is not
+	// checkpoint-eligible. Oracles assert quarantine discipline on it.
+	Images []ckpt.ImageMeta
 	// LayoutFingerprint is the arena-layout fingerprint as of the last
 	// boot or reboot (zero before the first reboot when defense is off).
 	LayoutFingerprint uint64
@@ -194,6 +199,9 @@ func (rt *Runtime) ComponentStats(name string) (ComponentStats, bool) {
 	}
 	if c.tracker != nil {
 		cs.Ckpt = c.tracker.Stats()
+	}
+	if c.images != nil && rt.cfg.Defense.Enabled {
+		cs.Images = c.images.hist.Metas()
 	}
 	if c.aging != nil {
 		st := c.aging.Stats()

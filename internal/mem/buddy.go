@@ -94,9 +94,6 @@ func orderFor(n int64) int {
 	return ord
 }
 
-// Size returns the arena size in bytes.
-func (b *Buddy) Size() int64 { return b.size }
-
 // Alloc reserves at least n bytes and returns the block's address.
 func (b *Buddy) Alloc(n int64) (Addr, error) {
 	if n <= 0 {
@@ -231,9 +228,6 @@ func (b *Buddy) Reseed(seed uint64) {
 	b.seed = seed
 	b.rng = seed
 }
-
-// Seed returns the current re-randomization seed (0 = legacy layout).
-func (b *Buddy) Seed() uint64 { return b.seed }
 
 // next advances the splitmix64 stream.
 func (b *Buddy) next() uint64 {

@@ -84,3 +84,29 @@ func (b *Buddy) LiveAllocations() []Addr {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// Seed returns the current re-randomization seed (0 = legacy layout).
+func (b *Buddy) Seed() uint64 { return b.seed }
+
+// Size returns the arena size in bytes.
+func (b *Buddy) Size() int64 { return b.size }
+
+// DirtyPages counts the pages of prev's range whose write-version stamp
+// has moved since prev was captured — the pages a SnapshotDelta would
+// re-copy. prev must carry version stamps.
+func (m *Memory) DirtyPages(prev *Snapshot) (int, error) {
+	if !prev.wellFormed() {
+		return 0, fmt.Errorf("mem: DirtyPages: snapshot lacks version stamps")
+	}
+	start, err := m.pageIndex(prev.Base, prev.Pages)
+	if err != nil {
+		return 0, err
+	}
+	dirty := 0
+	for i := 0; i < prev.Pages; i++ {
+		if m.vers[start+i] != prev.Vers[i] {
+			dirty++
+		}
+	}
+	return dirty, nil
+}

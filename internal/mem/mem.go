@@ -164,9 +164,6 @@ func New(size int64) *Memory {
 	}
 }
 
-// Size returns the size of the address space in bytes.
-func (m *Memory) Size() int64 { return int64(m.npages) * PageSize }
-
 // Faults returns the number of protection faults raised so far.
 func (m *Memory) Faults() uint64 { return m.faults.Load() }
 
@@ -342,9 +339,6 @@ func NewAccessor(m *Memory, pkru PKRU) *Accessor {
 // SetPKRU replaces the accessor's PKRU word.
 func (a *Accessor) SetPKRU(p PKRU) { a.pkru = p }
 
-// Memory returns the underlying address space.
-func (a *Accessor) Memory() *Memory { return a.mem }
-
 // Read copies len(p) bytes at addr into p, checking protections.
 func (a *Accessor) Read(addr Addr, p []byte) error {
 	err := a.mem.access(addr, len(p), p, a.pkru, false, false)
@@ -446,26 +440,6 @@ func (m *Memory) capture(base Addr, start, n int, prev *Snapshot) (*Snapshot, in
 		}
 	}
 	return s, dirty
-}
-
-// DirtyPages counts the pages of prev's range whose write-version stamp
-// has moved since prev was captured — the pages a SnapshotDelta would
-// re-copy. prev must carry version stamps.
-func (m *Memory) DirtyPages(prev *Snapshot) (int, error) {
-	if !prev.wellFormed() {
-		return 0, fmt.Errorf("mem: DirtyPages: snapshot lacks version stamps")
-	}
-	start, err := m.pageIndex(prev.Base, prev.Pages)
-	if err != nil {
-		return 0, err
-	}
-	dirty := 0
-	for i := 0; i < prev.Pages; i++ {
-		if m.vers[start+i] != prev.Vers[i] {
-			dirty++
-		}
-	}
-	return dirty, nil
 }
 
 // SnapshotDelta captures a new full snapshot of prev's page range by

@@ -353,13 +353,6 @@ func (e Encoded) Str(i int) (string, error) {
 	return string(v.raw), err
 }
 
-// Bytes extracts args[i] as a []byte; nil is returned for a nil element.
-func (a Args) Bytes(i int) ([]byte, error) {
-	v, err := a.want(i, "[]byte", kindBytes, kindNil)
-	b, _ := v.elem.([]byte)
-	return b, err
-}
-
 // Bytes is Args.Bytes in place; the slice is a copy.
 func (e Encoded) Bytes(i int) ([]byte, error) {
 	v, err := e.want(i, "[]byte", kindBytes, kindNil)

@@ -164,12 +164,3 @@ func (fs *ExportFS) ReadFile(path string) ([]byte, error) {
 	}
 	return append([]byte(nil), n.data...), nil
 }
-
-// Size returns a file's length host-side.
-func (fs *ExportFS) Size(path string) (int64, error) {
-	n, err := fs.lookup(path)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(n.data)), nil
-}

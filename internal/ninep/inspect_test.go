@@ -62,3 +62,12 @@ func (fs *ExportFS) TotalBytes() int64 {
 	}
 	return walk(fs.root)
 }
+
+// Size returns a file's length host-side.
+func (fs *ExportFS) Size(path string) (int64, error) {
+	n, err := fs.lookup(path)
+	if err != nil {
+		return 0, err
+	}
+	return int64(len(n.data)), nil
+}

@@ -32,9 +32,6 @@ func NewServer(fs *ExportFS) *Server {
 	return &Server{fs: fs, fids: make(map[uint32]*serverFid)}
 }
 
-// FS returns the export the server serves.
-func (s *Server) FS() *ExportFS { return s.fs }
-
 func rerror(tag uint16, ename string) *Fcall {
 	return &Fcall{Type: Rerror, Tag: tag, Ename: ename}
 }

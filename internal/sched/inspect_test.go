@@ -1,6 +1,10 @@
 package sched
 
-import "sort"
+import (
+	"sort"
+
+	"vampos/internal/clock"
+)
 
 // Inspection helpers only the tests read.
 
@@ -14,3 +18,12 @@ func (s *Scheduler) Threads() []*Thread {
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
+
+// Dispatches returns how many times this thread has been dispatched.
+func (t *Thread) Dispatches() uint64 { return t.dispatches }
+
+// Scheduler returns the owning scheduler.
+func (t *Thread) Scheduler() *Scheduler { return t.sched }
+
+// Clock returns the scheduler's virtual clock.
+func (t *Thread) Clock() *clock.Virtual { return t.sched.clk }

@@ -262,17 +262,11 @@ type Thread struct {
 	OnKill func()
 }
 
-// ID returns the thread's unique id.
-func (t *Thread) ID() int { return t.id }
-
 // Name returns the thread's diagnostic name.
 func (t *Thread) Name() string { return t.name }
 
 // State returns the thread's lifecycle state.
 func (t *Thread) State() State { return t.state }
-
-// Dispatches returns how many times this thread has been dispatched.
-func (t *Thread) Dispatches() uint64 { return t.dispatches }
 
 // PanicValue returns the value fn panicked with, or nil.
 func (t *Thread) PanicValue() any { return t.panicVal }
@@ -288,12 +282,6 @@ func (t *Thread) SetPKRU(p mem.PKRU) {
 		t.acc.SetPKRU(p)
 	}
 }
-
-// Scheduler returns the owning scheduler.
-func (t *Thread) Scheduler() *Scheduler { return t.sched }
-
-// Clock returns the scheduler's virtual clock.
-func (t *Thread) Clock() *clock.Virtual { return t.sched.clk }
 
 // memory is set once via SetMemory; threads derive accessors from it.
 var errMemAlreadySet = errors.New("sched: memory already set")

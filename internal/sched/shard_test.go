@@ -443,7 +443,8 @@ func TestShardRoundAllocatesNothing(t *testing.T) {
 // fault count must have seen every access.
 func TestShardRunnerDisjointPages(t *testing.T) {
 	const pages, rounds = 8, 200
-	m := mem.New(4 * pages * mem.PageSize)
+	const space = 4 * pages
+	m := mem.New(space * mem.PageSize)
 	s := newSched(nil)
 	s.SetShards(2)
 	if err := s.SetMemory(m); err != nil {
@@ -484,7 +485,7 @@ func TestShardRunnerDisjointPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	whole, err := m.Snapshot(0, int(m.Size()/mem.PageSize))
+	whole, err := m.Snapshot(0, space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +531,7 @@ func TestShardRunnerDisjointPages(t *testing.T) {
 		t.Errorf("memory counted %d faults, want one from each side", n)
 	}
 	for i, r := range ranges {
-		if n, err := m.DirtyPages(before[i]); err != nil || n != r.dirty {
+		if _, n, err := m.SnapshotDelta(before[i]); err != nil || n != r.dirty {
 			t.Errorf("%s: %d dirty pages, %v; want %d", r.name, n, err, r.dirty)
 		}
 	}

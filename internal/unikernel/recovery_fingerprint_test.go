@@ -430,7 +430,7 @@ func recoveryFingerprint(inst *Instance, rec *trace.Recorder) string {
 		fmt.Fprintf(&b, "component %s failures=%d reboots=%d micro=%d calls=%d errs=%d busy=%v loglen=%d log=%+v ckpt=%+v heap=%+v fp=%x\n",
 			name, cs.Failures, cs.Reboots, cs.Microreboots, cs.Calls, cs.Errors, cs.Busy, cs.LogLen, cs.LogStats, cs.Ckpt, cs.Heap,
 			cs.LayoutFingerprint)
-		for _, m := range rt.ImageMetas(name) {
+		for _, m := range cs.Images {
 			fmt.Fprintf(&b, "  image epoch=%d epoch-seq=%d quarantined=%v\n", m.Epoch, m.EpochSeq, m.Quarantined)
 		}
 		views, err := rt.LogRecords(name)

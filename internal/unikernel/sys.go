@@ -424,11 +424,6 @@ func (s *Sys) HostFS() *ExportFSRef { return &ExportFSRef{s.inst} }
 // ExportFSRef wraps host file operations for workload setup.
 type ExportFSRef struct{ inst *Instance }
 
-// WriteFile writes a host-side file into the export.
-func (r *ExportFSRef) WriteFile(path string, data []byte) error {
-	return r.inst.host.FS().WriteFile(path, data)
-}
-
 // ReadFile reads a host-side file from the export.
 func (r *ExportFSRef) ReadFile(path string) ([]byte, error) {
 	return r.inst.host.FS().ReadFile(path)

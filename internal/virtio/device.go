@@ -102,19 +102,3 @@ func (d *Device) HostSend(payload []byte) error {
 	}
 	return nil
 }
-
-// Reset performs a coordinated device reset: both rings and the host
-// shadow are cleared together, as the virtio protocol does across a VM
-// reboot. This is legal exactly because both sides participate — the
-// orchestration a component-level VIRTIO reboot lacks.
-func (d *Device) Reset() error {
-	if err := d.tx.reset(); err != nil {
-		return err
-	}
-	if err := d.rx.reset(); err != nil {
-		return err
-	}
-	d.lastTxProd = 0
-	d.desync = false
-	return nil
-}

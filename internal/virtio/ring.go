@@ -164,11 +164,3 @@ func (r *Ring) Indices() (prod, cons uint32, err error) {
 	cons, err = r.readU32(nil, 4)
 	return prod, cons, err
 }
-
-// reset zeroes the indices (coordinated device reset only).
-func (r *Ring) reset() error {
-	if err := r.writeU32(nil, 0, 0); err != nil {
-		return err
-	}
-	return r.writeU32(nil, 4, 0)
-}
