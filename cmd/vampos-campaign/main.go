@@ -1,15 +1,12 @@
 // Command vampos-campaign runs a SWIFI-style fault-injection campaign
-// over the VampOS model and prints the recovery matrix. The default
-// campaign injects a crash and a hang into every component of every
-// workload profile under the Noop and DaS configurations; flags slice
-// the space, -seed/-trial reproduce any cell in isolation, and
-// -trace-dir captures a Chrome trace for each failing trial.
-// "-workloads cluster" selects the multi-instance workload instead:
-// three gossip-replicated members take instance-level faults
-// (instancekill, partition) and are judged by the convergence oracle.
+// over the VampOS model and prints the recovery matrix. Flags slice the
+// space (-h lists every value, and the default slice an empty flag
+// takes); -seed/-trial reproduce any cell in isolation, and -trace-dir
+// captures a Chrome trace for each failing trial.
 //
 // Exit status is 1 when any cell fails unexpectedly (expected-
-// unrecoverable VIRTIO cells never count), 2 on usage errors.
+// unrecoverable VIRTIO cells never count), 2 on usage errors, among them
+// a selection that yields no cell.
 package main
 
 import (
@@ -24,13 +21,14 @@ import (
 )
 
 func main() {
+	workloadChoices, configChoices, faultChoices := campaign.Choices()
 	var (
-		workloads  = flag.String("workloads", "", "comma-separated workloads (sqlite,nginx,redis,echo, plus the multi-instance 'cluster'); empty = all single-instance workloads")
-		configs    = flag.String("configs", "", "comma-separated configs (noop,das,fsm,netm); empty = noop,das")
-		components = flag.String("components", "", "comma-separated target components (for the cluster workload: victim members node0,node1,node2); empty = every registered component")
-		faultsF    = flag.String("faults", "", "comma-separated faults (crash,hang,errno,leak,wildwrite,aging,sessioncrash; attacks: tamper,badframe,xdomtouch; cluster workload: instancekill,partition); empty = crash,hang (cluster: both cluster kinds)")
+		workloads  = flag.String("workloads", "", "comma-separated workloads: "+workloadChoices)
+		configs    = flag.String("configs", "", "comma-separated configs: "+configChoices)
+		components = flag.String("components", "", "comma-separated target components (victim members nodeK on the cluster plane); empty = every linked component")
+		faultsF    = flag.String("faults", "", "comma-separated faults, each run on the workloads of its plane: "+faultChoices)
 		seed       = flag.Int64("seed", 1, "campaign seed; every trial's randomness derives from it")
-		trial      = flag.String("trial", "", "run only these cell IDs (comma-separated, e.g. redis/das/9pfs/*/crash)")
+		trial      = flag.String("trial", "", "run only these cell IDs (comma-separated, as -list prints them)")
 		parallel   = flag.Int("parallel", 0, "worker-pool size; 0 = GOMAXPROCS")
 		shards     = flag.Int("shards", 0, "shard-baton count per trial instance (0 = legacy single baton; results are byte-identical across counts)")
 		jsonOut    = flag.String("json", "", "write the recovery matrix as JSON to this file")
@@ -39,13 +37,17 @@ func main() {
 		ckptEvery  = flag.Int("ckpt-every", 0, "incremental checkpoint cadence: re-checkpoint each eligible component after N completed calls (0 = paper behaviour, post-init checkpoint only)")
 	)
 	flag.Parse()
+	var faults []campaign.FaultName
+	for _, f := range splitList(*faultsF) {
+		faults = append(faults, campaign.FaultName(f))
+	}
 
 	opts := campaign.Options{
 		Space: campaign.SpaceOptions{
 			Workloads:  splitList(*workloads),
 			Configs:    splitList(*configs),
 			Components: splitList(*components),
-			Faults:     faultNames(splitList(*faultsF)),
+			Faults:     faults,
 		},
 		Seed:     *seed,
 		Parallel: *parallel,
@@ -110,14 +112,6 @@ func splitList(s string) []string {
 		if p = strings.TrimSpace(p); p != "" {
 			out = append(out, p)
 		}
-	}
-	return out
-}
-
-func faultNames(names []string) []campaign.FaultName {
-	var out []campaign.FaultName
-	for _, n := range names {
-		out = append(out, campaign.FaultName(n))
 	}
 	return out
 }

@@ -34,7 +34,7 @@ type Options struct {
 	// trial (and for expected-unrecoverable cells whose oracles failed).
 	TraceDir string
 	// Trials restricts the run to specific cell IDs (see Cell.ID) after
-	// enumeration — the reproduce-one-cell knob.
+	// enumeration — the reproduce-one-cell knob. A repeated ID counts once.
 	Trials []string
 	// Ckpt, when enabled, turns on incremental quiescent-point
 	// checkpointing for every checkpoint-eligible component of every
@@ -59,12 +59,14 @@ func Run(opts Options) (*Matrix, error) {
 		for _, c := range cells {
 			byID[c.ID()] = c
 		}
-		for _, id := range opts.Trials {
+		for i, id := range opts.Trials {
 			c, ok := byID[id]
 			if !ok {
 				return nil, fmt.Errorf("campaign: trial %q not in the enumerated space (%d cells; run with -list to see IDs)", id, len(cells))
 			}
-			keep = append(keep, c)
+			if !slices.Contains(opts.Trials[:i], id) { // a repeated ID runs once
+				keep = append(keep, c)
+			}
 		}
 		cells = keep
 	}

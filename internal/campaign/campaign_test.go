@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -84,11 +85,12 @@ func TestMatrixParallelInvariant(t *testing.T) {
 }
 
 // TestTrialReproducesFromSeed: re-running one cell through the -trial
-// filter must reproduce the full matrix row, including virtual timings.
+// filter must reproduce the full matrix row, including virtual timings,
+// and run it once however often the filter names it.
 func TestTrialReproducesFromSeed(t *testing.T) {
 	full := runSmall(t, 2, 7)
 	want := full.Cells[0]
-	again, err := Run(Options{Space: smallSpace(), Seed: 7, Parallel: 1, Trials: []string{want.TrialID}})
+	again, err := Run(Options{Space: smallSpace(), Seed: 7, Parallel: 1, Trials: []string{want.TrialID, want.TrialID}})
 	if err != nil {
 		t.Fatalf("re-run trial %s: %v", want.TrialID, err)
 	}
@@ -351,7 +353,7 @@ func TestTraceDumpOnFailure(t *testing.T) {
 func TestTraceDirKeepsCellsWithoutRecorder(t *testing.T) {
 	cells := []Cell{
 		{Workload: "nosuch", Config: "das", Component: "vfs", Function: "*", Fault: FaultCrash},
-		{Workload: ClusterWorkload, Config: "das", Component: "node9", Function: "*", Fault: FaultPartition},
+		{Workload: "cluster", Config: "das", Component: "node9", Function: "*", Fault: FaultPartition},
 	}
 	m, err := RunCells(cells, Options{Seed: 1, Parallel: 1, TraceDir: t.TempDir()})
 	if err != nil {
@@ -386,7 +388,7 @@ func TestTrialSeedStability(t *testing.T) {
 // TestEnumerateDefaultSpace: the default campaign must cover every
 // component of every workload profile under both default configs with
 // both default faults — at least the 100 trials the paper-scale
-// campaign promises.
+// campaign promises — and a selection that pairs nothing is an error.
 func TestEnumerateDefaultSpace(t *testing.T) {
 	cells, err := EnumerateSpace(SpaceOptions{})
 	if err != nil {
@@ -405,4 +407,62 @@ func TestEnumerateDefaultSpace(t *testing.T) {
 			t.Errorf("default space emitted per-function cell %s", c.ID())
 		}
 	}
+
+	// A fault that pairs with none of the selected workloads yields no
+	// cell, and an empty campaign is an error.
+	for _, o := range []SpaceOptions{
+		{Faults: []FaultName{FaultInstanceKill}},
+		{Workloads: []string{"sqlite"}, Faults: []FaultName{FaultSessionCrash}},
+	} {
+		if cells, err := EnumerateSpace(o); err == nil {
+			t.Errorf("EnumerateSpace(%+v) = %d cells, want an error", o, len(cells))
+		}
+	}
+}
+
+// TestEnumerateRepeatedFilters: a value repeated in a filter counts once,
+// so every enumerated cell keeps a trial ID of its own.
+func TestEnumerateRepeatedFilters(t *testing.T) {
+	cells, err := EnumerateSpace(SpaceOptions{
+		Workloads:  []string{"echo", "echo", "redis"},
+		Configs:    []string{"das", "das"},
+		Components: []string{"lwip", "lwip", "vfs"},
+		Faults:     []FaultName{FaultCrash, FaultCrash, FaultSessionCrash, FaultCrash},
+	})
+	if err != nil {
+		t.Fatalf("enumerate: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, c := range cells {
+		if seen[c.ID()] {
+			t.Errorf("duplicate cell %s", c.ID())
+		}
+		seen[c.ID()] = true
+	}
+	for _, id := range []string{"echo/das/lwip/*/crash", "redis/das/vfs/*/crash", "redis/das/vfs/write/sessioncrash"} {
+		if !seen[id] {
+			t.Errorf("cell %s missing from %d cells", id, len(cells))
+		}
+	}
+}
+
+// TestEnumerateFullSpace pins every cell of the whole injection space —
+// all five workloads × four configurations × twelve fault kinds — with
+// its expected-unrecoverable flag, one line per cell. The lists are
+// spelled out here so the oracle does not read the tables it checks.
+func TestEnumerateFullSpace(t *testing.T) {
+	cells, err := EnumerateSpace(SpaceOptions{
+		Workloads: []string{"sqlite", "nginx", "redis", "echo", "cluster"},
+		Configs:   []string{"noop", "das", "fsm", "netm"},
+		Faults: []FaultName{"crash", "hang", "errno", "leak", "wildwrite", "aging",
+			"instancekill", "partition", "sessioncrash", "tamper", "badframe", "xdomtouch"},
+	})
+	if err != nil {
+		t.Fatalf("enumerate: %v", err)
+	}
+	var buf bytes.Buffer
+	for _, c := range cells {
+		fmt.Fprintf(&buf, "%s %v\n", c.ID(), c.Expected)
+	}
+	golden.Check(t, filepath.Join("testdata", "space", "full.txt"), buf.Bytes())
 }

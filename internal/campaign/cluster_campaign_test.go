@@ -9,7 +9,7 @@ import (
 
 func clusterSpace() SpaceOptions {
 	return SpaceOptions{
-		Workloads: []string{ClusterWorkload},
+		Workloads: []string{"cluster"},
 		Configs:   []string{"das"},
 		Faults:    []FaultName{FaultInstanceKill, FaultPartition},
 	}
@@ -79,9 +79,10 @@ func TestClusterCampaignSlice(t *testing.T) {
 
 // TestClusterSpaceEnumeration: the cluster workload enumerates victim ×
 // fault cells, cluster faults never leak into single-instance
-// workloads, and the default fault slice maps to both cluster kinds.
+// workloads, the default fault slice maps to both cluster kinds, and an
+// explicit fault filter is never replaced.
 func TestClusterSpaceEnumeration(t *testing.T) {
-	cells, err := EnumerateSpace(SpaceOptions{Workloads: []string{ClusterWorkload}, Configs: []string{"das"}})
+	cells, err := EnumerateSpace(SpaceOptions{Workloads: []string{"cluster"}, Configs: []string{"das"}})
 	if err != nil {
 		t.Fatalf("EnumerateSpace: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestClusterSpaceEnumeration(t *testing.T) {
 		t.Fatalf("default cluster space has %d cells, want 6", len(cells))
 	}
 	for _, c := range cells {
-		if !c.Fault.clusterFault() {
+		if !isClusterFault(c.Fault) {
 			t.Errorf("cluster cell %s has non-cluster fault", c.ID())
 		}
 		if c.Expected {
@@ -108,13 +109,13 @@ func TestClusterSpaceEnumeration(t *testing.T) {
 		t.Fatal("echo space empty")
 	}
 	for _, c := range single {
-		if c.Fault.clusterFault() {
+		if isClusterFault(c.Fault) {
 			t.Errorf("single-instance cell %s got cluster fault", c.ID())
 		}
 	}
 
 	filtered, err := EnumerateSpace(SpaceOptions{
-		Workloads:  []string{ClusterWorkload},
+		Workloads:  []string{"cluster"},
 		Configs:    []string{"das"},
 		Components: []string{"node1"},
 		Faults:     []FaultName{FaultPartition},
@@ -124,5 +125,17 @@ func TestClusterSpaceEnumeration(t *testing.T) {
 	}
 	if len(filtered) != 1 || filtered[0].Component != "node1" || filtered[0].Fault != FaultPartition {
 		t.Fatalf("filtered cluster space: %+v", filtered)
+	}
+
+	// An explicit fault filter is kept for the cluster too: the cluster
+	// kinds are its default slice only when no fault is selected, and a
+	// selection no cell pairs with is an error, not an empty campaign.
+	for _, o := range []SpaceOptions{
+		{Workloads: []string{"cluster"}, Faults: []FaultName{FaultCrash}},
+		{Faults: []FaultName{FaultInstanceKill}},
+	} {
+		if cells, err := EnumerateSpace(o); err == nil {
+			t.Errorf("EnumerateSpace(%+v) = %d cells, want an error", o, len(cells))
+		}
 	}
 }

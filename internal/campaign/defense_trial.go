@@ -38,6 +38,8 @@ type attack struct {
 	rerandErr   error  // error from the fingerprint-comparison reboot
 }
 
+func newAttack() faultKind { return &attack{} }
+
 func (k *attack) configure(t *trial, cc *core.Config, _ Options) {
 	t.after = 0 // an attack is delivered, not armed at an invocation ordinal
 	// The taint-aware rollback needs an image history to land on: a

@@ -39,9 +39,9 @@ func TestEveryFaultKindHasAGolden(t *testing.T) {
 			seen[c.Fault] = true
 		}
 	}
-	for _, f := range AllFaults() {
-		if !seen[f] {
-			t.Errorf("fault kind %q appears in no golden under %s", f, goldenDir)
+	for _, f := range faultTable {
+		if !seen[f.name] {
+			t.Errorf("fault kind %q appears in no golden under %s", f.name, goldenDir)
 		}
 	}
 }
@@ -73,4 +73,17 @@ func TestErrnoLeakWildWriteSlice(t *testing.T) {
 		}
 	}
 	golden.Check(t, goldenPath(t), matrixJSON(t, m))
+}
+
+// TestFaultRowsMatchTheirPlane: every fault row makes a kind its plane's
+// runner can drive, so the runner's type assertion cannot fail.
+func TestFaultRowsMatchTheirPlane(t *testing.T) {
+	for _, f := range faultTable {
+		k := f.kind()
+		_, instance := k.(instanceKind)
+		_, cluster := k.(clusterKind)
+		if f.plane == onInstance && !instance || f.plane == onCluster && !cluster || instance == cluster {
+			t.Errorf("fault %q: kind %T does not run on its plane alone (instance=%v cluster=%v)", f.name, k, instance, cluster)
+		}
+	}
 }

@@ -36,6 +36,11 @@ type armedFault struct {
 	spec core.FaultSpec
 }
 
+// armed makes the armedFault of kind (an errno fault returns EIO).
+func armed(kind core.FaultKind) func() faultKind {
+	return func() faultKind { return &armedFault{spec: core.FaultSpec{Kind: kind}} }
+}
+
 func (k *armedFault) arm(t *trial, _ *unikernel.Sys) error { return armSite(t, k.spec) }
 
 func (k *armedFault) judge(j *judgement) {

@@ -38,18 +38,12 @@ type OracleResult struct {
 }
 
 // serviceBudget bounds client-visible errors during the tolerant run
-// phase. In-process sqlite syscalls are retried transparently by the
-// runtime, so crash/hang recovery must be invisible to them; network
-// clients legitimately observe resets during the recovery window (the
-// paper's Fig. 8 outage) and get a budget plus reconnect.
-func serviceBudget(cell Cell) int {
-	switch cell.Fault {
-	case FaultErrno:
-		return 3 // the injected errno surfaces exactly once, plus margin
-	case FaultWildWrite, FaultXDomTouch:
-		return 0 // a confined stray store must disturb nothing
+// phase: the kind's fixed budget, or else the workload's.
+func (t *trial) serviceBudget() int {
+	if t.fault.budget != nil {
+		return *t.fault.budget
 	}
-	if cell.Workload == "sqlite" {
+	if t.workload.inProcess {
 		return 0
 	}
 	return 20
@@ -123,8 +117,8 @@ func (j *judgement) transient() {
 }
 
 func (j *judgement) service() {
-	j.check("service", j.t.errs <= serviceBudget(j.t.cell),
-		"%d client errors exceed budget %d", j.t.errs, serviceBudget(j.t.cell))
+	j.check("service", j.t.errs <= j.t.serviceBudget(),
+		"%d client errors exceed budget %d", j.t.errs, j.t.serviceBudget())
 }
 
 func (j *judgement) invariants() {

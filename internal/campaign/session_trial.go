@@ -55,7 +55,7 @@ type sessionFault struct {
 	dialErr, verifyErr error
 }
 
-func newSessionFault() *sessionFault {
+func newSessionFault() faultKind {
 	k := &sessionFault{kv: redis.New(), clients: make([]*sessClient, sessionClients)}
 	for i := range k.clients {
 		k.clients[i] = &sessClient{}

@@ -22,7 +22,7 @@ func TestMatrixShardInvariant(t *testing.T) {
 	space := SpaceOptions{
 		Workloads: []string{"sqlite", "redis"},
 		Configs:   []string{"das"},
-		Faults:    DefaultFaults(),
+		Faults:    []FaultName{FaultCrash, FaultHang},
 	}
 	run := func(parallel, shards int) []byte {
 		t.Helper()

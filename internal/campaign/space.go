@@ -14,120 +14,207 @@ import (
 // FaultName identifies one injected failure mode of the campaign.
 type FaultName string
 
-// The campaign's fault dimension: the paper's fail-stop crash and hang
-// (§II-B), the transient-errno fault that must not trigger recovery, the
-// allocator-leak aging scenario (§VII-D) resolved by a proactive reboot,
-// and the wild-write containment scenario (§V-D).
+// The campaign's fault kinds, each declared by its faultTable row and
+// run by the type its row makes.
 const (
-	FaultCrash     FaultName = "crash"
-	FaultHang      FaultName = "hang"
-	FaultErrno     FaultName = "errno"
-	FaultLeak      FaultName = "leak"
-	FaultWildWrite FaultName = "wildwrite"
-	// FaultAging arms a gradual allocator leak while an adaptive
-	// rejuvenation controller (Config.Aging) watches the component's
-	// leak slope: recovery must be sensor-triggered, not scheduled.
-	FaultAging FaultName = "aging"
-	// FaultInstanceKill is an instance-level fault of the cluster
-	// workload: a VIRTIO fault on one member that component reboot
-	// cannot contain, forcing escalation to whole-instance kill,
-	// failover, and reboot-and-resync from the surviving replicas.
-	FaultInstanceKill FaultName = "instancekill"
-	// FaultPartition is an instance-level fault of the cluster
-	// workload: one member is cut off from its peers; the majority must
-	// keep acknowledging writes, the minority must refuse them, and the
-	// heal must reconverge every replica to one state.
-	FaultPartition FaultName = "partition"
-	// FaultSessionCrash is a session-granular crash: it pairs only with
-	// the redis workload (several persistent client connections), arms a
-	// crash on one session-attributable fault site, and expects rung-1
-	// recovery — the faulted session evicted and replayed in place while
-	// every untouched session observes zero errors. Cells enumerate
-	// per-function over the session-bearing exports (never "*": a
-	// wildcard could strike a non-session site and legitimately recover
-	// at the component rung).
-	FaultSessionCrash FaultName = "sessioncrash"
-	// FaultTamper is an attack-shaped fault: between calls, a host-side
-	// saboteur flips bytes in the component's durable arena. Pairs only
-	// with checkpoint-eligible components — the ones whose image history a
-	// taint-aware rollback can land on. The arena seal must detect the
-	// tamper, recovery must roll back to an image strictly predating the
-	// taint watermark, and the reboot must re-randomize the arena layout.
-	FaultTamper FaultName = "tamper"
-	// FaultBadFrame is an attack-shaped fault at the host boundary: the
-	// host corrupts a 9P response frame in flight. Pairs only with the
-	// 9PFS component (the frame's consumer). The hardened decoder must
-	// reject the frame, the defensive crash must reboot 9PFS, and the
-	// interrupted syscall must be retried transparently.
-	FaultBadFrame FaultName = "badframe"
-	// FaultXDomTouch is an attack-shaped fault: a registered saboteur
-	// component attempts PKRU misuse — writing into the cell component's
-	// protection domain. The write must be confined (EFAULT, victim
-	// intact), and with RebootOnFault armed the offender — not the victim
-	// — gets a fresh re-randomized incarnation per attempt.
-	FaultXDomTouch FaultName = "xdomtouch"
+	FaultCrash        FaultName = "crash"        // fail-stop crash at the site (§II-B)
+	FaultHang         FaultName = "hang"         // fail-stop hang at the site (§II-B)
+	FaultErrno        FaultName = "errno"        // a transient EIO: must not set recovery off
+	FaultLeak         FaultName = "leak"         // a heap leak a proactive reboot clears (§VII-D)
+	FaultWildWrite    FaultName = "wildwrite"    // a stray cross-domain store, confined (§V-D)
+	FaultAging        FaultName = "aging"        // a dripped leak the leak-slope sensor must catch
+	FaultInstanceKill FaultName = "instancekill" // a cluster member's unrebootable VIRTIO fault
+	FaultPartition    FaultName = "partition"    // a cluster member cut off from its peers
+	FaultSessionCrash FaultName = "sessioncrash" // a crash at one session site, kept at the session rung
+	FaultTamper       FaultName = "tamper"       // host-side byte flip in the durable arena
+	FaultBadFrame     FaultName = "badframe"     // a corrupted 9P response frame
+	FaultXDomTouch    FaultName = "xdomtouch"    // a saboteur's PKRU misuse against the target
 )
 
-// AllFaults lists every fault kind in presentation order.
-func AllFaults() []FaultName {
-	return []FaultName{FaultCrash, FaultHang, FaultErrno, FaultLeak, FaultWildWrite, FaultAging,
-		FaultInstanceKill, FaultPartition, FaultSessionCrash,
-		FaultTamper, FaultBadFrame, FaultXDomTouch}
+// plane is the scope a fault kind strikes — a component of one instance,
+// or a member of a replicated cluster: how the campaign lists a
+// workload's targets there, and how it runs a trial there. A workload
+// runs on one plane and pairs only with that plane's fault kinds.
+type plane struct {
+	targets func(w workloadRow, cc core.Config) ([]target, error)
+	run     func(t *trial, cc core.Config, k faultKind, res *CellResult, j *judgement) error
 }
 
-func (f FaultName) defenseFault() bool {
-	return f == FaultTamper || f == FaultBadFrame || f == FaultXDomTouch
+var (
+	onInstance = &plane{targets: instanceTargets, run: (*trial).runInstance}
+	onCluster  = &plane{targets: clusterTargets, run: (*trial).runCluster}
+)
+
+// target is one component a workload's cells may strike, with what the
+// fault table's site rules read of it.
+type target struct {
+	name                       string
+	unrebootable, checkpointed bool
+	sessionful                 []string // session-attributable exports, sorted
 }
 
-// ClusterWorkload is the multi-instance workload name: N replicated
-// members instead of one instance. It only pairs with the cluster
-// fault kinds and is opted into via -workloads, never by default.
-const ClusterWorkload = "cluster"
-
-// clusterFaults lists the instance-level fault kinds.
-func clusterFaults() []FaultName { return []FaultName{FaultInstanceKill, FaultPartition} }
-
-func (f FaultName) clusterFault() bool {
-	return f == FaultInstanceKill || f == FaultPartition
-}
-
-// DefaultFaults is the default campaign slice: the paper's two fail-stop
-// modes, which exercise the full detect→reboot→replay machinery.
-func DefaultFaults() []FaultName { return []FaultName{FaultCrash, FaultHang} }
-
-// rebootInducing reports whether a fault kind is expected to reboot the
-// target component (directly or via a proactive rejuvenation).
-func (f FaultName) rebootInducing() bool {
-	return f == FaultCrash || f == FaultHang || f == FaultLeak || f == FaultAging
-}
-
-// AllWorkloads lists the paper's four applications in §VI order.
-func AllWorkloads() []string { return []string{"sqlite", "nginx", "redis", "echo"} }
-
-// Campaign configuration short names and their bench equivalents. The
-// campaign only runs message-passing configurations: vanilla has no
-// component boundary to recover behind.
-var configNames = map[string]bench.ConfigName{
-	"noop": bench.Noop,
-	"das":  bench.DaS,
-	"fsm":  bench.FSm,
-	"netm": bench.NETm,
-}
-
-// AllConfigs lists the message-passing configurations in paper order.
-func AllConfigs() []string { return []string{"noop", "das", "fsm", "netm"} }
-
-// DefaultConfigs is the default campaign slice: round-robin and
-// dependency-aware scheduling, unmerged.
-func DefaultConfigs() []string { return []string{"noop", "das"} }
-
-func coreConfigFor(name string) (core.Config, error) {
-	bn, ok := configNames[name]
-	if !ok {
-		return core.Config{}, fmt.Errorf("campaign: unknown config %q (valid: %s)",
-			name, strings.Join(AllConfigs(), ", "))
+// The site rules: which fault sites of a target a kind strikes. Only
+// sessioncrash is per-function (the wildcard could strike a non-session
+// site and legitimately recover at the component rung); the other kinds
+// are not tied to one site. Tamper needs the image history of a
+// checkpoint-eligible target to roll back through, and badframe strikes
+// 9PFS, the 9P frames' consumer.
+func wildcard(target) []string         { return wildcardIf(true) }
+func eachSessionful(c target) []string { return c.sessionful }
+func ifCheckpointed(c target) []string { return wildcardIf(c.checkpointed) }
+func only9pfs(c target) []string       { return wildcardIf(c.name == "9pfs") }
+func wildcardIf(ok bool) []string {
+	if ok {
+		return []string{core.AnyFunction}
 	}
-	return bench.CoreConfig(bn), nil
+	return nil
+}
+
+// faultRow declares one fault kind.
+type faultRow struct {
+	name      FaultName
+	plane     *plane
+	workload  string // the one workload it pairs with; "" = every workload of its plane
+	byDefault bool
+	sites     func(target) []string
+	// rebootInducing: the kind must reboot its target (or rejuvenate it),
+	// so its cells on an unrebootable target are expected-unrecoverable.
+	rebootInducing bool
+	budget         *int // fixed service budget; nil leaves it to the workload
+	kind           func() faultKind
+}
+
+func fixed(n int) *int { return &n }
+
+// faultTable is the campaign's fault dimension in presentation order
+// (DESIGN.md §8 tabulates it): a new kind is a row and its type.
+var faultTable = []faultRow{
+	{name: FaultCrash, plane: onInstance, byDefault: true, sites: wildcard, rebootInducing: true, kind: armed(core.FaultCrash)},
+	{name: FaultHang, plane: onInstance, byDefault: true, sites: wildcard, rebootInducing: true, kind: armed(core.FaultHang)},
+	// The injected errno surfaces exactly once: a budget of 3 is margin.
+	{name: FaultErrno, plane: onInstance, sites: wildcard, budget: fixed(3), kind: armed(core.FaultErrno)},
+	{name: FaultLeak, plane: onInstance, sites: wildcard, rebootInducing: true, kind: func() faultKind { return &leakFault{} }},
+	// A confined stray store must disturb nothing.
+	{name: FaultWildWrite, plane: onInstance, sites: wildcard, budget: fixed(0), kind: func() faultKind { return &wildWrite{} }},
+	{name: FaultAging, plane: onInstance, sites: wildcard, rebootInducing: true, kind: func() faultKind { return &agingFault{} }},
+	{name: FaultInstanceKill, plane: onCluster, byDefault: true, sites: wildcard, kind: func() faultKind { return instanceKill{} }},
+	{name: FaultPartition, plane: onCluster, byDefault: true, sites: wildcard, kind: func() faultKind { return partition{} }},
+	{name: FaultSessionCrash, plane: onInstance, workload: "redis", sites: eachSessionful, kind: newSessionFault},
+	{name: FaultTamper, plane: onInstance, sites: ifCheckpointed, kind: newAttack},
+	{name: FaultBadFrame, plane: onInstance, sites: only9pfs, kind: newAttack},
+	{name: FaultXDomTouch, plane: onInstance, sites: wildcard, budget: fixed(0), kind: newAttack},
+}
+
+func (f faultRow) pairsWith(w workloadRow) bool {
+	return f.plane == w.plane && (f.workload == "" || f.workload == w.name)
+}
+
+// workloadRow declares one workload.
+type workloadRow struct {
+	name      string
+	plane     *plane
+	byDefault bool
+	// inProcess: the runtime retries the workload's syscalls
+	// transparently, so crash and hang recovery must be invisible to it
+	// (service budget 0). Network clients legitimately observe resets in
+	// the recovery window (the paper's Fig. 8 outage): a budget of 20 and
+	// a reconnect.
+	inProcess bool
+	driver    func() driver // nil on the cluster plane
+}
+
+// workloadTable lists the paper's four applications in §VI order, then
+// the cluster of replicated members, which only an explicit selection
+// runs.
+var workloadTable = []workloadRow{
+	{name: "sqlite", plane: onInstance, byDefault: true, inProcess: true, driver: newSQLiteApp},
+	{name: "nginx", plane: onInstance, byDefault: true, driver: newNginxApp},
+	{name: "redis", plane: onInstance, byDefault: true, driver: newRedisApp},
+	{name: "echo", plane: onInstance, byDefault: true, driver: newEchoApp},
+	{name: "cluster", plane: onCluster},
+}
+
+// configRow declares one configuration by its short name.
+type configRow struct {
+	name      string
+	bench     bench.ConfigName
+	byDefault bool
+}
+
+// configTable lists the message-passing configurations in paper order
+// (vanilla has no component boundary to recover behind); the default
+// slice is round-robin and dependency-aware scheduling, unmerged.
+var configTable = []configRow{
+	{name: "noop", bench: bench.Noop, byDefault: true},
+	{name: "das", bench: bench.DaS, byDefault: true},
+	{name: "fsm", bench: bench.FSm},
+	{name: "netm", bench: bench.NETm},
+}
+
+// row is one entry of a dimension table: its name, and whether an empty
+// selection holds it.
+type row interface{ entry() (string, bool) }
+
+func (f faultRow) entry() (string, bool)    { return string(f.name), f.byDefault }
+func (w workloadRow) entry() (string, bool) { return w.name, w.byDefault }
+func (c configRow) entry() (string, bool)   { return c.name, c.byDefault }
+
+// lookup returns the row named name; what names the dimension in the
+// error.
+func lookup[R row, N ~string](what string, rows []R, name N) (R, error) {
+	for _, r := range rows {
+		if key, _ := r.entry(); key == string(name) {
+			return r, nil
+		}
+	}
+	var zero R
+	return zero, fmt.Errorf("campaign: unknown %s %q (valid: %s)", what, name, strings.Join(keys(rows, false), ", "))
+}
+
+// selection resolves one filter to its rows in filter order, a repeated
+// name once; an empty filter selects the rows an empty selection holds.
+func selection[R row, N ~string](what string, rows []R, names []N) ([]R, error) {
+	var out []R
+	for i, n := range names {
+		r, err := lookup(what, rows, n)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(names[:i], n) {
+			out = append(out, r)
+		}
+	}
+	if len(names) == 0 {
+		for _, r := range rows {
+			if _, byDefault := r.entry(); byDefault {
+				out = append(out, r)
+			}
+		}
+	}
+	return out, nil
+}
+
+// keys lists the rows' names in table order: only those an empty
+// selection holds, when defaults is set.
+func keys[R row](rows []R, defaults bool) []string {
+	var out []string
+	for _, r := range rows {
+		if key, byDefault := r.entry(); byDefault || !defaults {
+			out = append(out, key)
+		}
+	}
+	return out
+}
+
+// Choices describes the valid values of the workload, configuration and
+// fault dimensions, each with the slice an empty selection takes, for
+// the campaign command's flag help.
+func Choices() (workloads, configs, faults string) {
+	return choices(workloadTable), choices(configTable), choices(faultTable)
+}
+
+func choices[R row](rows []R) string {
+	return strings.Join(keys(rows, false), ",") + "; empty = " + strings.Join(keys(rows, true), ",")
 }
 
 // Cell is one point of the injection space: inject Fault into
@@ -150,9 +237,11 @@ func (c Cell) ID() string {
 	return fmt.Sprintf("%s/%s/%s/%s/%s", c.Workload, c.Config, c.Component, c.Function, c.Fault)
 }
 
-// SpaceOptions selects a slice of the injection space. Zero-value fields
-// select the default campaign: every component of every workload profile
-// × {crash, hang} × all four workloads × {noop, das}, fault site "*".
+// SpaceOptions selects a slice of the injection space. An empty field
+// selects that dimension's default slice (every component, for
+// Components): the default campaign is every component of the four
+// applications × {crash, hang} × {noop, das}, fault site "*". A repeated
+// value counts once.
 type SpaceOptions struct {
 	Workloads  []string
 	Configs    []string
@@ -160,186 +249,98 @@ type SpaceOptions struct {
 	Faults     []FaultName
 }
 
-func (o SpaceOptions) fill() SpaceOptions {
-	if len(o.Workloads) == 0 {
-		o.Workloads = AllWorkloads()
-	}
-	if len(o.Configs) == 0 {
-		o.Configs = DefaultConfigs()
-	}
-	if len(o.Faults) == 0 {
-		o.Faults = DefaultFaults()
-	}
-	return o
-}
-
-// profileFor returns the instance profile a workload's application
-// selects (paper Table I: which components are linked per app).
-func profileFor(workload string, cc core.Config) (unikernel.Config, error) {
-	d, err := driverFor(workload)
+// instanceTargets reads a workload's injection points off a throwaway
+// instance with its profile: nothing is hard-coded, so a newly
+// registered component automatically joins the campaign.
+func instanceTargets(w workloadRow, cc core.Config) ([]target, error) {
+	inst, err := unikernel.New(w.driver().profile(unikernel.Config{Core: cc}))
 	if err != nil {
-		return unikernel.Config{}, err
+		return nil, err
 	}
-	return d.profile(unikernel.Config{Core: cc}), nil
+	var out []target
+	// InjectionPoints lists a component's sites together, functions sorted.
+	for _, p := range inst.Runtime().InjectionPoints() {
+		if len(out) == 0 || out[len(out)-1].name != p.Component {
+			out = append(out, target{name: p.Component, unrebootable: p.Unrebootable, checkpointed: p.Checkpointed})
+		}
+		if p.Sessionful {
+			c := &out[len(out)-1]
+			c.sessionful = append(c.sessionful, p.Fn)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out, nil
 }
 
-// EnumerateSpace builds the campaign's cell list from the component
-// registries: for each workload × config it assembles a throwaway
-// instance with that workload's profile and reads the injection points
-// (components, exported functions, unrebootable flags) off the runtime —
-// nothing is hard-coded, so a newly registered component automatically
-// joins the campaign.
+// clusterTargets is the cluster's members: the component dimension
+// selects the victim.
+func clusterTargets(workloadRow, core.Config) ([]target, error) {
+	out := make([]target, clusterNodes)
+	for v := range out {
+		out[v].name = fmt.Sprintf("node%d", v)
+	}
+	return out, nil
+}
+
+// EnumerateSpace builds the campaign's cell list: for each workload ×
+// config it lists the targets of the workload's plane, and pairs each
+// with every selected fault kind of that plane at the sites the kind's
+// row strikes. A selection that yields no cell is an error.
 func EnumerateSpace(o SpaceOptions) ([]Cell, error) {
-	o = o.fill()
-	for _, f := range o.Faults {
-		if !slices.Contains(AllFaults(), f) {
-			return nil, fmt.Errorf("campaign: unknown fault %q (valid: %s)", f, faultList())
-		}
+	workloads, err := selection("workload", workloadTable, o.Workloads)
+	if err != nil {
+		return nil, err
+	}
+	configs, err := selection("config", configTable, o.Configs)
+	if err != nil {
+		return nil, err
+	}
+	faults, err := selection("fault", faultTable, o.Faults)
+	if err != nil {
+		return nil, err
 	}
 	var cells []Cell
-	seenComponents := map[string]bool{}
-	for _, w := range o.Workloads {
-		if w == ClusterWorkload {
-			// Multi-instance cells: the component dimension selects the
-			// victim member, the fault dimension the instance-level fault.
-			// When the selected faults include no cluster fault (the
-			// default slice is crash/hang), both cluster kinds run.
-			sel := make([]FaultName, 0, 2)
-			for _, f := range o.Faults {
-				if f.clusterFault() {
-					sel = append(sel, f)
-				}
-			}
-			if len(sel) == 0 {
-				sel = clusterFaults()
-			}
-			for _, cfg := range o.Configs {
-				if _, err := coreConfigFor(cfg); err != nil {
-					return nil, err
-				}
-				for v := 0; v < clusterNodes; v++ {
-					comp := fmt.Sprintf("node%d", v)
-					seenComponents[comp] = true
-					if len(o.Components) > 0 && !slices.Contains(o.Components, comp) {
-						continue
-					}
-					for _, fault := range sel {
-						cells = append(cells, Cell{
-							Workload: w, Config: cfg, Component: comp,
-							Function: core.AnyFunction, Fault: fault,
-						})
-					}
-				}
-			}
-			continue
-		}
-		for _, cfg := range o.Configs {
-			cc, err := coreConfigFor(cfg)
+	linked := map[string]bool{}
+	for _, w := range workloads {
+		for _, cfg := range configs {
+			targets, err := w.plane.targets(w, bench.CoreConfig(cfg.bench))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("campaign: enumerate %s/%s: %w", w.name, cfg.name, err)
 			}
-			ucfg, err := profileFor(w, cc)
-			if err != nil {
-				return nil, err
-			}
-			inst, err := unikernel.New(ucfg)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: enumerate %s/%s: %w", w, cfg, err)
-			}
-			points := inst.Runtime().InjectionPoints()
-			byComp := map[string][]core.InjectionPoint{}
-			var order []string
-			for _, p := range points {
-				if len(byComp[p.Component]) == 0 {
-					order = append(order, p.Component)
-				}
-				byComp[p.Component] = append(byComp[p.Component], p)
-				seenComponents[p.Component] = true
-			}
-			sort.Strings(order)
-			for _, comp := range order {
-				if len(o.Components) > 0 && !slices.Contains(o.Components, comp) {
+			for _, c := range targets {
+				linked[c.name] = true
+				if len(o.Components) > 0 && !slices.Contains(o.Components, c.name) {
 					continue
 				}
-				unrebootable := byComp[comp][0].Unrebootable
-				for _, fault := range o.Faults {
-					if fault.clusterFault() {
-						continue // instance-level kinds only pair with the cluster workload
-					}
-					if fault == FaultSessionCrash {
-						// Session cells pair with the many-connection redis
-						// workload and enumerate one cell per
-						// session-attributable export of the component.
-						if w != "redis" {
-							continue
-						}
-						var fns []string
-						for _, p := range byComp[comp] {
-							if p.Sessionful {
-								fns = append(fns, p.Fn)
-							}
-						}
-						sort.Strings(fns)
-						for _, fn := range fns {
-							cells = append(cells, Cell{
-								Workload: w, Config: cfg, Component: comp,
-								Function: fn, Fault: FaultSessionCrash,
-							})
-						}
+				for _, f := range faults {
+					if !f.pairsWith(w) {
 						continue
 					}
-					if fault.defenseFault() {
-						// Attack cells have restricted pairings: tamper needs a
-						// victim with an image history to roll back through,
-						// badframe strikes the 9P frame's consumer, and a
-						// cross-domain touch needs a victim arena (any component
-						// with a heap — same as wildwrite). All run at wildcard
-						// granularity: the attack is not tied to a fault site.
-						switch fault {
-						case FaultTamper:
-							if !byComp[comp][0].Checkpointed {
-								continue
-							}
-						case FaultBadFrame:
-							if comp != "9pfs" {
-								continue
-							}
-						}
+					for _, fn := range f.sites(c) {
 						cells = append(cells, Cell{
-							Workload: w, Config: cfg, Component: comp,
-							Function: core.AnyFunction, Fault: fault,
+							Workload: w.name, Config: cfg.name, Component: c.name,
+							Function: fn, Fault: f.name,
+							Expected: c.unrebootable && f.rebootInducing,
 						})
-						continue
 					}
-					cells = append(cells, Cell{
-						Workload: w, Config: cfg, Component: comp,
-						Function: core.AnyFunction, Fault: fault,
-						Expected: unrebootable && fault.rebootInducing(),
-					})
 				}
 			}
 		}
 	}
-	if len(o.Components) > 0 {
-		for _, c := range o.Components {
-			if !seenComponents[c] {
-				known := make([]string, 0, len(seenComponents))
-				for k := range seenComponents {
-					known = append(known, k)
-				}
-				sort.Strings(known)
-				return nil, fmt.Errorf("campaign: component %q not linked in any selected workload (linked: %s)",
-					c, strings.Join(known, ", "))
+	for _, c := range o.Components {
+		if !linked[c] {
+			known := make([]string, 0, len(linked))
+			for k := range linked {
+				known = append(known, k)
 			}
+			sort.Strings(known)
+			return nil, fmt.Errorf("campaign: component %q not linked in any selected workload (linked: %s)",
+				c, strings.Join(known, ", "))
 		}
+	}
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("campaign: empty selection: no fault of %s pairs with a selected component of %s",
+			strings.Join(keys(faults, false), ","), strings.Join(keys(workloads, false), ","))
 	}
 	return cells, nil
-}
-
-func faultList() string {
-	var names []string
-	for _, f := range AllFaults() {
-		names = append(names, string(f))
-	}
-	return strings.Join(names, ", ")
 }

@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
 
 	"vampos/internal/aging"
+	"vampos/internal/bench"
 	"vampos/internal/core"
 	"vampos/internal/trace"
 	"vampos/internal/unikernel"
@@ -40,11 +42,13 @@ func trialAgingPolicy() aging.Policy {
 // trial is the state one cell's execution shares across its phases and
 // oracles. What one fault kind alone observes lives on that kind.
 type trial struct {
-	cell    Cell
-	seed    uint64
-	after   int                 // seed-derived injection ordinal (fault fires on the after-th invocation)
-	inst    *unikernel.Instance // nil in a cluster trial
-	profile unikernel.Config
+	cell     Cell
+	fault    faultRow
+	workload workloadRow
+	seed     uint64
+	after    int                 // seed-derived injection ordinal (fault fires on the after-th invocation)
+	inst     *unikernel.Instance // nil in a cluster trial
+	profile  unikernel.Config
 
 	errs      int // client/syscall errors during the tolerant run phase
 	corrupt   int // byte-correctness violations (never tolerated)
@@ -71,8 +75,8 @@ func trialSeed(campaignSeed int64, id string) uint64 {
 // runTrial executes one cell on a fresh, fully isolated instance (or
 // cluster) and judges it. Safe to call from any goroutine: trials share
 // no state. Every fault kind runs through the same steps: the core
-// configuration, the kind's delta to it, the boot, the phases, and one
-// fold of the oracles into a verdict.
+// configuration, the kind's delta to it, its plane's boot and phases, and
+// one fold of the oracles into a verdict.
 func runTrial(cell Cell, opts Options) (res CellResult) {
 	res = CellResult{Cell: cell, TrialID: cell.ID()}
 	defer func() {
@@ -80,32 +84,29 @@ func runTrial(cell Cell, opts Options) (res CellResult) {
 			res = failResult(res, fmt.Errorf("trial panicked: %v", r))
 		}
 	}()
-	seed := trialSeed(opts.Seed, cell.ID())
-	t := &trial{cell: cell, seed: seed, after: 1 + int(seed%3)}
-	cc, err := coreConfigFor(cell.Config)
-	if err != nil {
+	cfg, errC := lookup("config", configTable, cell.Config)
+	w, errW := lookup("workload", workloadTable, cell.Workload)
+	f, errF := lookup("fault", faultTable, cell.Fault)
+	if err := errors.Join(errC, errW, errF); err != nil {
 		return failResult(res, err)
 	}
+	if !f.pairsWith(w) {
+		return failResult(res, fmt.Errorf("campaign: fault %q does not pair with workload %q", f.name, w.name))
+	}
+	seed := trialSeed(opts.Seed, cell.ID())
+	t := &trial{cell: cell, fault: f, workload: w, seed: seed, after: 1 + int(seed%3)}
+	cc := bench.CoreConfig(cfg.bench)
 	cc.HangThreshold = trialHangThreshold
 	cc.Shards = opts.Shards
 	cc.WatchdogPeriod = trialWatchdogPeriod
 	cc.MaxVirtualTime = trialMaxVirtual
 	cc.Ckpt = opts.Ckpt
 
+	k := f.kind()
+	k.configure(t, &cc, opts)
+	res.After = t.after
 	j := &judgement{t: t}
-	if cell.Workload == ClusterWorkload {
-		res.After = t.after
-		err = t.runCluster(cc, &res, j)
-	} else {
-		var k faultKind
-		if k, err = kindFor(cell); err != nil {
-			return failResult(res, err)
-		}
-		k.configure(t, &cc, opts)
-		res.After = t.after
-		err = t.runInstance(cc, k, &res, j)
-	}
-	if err != nil {
+	if err := w.plane.run(t, cc, k, &res, j); err != nil {
 		return failResult(res, err)
 	}
 	res.Oracles = j.oracles
@@ -118,13 +119,11 @@ func runTrial(cell Cell, opts Options) (res CellResult) {
 // verify, and hands what it observed to the kind's oracles. A phase that
 // fails ends the run, and the oracles see its error; an error returned
 // here means the trial never ran.
-func (t *trial) runInstance(cc core.Config, k faultKind, res *CellResult, j *judgement) error {
-	d, ok := k.(driver) // a kind may bring its own workload
+func (t *trial) runInstance(cc core.Config, fk faultKind, res *CellResult, j *judgement) error {
+	k := fk.(instanceKind) // TestFaultRowsMatchTheirPlane
+	d, ok := k.(driver)    // a kind may bring its own workload
 	if !ok {
-		var err error
-		if d, err = driverFor(t.cell.Workload); err != nil {
-			return err
-		}
+		d = t.workload.driver()
 	}
 	t.profile = d.profile(unikernel.Config{Core: cc})
 	inst, err := unikernel.New(t.profile)
@@ -182,13 +181,18 @@ func (t *trial) runInstance(cc core.Config, k faultKind, res *CellResult, j *jud
 	return nil
 }
 
-// faultKind is one single-instance fault kind: its delta to the core
-// configuration, how it strikes, what it does once the workload's run
-// phase returns, and its oracles. kindFor makes a fresh value per trial,
-// so a kind keeps its own observations; runInstance owns the boot, the
-// phases and the fold.
+// faultKind is one fault kind's trial logic, with its delta to the core
+// configuration. Its row makes a fresh value per trial, so a kind keeps
+// its own observations; its plane's runner owns the boot, the phases and
+// the fold, and drives an instanceKind or a clusterKind.
 type faultKind interface {
 	configure(t *trial, cc *core.Config, opts Options)
+}
+
+// instanceKind is a fault kind of the instance plane: how it strikes,
+// what it does once the workload's run phase returns, and its oracles.
+type instanceKind interface {
+	faultKind
 	register(t *trial) error // links extra components into the booted instance
 	armPhase() string        // names the arm phase in a failure
 	arm(t *trial, s *unikernel.Sys) error
@@ -203,30 +207,6 @@ func (baseKind) configure(*trial, *core.Config, Options) {}
 func (baseKind) register(*trial) error                   { return nil }
 func (baseKind) armPhase() string                        { return "injection" }
 func (baseKind) afterRun(*trial, *unikernel.Sys)         {}
-
-// kindFor is the campaign's fault dimension for single-instance
-// workloads, one row per kind (DESIGN.md §8 tabulates them).
-func kindFor(cell Cell) (faultKind, error) {
-	switch cell.Fault {
-	case FaultCrash:
-		return &armedFault{spec: core.FaultSpec{Kind: core.FaultCrash}}, nil
-	case FaultHang:
-		return &armedFault{spec: core.FaultSpec{Kind: core.FaultHang}}, nil
-	case FaultErrno:
-		return &armedFault{spec: core.FaultSpec{Kind: core.FaultErrno, Errno: core.EIO}}, nil
-	case FaultLeak:
-		return &leakFault{}, nil
-	case FaultAging:
-		return &agingFault{}, nil
-	case FaultWildWrite:
-		return &wildWrite{}, nil
-	case FaultSessionCrash:
-		return newSessionFault(), nil
-	case FaultTamper, FaultBadFrame, FaultXDomTouch:
-		return &attack{}, nil
-	}
-	return nil, fmt.Errorf("campaign: unknown fault %q for workload %q", cell.Fault, cell.Workload)
-}
 
 // armSite arms spec at the cell's fault site, to fire on its after-th
 // invocation.

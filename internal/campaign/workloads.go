@@ -30,21 +30,6 @@ type driver interface {
 	verify(s *unikernel.Sys, t *trial) error
 }
 
-func driverFor(workload string) (driver, error) {
-	switch workload {
-	case "sqlite":
-		return newSQLiteApp(), nil
-	case "nginx":
-		return newNginxApp(), nil
-	case "redis":
-		return newRedisApp(), nil
-	case "echo":
-		return newEchoApp(), nil
-	default:
-		return nil, fmt.Errorf("campaign: unknown workload %q", workload)
-	}
-}
-
 // sweep invokes every utility component the profile links — PROCESS,
 // USER, TIMER, SYSINFO and (through VFS) the file-system path — so that
 // wildcard faults armed on components off the workload's hot path still
@@ -179,7 +164,7 @@ type sqliteDriver struct {
 
 type kvPair struct{ k, v string }
 
-func newSQLiteApp() *sqliteDriver { return &sqliteDriver{db: sqlite.New()} }
+func newSQLiteApp() driver { return &sqliteDriver{db: sqlite.New()} }
 
 func (d *sqliteDriver) app() unikernel.App                            { return d.db }
 func (d *sqliteDriver) profile(cfg unikernel.Config) unikernel.Config { return d.db.Profile(cfg) }
@@ -237,7 +222,7 @@ type nginxDriver struct {
 	body []byte
 }
 
-func newNginxApp() *nginxDriver {
+func newNginxApp() driver {
 	return &nginxDriver{web: nginx.New(), body: []byte(strings.Repeat("campaign-index!\n", 12))}
 }
 
@@ -278,7 +263,7 @@ type redisDriver struct {
 	next   int // index of the next key to SET
 }
 
-func newRedisApp() *redisDriver { return &redisDriver{kv: redis.New()} }
+func newRedisApp() driver { return &redisDriver{kv: redis.New()} }
 
 func (d *redisDriver) app() unikernel.App                            { return d.kv }
 func (d *redisDriver) profile(cfg unikernel.Config) unikernel.Config { return d.kv.Profile(cfg) }
@@ -346,7 +331,7 @@ type echoDriver struct {
 	payload []byte
 }
 
-func newEchoApp() *echoDriver {
+func newEchoApp() driver {
 	return &echoDriver{e: echo.New(), payload: []byte(strings.Repeat("campaign-echo-99", 10)[:159])}
 }
 

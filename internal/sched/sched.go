@@ -122,6 +122,10 @@ type Stats struct {
 	// RoundWall is what the rounds took on the conductor's wall clock, to
 	// their last bucket done; RoundCritical/RoundWall is at best 1.
 	RoundWall time.Duration
+	// RunnerStarts counts the runner goroutines the round engine started:
+	// at most min(shards, GOMAXPROCS)-1 per Run that reached a multi-bucket
+	// round. Like the wall times it depends on the host, not the schedule.
+	RunnerStarts uint64
 }
 
 // Scheduler owns all simulated threads and the virtual clock.

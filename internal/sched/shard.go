@@ -303,6 +303,7 @@ func (s *Scheduler) startRunners() {
 		s.runnerWG.Add(1)
 		go s.runnerLoop(r)
 	}
+	s.stats.RunnerStarts += uint64(len(s.runners))
 }
 
 // stopRunners ends and joins the runners; Run defers it, so none outlives it.
