@@ -11,7 +11,8 @@ import (
 // rejection is a well-formed single-line "-ERR" reply that reflects no
 // attacker-controlled control bytes back onto the wire, and every
 // accepted command carries a key and value the validators vouch for
-// (so an accepted SET can never smuggle a second line into the AOF).
+// (so an accepted SET can never smuggle a second line into the AOF). The
+// parse agrees with the strings.SplitN reference on every line.
 func FuzzRESPFrame(f *testing.F) {
 	f.Add("PING")
 	f.Add("SET k1 hello world")
@@ -25,6 +26,9 @@ func FuzzRESPFrame(f *testing.F) {
 	f.Add("SET " + strings.Repeat("k", MaxKeyLen+1) + " v")
 	f.Fuzz(func(t *testing.T, line string) {
 		cmd, errReply := parseCommand(line)
+		if refCmd, refErr := splitNReference(line); cmd != refCmd || errReply != refErr {
+			t.Fatalf("parseCommand(%q) = %+v, %q; SplitN gives %+v, %q", line, cmd, errReply, refCmd, refErr)
+		}
 		if errReply != "" {
 			if !strings.HasPrefix(errReply, "-ERR") || !strings.HasSuffix(errReply, "\n") {
 				t.Fatalf("reply %q is not a -ERR line", errReply)

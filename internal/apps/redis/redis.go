@@ -174,8 +174,8 @@ func (a *App) loadAOF(s *unikernel.Sys) error {
 		// The AOF sits in durable state an in-domain tamper campaign can
 		// flip bytes in; replay through the same validator as the wire so
 		// a corrupted entry is skipped, not installed.
-		parts := strings.SplitN(line, " ", 3)
-		switch parts[0] {
+		fields, n := splitCommand(line)
+		switch parts := fields[:n]; parts[0] {
 		case "SET":
 			if len(parts) == 3 && validKey(parts[1]) && validValue(parts[2]) {
 				a.setValue(s, parts[1], []byte(parts[2]))
@@ -258,11 +258,9 @@ func (a *App) delValue(s *unikernel.Sys, key string) bool {
 	return true
 }
 
-// appendAOF persists one mutation synchronously.
+// appendAOF persists one mutation synchronously. Callers build the line
+// only when the AOF is open (aofFD >= 0).
 func (a *App) appendAOF(s *unikernel.Sys, line string) error {
-	if a.aofFD < 0 {
-		return nil
-	}
 	if _, err := s.Write(a.aofFD, []byte(line)); err != nil {
 		return err
 	}
@@ -368,8 +366,14 @@ func validValue(v string) bool {
 // executed — the caller must not touch the store or the AOF. Pure, so the
 // fuzz target can hammer it without a runtime.
 func parseCommand(line string) (command, string) {
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) == 0 || parts[0] == "" {
+	fields, n := splitCommand(line)
+	return parseFields(fields[:n])
+}
+
+// parseFields is parseCommand on the line's fields as splitCommand splits
+// them.
+func parseFields(parts []string) (command, string) {
+	if parts[0] == "" {
 		return command{}, "-ERR protocol: empty command\n"
 	}
 	cmd := command{Name: strings.ToUpper(parts[0])}
@@ -409,6 +413,24 @@ func parseCommand(line string) (command, string) {
 	}
 }
 
+// splitCommand splits line at its first two spaces into n fields, the
+// fields strings.SplitN(line, " ", 3) returns, without allocating them a
+// slice: an empty line is one empty field, and a run of spaces yields
+// empty fields.
+func splitCommand(line string) (fields [3]string, n int) {
+	for n < 2 {
+		f, rest, ok := strings.Cut(line, " ")
+		fields[n] = f
+		n++
+		if !ok {
+			return fields, n
+		}
+		line = rest
+	}
+	fields[2] = line
+	return fields, 3
+}
+
 // Execute runs one command line and returns the protocol response. It is
 // exported so workloads can also drive the store in-process. A line that
 // fails validation gets a typed "-ERR protocol" reply and mutates
@@ -427,8 +449,10 @@ func (a *App) Execute(s *unikernel.Sys, line string) string {
 		}
 		a.setValue(s, cmd.Key, []byte(cmd.Val))
 		a.Sets++
-		if err := a.appendAOF(s, "SET "+cmd.Key+" "+cmd.Val+"\n"); err != nil {
-			return "-ERR aof: " + err.Error() + "\n"
+		if a.aofFD >= 0 {
+			if err := a.appendAOF(s, "SET "+cmd.Key+" "+cmd.Val+"\n"); err != nil {
+				return "-ERR aof: " + err.Error() + "\n"
+			}
 		}
 		return "+OK\n"
 	case "GET":
@@ -443,8 +467,10 @@ func (a *App) Execute(s *unikernel.Sys, line string) string {
 		if a.delValue(s, cmd.Key) {
 			n = 1
 			a.Dels++
-			if err := a.appendAOF(s, "DEL "+cmd.Key+"\n"); err != nil {
-				return "-ERR aof: " + err.Error() + "\n"
+			if a.aofFD >= 0 {
+				if err := a.appendAOF(s, "DEL "+cmd.Key+"\n"); err != nil {
+					return "-ERR aof: " + err.Error() + "\n"
+				}
 			}
 		}
 		return ":" + strconv.Itoa(n) + "\n"

@@ -58,6 +58,43 @@ func TestParseCommandAccepts(t *testing.T) {
 	}
 }
 
+// splitNReference parses line the way parseCommand did before it split
+// without allocating: through strings.SplitN.
+func splitNReference(line string) (command, string) {
+	return parseFields(strings.SplitN(line, " ", 3))
+}
+
+// TestParseCommandMatchesSplitN: parseCommand yields the command and the
+// error reply of the strings.SplitN reference on lines whose fields are
+// empty, doubled or trailing, whatever the arity.
+func TestParseCommandMatchesSplitN(t *testing.T) {
+	for _, line := range []string{
+		"", " ", "  ", "   ", "\r", "SET\r", "GET k\r", "SET k v\r",
+		"PING", "PING ", " PING", "ping", "DBSIZE", "DBSIZE x",
+		"GET k", "GET  k", "GET k ", "GET k  ", "GET", "GET ", "GET k v",
+		"DEL k", "del k", "DEL  k", "DEL k extra", "DEL",
+		"SET k v", "SET  k v", "SET k  v", "SET k v ", "SET k v  w", "SET k", "SET k ", "SET",
+		"set k1 hello world", "SET k\x01ey v", "FLUSHALL", "FLUSHALL now", "\x1b[2JPING",
+	} {
+		gotCmd, gotErr := parseCommand(line)
+		wantCmd, wantErr := splitNReference(line)
+		if gotCmd != wantCmd || gotErr != wantErr {
+			t.Errorf("parseCommand(%q) = %+v, %q; SplitN gives %+v, %q", line, gotCmd, gotErr, wantCmd, wantErr)
+		}
+	}
+}
+
+// TestParseCommandAllocatesNothing: a valid SET, GET or DEL line parses
+// into fields that point into the line, with no slice to hold them.
+func TestParseCommandAllocatesNothing(t *testing.T) {
+	for _, line := range []string{"SET k0042 " + strings.Repeat("v", 512), "GET k0042", "DEL k0042"} {
+		var errReply string
+		if allocs := testing.AllocsPerRun(100, func() { _, errReply = parseCommand(line) }); allocs != 0 || errReply != "" {
+			t.Errorf("parseCommand(%.9q): %v allocations, reply %q; want 0 and none", line, allocs, errReply)
+		}
+	}
+}
+
 // TestRejectedCommandMutatesNothing drives the full app: a rejected line
 // must leave the store empty and the AOF unwritten — rejection happens
 // before the mutation path, not after.

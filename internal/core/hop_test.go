@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"vampos/internal/msg"
+	"vampos/internal/sched"
 )
 
 // TestMessageCallAllocatesOnlyWhatItHandsOn: one DaS round trip of the
@@ -16,19 +18,18 @@ import (
 // by Ret into the worker's reply buffer, copied by the message thread into
 // the caller's call slot. The slot, the handler's Ctx and the reply
 // buffer are reused through their owners; the queues, the codec scratch,
-// the pulled Message and the fault check add nothing.
+// the pulled Message and the fault check add nothing. Under the round
+// engine the caller runs in a buffered slice that journals its push, and
+// the journal adds nothing either.
 func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
-	allocs := -1.0
-	run(t, DaSConfig(), []Component{&statelessComp{name: "proc"}}, func(c *Ctx) {
-		mustCall(t, c, "proc", "pid")
-		allocs = testing.AllocsPerRun(200, func() {
-			if _, err := c.Call("proc", "pid"); err != nil {
-				t.Fatal(err)
-			}
+	for _, shards := range []int{0, 1, 2} {
+		allocs := callAllocs(t, shards, func(c *Ctx) error {
+			_, err := c.Call("proc", "pid")
+			return err
 		})
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocations per message-passing call, want 0", allocs)
+		if allocs != 0 {
+			t.Fatalf("Shards %d: %v allocations per message-passing call, want 0", shards, allocs)
+		}
 	}
 }
 
@@ -38,18 +39,137 @@ func TestMessageCallAllocatesOnlyWhatItHandsOn(t *testing.T) {
 // too large for the runtime's static boxes and a []byte allocates no more
 // than the argumentless one: nothing.
 func TestMessageCallWithArgsAllocatesOnlyWhatItHandsOn(t *testing.T) {
-	allocs := -1.0
 	payload := make([]byte, 64)
-	run(t, DaSConfig(), []Component{&statelessComp{name: "proc"}}, func(c *Ctx) {
-		mustCall(t, c, "proc", "echo", 4096, payload)
-		allocs = testing.AllocsPerRun(200, func() {
-			if _, err := c.Call("proc", "echo", 4096, payload); err != nil {
+	for _, shards := range []int{0, 1, 2} {
+		allocs := callAllocs(t, shards, func(c *Ctx) error {
+			_, err := c.Call("proc", "echo", 4096, payload)
+			return err
+		})
+		if allocs != 0 {
+			t.Fatalf("Shards %d: %v allocations per message-passing call with arguments, want 0", shards, allocs)
+		}
+	}
+}
+
+// callAllocs measures the allocations of one call on a DaS runtime with
+// the given shard count. At Shards 0 main makes the calls on the legacy
+// baton. Otherwise two application threads on shard ordinals 0 and 1 call
+// side by side, so both are penned and released together and every call
+// is issued from a buffered round slice; the second caller outlasts the
+// measured one, and the count includes both. Every push the callers
+// journaled has reached the message thread by the end: their outboxes are
+// empty.
+func callAllocs(t *testing.T, shards int, call func(*Ctx) error) float64 {
+	t.Helper()
+	measure := func(c *Ctx) float64 {
+		if err := call(c); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if err := call(c); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+	cfg := DaSConfig()
+	cfg.Shards = shards
+	allocs := -1.0
+	var callers []*sched.Thread
+	rt := run(t, cfg, []Component{&statelessComp{name: "proc"}}, func(c *Ctx) {
+		if shards == 0 {
+			allocs = measure(c)
+			return
+		}
+		var measured, other bool
+		callers = append(callers, c.GoShard("measured", 0, func(c *Ctx) {
+			allocs = measure(c)
+			measured = true
+		}))
+		callers = append(callers, c.GoShard("other", 1, func(c *Ctx) {
+			for i := 0; i < 600; i++ {
+				if err := call(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			other = true
+		}))
+		for !measured || !other {
+			c.Sleep(time.Millisecond)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("%v allocations per message-passing call with arguments, want 0", allocs)
+	if shards > 0 && rt.sch.Stats().Rounds == 0 {
+		t.Fatalf("Shards %d: no round ran, so no call was issued from a buffered slice", shards)
+	}
+	for _, th := range callers {
+		if ob, _ := th.Journal().(*outbox); ob == nil || len(ob.items) != 0 {
+			t.Fatalf("Shards %d: %s journaled no push, or left %v unsubmitted", shards, th.Name(), ob)
+		}
+	}
+	return allocs
+}
+
+// noteComp keeps the numbers its "note" calls carry, in the order they
+// arrive; "sync" only answers.
+type noteComp struct{ notes []int }
+
+func (*noteComp) Describe() Descriptor {
+	return Descriptor{Name: "notes", HeapPages: 4, DomainPages: 4}
+}
+
+func (*noteComp) Init(*Ctx) error { return nil }
+
+func (n *noteComp) Exports() map[string]Handler {
+	return map[string]Handler{
+		"note": func(_ *Ctx, args msg.Encoded) (msg.Encoded, error) {
+			v, err := args.Int(0)
+			n.notes = append(n.notes, v)
+			return nil, err
+		},
+		"sync": func(*Ctx, msg.Encoded) (msg.Encoded, error) { return nil, nil },
+	}
+}
+
+// TestJournaledSubmissionsKeepProgramOrder: two application threads
+// released together each inject three notes per round slice, then block
+// in a call. Each slice's pushes reach the message thread in the order the
+// slice made them, so every thread's notes arrive in the order it sent
+// them.
+func TestJournaledSubmissionsKeepProgramOrder(t *testing.T) {
+	const slices = 20
+	notes := &noteComp{}
+	cfg := DaSConfig()
+	cfg.Shards = 2
+	rt := run(t, cfg, []Component{notes}, func(c *Ctx) {
+		done := [2]bool{}
+		for th := range done {
+			c.GoShard(fmt.Sprintf("noter%d", th), th, func(c *Ctx) {
+				for i := 0; i < 3*slices; i++ {
+					if err := c.Runtime().Inject(c, "notes", "note", th*1000+i); err != nil {
+						t.Fatal(err)
+					}
+					if i%3 == 2 {
+						mustCall(t, c, "notes", "sync")
+					}
+				}
+				done[th] = true
+			})
+		}
+		for !done[0] || !done[1] {
+			c.Sleep(time.Millisecond)
+		}
+	})
+	if rt.sch.Stats().Rounds == 0 {
+		t.Fatal("no round ran, so no push was journaled")
+	}
+	next := [2]int{0, 1000}
+	for _, v := range notes.notes {
+		if th := v / 1000; v != next[th] {
+			t.Fatalf("noter%d's note %d arrived where %d was due: %v", th, v, next[th], notes.notes)
+		}
+		next[v/1000]++
+	}
+	if next != [2]int{3 * slices, 1000 + 3*slices} {
+		t.Fatalf("notes up to %v arrived, want %d from each thread", next, 3*slices)
 	}
 }
 

@@ -145,14 +145,46 @@ func (rt *Runtime) submit(it mqItem) {
 
 // submitFrom hands an item to the message thread on behalf of th. When
 // th is executing inside a buffered round slice the submission is
-// journaled, landing on the queue at commit in the deterministic merge
-// order — the seqlocked handoff at the cross-shard boundary.
+// journaled in th's outbox, landing on the queue at commit in the
+// deterministic merge order — the seqlocked handoff at the cross-shard
+// boundary.
 func (rt *Runtime) submitFrom(th *sched.Thread, it mqItem) {
-	if th != nil && th.Buffering() {
-		th.Do(func() { rt.submit(it) })
+	if th == nil || !th.Buffering() {
+		rt.submit(it)
 		return
 	}
-	rt.submit(it)
+	ob, _ := th.Journal().(*outbox)
+	if ob == nil {
+		ob = &outbox{rt: rt}
+		th.SetJournal(ob)
+	}
+	ob.items = append(ob.items, it)
+	th.Post()
+}
+
+// outbox is a thread's journal of message-queue submissions
+// (sched.Journal): its buffered slice appends each item and posts one
+// flush, so the commit submits the items in merge order across threads
+// and in program order within the slice, with no closure per item.
+type outbox struct {
+	rt    *Runtime
+	items []mqItem
+	head  int
+}
+
+// Flush submits the oldest journaled item.
+func (ob *outbox) Flush() {
+	it := ob.items[ob.head]
+	ob.head++
+	if ob.head == len(ob.items) {
+		ob.Drop()
+	}
+	ob.rt.submit(it)
+}
+
+// Drop forgets every item not yet flushed.
+func (ob *outbox) Drop() {
+	ob.items, ob.head = ob.items[:0], 0
 }
 
 // Call invokes fn on the target component. The arguments are encoded

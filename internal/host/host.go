@@ -60,6 +60,10 @@ type Host struct {
 	// wire-level ProtoError on the guest side.
 	corrupt9P int
 
+	// frame is the buffer sendToGuest encodes a segment into; the ring
+	// copies it on push.
+	frame []byte
+
 	// Stats
 	FramesSwitched uint64
 	FramesDropped  uint64
@@ -276,16 +280,18 @@ func (h *Host) forwardFrame(frame []byte) {
 
 // sendToGuest pushes a peer-originated segment into the guest RX ring.
 // It runs on whichever simulated thread triggered the transmission (a
-// workload thread sending, or the switch thread delivering an ACK).
+// workload thread sending, or the switch thread delivering an ACK). Each
+// try encodes the segment into h.frame afresh: while this thread sleeps
+// on a full ring, another host thread may send through the same buffer.
 func (h *Host) sendToGuest(seg lwip.Segment) error {
 	if h.netDev == nil {
 		return fmt.Errorf("host: no net device attached")
 	}
 	t := h.sch.Current()
 	h.wireSleep(t)
-	frame := lwip.EncodeSegment(seg)
 	for {
-		err := h.netDev.HostSend(frame)
+		h.frame = lwip.AppendSegment(h.frame[:0], seg)
+		err := h.netDev.HostSend(h.frame)
 		if err == nil {
 			h.FramesSwitched++
 			return nil

@@ -188,6 +188,82 @@ func TestSwitchDropsUnroutableFrames(t *testing.T) {
 	})
 }
 
+// TestSendToGuestAllocatesNothing: a warm sendToGuest encodes its segment
+// into the host's frame buffer, and the ring copies it from there.
+func TestSendToGuestAllocatesNothing(t *testing.T) {
+	w := newWorld(t)
+	w.run(t, func(th *sched.Thread) {
+		acc := mem.NewAccessor(w.m, mem.AllowAll)
+		seg := lwip.Segment{Src: lwip.IP4(10, 0, 0, 9), Dst: GuestIP, SrcPort: 4000, DstPort: 7,
+			Seq: 1, Ack: 2, Flags: lwip.FlagACK | lwip.FlagPSH, Payload: []byte("ping")}
+		buf := make([]byte, 0, 2048)
+		send := func() {
+			if err := w.h.sendToGuest(seg); err != nil {
+				t.Fatal(err)
+			}
+			p, ok, err := w.netDev.GuestRecvInto(acc, buf)
+			if err != nil || !ok {
+				t.Fatalf("guest popped %v, %v", ok, err)
+			}
+			buf = p
+		}
+		send()
+		if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+			t.Fatalf("%v allocations per sendToGuest, want 0", allocs)
+		}
+	})
+}
+
+// TestSendToGuestReencodesEveryTry: two host threads wait on a full guest
+// RX ring, the second encoding its segment into the shared frame buffer
+// after the first did. Each lands its own segment once the guest drains
+// the ring: a retry encodes afresh.
+func TestSendToGuestReencodesEveryTry(t *testing.T) {
+	w := newWorld(t)
+	w.run(t, func(th *sched.Thread) {
+		acc := mem.NewAccessor(w.m, mem.AllowAll)
+		var fillers int
+		for ; w.netDev.HostSend([]byte("filler")) == nil; fillers++ {
+		}
+		send := func(name string, delay time.Duration, seq uint32) {
+			w.sch.Spawn(name, mem.AllowAll, func(th *sched.Thread) {
+				th.Sleep(delay)
+				if err := w.h.sendToGuest(lwip.Segment{Dst: GuestIP, Seq: seq}); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		send("first", 0, 1)
+		send("second", time.Microsecond, 2)
+		th.Sleep(10 * WireLatency)
+		var seqs []uint32
+		for deadline := w.sch.Clock().Elapsed() + time.Second; len(seqs) < 2; th.Sleep(time.Microsecond) {
+			if w.sch.Clock().Elapsed() > deadline {
+				t.Fatalf("segments %v reached the guest, want both", seqs)
+			}
+			p, ok, err := w.netDev.GuestRecvInto(acc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				continue
+			}
+			if fillers > 0 {
+				fillers--
+				continue
+			}
+			seg, err := lwip.DecodeSegment(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, seg.Seq)
+		}
+		if seqs[0] == seqs[1] {
+			t.Fatalf("the guest received segment %d twice", seqs[0])
+		}
+	})
+}
+
 func TestPeerDialTimesOutWithoutGuest(t *testing.T) {
 	w := newWorld(t)
 	w.run(t, func(th *sched.Thread) {

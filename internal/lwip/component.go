@@ -81,6 +81,10 @@ type Comp struct {
 	//vampos:allow statecomplete -- in-flight handler bookkeeping, meaningless across a reboot
 	activeTh *sched.Thread
 	sch      *sched.Scheduler
+	// txFrame is the buffer emit encodes each outbound segment into:
+	// Ctx.Call copies its arguments before anything parks.
+	//vampos:allow statecomplete -- transmit scratch: holds no segment past the emit that encoded it
+	txFrame []byte
 
 	// Stats
 	//vampos:allow statecomplete -- wire counters are diagnostics, not recovery state: a rebooted stack restarts its counts like a rebooted kernel would
@@ -288,7 +292,8 @@ func (c *Comp) emit(seg Segment) {
 		panic("lwip: segment emitted outside a handler invocation")
 	}
 	c.SegsOut++
-	if _, err := ctx.Call("netdev", "tx", EncodeSegment(seg)); err != nil {
+	c.txFrame = AppendSegment(c.txFrame[:0], seg)
+	if _, err := ctx.Call("netdev", "tx", c.txFrame); err != nil {
 		// Transmission failure on the lossless virtual wire is a device
 		// failure (ring desync / reboot window); the segment is lost and
 		// the peer will observe it as the connection stalling.

@@ -51,6 +51,42 @@ func TestSegmentCodecProperty(t *testing.T) {
 	}
 }
 
+// TestAppendSegmentMatchesEncode: encoding into a reused buffer that is
+// longer than the frame and full of an older frame's bytes gives exactly
+// EncodeSegment's bytes, empty payloads included, and appends to what dst
+// already holds.
+func TestAppendSegmentMatchesEncode(t *testing.T) {
+	stale := bytes.Repeat([]byte{0xA5}, 512)
+	check := func(in Segment) bool {
+		want := EncodeSegment(in)
+		dst := append([]byte(nil), stale...)
+		got := AppendSegment(dst[:0], in)
+		if !bytes.Equal(got, want) {
+			return false
+		}
+		prefix := []byte("head")
+		got = AppendSegment(append(stale[:0:0], prefix...), in)
+		return bytes.Equal(got[:len(prefix)], prefix) && bytes.Equal(got[len(prefix):], want)
+	}
+	for _, in := range []Segment{
+		{},
+		{Src: IP4(10, 0, 0, 2), Dst: IP4(10, 0, 0, 9), SrcPort: 7, DstPort: 4000, Seq: 1, Ack: 2, Flags: FlagACK},
+		{Flags: FlagSYN | FlagACK, Payload: []byte{}},
+		{Seq: 0xFFFFFFFF, Payload: []byte("ping")},
+	} {
+		if !check(in) {
+			t.Fatalf("AppendSegment(%v) differs from EncodeSegment", in)
+		}
+	}
+	f := func(src, dst, seq, ack uint32, sp, dp uint16, flags uint8, payload []byte) bool {
+		return check(Segment{Src: Addr(src), Dst: Addr(dst), SrcPort: sp, DstPort: dp,
+			Seq: seq, Ack: ack, Flags: Flags(flags), Payload: payload})
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // pair wires two machines through in-order delivery queues and pumps
 // until quiescent.
 type pair struct {

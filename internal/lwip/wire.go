@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Flags is the TCP segment flag set.
@@ -82,9 +83,16 @@ func (s Segment) String() string {
 // segment header: src(4) dst(4) sport(2) dport(2) seq(4) ack(4) flags(1) paylen(4)
 const segHeaderLen = 4 + 4 + 2 + 2 + 4 + 4 + 1 + 4
 
-// EncodeSegment serialises a segment into frame bytes.
-func EncodeSegment(s Segment) []byte {
-	p := make([]byte, segHeaderLen+len(s.Payload))
+// EncodeSegment serialises a segment into fresh frame bytes.
+func EncodeSegment(s Segment) []byte { return AppendSegment(nil, s) }
+
+// AppendSegment appends the frame bytes of s to dst, growing it at most
+// once, and returns the extended slice: a sender that keeps its frame
+// buffer encodes into buf[:0] and allocates nothing once it is big enough.
+func AppendSegment(dst []byte, s Segment) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, segHeaderLen+len(s.Payload))[:n+segHeaderLen]
+	p := dst[n:]
 	binary.BigEndian.PutUint32(p[0:], uint32(s.Src))
 	binary.BigEndian.PutUint32(p[4:], uint32(s.Dst))
 	binary.BigEndian.PutUint16(p[8:], s.SrcPort)
@@ -93,8 +101,7 @@ func EncodeSegment(s Segment) []byte {
 	binary.BigEndian.PutUint32(p[16:], s.Ack)
 	p[20] = byte(s.Flags)
 	binary.BigEndian.PutUint32(p[21:], uint32(len(s.Payload)))
-	copy(p[segHeaderLen:], s.Payload)
-	return p
+	return append(dst, s.Payload...)
 }
 
 // DecodeSegment parses frame bytes produced by EncodeSegment.

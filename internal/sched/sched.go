@@ -257,6 +257,7 @@ type Thread struct {
 	sliceBase   time.Duration // global virtual time frozen at round start
 	sliceCharge time.Duration // virtual time charged so far this slice
 	sliceOps    []sliceOp
+	journal     Journal       // typed entries the sliceOps' posts flush
 	sliceSleep  time.Duration // >=0: Sleep(d) requested at slice end
 	sliceYield  bool          // slice ended in Yield (re-enqueue at commit)
 	sliceWall   time.Duration // real time the last slice took to execute

@@ -8,10 +8,11 @@
 // SetShards, and each runs one buffered timeslice, in drain order within
 // its bucket, with every globally visible effect — virtual-time charges,
 // timer registrations, ready-queue insertions, deferred closures handed
-// in via Thread.Do — journaled instead of applied. While a round is in
-// flight the global clock is frozen at the round's start; each slice sees
-// round-start time plus its own charges (Thread.Elapsed), a per-shard
-// virtual time that floats above the committed global watermark.
+// in via Thread.Do, entries posted to the thread's typed Journal —
+// journaled instead of applied. While a round is in flight the global
+// clock is frozen at the round's start; each slice sees round-start time
+// plus its own charges (Thread.Elapsed), a per-shard virtual time that
+// floats above the committed global watermark.
 //
 // The ordinal decides which threads share a bucket, not who executes it:
 // a round of one bucket runs inline, a wider one is published to this
@@ -24,9 +25,10 @@
 // When every slice has parked, the conductor commits the journals
 // sequentially in the *merge order*: ascending slice-end virtual time,
 // ties broken by FNV-1a of the thread name, then by spawn id. Committing
-// a journal replays its charges (firing any timers they reach) and runs
-// its deferred closures, so the committed global state is exactly what a
-// sequential execution of the batch in merge order would have produced.
+// a journal replays its charges (firing any timers they reach), runs its
+// deferred closures and flushes its posted entries, so the committed
+// global state is exactly what a sequential execution of the batch in
+// merge order would have produced.
 // Batch composition, slice behaviour, and merge order are all pure
 // functions of deterministic scheduler state — never of which goroutine
 // ran a slice, or when — so a given seed produces one canonical event
@@ -72,11 +74,26 @@ const (
 )
 
 // sliceOp is one journaled effect of a buffered timeslice, in program order:
-// a virtual-time charge, a deferred closure, or its dispatch accounting.
+// a virtual-time charge, a deferred closure, one entry of the thread's
+// Journal, or its dispatch accounting.
 type sliceOp struct {
 	charge   time.Duration
 	fn       func()
+	post     bool
 	dispatch bool
+}
+
+// A Journal is a thread's typed journal: the pending entries of one
+// frequent effect, kept by the package that defers them so that journaling
+// one costs no closure (core's message-queue submissions). Inside a
+// buffered slice the owner appends an entry and calls Post; the commit
+// calls Flush once per Post, in program order with the slice's other
+// effects, so Flush applies the oldest entry. Drop discards every entry:
+// runSlice calls it before each slice, so what a slice posted and no commit
+// flushed (Run left mid-round) is never applied by a later commit.
+type Journal interface {
+	Flush()
+	Drop()
 }
 
 // SetShards enables the round engine with n shard batons (the buckets a
@@ -140,6 +157,20 @@ func (t *Thread) Do(fn func()) {
 		return
 	}
 	fn()
+}
+
+// SetJournal attaches j as the thread's typed journal. Only the thread's
+// own code or the conductor may call it, as for every journal field.
+func (t *Thread) SetJournal(j Journal) { t.journal = j }
+
+// Journal returns the thread's typed journal, nil when none is attached.
+func (t *Thread) Journal() Journal { return t.journal }
+
+// Post journals one Flush of the thread's Journal, to run at the round
+// commit exactly where a Do made now would. Only a thread inside a buffered
+// slice (Buffering) posts: a live one applies its effect itself.
+func (t *Thread) Post() {
+	t.sliceOps = append(t.sliceOps, sliceOp{post: true})
 }
 
 // Elapsed returns virtual time as seen by this thread: the committed
@@ -350,6 +381,9 @@ func (s *Scheduler) runSlice(t *Thread) {
 	t.sliceBase = s.roundBase
 	t.sliceCharge = 0
 	t.sliceOps = t.sliceOps[:0]
+	if t.journal != nil {
+		t.journal.Drop()
+	}
 	t.sliceSleep = -1
 	t.sliceYield = false
 	if s.dispatchCost > 0 {
@@ -377,15 +411,17 @@ func sliceWallClock() time.Time {
 
 // commitSlice replays one slice's journal on the conductor: charges
 // advance the real clock (firing any timers they reach, exactly as a
-// live execution would), deferred closures run, and the thread's parked
-// end-state takes effect. Timer callbacks fired mid-commit may already
-// have woken this thread; the state guards keep such wakes from being
-// clobbered.
+// live execution would), deferred closures run, posted journal entries
+// flush, and the thread's parked end-state takes effect. Timer callbacks
+// fired mid-commit may already have woken this thread; the state guards
+// keep such wakes from being clobbered.
 func (s *Scheduler) commitSlice(t *Thread) {
 	for _, op := range t.sliceOps {
 		switch {
 		case op.fn != nil:
 			op.fn()
+		case op.post:
+			t.journal.Flush()
 		case op.dispatch:
 			t.dispatches++
 			s.stats.Dispatches++

@@ -116,6 +116,107 @@ func TestShardRunnersJoinOnEveryExit(t *testing.T) {
 	}
 }
 
+// seqJournal is a Journal that numbers what its thread posts: entries holds
+// the numbers not yet flushed, flushed every number the commits applied, in
+// their order.
+type seqJournal struct {
+	entries []int
+	head    int
+	posted  int
+	flushed []int
+}
+
+func (j *seqJournal) post(th *Thread) {
+	j.entries = append(j.entries, j.posted)
+	j.posted++
+	th.Post()
+}
+
+func (j *seqJournal) Flush() {
+	j.flushed = append(j.flushed, j.entries[j.head])
+	j.head++
+	if j.head == len(j.entries) {
+		j.Drop()
+	}
+}
+
+func (j *seqJournal) Drop() { j.entries, j.head = j.entries[:0], 0 }
+
+// TestShardRunnerJournalEmptyAfterEveryCommit: what a buffered slice posts
+// to its thread's Journal flushes at the round's commit, all of it and in
+// program order, so a system thread running between rounds finds every
+// journal empty — the journal of a thread killed mid-round by a journaled
+// Kill too. Entries that no commit flushed (a slice cut short) are dropped
+// at the thread's next slice, never flushed by its commit.
+func TestShardRunnerJournalEmptyAfterEveryCommit(t *testing.T) {
+	const rounds = 50
+	s := newSched(nil)
+	s.SetShards(2)
+	journals := map[*Thread]*seqJournal{}
+	poster := func(n int, then func(*Thread)) func(*Thread) {
+		return func(th *Thread) {
+			j := journals[th]
+			for i := 0; i != n; i++ {
+				j.post(th)
+				th.Charge(time.Microsecond)
+				j.post(th)
+				th.Yield()
+			}
+			if then != nil {
+				then(th)
+			}
+		}
+	}
+	spawn := func(name string, ordinal int, fn func(*Thread)) *Thread {
+		th := spawnDomain(s, name, ordinal, fn)
+		journals[th] = &seqJournal{}
+		th.SetJournal(journals[th])
+		return th
+	}
+	victim := spawn("victim", 1, poster(-1, nil))
+	kills := 0
+	victim.OnKill = func() { kills++ }
+	spawn("killer", 0, poster(rounds/2, func(th *Thread) {
+		th.Do(victim.Kill)
+		poster(rounds/2, nil)(th)
+	}))
+	stale := spawn("stale", 3, poster(rounds, nil))
+	journals[stale].entries = []int{-1, -2} // left by a slice whose commit never came
+	checks := 0
+	s.Spawn("observer", mem.AllowAll, func(th *Thread) {
+		for running := true; running; th.Yield() {
+			running = false
+			for dom, j := range journals {
+				if n := len(j.entries) - j.head; n != 0 {
+					t.Fatalf("%s holds %d unflushed entries after a commit", dom.Name(), n)
+				}
+				running = running || dom.State() != StateDone
+			}
+			checks++
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Rounds < rounds || checks < rounds {
+		t.Fatalf("%d rounds and %d checks between them, want at least %d of each", st.Rounds, checks, rounds)
+	}
+	if kills != 1 || victim.State() != StateDone {
+		t.Fatalf("victim is %v after %d kills", victim.State(), kills)
+	}
+	for th, j := range journals {
+		if len(j.flushed) != j.posted {
+			t.Fatalf("%s: %d entries flushed of %d posted", th.Name(), len(j.flushed), j.posted)
+		}
+		for i, v := range j.flushed {
+			if v != i {
+				t.Fatalf("%s: flush %d applied entry %d, want %d (program order, nothing stale)", th.Name(), i, v, i)
+			}
+		}
+	}
+	s.Close()
+}
+
 // TestShardRunnerGoexitInSlice: a runtime.Goexit inside a slice (t.Fatal on
 // a simulated thread) ends whichever goroutine ran the bucket. On the
 // conductor that is the Run goroutine, whose deferred join still collects
